@@ -14,6 +14,11 @@ The three workhorses are
   the homogeneous solution space (over Z the solve is in integers), and
 * :func:`cohomology` -- per-degree free rank and invariant factors of a
   finite complex, with torsion when the coefficients are Z.
+
+Cohomology is read off the differentials, each factored once: H^k has free
+rank dim C^k - rk d_k - rk d_{k-1}, and as C^k / ker d_k embeds in the free
+C^{k+1}, its torsion is that of coker d_{k-1}: the non-unit invariant
+factors of d_{k-1}.
 """
 
 from __future__ import annotations
@@ -67,7 +72,11 @@ class Ring:
         if token == "Q":
             return Ring.Q()
         if token.startswith("F"):
-            return Ring.GF(int(token[1:]))
+            try:
+                p = int(token[1:])
+            except ValueError:  # not a number, or more digits than int() parses
+                raise ExactLinalgError("cannot parse ring token %.40r" % (token,)) from None
+            return Ring.GF(p)
         raise ExactLinalgError("cannot parse ring token %r" % (token,))
 
     @property
@@ -140,19 +149,25 @@ class Ring:
             return q
         return self.mul(a, self.inv(b))
 
-    def scalar_str(self, a) -> str:
-        return str(a)
+
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson-Webster 2015: the least strong pseudoprime to all 13 bases).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    """Deterministic Miller-Rabin; n >= PRIME_BOUND is rejected, not guessed."""
+    if n >= PRIME_BOUND:
+        raise ExactLinalgError("primality of %d is not decided: F_p needs p < %d"
+                               % (n, PRIME_BOUND))
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return all(pow(b, d, n) == 1 or any(pow(b, d << r, n) == n - 1 for r in range(s))
+               for b in _MR_BASES)
 
 
 class ExactMatrix:
@@ -210,13 +225,6 @@ class ExactMatrix:
             m._set(i, i, one)
         return m
 
-    @staticmethod
-    def from_triplets(ring: Ring, rows: int, cols: int, triplets) -> "ExactMatrix":
-        m = ExactMatrix(ring, rows, cols)
-        for i, j, x in triplets:
-            m._set(i, j, ring.coerce(x))
-        return m
-
     def copy(self) -> "ExactMatrix":
         if self.sparse:
             return ExactMatrix(self.ring, self.rows, self.cols, _storage=dict(self._data))
@@ -252,9 +260,6 @@ class ExactMatrix:
 
     def row_list(self, i: int) -> list:
         return [self.get(i, j) for j in range(self.cols)]
-
-    def to_lists(self) -> list:
-        return [self.row_list(i) for i in range(self.rows)]
 
     def is_zero(self) -> bool:
         return all(v == 0 for _, v in self.nonzero_items())
@@ -512,7 +517,7 @@ def invariant_factors(m: ExactMatrix) -> list:
 
 
 def det(m: ExactMatrix):
-    """Exact determinant via fraction-free (Bareiss) elimination."""
+    """Exact determinant via Gaussian elimination over Fraction."""
     if m.rows != m.cols:
         raise ExactLinalgError("determinant of a non-square matrix")
     n = m.rows
@@ -594,23 +599,30 @@ def kernel_basis(m: ExactMatrix) -> list:
     are exactly the integer kernel vectors).
     """
     if m.ring.is_field:
-        r, pivots = rref(m)
-        free = [c for c in range(m.cols) if c not in pivots]
-        basis = []
-        for fc in free:
-            vec = [m.ring.zero()] * m.cols
-            vec[fc] = m.ring.one()
-            for ri, pc in enumerate(pivots):
-                vec[pc] = m.ring.neg(r.get(ri, fc))
-            basis.append(vec)
-        return basis
+        return _rref_kernel(m.ring, m.cols, *rref(m))
     _, d, v = smith_normal_form(m)
-    n = min(d.rows, d.cols)
+    return _snf_kernel(d, v)
+
+
+def _rref_kernel(ring: Ring, cols: int, r: ExactMatrix, pivots: list) -> list:
+    # One vector per free column among the first ``cols`` columns of r.
     basis = []
-    for j in range(m.cols):
-        if j >= n or d.get(j, j) == 0:
-            basis.append([v.get(i, j) for i in range(m.cols)])
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        vec = [ring.zero()] * cols
+        vec[fc] = ring.one()
+        for ri, pc in enumerate(pivots):
+            vec[pc] = ring.neg(r.get(ri, fc))
+        basis.append(vec)
     return basis
+
+
+def _snf_kernel(d: ExactMatrix, v: ExactMatrix) -> list:
+    # The columns of V at the zero (or missing) diagonal entries of D.
+    n = min(d.rows, d.cols)
+    return [[v.get(i, j) for i in range(v.rows)]
+            for j in range(d.cols) if j >= n or d.get(j, j) == 0]
 
 
 def solve_linear(a: ExactMatrix, b):
@@ -618,7 +630,8 @@ def solve_linear(a: ExactMatrix, b):
 
     ``b`` is a list of scalars or a one-column ExactMatrix.  Over Z the
     solve is in integers via the Smith form and None means there is no
-    integer solution.
+    integer solution.  The kernel basis is the one :func:`kernel_basis`
+    returns, read off the same factorization.
     """
     if isinstance(b, ExactMatrix):
         if b.cols != 1:
@@ -640,7 +653,8 @@ def solve_linear(a: ExactMatrix, b):
         x = [ring.zero()] * a.cols
         for ri, pc in enumerate(pivots):
             x[pc] = r.get(ri, a.cols)
-        return x, kernel_basis(a)
+        # The first a.cols columns of rref([a | b]) are rref(a).
+        return x, _rref_kernel(ring, a.cols, r, pivots)
     u, d, v = smith_normal_form(a)
     ub = [sum(u.get(i, k) * b[k] for k in range(a.rows)) for i in range(a.rows)]
     y = [0] * a.cols
@@ -656,7 +670,7 @@ def solve_linear(a: ExactMatrix, b):
                 return None
             y[i] = q
     x = [sum(v.get(i, k) * y[k] for k in range(a.cols)) for i in range(a.cols)]
-    return x, kernel_basis(a)
+    return x, _snf_kernel(d, v)
 
 
 # -- cohomology of complexes -----------------------------------------------------------
@@ -747,47 +761,33 @@ class ChainComplexSpec:
 def cohomology(complex_spec: ChainComplexSpec) -> CohomologyReport:
     """Cohomology of a finite complex, with torsion over Z.
 
-    d^2 = 0 is verified first; a violation reports the offending degree
-    and entry.  Over a field only ranks are produced.
+    d^2 = 0 is verified first, which also gives im d_{k-1} in ker d_k; a
+    violation reports the offending degree and entry.  Then each d_k is
+    factored once (invariant factors over Z, rank over a field) and H^k is
+    read off as in the module docstring: rank dim C^k - rk d_k - rk d_{k-1},
+    torsion the non-unit invariant factors of d_{k-1}.  Over a field only
+    ranks are produced.
     """
     complex_spec.check_square_zero()
     ring = complex_spec.ring
+    factored = {}
+
+    def factor(deg):
+        # (rank, non-unit invariant factors) of d_deg, computed once
+        if deg not in factored:
+            m = complex_spec.d(deg)
+            if ring.is_field:
+                factored[deg] = (rank(m), [])
+            else:
+                facs = invariant_factors(m)
+                factored[deg] = (len(facs), [f for f in facs if f != 1])
+        return factored[deg]
+
     report = CohomologyReport(ring)
     for deg in sorted(complex_spec.dims):
         dim = complex_spec.dims[deg]
         if dim == 0:
             continue
-        d_out = complex_spec.d(deg)
-        d_in = complex_spec.d(deg - 1)
-        if ring.is_field:
-            rk = dim - rank(d_out) - rank(d_in)
-            report.set(deg, rk)
-            continue
-        kb = kernel_basis(d_out)
-        if not kb:
-            continue
-        kmat = ExactMatrix(ring, dim, len(kb),
-                           [[kb[j][i] for j in range(len(kb))] for i in range(dim)])
-        cols = []
-        for j in range(d_in.cols):
-            col = [d_in.get(i, j) for i in range(d_in.rows)]
-            sol = solve_linear(kmat, col)
-            if sol is None:
-                raise ExactLinalgError("image not contained in kernel at degree %d" % deg)
-            cols.append(sol[0])
-        if cols:
-            x = ExactMatrix(ring, len(kb), len(cols),
-                            [[cols[j][i] for j in range(len(cols))] for i in range(len(kb))])
-            facs = invariant_factors(x)
-        else:
-            facs = []
-        free_rank = len(kb) - len(facs)
-        torsion = [f for f in facs if abs(f) != 1]
-        report.set(deg, free_rank, torsion)
+        rk_in, torsion = factor(deg - 1)
+        report.set(deg, dim - factor(deg)[0] - rk_in, torsion)
     return report
-
-
-def field_ranks(complex_spec: ChainComplexSpec) -> dict:
-    """Degree -> rank shortcut used by rank cross-checks."""
-    rep = cohomology(complex_spec)
-    return {d: rep.rank(d) for d in rep.degrees()}

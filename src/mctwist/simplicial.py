@@ -386,15 +386,6 @@ def cochain_algebra(sset: FiniteSimplicialSet, ring: Ring, max_degree=None,
                      name=name or "C*(%s)" % (sset.name or "?"))
 
 
-def restriction_map(big: DgAlgebra, small: DgAlgebra) -> dict:
-    """The quotient C*(sk_{n+1}) -> C*(sk_n): kill duals of missing simplices."""
-    out = {}
-    for l in big.gm.labels:
-        if l in small.gm.degree:
-            out[l] = {l: 1}
-    return out
-
-
 def is_dga_map(f: dict, a: DgAlgebra, b: DgAlgebra) -> bool:
     """Check that a basis-indexed linear map is a map of dg algebras."""
     ring = b.ring

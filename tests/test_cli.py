@@ -176,6 +176,23 @@ def test_exit_code_one_on_bad_input(tmp_path, capsys):
     assert code == 1
 
 
+def test_large_prime_fields(tmp_path, capsys):
+    p = 2 ** 61 - 1
+    spec = {"ring": "F%d" % p, "dims": {"0": 1, "1": 1},
+            "maps": {"0": {"ring": "F%d" % p, "rows": 1, "cols": 1, "entries": [["2"]]}}}
+    path = str(tmp_path / "cx.json")
+    with open(path, "w") as fh:
+        json.dump(spec, fh)
+    code, out, _ = run_cli(capsys, "cohomology", path)
+    assert code == 0 and json.loads(out)["H"] == [{"degree": 0, "rank": 0}]
+    code, out, err = run_cli(capsys, "kn", "--n", "1", "--ring", "F%d" % (2 ** 89 - 1))
+    assert code == 1 and out == ""
+    assert "input error" in err and "p < " in err
+    for token in ("Fx", "F" + "9" * 5000):
+        code, out, err = run_cli(capsys, "kn", "--n", "1", "--ring", token)
+        assert code == 1 and out == "" and "cannot parse ring token" in err
+
+
 def test_minimal_model_command(tmp_path, capsys):
     from mctwist.simplicial import circle, cochain_algebra
     ca = cochain_algebra(circle(3), Q)

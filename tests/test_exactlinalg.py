@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mctwist.exactlinalg import (
     ChainComplexSpec,
     CohomologyReport,
     ExactLinalgError,
     ExactMatrix,
+    PRIME_BOUND,
     Ring,
     cohomology,
     det,
@@ -119,6 +122,7 @@ def test_solve_exactness_randomized():
             res = solve_linear(a, b)
             assert res is not None
             x, kb = res
+            assert kb == kernel_basis(a)
             for i in range(rows):
                 acc = ring.zero()
                 for j in range(cols):
@@ -284,9 +288,7 @@ def test_field_ranks_agree_with_integer_free_ranks_randomized():
                     k += 1
                 if t > 1:
                     torsion_primes.add(t)
-        p = 7
-        while p in torsion_primes:
-            p += 2
+        p = next(q for q in (7, 11, 13, 17, 19, 23) if q not in torsion_primes)
         fp = Ring.GF(p)
         spec_p = ChainComplexSpec(fp, {0: cols, 1: rows, 2: d1.rows},
                                   {0: d0.change_ring(fp), 1: d1.change_ring(fp)})
@@ -298,3 +300,184 @@ def test_field_ranks_agree_with_integer_free_ranks_randomized():
         rep_q = cohomology(spec_q)
         for d in (0, 1, 2):
             assert rep_q.rank(d) == rep_z.rank(d)
+
+
+def test_gf_primality_is_bounded_and_exact():
+    # 2^61 - 1 is prime; trial division would not finish
+    assert Ring.GF(2 ** 61 - 1).p == 2 ** 61 - 1
+    # strong pseudoprimes to every prime base up to 31 and 37 respectively
+    for composite in (3825123056546413051, 318665857834031151167461):
+        with pytest.raises(ExactLinalgError, match="prime"):
+            Ring.GF(composite)
+    with pytest.raises(ExactLinalgError, match="p < "):
+        Ring.GF(2 ** 89 - 1)  # prime, but over the bound
+    with pytest.raises(ExactLinalgError, match="p < "):
+        Ring.parse("F%d" % PRIME_BOUND)
+    sieve = [True] * 3000
+    for n in range(2, 3000):
+        if sieve[n]:
+            for m in range(n * n, 3000, n):
+                sieve[m] = False
+    primes = [n for n in range(2, 3000) if sieve[n]]
+    found = []
+    for n in range(3000):
+        try:
+            found.append(Ring.GF(n).p)
+        except ExactLinalgError:
+            pass
+    assert found == primes
+
+
+# -- oracles built by construction, sharing no code with the kernels -------------
+#
+# A complex C^0 -> ... -> C^L over Z is built as d_k = P_{k+1} D_k P_k^{-1}.
+# C^k has coordinates [B_k | F_k | S_k] of sizes r_{k-1}, f_k, r_k, and D_k
+# maps S_k onto B_{k+1} by diag(e_{k,1}, ..., e_{k,r_k}), a divisibility
+# chain, so D_{k+1} D_k = 0 and H^k = Z^{f_k} + torsion(e_{k-1}).  Each P_k
+# is a seeded product of elementary row operations; P_k^{-1} replays them
+# backwards with inverted parameters.
+
+
+def _matmul(a, b, rows, inner, cols):
+    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
+            for i in range(rows)]
+
+
+def _unimodular_pair(n, seed):
+    rng = random.Random(seed)
+    ops = []
+    for _ in range(rng.randint(0, 3 * n)):
+        kind = rng.choice(("add", "add", "swap", "neg"))
+        i = rng.randrange(n)
+        j = rng.choice([x for x in range(n) if x != i] or [i])
+        ops.append((kind, i, j, rng.choice((-3, -2, -1, 1, 2, 3))))
+
+    def apply(mat, op, sign):
+        kind, i, j, c = op
+        if kind == "add" and i != j:
+            mat[i] = [x + sign * c * y for x, y in zip(mat[i], mat[j])]
+        elif kind == "swap":
+            mat[i], mat[j] = mat[j], mat[i]
+        elif kind == "neg":
+            mat[i] = [-x for x in mat[i]]
+
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    p_inv = [row[:] for row in p]
+    for op in ops:
+        apply(p, op, 1)
+    for op in reversed(ops):
+        apply(p_inv, op, -1)
+    assert _matmul(p, p_inv, n, n, n) == [[int(i == j) for j in range(n)] for i in range(n)]
+    return p, p_inv
+
+
+@st.composite
+def _chains(draw):
+    length = draw(st.integers(0, 3))
+    out, e = [], 1
+    for _ in range(length):
+        e *= draw(st.sampled_from((1, 1, 2, 3, 4)))
+        out.append(e)
+    return out
+
+
+@st.composite
+def _constructed_complexes(draw):
+    top = draw(st.integers(0, 3))                     # degrees 0..top
+    chains = [draw(_chains()) for _ in range(top)] + [[]]
+    free = [draw(st.integers(0, 2)) for _ in range(top + 1)]
+    ranks = [len(c) for c in chains]
+    dims = [(ranks[k - 1] if k else 0) + free[k] + ranks[k] for k in range(top + 1)]
+    seeds = [draw(st.integers(0, 2 ** 32)) for _ in range(top + 1)]
+    units = [_unimodular_pair(n, seed) for n, seed in zip(dims, seeds)]
+    maps = {}
+    for k in range(top):
+        diag = [[0] * dims[k] for _ in range(dims[k + 1])]
+        start = (ranks[k - 1] if k else 0) + free[k]
+        for i, e in enumerate(chains[k]):
+            diag[i][start + i] = e
+        left = _matmul(units[k + 1][0], diag, dims[k + 1], dims[k + 1], dims[k])
+        maps[k] = _matmul(left, units[k][1], dims[k + 1], dims[k], dims[k])
+    expected = [(k, free[k], [e for e in (chains[k - 1] if k else []) if e != 1])
+                for k in range(top + 1)]
+    return dims, maps, expected
+
+
+def _spec(ring, dims, maps):
+    return ChainComplexSpec(ring, dict(enumerate(dims)),
+                            {k: ExactMatrix(ring, dims[k + 1], dims[k], m)
+                             for k, m in maps.items()})
+
+
+def _prime_factors(n):
+    out, k = set(), 2
+    while k * k <= n:
+        while n % k == 0:
+            out.add(k)
+            n //= k
+        k += 1
+    return out | ({n} if n > 1 else set())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_constructed_complexes())
+def test_cohomology_of_constructed_complexes(case):
+    dims, maps, expected = case
+    assert cohomology(_spec(Z, dims, maps)) == CohomologyReport(Z, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_constructed_complexes())
+def test_euler_characteristic_and_universal_coefficients(case):
+    dims, maps, _ = case
+    rep = cohomology(_spec(Z, dims, maps))
+    euler = sum((-1) ** k * n for k, n in enumerate(dims))
+    assert sum((-1) ** k * rep.rank(k) for k in range(len(dims))) == euler
+    rep_q = cohomology(_spec(Q, dims, maps))
+    assert all(rep_q.rank(k) == rep.rank(k) for k in range(len(dims)))
+    torsion_primes = set()
+    for k in rep.degrees():
+        for t in rep.torsion(k):
+            torsion_primes |= _prime_factors(t)
+    spare = next(q for q in (5, 7, 11, 13) if q not in torsion_primes)
+    for p in sorted(torsion_primes) + [spare]:
+        rep_p = cohomology(_spec(Ring.GF(p), dims, maps))
+        # H^k(C (x) F_p) = H^k(C) (x) F_p  +  Tor(H^{k+1}(C), F_p)
+        for k in range(len(dims)):
+            hits = sum(1 for t in rep.torsion(k) + rep.torsion(k + 1) if t % p == 0)
+            assert rep_p.rank(k) == rep.rank(k) + hits, (p, k)
+        assert sum((-1) ** k * rep_p.rank(k) for k in range(len(dims))) == euler
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 2 ** 32))
+def test_snf_certificate_and_q_rank(rows, cols, seed):
+    rng = random.Random(seed)
+    m = ExactMatrix(Z, rows, cols, [[rng.choice((0, 0, 1, -1, 2, -3, 6)) for _ in range(cols)]
+                                    for _ in range(rows)])
+    u, d, v = smith_normal_form(m)
+    assert u * m * v == d
+    assert det(u) in (1, -1) and det(v) in (1, -1)
+    assert all(i == j and x > 0 for (i, j), x in d.nonzero_items())
+    facs = invariant_factors(m)
+    assert all(b % a == 0 for a, b in zip(facs, facs[1:]))
+    assert rank(m.change_ring(Q)) == len(facs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chains(), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2 ** 32))
+def test_invariant_factors_of_constructed_matrix(chain, extra_rows, extra_cols, seed):
+    rows, cols = len(chain) + extra_rows, len(chain) + extra_cols
+    diag = [[chain[i] if i == j and i < len(chain) else 0 for j in range(cols)]
+            for i in range(rows)]
+    p, _ = _unimodular_pair(rows, seed)
+    _, q = _unimodular_pair(cols, seed + 1)
+    m = _matmul(_matmul(p, diag, rows, rows, cols), q, rows, cols, cols)
+    assert invariant_factors(ExactMatrix(Z, rows, cols, m)) == chain
+
+
+def test_cohomology_of_torus_6x6_over_z():
+    from mctwist.simplicial import circle, cochain_algebra, product
+    t = product(circle(6), circle(6))
+    assert cochain_algebra(t, Z).cohomology() == CohomologyReport(
+        Z, [(0, 1, ()), (1, 2, ()), (2, 1, ())])
