@@ -190,7 +190,7 @@ def cmd_minimal_model(args) -> int:
         coeffs = {}
         for (u, w, al), c in ((tuple(k), c) for k, c in obj["mc"]):
             coeffs[("E", io.decode_label(u), io.decode_label(w),
-                    io.decode_label(al))] = io.decode_scalar(a.ring, c)
+                    io.decode_label(al))] = a.ring.coerce(c)
         tw = mc.TwistedModule(v, a, mc.MCElement(end, end.element(coeffs)), end_dga=end)
         comp = perturbation.reduced_component(tw)
         if comp is None:
@@ -218,7 +218,7 @@ def cmd_resolve(args) -> int:
         from .dgcore import GradedModule
         w_gm = GradedModule(ring, [(io.decode_label(l), int(d))
                                    for l, d in obj["resolution"]["basis"]])
-        d_w = {(io.decode_label(u), io.decode_label(w)): io.decode_scalar(ring, c)
+        d_w = {(io.decode_label(u), io.decode_label(w)): ring.coerce(c)
                for u, w, c in obj["resolution"]["d"]}
         w1_coeffs = {}
         for edge, mat in obj["edge_action"]:
@@ -252,7 +252,7 @@ def cmd_truncate(args) -> int:
         coeffs = {}
         for (u, w, al), c in ((tuple(k), c) for k, c in obj["mc"]):
             coeffs[("E", io.decode_label(u), io.decode_label(w),
-                    io.decode_label(al))] = io.decode_scalar(a.ring, c)
+                    io.decode_label(al))] = a.ring.coerce(c)
         tw = mc.TwistedModule(v, a, mc.MCElement(end, end.element(coeffs)), end_dga=end)
         comp = perturbation.reduced_component(tw)
         if comp is None:

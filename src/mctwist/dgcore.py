@@ -58,6 +58,19 @@ def vec_sub(ring: Ring, a: dict, b: dict) -> dict:
     return vec_add(ring, a, vec_scale(ring, ring.coerce(-1), b))
 
 
+def vec_apply(ring: Ring, columns: dict, x: dict) -> dict:
+    """The linear map sending each label to the dict ``columns[label]``, at x."""
+    out = {}
+    for a, ca in x.items():
+        for r, cr in columns.get(a, {}).items():
+            s = ring.add(out.get(r, ring.zero()), ring.mul(ca, cr))
+            if s == 0:
+                out.pop(r, None)
+            else:
+                out[r] = s
+    return out
+
+
 class GradedModule:
     """A finitely supported graded free module: labelled basis with degrees."""
 
@@ -169,14 +182,13 @@ class DgAlgebra:
 
     ``mult`` maps (left label, right label) to a coefficient dict; missing
     keys are zero products.  ``diff`` maps a label to the coefficient dict
-    of its differential.  ``filtration`` is an optional nonnegative integer
-    weight per label, additive under multiplication and preserved by d,
-    used only to prune axiom checks on large truncated algebras; its own
-    soundness is verified by :func:`check_dga` before any pruning.
+    of its differential.  Zero coefficients are dropped on construction, so
+    the keys of both tables are exactly the nonzero structure constants;
+    :func:`check_dga` reads its candidate witnesses off them.
     """
 
     def __init__(self, gm: GradedModule, unit: dict, mult: dict, diff: dict,
-                 filtration=None, name: str = ""):
+                 name: str = ""):
         self.gm = gm
         self.ring = gm.ring
         self.name = name
@@ -191,7 +203,6 @@ class DgAlgebra:
             clean = {k: self.ring.coerce(v) for k, v in out.items() if v != 0}
             if clean:
                 self.diff[a] = clean
-        self.filtration = dict(filtration) if filtration else None
         self._validate_degrees()
 
     def _validate_degrees(self):
@@ -241,9 +252,6 @@ class DgAlgebra:
     def zero(self) -> Element:
         return Element(self, {})
 
-    def basis_element(self, label) -> Element:
-        return self.element(label)
-
     # -- structure-constant arithmetic ----------------------------------------
 
     def mul_labels(self, a, b) -> dict:
@@ -267,19 +275,7 @@ class DgAlgebra:
         return out
 
     def d_dict(self, x: dict) -> dict:
-        ring = self.ring
-        out = {}
-        for a, ca in x.items():
-            da = self.diff.get(a)
-            if not da:
-                continue
-            for r, cr in da.items():
-                s = ring.add(out.get(r, ring.zero()), ring.mul(ca, cr))
-                if s == 0:
-                    out.pop(r, None)
-                else:
-                    out[r] = s
-        return out
+        return vec_apply(self.ring, self.diff, x)
 
     # -- complexes -------------------------------------------------------------
 
@@ -297,7 +293,6 @@ class DgAlgebra:
             conv(self.unit),
             {k: conv(v) for k, v in self.mult.items()},
             {k: conv(v) for k, v in self.diff.items()},
-            filtration=self.filtration,
             name=self.name,
         )
 
@@ -332,27 +327,45 @@ def complex_of(ring: Ring, gm: GradedModule, diff: dict) -> ChainComplexSpec:
 # ---------------------------------------------------------------------------
 
 
+def _inverse(pairs) -> dict:
+    """{b: [a, ...]} for an iterable of pairs (a, b)."""
+    out = {}
+    for a, b in pairs:
+        out.setdefault(b, []).append(a)
+    return out
+
+
 def check_dga(a: DgAlgebra, max_failures: int = 10) -> dict:
     """Verify d^2 = 0, Leibniz, associativity and the unit laws exactly.
 
-    Returns {"ok": bool, "failures": [...]} where every failure names the
-    axiom and a witness tuple of basis labels.  If the algebra carries a
-    filtration hint, its additivity is verified first and then triples
-    whose total weight exceeds the support bound are skipped (both sides
-    vanish for such triples once additivity is established).
+    Returns {"ok": bool, "failures": [...]}: each failure names the axiom
+    and a witness tuple of basis labels, axioms in the order unit, d^2,
+    Leibniz, associativity, witnesses in basis order; the first
+    ``max_failures`` are listed, and "ok" counts them all.  Only pairs and triples where a side can be
+    nonzero are evaluated; ``mult`` indexed by left and right label and
+    ``diff`` indexed from target to source give them:
+
+    * Leibniz, d(xy) = d(x) y + (-1)^{|x|} x d(y): (x, y) in ``mult``;
+      (x, q) with p in d(x) and (p, q) in ``mult``; (p, y) with q in d(y)
+      and (p, q) in ``mult``;
+    * associativity, (xy) z = x (yz): (x, y, z) with r in xy and (r, z) in
+      ``mult``, or r in yz and (x, r) in ``mult``.
+
+    Elsewhere every term of both sides is a missing structure constant, so
+    no witness is lost: the list, truncation included, is the one a loop
+    over all n^2 pairs and n^3 triples of labels gives.
     """
     ring = a.ring
     deg = a.gm.degree
+    one = ring.one()
     failures = []
-    warnings = []
 
     def record(axiom, witness, detail=""):
-        if len(failures) < max_failures:
-            failures.append({"axiom": axiom, "witness": witness, "detail": detail})
+        failures.append({"axiom": axiom, "witness": witness, "detail": detail})
 
     # unit laws
     for l in a.gm.labels:
-        e = {l: ring.one()}
+        e = {l: one}
         if a.mul_dicts(a.unit, e) != e:
             record("unit-left", (l,))
         if a.mul_dicts(e, a.unit) != e:
@@ -364,53 +377,42 @@ def check_dga(a: DgAlgebra, max_failures: int = 10) -> dict:
         if dd:
             record("d-squared", (l,), "d^2(%r) = %r" % (l, dd))
 
+    # candidates are tuples of basis positions: sorted, they come in the
+    # order of a loop over all pairs or triples
+    labels = a.gm.labels
+    pos = {l: i for i, l in enumerate(labels)}
+    sources = _inverse((pos[x], r) for x, dx in a.diff.items() for r in dx)
+    right_of = _inverse((pos[y], x) for x, y in a.mult)
+    left_of = _inverse((pos[x], y) for x, y in a.mult)
+    pairs, triples = set(), set()
+    for (x, y), xy in a.mult.items():
+        i, j = pos[x], pos[y]
+        pairs.add((i, j))
+        pairs.update((h, j) for h in sources.get(x, ()))
+        pairs.update((i, k) for k in sources.get(y, ()))
+        for r in xy:
+            triples.update((i, j, k) for k in right_of.get(r, ()))
+            triples.update((h, i, j) for h in left_of.get(r, ()))
+
     # Leibniz: d(xy) = d(x) y + (-1)^{|x|} x d(y)
-    for x in a.gm.labels:
-        dx = a.diff.get(x, {})
-        sign = ring.coerce((-1) ** deg[x])
-        for y in a.gm.labels:
-            lhs = a.d_dict(a.mul_labels(x, y))
-            rhs = vec_add(ring,
-                          a.mul_dicts(dx, {y: ring.one()}),
-                          vec_scale(ring, sign,
-                                    a.mul_dicts({x: ring.one()}, a.diff.get(y, {}))))
-            if lhs != rhs:
-                record("leibniz", (x, y))
+    for i, j in sorted(pairs):
+        x, y = labels[i], labels[j]
+        lhs = a.d_dict(a.mul_labels(x, y))
+        rhs = vec_add(ring,
+                      a.mul_dicts(a.diff.get(x, {}), {y: one}),
+                      vec_scale(ring, ring.sign(deg[x]),
+                                a.mul_dicts({x: one}, a.diff.get(y, {}))))
+        if lhs != rhs:
+            record("leibniz", (x, y))
 
-    # filtration soundness, then associativity with pruning; an unsound hint
-    # only disables the pruning, it is not an algebra axiom failure
-    filt = a.filtration
-    bound = None
-    if filt is not None:
-        bound = max(filt.values(), default=0)
-        ok = all(l in filt for l in a.gm.labels)
-        if ok:
-            for (x, y), out in a.mult.items():
-                if filt[x] + filt[y] > bound or any(filt[r] != filt[x] + filt[y] for r in out):
-                    ok = False
-                    warnings.append({"witness": (x, y),
-                                     "detail": "filtration hint not additive; pruning disabled"})
-                    break
-        else:
-            warnings.append({"witness": (), "detail": "filtration hint misses labels"})
-            ok = False
-        if not ok:
-            filt = None
-
-    pairs = set(a.mult.keys())
-    for x in a.gm.labels:
-        for y in a.gm.labels:
-            xy = a.mult.get((x, y))
-            for z in a.gm.labels:
-                if filt is not None and filt[x] + filt[y] + filt[z] > bound:
-                    continue
-                if xy is None and (y, z) not in pairs:
-                    continue
-                lhs = a.mul_dicts(xy or {}, {z: ring.one()})
-                rhs = a.mul_dicts({x: ring.one()}, a.mul_labels(y, z))
-                if lhs != rhs:
-                    record("associativity", (x, y, z))
-    return {"ok": not failures, "failures": failures, "warnings": warnings}
+    # associativity: (xy) z = x (yz)
+    for i, j, k in sorted(triples):
+        x, y, z = labels[i], labels[j], labels[k]
+        lhs = a.mul_dicts(a.mul_labels(x, y), {z: one})
+        rhs = a.mul_dicts({x: one}, a.mul_labels(y, z))
+        if lhs != rhs:
+            record("associativity", (x, y, z))
+    return {"ok": not failures, "failures": failures[:max_failures]}
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +435,7 @@ def tensor_dga(a: DgAlgebra, b: DgAlgebra, name: str = "") -> DgAlgebra:
     mult = {}
     for (la, la2), pa in a.mult.items():
         for (lb, lb2), pb in b.mult.items():
-            sign = ring.coerce((-1) ** (b.gm.degree[lb] * a.gm.degree[la2]))
+            sign = ring.sign(b.gm.degree[lb] * a.gm.degree[la2])
             out = {}
             for ra, ca in pa.items():
                 for rb, cb in pb.items():
@@ -446,18 +448,13 @@ def tensor_dga(a: DgAlgebra, b: DgAlgebra, name: str = "") -> DgAlgebra:
             out = {}
             for ra, c in a.diff.get(la, {}).items():
                 out[(ra, lb)] = ring.add(out.get((ra, lb), ring.zero()), c)
-            sgn = ring.coerce((-1) ** a.gm.degree[la])
+            sgn = ring.sign(a.gm.degree[la])
             for rb, c in b.diff.get(lb, {}).items():
                 out[(la, rb)] = ring.add(out.get((la, rb), ring.zero()), ring.mul(sgn, c))
             out = {k: v for k, v in out.items() if v != 0}
             if out:
                 diff[(la, lb)] = out
-    filtration = None
-    if a.filtration is not None and b.filtration is not None:
-        filtration = {(la, lb): a.filtration[la] + b.filtration[lb]
-                      for la in a.gm.labels for lb in b.gm.labels}
-    return DgAlgebra(gm, unit, mult, diff, filtration=filtration,
-                     name=name or "%s(x)%s" % (a.name, b.name))
+    return DgAlgebra(gm, unit, mult, diff, name=name or "%s(x)%s" % (a.name, b.name))
 
 
 def ground_dga(ring: Ring, name: str = "k") -> DgAlgebra:
@@ -495,7 +492,7 @@ def endomorphism_dga(a: DgAlgebra, v: GradedModule, name: str = "") -> DgAlgebra
                     left = ("E", u, w, al)
                     right = ("E", u2, u, bl)
                     psi_deg = v.degree[u] - v.degree[u2]
-                    sign = ring.coerce((-1) ** (a.gm.degree[al] * psi_deg))
+                    sign = ring.sign(a.gm.degree[al] * psi_deg)
                     out = {("E", u2, w, rl): ring.mul(sign, c) for rl, c in prod.items()}
                     if out:
                         mult[(left, right)] = out
@@ -503,16 +500,11 @@ def endomorphism_dga(a: DgAlgebra, v: GradedModule, name: str = "") -> DgAlgebra
     for u in v.labels:
         for w in v.labels:
             # d(phi (x) a) = (-1)^{|phi|} phi (x) d(a)
-            sign = ring.coerce((-1) ** (v.degree[w] - v.degree[u]))
+            sign = ring.sign(v.degree[w] - v.degree[u])
             for al, dal in ((al, a.diff[al]) for al in a.gm.labels if al in a.diff):
                 diff[("E", u, w, al)] = {("E", u, w, rl): ring.mul(sign, c)
                                          for rl, c in dal.items()}
-    filtration = None
-    if a.filtration is not None:
-        filtration = {("E", u, w, al): a.filtration[al]
-                      for u in v.labels for w in v.labels for al in a.gm.labels}
-    return DgAlgebra(gm, unit, mult, diff, filtration=filtration,
-                     name=name or "End(V)(x)%s" % a.name)
+    return DgAlgebra(gm, unit, mult, diff, name=name or "End(V)(x)%s" % a.name)
 
 
 # ---------------------------------------------------------------------------
@@ -545,16 +537,7 @@ class DgModule:
                 self.diff[m] = clean
 
     def d_dict(self, x: dict) -> dict:
-        ring = self.ring
-        out = {}
-        for m, cm in x.items():
-            for r, cr in self.diff.get(m, {}).items():
-                s = ring.add(out.get(r, ring.zero()), ring.mul(cm, cr))
-                if s == 0:
-                    out.pop(r, None)
-                else:
-                    out[r] = s
-        return out
+        return vec_apply(self.ring, self.diff, x)
 
     def act(self, x: dict, a: dict) -> dict:
         ring = self.ring
@@ -580,42 +563,71 @@ class DgModule:
         return cohomology(self.complex())
 
     def check(self, max_failures: int = 10) -> dict:
-        """Verify D^2 = 0, unitality, associativity and module Leibniz."""
+        """Verify D^2 = 0, unitality, associativity and module Leibniz.
+
+        As in :func:`check_dga`, only witnesses where a side can be nonzero
+        are evaluated, in the order of loops over m, a and b:
+
+        * Leibniz, D(m a) = D(m) a + (-1)^{|m|} m d(a): (m, a) in ``action``,
+          or (m', a) in ``action`` with m' in D(m), or (m, b) with b in d(a);
+        * associativity, (m a) b = m (ab): r in m a with (r, b) in ``action``,
+          or (a, b) in the algebra's ``mult``, r in ab and (m, r) in ``action``.
+        """
         ring = self.ring
+        alg = self.algebra
+        one = ring.one()
         failures = []
 
         def record(axiom, witness):
-            if len(failures) < max_failures:
-                failures.append({"axiom": axiom, "witness": witness})
+            failures.append({"axiom": axiom, "witness": witness})
 
         for m in self.gm.labels:
             if self.d_dict(self.diff.get(m, {})):
                 record("D-squared", (m,))
-            e = {m: ring.one()}
-            if self.act(e, self.algebra.unit) != e:
+            e = {m: one}
+            if self.act(e, alg.unit) != e:
                 record("unit", (m,))
-        for m in self.gm.labels:
-            e = {m: ring.one()}
-            sign = ring.coerce((-1) ** self.gm.degree[m])
-            for al in self.algebra.gm.labels:
-                av = {al: ring.one()}
+
+        # candidates are tuples of basis positions, a Leibniz pair (m, a) as
+        # (m, a, -1): sorted, they come in the order of loops over m, a, b
+        mlabels, alabels = self.gm.labels, alg.gm.labels
+        mpos = {l: i for i, l in enumerate(mlabels)}
+        apos = {l: i for i, l in enumerate(alabels)}
+        module_sources = _inverse((mpos[m], r) for m, dm in self.diff.items() for r in dm)
+        algebra_sources = _inverse((apos[x], r) for x, dx in alg.diff.items() for r in dx)
+        right_of = _inverse((apos[al], m) for m, al in self.action)
+        acting_on = _inverse((mpos[m], al) for m, al in self.action)
+        checks = set()
+        for (m, al), out in self.action.items():
+            i, j = mpos[m], apos[al]
+            checks.add((i, j, -1))
+            checks.update((h, j, -1) for h in module_sources.get(m, ()))
+            checks.update((i, h, -1) for h in algebra_sources.get(al, ()))
+            for r in out:
+                checks.update((i, j, k) for k in right_of.get(r, ()))
+        for (al, bl), out in alg.mult.items():
+            j, k = apos[al], apos[bl]
+            for r in out:
+                checks.update((i, j, k) for i in acting_on.get(r, ()))
+        for i, j, k in sorted(checks):
+            m, al = mlabels[i], alabels[j]
+            e, av = {m: one}, {al: one}
+            if k < 0:
                 lhs = self.d_dict(self.act(e, av))
                 rhs = vec_add(ring,
                               self.act(self.diff.get(m, {}), av),
-                              vec_scale(ring, sign,
-                                        self.act(e, self.algebra.diff.get(al, {}))))
+                              vec_scale(ring, ring.sign(self.gm.degree[m]),
+                                        self.act(e, alg.diff.get(al, {}))))
                 if lhs != rhs:
                     record("module-leibniz", (m, al))
-                for bl in self.algebra.gm.labels:
-                    l = self.act(self.act(e, av), {bl: ring.one()})
-                    r = self.act(e, self.algebra.mul_labels(al, bl))
-                    if l != r:
-                        record("module-associativity", (m, al, bl))
-        return {"ok": not failures, "failures": failures}
+            elif self.act(self.act(e, av), {alabels[k]: one}) != self.act(
+                    e, alg.mul_labels(al, alabels[k])):
+                record("module-associativity", (m, al, alabels[k]))
+        return {"ok": not failures, "failures": failures[:max_failures]}
 
     def shifted(self, k: int) -> "DgModule":
         """M[k]: degrees relabelled by -k, differential scaled by (-1)^k."""
-        sign = self.ring.coerce((-1) ** k)
+        sign = self.ring.sign(k)
         diff = {m: vec_scale(self.ring, sign, out) for m, out in self.diff.items()}
         return DgModule(self.gm.shifted(k), self.algebra, self.action, diff,
                         name="%s[%d]" % (self.name, k))
@@ -795,7 +807,7 @@ class HomComplex:
         out = {}
         for ml, img in f.items():
             out[ml] = self.n.d_dict(img)
-        sign = ring.coerce((-1) ** degree)
+        sign = ring.sign(degree)
         for ml in self.m.gm.labels:
             acc = out.get(ml, {})
             for r, c in self.m.diff.get(ml, {}).items():
@@ -895,7 +907,7 @@ def free_hull(a: DgAlgebra, generators, name: str = "") -> DgModule:
                     action[(("x", g, al), bl)] = out_x
                 # (d y) b = d(y b) - (-1)^{|y|} y db
                 out = {("dx", g, r): c for r, c in prod.items()}
-                sign = ring.coerce(-((-1) ** ydeg))
+                sign = ring.sign(ydeg + 1)
                 for r, c in a.mul_dicts({al: ring.one()}, a.diff.get(bl, {})).items():
                     key = ("x", g, r)
                     out[key] = ring.add(out.get(key, ring.zero()), ring.mul(sign, c))

@@ -23,6 +23,7 @@ factors of d_{k-1}.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -94,9 +95,16 @@ class Ring:
         return Fraction(1) if self.kind == "Q" else 1
 
     def coerce(self, x):
-        """Coerce an int, Fraction or "a/b" string into this ring."""
-        if isinstance(x, str):
-            x = Fraction(x)
+        """Coerce an integer, a Fraction or an "a/b" string into this ring.
+
+        Floats and bools are refused, never rounded: 0.5 over Z is not 0, and
+        over Q a float's binary expansion is not the number that was written.
+
+        >>> Ring.Q().coerce("3/4"), Ring.GF(5).coerce("1/2")
+        (Fraction(3, 4), 3)
+        """
+        if type(x) is not int and type(x) is not Fraction:
+            x = _exact_scalar(x)
         if self.kind == "Z":
             if isinstance(x, Fraction):
                 if x.denominator != 1:
@@ -111,6 +119,10 @@ class Ring:
                 raise ExactLinalgError("denominator divisible by %d" % self.p)
             return (x.numerator * pow(den, -1, self.p)) % self.p
         return int(x) % self.p
+
+    def sign(self, k: int):
+        """(-1)^k in this ring, for any integer k (negative ones included)."""
+        return self.coerce(-1 if k % 2 else 1)
 
     def add(self, a, b):
         c = a + b
@@ -148,6 +160,21 @@ class Ring:
                 raise ExactLinalgError("%r does not divide %r in Z" % (b, a))
             return q
         return self.mul(a, self.inv(b))
+
+
+def _exact_scalar(x):
+    """x as an int or a rational; floats, bools and non-numbers are refused."""
+    if isinstance(x, str):
+        try:
+            if "e" in x.lower():  # "1e10000000" would be a 33-million-bit integer
+                raise ValueError
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise ExactLinalgError("not an exact scalar: %.40r" % (x,)) from None
+    if isinstance(x, bool) or not isinstance(x, numbers.Rational):
+        raise ExactLinalgError("not an exact scalar: %.40r of type %s"
+                               % (x, type(x).__name__))
+    return x
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound

@@ -42,8 +42,7 @@ def universal_mc_dga(ring: Ring, max_words: int = 4) -> DgAlgebra:
     for k in range(1, n + 1, 2):
         if k + 1 <= n:
             diff[("x", k)] = {("x", k + 1): -1}
-    filtration = {("x", k): k for k in range(n + 1)}
-    return DgAlgebra(gm, unit, mult, diff, filtration=filtration, name="k[x]/(x^%d)" % (n + 1))
+    return DgAlgebra(gm, unit, mult, diff, name="k[x]/(x^%d)" % (n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +148,7 @@ class FreeDgAlgebra:
             for i, g in enumerate(w):
                 dg = self.diff_table.get(g)
                 if dg:
-                    sign = ring.coerce((-1) ** prefix_deg)
+                    sign = ring.sign(prefix_deg)
                     for mid, cm in dg.items():
                         nw = w[:i] + mid + w[i + 1:]
                         s = ring.add(out.get(nw, ring.zero()),
@@ -186,7 +185,7 @@ class FreeDgAlgebra:
         for w1 in self.words_up_to_length(max(1, max_len // 2)):
             for w2 in self.words_up_to_length(max(1, max_len // 2)):
                 lhs = self.d_dict(self.mul_dicts({w1: ring.one()}, {w2: ring.one()}))
-                sign = ring.coerce((-1) ** self.gm.degree[w1])
+                sign = ring.sign(self.gm.degree[w1])
                 rhs = self.mul_dicts(self.d_dict({w1: ring.one()}), {w2: ring.one()})
                 for k, v in self.mul_dicts({w1: ring.one()},
                                            self.d_dict({w2: ring.one()})).items():

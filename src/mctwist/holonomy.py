@@ -93,10 +93,6 @@ class CircleForm:
         m = np.asarray(matrix, dtype=float)
         return CircleForm(np.repeat(m[None, :, :], p, axis=0))
 
-    def norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-
 def circle_derivative(values: np.ndarray) -> np.ndarray:
     """Central differences on the periodic theta grid, O(h^2)."""
     p = values.shape[0]

@@ -164,7 +164,7 @@ def tensor_mc_residual(a, k: IntervalAlgebra, x_dict: dict) -> dict:
         if not add_d.is_zero():
             add(xi, add_d)
         for deg, comp in _components(a, p):
-            sign = ring.coerce((-1) ** deg)
+            sign = ring.sign(deg)
             for eta, c in kd.diff.get(xi, {}).items():
                 add(eta, (sign * ring.coerce(c)) * comp)
     items = list(x_dict.items())
@@ -177,7 +177,7 @@ def tensor_mc_residual(a, k: IntervalAlgebra, x_dict: dict) -> dict:
             if not prod_labels:
                 continue
             for degq, qcomp in _components(a, q):
-                sign = ring.coerce((-1) ** (dxi * degq))
+                sign = ring.sign(dxi * degq)
                 pq = p * qcomp
                 if pq.is_zero():
                     continue

@@ -8,7 +8,6 @@ round trip.  Scalars are encoded as integers or "a/b" strings.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .dgcore import DgAlgebra, GradedModule
 from .exactlinalg import CohomologyReport, ExactMatrix, Ring
@@ -32,12 +31,6 @@ def decode_label(obj):
 
 def encode_scalar(c) -> str:
     return str(c)
-
-
-def decode_scalar(ring: Ring, obj):
-    if isinstance(obj, str):
-        return ring.coerce(Fraction(obj))
-    return ring.coerce(obj)
 
 
 def dga_to_json(a: DgAlgebra) -> dict:
@@ -66,14 +59,14 @@ def dga_from_json(obj: dict) -> DgAlgebra:
                 not isinstance(unit_obj[0], list)):
             unit = {decode_label(unit_obj): ring.one()}
         else:
-            unit = {decode_label(l): decode_scalar(ring, c) for l, c in unit_obj}
+            unit = {decode_label(l): ring.coerce(c) for l, c in unit_obj}
         diff = {}
         for l, r, c in obj.get("diff", []):
-            diff.setdefault(decode_label(l), {})[decode_label(r)] = decode_scalar(ring, c)
+            diff.setdefault(decode_label(l), {})[decode_label(r)] = ring.coerce(c)
         mult = {}
         for x, y, r, c in obj.get("mult", []):
             mult.setdefault((decode_label(x), decode_label(y)), {})[
-                decode_label(r)] = decode_scalar(ring, c)
+                decode_label(r)] = ring.coerce(c)
         return DgAlgebra(gm, unit, mult, diff)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("bad dg algebra JSON: %s" % exc) from exc
@@ -86,15 +79,9 @@ def element_to_json(coeffs: dict) -> list:
 
 def element_from_json(a, obj) -> dict:
     try:
-        return {decode_label(l): decode_scalar(a.ring, c) for l, c in obj}
+        return {decode_label(l): a.ring.coerce(c) for l, c in obj}
     except (TypeError, ValueError) as exc:
         raise InputError("bad element JSON: %s" % exc) from exc
-
-
-def matrix_to_json(m: ExactMatrix) -> dict:
-    return {"ring": m.ring.name, "rows": m.rows, "cols": m.cols,
-            "entries": [[encode_scalar(v) for v in m.row_list(i)]
-                        for i in range(m.rows)]}
 
 
 def matrix_from_json(obj, ring: Ring = None) -> ExactMatrix:

@@ -120,13 +120,12 @@ def twist_algebra(a: DgAlgebra, x: MCElement, name: str = "") -> DgAlgebra:
         e = {l: ring.one()}
         bracket = vec_sub(ring,
                           a.mul_dicts(x.value.coeffs, e),
-                          vec_scale(ring, ring.coerce((-1) ** a.gm.degree[l]),
+                          vec_scale(ring, ring.sign(a.gm.degree[l]),
                                     a.mul_dicts(e, x.value.coeffs)))
         out = vec_add(ring, a.diff.get(l, {}), bracket)
         if out:
             diff[l] = out
-    out_alg = DgAlgebra(a.gm, dict(a.unit), dict(a.mult), diff,
-                        filtration=a.filtration, name=name or "%s^x" % a.name)
+    out_alg = DgAlgebra(a.gm, dict(a.unit), dict(a.mult), diff, name=name or "%s^x" % a.name)
     for l in a.gm.labels:
         if out_alg.d_dict(out_alg.diff.get(l, {})):
             raise MCError("twisted algebra differential does not square to zero")
@@ -149,7 +148,7 @@ def hom_twist(a: DgAlgebra, x: MCElement, y: MCElement, name: str = "") -> DgMod
         e = {l: ring.one()}
         out = vec_add(ring, a.diff.get(l, {}), a.mul_dicts(y.value.coeffs, e))
         out = vec_sub(ring, out,
-                      vec_scale(ring, ring.coerce((-1) ** a.gm.degree[l]),
+                      vec_scale(ring, ring.sign(a.gm.degree[l]),
                                 a.mul_dicts(e, x.value.coeffs)))
         if out:
             diff[l] = out
@@ -252,7 +251,7 @@ def coboundary_in_twist(a: DgAlgebra, x: MCElement, w) -> Element:
     out = w.d() + x.value * w
     for deg in set(a.gm.degree[l] for l in w.coeffs):
         comp = w.component(deg)
-        out = out - ((-1) ** deg) * (comp * x.value)
+        out = out - a.ring.sign(deg) * (comp * x.value)
     return out
 
 
@@ -305,7 +304,7 @@ class TwistedModule:
                 action[((vl, al), bl)] = {(vl, rl): c for rl, c in prod.items()}
         diff = {}
         for vl in self.v.labels:
-            sv = ring.coerce((-1) ** self.v.degree[vl])
+            sv = ring.sign(self.v.degree[vl])
             for al in a.gm.labels:
                 out = {}
                 for rl, c in a.diff.get(al, {}).items():
@@ -315,7 +314,7 @@ class TwistedModule:
                     _, u, w, cl = el
                     if u != vl:
                         continue
-                    sign = ring.coerce((-1) ** (a.gm.degree[cl] * self.v.degree[vl]))
+                    sign = ring.sign(a.gm.degree[cl] * self.v.degree[vl])
                     for rl, c in a.mul_labels(cl, al).items():
                         key = (w, rl)
                         out[key] = ring.add(out.get(key, ring.zero()),
@@ -327,19 +326,6 @@ class TwistedModule:
 
     def cohomology(self) -> CohomologyReport:
         return cohomology(self.module().complex())
-
-    def weight_component(self, w: int) -> Element:
-        """The part of the twisting with algebra-degree w."""
-        a = self.algebra
-        return Element(self.end, {l: c for l, c in self.mc.value.coeffs.items()
-                                  if a.gm.degree[l[3]] == w})
-
-
-def trivial_twisted_module(v: GradedModule, a: DgAlgebra) -> TwistedModule:
-    """V (x) A with x encoding only the differential of V (here zero)."""
-    end = endomorphism_dga(a, v)
-    return TwistedModule(v, a, zero_mc(end), end_dga=end)
-
 
 # ---------------------------------------------------------------------------
 # degreewise matrices of hom twists, H^0 and the search layer

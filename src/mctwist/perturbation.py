@@ -72,10 +72,6 @@ class ConvOp:
     def to_mc_coeffs(self) -> dict:
         return {("E", u, w, al): c for (u, w, al), c in self.coeffs.items()}
 
-    def term_degree(self, key) -> int:
-        u, w, al = key
-        return self.dst.degree[w] - self.src.degree[u] + self.algebra.gm.degree[al]
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -110,7 +106,7 @@ class ConvOp:
             da1 = self.algebra.gm.degree[a1]
             for (u0, a0, c0) in by_w0.get(u1, ()):
                 psi = other.dst.degree[u1] - other.src.degree[u0]
-                sign = ring.coerce((-1) ** (da1 * psi))
+                sign = ring.sign(da1 * psi)
                 prod = self.algebra.mul_labels(a1, a0)
                 if not prod:
                     continue
@@ -129,7 +125,7 @@ class ConvOp:
         ring = self.ring
         out = {}
         for (u, w, al), c in self.coeffs.items():
-            sign = ring.coerce((-1) ** (self.dst.degree[w] - self.src.degree[u]))
+            sign = ring.sign(self.dst.degree[w] - self.src.degree[u])
             for r, cr in self.algebra.diff.get(al, {}).items():
                 key = (u, w, r)
                 s = ring.add(out.get(key, ring.zero()),
@@ -162,7 +158,7 @@ class ConvOp:
 def hom_differential(f: ConvOp, x_src: ConvOp, x_dst: ConvOp, degree: int) -> ConvOp:
     """d(f) = (1 (x) d)(f) + x_dst o f - (-1)^{|f|} f o x_src."""
     out = f.d_end() + x_dst.compose(f)
-    return out - f.compose(x_src).scale((-1) ** degree)
+    return out - f.compose(x_src).scale(f.ring.sign(degree))
 
 
 def geometric_inverse(one: ConvOp, n: ConvOp, bound: int) -> ConvOp:

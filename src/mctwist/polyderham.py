@@ -50,10 +50,7 @@ def polynomial_de_rham_dga(ring: Ring, max_z: int, name: str = "") -> DgAlgebra:
                 mult[(("z", i), ("zdz", j))] = {("zdz", i + j): 1}
                 mult[(("zdz", j), ("z", i))] = {("zdz", i + j): 1}
     diff = {("z", k): {("zdz", k - 1): k} for k in range(1, max_z + 1)}
-    filtration = {("z", k): k for k in range(max_z + 1)}
-    filtration.update({("zdz", k): k + 1 for k in range(max_z)})
-    return DgAlgebra(gm, unit, mult, diff, filtration=filtration,
-                     name=name or "Q[z,dz]/(z^%d)" % (max_z + 1))
+    return DgAlgebra(gm, unit, mult, diff, name=name or "Q[z,dz]/(z^%d)" % (max_z + 1))
 
 
 def one_form(a: DgAlgebra, coeffs) -> dict:

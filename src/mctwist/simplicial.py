@@ -17,9 +17,10 @@ an assumption.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
-from .dgcore import DgAlgebra, DgModule, GradedModule, ground_dga
+from .dgcore import DgAlgebra, DgModule, GradedModule, ground_dga, vec_apply
 from .exactlinalg import ExactMatrix, Ring
 
 
@@ -381,37 +382,34 @@ def cochain_algebra(sset: FiniteSimplicialSet, ring: Ring, max_degree=None,
                 continue
             row = mult.setdefault((front, back), {})
             row[rho] = row.get(rho, 0) + 1
-    filtration = {l: sset.dim_of[l] for l in labels}
-    return DgAlgebra(gm, unit, mult, diff, filtration=filtration,
-                     name=name or "C*(%s)" % (sset.name or "?"))
+    return DgAlgebra(gm, unit, mult, diff, name=name or "C*(%s)" % (sset.name or "?"))
 
 
 def is_dga_map(f: dict, a: DgAlgebra, b: DgAlgebra) -> bool:
-    """Check that a basis-indexed linear map is a map of dg algebras."""
+    """Check that a basis-indexed linear map is a map of dg algebras.
+
+    Multiplicativity f(xy) = f(x) f(y) is checked only at the pairs (x, y)
+    in ``a.mult`` and at those whose images hold labels p and q with (p, q)
+    in ``b.mult``: at every other pair both sides are zero.
+    """
     ring = b.ring
-
-    def image(d):
-        out = {}
-        for l, c in d.items():
-            for r, c2 in f.get(l, {}).items():
-                s = ring.add(out.get(r, ring.zero()), ring.mul(ring.coerce(c), ring.coerce(c2)))
-                if s == 0:
-                    out.pop(r, None)
-                else:
-                    out[r] = s
-        return out
-
+    f = {l: {r: ring.coerce(c) for r, c in img.items()} for l, img in f.items()}
+    image = functools.partial(vec_apply, ring, f)
     if image(a.unit) != b.unit:
         return False
     for l in a.gm.labels:
         if image(a.diff.get(l, {})) != b.d_dict(image({l: 1})):
             return False
+    preimages = {}
     for x in a.gm.labels:
-        for y in a.gm.labels:
-            lhs = image(a.mul_labels(x, y))
-            rhs = b.mul_dicts(image({x: 1}), image({y: 1}))
-            if lhs != rhs:
-                return False
+        for p in f.get(x, {}):
+            preimages.setdefault(p, []).append(x)
+    pairs = set(a.mult)
+    for p, q in b.mult:
+        pairs.update((x, y) for x in preimages.get(p, ()) for y in preimages.get(q, ()))
+    for x, y in pairs:
+        if image(a.mul_labels(x, y)) != b.mul_dicts(image({x: 1}), image({y: 1})):
+            return False
     return True
 
 
@@ -671,16 +669,6 @@ def twisted_system(ls: LocalSystem):
                          name="local system on %s" % ls.base.name)
 
 
-def twisted_cochains(ls_or_triple):
-    """The twisted cochain complex of a local system or a (v, algebra, mc) triple."""
-    from .mc import TwistedModule
-
-    if isinstance(ls_or_triple, LocalSystem):
-        return twisted_system(ls_or_triple).module()
-    v, ca, x = ls_or_triple
-    return TwistedModule(v, ca, x, end_dga=x.algebra).module()
-
-
 def local_system_cohomology(ls: LocalSystem):
     """Cohomology (with torsion over Z) of the twisted cochain complex."""
     return twisted_system(ls).cohomology()
@@ -743,15 +731,14 @@ def two_sided_twisted(base: FiniteSimplicialSet, vleft: GradedModule,
     xcoeffs = x.value.coeffs if hasattr(x, "value") else {}
     for (_, ur, ul, al), fdeg in basis:
         out = {}
-        sign_d = ring.coerce((-1) ** (vleft.degree[ul] - vright.degree[ur]))
+        sign_d = ring.sign(vleft.degree[ul] - vright.degree[ur])
         for rl, c in ca.diff.get(al, {}).items():
             key = ("m", ur, ul, rl)
             out[key] = ring.add(out.get(key, ring.zero()), ring.mul(sign_d, c))
         for (tag, u2, w2, cl), ce in ycoeffs.items():
             if u2 != ul:
                 continue
-            sgn = ring.coerce((-1) ** (ca.gm.degree[cl] *
-                                       (vleft.degree[ul] - vright.degree[ur])))
+            sgn = ring.sign(ca.gm.degree[cl] * (vleft.degree[ul] - vright.degree[ur]))
             for rl, c in ca.mul_labels(cl, al).items():
                 key = ("m", ur, w2, rl)
                 out[key] = ring.add(out.get(key, ring.zero()),
@@ -760,7 +747,7 @@ def two_sided_twisted(base: FiniteSimplicialSet, vleft: GradedModule,
             if w2 != ur:
                 continue
             psi_deg = vright.degree[w2] - vright.degree[u2]
-            sgn = ring.coerce(-((-1) ** (fdeg + ca.gm.degree[al] * psi_deg)))
+            sgn = ring.sign(fdeg + ca.gm.degree[al] * psi_deg + 1)
             for rl, c in ca.mul_labels(al, cl).items():
                 key = ("m", u2, ul, rl)
                 out[key] = ring.add(out.get(key, ring.zero()),

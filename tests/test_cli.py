@@ -326,3 +326,48 @@ def test_matrix_text_format_ring_tokens():
     text = m.to_text()
     assert text.splitlines()[0] == "2 2 F7"
     assert ExactMatrix.from_text(text) == m
+
+
+@pytest.mark.parametrize("coeff", [0.5, True, "nan", "x", "1/0"])
+def test_check_dga_rejects_inexact_coefficients(tmp_path, capsys, coeff):
+    # over Z, 0.5 must not round to 0 and true must not become 1
+    from mctwist.simplicial import circle, cochain_algebra
+    obj = io.dga_to_json(cochain_algebra(circle(3), Z))
+    obj["mult"][0][3] = coeff
+    path = str(tmp_path / "alg.json")
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    code, out, err = run_cli(capsys, "check-dga", path)
+    assert code == 1 and out == ""
+    assert "input error" in err and "not an exact scalar" in err
+
+
+def test_minimal_model_rejects_non_numeric_coefficient(tmp_path, capsys):
+    # MC coefficients are read outside the algebra loader, so the ring's own
+    # coercion must turn "nan" into an input error (exit 1), not exit 2
+    from mctwist.simplicial import circle, cochain_algebra
+    ca = cochain_algebra(circle(3), Q)
+    payload = {"algebra": io.dga_to_json(ca), "v": [[["p"], 0], [["q"], 1]],
+               "mc": [[[["p"], ["q"], io.encode_label(l)], "nan"] for l in ca.unit]}
+    path = str(tmp_path / "mod.json")
+    with open(path, "w") as fh:
+        fh.write(io.dumps(payload))
+    code, out, err = run_cli(capsys, "minimal-model", path)
+    assert code == 1 and out == ""
+    assert "not an exact scalar" in err
+
+
+def test_ring_coerce_accepts_exact_and_refuses_inexact_scalars():
+    from fractions import Fraction
+    from mctwist.exactlinalg import ExactLinalgError
+    F5 = Ring.GF(5)
+    assert Z.coerce(np.int64(-3)) == -3 and Z.coerce("6/3") == 2
+    assert Q.coerce("3/4") == Fraction(3, 4) and Q.coerce(Fraction(1, 3)) == Fraction(1, 3)
+    assert F5.coerce("1/2") == 3 and F5.coerce(-1) == 4
+    for ring in (Z, Q, F5):
+        for bad in (2.5, 2.0, np.float64(1.0), np.float32(0.5), True, np.bool_(False),
+                    "nan", "inf", "x", "1/0", "1e10000000", "2E3", None, [1]):
+            with pytest.raises(ExactLinalgError):
+                ring.coerce(bad)
+    assert [Z.sign(k) for k in (-3, -2, 0, 1)] == [-1, 1, 1, -1]
+    assert F5.sign(-1) == 4

@@ -1,10 +1,16 @@
+import copy
+import functools
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mctwist.dgcore import (
     DgAlgebra,
     DgError,
+    DgModule,
     GradedModule,
     HomComplex,
     algebra_as_module,
@@ -15,10 +21,20 @@ from mctwist.dgcore import (
     ground_dga,
     tensor_dga,
 )
-from mctwist.exactlinalg import Ring
+from mctwist.exactlinalg import ExactMatrix, Ring
 from mctwist.fixtures import universal_mc_dga
-from mctwist.mc import MCElement, hom_twist, twist_module, zero_mc
-from mctwist.simplicial import circle, cochain_algebra, simplex
+from mctwist.interval import build_interval_algebra, quotient_map
+from mctwist.mc import MCElement, TwistedModule, hom_twist, twist_module, zero_mc
+from mctwist.simplicial import (
+    LocalSystem,
+    circle,
+    cochain_algebra,
+    ez_algebra_map,
+    is_dga_map,
+    product,
+    rep_to_mc,
+    simplex,
+)
 
 Z, Q = Ring.Z(), Ring.Q()
 
@@ -33,8 +49,7 @@ def test_universal_mc_fixture_passes_and_broken_variant_reports():
     assert check_dga(kx)["ok"]
     # flip a differential sign: d^2(x) becomes -2 x^3 != 0
     bad = DgAlgebra(kx.gm, dict(kx.unit), dict(kx.mult),
-                    {("x", 1): {("x", 2): 1}, ("x", 3): {("x", 4): -1}},
-                    filtration=kx.filtration)
+                    {("x", 1): {("x", 2): 1}, ("x", 3): {("x", 4): -1}})
     rep = check_dga(bad)
     assert not rep["ok"]
     axioms = {f["axiom"] for f in rep["failures"]}
@@ -55,17 +70,6 @@ def test_check_dga_reports_associativity_witness():
     assert not rep["ok"]
     witnesses = {f["witness"] for f in rep["failures"] if f["axiom"] == "associativity"}
     assert ("a", "a", "b") in witnesses
-
-
-def test_check_dga_unsound_filtration_hint_only_warns():
-    kx = universal_mc_dga(Z, 3)
-    bad_hint = {l: 0 for l in kx.gm.labels}
-    bad_hint[("x", 1)] = 1  # not additive: x*x has hint 0, not 2
-    alg = DgAlgebra(kx.gm, dict(kx.unit), dict(kx.mult), dict(kx.diff),
-                    filtration=bad_hint)
-    rep = check_dga(alg)
-    assert rep["ok"]
-    assert rep["warnings"]
 
 
 def test_endomorphism_dga_of_ground_module_is_the_algebra():
@@ -282,3 +286,271 @@ def test_zero_generators_free_hull():
     kx = universal_mc_dga(Q, 2)
     g = free_hull(kx, [])
     assert g.gm.dim == 0
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracles for the axiom checkers
+#
+# They share no code with dgcore: every n^2 pair and n^3 triple of basis
+# labels, evaluated with plain + and * on the raw mult/diff/unit/action
+# dicts (reduced mod p over F_p), in the order of nested loops.
+# ---------------------------------------------------------------------------
+
+F5 = Ring.GF(5)
+
+
+def _combine(ring, terms):
+    """Sum (label, coefficient) terms; reduce over F_p; drop zeros."""
+    out = {}
+    for l, c in terms:
+        out[l] = out.get(l, 0) + c
+    if ring.kind == "Fp":
+        out = {l: c % ring.p for l, c in out.items()}
+    return {l: c for l, c in out.items() if c != 0}
+
+
+def _bilinear(table, ring, u, v):
+    return _combine(ring, ((r, cu * cv * c) for x, cu in u.items() for y, cv in v.items()
+                           for r, c in table.get((x, y), {}).items()))
+
+
+def _linear(table, ring, u):
+    return _combine(ring, ((r, cu * c) for x, cu in u.items()
+                           for r, c in table.get(x, {}).items()))
+
+
+def _sign(k):
+    return -1 if k % 2 else 1
+
+
+def _leibniz_holds(ring, d_out, d_in, d_act, act, x, y, sign):
+    """d_out(x y) == d_in(x) y + sign * x d_act(y), all brute force."""
+    lhs = _linear(d_out, ring, act({x: 1}, {y: 1}))
+    rhs = _combine(ring, list(act(_linear(d_in, ring, {x: 1}), {y: 1}).items()) +
+                   [(r, sign * c) for r, c in
+                    act({x: 1}, _linear(d_act, ring, {y: 1})).items()])
+    return lhs == rhs
+
+
+def _oracle_check_dga(a):
+    ring, labels, deg = a.ring, a.gm.labels, a.gm.degree
+    mul = functools.partial(_bilinear, a.mult, ring)
+    out = []
+    for l in labels:
+        if mul(a.unit, {l: 1}) != {l: 1}:
+            out.append(("unit-left", (l,)))
+        if mul({l: 1}, a.unit) != {l: 1}:
+            out.append(("unit-right", (l,)))
+    out += [("d-squared", (l,)) for l in labels
+            if _linear(a.diff, ring, _linear(a.diff, ring, {l: 1}))]
+    out += [("leibniz", (x, y)) for x, y in itertools.product(labels, repeat=2)
+            if not _leibniz_holds(ring, a.diff, a.diff, a.diff, mul, x, y, _sign(deg[x]))]
+    xy = {(x, y): mul({x: 1}, {y: 1}) for x, y in itertools.product(labels, repeat=2)}
+    out += [("associativity", (x, y, z)) for x, y, z in itertools.product(labels, repeat=3)
+            if mul(xy[x, y], {z: 1}) != mul({x: 1}, xy[y, z])]
+    return out
+
+
+def _oracle_module_check(m):
+    ring, alg = m.ring, m.algebra
+    act = functools.partial(_bilinear, m.action, ring)
+    out = []
+    for l in m.gm.labels:
+        if _linear(m.diff, ring, _linear(m.diff, ring, {l: 1})):
+            out.append(("D-squared", (l,)))
+        if act({l: 1}, alg.unit) != {l: 1}:
+            out.append(("unit", (l,)))
+    for l in m.gm.labels:
+        for x in alg.gm.labels:
+            if not _leibniz_holds(ring, m.diff, m.diff, alg.diff, act, l, x,
+                                  _sign(m.gm.degree[l])):
+                out.append(("module-leibniz", (l, x)))
+            for y in alg.gm.labels:
+                if act(act({l: 1}, {x: 1}), {y: 1}) != act(
+                        {l: 1}, _bilinear(alg.mult, ring, {x: 1}, {y: 1})):
+                    out.append(("module-associativity", (l, x, y)))
+    return out
+
+
+def _oracle_is_dga_map(f, a, b):
+    ring = b.ring
+    image = functools.partial(_linear, f, ring)
+    if image(a.unit) != b.unit:
+        return False
+    if any(image(_linear(a.diff, ring, {l: 1})) != _linear(b.diff, ring, image({l: 1}))
+           for l in a.gm.labels):
+        return False
+    return all(image(_bilinear(a.mult, ring, {x: 1}, {y: 1})) ==
+               _bilinear(b.mult, ring, image({x: 1}), image({y: 1}))
+               for x, y in itertools.product(a.gm.labels, repeat=2))
+
+
+def _bump(rng, table, key, targets):
+    """Set one coefficient of table[key] at a random target to -1, 0, 1 or 2."""
+    if targets:
+        table.setdefault(key, {})[rng.choice(targets)] = rng.choice((-1, 0, 1, 2))
+
+
+def _of_degree(labels, degree, want):
+    return [r for r in labels if degree[r] == want]
+
+
+def _mutated_dga(a, rng, count):
+    """A copy of ``a`` with ``count`` seeded changes to mult, diff or unit."""
+    labels, deg = a.gm.labels, a.gm.degree
+    unit, mult, diff = dict(a.unit), copy.deepcopy(a.mult), copy.deepcopy(a.diff)
+    for _ in range(count):
+        kind = rng.choice(("mult", "mult", "diff", "unit"))
+        if kind == "mult":
+            x, y = rng.choice(list(mult)) if rng.random() < 0.5 else (
+                rng.choice(labels), rng.choice(labels))
+            _bump(rng, mult, (x, y), _of_degree(labels, deg, deg[x] + deg[y]))
+        elif kind == "diff":
+            x = rng.choice(labels)
+            _bump(rng, diff, x, _of_degree(labels, deg, deg[x] + 1))
+        else:
+            unit[rng.choice(_of_degree(labels, deg, 0))] = rng.choice((0, 1, 2))
+    return DgAlgebra(a.gm, unit, mult, diff)
+
+
+def _mutated_module(m, rng, count):
+    """A copy of ``m`` with seeded changes to its action, its differential
+    or the differential of the algebra it is a module over."""
+    labels, deg, alg = m.gm.labels, m.gm.degree, m.algebra
+    action, diff = copy.deepcopy(m.action), copy.deepcopy(m.diff)
+    alg_diff = copy.deepcopy(alg.diff)
+    for _ in range(count):
+        kind = rng.choice(("action", "action", "diff", "algebra-diff"))
+        if kind == "action":
+            l, x = rng.choice(list(action)) if rng.random() < 0.5 else (
+                rng.choice(labels), rng.choice(alg.gm.labels))
+            _bump(rng, action, (l, x), _of_degree(labels, deg, deg[l] + alg.gm.degree[x]))
+        elif kind == "diff":
+            l = rng.choice(labels)
+            _bump(rng, diff, l, _of_degree(labels, deg, deg[l] + 1))
+        else:
+            x = rng.choice(alg.gm.labels)
+            _bump(rng, alg_diff, x, _of_degree(alg.gm.labels, alg.gm.degree,
+                                               alg.gm.degree[x] + 1))
+    if alg_diff != alg.diff:
+        alg = DgAlgebra(alg.gm, alg.unit, alg.mult, alg_diff)
+    return DgModule(m.gm, alg, action, diff)
+
+
+RINGS = {"Q": Ring.Q(), "Z": Ring.Z(), "F5": F5}
+
+
+@functools.lru_cache(maxsize=None)
+def _base_dga(kind, ring_name):
+    ring = RINGS[ring_name]
+    c3 = cochain_algebra(circle(3), ring)
+    if kind == "circle3":
+        return c3
+    if kind == "circle4":
+        return cochain_algebra(circle(4), ring)
+    if kind == "end-circle":
+        return endomorphism_dga(c3, GradedModule(ring, [("a", 0), ("b", -1)]))
+    if kind == "circle-x-circle":
+        return tensor_dga(c3, c3)
+    if kind == "circle-x-interval":
+        return tensor_dga(c3, build_interval_algebra(1, ring).dga)
+    return universal_mc_dga(ring, 4)
+
+
+@functools.lru_cache(maxsize=None)
+def _base_module(kind, ring_name):
+    ring = RINGS[ring_name]
+    if kind == "twisted-sign":
+        # V (x) C*(S^1_3) twisted by the sign local system
+        v = GradedModule(ring, [("v", 0)])
+        ls = LocalSystem(circle(3), v, {(0, 1): ExactMatrix.from_rows(ring, [[-1]])})
+        ca = cochain_algebra(circle(3), ring)
+        end = endomorphism_dga(ca, v)
+        return TwistedModule(v, ca, rep_to_mc(ls, end_dga=end), end_dga=end).module()
+    if kind == "twisted-kx":
+        kx = universal_mc_dga(ring, 4)
+        return twist_module(kx, MCElement(kx, kx.element(("x", 1))))
+    end = _base_dga("end-circle", ring_name)
+    return twist_module(end, zero_mc(end))
+
+
+def _failures(rep):
+    return [(f["axiom"], f["witness"]) for f in rep["failures"]]
+
+
+@settings(max_examples=40)
+@given(kind=st.sampled_from(["circle3", "circle4", "end-circle", "circle-x-circle",
+                             "circle-x-interval", "kx"]),
+       ring_name=st.sampled_from(sorted(RINGS)),
+       seed=st.integers(0, 2 ** 32 - 1), count=st.integers(0, 3))
+def test_check_dga_matches_brute_force_oracle(kind, ring_name, seed, count):
+    a = _mutated_dga(_base_dga(kind, ring_name), random.Random(seed), count)
+    want = _oracle_check_dga(a)
+    assert _failures(check_dga(a, max_failures=10 ** 9)) == want
+    assert _failures(check_dga(a)) == want[:10]
+    assert check_dga(a, max_failures=0) == {"ok": not want, "failures": []}
+
+
+@settings(max_examples=30)
+@given(kind=st.sampled_from(["twisted-sign", "twisted-kx", "twisted-end"]),
+       ring_name=st.sampled_from(sorted(RINGS)),
+       seed=st.integers(0, 2 ** 32 - 1), count=st.integers(0, 3))
+def test_module_check_matches_brute_force_oracle(kind, ring_name, seed, count):
+    m = _mutated_module(_base_module(kind, ring_name), random.Random(seed), count)
+    want = _oracle_module_check(m)
+    assert _failures(m.check(max_failures=10 ** 9)) == want
+    assert _failures(m.check()) == want[:10]
+    assert m.check(max_failures=0) == {"ok": not want, "failures": []}
+
+
+@functools.lru_cache(maxsize=None)
+def _base_map(kind):
+    """A dg algebra map f: a -> b as (f, a, b)."""
+    if kind == "quotient":
+        big, small = build_interval_algebra(2, Q), build_interval_algebra(1, Q)
+        return quotient_map(big, small), big.dga, small.dga
+    x, y = (circle(3), simplex(1)) if kind == "ez-circle" else (simplex(1), simplex(1))
+    cx, cy, cxy = (cochain_algebra(s, Z) for s in (x, y, product(x, y)))
+    return ez_algebra_map(x, y, cx, cy, cxy), cxy, tensor_dga(cx, cy)
+
+
+@settings(max_examples=30)
+@given(kind=st.sampled_from(["quotient", "ez-interval", "ez-circle"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_is_dga_map_matches_brute_force_oracle(kind, seed):
+    f, a, b = _base_map(kind)
+    assert is_dga_map(f, a, b) and _oracle_is_dga_map(f, a, b)
+    rng = random.Random(seed)
+    g = copy.deepcopy(f)
+    x = rng.choice([l for l in a.gm.labels if a.gm.degree[l] in b.gm.degrees()])
+    _bump(rng, g, x, _of_degree(b.gm.labels, b.gm.degree, a.gm.degree[x]))
+    assert is_dga_map(g, a, b) == _oracle_is_dga_map(g, a, b)
+
+
+def test_is_dga_map_checks_pairs_with_zero_product_in_the_source():
+    # e e = 0 in a but the identity sends it to e e = e in b: the witness
+    # (e, e) is not a key of a.mult
+    gm = GradedModule(Q, [("1", 0), ("e", 0)])
+    unit_laws = {("1", "1"): {"1": 1}, ("1", "e"): {"e": 1}, ("e", "1"): {"e": 1}}
+    a = DgAlgebra(gm, {"1": 1}, unit_laws, {})
+    b = DgAlgebra(gm, {"1": 1}, {**unit_laws, ("e", "e"): {"e": 1}}, {})
+    assert check_dga(a)["ok"] and check_dga(b)["ok"]
+    ident = {l: {l: 1} for l in gm.labels}
+    assert not is_dga_map(ident, a, b) and not _oracle_is_dga_map(ident, a, b)
+    assert is_dga_map(ident, b, b)
+
+
+def test_check_dga_on_the_384_cell_torus():
+    # C*(S^1_8 x S^1_8): 384 cells, 832 nonzero products
+    a = cochain_algebra(product(circle(8), circle(8)), F5)
+    assert (a.gm.dim, len(a.mult)) == (384, 832)
+    assert check_dga(a)["ok"]
+    (x, y), out = next((k, v) for k, v in sorted(a.mult.items(), key=repr)
+                       if a.gm.degree[k[0]] == 1)
+    mult = dict(a.mult)
+    r = next(iter(out))
+    mult[(x, y)] = {**out, r: out[r] + 1}
+    rep = check_dga(DgAlgebra(a.gm, a.unit, mult, a.diff))
+    assert not rep["ok"]
+    assert any((x, y) == f["witness"][:2] or (x, y) == f["witness"][1:]
+               for f in rep["failures"])
