@@ -754,6 +754,13 @@ class HomComplex:
 
     def _compute_bases(self):
         ring = self.ring
+        one = ring.one()
+        alabels = self.m.algebra.gm.labels
+        # every action is read once: M's on (ml, al) and N's on (s, al)
+        act_m = {(ml, al): self.m.act({ml: one}, {al: one})
+                 for ml in self.m.gm.labels for al in alabels}
+        act_n = {(s, al): self.n.act({s: one}, {al: one})
+                 for s in self.n.gm.labels for al in alabels}
         for k in self._hom_degrees():
             pairs = self._pairs_of_degree(k)
             if not pairs:
@@ -763,20 +770,18 @@ class HomComplex:
             # sum_r act_M[ml,al][r] f[r,t] - sum_s f[ml,s] act_N[s,al][t] = 0
             eqs = []
             for ml in self.m.gm.labels:
-                for al in self.m.algebra.gm.labels:
-                    lhs_coeffs = self.m.act({ml: ring.one()}, {al: ring.one()})
+                targets = [(s, index[(ml, s)]) for s in self.n.gm.labels if (ml, s) in index]
+                for al in alabels:
+                    lhs_coeffs = act_m[(ml, al)]
                     for t in self.n.gm.labels:
                         row = {}
                         for r, c in lhs_coeffs.items():
                             if (r, t) in index:
                                 j = index[(r, t)]
                                 row[j] = ring.add(row.get(j, ring.zero()), c)
-                        for s in self.n.gm.labels:
-                            if (ml, s) not in index:
-                                continue
-                            c2 = self.n.act({s: ring.one()}, {al: ring.one()}).get(t)
+                        for s, j in targets:
+                            c2 = act_n[(s, al)].get(t)
                             if c2 is not None:
-                                j = index[(ml, s)]
                                 row[j] = ring.sub(row.get(j, ring.zero()), c2)
                         if row:
                             eqs.append(row)

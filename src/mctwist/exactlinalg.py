@@ -1,4 +1,4 @@
-"""Exact dense/sparse linear algebra over Z, Q and prime fields.
+"""Exact linear algebra over Z, Q and prime fields, on row-sparse matrices.
 
 Everything here is exact: integers are arbitrary precision, rationals are
 `fractions.Fraction`, and prime-field elements are reduced representatives
@@ -26,8 +26,6 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-
-DENSE_LIMIT = 512
 
 
 class ExactLinalgError(ValueError):
@@ -198,41 +196,36 @@ def _is_prime(n: int) -> bool:
 
 
 class ExactMatrix:
-    """An exact matrix over a :class:`Ring`.
+    """An exact matrix over a :class:`Ring`, stored row-sparse.
 
-    Storage is dense (list of lists) up to ``DENSE_LIMIT`` in either
-    dimension and a triplet dict above that; both expose the same API.
-    Instances are treated as immutable by every public operation.
+    Row i is a dict ``{column: value}`` of the nonzero entries of that row;
+    zeros are never stored, whatever the shape.  :meth:`nonzero_items`
+    yields the entries row-major with ascending columns.  Instances are
+    treated as immutable by every public operation.
     """
 
-    def __init__(self, ring: Ring, rows: int, cols: int, entries=None, _storage=None):
+    def __init__(self, ring: Ring, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
             raise ExactLinalgError("negative dimensions")
         self.ring = ring
         self.rows = rows
         self.cols = cols
-        self.sparse = max(rows, cols) > DENSE_LIMIT
-        if _storage is not None:
-            self._data = _storage
+        if entries is None:
+            self._data = [{} for _ in range(rows)]
             return
-        if self.sparse:
-            self._data = {}
-            if entries is not None:
-                for i, row in enumerate(entries):
-                    for j, x in enumerate(row):
-                        v = ring.coerce(x)
-                        if v != 0:
-                            self._data[(i, j)] = v
-        else:
-            zero = ring.zero()
-            if entries is None:
-                self._data = [[zero] * cols for _ in range(rows)]
-            else:
-                if len(entries) != rows or any(len(r) != cols for r in entries):
-                    raise ExactLinalgError("entry shape does not match dimensions")
-                self._data = [[ring.coerce(x) for x in row] for row in entries]
+        if len(entries) != rows or any(len(r) != cols for r in entries):
+            raise ExactLinalgError("entry shape does not match dimensions")
+        self._data = [{j: v for j, v in enumerate(map(ring.coerce, row)) if v != 0}
+                      for row in entries]
 
     # -- construction helpers -------------------------------------------------
+
+    @staticmethod
+    def _of_rows(ring: Ring, cols: int, data: list) -> "ExactMatrix":
+        # Wraps a list of row dicts, without copying; no zeros may be stored.
+        m = ExactMatrix(ring, 0, cols)
+        m.rows, m._data = len(data), data
+        return m
 
     @staticmethod
     def from_rows(ring: Ring, entries) -> "ExactMatrix":
@@ -246,57 +239,41 @@ class ExactMatrix:
 
     @staticmethod
     def identity(ring: Ring, n: int) -> "ExactMatrix":
-        m = ExactMatrix(ring, n, n)
         one = ring.one()
-        for i in range(n):
-            m._set(i, i, one)
-        return m
+        return ExactMatrix._of_rows(ring, n, [{i: one} for i in range(n)])
 
     def copy(self) -> "ExactMatrix":
-        if self.sparse:
-            return ExactMatrix(self.ring, self.rows, self.cols, _storage=dict(self._data))
-        return ExactMatrix(self.ring, self.rows, self.cols,
-                           _storage=[row[:] for row in self._data])
+        return ExactMatrix._of_rows(self.ring, self.cols, [dict(r) for r in self._data])
 
     # -- element access --------------------------------------------------------
 
     def get(self, i: int, j: int):
-        if self.sparse:
-            return self._data.get((i, j), self.ring.zero())
-        return self._data[i][j]
+        return self._data[i].get(j, self.ring.zero())
 
     def set_entry(self, i, j, v):
-        if self.sparse:
-            if v == 0:
-                self._data.pop((i, j), None)
-            else:
-                self._data[(i, j)] = v
+        if v == 0:
+            self._data[i].pop(j, None)
         else:
             self._data[i][j] = v
 
-    _set = set_entry
-
     def nonzero_items(self):
-        if self.sparse:
-            yield from self._data.items()
-        else:
-            for i, row in enumerate(self._data):
-                for j, v in enumerate(row):
-                    if v != 0:
-                        yield (i, j), v
+        for i, row in enumerate(self._data):
+            for j in sorted(row):
+                yield (i, j), row[j]
 
     def row_list(self, i: int) -> list:
-        return [self.get(i, j) for j in range(self.cols)]
+        row, zero = self._data[i], self.ring.zero()
+        return [row.get(j, zero) for j in range(self.cols)]
 
     def is_zero(self) -> bool:
-        return all(v == 0 for _, v in self.nonzero_items())
+        return not any(self._data)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if (self.ring, self.rows, self.cols) != (other.ring, other.rows, other.cols):
             return False
-        return dict(self.nonzero_items()) == dict(other.nonzero_items())
+        return self._data == other._data
 
     def __repr__(self):
         return "ExactMatrix(%s, %dx%d)" % (self.ring.name, self.rows, self.cols)
@@ -304,58 +281,56 @@ class ExactMatrix:
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._require_same_shape(other)
-        out = self.copy()
-        for (i, j), v in other.nonzero_items():
-            out._set(i, j, self.ring.add(out.get(i, j), v))
-        return out
+        return self._combine(other, self.ring.add)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return self._combine(other, self.ring.sub)
+
+    def _combine(self, other, op):
         self._require_same_shape(other)
         out = self.copy()
         for (i, j), v in other.nonzero_items():
-            out._set(i, j, self.ring.sub(out.get(i, j), v))
+            out.set_entry(i, j, op(out.get(i, j), v))
         return out
 
     def __neg__(self) -> "ExactMatrix":
-        out = ExactMatrix(self.ring, self.rows, self.cols)
-        for (i, j), v in self.nonzero_items():
-            out._set(i, j, self.ring.neg(v))
-        return out
+        return self._map(self.ring, self.ring.neg)
 
     def scale(self, c) -> "ExactMatrix":
         c = self.ring.coerce(c)
-        out = ExactMatrix(self.ring, self.rows, self.cols)
-        for (i, j), v in self.nonzero_items():
-            out._set(i, j, self.ring.mul(c, v))
-        return out
+        return self._map(self.ring, lambda v: self.ring.mul(c, v))
+
+    def change_ring(self, ring: Ring) -> "ExactMatrix":
+        return self._map(ring, ring.coerce)
+
+    def _map(self, ring, f):
+        # f applied to each nonzero entry; the zeros it makes are dropped
+        return ExactMatrix._of_rows(ring, self.cols, [
+            {j: x for j, x in ((j, f(v)) for j, v in row.items()) if x != 0}
+            for row in self._data])
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ring != other.ring:
             raise ExactLinalgError("ring mismatch")
         if self.cols != other.rows:
             raise ExactLinalgError("dimension mismatch in product")
-        out = ExactMatrix(self.ring, self.rows, other.cols)
         ring = self.ring
-        by_row = {}
-        for (k, j), v in other.nonzero_items():
-            by_row.setdefault(k, []).append((j, v))
-        for (i, k), a in self.nonzero_items():
-            for j, b in by_row.get(k, ()):
-                out._set(i, j, ring.add(out.get(i, j), ring.mul(a, b)))
-        return out
+        zero = ring.zero()
+        data = []
+        for row in self._data:
+            acc = {}
+            for k, a in row.items():
+                for j, b in other._data[k].items():
+                    acc[j] = ring.add(acc.get(j, zero), ring.mul(a, b))
+            data.append({j: v for j, v in acc.items() if v != 0})
+        return ExactMatrix._of_rows(ring, other.cols, data)
 
     def transpose(self) -> "ExactMatrix":
-        out = ExactMatrix(self.ring, self.cols, self.rows)
-        for (i, j), v in self.nonzero_items():
-            out._set(j, i, v)
-        return out
-
-    def change_ring(self, ring: Ring) -> "ExactMatrix":
-        out = ExactMatrix(ring, self.rows, self.cols)
-        for (i, j), v in self.nonzero_items():
-            out._set(i, j, ring.coerce(v))
-        return out
+        data = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._data):
+            for j, v in row.items():
+                data[j][i] = v
+        return ExactMatrix._of_rows(self.ring, self.rows, data)
 
     def _require_same_shape(self, other):
         if (self.rows, self.cols, self.ring) != (other.rows, other.cols, other.ring):
@@ -388,6 +363,63 @@ class ExactMatrix:
 
 
 # -- Smith normal form ------------------------------------------------------------
+#
+# The kernels work on lists of row dicts, as ExactMatrix stores them.  V is
+# kept transposed, so that its column operations are row operations too.
+
+
+def _add_row(rows, dst, src, c):
+    # row dst += c * row src, walking the nonzeros of row src only
+    d = rows[dst]
+    for j, x in rows[src].items():
+        y = d.get(j, 0) + c * x
+        if y:
+            d[j] = y
+        else:
+            d.pop(j, None)
+
+
+def _add_col(rows, dst, src, c):
+    # column dst += c * column src
+    for r in rows:
+        x = r.get(src)
+        if x:
+            y = r.get(dst, 0) + c * x
+            if y:
+                r[dst] = y
+            else:
+                r.pop(dst, None)
+
+
+def _swap_rows(rows, i, k):
+    rows[i], rows[k] = rows[k], rows[i]
+
+
+def _swap_cols(rows, j, k):
+    for r in rows:
+        x, y = r.pop(j, None), r.pop(k, None)
+        if y is not None:
+            r[j] = y
+        if x is not None:
+            r[k] = x
+
+
+def _negate_row(rows, i):
+    rows[i] = {j: -x for j, x in rows[i].items()}
+
+
+def _least_entry(a, t):
+    # The first entry of least |v| in row-major order at or past (t, t).
+    best = None
+    for i in range(t, len(a)):
+        row = [(abs(x), j) for j, x in a[i].items() if j >= t]
+        if row:
+            x, j = min(row)
+            if best is None or x < best[0]:
+                best = (x, i, j)
+                if x == 1:
+                    break
+    return None if best is None else best[1:]
 
 
 def smith_normal_form(m: ExactMatrix):
@@ -404,87 +436,43 @@ def smith_normal_form(m: ExactMatrix):
     """
     if m.ring.kind != "Z":
         raise ExactLinalgError("Smith normal form requires the ring Z")
-    a = m.copy()
-    U = ExactMatrix.identity(m.ring, m.rows)
-    V = ExactMatrix.identity(m.ring, m.cols)
+    a = m.copy()._data
+    u = ExactMatrix.identity(m.ring, m.rows)._data
+    vt = ExactMatrix.identity(m.ring, m.cols)._data
 
-    def swap_rows(mat, i, k):
-        for j in range(mat.cols):
-            vi, vk = mat.get(i, j), mat.get(k, j)
-            mat._set(i, j, vk)
-            mat._set(k, j, vi)
-
-    def swap_cols(mat, j, k):
-        for i in range(mat.rows):
-            vj, vk = mat.get(i, j), mat.get(i, k)
-            mat._set(i, j, vk)
-            mat._set(i, k, vj)
-
-    def add_row(mat, dst, src, c):
-        # row_dst += c * row_src
-        for j in range(mat.cols):
-            v = mat.get(src, j)
-            if v != 0:
-                mat._set(dst, j, mat.get(dst, j) + c * v)
-
-    def add_col(mat, dst, src, c):
-        for i in range(mat.rows):
-            v = mat.get(i, src)
-            if v != 0:
-                mat._set(i, dst, mat.get(i, dst) + c * v)
-
-    n = min(a.rows, a.cols)
+    n = min(m.rows, m.cols)
     t = 0
     while t < n:
-        pivot = None
-        best = None
-        for (i, j), v in sorted(a.nonzero_items()):
-            if i < t or j < t:
-                continue
-            if best is None or abs(v) < best:
-                best = abs(v)
-                pivot = (i, j)
+        pivot = _least_entry(a, t)
         if pivot is None:
             break
         while True:
             pi, pj = pivot
             if pi != t:
-                swap_rows(a, t, pi)
-                swap_rows(U, t, pi)
+                _swap_rows(a, t, pi)
+                _swap_rows(u, t, pi)
             if pj != t:
-                swap_cols(a, t, pj)
-                swap_cols(V, t, pj)
-            p = a.get(t, t)
+                _swap_cols(a, t, pj)
+                _swap_rows(vt, t, pj)
+            p = a[t][t]
             dirty = False
-            for i in range(t + 1, a.rows):
-                v = a.get(i, t)
-                if v != 0:
-                    q = v // p
-                    add_row(a, i, t, -q)
-                    add_row(U, i, t, -q)
-                    if a.get(i, t) != 0:
-                        dirty = True
-            for j in range(t + 1, a.cols):
-                v = a.get(t, j)
-                if v != 0:
-                    q = v // p
-                    add_col(a, j, t, -q)
-                    add_col(V, j, t, -q)
-                    if a.get(t, j) != 0:
-                        dirty = True
+            for i in range(t + 1, m.rows):
+                if t in a[i]:
+                    q = a[i][t] // p
+                    _add_row(a, i, t, -q)
+                    _add_row(u, i, t, -q)
+                    dirty = dirty or t in a[i]
+            for j in sorted(j for j in a[t] if j > t):
+                q = a[t][j] // p
+                _add_col(a, j, t, -q)
+                _add_row(vt, j, t, -q)
+                dirty = dirty or j in a[t]
             if not dirty:
                 break
-            pivot = (t, t)
-            best = abs(a.get(t, t))
-            for (i, j), v in sorted(a.nonzero_items()):
-                if i < t or j < t:
-                    continue
-                if abs(v) < best:
-                    best = abs(v)
-                    pivot = (i, j)
-        if a.get(t, t) < 0:
-            add_row(a, t, t, -2)  # negate row t: r_t += -2*r_t
-            add_row(U, t, t, -2)
+            pivot = _least_entry(a, t)
+        if a[t][t] < 0:
+            _negate_row(a, t)
+            _negate_row(u, t)
         t += 1
 
     # Enforce the divisibility chain d_i | d_{i+1}.
@@ -492,44 +480,46 @@ def smith_normal_form(m: ExactMatrix):
     while changed:
         changed = False
         for i in range(t - 1):
-            di, dj = a.get(i, i), a.get(i + 1, i + 1)
+            di, dj = a[i].get(i, 0), a[i + 1].get(i + 1, 0)
             if di != 0 and dj % di != 0:
                 # fold d_{i+1} into position (i, i) and rediagonalize 2x2 block
-                add_col(a, i, i + 1, 1)
-                add_col(V, i, i + 1, 1)
-                _rediagonalize_pair(a, U, V, i, add_row, add_col, swap_rows, swap_cols)
+                _add_col(a, i, i + 1, 1)
+                _add_row(vt, i, i + 1, 1)
+                _rediagonalize_pair(a, u, vt, i)
                 changed = True
-    return U, a, V
+    z = m.ring
+    return (ExactMatrix._of_rows(z, m.rows, u), ExactMatrix._of_rows(z, m.cols, a),
+            ExactMatrix._of_rows(z, m.cols, vt).transpose())
 
 
-def _rediagonalize_pair(a, U, V, t, add_row, add_col, swap_rows, swap_cols):
+def _rediagonalize_pair(a, u, vt, t):
     # Clears the 2x2 block at (t, t) after a chain-fixing column add; the
     # block is [[d_t, 0], [d_{t+1}, d_{t+1}]] before the call.
     while True:
-        x, y = a.get(t, t), a.get(t + 1, t)
+        x, y = a[t].get(t, 0), a[t + 1].get(t, 0)
         if y == 0:
             break
         if x != 0 and abs(x) <= abs(y):
             q = y // x
-            add_row(a, t + 1, t, -q)
-            add_row(U, t + 1, t, -q)
+            _add_row(a, t + 1, t, -q)
+            _add_row(u, t + 1, t, -q)
         else:
-            swap_rows(a, t, t + 1)
-            swap_rows(U, t, t + 1)
-    x, y = a.get(t, t), a.get(t, t + 1)
+            _swap_rows(a, t, t + 1)
+            _swap_rows(u, t, t + 1)
+    x, y = a[t].get(t, 0), a[t].get(t + 1, 0)
     while y != 0:
         if x != 0 and abs(x) <= abs(y):
             q = y // x
-            add_col(a, t + 1, t, -q)
-            add_col(V, t + 1, t, -q)
+            _add_col(a, t + 1, t, -q)
+            _add_row(vt, t + 1, t, -q)
         else:
-            swap_cols(a, t, t + 1)
-            swap_cols(V, t, t + 1)
-        x, y = a.get(t, t), a.get(t, t + 1)
+            _swap_cols(a, t, t + 1)
+            _swap_rows(vt, t, t + 1)
+        x, y = a[t].get(t, 0), a[t].get(t + 1, 0)
     for i in (t, t + 1):
-        if a.get(i, i) < 0:
-            add_row(a, i, i, -2)
-            add_row(U, i, i, -2)
+        if a[i].get(i, 0) < 0:
+            _negate_row(a, i)
+            _negate_row(u, i)
 
 
 def invariant_factors(m: ExactMatrix) -> list:
@@ -581,35 +571,31 @@ def rref(m: ExactMatrix):
     if not m.ring.is_field:
         raise ExactLinalgError("rref needs field coefficients")
     ring = m.ring
-    a = m.copy()
+    zero = ring.zero()
+    a = m.copy()._data
     pivots = []
     r = 0
-    for c in range(a.cols):
-        piv = None
-        for i in range(r, a.rows):
-            if a.get(i, c) != 0:
-                piv = i
-                break
+    for c in range(m.cols):
+        piv = next((i for i in range(r, m.rows) if c in a[i]), None)
         if piv is None:
             continue
-        if piv != r:
-            for j in range(a.cols):
-                vi, vk = a.get(r, j), a.get(piv, j)
-                a._set(r, j, vk)
-                a._set(piv, j, vi)
-        inv = ring.inv(a.get(r, c))
-        for j in range(c, a.cols):
-            a._set(r, j, ring.mul(inv, a.get(r, j)))
-        for i in range(a.rows):
-            if i != r and a.get(i, c) != 0:
-                f = a.get(i, c)
-                for j in range(c, a.cols):
-                    a._set(i, j, ring.sub(a.get(i, j), ring.mul(f, a.get(r, j))))
+        _swap_rows(a, r, piv)
+        inv = ring.inv(a[r][c])
+        prow = a[r] = {j: ring.mul(inv, x) for j, x in a[r].items()}
+        for i, row in enumerate(a):
+            f = row.get(c)
+            if f is not None and i != r:
+                for j, x in prow.items():
+                    y = ring.sub(row.get(j, zero), ring.mul(f, x))
+                    if y != 0:
+                        row[j] = y
+                    else:
+                        row.pop(j, None)
         pivots.append(c)
         r += 1
-        if r == a.rows:
+        if r == m.rows:
             break
-    return a, pivots
+    return ExactMatrix._of_rows(ring, m.cols, a), pivots
 
 
 def rank(m: ExactMatrix) -> int:
@@ -671,9 +657,9 @@ def solve_linear(a: ExactMatrix, b):
     if ring.is_field:
         aug = ExactMatrix(ring, a.rows, a.cols + 1)
         for (i, j), v in a.nonzero_items():
-            aug._set(i, j, v)
+            aug.set_entry(i, j, v)
         for i, v in enumerate(b):
-            aug._set(i, a.cols, v)
+            aug.set_entry(i, a.cols, v)
         r, pivots = rref(aug)
         if a.cols in pivots:
             return None
@@ -683,7 +669,7 @@ def solve_linear(a: ExactMatrix, b):
         # The first a.cols columns of rref([a | b]) are rref(a).
         return x, _rref_kernel(ring, a.cols, r, pivots)
     u, d, v = smith_normal_form(a)
-    ub = [sum(u.get(i, k) * b[k] for k in range(a.rows)) for i in range(a.rows)]
+    ub = [sum(c * b[k] for k, c in row.items()) for row in u._data]
     y = [0] * a.cols
     n = min(d.rows, d.cols)
     for i in range(a.rows):
@@ -696,7 +682,7 @@ def solve_linear(a: ExactMatrix, b):
             if rem != 0:
                 return None
             y[i] = q
-    x = [sum(v.get(i, k) * y[k] for k in range(a.cols)) for i in range(a.cols)]
+    x = [sum(c * y[k] for k, c in row.items()) for row in v._data]
     return x, _snf_kernel(d, v)
 
 

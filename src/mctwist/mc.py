@@ -41,7 +41,6 @@ from .dgcore import (
 from .exactlinalg import (
     CohomologyReport,
     ExactMatrix,
-    Ring,
     cohomology,
     kernel_basis,
     rank,
@@ -567,10 +566,10 @@ class H0Category:
         # representatives: closed vectors independent modulo the exact span
         basis = []
         ambient = list(exact_vecs)
-        cur_rank = _rank_of(ring, ambient, len(src))
+        cur_rank = rank(ExactMatrix(ring, len(ambient), len(src), ambient))
         for vec in closed:
             cand = ambient + [vec]
-            r = _rank_of(ring, cand, len(src))
+            r = rank(ExactMatrix(ring, len(cand), len(src), cand))
             if r > cur_rank:
                 ambient = cand
                 cur_rank = r
@@ -658,13 +657,6 @@ class H0Category:
                             found.add((j, i))
                             break
         return sorted((i, j) for (i, j) in found if i != j)
-
-
-def _rank_of(ring: Ring, vectors, width: int) -> int:
-    if not vectors:
-        return 0
-    mat = ExactMatrix(ring, len(vectors), width, [list(v) for v in vectors])
-    return rank(mat)
 
 
 def mc_category_h0(a: DgAlgebra, xs, seed: int = 0) -> H0Category:

@@ -21,7 +21,7 @@ sum E_{src -> dst} (x) a, composed with the Koszul sign
 from __future__ import annotations
 
 from .dgcore import DgAlgebra, GradedModule, endomorphism_dga
-from .exactlinalg import ExactMatrix, Ring, kernel_basis, solve_linear
+from .exactlinalg import ExactMatrix, Ring, kernel_basis, rank, solve_linear
 from .mc import MCElement, TwistedModule
 
 
@@ -304,7 +304,8 @@ def hodge_data(v: GradedModule, d0_entries: dict) -> HodgeData:
         cur = []
         for j in range(prev.cols):
             col = [prev.get(i, j) for i in range(prev.rows)]
-            if any(c != 0 for c in col) and _rank_cols(ring, cur + [col], nloc) > len(cur):
+            if any(c != 0 for c in col) and rank(
+                    ExactMatrix(ring, len(cur) + 1, nloc, cur + [col])) > len(cur):
                 cur = cur + [col]
                 im_vectors.append(col)
                 pre.append(psrc[j])
@@ -312,7 +313,7 @@ def hodge_data(v: GradedModule, d0_entries: dict) -> HodgeData:
         harmonic = []
         span = list(im_vectors)
         for vec in ker:
-            if _rank_cols(ring, span + [list(vec)], nloc) > len(span):
+            if rank(ExactMatrix(ring, len(span) + 1, nloc, span + [vec])) > len(span):
                 span = span + [list(vec)]
                 harmonic.append(list(vec))
         # complement U of the kernel
@@ -321,7 +322,7 @@ def hodge_data(v: GradedModule, d0_entries: dict) -> HodgeData:
         span = list(basis_cols)
         for j in range(nloc):
             e = [ring.one() if i == j else ring.zero() for i in range(nloc)]
-            if _rank_cols(ring, span + [e], nloc) > len(span):
+            if rank(ExactMatrix(ring, len(span) + 1, nloc, span + [e])) > len(span):
                 span = span + [e]
                 complement.append(e)
         full = basis_cols + complement
@@ -351,15 +352,6 @@ def hodge_data(v: GradedModule, d0_entries: dict) -> HodgeData:
     t_mat = {k: v2 for k, v2 in t_mat.items() if v2 != 0}
     s_mat = {k: v2 for k, v2 in s_mat.items() if v2 != 0}
     return HodgeData(s_mat, t_mat, harmonic_basis)
-
-
-def _rank_cols(ring: Ring, cols, height: int) -> int:
-    from .exactlinalg import rank
-    if not cols:
-        return 0
-    m = ExactMatrix(ring, height, len(cols),
-                    [[cols[c][r] for c in range(len(cols))] for r in range(height)])
-    return rank(m)
 
 
 def check_hodge(v: GradedModule, d0_entries: dict, h: HodgeData) -> bool:

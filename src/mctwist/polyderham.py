@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from .dgcore import DgAlgebra, DgError, GradedModule
 from .exactlinalg import ExactMatrix, Ring, kernel_basis
+from .simplicial import solve_invertibility
 
 
 def polynomial_de_rham_dga(ring: Ring, max_z: int, name: str = "") -> DgAlgebra:
@@ -110,8 +111,7 @@ def hom_solutions(x: MatrixPoly, y: MatrixPoly, cap: int):
             for c in range(n):
                 rows.append((m, r, c))
     rix = {k: i for i, k in enumerate(rows)}
-    mat = ExactMatrix.zeros(ring, len(rows), n_unknowns) if n_unknowns <= 512 \
-        else ExactMatrix(ring, len(rows), n_unknowns)
+    mat = ExactMatrix.zeros(ring, len(rows), n_unknowns)
 
     def uix(w, i, j):
         return (w * n + i) * n + j
@@ -232,14 +232,9 @@ def polynomial_mc_category(forms, cap: int):
             for f in sols[(i, j)]:
                 for g in sols[(j, i)]:
                     prod0 = g[0] * f[0]  # weight-0 part of g f
-                    if solve_invertible(prod0):
+                    if solve_invertibility(prod0) is not None:
                         found = True
             if found:
                 isomorphic.append((i, j))
     return {"dims": dims, "certified": certified,
             "identity": "constants on the diagonal", "isomorphic": isomorphic}
-
-
-def solve_invertible(m: ExactMatrix) -> bool:
-    from .simplicial import solve_invertibility
-    return solve_invertibility(m) is not None

@@ -21,7 +21,7 @@ import functools
 import itertools
 
 from .dgcore import DgAlgebra, DgModule, GradedModule, ground_dga, vec_apply
-from .exactlinalg import ExactMatrix, Ring
+from .exactlinalg import ExactMatrix, Ring, rref, smith_normal_form
 
 
 class SimplicialError(ValueError):
@@ -582,20 +582,33 @@ class LocalSystem:
 
 
 def solve_invertibility(m: ExactMatrix):
-    """Two-sided inverse of a square exact matrix, or None."""
+    """Two-sided inverse of a square exact matrix, or None.
+
+    One factorization decides and inverts: over Z, m is invertible exactly
+    when its invariant factors are all 1, and then U m V = I gives
+    m^-1 = V U; over a field, rref([m | I]) = [I | m^-1] when m is
+    invertible.  The inverse is re-checked on both sides.
+    """
     if m.rows != m.cols:
         return None
-    from .exactlinalg import solve_linear
-    n = m.rows
-    cols = []
-    for j in range(n):
-        e = [m.ring.one() if i == j else m.ring.zero() for i in range(n)]
-        sol = solve_linear(m, e)
-        if sol is None:
+    ring, n = m.ring, m.rows
+    eye = ExactMatrix.identity(ring, n)
+    if ring.is_field:
+        aug = ExactMatrix(ring, n, 2 * n)
+        for (i, j), v in m.nonzero_items():
+            aug.set_entry(i, j, v)
+        for i in range(n):
+            aug.set_entry(i, n + i, ring.one())
+        r, pivots = rref(aug)
+        if pivots != list(range(n)):
             return None
-        cols.append(sol[0])
-    inv = ExactMatrix(m.ring, n, n, [[cols[j][i] for j in range(n)] for i in range(n)])
-    if inv * m != ExactMatrix.identity(m.ring, n) or m * inv != ExactMatrix.identity(m.ring, n):
+        inv = ExactMatrix(ring, n, n, [[r.get(i, n + j) for j in range(n)] for i in range(n)])
+    else:
+        u, d, v = smith_normal_form(m)
+        if d != eye:
+            return None
+        inv = v * u
+    if inv * m != eye or m * inv != eye:
         return None
     return inv
 

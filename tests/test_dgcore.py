@@ -204,6 +204,65 @@ def test_hom_complex_matches_hom_twist_rank_one():
         assert df.get(("x", 0), {}) == tw.diff.get(l, {})
 
 
+# The bases of HomComplex(M, M) for M = C*(S^1_8) as a module over itself,
+# recorded from the version that recomputed N's action inside the loop over
+# targets.  Over Z they are Smith-form kernel columns and over Q rref free
+# columns, so the lists also pin the order of the linearity equations.
+_HOM_BASES_S1_8 = {
+    "Z": {
+        0: [
+            {(5,): {(5,): 1}, (5, 6): {(5, 6): 1}},
+            {(0,): {(0,): 1}, (0, 1): {(0, 1): 1}, (0, 7): {(0, 7): 1}},
+            {(2,): {(2,): 1}, (2, 3): {(2, 3): 1}},
+            {(3,): {(3,): 1}, (3, 4): {(3, 4): 1}},
+            {(4,): {(4,): 1}, (4, 5): {(4, 5): 1}},
+            {(7,): {(7,): 1}},
+            {(1,): {(1,): 1}, (1, 2): {(1, 2): 1}},
+            {(6,): {(6,): 1}, (6, 7): {(6, 7): 1}},
+        ],
+        1: [
+            {(2,): {(1, 2): 1}},
+            {(7,): {(0, 7): 1}},
+            {(5,): {(4, 5): 1}},
+            {(4,): {(3, 4): 1}},
+            {(1,): {(0, 1): 1}},
+            {(6,): {(5, 6): 1}},
+            {(3,): {(2, 3): 1}},
+            {(7,): {(6, 7): 1}},
+        ],
+    },
+    "Q": {
+        0: [
+            {(7,): {(7,): 1}},
+            {(0,): {(0,): 1}, (0, 1): {(0, 1): 1}, (0, 7): {(0, 7): 1}},
+            {(1,): {(1,): 1}, (1, 2): {(1, 2): 1}},
+            {(2,): {(2,): 1}, (2, 3): {(2, 3): 1}},
+            {(3,): {(3,): 1}, (3, 4): {(3, 4): 1}},
+            {(4,): {(4,): 1}, (4, 5): {(4, 5): 1}},
+            {(5,): {(5,): 1}, (5, 6): {(5, 6): 1}},
+            {(6,): {(6,): 1}, (6, 7): {(6, 7): 1}},
+        ],
+        1: [
+            {(1,): {(0, 1): 1}},
+            {(2,): {(1, 2): 1}},
+            {(3,): {(2, 3): 1}},
+            {(4,): {(3, 4): 1}},
+            {(5,): {(4, 5): 1}},
+            {(6,): {(5, 6): 1}},
+            {(7,): {(0, 7): 1}},
+            {(7,): {(6, 7): 1}},
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("ring", [Z, Q], ids=["Z", "Q"])
+def test_hom_complex_bases_of_circle_module_are_pinned(ring):
+    m = algebra_as_module(cochain_algebra(circle(8), ring))
+    hc = HomComplex(m, m)
+    assert {k: hc.basis(k) for k in hc.degrees()} == _HOM_BASES_S1_8[ring.name]
+
+
 def test_hom_complex_squares_to_zero_as_module():
     kx = universal_mc_dga(Q, 3)
     m = algebra_as_module(kx)

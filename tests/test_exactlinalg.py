@@ -235,7 +235,6 @@ def test_text_roundtrip():
 def test_sparse_storage_above_threshold():
     n = 600
     m = ExactMatrix.zeros(Z, n, n)
-    assert m.sparse
     for i in range(0, n, 97):
         m.set_entry(i, i, 3)
     mm = m * m
@@ -481,3 +480,74 @@ def test_cohomology_of_torus_6x6_over_z():
     t = product(circle(6), circle(6))
     assert cochain_algebra(t, Z).cohomology() == CohomologyReport(
         Z, [(0, 1, ()), (1, 2, ()), (2, 1, ())])
+
+
+# -- the row-sparse storage against list-of-lists arithmetic -----------------
+#
+# Shapes sit on both sides of 512, where the storage used to switch from
+# dense lists to a triplet dict: one of the three sides of a product may be
+# that long.  Most rows and columns of a drawn matrix are all zero.  The
+# reference below is plain arithmetic on lists of lists.
+
+
+def _sparse_lists(rng, ring, rows, cols):
+    values = {"Z": [-9, -2, -1, 1, 2, 3, 7], "Fp": [1, 2, 3, 4],
+              "Q": [Fraction(-9, 4), Fraction(-1), Fraction(1, 3), Fraction(2), Fraction(5, 2)]}
+    m = [[0] * cols for _ in range(rows)]
+    if rows and cols:
+        for _ in range(rng.randint(0, 12)):
+            m[rng.randrange(rows)][rng.randrange(cols)] = rng.choice(values[ring.kind])
+    return m
+
+
+def _ref_reduce(ring, m):
+    return [[x % ring.p if ring.kind == "Fp" else x for x in row] for row in m]
+
+
+def _ref_product(a, b, inner, cols):
+    out = [[0] * cols for _ in a]
+    for i, row in enumerate(a):
+        for k in range(inner):
+            if row[k]:
+                for j in range(cols):
+                    out[i][j] += row[k] * b[k][j]
+    return out
+
+
+def _agrees(m, ref):
+    # entries and nonzero_items(), row-major with ascending columns
+    return [m.row_list(i) for i in range(m.rows)] == ref and list(m.nonzero_items()) == [
+        ((i, j), x) for i, row in enumerate(ref) for j, x in enumerate(row) if x != 0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([Z, Q, F5]), st.lists(st.sampled_from([0, 1, 3]), min_size=3, max_size=3),
+       st.integers(0, 2), st.sampled_from([0, 1, 3, 511, 512, 513]), st.integers(0, 2 ** 32))
+def test_storage_agrees_with_list_arithmetic(ring, sides, long_side, length, seed):
+    sides[long_side] = length
+    rows, inner, cols = sides
+    rng = random.Random(seed)
+    a = _sparse_lists(rng, ring, rows, inner)
+    a2 = [row[:] for row in a] if rng.random() < 0.2 else _sparse_lists(rng, ring, rows, inner)
+    b = _sparse_lists(rng, ring, inner, cols)
+    c = rng.randint(-3, 3)
+    ma, ma2, mb = (ExactMatrix(ring, len(m), n, m)
+                   for m, n in ((a, inner), (a2, inner), (b, cols)))
+
+    assert _agrees(ma, a)
+    assert _agrees(ma + ma2, _ref_reduce(ring, [[x + y for x, y in zip(r, r2)]
+                                                for r, r2 in zip(a, a2)]))
+    assert _agrees(ma - ma2, _ref_reduce(ring, [[x - y for x, y in zip(r, r2)]
+                                                for r, r2 in zip(a, a2)]))
+    assert _agrees(-ma, _ref_reduce(ring, [[-x for x in r] for r in a]))
+    assert _agrees(ma.scale(c), _ref_reduce(ring, [[c * x for x in r] for r in a]))
+    assert _agrees(ma * mb, _ref_reduce(ring, _ref_product(a, b, inner, cols)))
+    cancelling = ExactMatrix(ring, rows, 2 * inner, [r + [-x for x in r] for r in a])
+    assert _agrees(cancelling * ExactMatrix(ring, 2 * inner, cols, b + b),
+                   [[0] * cols for _ in range(rows)])
+    assert _agrees(ma.transpose(), [[a[i][j] for i in range(rows)] for j in range(inner)])
+    assert (ma == ma2) == (a == a2)
+    assert ma == ma.copy() and ma.is_zero() == (not any(map(any, a)))
+    assert ExactMatrix.from_text(ma.to_text()) == ma
+    assert ma.to_text() == "%d %d %s\n" % (rows, inner, ring.name) + "".join(
+        " ".join(str(x) for x in r) + "\n" for r in a)
