@@ -21,6 +21,7 @@ from .exactlinalg import (
     ExactMatrix,
     Ring,
     cohomology,
+    kernel_basis,
     solve_linear,
 )
 
@@ -32,43 +33,47 @@ class DgError(ValueError):
 # ---------------------------------------------------------------------------
 # coefficient dictionaries
 #
-# Elements of modules and algebras are sparse dicts {label: scalar}; the
-# helpers below keep them normalized (no zero values).
+# Elements of modules and algebras are sparse dicts {label: scalar} with no
+# zero values; every linear combination of them is built by Ring.axpy, which
+# keeps them so.
 # ---------------------------------------------------------------------------
 
 
 def vec_add(ring: Ring, a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        s = ring.add(out.get(k, ring.zero()), v)
-        if s == 0:
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
+    return ring.axpy(dict(a), 1, b)
 
 
 def vec_scale(ring: Ring, c, a: dict) -> dict:
-    if c == 0:
-        return {}
-    return {k: ring.mul(c, v) for k, v in a.items()}
-
-
-def vec_sub(ring: Ring, a: dict, b: dict) -> dict:
-    return vec_add(ring, a, vec_scale(ring, ring.coerce(-1), b))
+    return ring.axpy({}, c, a)
 
 
 def vec_apply(ring: Ring, columns: dict, x: dict) -> dict:
     """The linear map sending each label to the dict ``columns[label]``, at x."""
     out = {}
     for a, ca in x.items():
-        for r, cr in columns.get(a, {}).items():
-            s = ring.add(out.get(r, ring.zero()), ring.mul(ca, cr))
-            if s == 0:
-                out.pop(r, None)
-            else:
-                out[r] = s
+        ring.axpy(out, ca, columns.get(a, {}))
     return out
+
+
+def _normalized(ring: Ring, table: dict) -> dict:
+    # a table {key: {label: scalar}} with its scalars coerced into the ring
+    # and its zero scalars and empty entries dropped
+    out = {}
+    for key, vec in table.items():
+        vec = {k: c for k, v in vec.items() if (c := ring.coerce(v)) != 0}
+        if vec:
+            out[key] = vec
+    return out
+
+
+def _check_degrees(degree: dict, *checks):
+    # each check (table, want, what): the labels of table[key] lie in degree want(key)
+    for table, want, what in checks:
+        for key, out in table.items():
+            d = want(key)
+            for r in out:
+                if degree.get(r) != d:
+                    raise DgError("%s %r: term %r is not in degree %d" % (what, key, r, d))
 
 
 class GradedModule:
@@ -123,7 +128,8 @@ class Element:
 
     def __sub__(self, other):
         other = self.algebra.as_element(other)
-        return Element(self.algebra, vec_sub(self.algebra.ring, self.coeffs, other.coeffs))
+        ring = self.algebra.ring
+        return Element(self.algebra, ring.axpy(dict(self.coeffs), -1, other.coeffs))
 
     def __rsub__(self, other):
         return self.algebra.as_element(other).__sub__(self)
@@ -192,33 +198,13 @@ class DgAlgebra:
         self.gm = gm
         self.ring = gm.ring
         self.name = name
-        self.unit = {k: self.ring.coerce(v) for k, v in unit.items() if v != 0}
-        self.mult = {}
-        for (a, b), out in mult.items():
-            clean = {k: self.ring.coerce(v) for k, v in out.items() if v != 0}
-            if clean:
-                self.mult[(a, b)] = clean
-        self.diff = {}
-        for a, out in diff.items():
-            clean = {k: self.ring.coerce(v) for k, v in out.items() if v != 0}
-            if clean:
-                self.diff[a] = clean
-        self._validate_degrees()
-
-    def _validate_degrees(self):
-        deg = self.gm.degree
-        for l in self.unit:
-            if deg[l] != 0:
-                raise DgError("unit has a component in degree %d" % deg[l])
-        for (a, b), out in self.mult.items():
-            want = deg[a] + deg[b]
-            for r in out:
-                if deg[r] != want:
-                    raise DgError("product %r*%r not degree-additive" % (a, b))
-        for a, out in self.diff.items():
-            for r in out:
-                if deg[r] != deg[a] + 1:
-                    raise DgError("differential of %r is not degree +1" % (a,))
+        self.unit = _normalized(self.ring, {(): unit}).get((), {})
+        self.mult = _normalized(self.ring, mult)
+        self.diff = _normalized(self.ring, diff)
+        deg = gm.degree
+        _check_degrees(deg, ({(): self.unit}, lambda _: 0, "unit"),
+                       (self.mult, lambda ab: deg[ab[0]] + deg[ab[1]], "product"),
+                       (self.diff, lambda a: deg[a] + 1, "differential of"))
 
     # -- elements ------------------------------------------------------------
 
@@ -263,15 +249,8 @@ class DgAlgebra:
         for a, ca in x.items():
             for b, cb in y.items():
                 prod = self.mult.get((a, b))
-                if not prod:
-                    continue
-                c = ring.mul(ca, cb)
-                for r, cr in prod.items():
-                    s = ring.add(out.get(r, ring.zero()), ring.mul(c, cr))
-                    if s == 0:
-                        out.pop(r, None)
-                    else:
-                        out[r] = s
+                if prod:
+                    ring.axpy(out, ring.mul(ca, cb), prod)
         return out
 
     def d_dict(self, x: dict) -> dict:
@@ -398,10 +377,8 @@ def check_dga(a: DgAlgebra, max_failures: int = 10) -> dict:
     for i, j in sorted(pairs):
         x, y = labels[i], labels[j]
         lhs = a.d_dict(a.mul_labels(x, y))
-        rhs = vec_add(ring,
-                      a.mul_dicts(a.diff.get(x, {}), {y: one}),
-                      vec_scale(ring, ring.sign(deg[x]),
-                                a.mul_dicts({x: one}, a.diff.get(y, {}))))
+        rhs = ring.axpy(a.mul_dicts(a.diff.get(x, {}), {y: one}), ring.sign(deg[x]),
+                        a.mul_dicts({x: one}, a.diff.get(y, {})))
         if lhs != rhs:
             record("leibniz", (x, y))
 
@@ -444,16 +421,11 @@ def tensor_dga(a: DgAlgebra, b: DgAlgebra, name: str = "") -> DgAlgebra:
                 mult[((la, lb), (la2, lb2))] = out
     diff = {}
     for la in a.gm.labels:
+        sgn = ring.sign(a.gm.degree[la])
         for lb in b.gm.labels:
-            out = {}
-            for ra, c in a.diff.get(la, {}).items():
-                out[(ra, lb)] = ring.add(out.get((ra, lb), ring.zero()), c)
-            sgn = ring.sign(a.gm.degree[la])
-            for rb, c in b.diff.get(lb, {}).items():
-                out[(la, rb)] = ring.add(out.get((la, rb), ring.zero()), ring.mul(sgn, c))
-            out = {k: v for k, v in out.items() if v != 0}
-            if out:
-                diff[(la, lb)] = out
+            diff[(la, lb)] = ring.axpy(
+                {(ra, lb): c for ra, c in a.diff.get(la, {}).items()},
+                sgn, {(la, rb): c for rb, c in b.diff.get(lb, {}).items()})
     return DgAlgebra(gm, unit, mult, diff, name=name or "%s(x)%s" % (a.name, b.name))
 
 
@@ -525,16 +497,11 @@ class DgModule:
         self.algebra = algebra
         self.ring = gm.ring
         self.name = name
-        self.action = {}
-        for (m, al), out in action.items():
-            clean = {k: self.ring.coerce(v) for k, v in out.items() if v != 0}
-            if clean:
-                self.action[(m, al)] = clean
-        self.diff = {}
-        for m, out in diff.items():
-            clean = {k: self.ring.coerce(v) for k, v in out.items() if v != 0}
-            if clean:
-                self.diff[m] = clean
+        self.action = _normalized(self.ring, action)
+        self.diff = _normalized(self.ring, diff)
+        deg, adeg = gm.degree, algebra.gm.degree
+        _check_degrees(deg, (self.action, lambda ma: deg[ma[0]] + adeg[ma[1]], "action"),
+                       (self.diff, lambda m: deg[m] + 1, "differential of"))
 
     def d_dict(self, x: dict) -> dict:
         return vec_apply(self.ring, self.diff, x)
@@ -545,15 +512,8 @@ class DgModule:
         for m, cm in x.items():
             for al, ca in a.items():
                 res = self.action.get((m, al))
-                if not res:
-                    continue
-                c = ring.mul(cm, ca)
-                for r, cr in res.items():
-                    s = ring.add(out.get(r, ring.zero()), ring.mul(c, cr))
-                    if s == 0:
-                        out.pop(r, None)
-                    else:
-                        out[r] = s
+                if res:
+                    ring.axpy(out, ring.mul(cm, ca), res)
         return out
 
     def complex(self) -> ChainComplexSpec:
@@ -614,10 +574,9 @@ class DgModule:
             e, av = {m: one}, {al: one}
             if k < 0:
                 lhs = self.d_dict(self.act(e, av))
-                rhs = vec_add(ring,
-                              self.act(self.diff.get(m, {}), av),
-                              vec_scale(ring, ring.sign(self.gm.degree[m]),
-                                        self.act(e, alg.diff.get(al, {}))))
+                rhs = ring.axpy(self.act(self.diff.get(m, {}), av),
+                                ring.sign(self.gm.degree[m]),
+                                self.act(e, alg.diff.get(al, {})))
                 if lhs != rhs:
                     record("module-leibniz", (m, al))
             elif self.act(self.act(e, av), {alabels[k]: one}) != self.act(
@@ -647,29 +606,15 @@ def algebra_as_module(a: DgAlgebra) -> DgModule:
 
 def module_map_is_closed(f: dict, m: DgModule, n: DgModule) -> bool:
     """f: M -> N (degree 0, by label dict) commutes with the differentials."""
-    ring = m.ring
-    for l in m.gm.labels:
-        img = f.get(l, {})
-        lhs = n.d_dict(img)
-        rhs = {}
-        for r, c in m.diff.get(l, {}).items():
-            rhs = vec_add(ring, rhs, vec_scale(ring, c, f.get(r, {})))
-        if lhs != rhs:
-            return False
-    return True
+    return all(n.d_dict(f.get(l, {})) == vec_apply(m.ring, f, m.diff.get(l, {}))
+               for l in m.gm.labels)
 
 
 def module_map_is_linear(f: dict, m: DgModule, n: DgModule) -> bool:
-    ring = m.ring
-    for l in m.gm.labels:
-        for al in m.algebra.gm.labels:
-            lhs = {}
-            for r, c in m.act({l: ring.one()}, {al: ring.one()}).items():
-                lhs = vec_add(ring, lhs, vec_scale(ring, c, f.get(r, {})))
-            rhs = n.act(f.get(l, {}), {al: ring.one()})
-            if lhs != rhs:
-                return False
-    return True
+    one = m.ring.one()
+    return all(vec_apply(m.ring, f, m.act({l: one}, {al: one}))
+               == n.act(f.get(l, {}), {al: one})
+               for l in m.gm.labels for al in m.algebra.gm.labels)
 
 
 def cone(f: dict, m: DgModule, n: DgModule, name: str = "") -> DgModule:
@@ -699,14 +644,9 @@ def cone(f: dict, m: DgModule, n: DgModule, name: str = "") -> DgModule:
     for (l, al), out in n.action.items():
         action[(("N", l), al)] = {("N", r): c for r, c in out.items()}
     diff = {}
-    minus = ring.coerce(-1)
     for l in m.gm.labels:
-        out = {("M", r): ring.mul(minus, c) for r, c in m.diff.get(l, {}).items()}
-        for r, c in f.get(l, {}).items():
-            out[("N", r)] = ring.add(out.get(("N", r), ring.zero()), c)
-        out = {k: v for k, v in out.items() if v != 0}
-        if out:
-            diff[("M", l)] = out
+        minus_dm = {("M", r): ring.neg(c) for r, c in m.diff.get(l, {}).items()}
+        diff[("M", l)] = ring.axpy(minus_dm, 1, {("N", r): c for r, c in f.get(l, {}).items()})
     for l in n.gm.labels:
         if l in n.diff:
             diff[("N", l)] = {("N", r): c for r, c in n.diff[l].items()}
@@ -768,28 +708,21 @@ class HomComplex:
             index = {p: i for i, p in enumerate(pairs)}
             # linearity f(m . a) = f(m) . a: for each (ml, al) and target t,
             # sum_r act_M[ml,al][r] f[r,t] - sum_s f[ml,s] act_N[s,al][t] = 0
+            # a row is kept when a term enters it, also when the terms cancel
             eqs = []
             for ml in self.m.gm.labels:
                 targets = [(s, index[(ml, s)]) for s in self.n.gm.labels if (ml, s) in index]
                 for al in alabels:
-                    lhs_coeffs = act_m[(ml, al)]
                     for t in self.n.gm.labels:
-                        row = {}
-                        for r, c in lhs_coeffs.items():
-                            if (r, t) in index:
-                                j = index[(r, t)]
-                                row[j] = ring.add(row.get(j, ring.zero()), c)
-                        for s, j in targets:
-                            c2 = act_n[(s, al)].get(t)
-                            if c2 is not None:
-                                row[j] = ring.sub(row.get(j, ring.zero()), c2)
-                        if row:
-                            eqs.append(row)
+                        lhs = {index[(r, t)]: c for r, c in act_m[(ml, al)].items()
+                               if (r, t) in index}
+                        rhs = {j: act_n[(s, al)][t] for s, j in targets if t in act_n[(s, al)]}
+                        if lhs or rhs:
+                            eqs.append(ring.axpy(lhs, -1, rhs))
             mat = ExactMatrix.zeros(ring, len(eqs), len(pairs))
             for i, row in enumerate(eqs):
                 for j, c in row.items():
                     mat.set_entry(i, j, c)
-            from .exactlinalg import kernel_basis
             basis = []
             for vec in kernel_basis(mat):
                 f = {}
@@ -809,28 +742,19 @@ class HomComplex:
     def apply_d(self, f: dict, degree: int) -> dict:
         """d(f) = d_N o f - (-1)^{|f|} f o d_M as a raw map."""
         ring = self.ring
-        out = {}
-        for ml, img in f.items():
-            out[ml] = self.n.d_dict(img)
-        sign = ring.sign(degree)
+        out = {ml: self.n.d_dict(img) for ml, img in f.items()}
+        sign = ring.neg(ring.sign(degree))
         for ml in self.m.gm.labels:
-            acc = out.get(ml, {})
+            acc = out.setdefault(ml, {})
             for r, c in self.m.diff.get(ml, {}).items():
-                acc = vec_sub(ring, acc, vec_scale(ring, ring.mul(sign, c), f.get(r, {})))
-            if acc:
-                out[ml] = acc
-            else:
-                out.pop(ml, None)
+                ring.axpy(acc, ring.mul(sign, c), f.get(r, {}))
         return {k: v for k, v in out.items() if v}
 
     def compose(self, g: dict, f: dict) -> dict:
         """(g o f)(m) = g(f(m)); a chain-level pairing Hom(N,P) x Hom(M,N)."""
-        ring = self.ring
         out = {}
         for ml, img in f.items():
-            acc = {}
-            for nl, c in img.items():
-                acc = vec_add(ring, acc, vec_scale(ring, c, g.get(nl, {})))
+            acc = vec_apply(self.ring, g, img)
             if acc:
                 out[ml] = acc
         return out
@@ -911,14 +835,10 @@ def free_hull(a: DgAlgebra, generators, name: str = "") -> DgModule:
                 if out_x:
                     action[(("x", g, al), bl)] = out_x
                 # (d y) b = d(y b) - (-1)^{|y|} y db
-                out = {("dx", g, r): c for r, c in prod.items()}
-                sign = ring.sign(ydeg + 1)
-                for r, c in a.mul_dicts({al: ring.one()}, a.diff.get(bl, {})).items():
-                    key = ("x", g, r)
-                    out[key] = ring.add(out.get(key, ring.zero()), ring.mul(sign, c))
-                out = {k: v for k, v in out.items() if v != 0}
-                if out:
-                    action[(("dx", g, al), bl)] = out
+                dyb = a.mul_dicts({al: ring.one()}, a.diff.get(bl, {}))
+                action[(("dx", g, al), bl)] = ring.axpy(
+                    {("dx", g, r): c for r, c in prod.items()},
+                    ring.sign(ydeg + 1), {("x", g, r): c for r, c in dyb.items()})
     diff = {("x", g, al): {("dx", g, al): ring.one()}
             for g, _ in gens for al in a.gm.labels}
     return DgModule(gm, a, action, diff, name=name or "G(L)")

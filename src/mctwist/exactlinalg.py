@@ -49,6 +49,8 @@ class Ring:
         if self.kind == "Fp":
             if self.p < 2 or not _is_prime(self.p):
                 raise ExactLinalgError("F_p needs a prime p, got %r" % (self.p,))
+        # read on every sparse update; Fractions are immutable, so one is shared
+        object.__setattr__(self, "_zero", Fraction(0) if self.kind == "Q" else 0)
 
     @staticmethod
     def Z() -> "Ring":
@@ -87,7 +89,7 @@ class Ring:
         return self.kind != "Z"
 
     def zero(self):
-        return Fraction(0) if self.kind == "Q" else 0
+        return self._zero
 
     def one(self):
         return Fraction(1) if self.kind == "Q" else 1
@@ -104,14 +106,14 @@ class Ring:
         if type(x) is not int and type(x) is not Fraction:
             x = _exact_scalar(x)
         if self.kind == "Z":
-            if isinstance(x, Fraction):
+            if type(x) is Fraction:
                 if x.denominator != 1:
                     raise ExactLinalgError("%s is not an integer" % (x,))
                 x = x.numerator
-            return int(x)
+            return x
         if self.kind == "Q":
             return Fraction(x)
-        if isinstance(x, Fraction):
+        if type(x) is Fraction:
             den = x.denominator % self.p
             if den == 0:
                 raise ExactLinalgError("denominator divisible by %d" % self.p)
@@ -133,6 +135,28 @@ class Ring:
     def mul(self, a, b):
         c = a * b
         return c % self.p if self.kind == "Fp" else c
+
+    def axpy(self, y: dict, c, x: dict) -> dict:
+        """y += c * x on sparse {key: scalar} dicts, in place; returns y.
+
+        Every sparse linear combination in the package is built by this
+        method.  A key whose sum is zero is removed, so zeros are never
+        stored, and a cancelled key that comes back is appended at the end.
+
+        >>> Ring.GF(5).axpy({"a": 1, "b": 2}, 3, {"a": 3, "c": 2})
+        {'b': 2, 'c': 1}
+        """
+        p, zero = self.p, self._zero
+        scaled = type(c) is not int or c != 1  # over Q, 1 * v costs a Fraction product
+        for k, v in x.items():
+            s = y.get(k, zero) + (c * v if scaled else v)
+            if p:
+                s %= p
+            if s:
+                y[k] = s
+            else:
+                y.pop(k, None)
+        return y
 
     def neg(self, a):
         return (-a) % self.p if self.kind == "Fp" else -a
@@ -161,7 +185,7 @@ class Ring:
 
 
 def _exact_scalar(x):
-    """x as an int or a rational; floats, bools and non-numbers are refused."""
+    """x as an int or a Fraction; floats, bools and non-numbers are refused."""
     if isinstance(x, str):
         try:
             if "e" in x.lower():  # "1e10000000" would be a 33-million-bit integer
@@ -172,7 +196,8 @@ def _exact_scalar(x):
     if isinstance(x, bool) or not isinstance(x, numbers.Rational):
         raise ExactLinalgError("not an exact scalar: %.40r of type %s"
                                % (x, type(x).__name__))
-    return x
+    n, d = int(x.numerator), int(x.denominator)
+    return n if d == 1 else Fraction(n, d)
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -281,16 +306,17 @@ class ExactMatrix:
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self._combine(other, self.ring.add)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self._combine(other, self.ring.sub)
+        return self._combine(other, -1)
 
-    def _combine(self, other, op):
+    def _combine(self, other, c):
+        # self + c * other
         self._require_same_shape(other)
         out = self.copy()
-        for (i, j), v in other.nonzero_items():
-            out.set_entry(i, j, op(out.get(i, j), v))
+        for row, orow in zip(out._data, other._data):
+            self.ring.axpy(row, c, orow)
         return out
 
     def __neg__(self) -> "ExactMatrix":
@@ -314,16 +340,13 @@ class ExactMatrix:
             raise ExactLinalgError("ring mismatch")
         if self.cols != other.rows:
             raise ExactLinalgError("dimension mismatch in product")
-        ring = self.ring
-        zero = ring.zero()
         data = []
         for row in self._data:
             acc = {}
             for k, a in row.items():
-                for j, b in other._data[k].items():
-                    acc[j] = ring.add(acc.get(j, zero), ring.mul(a, b))
-            data.append({j: v for j, v in acc.items() if v != 0})
-        return ExactMatrix._of_rows(ring, other.cols, data)
+                self.ring.axpy(acc, a, other._data[k])
+            data.append(acc)
+        return ExactMatrix._of_rows(self.ring, other.cols, data)
 
     def transpose(self) -> "ExactMatrix":
         data = [{} for _ in range(self.cols)]
@@ -366,17 +389,9 @@ class ExactMatrix:
 #
 # The kernels work on lists of row dicts, as ExactMatrix stores them.  V is
 # kept transposed, so that its column operations are row operations too.
+# Row dst += c * row src is _Z.axpy(rows[dst], c, rows[src]).
 
-
-def _add_row(rows, dst, src, c):
-    # row dst += c * row src, walking the nonzeros of row src only
-    d = rows[dst]
-    for j, x in rows[src].items():
-        y = d.get(j, 0) + c * x
-        if y:
-            d[j] = y
-        else:
-            d.pop(j, None)
+_Z = Ring.Z()
 
 
 def _add_col(rows, dst, src, c):
@@ -459,13 +474,13 @@ def smith_normal_form(m: ExactMatrix):
             for i in range(t + 1, m.rows):
                 if t in a[i]:
                     q = a[i][t] // p
-                    _add_row(a, i, t, -q)
-                    _add_row(u, i, t, -q)
+                    _Z.axpy(a[i], -q, a[t])
+                    _Z.axpy(u[i], -q, u[t])
                     dirty = dirty or t in a[i]
             for j in sorted(j for j in a[t] if j > t):
                 q = a[t][j] // p
                 _add_col(a, j, t, -q)
-                _add_row(vt, j, t, -q)
+                _Z.axpy(vt[j], -q, vt[t])
                 dirty = dirty or j in a[t]
             if not dirty:
                 break
@@ -484,7 +499,7 @@ def smith_normal_form(m: ExactMatrix):
             if di != 0 and dj % di != 0:
                 # fold d_{i+1} into position (i, i) and rediagonalize 2x2 block
                 _add_col(a, i, i + 1, 1)
-                _add_row(vt, i, i + 1, 1)
+                _Z.axpy(vt[i], 1, vt[i + 1])
                 _rediagonalize_pair(a, u, vt, i)
                 changed = True
     z = m.ring
@@ -501,8 +516,8 @@ def _rediagonalize_pair(a, u, vt, t):
             break
         if x != 0 and abs(x) <= abs(y):
             q = y // x
-            _add_row(a, t + 1, t, -q)
-            _add_row(u, t + 1, t, -q)
+            _Z.axpy(a[t + 1], -q, a[t])
+            _Z.axpy(u[t + 1], -q, u[t])
         else:
             _swap_rows(a, t, t + 1)
             _swap_rows(u, t, t + 1)
@@ -511,7 +526,7 @@ def _rediagonalize_pair(a, u, vt, t):
         if x != 0 and abs(x) <= abs(y):
             q = y // x
             _add_col(a, t + 1, t, -q)
-            _add_row(vt, t + 1, t, -q)
+            _Z.axpy(vt[t + 1], -q, vt[t])
         else:
             _swap_cols(a, t, t + 1)
             _swap_rows(vt, t, t + 1)
@@ -571,7 +586,6 @@ def rref(m: ExactMatrix):
     if not m.ring.is_field:
         raise ExactLinalgError("rref needs field coefficients")
     ring = m.ring
-    zero = ring.zero()
     a = m.copy()._data
     pivots = []
     r = 0
@@ -585,12 +599,7 @@ def rref(m: ExactMatrix):
         for i, row in enumerate(a):
             f = row.get(c)
             if f is not None and i != r:
-                for j, x in prow.items():
-                    y = ring.sub(row.get(j, zero), ring.mul(f, x))
-                    if y != 0:
-                        row[j] = y
-                    else:
-                        row.pop(j, None)
+                ring.axpy(row, -f, prow)
         pivots.append(c)
         r += 1
         if r == m.rows:

@@ -131,13 +131,7 @@ class FreeDgAlgebra:
         ring = self.ring
         out = {}
         for wa, ca in a.items():
-            for wb, cb in b.items():
-                w = wa + wb
-                s = ring.add(out.get(w, ring.zero()), ring.mul(ca, cb))
-                if s == 0:
-                    out.pop(w, None)
-                else:
-                    out[w] = s
+            ring.axpy(out, ca, {wa + wb: cb for wb, cb in b.items()})
         return out
 
     def d_dict(self, a: dict) -> dict:
@@ -148,15 +142,8 @@ class FreeDgAlgebra:
             for i, g in enumerate(w):
                 dg = self.diff_table.get(g)
                 if dg:
-                    sign = ring.sign(prefix_deg)
-                    for mid, cm in dg.items():
-                        nw = w[:i] + mid + w[i + 1:]
-                        s = ring.add(out.get(nw, ring.zero()),
-                                     ring.mul(ring.mul(sign, c), cm))
-                        if s == 0:
-                            out.pop(nw, None)
-                        else:
-                            out[nw] = s
+                    ring.axpy(out, ring.mul(ring.sign(prefix_deg), c),
+                              {w[:i] + mid + w[i + 1:]: cm for mid, cm in dg.items()})
                 prefix_deg += self.generator_degrees[g]
         return out
 
@@ -184,16 +171,11 @@ class FreeDgAlgebra:
                     return {"ok": False, "failures": failures}
         for w1 in self.words_up_to_length(max(1, max_len // 2)):
             for w2 in self.words_up_to_length(max(1, max_len // 2)):
-                lhs = self.d_dict(self.mul_dicts({w1: ring.one()}, {w2: ring.one()}))
-                sign = ring.sign(self.gm.degree[w1])
-                rhs = self.mul_dicts(self.d_dict({w1: ring.one()}), {w2: ring.one()})
-                for k, v in self.mul_dicts({w1: ring.one()},
-                                           self.d_dict({w2: ring.one()})).items():
-                    s = ring.add(rhs.get(k, ring.zero()), ring.mul(sign, v))
-                    if s == 0:
-                        rhs.pop(k, None)
-                    else:
-                        rhs[k] = s
+                e1, e2 = {w1: ring.one()}, {w2: ring.one()}
+                lhs = self.d_dict(self.mul_dicts(e1, e2))
+                rhs = ring.axpy(self.mul_dicts(self.d_dict(e1), e2),
+                                ring.sign(self.gm.degree[w1]),
+                                self.mul_dicts(e1, self.d_dict(e2)))
                 if lhs != rhs:
                     failures.append({"axiom": "leibniz", "witness": (w1, w2)})
                     if len(failures) >= max_failures:

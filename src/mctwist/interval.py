@@ -361,13 +361,11 @@ def _category_presentation(free: FreeDgAlgebra, diff_u: dict, n_trunc: int, ring
         for word, c in expr.coeffs.items():
             if any(g in ("x", "x'") for g in word):
                 continue  # ambient sandwich terms: the twisted part of d_Hom
-            c = ring.mul(c, _sub_sign(word, signs))
             new = tuple(("x" if fam == "u" else "y", m) for fam, m in word)
             if reverse:
                 new = tuple(reversed(new))
-            for w, cc in _expand_affine(new, c, ring).items():
-                terms[w] = ring.add(terms.get(w, ring.zero()), cc)
-        return {w: c for w, c in terms.items() if c != 0}
+            ring.axpy(terms, ring.mul(c, _sub_sign(word, signs)), _expand_affine(new))
+        return terms
 
     def _sub_sign(word, signs):
         s = ring.one()
@@ -375,20 +373,13 @@ def _category_presentation(free: FreeDgAlgebra, diff_u: dict, n_trunc: int, ring
             s = ring.mul(s, signs[m])
         return s
 
-    def _expand_affine(word, coeff, ring):
+    def _expand_affine(word):
         # the table is stated in u-variables where x_0 = u_0 + 1, so each
         # degree-0 letter expands as u_0 = x_0 - 1 into signed subwords
-        out = {(): coeff}
+        out = {(): ring.one()}
         for gname in word:
-            new = {}
-            opts = [((gname,), ring.one())]
-            if gname[1] == 0:
-                opts.append(((), ring.coerce(-1)))
-            for w, c in out.items():
-                for piece, pc in opts:
-                    key = w + piece
-                    new[key] = ring.add(new.get(key, ring.zero()), ring.mul(c, pc))
-            out = new
+            new = {w + (gname,): c for w, c in out.items()}
+            out = ring.axpy(new, -1, out) if gname[1] == 0 else new
         return out
 
     anchor_ok = None

@@ -35,8 +35,6 @@ from .dgcore import (
     endomorphism_dga,
     ground_dga,
     vec_add,
-    vec_scale,
-    vec_sub,
 )
 from .exactlinalg import (
     CohomologyReport,
@@ -117,10 +115,8 @@ def twist_algebra(a: DgAlgebra, x: MCElement, name: str = "") -> DgAlgebra:
     diff = {}
     for l in a.gm.labels:
         e = {l: ring.one()}
-        bracket = vec_sub(ring,
-                          a.mul_dicts(x.value.coeffs, e),
-                          vec_scale(ring, ring.sign(a.gm.degree[l]),
-                                    a.mul_dicts(e, x.value.coeffs)))
+        bracket = ring.axpy(a.mul_dicts(x.value.coeffs, e), -ring.sign(a.gm.degree[l]),
+                            a.mul_dicts(e, x.value.coeffs))
         out = vec_add(ring, a.diff.get(l, {}), bracket)
         if out:
             diff[l] = out
@@ -145,10 +141,8 @@ def hom_twist(a: DgAlgebra, x: MCElement, y: MCElement, name: str = "") -> DgMod
     diff = {}
     for l in a.gm.labels:
         e = {l: ring.one()}
-        out = vec_add(ring, a.diff.get(l, {}), a.mul_dicts(y.value.coeffs, e))
-        out = vec_sub(ring, out,
-                      vec_scale(ring, ring.sign(a.gm.degree[l]),
-                                a.mul_dicts(e, x.value.coeffs)))
+        out = ring.axpy(vec_add(ring, a.diff.get(l, {}), a.mul_dicts(y.value.coeffs, e)),
+                        -ring.sign(a.gm.degree[l]), a.mul_dicts(e, x.value.coeffs))
         if out:
             diff[l] = out
     action = {(l, "1"): {l: ring.one()} for l in a.gm.labels}
@@ -305,22 +299,16 @@ class TwistedModule:
         for vl in self.v.labels:
             sv = ring.sign(self.v.degree[vl])
             for al in a.gm.labels:
-                out = {}
-                for rl, c in a.diff.get(al, {}).items():
-                    out[(vl, rl)] = ring.mul(sv, c)
+                out = {(vl, rl): ring.mul(sv, c) for rl, c in a.diff.get(al, {}).items()}
                 # x . (v (x) a): terms ("E", u, w, cl) with u = vl
                 for el, ce in self.mc.value.coeffs.items():
                     _, u, w, cl = el
                     if u != vl:
                         continue
                     sign = ring.sign(a.gm.degree[cl] * self.v.degree[vl])
-                    for rl, c in a.mul_labels(cl, al).items():
-                        key = (w, rl)
-                        out[key] = ring.add(out.get(key, ring.zero()),
-                                            ring.mul(ring.mul(sign, ce), c))
-                out = {k: v for k, v in out.items() if v != 0}
-                if out:
-                    diff[(vl, al)] = out
+                    ring.axpy(out, ring.mul(sign, ce),
+                              {(w, rl): c for rl, c in a.mul_labels(cl, al).items()})
+                diff[(vl, al)] = out
         return DgModule(gm, a, action, diff, name=self.name)
 
     def cohomology(self) -> CohomologyReport:
@@ -402,7 +390,7 @@ def search_homotopy_gauge(a: DgAlgebra, x: MCElement, y: MCElement,
         for cand in candidates:
             c = rng.randint(-bound, bound)
             if c:
-                out = vec_add(a.ring, out, vec_scale(a.ring, a.ring.coerce(c), cand))
+                a.ring.axpy(out, c, cand)
         return Element(a, out)
 
     # basis candidates first, then random combinations with doubling bound
@@ -458,48 +446,42 @@ def _solve_homotopy_given_g(a: DgAlgebra, x: MCElement, y: MCElement, g: Element
     if not unknowns:
         return None
     uix = {u: i for i, u in enumerate(unknowns)}
+    # rows[equation key][unknown index]: no two terms below share an entry,
+    # so each is set, not accumulated
     rows = {}
-    rhs = {}
 
-    def add_term(eqkey, col, c):
-        if c == 0:
-            return
-        row = rows.setdefault(eqkey, {})
-        row[col] = ring.add(row.get(col, ring.zero()), c)
+    def set_term(eqkey, col, c):
+        rows.setdefault(eqkey, {})[col] = c
 
     one = ring.one()
     # (2) dh + xh - hy = 0, coefficients per degree-1 label
     for l in deg0:
         e = {l: one}
-        expr = vec_add(ring, a.diff.get(l, {}), a.mul_dicts(x.value.coeffs, e))
-        expr = vec_sub(ring, expr, a.mul_dicts(e, y.value.coeffs))
+        expr = ring.axpy(vec_add(ring, a.diff.get(l, {}), a.mul_dicts(x.value.coeffs, e)),
+                         -1, a.mul_dicts(e, y.value.coeffs))
         for r, c in expr.items():
-            add_term(("c2", r), uix[("h", l)], c)
+            set_term(("c2", r), uix[("h", l)], c)
     # (3) hg - d^x(wx) = 1
     for l in deg0:
         for r, c in a.mul_dicts({l: one}, g.coeffs).items():
-            add_term(("c3", r), uix[("h", l)], c)
+            set_term(("c3", r), uix[("h", l)], c)
     for l in degm1:
         e = {l: one}
-        dx = vec_add(ring, a.diff.get(l, {}), a.mul_dicts(x.value.coeffs, e))
-        dx = vec_add(ring, dx, a.mul_dicts(e, x.value.coeffs))  # -(-1)^{-1} a x
+        dx = ring.axpy(vec_add(ring, a.diff.get(l, {}), a.mul_dicts(x.value.coeffs, e)),
+                       1, a.mul_dicts(e, x.value.coeffs))  # -(-1)^{-1} a x
         for r, c in dx.items():
-            add_term(("c3", r), uix[("wx", l)], ring.neg(c))
-    for r, c in a.unit.items():
-        rhs[("c3", r)] = c
+            set_term(("c3", r), uix[("wx", l)], ring.neg(c))
     # (4) gh - d^y(wy) = 1
     for l in deg0:
         for r, c in a.mul_dicts(g.coeffs, {l: one}).items():
-            add_term(("c4", r), uix[("h", l)], c)
+            set_term(("c4", r), uix[("h", l)], c)
     for l in degm1:
         e = {l: one}
-        dy = vec_add(ring, a.diff.get(l, {}), a.mul_dicts(y.value.coeffs, e))
-        dy = vec_add(ring, dy, a.mul_dicts(e, y.value.coeffs))
+        dy = ring.axpy(vec_add(ring, a.diff.get(l, {}), a.mul_dicts(y.value.coeffs, e)),
+                       1, a.mul_dicts(e, y.value.coeffs))
         for r, c in dy.items():
-            add_term(("c4", r), uix[("wy", l)], ring.neg(c))
-    for r, c in a.unit.items():
-        key = ("c4", r)
-        rhs[key] = ring.add(rhs.get(key, ring.zero()), c)
+            set_term(("c4", r), uix[("wy", l)], ring.neg(c))
+    rhs = {(eq, r): c for eq in ("c3", "c4") for r, c in a.unit.items()}
 
     eqkeys = sorted(set(rows) | set(rhs), key=str)
     mat = ExactMatrix.zeros(ring, len(eqkeys), len(unknowns))
@@ -645,8 +627,7 @@ class H0Category:
                         acc = {}
                         for c, rep in zip(coeffs, self.reps[(i, j)]):
                             if c:
-                                acc = vec_add(self.ring, acc,
-                                              vec_scale(self.ring, self.ring.coerce(c), rep))
+                                self.ring.axpy(acc, c, rep)
                         if not acc:
                             continue
                         cert = _solve_homotopy_given_g(self.a, self.xs[i], self.xs[j],

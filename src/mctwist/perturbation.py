@@ -76,17 +76,12 @@ class ConvOp:
         return not self.coeffs
 
     def __add__(self, other: "ConvOp") -> "ConvOp":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = self.ring.add(out.get(k, self.ring.zero()), c)
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return ConvOp(self.algebra, self.src, self.dst, out)
+        return ConvOp(self.algebra, self.src, self.dst,
+                      self.ring.axpy(dict(self.coeffs), 1, other.coeffs))
 
     def __sub__(self, other: "ConvOp") -> "ConvOp":
-        return self + other.scale(-1)
+        return ConvOp(self.algebra, self.src, self.dst,
+                      self.ring.axpy(dict(self.coeffs), -1, other.coeffs))
 
     def scale(self, c) -> "ConvOp":
         c = self.ring.coerce(c)
@@ -108,16 +103,9 @@ class ConvOp:
                 psi = other.dst.degree[u1] - other.src.degree[u0]
                 sign = ring.sign(da1 * psi)
                 prod = self.algebra.mul_labels(a1, a0)
-                if not prod:
-                    continue
-                c = ring.mul(ring.mul(c1, c0), sign)
-                for r, cr in prod.items():
-                    key = (u0, w1, r)
-                    s = ring.add(out.get(key, ring.zero()), ring.mul(c, cr))
-                    if s == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+                if prod:
+                    ring.axpy(out, ring.mul(ring.mul(c1, c0), sign),
+                              {(u0, w1, r): cr for r, cr in prod.items()})
         return ConvOp(self.algebra, other.src, self.dst, out)
 
     def d_end(self) -> "ConvOp":
@@ -126,14 +114,8 @@ class ConvOp:
         out = {}
         for (u, w, al), c in self.coeffs.items():
             sign = ring.sign(self.dst.degree[w] - self.src.degree[u])
-            for r, cr in self.algebra.diff.get(al, {}).items():
-                key = (u, w, r)
-                s = ring.add(out.get(key, ring.zero()),
-                             ring.mul(ring.mul(sign, c), cr))
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+            ring.axpy(out, ring.mul(sign, c),
+                      {(u, w, r): cr for r, cr in self.algebra.diff.get(al, {}).items()})
         return ConvOp(self.algebra, self.src, self.dst, out)
 
     def weight_split(self) -> dict:
@@ -334,23 +316,14 @@ def hodge_data(v: GradedModule, d0_entries: dict) -> HodgeData:
             e = [ring.one() if i == j else ring.zero() for i in range(nloc)]
             coords = solve_linear(mat, e)[0]
             for k in range(nh):
-                if coords[k] != 0:
-                    for i in range(nloc):
-                        c = ring.mul(coords[k], harmonic[k][i])
-                        if c != 0:
-                            key = (l, src[i])
-                            t_mat[key] = ring.add(t_mat.get(key, ring.zero()), c)
-            for k in range(ni):
-                if coords[nh + k] != 0:
-                    key = (l, pre[k])
-                    s_mat[key] = ring.add(s_mat.get(key, ring.zero()), coords[nh + k])
+                ring.axpy(t_mat, coords[k], {(l, w): c for w, c in zip(src, harmonic[k])})
+            # the keys (l, pre[k]) are new to s_mat: its entries are set once
+            s_mat.update(((l, pre[k]), c) for k, c in enumerate(coords[nh:nh + ni]) if c != 0)
         for k, vec in enumerate(harmonic):
             full_vec = [ring.zero()] * n
             for i, c in enumerate(vec):
                 full_vec[ix[src[i]]] = c
             harmonic_basis.append((("h", deg, k), full_vec))
-    t_mat = {k: v2 for k, v2 in t_mat.items() if v2 != 0}
-    s_mat = {k: v2 for k, v2 in s_mat.items() if v2 != 0}
     return HodgeData(s_mat, t_mat, harmonic_basis)
 
 
@@ -522,31 +495,17 @@ def _invert_weight_zero(a: DgAlgebra, f0: ConvOp, vsrc: GradedModule, vdst: Grad
     unknowns = [(u, w, al) for u in vdst.labels for w in vsrc.labels for al in deg0]
     if len(vsrc.labels) != len(vdst.labels):
         return None
-    uix = {k: i for i, k in enumerate(unknowns)}
+    # rows[equation key][unknown index]: each entry is set once, as one
+    # unknown's composite holds each key once
     rows = {}
-    rhs = {}
-
-    def eq(side, key, col, c):
-        if c == 0:
-            return
-        row = rows.setdefault((side, key), {})
-        row[col] = ring.add(row.get(col, ring.zero()), c)
-
-    one = ConvOp.identity(a, vsrc)
-    one_d = ConvOp.identity(a, vdst)
     # f0 o g = 1_dst and g o f0 = 1_src, linear in g
-    for (u, w, al) in unknowns:
-        g_term = ConvOp(a, vdst, vsrc, {(u, w, al): ring.one()})
-        fg = f0.compose(g_term)
-        for key, c in fg.coeffs.items():
-            eq("fg", key, uix[(u, w, al)], c)
-        gf = g_term.compose(f0)
-        for key, c in gf.coeffs.items():
-            eq("gf", key, uix[(u, w, al)], c)
-    for key, c in one_d.coeffs.items():
-        rhs[("fg", key)] = c
-    for key, c in one.coeffs.items():
-        rhs[("gf", key)] = c
+    for col, key in enumerate(unknowns):
+        g_term = ConvOp(a, vdst, vsrc, {key: ring.one()})
+        for side, op in (("fg", f0.compose(g_term)), ("gf", g_term.compose(f0))):
+            for k, c in op.coeffs.items():
+                rows.setdefault((side, k), {})[col] = c
+    rhs = {("fg", k): c for k, c in ConvOp.identity(a, vdst).coeffs.items()}
+    rhs.update((("gf", k), c) for k, c in ConvOp.identity(a, vsrc).coeffs.items())
     eqkeys = sorted(set(rows) | set(rhs), key=str)
     mat = ExactMatrix.zeros(ring, len(eqkeys), len(unknowns))
     for i, k in enumerate(eqkeys):
@@ -626,15 +585,13 @@ def _solve_commutator(a: DgAlgebra, w_gm: GradedModule, d_w: ConvOp,
                     unknown_keys.append((u, w, al))
     if not unknown_keys:
         return None if not target.is_zero() else ConvOp(a, w_gm, w_gm)
-    uix = {k: i for i, k in enumerate(unknown_keys)}
-    rows = {}
-    for key in unknown_keys:
+    rows = {}  # rows[equation key][unknown index], each entry set once
+    for col, key in enumerate(unknown_keys):
         probe = ConvOp(a, w_gm, w_gm, {key: ring.one()})
         # [d_W, probe] with probe of total degree 1: d_W probe + probe d_W
         br = d_w.compose(probe) + probe.compose(d_w)
         for rkey, c in br.coeffs.items():
-            rows.setdefault(rkey, {})[uix[key]] = ring.add(
-                rows.get(rkey, {}).get(uix[key], ring.zero()), c)
+            rows.setdefault(rkey, {})[col] = c
     eqkeys = sorted(set(rows) | set(target.coeffs), key=str)
     mat = ExactMatrix.zeros(ring, len(eqkeys), len(unknown_keys))
     for i, k in enumerate(eqkeys):

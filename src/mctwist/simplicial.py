@@ -361,6 +361,7 @@ def cochain_algebra(sset: FiniteSimplicialSet, ring: Ring, max_degree=None,
     labels = [l for d in range(top + 1) for l in sset.nondegenerate(d)]
     gm = GradedModule(ring, [(l, sset.dim_of[l]) for l in labels])
     unit = {l: 1 for l in sset.nondegenerate(0)}
+    z = Ring.Z()  # incidence numbers, coerced into ``ring`` by DgAlgebra
     diff = {}
     for d in range(1, top + 1):
         for tau in sset.nondegenerate(d):
@@ -368,8 +369,7 @@ def cochain_algebra(sset: FiniteSimplicialSet, ring: Ring, max_degree=None,
                 src = sset.nondegenerate_face(tau, i)
                 if src is None:
                     continue
-                row = diff.setdefault(src, {})
-                row[tau] = row.get(tau, 0) + (-1) ** i
+                z.axpy(diff.setdefault(src, {}), (-1) ** i, {tau: 1})
     mult = {}
     for rho in labels:
         n = sset.dim_of[rho]
@@ -743,31 +743,22 @@ def two_sided_twisted(base: FiniteSimplicialSet, vleft: GradedModule,
     ycoeffs = y.value.coeffs if hasattr(y, "value") else {}
     xcoeffs = x.value.coeffs if hasattr(x, "value") else {}
     for (_, ur, ul, al), fdeg in basis:
-        out = {}
-        sign_d = ring.sign(vleft.degree[ul] - vright.degree[ur])
-        for rl, c in ca.diff.get(al, {}).items():
-            key = ("m", ur, ul, rl)
-            out[key] = ring.add(out.get(key, ring.zero()), ring.mul(sign_d, c))
+        out = ring.axpy({}, ring.sign(vleft.degree[ul] - vright.degree[ur]),
+                        {("m", ur, ul, rl): c for rl, c in ca.diff.get(al, {}).items()})
         for (tag, u2, w2, cl), ce in ycoeffs.items():
             if u2 != ul:
                 continue
             sgn = ring.sign(ca.gm.degree[cl] * (vleft.degree[ul] - vright.degree[ur]))
-            for rl, c in ca.mul_labels(cl, al).items():
-                key = ("m", ur, w2, rl)
-                out[key] = ring.add(out.get(key, ring.zero()),
-                                    ring.mul(ring.mul(sgn, ce), c))
+            ring.axpy(out, ring.mul(sgn, ce),
+                      {("m", ur, w2, rl): c for rl, c in ca.mul_labels(cl, al).items()})
         for (tag, u2, w2, cl), ce in xcoeffs.items():
             if w2 != ur:
                 continue
             psi_deg = vright.degree[w2] - vright.degree[u2]
             sgn = ring.sign(fdeg + ca.gm.degree[al] * psi_deg + 1)
-            for rl, c in ca.mul_labels(al, cl).items():
-                key = ("m", u2, ul, rl)
-                out[key] = ring.add(out.get(key, ring.zero()),
-                                    ring.mul(ring.mul(sgn, ce), c))
-        out = {k: v for k, v in out.items() if v != 0}
-        if out:
-            diff[("m", ur, ul, al)] = out
+            ring.axpy(out, ring.mul(sgn, ce),
+                      {("m", u2, ul, rl): c for rl, c in ca.mul_labels(al, cl).items()})
+        diff[("m", ur, ul, al)] = out
     m = DgModule(gm, ground, action, diff, name="two-sided twist")
     for l in gm.labels:
         if m.d_dict(m.diff.get(l, {})):

@@ -306,6 +306,31 @@ def test_cone_rejects_bad_maps():
         cone({l: {l: kx.gm.degree[l] + 1} for l in kx.gm.labels}, m, m)
 
 
+def test_module_rejects_tables_off_degree():
+    k = ground_dga(Z)
+    gm = GradedModule(Z, [("a", 0), ("b", 0), ("c", 1)])
+    action = {(l, "1"): {l: 1} for l in gm.labels}
+    # d(b) = a is of degree 0: it used to be filed as d(b) = c, so that the
+    # check passed and the cohomology read H^0 = Z and no H^1
+    with pytest.raises(DgError, match="differential of 'b'"):
+        DgModule(gm, k, action, {"b": {"a": 1}})
+    # d(a) = b used to fail with a bare IndexError in the cohomology
+    with pytest.raises(DgError, match="differential of 'a'"):
+        DgModule(gm, k, action, {"a": {"b": 1}})
+    with pytest.raises(DgError, match="action"):
+        DgModule(gm, k, {("a", "1"): {"c": 1}}, {})
+    m = DgModule(gm, k, action, {"b": {"c": 1}})
+    assert m.check()["ok"]
+    assert [(d, m.cohomology().entries[d]) for d in m.cohomology().degrees()] == [(0, (1, ()))]
+
+
+def test_coefficients_that_coerce_to_zero_are_not_stored():
+    gm = GradedModule(F5, [("1", 0), ("x", 1)])
+    a = DgAlgebra(gm, {"1": 1, "x": 0}, {("1", "1"): {"1": 6}, ("1", "x"): {"x": 5}},
+                  {"1": {"x": "10"}})
+    assert (a.unit, a.mult, a.diff) == ({"1": 1}, {("1", "1"): {"1": 1}}, {})
+
+
 def test_shift_convention():
     ca = cochain_algebra(circle(3), Z)
     m = algebra_as_module(ca)

@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -551,3 +553,82 @@ def test_storage_agrees_with_list_arithmetic(ring, sides, long_side, length, see
     assert ExactMatrix.from_text(ma.to_text()) == ma
     assert ma.to_text() == "%d %d %s\n" % (rows, inner, ring.name) + "".join(
         " ".join(str(x) for x in r) + "\n" for r in a)
+
+
+# -- Ring.axpy, the one sparse linear-combination primitive ---------------------
+
+
+def _axpy_scalars(ring):
+    # small values, so that a sum cancels often; over F_p, -3..3 reduced
+    if ring.kind == "Q":
+        return st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2]))
+    return st.integers(-3, 3).map(ring.coerce)
+
+
+def _axpy_inputs(ring):
+    # x may also hold plain ints over Q, as a map given by the caller does
+    if ring.kind == "Q":
+        return st.one_of(_axpy_scalars(ring), st.integers(-3, 3))
+    return _axpy_scalars(ring)
+
+
+@st.composite
+def _axpy_cases(draw):
+    ring = draw(st.sampled_from([Z, Q, F5, Ring.GF(2 ** 61 - 1)]))
+    keys = draw(st.lists(st.sampled_from("abcdefghijkl"), max_size=12, unique=True))
+    values = _axpy_scalars(ring)
+    y = {k: v for k, v in ((k, draw(values)) for k in keys if draw(st.booleans())) if v != 0}
+    x = {k: draw(_axpy_inputs(ring)) for k in draw(st.permutations(keys)) if draw(st.booleans())}
+    # the callers pass ring elements and the literals 1 and -1
+    c = draw(st.one_of(values, st.sampled_from([1, -1])))
+    return ring, y, c, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_axpy_cases())
+def test_axpy_agrees_with_plain_arithmetic(case):
+    ring, y, c, x = case
+    p = ring.p
+    plain = dict(y)
+    for k, v in x.items():
+        plain[k] = plain.get(k, 0) + c * v
+    plain = {k: v % p if p else v for k, v in plain.items()}
+    plain = {k: v for k, v in plain.items() if v != 0}
+    y0 = dict(y)
+
+    out = ring.axpy(y, c, x)
+    assert out is y
+    assert y == plain
+    assert 0 not in y.values()
+    if ring.kind == "Q":
+        assert all(type(v) is Fraction for v in y.values())
+    elif ring.kind == "Fp":
+        assert all(type(v) is int and 0 < v < p for v in y.values())
+    # the kept keys of y stay in place and the new ones follow in the order of x
+    assert list(y) == [k for k in y0 if k in y] + [k for k in x if k in y and k not in y0]
+    # a cancelled key that is added again comes last
+    cancelled = [k for k in y0 if k not in y]
+    kept = list(y)
+    ring.axpy(y, 1, {k: ring.one() for k in cancelled})
+    assert list(y) == kept + cancelled
+
+
+def test_no_hand_written_accumulation_outside_ring_axpy():
+    """``ring.add(d.get(k, ...), ...)`` is the loop that Ring.axpy replaces.
+
+    Only entry updates of an ExactMatrix, ``mat/syl/m.get(i, j)`` in
+    polyderham.py and simplicial.py, may read a value back this way.
+    """
+    pattern = re.compile(r"ring\.(add|sub)\(\s*[a-z_]+\.get\(")
+    allowed = re.compile(r"ring\.(add|sub)\(\s*(mat|syl|m)\.get\(")
+    assert pattern.search("out[k] = ring.add(out.get(k, ring.zero()), v)")
+    sources = sorted((Path(__file__).resolve().parent.parent / "src" / "mctwist").glob("*.py"))
+    assert sources
+    bad = []
+    for path in sources:
+        text = path.read_text()
+        for hit in pattern.finditer(text):
+            if path.name in ("polyderham.py", "simplicial.py") and allowed.match(hit.group()):
+                continue
+            bad.append("%s:%d" % (path.name, text.count("\n", 0, hit.start()) + 1))
+    assert not bad, "accumulate through Ring.axpy: %s" % ", ".join(bad)
