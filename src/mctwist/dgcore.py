@@ -328,7 +328,9 @@ def check_dga(a: DgAlgebra, max_failures: int = 10) -> dict:
       (x, q) with p in d(x) and (p, q) in ``mult``; (p, y) with q in d(y)
       and (p, q) in ``mult``;
     * associativity, (xy) z = x (yz): (x, y, z) with r in xy and (r, z) in
-      ``mult``, or r in yz and (x, r) in ``mult``.
+      ``mult``, or r in yz and (x, r) in ``mult``;
+    * the unit laws, 1 l = l = l 1: only the unit terms u with (u, l) or
+      (l, u) in ``mult`` contribute.
 
     Elsewhere every term of both sides is a missing structure constant, so
     no witness is lost: the list, truncation included, is the one a loop
@@ -342,27 +344,34 @@ def check_dga(a: DgAlgebra, max_failures: int = 10) -> dict:
     def record(axiom, witness, detail=""):
         failures.append({"axiom": axiom, "witness": witness, "detail": detail})
 
-    # unit laws
-    for l in a.gm.labels:
+    labels = a.gm.labels
+    pos = {l: i for i, l in enumerate(labels)}
+    right_of = _inverse((pos[y], x) for x, y in a.mult)
+    left_of = _inverse((pos[x], y) for x, y in a.mult)
+
+    # unit laws: u l and l u for the unit terms u that have a product with l
+    unit_l, l_unit = {}, {}
+    for u, c in a.unit.items():
+        for k in right_of.get(u, ()):
+            ring.axpy(unit_l.setdefault(labels[k], {}), c, a.mult[(u, labels[k])])
+        for h in left_of.get(u, ()):
+            ring.axpy(l_unit.setdefault(labels[h], {}), c, a.mult[(labels[h], u)])
+    for l in labels:
         e = {l: one}
-        if a.mul_dicts(a.unit, e) != e:
+        if unit_l.get(l, {}) != e:
             record("unit-left", (l,))
-        if a.mul_dicts(e, a.unit) != e:
+        if l_unit.get(l, {}) != e:
             record("unit-right", (l,))
 
     # d^2 = 0
-    for l in a.gm.labels:
+    for l in labels:
         dd = a.d_dict(a.diff.get(l, {}))
         if dd:
             record("d-squared", (l,), "d^2(%r) = %r" % (l, dd))
 
     # candidates are tuples of basis positions: sorted, they come in the
     # order of a loop over all pairs or triples
-    labels = a.gm.labels
-    pos = {l: i for i, l in enumerate(labels)}
     sources = _inverse((pos[x], r) for x, dx in a.diff.items() for r in dx)
-    right_of = _inverse((pos[y], x) for x, y in a.mult)
-    left_of = _inverse((pos[x], y) for x, y in a.mult)
     pairs, triples = set(), set()
     for (x, y), xy in a.mult.items():
         i, j = pos[x], pos[y]

@@ -1,10 +1,13 @@
 """Exact linear algebra over Z, Q and prime fields, on row-sparse matrices.
 
-Everything here is exact: integers are arbitrary precision, rationals are
-`fractions.Fraction`, and prime-field elements are reduced representatives
-in ``range(p)``.  No floating point enters this module; the torsion of an
-integer cochain complex computed here is used as the oracle for every
-torsion claim elsewhere in the package.
+Everything here is exact: integers are arbitrary precision, prime-field
+elements are reduced representatives in ``range(p)``, and a rational is
+stored canonically, as an ``int`` when it is integral and as a
+`fractions.Fraction` with denominator > 1 otherwise, so the integer
+structure constants that dominate in practice cost int arithmetic.  No
+floating point enters this module; the torsion of an integer cochain
+complex computed here is used as the oracle for every torsion claim
+elsewhere in the package.
 
 The three workhorses are
 
@@ -49,8 +52,7 @@ class Ring:
         if self.kind == "Fp":
             if self.p < 2 or not _is_prime(self.p):
                 raise ExactLinalgError("F_p needs a prime p, got %r" % (self.p,))
-        # read on every sparse update; Fractions are immutable, so one is shared
-        object.__setattr__(self, "_zero", Fraction(0) if self.kind == "Q" else 0)
+        object.__setattr__(self, "_signs", (1, -1 % self.p if self.p else -1))
 
     @staticmethod
     def Z() -> "Ring":
@@ -89,10 +91,10 @@ class Ring:
         return self.kind != "Z"
 
     def zero(self):
-        return self._zero
+        return 0
 
     def one(self):
-        return Fraction(1) if self.kind == "Q" else 1
+        return 1
 
     def coerce(self, x):
         """Coerce an integer, a Fraction or an "a/b" string into this ring.
@@ -112,7 +114,7 @@ class Ring:
                 x = x.numerator
             return x
         if self.kind == "Q":
-            return Fraction(x)
+            return _canon(x)
         if type(x) is Fraction:
             den = x.denominator % self.p
             if den == 0:
@@ -122,19 +124,23 @@ class Ring:
 
     def sign(self, k: int):
         """(-1)^k in this ring, for any integer k (negative ones included)."""
-        return self.coerce(-1 if k % 2 else 1)
+        return self._signs[k % 2]
+
+    def _norm(self, c):
+        # a sum or product of ring elements, back in canonical form; an int,
+        # as every value over Z is, needs no call
+        if self.p:
+            return c % self.p
+        return c if type(c) is int else _canon(c)
 
     def add(self, a, b):
-        c = a + b
-        return c % self.p if self.kind == "Fp" else c
+        return self._norm(a + b)
 
     def sub(self, a, b):
-        c = a - b
-        return c % self.p if self.kind == "Fp" else c
+        return self._norm(a - b)
 
     def mul(self, a, b):
-        c = a * b
-        return c % self.p if self.kind == "Fp" else c
+        return self._norm(a * b)
 
     def axpy(self, y: dict, c, x: dict) -> dict:
         """y += c * x on sparse {key: scalar} dicts, in place; returns y.
@@ -146,12 +152,14 @@ class Ring:
         >>> Ring.GF(5).axpy({"a": 1, "b": 2}, 3, {"a": 3, "c": 2})
         {'b': 2, 'c': 1}
         """
-        p, zero = self.p, self._zero
-        scaled = type(c) is not int or c != 1  # over Q, 1 * v costs a Fraction product
+        p, q = self.p, self.kind == "Q"
+        scaled = type(c) is not int or c != 1  # 1 * v is a product for a Fraction v
         for k, v in x.items():
-            s = y.get(k, zero) + (c * v if scaled else v)
+            s = y.get(k, 0) + (c * v if scaled else v)
             if p:
                 s %= p
+            elif q:  # over Z a sum of ints is canonical already
+                s = _canon(s)
             if s:
                 y[k] = s
             else:
@@ -159,14 +167,14 @@ class Ring:
         return y
 
     def neg(self, a):
-        return (-a) % self.p if self.kind == "Fp" else -a
+        return self._norm(-a)
 
     def inv(self, a):
         """Multiplicative inverse; over Z only +-1 are invertible."""
         if self.kind == "Q":
             if a == 0:
                 raise ExactLinalgError("division by zero")
-            return 1 / Fraction(a)
+            return _canon(1 / Fraction(a))  # int / int would be a float
         if self.kind == "Fp":
             if a % self.p == 0:
                 raise ExactLinalgError("division by zero")
@@ -182,6 +190,11 @@ class Ring:
                 raise ExactLinalgError("%r does not divide %r in Z" % (b, a))
             return q
         return self.mul(a, self.inv(b))
+
+
+def _canon(x):
+    """A rational in canonical form: the int itself when it is integral."""
+    return x._numerator if type(x) is Fraction and x._denominator == 1 else x
 
 
 def _exact_scalar(x):
@@ -546,36 +559,6 @@ def invariant_factors(m: ExactMatrix) -> list:
         if v != 0:
             out.append(v)
     return out
-
-
-def det(m: ExactMatrix):
-    """Exact determinant via Gaussian elimination over Fraction."""
-    if m.rows != m.cols:
-        raise ExactLinalgError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return m.ring.one()
-    work = [[Fraction(v) for v in m.row_list(i)] for i in range(n)]
-    sign = 1
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if work[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            return m.ring.coerce(0)
-        if piv != k:
-            work[k], work[piv] = work[piv], work[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            f = work[i][k] / work[k][k]
-            for j in range(k, n):
-                work[i][j] -= f * work[k][j]
-    out = Fraction(sign)
-    for k in range(n):
-        out *= work[k][k]
-    return m.ring.coerce(out)
 
 
 # -- solving and kernels ------------------------------------------------------------

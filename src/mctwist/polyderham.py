@@ -104,48 +104,31 @@ def hom_solutions(x: MatrixPoly, y: MatrixPoly, cap: int):
     n = x.n
     d = max(x.degree(), y.degree(), 0)
     n_unknowns = n * n * (cap + 1)
-    top_eq = cap + d + 1
-    rows = []
-    for m in range(top_eq + 1):
-        for r in range(n):
-            for c in range(n):
-                rows.append((m, r, c))
-    rix = {k: i for i, k in enumerate(rows)}
-    mat = ExactMatrix.zeros(ring, len(rows), n_unknowns)
 
     def uix(w, i, j):
         return (w * n + i) * n + j
 
-    for w in range(cap + 1):
-        # f' contributes w F_w at output weight w - 1
-        if w >= 1:
-            for i in range(n):
-                for j in range(n):
-                    key = (w - 1, i, j)
-                    mat.set_entry(rix[key], uix(w, i, j),
-                             ring.add(mat.get(rix[key], uix(w, i, j)), ring.coerce(w)))
-        for k, ym in y.coeffs.items():
-            m = w + k
-            for i in range(n):
-                for l in range(n):
-                    c = ym.get(i, l)
-                    if c == 0:
-                        continue
-                    for j in range(n):
-                        key = (m, i, j)
-                        mat.set_entry(rix[key], uix(w, l, j),
-                                 ring.add(mat.get(rix[key], uix(w, l, j)), c))
-        for k, xm in x.coeffs.items():
-            m = w + k
-            for l in range(n):
-                for j in range(n):
-                    c = xm.get(l, j)
-                    if c == 0:
-                        continue
-                    for i in range(n):
-                        key = (m, i, j)
-                        mat.set_entry(rix[key], uix(w, i, l),
-                                 ring.sub(mat.get(rix[key], uix(w, i, l)), c))
+    # one equation per output weight m and entry (i, j), all weights up to
+    # cap + d retained: f' gives (m + 1) F_{m+1}, y f gives sum_l Y_k[i, l]
+    # F_{m-k}[l, j], and f x gives sum_l F_{m-k}[i, l] X_k[l, j]
+    xt = {k: xm.transpose() for k, xm in x.coeffs.items()}
+    rows = []
+    for m in range(cap + d + 2):
+        for i in range(n):
+            for j in range(n):
+                row = {}
+                if m < cap:
+                    ring.axpy(row, ring.coerce(m + 1), {uix(m + 1, i, j): 1})
+                for k, ym in y.coeffs.items():
+                    if 0 <= m - k <= cap:
+                        ring.axpy(row, 1, {uix(m - k, l, j): c
+                                           for l, c in enumerate(ym.row_list(i)) if c})
+                for k, xtm in xt.items():
+                    if 0 <= m - k <= cap:
+                        ring.axpy(row, -1, {uix(m - k, i, l): c
+                                            for l, c in enumerate(xtm.row_list(j)) if c})
+                rows.append([row.get(u, 0) for u in range(n_unknowns)])
+    mat = ExactMatrix(ring, len(rows), n_unknowns, rows)
     basis = []
     for vec in kernel_basis(mat):
         sol = []
@@ -173,18 +156,15 @@ def _leading_band_certificate(x: MatrixPoly, y: MatrixPoly, cap: int) -> bool:
     s = max(x.degree(), y.degree())
     ys = y.coeff(s)
     xs = x.coeff(s)
-    syl = ExactMatrix.zeros(ring, n * n, n * n)
-    for i in range(n):
-        for j in range(n):
-            col = i * n + j
-            for r in range(n):
-                c = ys.get(r, i)
-                if c != 0:
-                    syl.set_entry(r * n + j, col, ring.add(syl.get(r * n + j, col), c))
-                c = xs.get(j, r)
-                if c != 0:
-                    syl.set_entry(i * n + r, col, ring.sub(syl.get(i * n + r, col), c))
-    return len(kernel_basis(syl)) == 0
+    # row a * n + b of the map on row-major F: (Y F)[a, b] - (F X)[a, b]
+    xst = xs.transpose()
+    rows = []
+    for a in range(n):
+        for b in range(n):
+            row = ring.axpy({i * n + b: c for i, c in enumerate(ys.row_list(a)) if c},
+                            -1, {a * n + r: c for r, c in enumerate(xst.row_list(b)) if c})
+            rows.append([row.get(u, 0) for u in range(n * n)])
+    return len(kernel_basis(ExactMatrix(ring, n * n, n * n, rows))) == 0
 
 
 def hom_h0_dimension(x: MatrixPoly, y: MatrixPoly, cap: int):

@@ -657,15 +657,19 @@ def mc_to_rep(x, base: FiniteSimplicialSet, v: GradedModule) -> LocalSystem:
     ring = v.ring
     labels = list(v.labels)
     ix = {l: i for i, l in enumerate(labels)}
-    per_edge = {}
+    n = v.dim
+    rows_of = {}  # edge -> the rows of 1 + f(edge)
     for (tag, u, w, al), c in x.value.coeffs.items():
         if base.dim_of[al] != 1:
             raise SimplicialError("MC element is not concentrated on edges")
-        m = per_edge.setdefault(al, ExactMatrix.identity(ring, v.dim))
-        m.set_entry(ix[w], ix[u], ring.add(m.get(ix[w], ix[u]), c))
+        rows = rows_of.setdefault(al, [{i: ring.one()} for i in range(n)])
+        ring.axpy(rows[ix[w]], c, {ix[u]: 1})
     for e in base.nondegenerate(1):
-        m = per_edge.setdefault(e, ExactMatrix.identity(ring, v.dim))
-        if solve_invertibility(m) is None:
+        rows_of.setdefault(e, [{i: ring.one()} for i in range(n)])
+    per_edge = {e: ExactMatrix(ring, n, n, [[r.get(j, 0) for j in range(n)] for r in rows])
+                for e, rows in rows_of.items()}
+    for e in base.nondegenerate(1):
+        if solve_invertibility(per_edge[e]) is None:
             raise SimplicialError("1 + f is not invertible on edge %r" % (e,))
     return LocalSystem(base, v, per_edge)
 

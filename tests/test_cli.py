@@ -371,3 +371,24 @@ def test_ring_coerce_accepts_exact_and_refuses_inexact_scalars():
                 ring.coerce(bad)
     assert [Z.sign(k) for k in (-3, -2, 0, 1)] == [-1, 1, 1, -1]
     assert F5.sign(-1) == 4
+
+
+def test_mc_check_residual_over_q_prints_integral_products_as_ints(tmp_path, capsys):
+    # x = 1/2 a + 1/3 b with a a = 4 c and b b = e: the residual x^2 is
+    # (1/4)(4 c) + (1/9) e, so a product of Fractions comes out integral
+    labels = ["1", "a", "b", "c", "e"]
+    algebra = {"ring": "Q", "basis": [["1", 0], ["a", 1], ["b", 1], ["c", 2], ["e", 2]],
+               "unit": "1",
+               "mult": [["1", l, l, "1"] for l in labels] + [[l, "1", l, "1"] for l in labels[1:]]
+               + [["a", "a", "c", "4"], ["b", "b", "e", "1"]]}
+    path = str(tmp_path / "x.json")
+    with open(path, "w") as fh:
+        json.dump({"algebra": algebra, "value": [["a", "1/2"], ["b", "1/3"]]}, fh)
+    code, out, _ = run_cli(capsys, "mc-check", path)
+    assert code == 0
+    assert out == ('{"checks":["degree","mc-residual"],"mc":false,'
+                   '"residual":[["c","1"],["e","1/9"]]}\n')
+    from mctwist.mc import is_mc
+    a = io.dga_from_json(algebra)
+    _, res = is_mc(a, a.element(io.element_from_json(a, [["a", "1/2"], ["b", "1/3"]])))
+    assert type(res.coeffs["c"]) is int and res.coeffs["e"].denominator == 9

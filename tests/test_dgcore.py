@@ -575,6 +575,39 @@ def test_check_dga_matches_brute_force_oracle(kind, ring_name, seed, count):
     assert check_dga(a, max_failures=0) == {"ok": not want, "failures": []}
 
 
+def _unit_failures_by_full_loop(a):
+    # the unit laws as check_dga evaluated them before it read the indexes:
+    # the whole unit multiplied against every label
+    one = a.ring.one()
+    out = []
+    for l in a.gm.labels:
+        e = {l: one}
+        if a.mul_dicts(a.unit, e) != e:
+            out.append(("unit-left", (l,)))
+        if a.mul_dicts(e, a.unit) != e:
+            out.append(("unit-right", (l,)))
+    return out
+
+
+@pytest.mark.parametrize("ring_name", sorted(RINGS))
+@pytest.mark.parametrize("kind", ["circle3", "circle-x-circle", "end-circle"])
+def test_unit_laws_from_indexes_match_the_full_loop(kind, ring_name):
+    a = _base_dga(kind, ring_name)
+    terms = list(a.unit)
+    assert len(terms) > 1
+    missing = {l: c for l, c in a.unit.items() if l != terms[1]}
+    mutants = [missing, a.unit | {terms[0]: 2}, missing | {terms[-1]: 3}]
+    for unit in mutants:
+        b = DgAlgebra(a.gm, unit, a.mult, a.diff)
+        want = _unit_failures_by_full_loop(b)
+        assert want
+        full = _failures(check_dga(b, max_failures=10 ** 9))
+        assert full[:len(want)] == want
+        assert not any(axiom.startswith("unit") for axiom, _ in full[len(want):])
+        assert _failures(check_dga(b)) == full[:10]
+    assert _unit_failures_by_full_loop(a) == [] and check_dga(a)["ok"]
+
+
 @settings(max_examples=30)
 @given(kind=st.sampled_from(["twisted-sign", "twisted-kx", "twisted-end"]),
        ring_name=st.sampled_from(sorted(RINGS)),

@@ -116,4 +116,6 @@ def test_polynomial_mc_category_summary():
                 # leading map has the scalars in its kernel, so those stay
                 # honestly cap-bounded
                 assert cat["certified"][(i, j)]
+            else:
+                assert cat["certified"][(i, j)] == (i == 0)
     assert cat["isomorphic"] == []
