@@ -9,11 +9,13 @@ give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+import warnings
 
 import numpy as np
 
-from . import interval, io, mc, perturbation
+from . import holonomy, interval, io, mc, perturbation
 from .dgcore import DgError, check_dga
 from .exactlinalg import ChainComplexSpec, ExactLinalgError, Ring, cohomology
 from .io import InputError, dumps
@@ -269,34 +271,32 @@ def cmd_truncate(args) -> int:
 
 def _read_csv_matrices(path) -> np.ndarray:
     try:
-        rows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append([float(tok) for tok in line.split(",")])
-        import math
-        n = int(math.isqrt(len(rows[0])))
-        if n * n != len(rows[0]):
-            raise InputError("rows of %s are not square matrices" % path)
-        return np.array([[r[i * n:(i + 1) * n] for i in range(n)] for r in rows])
-    except (OSError, ValueError) as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # an empty file only warns
+            rows = np.loadtxt(path, delimiter=",", ndmin=2, comments=None)
+    except (OSError, ValueError, UserWarning) as exc:
         raise InputError("cannot parse CSV %s: %s" % (path, exc)) from exc
+    n = math.isqrt(rows.shape[1])
+    if n * n != rows.shape[1]:
+        raise InputError("rows of %s are not square matrices" % path)
+    return rows.reshape(-1, n, n)
 
 
 def cmd_holonomy(args) -> int:
-    from . import holonomy as hol
     if args.mode == "pexp":
+        if len(args.path) != 1:
+            raise InputError("pexp mode needs one CSV path")
         samples = _read_csv_matrices(args.path[0])
-        sp = hol.SampledMatrixPath(samples)
-        path, report = hol.solve_transport(sp)
-        # order estimate by step halving on the coarsened grid
-        coarse = hol.SampledMatrixPath(samples[::2]) if (len(samples) - 1) % 4 == 0 \
-            else None
+        sp = holonomy.SampledMatrixPath(samples)
+        path, report = holonomy.solve_transport(sp)
+        # order estimate by step halving on the coarsened grid, when that
+        # grid still has the 2 RK4 steps transport needs
+        coarse = holonomy.SampledMatrixPath(samples[::2]) \
+            if (len(samples) - 1) % 4 == 0 and len(samples) > 5 else None
         order = None
         if coarse is not None:
             g_fine = path.values[-1]
-            g_coarse = hol.solve_transport(coarse)[0].values[-1]
+            g_coarse = holonomy.solve_transport(coarse)[0].values[-1]
             diff = float(np.max(np.abs(g_fine - g_coarse)))
             order = {"halving_difference": diff}
         payload = {"result": [[round(v, 12) for v in row] for row in
@@ -310,15 +310,19 @@ def cmd_holonomy(args) -> int:
     if args.mode == "backward":
         if len(args.path) != 2:
             raise InputError("backward mode needs two CSV paths (x samples, y samples)")
+        p = args.grid
+        if p < 8:
+            raise InputError("--grid must be at least 8, got %d" % p)
         xs = _read_csv_matrices(args.path[0])
         ys = _read_csv_matrices(args.path[1])
-        p = args.grid
         if xs.shape[0] % p != 0 or ys.shape != xs.shape:
             raise InputError("sample counts do not match the --grid size")
         mz = xs.shape[0] // p - 1
+        if mz < 2:
+            raise InputError("need at least 3 z-samples per grid point, got %d" % (mz + 1))
         xs = xs.reshape(mz + 1, p, xs.shape[1], xs.shape[2])
         ys = ys.reshape(mz + 1, p, ys.shape[1], ys.shape[2])
-        g, report = hol.gauge_from_homotopy(xs, ys, endpoint_tol=args.tolerance)
+        g, report = holonomy.gauge_from_homotopy(xs, ys, endpoint_tol=args.tolerance)
         if not report["consistent"]:
             raise InputError("inputs do not satisfy the homotopy system: "
                              "endpoint error %g" % report["endpoint_error"])
@@ -400,87 +404,68 @@ def _jsonable(obj):
     return obj
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+# name -> (handler, help, arguments): the one table of subcommands
+COMMANDS = {
+    "check-dga": (cmd_check_dga, "verify dg algebra axioms",
+                  [_arg("algebra"), _arg("--ring", default=None)]),
+    "cohomology": (cmd_cohomology, "cohomology of a finite complex", [_arg("complex")]),
+    "local-system": (cmd_local_system, "twisted cohomology of a local system",
+                     [_arg("complex"), _arg("system"), _arg("--ring", default=None)]),
+    "mc-check": (cmd_mc_check, "verify the Maurer-Cartan equation", [_arg("element")]),
+    "gauge-search": (cmd_gauge_search, "decide (homotopy) gauge equivalence",
+                     [_arg("algebra"), _arg("x"), _arg("y"),
+                      _arg("--seed", type=int, required=True),
+                      _arg("--budget", type=int, default=40)]),
+    "k2-dict": (cmd_k2_dict, "K_2 homotopy <-> certificate dictionary",
+                [_arg("algebra"), _arg("input"),
+                 _arg("--direction", choices=["to-certificate", "to-homotopy"],
+                      required=True)]),
+    "kinfty": (cmd_kinfty, "derived resolution-category table",
+               [_arg("--n", type=int, default=4)]),
+    "kn": (cmd_kn, "derived presentation of K_n*",
+           [_arg("--n", type=int, required=True), _arg("--ring", required=True)]),
+    "minimal-model": (cmd_minimal_model, "perturbation to a minimal module",
+                      [_arg("module")]),
+    "resolve": (cmd_resolve, "free resolution lift over Z", [_arg("input")]),
+    "truncate": (cmd_truncate, "canonical truncation of a twisted module",
+                 [_arg("module"), _arg("--i", type=int, required=True)]),
+    "holonomy": (cmd_holonomy, "numerical parallel transport",
+                 [_arg("--mode", choices=["pexp", "backward"], required=True),
+                  _arg("path", nargs="+"), _arg("--grid", type=int, default=64),
+                  _arg("--tolerance", type=float, default=1e-5)]),
+    "emit-fixtures": (cmd_emit_fixtures, "write the built-in paper fixtures",
+                      [_arg("--dir", required=True)]),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The mctwist parser.  When argv starts with a subcommand name only that
+    subparser is built; otherwise (no argv, --help, an unknown command) all are.
+    """
     p = argparse.ArgumentParser(prog="mctwist",
                                 description="exact Maurer-Cartan computations")
     sub = p.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("check-dga", help="verify dg algebra axioms")
-    s.add_argument("algebra")
-    s.add_argument("--ring", default=None)
-    s.set_defaults(func=cmd_check_dga)
-
-    s = sub.add_parser("cohomology", help="cohomology of a finite complex")
-    s.add_argument("complex")
-    s.set_defaults(func=cmd_cohomology)
-
-    s = sub.add_parser("local-system", help="twisted cohomology of a local system")
-    s.add_argument("complex")
-    s.add_argument("system")
-    s.add_argument("--ring", default=None)
-    s.set_defaults(func=cmd_local_system)
-
-    s = sub.add_parser("mc-check", help="verify the Maurer-Cartan equation")
-    s.add_argument("element")
-    s.set_defaults(func=cmd_mc_check)
-
-    s = sub.add_parser("gauge-search", help="decide (homotopy) gauge equivalence")
-    s.add_argument("algebra")
-    s.add_argument("x")
-    s.add_argument("y")
-    s.add_argument("--seed", type=int, required=True)
-    s.add_argument("--budget", type=int, default=40)
-    s.set_defaults(func=cmd_gauge_search)
-
-    s = sub.add_parser("k2-dict", help="K_2 homotopy <-> certificate dictionary")
-    s.add_argument("algebra")
-    s.add_argument("input")
-    s.add_argument("--direction", choices=["to-certificate", "to-homotopy"],
-                   required=True)
-    s.set_defaults(func=cmd_k2_dict)
-
-    s = sub.add_parser("kinfty", help="derived resolution-category table")
-    s.add_argument("--n", type=int, default=4)
-    s.set_defaults(func=cmd_kinfty)
-
-    s = sub.add_parser("kn", help="derived presentation of K_n*")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--ring", required=True)
-    s.set_defaults(func=cmd_kn)
-
-    s = sub.add_parser("minimal-model", help="perturbation to a minimal module")
-    s.add_argument("module")
-    s.set_defaults(func=cmd_minimal_model)
-
-    s = sub.add_parser("resolve", help="free resolution lift over Z")
-    s.add_argument("input")
-    s.set_defaults(func=cmd_resolve)
-
-    s = sub.add_parser("truncate", help="canonical truncation of a twisted module")
-    s.add_argument("module")
-    s.add_argument("--i", type=int, required=True)
-    s.set_defaults(func=cmd_truncate)
-
-    s = sub.add_parser("holonomy", help="numerical parallel transport")
-    s.add_argument("--mode", choices=["pexp", "backward"], required=True)
-    s.add_argument("path", nargs="+")
-    s.add_argument("--grid", type=int, default=64)
-    s.add_argument("--tolerance", type=float, default=1e-5)
-    s.set_defaults(func=cmd_holonomy)
-
-    s = sub.add_parser("emit-fixtures", help="write the built-in paper fixtures")
-    s.add_argument("--dir", required=True)
-    s.set_defaults(func=cmd_emit_fixtures)
+    names = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
+    for name in names:
+        func, help_text, arguments = COMMANDS[name]
+        s = sub.add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            s.add_argument(*flags, **kwargs)
+        s.set_defaults(func=func)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (InputError, ExactLinalgError, DgError, SimplicialError,
-            mc.MCError) as exc:
+            mc.MCError, holonomy.HolonomyError) as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return 1
     except InternalError as exc:

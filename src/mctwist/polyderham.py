@@ -144,15 +144,17 @@ def _leading_band_certificate(x: MatrixPoly, y: MatrixPoly, cap: int) -> bool:
     """True when no polynomial solution can have weight above ``cap``.
 
     If x = y = 0 the leading band of the equation is w . F_w from f', which
-    is injective for every w >= 1.  Otherwise the band at the top shift
-    s = max(deg x, deg y) is the Sylvester map F -> Y_s F - F X_s, a
-    w-independent linear map; its injectivity forces the top coefficient of
-    any solution to vanish, hence there are no nonzero solutions at all.
+    is injective for every w >= 1 in characteristic zero; over F_p it
+    vanishes at w = p, where z^p is a solution, so nothing is certified.
+    Otherwise the band at the top shift s = max(deg x, deg y) is the
+    Sylvester map F -> Y_s F - F X_s, a w-independent linear map; its
+    injectivity forces the top coefficient of any solution to vanish, hence
+    there are no nonzero solutions at all.
     """
     ring = x.ring
     n = x.n
     if x.degree() < 0 and y.degree() < 0:
-        return True  # only the f' band: w F_w = 0 forces F_w = 0 for w >= 1
+        return ring.kind != "Fp"  # only the f' band: w F_w = 0 forces F_w = 0
     s = max(x.degree(), y.degree())
     ys = y.coeff(s)
     xs = x.coeff(s)

@@ -309,6 +309,101 @@ def test_holonomy_backward_rejects_bad_grid(tmp_path, capsys):
     assert "grid" in err
 
 
+def _rows(count, row="0.1,0.2,0.0,-0.1"):
+    return "".join(row + "\n" for _ in range(count))
+
+
+# (argv after "holonomy", {file name: CSV text}) for malformed holonomy input
+BAD_HOLONOMY_INPUT = {
+    "nan-sample": (["--mode", "pexp", "y.csv"], {"y.csv": _rows(4) + "nan,0,0,0\n"}),
+    "odd-steps": (["--mode", "pexp", "y.csv"], {"y.csv": _rows(4)}),
+    "two-samples": (["--mode", "pexp", "y.csv"], {"y.csv": _rows(2)}),
+    "one-step": (["--mode", "pexp", "y.csv"], {"y.csv": _rows(3)}),
+    "two-paths": (["--mode", "pexp", "y.csv", "y.csv"], {"y.csv": _rows(9)}),
+    "empty": (["--mode", "pexp", "y.csv"], {"y.csv": ""}),
+    "ragged": (["--mode", "pexp", "y.csv"], {"y.csv": _rows(4) + "0.1,0.2,0.3\n"}),
+    "non-square": (["--mode", "pexp", "y.csv"], {"y.csv": _rows(5, "0.1,0.2,0.3")}),
+    "trailing-comma": (["--mode", "pexp", "y.csv"], {"y.csv": _rows(5, "0.1,0.2,0.0,-0.1,")}),
+    "comment-line": (["--mode", "pexp", "y.csv"], {"y.csv": "# samples\n" + _rows(5)}),
+    "digit-separator": (["--mode", "pexp", "y.csv"], {"y.csv": _rows(4) + "1_0,0,0,0\n"}),
+    "grid-0": (["--mode", "backward", "x.csv", "x.csv", "--grid", "0"], {"x.csv": _rows(3)}),
+    "grid-negative": (["--mode", "backward", "x.csv", "x.csv", "--grid", "-1"],
+                      {"x.csv": _rows(3)}),
+    "grid-1": (["--mode", "backward", "x.csv", "x.csv", "--grid", "1"], {"x.csv": _rows(3)}),
+    "grid-3": (["--mode", "backward", "x.csv", "x.csv", "--grid", "3"], {"x.csv": _rows(3)}),
+    "no-z-step": (["--mode", "backward", "x.csv", "x.csv", "--grid", "8"], {"x.csv": _rows(8)}),
+    "odd-z-steps": (["--mode", "backward", "x.csv", "x.csv", "--grid", "8"],
+                    {"x.csv": _rows(32)}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_HOLONOMY_INPUT))
+def test_holonomy_rejects_malformed_input_with_exit_one(case, tmp_path, capsys, recwarn):
+    argv, files = BAD_HOLONOMY_INPUT[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    code, out, err = run_cli(capsys, "holonomy", *argv)
+    assert code == 1, err
+    assert out == "" and err.startswith("input error: ")
+    assert len(recwarn) == 0
+
+
+def test_holonomy_pexp_on_five_samples_skips_the_halving_estimate(tmp_path, capsys):
+    path = tmp_path / "y.csv"
+    path.write_text(_rows(5))
+    code, out, _ = run_cli(capsys, "holonomy", "--mode", "pexp", str(path))
+    assert code == 0
+    assert "order_estimate" not in json.loads(out)
+
+
+SAMPLE_ARGV = [
+    ["check-dga", "a.json", "--ring", "F5"],
+    ["cohomology", "c.json"],
+    ["local-system", "c.json", "s.json", "--ring", "Z"],
+    ["mc-check", "e.json"],
+    ["gauge-search", "a.json", "x.json", "y.json", "--seed", "3", "--budget", "7"],
+    ["k2-dict", "a.json", "i.json", "--direction", "to-homotopy"],
+    ["kinfty", "--n", "3"],
+    ["kn", "--n", "2", "--ring", "Q"],
+    ["minimal-model", "m.json"],
+    ["resolve", "r.json"],
+    ["truncate", "m.json", "--i", "1"],
+    ["holonomy", "--mode", "backward", "x.csv", "y.csv", "--grid", "16",
+     "--tolerance", "1e-3"],
+    ["emit-fixtures", "--dir", "out"],
+]
+
+
+def test_sample_argv_cover_every_subcommand():
+    from mctwist.cli import COMMANDS
+    assert sorted(argv[0] for argv in SAMPLE_ARGV) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("argv", SAMPLE_ARGV, ids=lambda argv: argv[0])
+def test_parser_for_one_subcommand_parses_like_the_full_parser(argv):
+    from mctwist.cli import build_parser
+    assert build_parser(argv).parse_args(argv) == build_parser().parse_args(argv)
+    other = "kn" if argv[0] != "kn" else "kinfty"
+    with pytest.raises(SystemExit):  # only the named subparser was built
+        build_parser(argv).parse_args([other])
+
+
+def test_help_and_unknown_command_list_every_subcommand(capsys):
+    from mctwist.cli import COMMANDS, build_parser
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out == build_parser().format_help()
+    assert all(name in out for name in COMMANDS)
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in err and all(name in err for name in COMMANDS)
+
+
 def test_dga_json_roundtrip_preserves_structure():
     from mctwist.simplicial import circle, cochain_algebra
     for ring in (Z, Q, Ring.GF(5)):

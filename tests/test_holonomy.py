@@ -193,3 +193,129 @@ def test_transport_of_zero_field_is_constant_identity():
     path, report = solve_transport(lambda t: np.zeros((3, 3)), steps=50)
     assert np.allclose(path.values, np.eye(3)[None], atol=1e-14)
     assert report["interior_residual"] <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# bit identity against the per-node transport loop
+# ---------------------------------------------------------------------------
+
+
+def _oracle_sampler(y, steps):
+    if callable(y):
+        return (lambda t: np.asarray(y(t), dtype=float)), steps
+    m = y.steps
+    if m % 2 == 1:
+        raise HolonomyError("sampled paths need an even number of steps for RK4")
+    vals = y.values
+
+    def at(t):
+        idx = int(round(t * m))
+        idx = min(max(idx, 0), m)
+        return vals[idx]
+    return at, m // 2
+
+
+def _oracle_rk4_step(y_at, t, h, g):
+    k1 = y_at(t) @ g
+    k2 = y_at(t + h / 2) @ (g + h / 2 * k1)
+    k3 = y_at(t + h / 2) @ (g + h / 2 * k2)
+    k4 = y_at(t + h) @ (g + h * k3)
+    return g + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _oracle_transport(y, g0=None, steps=None, z0=0.0, z1=1.0):
+    """The transport loop one node lookup at a time, residual per step."""
+    at, default_steps = _oracle_sampler(y, steps or 0)
+    m = steps if steps is not None else default_steps
+    h = (z1 - z0) / m
+    n = np.asarray(at(z0)).shape[0]
+    g = np.eye(n) if g0 is None else np.asarray(g0, dtype=float)
+    out = [g]
+    for k in range(m):
+        g = _oracle_rk4_step(at, z0 + k * h, h, g)
+        out.append(g)
+    values = np.stack(out)
+    resid = 0.0
+    for k in range(1, m):
+        dg = (values[k + 1] - values[k - 1]) / (2 * h)
+        resid = max(resid, float(np.max(np.abs(dg - at(z0 + k * h) @ values[k]))))
+    report = {
+        "interior_residual": resid,
+        "endpoint_condition_number": float(np.linalg.cond(values[-1])),
+        "steps": m,
+        "flagged": bool(resid > 1e-6 * max(1.0, float(np.max(np.abs(values))) ** 2 * 10.0)),
+    }
+    return values, report
+
+
+def _seeded_path(seed, n, m):
+    rnd = np.random.default_rng(seed)
+    ts = np.linspace(0.0, 1.0, m + 1)[:, None, None]
+    a, b = rnd.uniform(-1, 1, (2, n, n))
+    return SampledMatrixPath(a + ts * b + 0.3 * np.sin(7 * ts) * (a @ b))
+
+
+def _assert_same_transport(y, **kwargs):
+    path, report = solve_transport(y, **kwargs)
+    values, expected = _oracle_transport(y, **kwargs)
+    assert np.array_equal(path.values, values)
+    assert report == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("m", [4, 10, 1000])
+def test_sampled_transport_is_bit_identical_to_the_per_node_loop(n, m):
+    sp = _seeded_path(100 * n + m, n, m)
+    _assert_same_transport(sp)
+    _assert_same_transport(sp, g0=np.random.default_rng(m).uniform(-1, 1, (n, n)))
+    # explicit step counts read the samples at rounded, clamped indices
+    for steps in (2, 3, 7, 2 * m + 1):
+        _assert_same_transport(sp, steps=steps)
+        _assert_same_transport(sp, steps=steps, z0=0.15, z1=0.85)
+    assert np.array_equal(pexp(sp, 0.7, steps=333),
+                          _oracle_transport(sp, steps=333, z1=0.7)[0][-1])
+
+
+@pytest.mark.parametrize("z0, z1", [(0.3, 1.7), (-0.25, 0.4), (1.0, 0.0), (0.1, 0.1 + 1e-3)])
+def test_callable_transport_is_bit_identical_to_the_per_node_loop(z0, z1):
+    y = lambda t: np.array([[0.1 * np.sin(3 * t), np.cos(t), 0.0],
+                            [0.2 * t, -0.1, t * t],
+                            [np.exp(-t), 0.5, np.sin(t)]])
+    for steps in (2, 37, 1000):
+        _assert_same_transport(y, steps=steps, z0=z0, z1=z1)
+    _assert_same_transport(y, steps=101, z0=z0, z1=z1, g0=np.diag([2.0, -1.0, 0.5]))
+
+
+def test_pexp_at_zero_still_checks_its_input():
+    assert np.array_equal(pexp(lambda t: np.ones((3, 3)), 0.0), np.eye(3))
+    assert np.array_equal(pexp(_seeded_path(1, 2, 10), 0.0), np.eye(2))
+    with pytest.raises(HolonomyError, match="even"):
+        pexp(_seeded_path(1, 2, 9), 0.0)
+    with pytest.raises(HolonomyError, match="callable"):
+        pexp(np.eye(2), 0.0)
+    with pytest.raises(HolonomyError, match="2 steps"):
+        solve_transport(lambda t: np.eye(2))
+
+
+def test_csv_reader_parses_like_float_bit_for_bit(tmp_path):
+    from mctwist.cli import _read_csv_matrices
+    rnd = np.random.default_rng(20261017)
+    count = 20000
+    mantissa = rnd.uniform(1.0, 10.0, count) * rnd.choice([-1.0, 1.0], count)
+    values = mantissa * 10.0 ** rnd.integers(-307, 308, count).astype(float)
+    values[:2000] = rnd.uniform(0.0, 2.2250738585072014e-308, 2000)  # subnormals
+    values[2000:2100] = rnd.integers(-5, 6, 100) * 5e-324
+    values[2100:2200] = -0.0
+    values[2200:2300] = 1e308
+    values[2300:2400] = -1.7976931348623157e308
+    values[2400:3000] = rnd.uniform(-1, 1, 600)
+    rnd.shuffle(values)
+    tokens = ["%.17g" % v for v in values]
+    path = tmp_path / "tokens.csv"
+    path.write_text("".join(",".join(tokens[i:i + 16]) + "\n"
+                            for i in range(0, count, 16)))
+    parsed = _read_csv_matrices(str(path))
+    assert parsed.shape == (count // 16, 4, 4)
+    expected = np.array([float(tok) for tok in tokens])
+    # the bit patterns, so -0.0 must keep its sign bit
+    assert np.array_equal(parsed.reshape(-1).view(np.uint64), expected.view(np.uint64))

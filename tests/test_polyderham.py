@@ -119,3 +119,16 @@ def test_polynomial_mc_category_summary():
             else:
                 assert cat["certified"][(i, j)] == (i == 0)
     assert cat["isomorphic"] == []
+
+
+def test_zero_forms_are_certified_only_in_characteristic_zero():
+    # over F5, w F_w = 0 does not force F_w = 0 at w = 5, 10, ...: z^10 solves
+    # f' = 0 above the cap, so the answer up to weight 8 is not complete
+    f5 = Ring.GF(5)
+    basis, certified = hom_solutions(MatrixPoly.scalar(f5, []), MatrixPoly.scalar(f5, []), 8)
+    assert not certified
+    assert len(basis) == 2  # 1 and z^5
+    for ring in (Q, Ring.Z()):
+        zero = MatrixPoly.scalar(ring, [])
+        basis, certified = hom_solutions(zero, zero, 8)
+        assert certified and len(basis) == 1
