@@ -372,31 +372,6 @@ class ExactMatrix:
         if (self.rows, self.cols, self.ring) != (other.rows, other.cols, other.ring):
             raise ExactLinalgError("shape or ring mismatch")
 
-    # -- text format -------------------------------------------------------------
-    #
-    # First line "rows cols ring", then row-major entries, whitespace
-    # separated, as decimal integers or "a/b" rationals.
-
-    def to_text(self) -> str:
-        head = "%d %d %s" % (self.rows, self.cols, self.ring.name)
-        lines = [head]
-        for i in range(self.rows):
-            lines.append(" ".join(str(v) for v in self.row_list(i)))
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text: str) -> "ExactMatrix":
-        tokens = text.split()
-        if len(tokens) < 3:
-            raise ExactLinalgError("matrix text too short")
-        rows, cols = int(tokens[0]), int(tokens[1])
-        ring = Ring.parse(tokens[2])
-        body = tokens[3:]
-        if len(body) != rows * cols:
-            raise ExactLinalgError("expected %d entries, got %d" % (rows * cols, len(body)))
-        entries = [[body[i * cols + j] for j in range(cols)] for i in range(rows)]
-        return ExactMatrix(ring, rows, cols, entries)
-
 
 # -- Smith normal form ------------------------------------------------------------
 #

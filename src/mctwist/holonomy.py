@@ -204,6 +204,16 @@ def gauge_transform_circle(g_values: np.ndarray, x0: CircleForm) -> np.ndarray:
         np.einsum("pij,pjk->pik", dg, ginv)
 
 
+def _z_path(values, what: str) -> np.ndarray:
+    """values as floats of shape (mz+1, p, n, n) with at least 3 z-samples."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 4:
+        raise HolonomyError("%s: expected shape (mz+1, p, n, n)" % what)
+    if values.shape[0] < 3:
+        raise HolonomyError("%s: need at least 3 z-samples" % what)
+    return values
+
+
 def homotopy_from_gauge_path(x0: CircleForm, gpath: np.ndarray):
     """Build the homotopy (x(z), y(z)) of a gauge path with g(0) = 1.
 
@@ -213,7 +223,7 @@ def homotopy_from_gauge_path(x0: CircleForm, gpath: np.ndarray):
     the report carries the measured residual of the homotopy system (4.2)
     on the interior grid.
     """
-    gpath = np.asarray(gpath, dtype=float)
+    gpath = _z_path(gpath, "gauge path")
     mz = gpath.shape[0] - 1
     p = gpath.shape[1]
     n = gpath.shape[2]
@@ -248,8 +258,9 @@ def gauge_from_homotopy(xs: np.ndarray, ys: np.ndarray, endpoint_tol: float = EN
     satisfying the homotopy system) is detected by the endpoint residual
     exceeding ``endpoint_tol`` and reported rather than silently accepted.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    xs, ys = _z_path(xs, "xs"), _z_path(ys, "ys")
+    if xs.shape != ys.shape:
+        raise HolonomyError("xs and ys differ in shape: %r vs %r" % (xs.shape, ys.shape))
     mz = ys.shape[0] - 1
     if mz % 2 == 1:
         raise HolonomyError("need an even number of z-steps")

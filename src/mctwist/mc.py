@@ -41,7 +41,7 @@ from .exactlinalg import (
     ExactMatrix,
     cohomology,
     kernel_basis,
-    rank,
+    rref,
     solve_linear,
 )
 
@@ -545,17 +545,11 @@ class H0Category:
             for r, c in img.items():
                 vec[ix[r]] = c
             exact_vecs.append(vec)
-        # representatives: closed vectors independent modulo the exact span
-        basis = []
-        ambient = list(exact_vecs)
-        cur_rank = rank(ExactMatrix(ring, len(ambient), len(src), ambient))
-        for vec in closed:
-            cand = ambient + [vec]
-            r = rank(ExactMatrix(ring, len(cand), len(src), cand))
-            if r > cur_rank:
-                ambient = cand
-                cur_rank = r
-                basis.append(vec)
+        # representatives: closed vectors independent modulo the exact span,
+        # the pivot columns of rref([exact | closed]) among the closed ones
+        cands = exact_vecs + closed
+        _, pivots = rref(ExactMatrix(ring, len(cands), len(src), cands).transpose())
+        basis = [closed[c - len(exact_vecs)] for c in pivots if c >= len(exact_vecs)]
         self.reps[(i, j)] = [
             {src[k]: c for k, c in enumerate(v) if c != 0} for v in basis]
         self._exact[(i, j)] = exact_vecs

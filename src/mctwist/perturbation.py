@@ -21,7 +21,7 @@ sum E_{src -> dst} (x) a, composed with the Koszul sign
 from __future__ import annotations
 
 from .dgcore import DgAlgebra, GradedModule, endomorphism_dga
-from .exactlinalg import ExactMatrix, Ring, kernel_basis, rank, solve_linear
+from .exactlinalg import ExactMatrix, Ring, kernel_basis, rref, solve_linear
 from .mc import MCElement, TwistedModule
 
 
@@ -251,9 +251,16 @@ class HodgeData:
 def hodge_data(v: GradedModule, d0_entries: dict) -> HodgeData:
     """Split (V, d0) over a field into harmonic, exact and coexact parts.
 
-    Working degree by degree, Gaussian elimination chooses
-    ker d0 = H (+) im d0 and a complement U with d0: U ~ im d0; s inverts
-    d0 on the image and kills H (+) U, t is the projection onto H.
+    Working degree by degree, ker d0 = H (+) im d0 and a complement U with
+    d0: U ~ im d0 are read off one rref of the columns
+
+        [d0 from the degree below | kernel_basis of d0 | identity]:
+
+    its pivot columns in the three blocks are the image vectors, the
+    harmonic vectors H and the unit vectors spanning U, each chosen greedily
+    left to right.  Together they are a basis, so the identity block of the
+    rref holds the coordinates of each unit vector in it.  s inverts d0 on
+    the image and kills H (+) U, t is the projection onto H.
     """
     ring = v.ring
     if not ring.is_field:
@@ -279,46 +286,22 @@ def hodge_data(v: GradedModule, d0_entries: dict) -> HodgeData:
         bmat, src, dst = block(deg)
         prev, psrc, pdst = block(deg - 1)
         assert pdst == src
-        nloc = len(src)
-        # image of the previous block, with chosen preimages
-        im_vectors = []
-        pre = []
-        cur = []
-        for j in range(prev.cols):
-            col = [prev.get(i, j) for i in range(prev.rows)]
-            if any(c != 0 for c in col) and rank(
-                    ExactMatrix(ring, len(cur) + 1, nloc, cur + [col])) > len(cur):
-                cur = cur + [col]
-                im_vectors.append(col)
-                pre.append(psrc[j])
         ker = kernel_basis(bmat)
-        harmonic = []
-        span = list(im_vectors)
-        for vec in ker:
-            if rank(ExactMatrix(ring, len(span) + 1, nloc, span + [vec])) > len(span):
-                span = span + [list(vec)]
-                harmonic.append(list(vec))
-        # complement U of the kernel
-        basis_cols = [list(h) for h in harmonic] + [list(c) for c in im_vectors]
-        complement = []
-        span = list(basis_cols)
-        for j in range(nloc):
-            e = [ring.one() if i == j else ring.zero() for i in range(nloc)]
-            if rank(ExactMatrix(ring, len(span) + 1, nloc, span + [e])) > len(span):
-                span = span + [e]
-                complement.append(e)
-        full = basis_cols + complement
-        if nloc:
-            mat = ExactMatrix(ring, nloc, nloc,
-                              [[full[c][r] for c in range(nloc)] for r in range(nloc)])
-        nh, ni = len(harmonic), len(im_vectors)
+        nloc, p, nk = len(src), len(psrc), len(ker)
+        prev_t, one = prev.transpose(), ExactMatrix.identity(ring, nloc)
+        cands = ([prev_t.row_list(j) for j in range(p)] + ker
+                 + [one.row_list(j) for j in range(nloc)])
+        r, pivots = rref(ExactMatrix(ring, len(cands), nloc, cands).transpose())
+        pre = [psrc[c] for c in pivots if c < p]
+        harmonic = [ker[c - p] for c in pivots if p <= c < p + nk]
+        ni, nh = len(pre), len(harmonic)
         for j, l in enumerate(src):
-            e = [ring.one() if i == j else ring.zero() for i in range(nloc)]
-            coords = solve_linear(mat, e)[0]
+            # rows 0..ni-1 of r are image coordinates, the next nh harmonic
+            coords = [r.get(i, p + nk + j) for i in range(ni + nh)]
             for k in range(nh):
-                ring.axpy(t_mat, coords[k], {(l, w): c for w, c in zip(src, harmonic[k])})
+                ring.axpy(t_mat, coords[ni + k], {(l, w): c for w, c in zip(src, harmonic[k])})
             # the keys (l, pre[k]) are new to s_mat: its entries are set once
-            s_mat.update(((l, pre[k]), c) for k, c in enumerate(coords[nh:nh + ni]) if c != 0)
+            s_mat.update(((l, pre[k]), c) for k, c in enumerate(coords[:ni]) if c != 0)
         for k, vec in enumerate(harmonic):
             full_vec = [ring.zero()] * n
             for i, c in enumerate(vec):
@@ -360,7 +343,7 @@ class MinimalModel:
         self.hodge = hodge
 
 
-def minimal_model(rtm: ReducedTwistedModule, hodge: HodgeData = None) -> MinimalModel:
+def minimal_model(rtm: ReducedTwistedModule) -> MinimalModel:
     """Transfer a reduced twisted module to a minimal one over a field.
 
     Every postcondition is verified exactly before returning: the output
@@ -372,7 +355,7 @@ def minimal_model(rtm: ReducedTwistedModule, hodge: HodgeData = None) -> Minimal
     if not ring.is_field:
         raise PerturbationError("minimal models are computed over fields")
     v = rtm.v
-    h = hodge if hodge is not None else hodge_data(v, rtm.d0)
+    h = hodge_data(v, rtm.d0)
     if not check_hodge(v, rtm.d0, h):
         raise PerturbationError("Hodge data fails its identities")
     hg = GradedModule(ring, [(lbl, _vector_degree(v, vec))
@@ -431,24 +414,20 @@ def _vector_degree(v: GradedModule, vec) -> int:
 
 def _projection_entries(ring, v: GradedModule, hg: GradedModule, h: HodgeData) -> dict:
     # p = coordinates on the harmonic part: p(e_j) = coefficients of t(e_j)
-    # in the harmonic basis
-    labels = list(v.labels)
-    n = len(labels)
-    hb = [vec for _, vec in h.harmonic_basis]
-    if not hb:
-        return {}
-    mat = ExactMatrix(ring, n, len(hb),
-                      [[hb[c][r] for c in range(len(hb))] for r in range(n)])
+    # in the harmonic basis, read off rref([harmonic basis | t(e_0) ... t(e_n-1)])
+    ix = {l: i for i, l in enumerate(v.labels)}
+    n, nh = len(ix), len(h.harmonic_basis)
+    tcols = [[ring.zero()] * n for _ in range(n)]
+    for (src, dst), c in h.t.items():
+        tcols[ix[src]][ix[dst]] = c
+    cands = [vec for _, vec in h.harmonic_basis] + tcols
+    r, pivots = rref(ExactMatrix(ring, nh + n, n, cands).transpose())
+    if any(c >= nh for c in pivots):
+        raise PerturbationError("projection does not land in the harmonic part")
     out = {}
-    for j, l in enumerate(labels):
-        tvec = [ring.zero()] * n
-        for (src, dst), c in h.t.items():
-            if src == l:
-                tvec[labels.index(dst)] = c
-        sol = solve_linear(mat, tvec)
-        if sol is None:
-            raise PerturbationError("projection does not land in the harmonic part")
-        for k, c in enumerate(sol[0]):
+    for j, l in enumerate(v.labels):
+        for k in range(nh):
+            c = r.get(k, nh + j)
             if c != 0:
                 out[(l, hg.labels[k])] = c
     return out

@@ -415,14 +415,6 @@ def test_dga_json_roundtrip_preserves_structure():
         assert again.mult == ca.mult
 
 
-def test_matrix_text_format_ring_tokens():
-    from mctwist.exactlinalg import ExactMatrix
-    m = ExactMatrix.from_rows(Ring.GF(7), [[3, 5], [0, 1]])
-    text = m.to_text()
-    assert text.splitlines()[0] == "2 2 F7"
-    assert ExactMatrix.from_text(text) == m
-
-
 @pytest.mark.parametrize("coeff", [0.5, True, "nan", "x", "1/0"])
 def test_check_dga_rejects_inexact_coefficients(tmp_path, capsys, coeff):
     # over Z, 0.5 must not round to 0 and true must not become 1

@@ -56,6 +56,7 @@ def det(m):
 def test_ring_parse_and_coerce():
     assert Ring.parse("Z") == Z
     assert Ring.parse("F7").p == 7
+    assert Ring.GF(7).name == "F7"
     assert Q.coerce("3/4") == Fraction(3, 4)
     assert F5.coerce(Fraction(1, 2)) == 3  # 1/2 = 3 mod 5
     with pytest.raises(ExactLinalgError):
@@ -247,16 +248,6 @@ def test_report_equality_and_chain_validation():
         CohomologyReport(Z, [(0, 0, (4, 2))])
     with pytest.raises(ExactLinalgError):
         CohomologyReport(Q, [(0, 0, (2,))])
-
-
-def test_text_roundtrip():
-    m = ExactMatrix.from_rows(Q, [[Fraction(1, 2), 3], [-1, 0]])
-    again = ExactMatrix.from_text(m.to_text())
-    assert again == m
-    mz = ExactMatrix.from_rows(Z, [[1, -7], [0, 5]])
-    assert ExactMatrix.from_text(mz.to_text()) == mz
-    with pytest.raises(ExactLinalgError):
-        ExactMatrix.from_text("1 2 Z\n3\n")
 
 
 def test_sparse_storage_above_threshold():
@@ -575,9 +566,6 @@ def test_storage_agrees_with_list_arithmetic(ring, sides, long_side, length, see
     assert _agrees(ma.transpose(), [[a[i][j] for i in range(rows)] for j in range(inner)])
     assert (ma == ma2) == (a == a2)
     assert ma == ma.copy() and ma.is_zero() == (not any(map(any, a)))
-    assert ExactMatrix.from_text(ma.to_text()) == ma
-    assert ma.to_text() == "%d %d %s\n" % (rows, inner, ring.name) + "".join(
-        " ".join(str(x) for x in r) + "\n" for r in a)
 
 
 # -- Ring.axpy, the one sparse linear-combination primitive ---------------------
@@ -723,3 +711,22 @@ def test_no_hand_written_accumulation_outside_ring_axpy():
         for hit in pattern.finditer(text):
             bad.append("%s:%d" % (path.name, text.count("\n", 0, hit.start()) + 1))
     assert not bad, "accumulate through Ring.axpy: %s" % ", ".join(bad)
+
+
+def test_no_bare_rank_call_outside_exactlinalg():
+    """Independence is read off the pivot columns of one rref, not decided by
+    a rank per candidate; ``rep.rank(d)`` and the like are other methods."""
+    pattern = re.compile(r"(?<![\w.])rank\(")
+    assert pattern.search("if rank(ExactMatrix(ring, 2, 2, span)) > 1:")
+    assert not pattern.search("entry = {'rank': rep.rank(d)}")
+    assert not pattern.search("def minimal_rank(x):")
+    sources = sorted((Path(__file__).resolve().parent.parent / "src" / "mctwist").glob("*.py"))
+    assert sources
+    bad = []
+    for path in sources:
+        if path.name == "exactlinalg.py":
+            continue
+        text = path.read_text()
+        for hit in pattern.finditer(text):
+            bad.append("%s:%d" % (path.name, text.count("\n", 0, hit.start()) + 1))
+    assert not bad, "choose independent vectors by one rref: %s" % ", ".join(bad)

@@ -157,6 +157,46 @@ def test_gauge_path_must_start_at_identity():
         homotopy_from_gauge_path(x0, gpath)
 
 
+def _identity_gauge_path(samples, p=8, n=2):
+    return np.repeat(np.eye(n)[None, None], samples, axis=0).repeat(p, axis=1)
+
+
+@pytest.mark.parametrize("shape", [(9, 2, 2), (9, 8, 2, 2, 1), (9,)])
+def test_circle_correspondence_refuses_arrays_that_are_not_4d(shape):
+    x0 = CircleForm.constant(np.zeros((2, 2)), 8)
+    bad, good = np.zeros(shape), np.zeros((9, 8, 2, 2))
+    with pytest.raises(HolonomyError, match=r"expected shape \(mz\+1, p, n, n\)"):
+        homotopy_from_gauge_path(x0, bad)
+    for xs, ys in ((bad, good), (good, bad)):
+        with pytest.raises(HolonomyError, match=r"expected shape \(mz\+1, p, n, n\)"):
+            gauge_from_homotopy(xs, ys)
+
+
+@pytest.mark.parametrize("samples", [0, 1, 2])
+def test_circle_correspondence_needs_three_z_samples(samples):
+    # one z-sample used to divide by mz = 0 (ZeroDivisionError)
+    x0 = CircleForm.constant(np.zeros((2, 2)), 8)
+    with pytest.raises(HolonomyError, match="at least 3 z-samples"):
+        homotopy_from_gauge_path(x0, _identity_gauge_path(samples))
+    zeros = np.zeros((samples, 8, 2, 2))
+    with pytest.raises(HolonomyError, match="at least 3 z-samples"):
+        gauge_from_homotopy(zeros, zeros)
+    xs, ys, _ = homotopy_from_gauge_path(x0, _identity_gauge_path(3))
+    assert gauge_from_homotopy(xs, ys)[1]["consistent"]
+
+
+@pytest.mark.parametrize("xs_shape, ys_shape", [
+    ((3, 8, 2, 2), (5, 8, 2, 2)),
+    ((5, 8, 2, 2), (3, 8, 2, 2)),
+    ((5, 16, 2, 2), (5, 8, 2, 2)),
+    ((5, 8, 3, 3), (5, 8, 2, 2)),
+])
+def test_gauge_from_homotopy_refuses_mismatched_shapes(xs_shape, ys_shape):
+    # 3 z-samples of x against 5 of y used to be reported consistent
+    with pytest.raises(HolonomyError, match="differ in shape"):
+        gauge_from_homotopy(np.zeros(xs_shape), np.zeros(ys_shape))
+
+
 def test_input_validation():
     with pytest.raises(HolonomyError):
         SampledMatrixPath(np.zeros((2, 2)))

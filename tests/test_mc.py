@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mctwist.dgcore import GradedModule, endomorphism_dga, ground_dga, tensor_dga
-from mctwist.exactlinalg import Ring
+from mctwist.exactlinalg import ExactMatrix, Ring, kernel_basis, rank
 from mctwist.fixtures import homotopy_gauge_universal_dga, universal_mc_dga
 from mctwist.interval import build_interval_algebra
 from mctwist.mc import (
@@ -26,6 +26,7 @@ from mctwist.mc import (
     verify_homotopy_gauge,
     zero_mc,
 )
+from mctwist.mc import _degree_matrix
 from mctwist.simplicial import circle, cochain_algebra, simplex
 
 Z, Q = Ring.Z(), Ring.Q()
@@ -462,3 +463,81 @@ def test_twisted_module_is_a_left_twisted_algebra_module():
             rhs = vec_add(Z, rhs, vec_scale(Z, sign,
                                             a.mul_dicts({al: 1}, mod.diff.get(ml, {}))))
             assert lhs == rhs, (al, ml)
+
+
+# -- H^0 representatives against the greedy reference ------------------------
+
+
+def _ref_h0_reps(a, x, y):
+    """H0Category's representatives as they were chosen before one rref
+    replaced the loop: a closed vector is kept when it raises the rank of
+    the exact span plus the vectors kept so far."""
+    ring = a.ring
+    hm = hom_twist(a, x, y)
+    mat0, src, _ = _degree_matrix(hm, 0)
+    _, srcm1, _ = _degree_matrix(hm, -1)
+    closed = kernel_basis(mat0)
+    ix = {l: k for k, l in enumerate(src)}
+    exact_vecs = []
+    for l in srcm1:
+        vec = [ring.zero()] * len(src)
+        for r, c in hm.diff.get(l, {}).items():
+            vec[ix[r]] = c
+        exact_vecs.append(vec)
+    basis = []
+    ambient = list(exact_vecs)
+    cur_rank = rank(ExactMatrix(ring, len(ambient), len(src), ambient))
+    for vec in closed:
+        cand = ambient + [vec]
+        r = rank(ExactMatrix(ring, len(cand), len(src), cand))
+        if r > cur_rank:
+            ambient = cand
+            cur_rank = r
+            basis.append(vec)
+    return [{src[k]: c for k, c in enumerate(v) if c != 0} for v in basis]
+
+
+def _random_h0_objects(rng, ring):
+    """MC elements of End(V) (x) C*(X) for a 1-dimensional X.
+
+    With V in degree 0 every End(V)^0-valued 1-cochain is MC.  With V in
+    degrees 0 and 1 the objects are gauge transforms of 0 and of d0 (x) 1,
+    so the hom twists have exact parts."""
+    ca = cochain_algebra(rng.choice([circle(3), circle(4), simplex(1)]), ring)
+    edges = list(ca.gm.labels_of_degree(1))
+    mixed = rng.random() < 0.5
+    labels = [("a", 0), ("b", 0)] + ([("c", 1)] if mixed else [])
+    rng.shuffle(labels)
+    v = GradedModule(ring, labels)
+    end = endomorphism_dga(ca, v)
+    if not mixed:
+        xs = [zero_mc(end)]
+        for _ in range(rng.randint(1, 3)):
+            xs.append(MCElement(end, end.element({
+                ("E", u, w, e): rng.randint(-2, 2)
+                for u in v.labels for w in v.labels for e in edges if rng.random() < 0.4})))
+        return end, xs
+    unit = ca.unit.items()
+    u0 = rng.choice("ab")
+    d0 = MCElement(end, end.element({("E", u0, "c", al): c for al, c in unit}))
+    xs = [zero_mc(end), d0]
+    for base in (zero_mc(end), d0):
+        coeffs = {("E", u, u, al): c for u in v.labels for al, c in unit}
+        for u in "ab":
+            for e in edges:
+                if rng.random() < 0.5:
+                    coeffs[("E", "c", u, e)] = rng.randint(-2, 2)
+        xs.append(gauge_act(end, end.element(coeffs), base))
+    return end, xs[:rng.randint(2, 4)]
+
+
+@pytest.mark.parametrize("ring", [Q, Ring.GF(2), Ring.GF(3), Ring.GF(5), Ring.GF(2 ** 61 - 1)],
+                         ids=lambda r: r.name)
+def test_h0_representatives_match_the_greedy_reference(ring):
+    rng = random.Random(9100 + (ring.p or 1))
+    for _ in range(6):
+        end, xs = _random_h0_objects(rng, ring)
+        cat = mc_category_h0(end, xs, seed=rng.randint(0, 99))
+        for (i, j), reps in cat.reps.items():
+            ref = _ref_h0_reps(end, xs[i], xs[j])
+            assert [list(r.items()) for r in reps] == [list(r.items()) for r in ref]

@@ -1,12 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from mctwist.dgcore import GradedModule, endomorphism_dga
-from mctwist.exactlinalg import ExactMatrix, Ring
+from mctwist.exactlinalg import ExactMatrix, Ring, kernel_basis, rank, solve_linear
 from mctwist.mc import MCElement, TwistedModule, gauge_act, zero_mc
 from mctwist.perturbation import (
     ConvOp,
+    HodgeData,
     PerturbationError,
     ReducedTwistedModule,
     check_hodge,
@@ -19,6 +21,7 @@ from mctwist.perturbation import (
     reduced_component,
     truncate_twisted,
 )
+from mctwist.perturbation import _projection_entries, _vector_degree
 from mctwist.simplicial import (
     LocalSystem,
     circle,
@@ -73,6 +76,177 @@ def test_hodge_needs_a_field():
     v = GradedModule(Z, [("a", 0)])
     with pytest.raises(PerturbationError, match="field"):
         hodge_data(v, {})
+
+
+# The greedy choices of hodge_data and _projection_entries as they were made
+# before one rref per degree replaced them: one rank per candidate vector,
+# one solve per unit vector and per label.  The rref reads off the same
+# vectors and the same (unique) coordinates, so every output must agree
+# exactly, order and value types included.
+
+
+def _ref_hodge_data(v, d0_entries):
+    ring = v.ring
+    labels = list(v.labels)
+    ix = {l: i for i, l in enumerate(labels)}
+    n = len(labels)
+    d0 = ExactMatrix.zeros(ring, n, n)
+    for (u, w), c in d0_entries.items():
+        d0.set_entry(ix[w], ix[u], ring.coerce(c))
+
+    def block(deg):
+        src = list(v.labels_of_degree(deg))
+        dst = list(v.labels_of_degree(deg + 1))
+        m = ExactMatrix(ring, len(dst), len(src),
+                        [[d0.get(ix[w], ix[u]) for u in src] for w in dst])
+        return m, src, dst
+
+    s_mat, t_mat, harmonic_basis = {}, {}, []
+    for deg in v.degrees():
+        bmat, src, dst = block(deg)
+        prev, psrc, pdst = block(deg - 1)
+        nloc = len(src)
+        im_vectors, pre, cur = [], [], []
+        for j in range(prev.cols):
+            col = [prev.get(i, j) for i in range(prev.rows)]
+            if any(c != 0 for c in col) and rank(
+                    ExactMatrix(ring, len(cur) + 1, nloc, cur + [col])) > len(cur):
+                cur = cur + [col]
+                im_vectors.append(col)
+                pre.append(psrc[j])
+        harmonic = []
+        span = list(im_vectors)
+        for vec in kernel_basis(bmat):
+            if rank(ExactMatrix(ring, len(span) + 1, nloc, span + [vec])) > len(span):
+                span = span + [list(vec)]
+                harmonic.append(list(vec))
+        basis_cols = [list(h) for h in harmonic] + [list(c) for c in im_vectors]
+        complement = []
+        span = list(basis_cols)
+        for j in range(nloc):
+            e = [ring.one() if i == j else ring.zero() for i in range(nloc)]
+            if rank(ExactMatrix(ring, len(span) + 1, nloc, span + [e])) > len(span):
+                span = span + [e]
+                complement.append(e)
+        full = basis_cols + complement
+        if nloc:
+            mat = ExactMatrix(ring, nloc, nloc,
+                              [[full[c][r] for c in range(nloc)] for r in range(nloc)])
+        nh, ni = len(harmonic), len(im_vectors)
+        for j, l in enumerate(src):
+            e = [ring.one() if i == j else ring.zero() for i in range(nloc)]
+            coords = solve_linear(mat, e)[0]
+            for k in range(nh):
+                ring.axpy(t_mat, coords[k], {(l, w): c for w, c in zip(src, harmonic[k])})
+            s_mat.update(((l, pre[k]), c) for k, c in enumerate(coords[nh:nh + ni]) if c != 0)
+        for k, vec in enumerate(harmonic):
+            full_vec = [ring.zero()] * n
+            for i, c in enumerate(vec):
+                full_vec[ix[src[i]]] = c
+            harmonic_basis.append((("h", deg, k), full_vec))
+    return HodgeData(s_mat, t_mat, harmonic_basis)
+
+
+def _ref_projection_entries(ring, v, hg, h):
+    labels = list(v.labels)
+    n = len(labels)
+    hb = [vec for _, vec in h.harmonic_basis]
+    if not hb:
+        return {}
+    mat = ExactMatrix(ring, n, len(hb),
+                      [[hb[c][r] for c in range(len(hb))] for r in range(n)])
+    out = {}
+    for j, l in enumerate(labels):
+        tvec = [ring.zero()] * n
+        for (src, dst), c in h.t.items():
+            if src == l:
+                tvec[labels.index(dst)] = c
+        sol = solve_linear(mat, tvec)
+        if sol is None:
+            raise PerturbationError("projection does not land in the harmonic part")
+        for k, c in enumerate(sol[0]):
+            if c != 0:
+                out[(l, hg.labels[k])] = c
+    return out
+
+
+_FIELDS = [Q, Ring.GF(2), Ring.GF(3), F5, Ring.GF(2 ** 61 - 1)]
+
+
+def _scalar(rng, ring):
+    if ring.kind == "Q":
+        return rng.choice([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+    return rng.randrange(1, ring.p)
+
+
+def _random_complex(rng, ring):
+    """(V, d0) with labels shuffled across degrees, some degrees empty, and
+    blocks that are zero, sparse or dense; d0 d0 = 0 because each block's
+    rows lie in the left kernel of the block below it."""
+    lo = rng.randint(-2, 1)
+    dims = [rng.choice([0, 1, 2, 2, 3, 4]) for _ in range(rng.randint(1, 4))]
+    by_deg = [[("v", lo + k, i) for i in range(m)] for k, m in enumerate(dims)]
+    labels = [l for ls in by_deg for l in ls]
+    rng.shuffle(labels)
+    v = GradedModule(ring, [(l, l[1]) for l in labels])
+    d0, prev = {}, ExactMatrix.zeros(ring, dims[0], 0)
+    for src, dst in zip(by_deg, by_deg[1:] + [[]]):
+        left = kernel_basis(prev.transpose())
+        mode = rng.choice(["zero", "sparse", "sparse", "dense", "dense"])
+        rows = []
+        for w in dst:
+            row = {}
+            for vec in left:
+                if mode == "dense" or (mode == "sparse" and rng.random() < 0.4):
+                    ring.axpy(row, _scalar(rng, ring), dict(enumerate(vec)))
+            rows.append([row.get(j, 0) for j in range(len(src))])
+            d0.update(((u, w), c) for u, c in zip(src, rows[-1]) if c != 0)
+        prev = ExactMatrix(ring, len(dst), len(src), rows)
+    return v, d0
+
+
+def _fixed_complexes(ring):
+    ab = GradedModule(ring, [("a", 0), ("b", 1)])
+    square = GradedModule(ring, [("b1", 1), ("a0", 0), ("b0", 1), ("a1", 0)])
+    gap = GradedModule(ring, [("c", 2), ("a", 0), ("b", 0)])
+    return [
+        (GradedModule(ring, []), {}),
+        (ab, {}),                                               # d0 = 0
+        (ab, {("a", "b"): 1}),                                  # acyclic
+        (square, {("a0", "b0"): 1, ("a0", "b1"): 1, ("a1", "b1"): 1}),  # acyclic 2x2
+        (square, {("a0", "b0"): 1, ("a1", "b0"): 1}),           # rank 1 of 2
+        (gap, {}),                                              # degree 1 empty
+    ]
+
+
+def _typed(entries):
+    return [(k, c, type(c)) for k, c in entries.items()]
+
+
+@pytest.mark.parametrize("ring", _FIELDS, ids=lambda r: r.name)
+def test_hodge_data_and_projection_match_the_greedy_reference(ring):
+    rng = random.Random(7000 + _FIELDS.index(ring))
+    cases = _fixed_complexes(ring) + [_random_complex(rng, ring) for _ in range(60)]
+    for v, d0 in cases:
+        h, ref = hodge_data(v, d0), _ref_hodge_data(v, d0)
+        assert check_hodge(v, d0, h)
+        assert _typed(h.s) == _typed(ref.s)
+        assert _typed(h.t) == _typed(ref.t)
+        assert [(l, [(c, type(c)) for c in vec]) for l, vec in h.harmonic_basis] == \
+            [(l, [(c, type(c)) for c in vec]) for l, vec in ref.harmonic_basis]
+        hg = GradedModule(ring, [(l, _vector_degree(v, vec)) for l, vec in h.harmonic_basis])
+        assert _typed(_projection_entries(ring, v, hg, h)) == \
+            _typed(_ref_projection_entries(ring, v, hg, ref))
+
+
+def test_projection_off_the_harmonic_part_raises():
+    v = GradedModule(Q, [("a", 0), ("b", 0)])
+    hg = GradedModule(Q, [(("h", 0, 0), 0)])
+    # t(e_a) = e_b: the first t column already leaves the span of e_a
+    h = HodgeData({}, {("a", "b"): 1}, [(("h", 0, 0), [1, 0])])
+    for projection in (_projection_entries, _ref_projection_entries):
+        with pytest.raises(PerturbationError, match="does not land"):
+            projection(Q, v, hg, h)
 
 
 # -- reduced modules and minimal models ---------------------------------------
