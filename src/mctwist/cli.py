@@ -288,16 +288,14 @@ def cmd_holonomy(args) -> int:
             raise InputError("pexp mode needs one CSV path")
         samples = _read_csv_matrices(args.path[0])
         sp = holonomy.SampledMatrixPath(samples)
-        path, report = holonomy.solve_transport(sp)
         # order estimate by step halving on the coarsened grid, when that
         # grid still has the 2 RK4 steps transport needs
         coarse = holonomy.SampledMatrixPath(samples[::2]) \
             if (len(samples) - 1) % 4 == 0 and len(samples) > 5 else None
+        path, report = holonomy.solve_transport(sp, coarse=coarse)
         order = None
         if coarse is not None:
-            g_fine = path.values[-1]
-            g_coarse = holonomy.solve_transport(coarse)[0].values[-1]
-            diff = float(np.max(np.abs(g_fine - g_coarse)))
+            diff = float(np.max(np.abs(path.values[-1] - report["coarse_endpoint"])))
             order = {"halving_difference": diff}
         payload = {"result": [[round(v, 12) for v in row] for row in
                               path.values[-1].tolist()],

@@ -201,6 +201,10 @@ def _exact_scalar(x):
     """x as an int or a Fraction; floats, bools and non-numbers are refused."""
     if isinstance(x, str):
         try:
+            # an ASCII integer needs no Fraction; int refuses what Fraction
+            # refuses here (more than sys.get_int_max_str_digits() digits)
+            if x.isascii() and (x[1:] if x[:1] == "-" else x).isdigit():
+                return int(x)
             if "e" in x.lower():  # "1e10000000" would be a 33-million-bit integer
                 raise ValueError
             return Fraction(x)

@@ -20,10 +20,14 @@ integration step reduces its error by about 16x on smooth inputs.
 Defaults: residual tolerance 1e-6, endpoint identity tolerance 1e-5.
 
 Transport first gathers y at every RK4 node (a sampled path by index
-lookup, a callable by evaluation) and then runs the step loop over the
-stacked nodes; the interior residual is one batched product.  Each step
-rounds exactly as a step that looks up its own nodes, so the printed
-floats do not depend on this layout.
+lookup, a callable by evaluation) and then runs one step loop, ``_rk4``,
+over the stacked nodes; the interior residual is one batched product.
+Each step rounds exactly as a step that looks up its own nodes and
+multiplies with ``@``, so the printed floats do not depend on this layout.
+A step is four ``ndarray.dot`` products and thirteen elementwise operations.
+The step-halving order estimate solves the coarsened path in the same
+loop: both solves advance as one (2, n, n) stack, one ``np.matmul`` per
+product, until the coarse one ends.
 """
 
 from __future__ import annotations
@@ -142,25 +146,60 @@ def _nodes(y, steps, z0: float, z1: float):
                         for s in (t, t + h / 2, t + h))
 
 
-def solve_transport(y, g0=None, steps: int = None, z0: float = 0.0, z1: float = 1.0):
+def _rk4(h, y0, ymid, y1, g):
+    """The RK4 values g_0 = g, ..., g_m of dg/dz = y g on the stacked nodes.
+
+    g is one n x n matrix, multiplied with ``ndarray.dot``, or a stack of
+    shape (2, n, n) with h of shape (2, 1, 1), multiplied with ``np.matmul``;
+    both round every product as ``@`` does.  ``k + k`` is ``2 * k`` exactly.
+    """
+    dot = np.ndarray.dot if g.ndim == 2 else np.matmul
+    h2, h6 = h / 2, h / 6
+    out = np.empty((len(y0) + 1,) + g.shape)
+    out[0] = g
+    for o, a, b, c in zip(out[1:], y0, ymid, y1):
+        k1 = dot(a, g)
+        k2 = dot(b, g + h2 * k1)
+        k3 = dot(b, g + h2 * k2)
+        k4 = dot(c, g + h * k3)
+        g = g + h6 * (k1 + (k2 + k2) + (k3 + k3) + k4)
+        o[...] = g
+    return out
+
+
+def solve_transport(y, g0=None, steps: int = None, z0: float = 0.0, z1: float = 1.0,
+                    coarse=None):
     """RK4 solution of dg/dz = y(z) g(z) on [z0, z1]; returns (path, report).
 
     The report carries the interior central-difference residual
     max | g' - y g | and a condition-number estimate of the endpoint value
     (invertibility holds for true transport; a huge condition number flags
-    an untrustworthy grid).
+    an untrustworthy grid).  A ``coarse`` path (its own default steps, at
+    most as many as y takes) is solved from the same g0 alongside the first
+    steps of y, and its endpoint is reported as ``coarse_endpoint``.
     """
     h, y0, ymid, y1 = _nodes(y, steps, z0, z1)
-    g = np.eye(y0.shape[1]) if g0 is None else np.asarray(g0, dtype=float)
-    out = [g]
-    for a, b, c in zip(y0, ymid, y1):
-        k1 = a @ g
-        k2 = b @ (g + h / 2 * k1)
-        k3 = b @ (g + h / 2 * k2)
-        k4 = c @ (g + h * k3)
-        g = g + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        out.append(g)
-    values = np.stack(out)
+    n = y0.shape[1]
+    g = np.eye(n) if g0 is None else np.asarray(g0, dtype=float)
+    coarse_end = {}
+    with np.errstate(all="ignore"):  # an overflow is refused below, not warned about
+        if coarse is None:
+            values = _rk4(h, y0, ymid, y1, g)
+        else:
+            hc, *nodes = _nodes(coarse, None, z0, z1)
+            mc = len(nodes[0])
+            if mc > len(y0) or nodes[0].shape[1] != n:
+                raise HolonomyError("the coarse path needs at most %d steps of "
+                                    "%d x %d matrices" % (len(y0), n, n))
+            # rebinding frees the coarse nodes once they are stacked
+            nodes = [np.stack((f[:mc], c), axis=1) for f, c in zip((y0, ymid, y1), nodes)]
+            pair = _rk4(np.array([h, hc]).reshape(2, 1, 1), *nodes, np.stack((g, g)))
+            del nodes
+            rest = _rk4(h, y0[mc:], ymid[mc:], y1[mc:], pair[-1, 0])
+            values = np.concatenate((pair[:, 0], rest[1:]))
+            coarse_end["coarse_endpoint"] = pair[-1, 1]
+    if not all(np.isfinite(v).all() for v in (values, *coarse_end.values())):
+        raise HolonomyError("non-finite transport values")
     dg = (values[2:] - values[:-2]) / (2 * h)
     resid = float(np.max(np.abs(dg - y0[1:] @ values[1:-1])))
     report = {
@@ -169,6 +208,7 @@ def solve_transport(y, g0=None, steps: int = None, z0: float = 0.0, z1: float = 
         "steps": len(y0),
         "flagged": bool(resid > RESIDUAL_TOL * max(1.0, float(np.max(np.abs(values))) ** 2
                                                    * 10.0)),
+        **coarse_end,
     }
     return SampledMatrixPath(values), report
 
@@ -185,10 +225,7 @@ def pexp(y, z: float = 1.0, steps: int = 10000):
     if z == 0.0:
         # two zero-width steps: the same checks on y, and n off a node
         return np.eye(_nodes(y, 2, 0.0, 0.0)[1].shape[1])
-    path, report = solve_transport(y, steps=steps, z0=0.0, z1=z)
-    if not np.isfinite(path.values[-1]).all():
-        raise HolonomyError("non-finite transport values")
-    return path.values[-1]
+    return solve_transport(y, steps=steps, z0=0.0, z1=z)[0].values[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +304,17 @@ def gauge_from_homotopy(xs: np.ndarray, ys: np.ndarray, endpoint_tol: float = EN
     p, n = ys.shape[1], ys.shape[2]
     hz = 1.0 / mz
     g = np.repeat(np.eye(n)[None, :, :], p, axis=0)
-    for k in range(0, mz, 2):
-        y0, ymid, y1 = ys[k], ys[k + 1], ys[k + 2]
-        h2 = 2 * hz
-        k1 = np.einsum("pij,pjl->pil", y0, g)
-        k2 = np.einsum("pij,pjl->pil", ymid, g + h2 / 2 * k1)
-        k3 = np.einsum("pij,pjl->pil", ymid, g + h2 / 2 * k2)
-        k4 = np.einsum("pij,pjl->pil", y1, g + h2 * k3)
-        g = g + h2 / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    with np.errstate(all="ignore"):  # an overflow is refused below, not warned about
+        for k in range(0, mz, 2):
+            y0, ymid, y1 = ys[k], ys[k + 1], ys[k + 2]
+            h2 = 2 * hz
+            k1 = np.einsum("pij,pjl->pil", y0, g)
+            k2 = np.einsum("pij,pjl->pil", ymid, g + h2 / 2 * k1)
+            k3 = np.einsum("pij,pjl->pil", ymid, g + h2 / 2 * k2)
+            k4 = np.einsum("pij,pjl->pil", y1, g + h2 * k3)
+            g = g + h2 / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    if not np.isfinite(g).all():
+        raise HolonomyError("non-finite transport values")
     x0 = CircleForm(xs[0])
     transported = gauge_transform_circle(g, x0)
     err = float(np.max(np.abs(xs[-1] - transported)))

@@ -295,11 +295,15 @@ def hodge_data(v: GradedModule, d0_entries: dict) -> HodgeData:
         pre = [psrc[c] for c in pivots if c < p]
         harmonic = [ker[c - p] for c in pivots if p <= c < p + nk]
         ni, nh = len(pre), len(harmonic)
+        # zero coordinates and entries would leave t, its key order included,
+        # as it is: axpy rewrites a key with its own value or pops an absent one
+        sparse = [[(w, c) for w, c in zip(src, vec) if c] for vec in harmonic]
         for j, l in enumerate(src):
             # rows 0..ni-1 of r are image coordinates, the next nh harmonic
             coords = [r.get(i, p + nk + j) for i in range(ni + nh)]
-            for k in range(nh):
-                ring.axpy(t_mat, coords[ni + k], {(l, w): c for w, c in zip(src, harmonic[k])})
+            for c, vec in zip(coords[ni:], sparse):
+                if c:
+                    ring.axpy(t_mat, c, {(l, w): e for w, e in vec})
             # the keys (l, pre[k]) are new to s_mat: its entries are set once
             s_mat.update(((l, pre[k]), c) for k, c in enumerate(coords[:ni]) if c != 0)
         for k, vec in enumerate(harmonic):

@@ -334,19 +334,37 @@ BAD_HOLONOMY_INPUT = {
     "no-z-step": (["--mode", "backward", "x.csv", "x.csv", "--grid", "8"], {"x.csv": _rows(8)}),
     "odd-z-steps": (["--mode", "backward", "x.csv", "x.csv", "--grid", "8"],
                     {"x.csv": _rows(32)}),
+    # finite samples whose transport overflows
+    "pexp-overflow-1e200": (["--mode", "pexp", "y.csv"],
+                            {"y.csv": _rows(9, "1e200,-1e200,1e200,1e200")}),
+    "pexp-overflow-1e300": (["--mode", "pexp", "y.csv"],
+                            {"y.csv": _rows(9, "1e300,-1e300,1e300,1e300")}),
+    "backward-overflow": (["--mode", "backward", "x.csv", "y.csv", "--grid", "8"],
+                          {"x.csv": _rows(40, "0,0,0,0"),
+                           "y.csv": _rows(40, "1e200,-1e200,1e200,1e200")}),
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_HOLONOMY_INPUT))
-def test_holonomy_rejects_malformed_input_with_exit_one(case, tmp_path, capsys, recwarn):
+def _run_bad_holonomy(case, tmp_path, capsys):
     argv, files = BAD_HOLONOMY_INPUT[case]
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a) if a in files else a for a in argv]
-    code, out, err = run_cli(capsys, "holonomy", *argv)
+    return run_cli(capsys, "holonomy", *argv)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_HOLONOMY_INPUT))
+def test_holonomy_rejects_malformed_input_with_exit_one(case, tmp_path, capsys, recwarn):
+    code, out, err = _run_bad_holonomy(case, tmp_path, capsys)
     assert code == 1, err
     assert out == "" and err.startswith("input error: ")
     assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("case", sorted(c for c in BAD_HOLONOMY_INPUT if "overflow" in c))
+def test_holonomy_overflow_is_one_input_error_line(case, tmp_path, capsys):
+    code, _, err = _run_bad_holonomy(case, tmp_path, capsys)
+    assert (code, err) == (1, "input error: non-finite transport values\n")
 
 
 def test_holonomy_pexp_on_five_samples_skips_the_halving_estimate(tmp_path, capsys):

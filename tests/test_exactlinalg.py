@@ -656,6 +656,47 @@ def test_q_arithmetic_is_canonical(a, b):
         assert got == want and _is_canonical(got), (a, b, got)
 
 
+def _fraction_path(s):
+    """The string parse without the ASCII-integer shortcut."""
+    try:
+        if "e" in s.lower():
+            raise ValueError
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def _assert_string_scalar_parses_like_fraction(s):
+    from mctwist.exactlinalg import _exact_scalar
+    want = _fraction_path(s)
+    if want is None:
+        with pytest.raises(ExactLinalgError, match="not an exact scalar"):
+            _exact_scalar(s)
+        return
+    got = _exact_scalar(s)
+    assert got == want and type(got) in (int, Fraction), s
+    for ring, defined in ((Q, True), (Z, want.denominator == 1),
+                          (F5, want.denominator % 5 != 0)):
+        if defined:
+            a, b = ring.coerce(s), ring.coerce(want)
+            assert a == b and type(a) is type(b), (ring.name, s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(-10 ** 30, 10 ** 30).map(str),
+                 st.from_regex(r"\A-?[0-9]{1,6}\Z"),
+                 st.from_regex(r"\A[-+ ]?[0-9]{0,4}([/._][0-9]{0,3})?[ ]?\Z"),
+                 st.text(max_size=6)))
+def test_string_scalars_parse_like_fraction(s):
+    _assert_string_scalar_parses_like_fraction(s)
+
+
+@pytest.mark.parametrize("s", ["1_0", " 7", "+3", "\u0663", "\u00b2", "1e5", "", "-",
+                               "0x10", "--1", "-0", "007", "1" * 5000, "3/0"])
+def test_edge_case_string_scalars_behave_as_before(s):
+    _assert_string_scalar_parses_like_fraction(s)
+
+
 def test_integral_products_of_fractions_are_ints():
     half = Fraction(1, 2)
     for got, want in ((Q.mul(half, 2), 1), (Q.mul(2, half), 1), (Q.add(half, half), 1),

@@ -298,7 +298,8 @@ def _seeded_path(seed, n, m):
 def _assert_same_transport(y, **kwargs):
     path, report = solve_transport(y, **kwargs)
     values, expected = _oracle_transport(y, **kwargs)
-    assert np.array_equal(path.values, values)
+    # the bit patterns, so that -0.0 and 0.0, which print differently, differ
+    assert np.array_equal(path.values.view(np.uint64), values.view(np.uint64))
     assert report == expected
 
 
@@ -324,6 +325,49 @@ def test_callable_transport_is_bit_identical_to_the_per_node_loop(z0, z1):
     for steps in (2, 37, 1000):
         _assert_same_transport(y, steps=steps, z0=z0, z1=z1)
     _assert_same_transport(y, steps=101, z0=z0, z1=z1, g0=np.diag([2.0, -1.0, 0.5]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("m", [8, 12, 1000, 1600, 2500, 10000])
+def test_paired_coarse_solve_is_bit_identical_to_a_separate_solve(n, m):
+    sp = _seeded_path(7 * n + m, n, m)
+    coarse = SampledMatrixPath(sp.values[::2])
+    g0 = np.random.default_rng(m + n).uniform(-1, 1, (n, n))
+    for kwargs in ({}, {"g0": g0}):
+        path, report = solve_transport(sp, coarse=coarse, **kwargs)
+        alone, expected = solve_transport(sp, **kwargs)
+        end = solve_transport(coarse, **kwargs)[0].values[-1]
+        assert np.array_equal(report.pop("coarse_endpoint").view(np.uint64),
+                              end.view(np.uint64))
+        assert np.array_equal(path.values.view(np.uint64), alone.values.view(np.uint64))
+        assert report == expected
+
+
+def test_coarse_path_must_not_outstep_the_fine_one():
+    sp = _seeded_path(3, 2, 8)
+    with pytest.raises(HolonomyError, match="coarse"):
+        solve_transport(sp, coarse=_seeded_path(3, 2, 10))
+    with pytest.raises(HolonomyError, match="coarse"):
+        solve_transport(sp, coarse=_seeded_path(3, 3, 4))
+    # as many steps as y is allowed
+    _, report = solve_transport(sp, coarse=sp)
+    assert np.array_equal(report["coarse_endpoint"], solve_transport(sp)[0].values[-1])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("layout", ["fortran", "transposed", "reversed-rows",
+                                    "reversed-columns", "reversed-both", "strided"])
+def test_transport_from_any_memory_layout_of_g0(n, layout):
+    base = np.random.default_rng(n).uniform(-1, 1, (2 * n, 2 * n))
+    g0 = {"fortran": np.asfortranarray(base[:n, :n]),
+          "transposed": base[:n, :n].T,
+          "reversed-rows": base[:n, :n][::-1],
+          "reversed-columns": base[:n, :n][:, ::-1],
+          "reversed-both": base[:n, :n][::-1, ::-1],
+          "strided": base[::2, ::2]}[layout]
+    sp = _seeded_path(n, n, 40)
+    _assert_same_transport(sp, g0=g0)
+    _assert_same_transport(sp, g0=g0, steps=7, z0=0.2, z1=0.9)
 
 
 def test_pexp_at_zero_still_checks_its_input():
@@ -359,3 +403,32 @@ def test_csv_reader_parses_like_float_bit_for_bit(tmp_path):
     expected = np.array([float(tok) for tok in tokens])
     # the bit patterns, so -0.0 must keep its sign bit
     assert np.array_equal(parsed.reshape(-1).view(np.uint64), expected.view(np.uint64))
+
+
+def test_overflowing_transport_is_refused_without_warnings(recwarn):
+    big = SampledMatrixPath(np.tile([[1e200, -1e200], [1e200, 1e200]], (9, 1, 1)))
+    for kwargs in ({}, {"coarse": SampledMatrixPath(big.values[::2])}):
+        with pytest.raises(HolonomyError, match="non-finite transport values"):
+            solve_transport(big, **kwargs)
+    # RK4 on y = -2500 decays at h = 1e-3 and blows up at the coarse h = 2e-3
+    stiff = SampledMatrixPath(np.full((2001, 1, 1), -2500.0))
+    assert 0.0 < solve_transport(stiff)[0].values[-1][0, 0] < 1e-180
+    with pytest.raises(HolonomyError, match="non-finite transport values"):
+        solve_transport(stiff, coarse=SampledMatrixPath(stiff.values[::2]))
+    ys = np.tile([[1e200, -1e200], [1e200, 1e200]], (5, 8, 1, 1))
+    with pytest.raises(HolonomyError, match="non-finite transport values"):
+        gauge_from_homotopy(np.zeros_like(ys), ys)
+    assert len(recwarn) == 0
+
+
+def test_one_pexp_job_is_one_transport_solve(tmp_path, capsys, monkeypatch):
+    from mctwist import cli, holonomy
+    calls = []
+    solve = holonomy.solve_transport
+    monkeypatch.setattr(holonomy, "solve_transport",
+                        lambda *a, **k: calls.append(k) or solve(*a, **k))
+    path = tmp_path / "y.csv"
+    np.savetxt(path, _seeded_path(5, 3, 400).values.reshape(401, 9), delimiter=",")
+    assert cli.main(["holonomy", "--mode", "pexp", str(path)]) == 0
+    assert "halving_difference" in capsys.readouterr().out
+    assert len(calls) == 1 and calls[0]["coarse"] is not None
