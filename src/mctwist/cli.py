@@ -62,11 +62,8 @@ def cmd_local_system(args) -> int:
     if args.ring:
         system_obj = dict(system_obj)
         system_obj["ring"] = args.ring
-    ls = io.local_system_from_json(system_obj, complex_obj)
-    bad = ls.functor_condition_failures()
-    if bad:
-        raise InputError("functor condition fails on 2-simplices: %r" % (bad,))
-    rep = local_system_cohomology(ls)
+    # the functor condition is checked once, by rep_to_mc
+    rep = local_system_cohomology(io.local_system_from_json(system_obj, complex_obj))
     out = []
     for entry in io.report_to_json(rep):
         e = {"rank": entry["rank"]}

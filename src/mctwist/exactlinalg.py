@@ -21,7 +21,10 @@ The three workhorses are
 Cohomology is read off the differentials, each factored once: H^k has free
 rank dim C^k - rk d_k - rk d_{k-1}, and as C^k / ker d_k embeds in the free
 C^{k+1}, its torsion is that of coker d_{k-1}: the non-unit invariant
-factors of d_{k-1}.
+factors of d_{k-1}.  Over Z, :func:`invariant_factors` contracts the +-1
+pivots of a differential and runs the Smith form, with its U and V, only
+on the non-unit core that is left, which is usually empty; the kernels and
+solves that read U or V call :func:`smith_normal_form` themselves.
 """
 
 from __future__ import annotations
@@ -198,18 +201,24 @@ def _canon(x):
 
 
 def _exact_scalar(x):
-    """x as an int or a Fraction; floats, bools and non-numbers are refused."""
+    """x as an int or a Fraction; floats, bools and non-numbers are refused.
+
+    A string must be ASCII ``-?digits`` or ``-?digits/digits``, as
+    ``str(Fraction)`` writes them: no sign "+", no spaces, no "_", no
+    decimal point or exponent and no non-ASCII digits.
+    """
     if isinstance(x, str):
+        num, slash, den = x.partition("/")
         try:
-            # an ASCII integer needs no Fraction; int refuses what Fraction
-            # refuses here (more than sys.get_int_max_str_digits() digits)
-            if x.isascii() and (x[1:] if x[:1] == "-" else x).isdigit():
-                return int(x)
-            if "e" in x.lower():  # "1e10000000" would be a 33-million-bit integer
-                raise ValueError
-            return Fraction(x)
+            # int refuses more than sys.get_int_max_str_digits() digits
+            if x.isascii() and (num[1:] if num[:1] == "-" else num).isdigit():
+                if not slash:
+                    return int(num)
+                if den.isdigit():
+                    return Fraction(int(num), int(den))
         except (ValueError, ZeroDivisionError):
-            raise ExactLinalgError("not an exact scalar: %.40r" % (x,)) from None
+            pass
+        raise ExactLinalgError("not an exact scalar: %.40r" % (x,))
     if isinstance(x, bool) or not isinstance(x, numbers.Rational):
         raise ExactLinalgError("not an exact scalar: %.40r of type %s"
                                % (x, type(x).__name__))
@@ -530,14 +539,64 @@ def _rediagonalize_pair(a, u, vt, t):
 
 
 def invariant_factors(m: ExactMatrix) -> list:
-    """Nonzero diagonal of the Smith form, as a divisibility chain."""
-    _, d, _ = smith_normal_form(m)
-    out = []
-    for i in range(min(d.rows, d.cols)):
-        v = d.get(i, i)
-        if v != 0:
-            out.append(v)
-    return out
+    """Nonzero diagonal of the Smith form, as a divisibility chain.
+
+    Every +-1 pivot is contracted first (Kaczynski-Mrozek-Slusarek 1998,
+    Dumas-Saunders-Villard 2001): with a unit at (i, j), m is equivalent to
+    diag(1, S) for the Schur complement S, which is m without row i and
+    column j after row i has cleared column j from the other rows.  A
+    column -> rows index makes that visit only the rows holding column j.
+    Each contraction is one factor 1; the non-unit core left over, usually
+    empty, goes through :func:`smith_normal_form`.  The invariant factors
+    are canonical, so the pivot order cannot change the result.
+    """
+    if m.ring.kind != "Z":
+        raise ExactLinalgError("Smith normal form requires the ring Z")
+    rows = [dict(r) for r in m._data if r]
+    cols = {}  # column -> the live rows holding it
+    for i, r in enumerate(rows):
+        for j in r:
+            cols.setdefault(j, set()).add(i)
+    units = 0
+    # Rows that may hold a unit, first to last; a row that an elimination
+    # changed is appended again, and the loop reaches it (first in, first
+    # out keeps the fill far below that of last in, first out).
+    todo = list(range(len(rows)))
+    for i in todo:
+        row = rows[i]  # emptied once contracted
+        # the unit whose column is held by the fewest rows
+        best = min(((len(cols[j]), j) for j, v in row.items() if v == 1 or v == -1),
+                   default=None)
+        if best is None:
+            continue
+        j = best[1]
+        p = row.pop(j)
+        held = cols.pop(j)
+        held.discard(i)
+        for k in held:
+            rk = rows[k]
+            f = rk.pop(j) * p  # row k -= f * row i clears column j
+            for c, v in row.items():
+                x = rk.get(c, 0) - f * v
+                if x:
+                    if c not in rk:
+                        cols[c].add(k)
+                    rk[c] = x
+                else:
+                    del rk[c]
+                    cols[c].discard(k)
+            todo.append(k)
+        for c in row:
+            cols[c].discard(i)
+        row.clear()
+        units += 1
+    core = [r for r in rows if r]
+    if not core:
+        return [1] * units
+    index = {j: n for n, j in enumerate(sorted({j for r in core for j in r}))}
+    core = [{index[j]: v for j, v in r.items()} for r in core]
+    _, d, _ = smith_normal_form(ExactMatrix._of_rows(m.ring, len(index), core))
+    return [1] * units + [v for i in range(min(d.rows, d.cols)) if (v := d.get(i, i))]
 
 
 # -- solving and kernels ------------------------------------------------------------

@@ -32,6 +32,8 @@ product, until the coarse one ends.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 RESIDUAL_TOL = 1e-6
@@ -202,12 +204,18 @@ def solve_transport(y, g0=None, steps: int = None, z0: float = 0.0, z1: float = 
         raise HolonomyError("non-finite transport values")
     dg = (values[2:] - values[:-2]) / (2 * h)
     resid = float(np.max(np.abs(dg - y0[1:] @ values[1:-1])))
+    cond = float(np.linalg.cond(values[-1]))
+    if not math.isfinite(cond):
+        raise HolonomyError("non-finite endpoint condition number")
+    try:
+        bound = RESIDUAL_TOL * max(1.0, float(np.max(np.abs(values)))) ** 2 * 10.0
+    except OverflowError:  # the square passes the largest float: no finite bound
+        bound = math.inf
     report = {
         "interior_residual": resid,
-        "endpoint_condition_number": float(np.linalg.cond(values[-1])),
+        "endpoint_condition_number": cond,
         "steps": len(y0),
-        "flagged": bool(resid > RESIDUAL_TOL * max(1.0, float(np.max(np.abs(values))) ** 2
-                                                   * 10.0)),
+        "flagged": resid > bound,
         **coarse_end,
     }
     return SampledMatrixPath(values), report

@@ -24,8 +24,8 @@ def encode_label(label):
 
 
 def decode_label(obj):
-    if isinstance(obj, list):
-        return tuple(decode_label(p) for p in obj)
+    if isinstance(obj, list):  # a leaf is kept without a call
+        return tuple([decode_label(p) if isinstance(p, list) else p for p in obj])
     return obj
 
 

@@ -555,11 +555,11 @@ class LocalSystem:
         n = v.dim
         for e in base.nondegenerate(1):
             m = monodromy.get(e)
-            if m is None:
+            if m is None:  # the identity, invertible without a check
                 m = ExactMatrix.identity(self.ring, n)
-            if m.rows != n or m.cols != n:
+            elif m.rows != n or m.cols != n:
                 raise SimplicialError("monodromy on %r has wrong size" % (e,))
-            if solve_invertibility(m) is None:
+            elif solve_invertibility(m) is None:
                 raise SimplicialError("monodromy on %r is not invertible" % (e,))
             self.monodromy[e] = m
 
@@ -630,10 +630,10 @@ def rep_to_mc(ls: LocalSystem, end_dga: DgAlgebra = None):
 
     bad = ls.functor_condition_failures()
     if bad:
-        raise SimplicialError("functor condition fails on 2-simplices %r" % (bad,))
+        raise SimplicialError("functor condition fails on 2-simplices: %r" % (bad,))
     ring = ls.ring
-    ca = cochain_algebra(ls.base, ring)
-    end = end_dga if end_dga is not None else endomorphism_dga(ca, ls.v)
+    end = end_dga if end_dga is not None else endomorphism_dga(
+        cochain_algebra(ls.base, ring), ls.v)
     coeffs = {}
     n = ls.v.dim
     labels = ls.v.labels

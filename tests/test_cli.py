@@ -53,6 +53,51 @@ def test_local_system_matches_spec_shape(fixture_dir, capsys):
     assert payload["H"] == [{"rank": 0}, {"rank": 0, "torsion": [2]}]
 
 
+# the boundary of the 3-simplex, and A = [[2, 1], [1, 1]] on the edges at
+# vertex 0: the coboundary of g with g_0 = A, g_1 = g_2 = g_3 = 1
+SPHERE = {"vertices": [0, 1, 2, 3],
+          "simplices": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}
+UNIMODULAR = [[2, 1], [1, 1]]
+
+
+def _write_local_system(tmp_path, edges):
+    (tmp_path / "c.json").write_text(json.dumps(SPHERE))
+    (tmp_path / "s.json").write_text(json.dumps(
+        {"ring": "Z", "rank": 2, "monodromy": [[e, UNIMODULAR] for e in edges]}))
+    return str(tmp_path / "c.json"), str(tmp_path / "s.json")
+
+
+def _counted(original, calls):
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    return counted
+
+
+def test_one_local_system_job_builds_and_checks_once(tmp_path, capsys, monkeypatch):
+    from mctwist import simplicial
+    built, inverted, functor = [], [], []
+    for owner, name, calls in ((simplicial, "cochain_algebra", built),
+                               (simplicial, "solve_invertibility", inverted),
+                               (simplicial.LocalSystem, "functor_condition_failures", functor)):
+        monkeypatch.setattr(owner, name, _counted(getattr(owner, name), calls))
+    code, out, err = run_cli(capsys, "local-system",
+                             *_write_local_system(tmp_path, [[0, 1], [0, 2], [0, 3]]))
+    assert code == 0, err
+    assert json.loads(out)["H"] == [{"rank": 2}, {"rank": 0}, {"rank": 2}]
+    assert len(built) == 1
+    # the three given monodromies are inverted; the three implicit identities are not
+    assert [args[0].row_list(0) + args[0].row_list(1) for args in inverted] == [[2, 1, 1, 1]] * 3
+    assert len(functor) == 1
+
+
+def test_local_system_failing_cocycle_exits_one(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "local-system", *_write_local_system(tmp_path, [[0, 1]]))
+    assert (code, out) == (1, "")
+    assert err.startswith("input error: functor condition fails on 2-simplices: ")
+    assert "(0, 1, 2)" in err and "(0, 1, 3)" in err and "(1, 2, 3)" not in err
+
+
 def test_kn_presentation(fixture_dir, capsys):
     code, out, _ = run_cli(capsys, "kn", "--n", "2", "--ring", "Q")
     assert code == 0
@@ -342,6 +387,9 @@ BAD_HOLONOMY_INPUT = {
     "backward-overflow": (["--mode", "backward", "x.csv", "y.csv", "--grid", "8"],
                           {"x.csv": _rows(40, "0,0,0,0"),
                            "y.csv": _rows(40, "1e200,-1e200,1e200,1e200")}),
+    # a nilpotent y: finite transport, an infinite endpoint condition number
+    "nilpotent-1.4e154": (["--mode", "pexp", "y.csv"], {"y.csv": _rows(9, "0,1.4e154,0,0")}),
+    "nilpotent-1e200": (["--mode", "pexp", "y.csv"], {"y.csv": _rows(9, "0,1e200,0,0")}),
 }
 
 

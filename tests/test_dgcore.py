@@ -671,3 +671,61 @@ def test_check_dga_on_the_384_cell_torus():
     assert not rep["ok"]
     assert any((x, y) == f["witness"][:2] or (x, y) == f["witness"][1:]
                for f in rep["failures"])
+
+
+# -- the construction checks: canonical int tables skip coerce -------------------
+
+
+def _normalized_reference(ring, table):
+    # every scalar through Ring.coerce, as each construction did before
+    out = {}
+    for key, vec in table.items():
+        vec = {k: c for k, v in vec.items() if (c := ring.coerce(v)) != 0}
+        if vec:
+            out[key] = vec
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([Z, Q, F5, Ring.GF(2)]), st.integers(0, 2 ** 32))
+def test_normalized_tables_match_coercing_every_scalar(ring, seed):
+    from fractions import Fraction
+
+    from mctwist.dgcore import _normalized
+    rng = random.Random(seed)
+    pools = [(1, 2, 3, 4), (-1, 1, 7), (0, 1, 2), (1, Fraction(3, 1), Fraction(5, 2)),
+             (1, "2", "-3/4"), (4, 5, 6), (True, 1)]
+    table = {}
+    for key in range(rng.randint(0, 6)):
+        pool = rng.choice(pools)
+        table[key] = {rng.randrange(8): rng.choice(pool) for _ in range(rng.randint(0, 4))}
+    try:
+        want = _normalized_reference(ring, table)
+    except Exception as exc:  # a bool, or a Fraction over Z: refused by both
+        with pytest.raises(type(exc)):
+            _normalized(ring, table)
+        return
+    got = _normalized(ring, table)
+    assert list(got) == list(want)
+    for key in got:
+        assert list(got[key].items()) == list(want[key].items())
+        assert [type(v) for v in got[key].values()] == [type(v) for v in want[key].values()]
+        assert got[key] is not table[key]
+
+
+def test_degree_check_names_the_first_term_in_another_degree():
+    k = ground_dga(Z)
+    gm = GradedModule(Z, [("a", 0), ("b", 0), ("c", 1), ("e", 1)])
+    action = {(l, "1"): {l: 1} for l in gm.labels}
+    # good rows first, then a row whose second term is off degree
+    with pytest.raises(DgError, match=r"differential of 'b': term 'a' is not in degree 1"):
+        DgModule(gm, k, action, {"a": {"c": 1}, "b": {"e": 1, "a": 1, "z": 1}})
+    with pytest.raises(DgError, match=r"differential of 'a': term 'z' is not in degree 1"):
+        DgModule(gm, k, action, {"a": {"c": 1, "z": 1}})
+
+
+def test_decode_label_restores_nested_tuples():
+    from mctwist.io import decode_label, encode_label
+    for label in ["x", 3, (), (1, 2), ("v", (0, (1, 1)), [2][0]), ((("a",),), "b", (1, (2,)))]:
+        assert decode_label(encode_label(label)) == label
+    assert decode_label([[1, [2, []]], "x"]) == ((1, (2, ())), "x")

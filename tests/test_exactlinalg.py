@@ -657,10 +657,14 @@ def test_q_arithmetic_is_canonical(a, b):
 
 
 def _fraction_path(s):
-    """The string parse without the ASCII-integer shortcut."""
+    """The README grammar, ASCII -?digits or -?digits/digits, read by Fraction.
+
+    Fraction(str) alone is more lenient ("0.5", "1_0", " 7", "+3", "1e5"
+    and non-ASCII digits); those strings are refused at the input boundary.
+    """
+    if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", s):
+        return None
     try:
-        if "e" in s.lower():
-            raise ValueError
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
         return None
@@ -692,8 +696,11 @@ def test_string_scalars_parse_like_fraction(s):
 
 
 @pytest.mark.parametrize("s", ["1_0", " 7", "+3", "\u0663", "\u00b2", "1e5", "", "-",
-                               "0x10", "--1", "-0", "007", "1" * 5000, "3/0"])
+                               "0x10", "--1", "-0", "007", "1" * 5000, "3/0", "0.5",
+                               "3/-4", "3/+4", "-3/4", "7\n", "1/2/3", "/2", "2/"])
 def test_edge_case_string_scalars_behave_as_before(s):
+    """Only the README grammar is accepted; "0.5", "1_0", " 7", "+3" and
+    non-ASCII digits, which Fraction(str) takes, are refused."""
     _assert_string_scalar_parses_like_fraction(s)
 
 
@@ -771,3 +778,180 @@ def test_no_bare_rank_call_outside_exactlinalg():
         for hit in pattern.finditer(text):
             bad.append("%s:%d" % (path.name, text.count("\n", 0, hit.start()) + 1))
     assert not bad, "choose independent vectors by one rref: %s" % ", ".join(bad)
+
+
+# -- invariant factors by unit-pivot contraction -----------------------------------
+#
+# invariant_factors contracts the +-1 pivots and sends only the rest through
+# smith_normal_form; the reference is the nonzero diagonal of the Smith form
+# of the whole matrix.
+
+
+def _snf_diagonal(m):
+    _, d, _ = smith_normal_form(m)
+    return [v for i in range(min(d.rows, d.cols)) if (v := d.get(i, i)) != 0]
+
+
+@st.composite
+def _sparse_int_matrices(draw):
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    seed = draw(st.integers(0, 2 ** 32))
+    rng = random.Random(seed)
+    if draw(st.booleans()) and rows == cols:
+        # P * D * Q with a chain of units and torsion on the diagonal
+        diag = [[0] * cols for _ in range(rows)]
+        e = 1
+        for i in range(rng.randint(0, rows)):
+            e *= rng.choice((1, 1, 1, 2, 3))
+            diag[i][i] = e
+        p, _ = _unimodular_pair(rows, seed)
+        _, q = _unimodular_pair(cols, seed + 1)
+        m = _matmul(_matmul(p, diag, rows, rows, cols), q, rows, cols, cols)
+    else:
+        values = (1, -1, 1, -1, 2, -2, 3, 4, -6, 12)
+        density = draw(st.sampled_from((0.1, 0.3, 0.6)))
+        m = [[rng.choice(values) if rng.random() < density else 0 for _ in range(cols)]
+             for _ in range(rows)]
+    for i in range(rows):  # zero rows
+        if rng.random() < 0.15:
+            m[i] = [0] * cols
+    for j in range(cols):  # zero columns
+        if rng.random() < 0.15:
+            for row in m:
+                row[j] = 0
+    return ExactMatrix(Z, rows, cols, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_int_matrices())
+def test_invariant_factors_match_the_smith_diagonal(m):
+    facs = invariant_factors(m)
+    assert facs == _snf_diagonal(m)
+    assert all(type(f) is int for f in facs)
+    assert rank(m) == len(facs) == rank(m.change_ring(Q))
+
+
+def test_invariant_factors_send_only_the_non_unit_core_to_the_smith_form(monkeypatch):
+    from mctwist import exactlinalg
+    seen = []
+    snf = exactlinalg.smith_normal_form
+    monkeypatch.setattr(exactlinalg, "smith_normal_form",
+                        lambda m: seen.append((m.rows, m.cols)) or snf(m))
+    # a unimodular matrix contracts completely
+    assert invariant_factors(ExactMatrix.from_rows(Z, [[2, 1], [1, 1]])) == [1, 1]
+    assert seen == []
+    # (0, 0) is a unit pivot; what is left is [[2, 4], [6, 8]]
+    m = ExactMatrix.from_rows(Z, [[1, 5, 7], [0, 2, 4], [0, 6, 8], [3, 15, 21]])
+    assert invariant_factors(m) == [1, 2, 4]
+    assert seen == [(2, 2)]
+    assert _snf_diagonal(m) == [1, 2, 4]
+    with pytest.raises(ExactLinalgError, match="requires the ring Z"):
+        invariant_factors(ExactMatrix.identity(Q, 2))
+
+
+def _rp2():
+    # the six-vertex real projective plane
+    return [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+            (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
+
+
+def _klein(n, m):
+    # n x m squares, each cut into four triangles around its centre, with
+    # (0, y) ~ (n, y) and (x, 0) ~ (n - x, m)
+    def corner(x, y):
+        if y == m:
+            x, y = n - x, 0
+        return (x % n, y)
+    names, tris = {}, []
+    for i in range(n):
+        for j in range(m):
+            a, b, c, d = corner(i, j), corner(i + 1, j), corner(i + 1, j + 1), corner(i, j + 1)
+            z = ("c", i, j)
+            tris += [(a, b, z), (b, c, z), (c, d, z), (d, a, z)]
+    for t in tris:
+        for v in t:
+            names.setdefault(v, len(names))
+    return [tuple(sorted(names[v] for v in t)) for t in tris]
+
+
+def _differentials(spec):
+    return [spec.d(k) for k in sorted(spec.dims)]
+
+
+def _local_system_differentials(base, rank_, edges):
+    from mctwist.dgcore import GradedModule
+    from mctwist.simplicial import LocalSystem, twisted_system
+    v = GradedModule(Z, [(("v", i), 0) for i in range(rank_)])
+    return _differentials(twisted_system(LocalSystem(base, v, edges)).module().complex())
+
+
+def _spaces_with_torsion():
+    from mctwist.simplicial import circle, cochain_algebra, from_ordered_complex, product
+    rot = ExactMatrix.from_rows(Z, [[0, -1], [1, 0]])
+    sign = ExactMatrix.from_rows(Z, [[-1]])
+    out = {}
+    for name, base in (("circle5", circle(5)), ("torus3x4", product(circle(3), circle(4))),
+                       ("rp2", from_ordered_complex(range(6), _rp2())),
+                       ("klein3x3", from_ordered_complex(range(18), _klein(3, 3)))):
+        out[name] = _differentials(cochain_algebra(base, Z).complex())
+    c4 = circle(4)
+    out["circle4-rot"] = _local_system_differentials(c4, 2, {c4.nondegenerate(1)[0]: rot})
+    x = circle(3)
+    t = product(x, circle(3))
+    seam = x.nondegenerate(1)[0]
+    for name, mono in (("torus3x3-rot", rot), ("torus3x3-sign", sign)):
+        # pulled back along the projection to the first circle
+        edges = {e: mono for e in t.nondegenerate(1) if e[0] == seam and e[1] == (0, 1)}
+        out[name] = _local_system_differentials(t, mono.rows, edges)
+    return out
+
+
+def test_invariant_factors_of_differentials_match_the_smith_diagonal():
+    for name, differentials in _spaces_with_torsion().items():
+        for d in differentials:
+            assert invariant_factors(d) == _snf_diagonal(d), name
+
+
+def test_torsion_of_rp2_and_klein_bottle():
+    from mctwist.simplicial import cochain_algebra, from_ordered_complex
+    for tris, h1 in ((_rp2(), 0), (_klein(3, 3), 1)):
+        vertices = range(max(v for t in tris for v in t) + 1)
+        rep = cochain_algebra(from_ordered_complex(vertices, tris), Z).cohomology()
+        assert rep == CohomologyReport(Z, [(0, 1, ()), (1, h1, ()), (2, 0, (2,))])
+
+
+def test_invariant_factors_of_the_three_torus_4x4x3():
+    from mctwist.simplicial import circle, cochain_algebra, product
+    spec = cochain_algebra(product(product(circle(4), circle(4)), circle(3)), Z).complex()
+    assert sum(spec.dims.values()) == 1248
+    for d in _differentials(spec):
+        assert invariant_factors(d) == _snf_diagonal(d)
+
+
+def test_smith_normal_form_only_where_its_transforms_are_read():
+    """U and V are what a full Smith form costs over invariant factors:
+    kernels, solves and inverses read them; invariant_factors calls it once,
+    on its non-unit core."""
+    call = re.compile(r"(?<![\w.])smith_normal_form\(")
+    unpack = re.compile(r"(\w+), \w+, (\w+) = $")
+    assert call.search("    u, d, v = smith_normal_form(a)")
+    assert not call.search("x = exactlinalg.smith_normal_form(m)")
+    assert unpack.search("    _, d, v = ").groups() == ("_", "v")
+    sources = sorted((Path(__file__).resolve().parent.parent / "src" / "mctwist").glob("*.py"))
+    assert sources
+    core, bad = [], []
+    for path in sources:
+        text = path.read_text()
+        for hit in call.finditer(text):
+            head = text[text.rfind("\n", 0, hit.start()) + 1:hit.start()]
+            if head.lstrip().startswith("def "):
+                continue
+            where = "%s:%d" % (path.name, text.count("\n", 0, hit.start()) + 1)
+            function = re.findall(r"^def (\w+)", text[:hit.start()], re.M)[-1]
+            targets = unpack.search(head)
+            if (path.name, function) == ("exactlinalg.py", "invariant_factors"):
+                core.append(where)
+            elif targets is None or targets.groups() == ("_", "_"):
+                bad.append(where)
+    assert not bad, "U or V unread: %s" % ", ".join(bad)
+    assert len(core) == 1

@@ -432,3 +432,21 @@ def test_one_pexp_job_is_one_transport_solve(tmp_path, capsys, monkeypatch):
     assert cli.main(["holonomy", "--mode", "pexp", str(path)]) == 0
     assert "halving_difference" in capsys.readouterr().out
     assert len(calls) == 1 and calls[0]["coarse"] is not None
+
+
+def test_transport_past_the_square_of_the_largest_float():
+    # the residual bound squares the largest transport value: past about
+    # 1.34e154 that square is no float, and it raised OverflowError
+    big = SampledMatrixPath(np.tile(4e12 * np.eye(2), (9, 1, 1)))
+    path, report = solve_transport(big)
+    assert 1e186 < path.values[-1][0, 0] < np.inf
+    assert report["flagged"] is False and report["endpoint_condition_number"] == 1.0
+    # a nilpotent y: the transport [[1, c], [0, 1]] is finite, its condition
+    # number is not, and a non-finite condition number is refused
+    for c in (1.4e154, 1e200):
+        nil = SampledMatrixPath(np.tile([[0.0, c], [0.0, 0.0]], (9, 1, 1)))
+        with pytest.raises(HolonomyError, match="non-finite endpoint condition number"):
+            solve_transport(nil)
+    path, report = solve_transport(SampledMatrixPath(np.tile([[0.0, 1.34e154], [0.0, 0.0]],
+                                                             (9, 1, 1))))
+    assert np.isfinite(report["endpoint_condition_number"])
