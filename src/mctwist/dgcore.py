@@ -297,24 +297,15 @@ class DgAlgebra:
 
 
 def complex_of(ring: Ring, gm: GradedModule, diff: dict) -> ChainComplexSpec:
-    """Assemble the per-degree matrices of a differential on a graded basis."""
+    """Assemble the per-degree matrices of a normalised differential table."""
     degrees = gm.degrees()
     dims = {d: len(gm.labels_of_degree(d)) for d in degrees}
-    index = {}
-    for d in degrees:
-        for i, l in enumerate(gm.labels_of_degree(d)):
-            index[l] = i
     maps = {}
     for d in degrees:
-        rows = dims.get(d + 1, 0)
-        cols = dims[d]
-        if rows == 0 or cols == 0:
-            continue
-        m = ExactMatrix.zeros(ring, rows, cols)
-        for j, l in enumerate(gm.labels_of_degree(d)):
-            for r, c in diff.get(l, {}).items():
-                m.set_entry(index[r], j, ring.coerce(c))
-        maps[d] = m
+        dst = gm.labels_of_degree(d + 1)
+        if dst:
+            maps[d] = ExactMatrix.from_columns(
+                ring, [diff.get(l, {}) for l in gm.labels_of_degree(d)], dst)
     return ChainComplexSpec(ring, dims, maps)
 
 
@@ -745,10 +736,7 @@ class HomComplex:
                         rhs = {j: act_n[(s, al)][t] for s, j in targets if t in act_n[(s, al)]}
                         if lhs or rhs:
                             eqs.append(ring.axpy(lhs, -1, rhs))
-            mat = ExactMatrix.zeros(ring, len(eqs), len(pairs))
-            for i, row in enumerate(eqs):
-                for j, c in row.items():
-                    mat.set_entry(i, j, c)
+            mat = ExactMatrix.from_columns(ring, eqs, range(len(pairs))).transpose()
             basis = []
             for vec in kernel_basis(mat):
                 f = {}
@@ -810,20 +798,13 @@ class HomComplex:
 
     def _coords(self, f: dict, degree: int) -> dict:
         """Coordinates of a raw map in the computed degree basis."""
-        ring = self.ring
-        basis = self._basis.get(degree, [])
+        def flat(g):  # a raw map as a vector over the pairs
+            return {(ml, nl): c for ml, img in g.items() for nl, c in img.items()}
+
         pairs = self._pairs_of_degree(degree)
-        index = {p: i for i, p in enumerate(pairs)}
-        mat = ExactMatrix.zeros(ring, len(pairs), len(basis))
-        for j, b in enumerate(basis):
-            for ml, img in b.items():
-                for nl, c in img.items():
-                    mat.set_entry(index[(ml, nl)], j, c)
-        target = [ring.zero()] * len(pairs)
-        for ml, img in f.items():
-            for nl, c in img.items():
-                target[index[(ml, nl)]] = c
-        sol = solve_linear(mat, target)
+        basis = [flat(b) for b in self._basis.get(degree, [])]
+        sol = solve_linear(ExactMatrix.from_columns(self.ring, basis, pairs),
+                           ExactMatrix.from_columns(self.ring, [flat(f)], pairs))
         if sol is None:
             raise DgError("map does not lie in the computed Hom space")
         return {j: c for j, c in enumerate(sol[0]) if c != 0}

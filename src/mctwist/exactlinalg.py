@@ -25,6 +25,12 @@ factors of d_{k-1}.  Over Z, :func:`invariant_factors` contracts the +-1
 pivots of a differential and runs the Smith form, with its U and V, only
 on the non-unit core that is left, which is usually empty; the kernels and
 solves that read U or V call :func:`smith_normal_form` themselves.
+
+The package builds every matrix of a labelled linear map one way: from its
+sparse columns, ``{row label: scalar}`` dicts, by
+:meth:`ExactMatrix.from_columns`; a system of equations keyed by label is
+solved by :func:`solve_equations`.  No module outside this one mutates a
+matrix after it is built.
 """
 
 from __future__ import annotations
@@ -253,6 +259,12 @@ class ExactMatrix:
     zeros are never stored, whatever the shape.  :meth:`nonzero_items`
     yields the entries row-major with ascending columns.  Instances are
     treated as immutable by every public operation.
+
+    The package builds its matrices from sparse labelled columns with
+    :meth:`from_columns` (a matrix built by rows is the transpose of one
+    built from those rows as columns); the dense constructor,
+    :meth:`from_rows` and :meth:`set_entry` serve the dense JSON format and
+    the tests, and no module outside this one mutates a matrix.
     """
 
     def __init__(self, ring: Ring, rows: int, cols: int, entries=None):
@@ -283,6 +295,31 @@ class ExactMatrix:
         rows = len(entries)
         cols = len(entries[0]) if rows else 0
         return ExactMatrix(ring, rows, cols, entries)
+
+    @staticmethod
+    def from_columns(ring: Ring, columns, dst) -> "ExactMatrix":
+        """The matrix whose column j is ``columns[j]``, a dict {row label: scalar}.
+
+        Rows follow the order of the distinct labels ``dst``; the scalars
+        must be in the ring already, zeros are not stored and a label outside
+        ``dst`` raises, whatever its scalar.
+
+        >>> ExactMatrix.from_columns(Ring.Z(), [{"b": 2}, {}, {"a": 1, "b": 0}],
+        ...                          ["a", "b"]).row_list(1)
+        [2, 0, 0]
+        """
+        index = {l: i for i, l in enumerate(dst)}
+        data = [{} for _ in index]
+        try:
+            for j, col in enumerate(columns):
+                for l, v in col.items():
+                    i = index[l]
+                    if v:
+                        data[i][j] = v
+        except KeyError as exc:
+            raise ExactLinalgError("column %d has a term off the rows: %r"
+                                   % (j, exc.args[0])) from None
+        return ExactMatrix._of_rows(ring, len(columns), data)
 
     @staticmethod
     def zeros(ring: Ring, rows: int, cols: int) -> "ExactMatrix":
@@ -685,12 +722,8 @@ def solve_linear(a: ExactMatrix, b):
         raise ExactLinalgError("dimension mismatch: %d rows vs %d entries" % (a.rows, len(b)))
     ring = a.ring
     if ring.is_field:
-        aug = ExactMatrix(ring, a.rows, a.cols + 1)
-        for (i, j), v in a.nonzero_items():
-            aug.set_entry(i, j, v)
-        for i, v in enumerate(b):
-            aug.set_entry(i, a.cols, v)
-        r, pivots = rref(aug)
+        r, pivots = rref(ExactMatrix._of_rows(ring, a.cols + 1, [
+            {**row, a.cols: v} if v else dict(row) for row, v in zip(a._data, b)]))
         if a.cols in pivots:
             return None
         x = [ring.zero()] * a.cols
@@ -714,6 +747,24 @@ def solve_linear(a: ExactMatrix, b):
             y[i] = q
     x = [sum(c * y[k] for k, c in row.items()) for row in v._data]
     return x, _snf_kernel(d, v)
+
+
+def solve_equations(ring: Ring, ncols: int, rows: dict, rhs: dict):
+    """Solve equations keyed by label; return a particular solution or None.
+
+    ``rows`` maps an equation key to its row {unknown index: scalar} and
+    ``rhs`` maps a key to its right-hand side; a key missing from either is
+    a zero row or a zero right-hand side.  The equations are ordered by
+    ``str`` of their keys, which fixes the solution :func:`solve_linear`
+    picks, over Z in particular.
+
+    >>> solve_equations(Ring.Q(), 2, {"x": {0: 1}, "y": {0: 1, 1: 2}}, {"y": 1})
+    [0, Fraction(1, 2)]
+    """
+    keys = sorted(set(rows) | set(rhs), key=str)
+    a = ExactMatrix.from_columns(ring, [rows.get(k, {}) for k in keys], range(ncols))
+    sol = solve_linear(a.transpose(), [rhs.get(k, 0) for k in keys])
+    return None if sol is None else sol[0]
 
 
 # -- cohomology of complexes -----------------------------------------------------------

@@ -326,9 +326,12 @@ def gauge_from_homotopy(xs: np.ndarray, ys: np.ndarray, endpoint_tol: float = EN
     x0 = CircleForm(xs[0])
     transported = gauge_transform_circle(g, x0)
     err = float(np.max(np.abs(xs[-1] - transported)))
+    cond = float(np.max(np.linalg.cond(g)))
+    if not math.isfinite(cond):
+        raise HolonomyError("non-finite gauge condition number")
     report = {
         "endpoint_error": err,
         "consistent": bool(err <= endpoint_tol),
-        "gauge_condition_number": float(np.max(np.linalg.cond(g))),
+        "gauge_condition_number": cond,
     }
     return g, report

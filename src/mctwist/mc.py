@@ -42,6 +42,7 @@ from .exactlinalg import (
     cohomology,
     kernel_basis,
     rref,
+    solve_equations,
     solve_linear,
 )
 
@@ -177,18 +178,11 @@ def algebra_inverse(a: DgAlgebra, g) -> Element | None:
     if not g.is_homogeneous(0):
         return None
     ring = a.ring
-    deg0 = list(a.gm.labels_of_degree(0))
-    index = {l: i for i, l in enumerate(deg0)}
-    # solve g * h = 1 with h supported in degree 0
-    mat = ExactMatrix.zeros(ring, len(deg0), len(deg0))
-    for j, l in enumerate(deg0):
-        prod = a.mul_dicts(g.coeffs, {l: ring.one()})
-        for r, c in prod.items():
-            if r not in index:
-                return None
-            mat.set_entry(index[r], j, c)
-    target = [a.unit.get(l, ring.zero()) for l in deg0]
-    sol = solve_linear(mat, target)
+    deg0 = a.gm.labels_of_degree(0)
+    # solve g * h = 1 with h supported in degree 0, where g * l lies
+    mat = ExactMatrix.from_columns(ring, [a.mul_dicts(g.coeffs, {l: ring.one()}) for l in deg0],
+                                   deg0)
+    sol = solve_linear(mat, [a.unit.get(l, ring.zero()) for l in deg0])
     if sol is None:
         return None
     h = Element(a, {deg0[i]: c for i, c in enumerate(sol[0]) if c != 0})
@@ -321,15 +315,9 @@ class TwistedModule:
 
 def _degree_matrix(m: DgModule, deg: int) -> tuple:
     """(matrix of d: M^deg -> M^{deg+1}, source labels, target labels)."""
-    src = list(m.gm.labels_of_degree(deg))
-    dst = list(m.gm.labels_of_degree(deg + 1))
-    ring = m.ring
-    mat = ExactMatrix.zeros(ring, len(dst), len(src))
-    ix = {l: i for i, l in enumerate(dst)}
-    for j, l in enumerate(src):
-        for r, c in m.diff.get(l, {}).items():
-            mat.set_entry(ix[r], j, c)
-    return mat, src, dst
+    src = m.gm.labels_of_degree(deg)
+    dst = m.gm.labels_of_degree(deg + 1)
+    return ExactMatrix.from_columns(m.ring, [m.diff.get(l, {}) for l in src], dst), src, dst
 
 
 def closed_degree_zero(a: DgAlgebra, x: MCElement, y: MCElement):
@@ -483,16 +471,9 @@ def _solve_homotopy_given_g(a: DgAlgebra, x: MCElement, y: MCElement, g: Element
             set_term(("c4", r), uix[("wy", l)], ring.neg(c))
     rhs = {(eq, r): c for eq in ("c3", "c4") for r, c in a.unit.items()}
 
-    eqkeys = sorted(set(rows) | set(rhs), key=str)
-    mat = ExactMatrix.zeros(ring, len(eqkeys), len(unknowns))
-    for i, k in enumerate(eqkeys):
-        for j, c in rows.get(k, {}).items():
-            mat.set_entry(i, j, c)
-    target = [rhs.get(k, ring.zero()) for k in eqkeys]
-    sol = solve_linear(mat, target)
-    if sol is None:
+    vals = solve_equations(ring, len(unknowns), rows, rhs)
+    if vals is None:
         return None
-    vals = sol[0]
     h = Element(a, {l: vals[uix[("h", l)]] for l in deg0
                     if vals[uix[("h", l)]] != 0})
     wx = Element(a, {l: vals[uix[("wx", l)]] for l in degm1
@@ -523,7 +504,7 @@ class H0Category:
         self.xs = list(xs)
         self.ring = a.ring
         self.reps = {}       # (i, j) -> list of coefficient dicts
-        self._exact = {}     # (i, j) -> list of coefficient dicts spanning exact part
+        self._exact = {}     # (i, j) -> coefficient dicts spanning the exact part
         self._src = {}
         n = len(self.xs)
         for i in range(n):
@@ -534,25 +515,13 @@ class H0Category:
     def _compute(self, i, j):
         hm = hom_twist(self.a, self.xs[i], self.xs[j])
         mat0, src, _ = _degree_matrix(hm, 0)
-        matm1, srcm1, dst0 = _degree_matrix(hm, -1)
-        closed = kernel_basis(mat0)
-        ring = self.ring
-        ix = {l: k for k, l in enumerate(src)}
-        exact_vecs = []
-        for l in srcm1:
-            img = hm.diff.get(l, {})
-            vec = [ring.zero()] * len(src)
-            for r, c in img.items():
-                vec[ix[r]] = c
-            exact_vecs.append(vec)
+        closed = [{src[k]: c for k, c in enumerate(v) if c != 0} for v in kernel_basis(mat0)]
+        exact = [hm.diff.get(l, {}) for l in hm.gm.labels_of_degree(-1)]
         # representatives: closed vectors independent modulo the exact span,
         # the pivot columns of rref([exact | closed]) among the closed ones
-        cands = exact_vecs + closed
-        _, pivots = rref(ExactMatrix(ring, len(cands), len(src), cands).transpose())
-        basis = [closed[c - len(exact_vecs)] for c in pivots if c >= len(exact_vecs)]
-        self.reps[(i, j)] = [
-            {src[k]: c for k, c in enumerate(v) if c != 0} for v in basis]
-        self._exact[(i, j)] = exact_vecs
+        _, pivots = rref(ExactMatrix.from_columns(self.ring, exact + closed, src))
+        self.reps[(i, j)] = [closed[c - len(exact)] for c in pivots if c >= len(exact)]
+        self._exact[(i, j)] = exact
         self._src[(i, j)] = src
 
     def h0_dim(self, i, j) -> int:
@@ -560,19 +529,10 @@ class H0Category:
 
     def class_coordinates(self, i, j, element: Element):
         """Coordinates of a closed degree-0 element in the H^0 basis."""
-        ring = self.ring
         src = self._src[(i, j)]
         reps = self.reps[(i, j)]
-        exact = self._exact[(i, j)]
-        cols = []
-        for rep in reps:
-            cols.append([rep.get(l, ring.zero()) for l in src])
-        for v in exact:
-            cols.append(list(v))
-        mat = ExactMatrix(ring, len(src), len(cols),
-                          [[cols[c][r] for c in range(len(cols))] for r in range(len(src))])
-        target = [element.coeffs.get(l, ring.zero()) for l in src]
-        sol = solve_linear(mat, target)
+        mat = ExactMatrix.from_columns(self.ring, reps + self._exact[(i, j)], src)
+        sol = solve_linear(mat, [element.coeffs.get(l, 0) for l in src])
         if sol is None:
             raise MCError("element is not closed of degree 0 in this hom twist")
         return sol[0][:len(reps)]

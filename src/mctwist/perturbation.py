@@ -21,7 +21,7 @@ sum E_{src -> dst} (x) a, composed with the Koszul sign
 from __future__ import annotations
 
 from .dgcore import DgAlgebra, GradedModule, endomorphism_dga
-from .exactlinalg import ExactMatrix, Ring, kernel_basis, rref, solve_linear
+from .exactlinalg import ExactMatrix, Ring, kernel_basis, rref, solve_equations, solve_linear
 from .mc import MCElement, TwistedModule
 
 
@@ -248,6 +248,14 @@ class HodgeData:
         self.harmonic_basis = harmonic_basis  # list of (new label, vector over V)
 
 
+def _by_source(ring: Ring, entries: dict) -> dict:
+    # operator entries {(u, w): c} as columns {u: {w: c}}, coerced
+    out = {}
+    for (u, w), c in entries.items():
+        out.setdefault(u, {})[w] = ring.coerce(c)
+    return out
+
+
 def hodge_data(v: GradedModule, d0_entries: dict) -> HodgeData:
     """Split (V, d0) over a field into harmonic, exact and coexact parts.
 
@@ -265,52 +273,37 @@ def hodge_data(v: GradedModule, d0_entries: dict) -> HodgeData:
     ring = v.ring
     if not ring.is_field:
         raise PerturbationError("Hodge decompositions need field coefficients")
-    labels = list(v.labels)
-    ix = {l: i for i, l in enumerate(labels)}
-    n = len(labels)
-    d0 = ExactMatrix.zeros(ring, n, n)
-    for (u, w), c in d0_entries.items():
-        d0.set_entry(ix[w], ix[u], ring.coerce(c))
+    d0 = _by_source(ring, d0_entries)
 
-    def block(deg):
-        src = list(v.labels_of_degree(deg))
-        dst = list(v.labels_of_degree(deg + 1))
-        m = ExactMatrix(ring, len(dst), len(src),
-                        [[d0.get(ix[w], ix[u]) for u in src] for w in dst])
-        return m, src, dst
+    def columns(deg):
+        # d0 on the labels of degree deg, its terms in degree deg + 1 only
+        return [{w: c for w, c in d0.get(u, {}).items() if v.degree[w] == deg + 1}
+                for u in v.labels_of_degree(deg)]
 
     s_mat = {}
     t_mat = {}
     harmonic_basis = []
     for deg in v.degrees():
-        bmat, src, dst = block(deg)
-        prev, psrc, pdst = block(deg - 1)
-        assert pdst == src
-        ker = kernel_basis(bmat)
-        nloc, p, nk = len(src), len(psrc), len(ker)
-        prev_t, one = prev.transpose(), ExactMatrix.identity(ring, nloc)
-        cands = ([prev_t.row_list(j) for j in range(p)] + ker
-                 + [one.row_list(j) for j in range(nloc)])
-        r, pivots = rref(ExactMatrix(ring, len(cands), nloc, cands).transpose())
+        src = v.labels_of_degree(deg)
+        ker = [{src[i]: c for i, c in enumerate(vec) if c} for vec in kernel_basis(
+            ExactMatrix.from_columns(ring, columns(deg), v.labels_of_degree(deg + 1)))]
+        psrc, image = v.labels_of_degree(deg - 1), columns(deg - 1)
+        p, nk = len(image), len(ker)
+        r, pivots = rref(ExactMatrix.from_columns(
+            ring, image + ker + [{l: ring.one()} for l in src], src))
         pre = [psrc[c] for c in pivots if c < p]
         harmonic = [ker[c - p] for c in pivots if p <= c < p + nk]
         ni, nh = len(pre), len(harmonic)
-        # zero coordinates and entries would leave t, its key order included,
-        # as it is: axpy rewrites a key with its own value or pops an absent one
-        sparse = [[(w, c) for w, c in zip(src, vec) if c] for vec in harmonic]
         for j, l in enumerate(src):
             # rows 0..ni-1 of r are image coordinates, the next nh harmonic
             coords = [r.get(i, p + nk + j) for i in range(ni + nh)]
-            for c, vec in zip(coords[ni:], sparse):
+            for c, vec in zip(coords[ni:], harmonic):
                 if c:
-                    ring.axpy(t_mat, c, {(l, w): e for w, e in vec})
+                    ring.axpy(t_mat, c, {(l, w): e for w, e in vec.items()})
             # the keys (l, pre[k]) are new to s_mat: its entries are set once
             s_mat.update(((l, pre[k]), c) for k, c in enumerate(coords[:ni]) if c != 0)
-        for k, vec in enumerate(harmonic):
-            full_vec = [ring.zero()] * n
-            for i, c in enumerate(vec):
-                full_vec[ix[src[i]]] = c
-            harmonic_basis.append((("h", deg, k), full_vec))
+        harmonic_basis += [(("h", deg, k), [vec.get(l, ring.zero()) for l in v.labels])
+                           for k, vec in enumerate(harmonic)]
     return HodgeData(s_mat, t_mat, harmonic_basis)
 
 
@@ -419,13 +412,12 @@ def _vector_degree(v: GradedModule, vec) -> int:
 def _projection_entries(ring, v: GradedModule, hg: GradedModule, h: HodgeData) -> dict:
     # p = coordinates on the harmonic part: p(e_j) = coefficients of t(e_j)
     # in the harmonic basis, read off rref([harmonic basis | t(e_0) ... t(e_n-1)])
-    ix = {l: i for i, l in enumerate(v.labels)}
-    n, nh = len(ix), len(h.harmonic_basis)
-    tcols = [[ring.zero()] * n for _ in range(n)]
+    nh = len(h.harmonic_basis)
+    tcols = {l: {} for l in v.labels}
     for (src, dst), c in h.t.items():
-        tcols[ix[src]][ix[dst]] = c
-    cands = [vec for _, vec in h.harmonic_basis] + tcols
-    r, pivots = rref(ExactMatrix(ring, nh + n, n, cands).transpose())
+        tcols[src][dst] = c
+    cands = [dict(zip(v.labels, vec)) for _, vec in h.harmonic_basis]
+    r, pivots = rref(ExactMatrix.from_columns(ring, cands + list(tcols.values()), v.labels))
     if any(c >= nh for c in pivots):
         raise PerturbationError("projection does not land in the harmonic part")
     out = {}
@@ -489,16 +481,10 @@ def _invert_weight_zero(a: DgAlgebra, f0: ConvOp, vsrc: GradedModule, vdst: Grad
                 rows.setdefault((side, k), {})[col] = c
     rhs = {("fg", k): c for k, c in ConvOp.identity(a, vdst).coeffs.items()}
     rhs.update((("gf", k), c) for k, c in ConvOp.identity(a, vsrc).coeffs.items())
-    eqkeys = sorted(set(rows) | set(rhs), key=str)
-    mat = ExactMatrix.zeros(ring, len(eqkeys), len(unknowns))
-    for i, k in enumerate(eqkeys):
-        for j, c in rows.get(k, {}).items():
-            mat.set_entry(i, j, c)
-    target = [rhs.get(k, ring.zero()) for k in eqkeys]
-    sol = solve_linear(mat, target)
+    sol = solve_equations(ring, len(unknowns), rows, rhs)
     if sol is None:
         return None
-    coeffs = {unknowns[i]: c for i, c in enumerate(sol[0]) if c != 0}
+    coeffs = {unknowns[i]: c for i, c in enumerate(sol) if c != 0}
     return ConvOp(a, vdst, vsrc, coeffs)
 
 
@@ -575,17 +561,10 @@ def _solve_commutator(a: DgAlgebra, w_gm: GradedModule, d_w: ConvOp,
         br = d_w.compose(probe) + probe.compose(d_w)
         for rkey, c in br.coeffs.items():
             rows.setdefault(rkey, {})[col] = c
-    eqkeys = sorted(set(rows) | set(target.coeffs), key=str)
-    mat = ExactMatrix.zeros(ring, len(eqkeys), len(unknown_keys))
-    for i, k in enumerate(eqkeys):
-        for j, c in rows.get(k, {}).items():
-            mat.set_entry(i, j, c)
-    tvec = [target.coeffs.get(k, ring.zero()) for k in eqkeys]
-    sol = solve_linear(mat, tvec)
+    sol = solve_equations(ring, len(unknown_keys), rows, target.coeffs)
     if sol is None:
         return None
-    return ConvOp(a, w_gm, w_gm,
-                  {unknown_keys[i]: c for i, c in enumerate(sol[0]) if c != 0})
+    return ConvOp(a, w_gm, w_gm, {unknown_keys[i]: c for i, c in enumerate(sol) if c != 0})
 
 
 # ---------------------------------------------------------------------------
@@ -604,31 +583,18 @@ def truncate_twisted(rtm: ReducedTwistedModule, i: int):
     a = rtm.algebra
     ring = a.ring
     v = rtm.v
-    degrees = sorted({v.degree[l] for l in v.labels})
-    labels = list(v.labels)
-    ix = {l: k for k, l in enumerate(labels)}
-    n = len(labels)
-    d0 = ExactMatrix.zeros(ring, n, n)
-    for (u, w), c in rtm.d0.items():
-        d0.set_entry(ix[w], ix[u], ring.coerce(c))
-    new_vectors = []  # (label, degree, vector over V)
-    for deg in degrees:
+    d0 = _by_source(ring, rtm.d0)
+    new_vectors = []  # (label, degree, vector over V as {label: c})
+    for deg in v.degrees():
         if deg < i:
             for l in v.labels_of_degree(deg):
-                vec = [ring.zero()] * n
-                vec[ix[l]] = ring.one()
-                new_vectors.append((("t", l), deg, vec))
+                new_vectors.append((("t", l), deg, {l: ring.one()}))
         elif deg == i:
-            cols = list(v.labels_of_degree(deg))
-            if not cols:
-                continue
-            sub = ExactMatrix(ring, n, len(cols),
-                              [[d0.get(r, ix[c]) for c in cols] for r in range(n)])
+            cols = v.labels_of_degree(deg)
+            sub = ExactMatrix.from_columns(ring, [d0.get(c, {}) for c in cols], v.labels)
             for k, kv in enumerate(kernel_basis(sub)):
-                vec = [ring.zero()] * n
-                for ci, c in enumerate(kv):
-                    vec[ix[cols[ci]]] = c
-                new_vectors.append((("ker", i, k), deg, vec))
+                new_vectors.append((("ker", i, k), deg,
+                                    {cols[ci]: c for ci, c in enumerate(kv) if c != 0}))
     if not new_vectors:
         vgm = GradedModule(ring, [])
         end = endomorphism_dga(a, vgm)
@@ -636,26 +602,19 @@ def truncate_twisted(rtm: ReducedTwistedModule, i: int):
         return TwistedModule(vgm, a, zero_mc(end), end_dga=end,
                              name="tau_<=%d (zero)" % i), ConvOp(a, vgm, v)
     vgm = GradedModule(ring, [(lbl, deg) for lbl, deg, _ in new_vectors])
-    inc_entries = {}
-    for lbl, _, vec in new_vectors:
-        for k, c in enumerate(vec):
-            if c != 0:
-                inc_entries[(lbl, labels[k])] = c
-    inc = ConvOp.from_matrix(a, vgm, v, inc_entries)
+    inc = ConvOp.from_matrix(a, vgm, v, {(lbl, w): c for lbl, _, vec in new_vectors
+                                         for w, c in vec.items()})
     # restricted twisting: solve x o inc = inc o x' for x'
     x = ConvOp.from_mc(rtm.tw.mc, a, v)
     ximg = x.compose(inc)
-    basis_mat = ExactMatrix(ring, n, len(new_vectors),
-                            [[new_vectors[c][2][r] for c in range(len(new_vectors))]
-                             for r in range(n)])
+    basis_mat = ExactMatrix.from_columns(ring, [vec for _, _, vec in new_vectors], v.labels)
     xprime = {}
     # group image terms by (source new label, algebra label) and solve
     grouped = {}
     for (u, w, al), c in ximg.coeffs.items():
         grouped.setdefault((u, al), {})[w] = c
     for (u, al), img in grouped.items():
-        tvec = [img.get(l, ring.zero()) for l in labels]
-        sol = solve_linear(basis_mat, tvec)
+        sol = solve_linear(basis_mat, [img.get(l, 0) for l in v.labels])
         if sol is None:
             raise PerturbationError("twisting does not preserve the truncation")
         for k, c in enumerate(sol[0]):

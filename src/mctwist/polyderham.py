@@ -127,16 +127,11 @@ def hom_solutions(x: MatrixPoly, y: MatrixPoly, cap: int):
                     if 0 <= m - k <= cap:
                         ring.axpy(row, -1, {uix(m - k, i, l): c
                                             for l, c in enumerate(xtm.row_list(j)) if c})
-                rows.append([row.get(u, 0) for u in range(n_unknowns)])
-    mat = ExactMatrix(ring, len(rows), n_unknowns, rows)
-    basis = []
-    for vec in kernel_basis(mat):
-        sol = []
-        for w in range(cap + 1):
-            sol.append(ExactMatrix(ring, n, n,
-                                   [[vec[uix(w, i, j)] for j in range(n)]
-                                    for i in range(n)]))
-        basis.append(sol)
+                rows.append(row)
+    mat = ExactMatrix.from_columns(ring, rows, range(n_unknowns)).transpose()
+    basis = [[ExactMatrix.from_columns(ring, [{i: vec[uix(w, i, j)] for i in range(n)}
+                                              for j in range(n)], range(n))
+              for w in range(cap + 1)] for vec in kernel_basis(mat)]
     return basis, _leading_band_certificate(x, y, cap)
 
 
@@ -165,8 +160,8 @@ def _leading_band_certificate(x: MatrixPoly, y: MatrixPoly, cap: int) -> bool:
         for b in range(n):
             row = ring.axpy({i * n + b: c for i, c in enumerate(ys.row_list(a)) if c},
                             -1, {a * n + r: c for r, c in enumerate(xst.row_list(b)) if c})
-            rows.append([row.get(u, 0) for u in range(n * n)])
-    return len(kernel_basis(ExactMatrix(ring, n * n, n * n, rows))) == 0
+            rows.append(row)
+    return not kernel_basis(ExactMatrix.from_columns(ring, rows, range(n * n)).transpose())
 
 
 def hom_h0_dimension(x: MatrixPoly, y: MatrixPoly, cap: int):

@@ -594,15 +594,14 @@ def solve_invertibility(m: ExactMatrix):
     ring, n = m.ring, m.rows
     eye = ExactMatrix.identity(ring, n)
     if ring.is_field:
-        aug = ExactMatrix(ring, n, 2 * n)
+        cols = [{} for _ in range(n)] + [{i: ring.one()} for i in range(n)]
         for (i, j), v in m.nonzero_items():
-            aug.set_entry(i, j, v)
-        for i in range(n):
-            aug.set_entry(i, n + i, ring.one())
-        r, pivots = rref(aug)
+            cols[j][i] = v
+        r, pivots = rref(ExactMatrix.from_columns(ring, cols, range(n)))
         if pivots != list(range(n)):
             return None
-        inv = ExactMatrix(ring, n, n, [[r.get(i, n + j) for j in range(n)] for i in range(n)])
+        inv = ExactMatrix.from_columns(ring, [{i: r.get(i, n + j) for i in range(n)}
+                                              for j in range(n)], range(n))
     else:
         u, d, v = smith_normal_form(m)
         if d != eye:
@@ -655,23 +654,15 @@ def mc_to_rep(x, base: FiniteSimplicialSet, v: GradedModule) -> LocalSystem:
     still defines a twisted module but not a local system.
     """
     ring = v.ring
-    labels = list(v.labels)
-    ix = {l: i for i, l in enumerate(labels)}
-    n = v.dim
-    rows_of = {}  # edge -> the rows of 1 + f(edge)
+    cols_of = {}  # edge carrying an f -> the columns {u: (1 + f)(u)}
     for (tag, u, w, al), c in x.value.coeffs.items():
         if base.dim_of[al] != 1:
             raise SimplicialError("MC element is not concentrated on edges")
-        rows = rows_of.setdefault(al, [{i: ring.one()} for i in range(n)])
-        ring.axpy(rows[ix[w]], c, {ix[u]: 1})
-    for e in base.nondegenerate(1):
-        rows_of.setdefault(e, [{i: ring.one()} for i in range(n)])
-    per_edge = {e: ExactMatrix(ring, n, n, [[r.get(j, 0) for j in range(n)] for r in rows])
-                for e, rows in rows_of.items()}
-    for e in base.nondegenerate(1):
-        if solve_invertibility(per_edge[e]) is None:
-            raise SimplicialError("1 + f is not invertible on edge %r" % (e,))
-    return LocalSystem(base, v, per_edge)
+        cols = cols_of.setdefault(al, {l: {l: ring.one()} for l in v.labels})
+        ring.axpy(cols[u], c, {w: 1})
+    # LocalSystem puts the identity on the other edges and inverts these once
+    return LocalSystem(base, v, {e: ExactMatrix.from_columns(ring, list(cols.values()), v.labels)
+                                 for e, cols in cols_of.items()})
 
 
 def twisted_system(ls: LocalSystem):

@@ -390,6 +390,10 @@ BAD_HOLONOMY_INPUT = {
     # a nilpotent y: finite transport, an infinite endpoint condition number
     "nilpotent-1.4e154": (["--mode", "pexp", "y.csv"], {"y.csv": _rows(9, "0,1.4e154,0,0")}),
     "nilpotent-1e200": (["--mode", "pexp", "y.csv"], {"y.csv": _rows(9, "0,1e200,0,0")}),
+    # the same y on the circle: a finite gauge, an infinite condition number
+    "backward-nilpotent-1e200": (["--mode", "backward", "x.csv", "y.csv", "--grid", "8"],
+                                 {"x.csv": _rows(40, "0,0,0,0"),
+                                  "y.csv": _rows(40, "0,1e200,0,0")}),
 }
 
 
@@ -413,6 +417,11 @@ def test_holonomy_rejects_malformed_input_with_exit_one(case, tmp_path, capsys, 
 def test_holonomy_overflow_is_one_input_error_line(case, tmp_path, capsys):
     code, _, err = _run_bad_holonomy(case, tmp_path, capsys)
     assert (code, err) == (1, "input error: non-finite transport values\n")
+
+
+def test_holonomy_backward_infinite_condition_number_is_one_input_error_line(tmp_path, capsys):
+    code, out, err = _run_bad_holonomy("backward-nilpotent-1e200", tmp_path, capsys)
+    assert (code, out, err) == (1, "", "input error: non-finite gauge condition number\n")
 
 
 def test_holonomy_pexp_on_five_samples_skips_the_halving_estimate(tmp_path, capsys):

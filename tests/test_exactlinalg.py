@@ -20,6 +20,7 @@ from mctwist.exactlinalg import (
     rank,
     rref,
     smith_normal_form,
+    solve_equations,
     solve_linear,
 )
 
@@ -746,18 +747,26 @@ def test_sign_is_minus_one_to_the_k(ring):
         assert s == ring.coerce(Fraction(-1) ** k) and type(s) is int, k
 
 
+def _source_hits(pattern, skip=()):
+    """(file:line, file name, text, match) for each hit of ``pattern`` in the
+    package sources, the files named in ``skip`` left out."""
+    sources = sorted((Path(__file__).resolve().parent.parent / "src" / "mctwist").glob("*.py"))
+    assert sources
+    for path in sources:
+        if path.name in skip:
+            continue
+        text = path.read_text()
+        for hit in pattern.finditer(text):
+            where = "%s:%d" % (path.name, text.count("\n", 0, hit.start()) + 1)
+            yield where, path.name, text, hit
+
+
 def test_no_hand_written_accumulation_outside_ring_axpy():
     """``ring.add(d.get(k, ...), ...)`` is the loop that Ring.axpy replaces."""
     pattern = re.compile(r"ring\.(add|sub)\(\s*[a-z_]+\.get\(")
     assert pattern.search("out[k] = ring.add(out.get(k, ring.zero()), v)")
     assert pattern.search("m.set_entry(i, j, ring.add(m.get(i, j), c))")
-    sources = sorted((Path(__file__).resolve().parent.parent / "src" / "mctwist").glob("*.py"))
-    assert sources
-    bad = []
-    for path in sources:
-        text = path.read_text()
-        for hit in pattern.finditer(text):
-            bad.append("%s:%d" % (path.name, text.count("\n", 0, hit.start()) + 1))
+    bad = [where for where, *_ in _source_hits(pattern)]
     assert not bad, "accumulate through Ring.axpy: %s" % ", ".join(bad)
 
 
@@ -768,16 +777,21 @@ def test_no_bare_rank_call_outside_exactlinalg():
     assert pattern.search("if rank(ExactMatrix(ring, 2, 2, span)) > 1:")
     assert not pattern.search("entry = {'rank': rep.rank(d)}")
     assert not pattern.search("def minimal_rank(x):")
-    sources = sorted((Path(__file__).resolve().parent.parent / "src" / "mctwist").glob("*.py"))
-    assert sources
-    bad = []
-    for path in sources:
-        if path.name == "exactlinalg.py":
-            continue
-        text = path.read_text()
-        for hit in pattern.finditer(text):
-            bad.append("%s:%d" % (path.name, text.count("\n", 0, hit.start()) + 1))
+    bad = [where for where, *_ in _source_hits(pattern, skip=("exactlinalg.py",))]
     assert not bad, "choose independent vectors by one rref: %s" % ", ".join(bad)
+
+
+def test_matrices_are_built_from_columns_outside_exactlinalg():
+    """Outside exactlinalg (and io's dense JSON format) a matrix is built by
+    ExactMatrix.from_columns: no zero matrix filled by set_entry and no
+    dense list of lists through the constructor."""
+    pattern = re.compile(r"\.set_entry\(|(?<![\w.])ExactMatrix\(")
+    assert pattern.search("        aug.set_entry(i, n + i, ring.one())")
+    assert pattern.search("    mat = ExactMatrix(ring, len(rows), n, rows)")
+    assert not pattern.search("    mat = ExactMatrix.from_columns(ring, cols, dst)")
+    assert not pattern.search("def solve_invertibility(m: ExactMatrix):")
+    bad = [where for where, *_ in _source_hits(pattern, skip=("exactlinalg.py", "io.py"))]
+    assert not bad, "build the matrix with ExactMatrix.from_columns: %s" % ", ".join(bad)
 
 
 # -- invariant factors by unit-pivot contraction -----------------------------------
@@ -937,21 +951,112 @@ def test_smith_normal_form_only_where_its_transforms_are_read():
     assert call.search("    u, d, v = smith_normal_form(a)")
     assert not call.search("x = exactlinalg.smith_normal_form(m)")
     assert unpack.search("    _, d, v = ").groups() == ("_", "v")
-    sources = sorted((Path(__file__).resolve().parent.parent / "src" / "mctwist").glob("*.py"))
-    assert sources
     core, bad = [], []
-    for path in sources:
-        text = path.read_text()
-        for hit in call.finditer(text):
-            head = text[text.rfind("\n", 0, hit.start()) + 1:hit.start()]
-            if head.lstrip().startswith("def "):
-                continue
-            where = "%s:%d" % (path.name, text.count("\n", 0, hit.start()) + 1)
-            function = re.findall(r"^def (\w+)", text[:hit.start()], re.M)[-1]
-            targets = unpack.search(head)
-            if (path.name, function) == ("exactlinalg.py", "invariant_factors"):
-                core.append(where)
-            elif targets is None or targets.groups() == ("_", "_"):
-                bad.append(where)
+    for where, name, text, hit in _source_hits(call):
+        head = text[text.rfind("\n", 0, hit.start()) + 1:hit.start()]
+        if head.lstrip().startswith("def "):
+            continue
+        function = re.findall(r"^def (\w+)", text[:hit.start()], re.M)[-1]
+        targets = unpack.search(head)
+        if (name, function) == ("exactlinalg.py", "invariant_factors"):
+            core.append(where)
+        elif targets is None or targets.groups() == ("_", "_"):
+            bad.append(where)
     assert not bad, "U or V unread: %s" % ", ".join(bad)
     assert len(core) == 1
+
+
+# -- building matrices from labelled columns ----------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([Z, Q, F5]), st.integers(0, 6), st.integers(0, 6),
+       st.integers(0, 2 ** 32))
+def test_from_columns_matches_the_dense_constructor(ring, nrows, ncols, seed):
+    rng = random.Random(seed)
+    # most rows and columns all zero, zero scalars stored in the columns at
+    # random, the column keys and the row labels in shuffled orders
+    dense = [[ring.coerce(x) for x in row] for row in _sparse_lists(rng, ring, nrows, ncols)]
+    labels = [("r", i) for i in range(nrows)]
+    columns = []
+    for j in range(ncols):
+        keys = [l for l in labels if dense[l[1]][j] != 0 or rng.random() < 0.3]
+        rng.shuffle(keys)
+        columns.append({l: dense[l[1]][j] for l in keys})
+    dst = list(labels)
+    rng.shuffle(dst)
+    m = ExactMatrix.from_columns(ring, columns, dst)
+    ref = ExactMatrix(ring, nrows, ncols, [dense[l[1]] for l in dst])
+    assert (m.ring, m.rows, m.cols) == (ring, nrows, ncols)
+    assert m == ref
+    assert [(k, v, type(v)) for k, v in m.nonzero_items()] == \
+        [(k, v, type(v)) for k, v in ref.nonzero_items()]
+    assert m.transpose() == ExactMatrix.from_columns(
+        ring, [dict(zip(range(ncols), dense[l[1]])) for l in dst], range(ncols))
+
+
+def test_from_columns_refuses_a_label_outside_the_rows():
+    assert ExactMatrix.from_columns(Z, [{}, {}], []) == ExactMatrix(Z, 0, 2)
+    for columns in ([{"a": 1}, {"b": 2}], [{"a": 1}, {"b": 0}]):
+        with pytest.raises(ExactLinalgError, match="column 1 .*'b'"):
+            ExactMatrix.from_columns(Z, columns, ["a"])
+
+
+def _inline_keyed_solve(ring, ncols, rows, rhs):
+    # the keyed-equation block that solve_equations replaced, kept as its reference
+    eqkeys = sorted(set(rows) | set(rhs), key=str)
+    mat = ExactMatrix.zeros(ring, len(eqkeys), ncols)
+    for i, k in enumerate(eqkeys):
+        for j, c in rows.get(k, {}).items():
+            mat.set_entry(i, j, c)
+    target = [rhs.get(k, ring.zero()) for k in eqkeys]
+    sol = solve_linear(mat, target)
+    return None if sol is None else sol[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([Z, Q, F5]), st.integers(1, 6), st.integers(0, 8),
+       st.integers(0, 2 ** 32))
+def test_solve_equations_matches_the_inline_keyed_solve(ring, ncols, nkeys, seed):
+    rng = random.Random(seed)
+    # keys of mixed shapes, as the callers use; some only in rows, some only in rhs
+    keys = [rng.choice([("c3", k), ("c4", ("v", k)), ("fg", (k, "w", "a"))]) for k in range(nkeys)]
+    a = [[ring.coerce(c) for c in row] for row in _sparse_lists(rng, ring, nkeys, ncols)]
+    x0 = [ring.coerce(rng.randint(-3, 3)) for _ in range(ncols)]
+    consistent = rng.random() < 0.7
+    items = []
+    for k, coeffs in zip(keys, a):
+        row = {j: c for j, c in enumerate(coeffs) if c}
+        if row or rng.random() < 0.3:
+            items.append(("row", k, row))
+        # row . x0, so that x0 solves a consistent system
+        b = ring.coerce(sum(c * x0[j] for j, c in row.items())) if consistent else \
+            ring.coerce(rng.randint(-3, 3))
+        if b or not row:
+            items.append(("rhs", k, b))
+    ref = None
+    for _ in range(3):
+        rng.shuffle(items)
+        rows, rhs = {}, {}
+        for kind, k, val in items:
+            (rows if kind == "row" else rhs)[k] = val
+        sol = solve_equations(ring, ncols, rows, rhs)
+        if ref is None:
+            ref = _inline_keyed_solve(ring, ncols, rows, rhs)
+            if consistent:
+                assert ref is not None
+        assert (sol is None) == (ref is None)
+        if sol is not None:
+            assert [(c, type(c)) for c in sol] == [(c, type(c)) for c in ref]
+
+
+def test_solve_equations_orders_the_equations_by_str_of_key():
+    # over Z the particular solution depends on the order of the equations:
+    # in the order inserted here, e2 e1 e0, these give [9, 70, 48, -82]
+    a = {"e0": [-3, 3, -2, 1], "e1": [3, 1, -2, 0], "e2": [1, -1, 3, 1]}
+    rows = {k: {j: c for j, c in enumerate(a[k]) if c} for k in ("e2", "e1", "e0")}
+    rhs = {"e2": 1, "e1": 1, "e0": 5}
+    assert solve_linear(ExactMatrix.from_rows(Z, [a[k] for k in rows]),
+                        list(rhs.values()))[0] == [9, 70, 48, -82]
+    assert solve_equations(Z, 4, rows, rhs) == [0, 1, 0, 2]
+    assert solve_equations(Z, 4, rows, {**rhs, "e3": 1}) is None

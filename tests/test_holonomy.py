@@ -172,6 +172,19 @@ def test_circle_correspondence_refuses_arrays_that_are_not_4d(shape):
             gauge_from_homotopy(xs, ys)
 
 
+def test_gauge_with_an_infinite_condition_number_is_refused():
+    # a nilpotent y: the gauge [[1, c], [0, 1]] is finite, its condition
+    # number is not, and it used to be reported as inf
+    xs = np.zeros((5, 8, 2, 2))
+    for c in (1.4e154, 1e200):
+        ys = np.tile([[0.0, c], [0.0, 0.0]], (5, 8, 1, 1))
+        with pytest.raises(HolonomyError, match="non-finite gauge condition number"):
+            gauge_from_homotopy(xs, ys)
+    ys = np.tile([[0.0, 1e150], [0.0, 0.0]], (5, 8, 1, 1))
+    _, report = gauge_from_homotopy(xs, ys)
+    assert np.isfinite(report["gauge_condition_number"])
+
+
 @pytest.mark.parametrize("samples", [0, 1, 2])
 def test_circle_correspondence_needs_three_z_samples(samples):
     # one z-sample used to divide by mz = 0 (ZeroDivisionError)

@@ -239,6 +239,28 @@ def test_hodge_data_and_projection_match_the_greedy_reference(ring):
             _typed(_ref_projection_entries(ring, v, hg, ref))
 
 
+@pytest.mark.parametrize("ring", [Q, F5], ids=lambda r: r.name)
+def test_hodge_data_reads_only_the_adjacent_degree_blocks_of_d0(ring):
+    # an entry of d0_entries between degrees that are not adjacent (the same
+    # degree, or two and more apart) is not read: HodgeData is unchanged
+    rng = random.Random(7100 + (ring.p or 0))
+    cases = _fixed_complexes(ring) + [_random_complex(rng, ring) for _ in range(40)]
+    extended = 0
+    for v, d0 in cases:
+        far = [(u, w) for u in v.labels for w in v.labels
+               if v.degree[w] - v.degree[u] != 1]
+        if not far:
+            continue
+        extra = dict(d0)
+        extra.update((key, _scalar(rng, ring)) for key in rng.sample(far, min(3, len(far))))
+        h, h_extra = hodge_data(v, d0), hodge_data(v, extra)
+        assert _typed(h_extra.s) == _typed(h.s)
+        assert _typed(h_extra.t) == _typed(h.t)
+        assert h_extra.harmonic_basis == h.harmonic_basis
+        extended += 1
+    assert extended > 20
+
+
 def test_projection_off_the_harmonic_part_raises():
     v = GradedModule(Q, [("a", 0), ("b", 0)])
     hg = GradedModule(Q, [(("h", 0, 0), 0)])

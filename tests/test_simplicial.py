@@ -198,6 +198,30 @@ def test_mc_to_rep_error_branch():
         mc_to_rep(x, base, v)
 
 
+def test_mc_to_rep_inverts_each_given_edge_once(monkeypatch):
+    # only the edge carrying an f is inverted, once (8 calls for 4 edges
+    # when every edge, identities included, was inverted twice)
+    from mctwist import simplicial
+    from mctwist.dgcore import endomorphism_dga
+    calls = []
+    inverse = simplicial.solve_invertibility
+    monkeypatch.setattr(simplicial, "solve_invertibility",
+                        lambda m: calls.append(m) or inverse(m))
+    base = circle(4)
+    v = GradedModule(Z, [("a", 0), ("b", 0)])
+    end = endomorphism_dga(cochain_algebra(base, Z), v)
+    edge = base.nondegenerate(1)[0]
+    # 1 + f is the rotation a -> b, b -> -a
+    f = {("a", "a"): -1, ("a", "b"): 1, ("b", "a"): -1, ("b", "b"): -1}
+    x = MCElement(end, end.element({("E", u, w, edge): c for (u, w), c in f.items()}))
+    ls = mc_to_rep(x, base, v)
+    assert len(calls) == 1
+    rotation = ExactMatrix.from_rows(Z, [[0, -1], [1, 0]])
+    assert calls[0] == rotation
+    assert ls.monodromy == {e: rotation if e == edge else ExactMatrix.identity(Z, 2)
+                            for e in base.nondegenerate(1)}
+
+
 def test_local_system_cohomology_fixtures():
     sign = _sign_system()
     assert local_system_cohomology(sign).entries == {1: (0, (2,))}
