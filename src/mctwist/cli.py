@@ -9,17 +9,15 @@ give byte-identical output.
 from __future__ import annotations
 
 import argparse
-import math
+import os
 import sys
-import warnings
 
-import numpy as np
-
-from . import holonomy, interval, io, mc, perturbation
-from .dgcore import DgError, check_dga
+from . import fixtures, interval, io, mc, perturbation
+from .dgcore import DgError, GradedModule, check_dga, endomorphism_dga
 from .exactlinalg import ChainComplexSpec, ExactLinalgError, Ring, cohomology
 from .io import InputError, dumps
-from .simplicial import SimplicialError, cochain_algebra, local_system_cohomology
+from .simplicial import (SimplicialError, circle, cochain_algebra, local_system_cohomology,
+                         torus7)
 
 
 class InternalError(RuntimeError):
@@ -178,24 +176,27 @@ def cmd_kn(args) -> int:
     return _out(pres)
 
 
-def cmd_minimal_model(args) -> int:
-    obj = io.load_json_file(args.module)
+def _reduced_module(path) -> perturbation.ReducedTwistedModule:
+    """The reduced twisted module of a module JSON file (minimal-model, truncate)."""
+    obj = io.load_json_file(path)
     a = io.dga_from_json(obj["algebra"] if isinstance(obj["algebra"], dict)
                          else io.load_json_file(obj["algebra"]))
-    from .dgcore import GradedModule, endomorphism_dga
+    v = GradedModule(a.ring, [(io.decode_label(l), int(d)) for l, d in obj["v"]])
+    end = endomorphism_dga(a, v)
+    coeffs = {}
+    for (u, w, al), c in ((tuple(k), c) for k, c in obj["mc"]):
+        coeffs[("E", io.decode_label(u), io.decode_label(w),
+                io.decode_label(al))] = a.ring.coerce(c)
+    tw = mc.TwistedModule(v, a, mc.MCElement(end, end.element(coeffs)), end_dga=end)
+    comp = perturbation.reduced_component(tw)
+    if comp is None:
+        raise InputError("module is not reduced")
+    return perturbation.ReducedTwistedModule(tw, comp)
+
+
+def cmd_minimal_model(args) -> int:
     try:
-        v = GradedModule(a.ring, [(io.decode_label(l), int(d)) for l, d in obj["v"]])
-        end = endomorphism_dga(a, v)
-        coeffs = {}
-        for (u, w, al), c in ((tuple(k), c) for k, c in obj["mc"]):
-            coeffs[("E", io.decode_label(u), io.decode_label(w),
-                    io.decode_label(al))] = a.ring.coerce(c)
-        tw = mc.TwistedModule(v, a, mc.MCElement(end, end.element(coeffs)), end_dga=end)
-        comp = perturbation.reduced_component(tw)
-        if comp is None:
-            raise InputError("module is not reduced")
-        rtm = perturbation.ReducedTwistedModule(tw, comp)
-        mm = perturbation.minimal_model(rtm)
+        mm = perturbation.minimal_model(_reduced_module(args.module))
     except (mc.MCError, perturbation.PerturbationError) as exc:
         raise InputError(str(exc)) from exc
     return _out({
@@ -214,7 +215,6 @@ def cmd_resolve(args) -> int:
         ring = Ring.parse(obj.get("ring", "Z"))
         base = io.complex_from_json(obj["complex"])
         a = cochain_algebra(base, ring)
-        from .dgcore import GradedModule
         w_gm = GradedModule(ring, [(io.decode_label(l), int(d))
                                    for l, d in obj["resolution"]["basis"]])
         d_w = {(io.decode_label(u), io.decode_label(w)): ring.coerce(c)
@@ -241,23 +241,8 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_truncate(args) -> int:
-    obj = io.load_json_file(args.module)
-    a = io.dga_from_json(obj["algebra"] if isinstance(obj["algebra"], dict)
-                         else io.load_json_file(obj["algebra"]))
-    from .dgcore import GradedModule, endomorphism_dga
     try:
-        v = GradedModule(a.ring, [(io.decode_label(l), int(d)) for l, d in obj["v"]])
-        end = endomorphism_dga(a, v)
-        coeffs = {}
-        for (u, w, al), c in ((tuple(k), c) for k, c in obj["mc"]):
-            coeffs[("E", io.decode_label(u), io.decode_label(w),
-                    io.decode_label(al))] = a.ring.coerce(c)
-        tw = mc.TwistedModule(v, a, mc.MCElement(end, end.element(coeffs)), end_dga=end)
-        comp = perturbation.reduced_component(tw)
-        if comp is None:
-            raise InputError("module is not reduced")
-        rtm = perturbation.ReducedTwistedModule(tw, comp)
-        out, inc = perturbation.truncate_twisted(rtm, args.i)
+        out, _ = perturbation.truncate_twisted(_reduced_module(args.module), args.i)
     except (mc.MCError, perturbation.PerturbationError) as exc:
         raise InputError(str(exc)) from exc
     return _out({"rank": out.v.dim,
@@ -266,24 +251,12 @@ def cmd_truncate(args) -> int:
                  "checks": ["reduced", "kernel-truncation", "inclusion-closed", "mc"]})
 
 
-def _read_csv_matrices(path) -> np.ndarray:
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)  # an empty file only warns
-            rows = np.loadtxt(path, delimiter=",", ndmin=2, comments=None)
-    except (OSError, ValueError, UserWarning) as exc:
-        raise InputError("cannot parse CSV %s: %s" % (path, exc)) from exc
-    n = math.isqrt(rows.shape[1])
-    if n * n != rows.shape[1]:
-        raise InputError("rows of %s are not square matrices" % path)
-    return rows.reshape(-1, n, n)
-
-
 def cmd_holonomy(args) -> int:
+    from . import holonomy  # the one numpy module, imported only here
     if args.mode == "pexp":
         if len(args.path) != 1:
             raise InputError("pexp mode needs one CSV path")
-        samples = _read_csv_matrices(args.path[0])
+        samples = holonomy.read_csv_matrices(args.path[0])
         sp = holonomy.SampledMatrixPath(samples)
         # order estimate by step halving on the coarsened grid, when that
         # grid still has the 2 RK4 steps transport needs
@@ -292,8 +265,7 @@ def cmd_holonomy(args) -> int:
         path, report = holonomy.solve_transport(sp, coarse=coarse)
         order = None
         if coarse is not None:
-            diff = float(np.max(np.abs(path.values[-1] - report["coarse_endpoint"])))
-            order = {"halving_difference": diff}
+            order = {"halving_difference": holonomy.halving_difference(path, report)}
         payload = {"result": [[round(v, 12) for v in row] for row in
                               path.values[-1].tolist()],
                    "residuals": {"interior": report["interior_residual"],
@@ -308,8 +280,8 @@ def cmd_holonomy(args) -> int:
         p = args.grid
         if p < 8:
             raise InputError("--grid must be at least 8, got %d" % p)
-        xs = _read_csv_matrices(args.path[0])
-        ys = _read_csv_matrices(args.path[1])
+        xs = holonomy.read_csv_matrices(args.path[0])
+        ys = holonomy.read_csv_matrices(args.path[1])
         if xs.shape[0] % p != 0 or ys.shape != xs.shape:
             raise InputError("sample counts do not match the --grid size")
         mz = xs.shape[0] // p - 1
@@ -328,10 +300,6 @@ def cmd_holonomy(args) -> int:
 
 
 def cmd_emit_fixtures(args) -> int:
-    import os
-
-    from . import fixtures
-    from .simplicial import circle, torus7
     os.makedirs(args.dir, exist_ok=True)
     written = []
 
@@ -371,20 +339,18 @@ def cmd_emit_fixtures(args) -> int:
 
 def fixtures_example51() -> dict:
     """The pinned twisting convention reproducing H^1 = Z/2 on K_0*."""
-    from .interval import build_interval_algebra
-    from .exactlinalg import cohomology as h_of
-    k0 = build_interval_algebra(0, Ring.Z())
+    k0 = interval.build_interval_algebra(0, Ring.Z())
     a = k0.dga
     s = mc.MCElement(a, a.element(k0.word_label("s", 1)))
     outcomes = {}
     module = mc.twist_module(a, s)
-    outcomes["module_left"] = io.report_to_json(h_of(module.complex()))
+    outcomes["module_left"] = io.report_to_json(cohomology(module.complex()))
     hom = mc.hom_twist(a, s, mc.zero_mc(a))
-    outcomes["module_right"] = io.report_to_json(h_of(hom.complex()))
+    outcomes["module_right"] = io.report_to_json(cohomology(hom.complex()))
     alg = mc.twist_algebra(a, s)
-    outcomes["algebra"] = io.report_to_json(h_of(alg.complex()))
+    outcomes["algebra"] = io.report_to_json(cohomology(alg.complex()))
     hom2 = mc.hom_twist(a, s, s)
-    outcomes["two_sided"] = io.report_to_json(h_of(hom2.complex()))
+    outcomes["two_sided"] = io.report_to_json(cohomology(hom2.complex()))
     return {"conventions": outcomes, "pinned": "algebra",
             "reason": "the algebra twisting (= the two-sided twist by s on "
                       "both sides) reproduces H^1 = Z/2 over Z; both "
@@ -459,8 +425,7 @@ def main(argv=None) -> int:
     args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ExactLinalgError, DgError, SimplicialError,
-            mc.MCError, holonomy.HolonomyError) as exc:
+    except (InputError, ExactLinalgError, DgError, SimplicialError, mc.MCError) as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return 1
     except InternalError as exc:

@@ -717,36 +717,45 @@ def solve_linear(a: ExactMatrix, b):
         if b.cols != 1:
             raise ExactLinalgError("right-hand side must be a column")
         b = [b.get(i, 0) for i in range(b.rows)]
-    b = [a.ring.coerce(x) for x in b]
-    if len(b) != a.rows:
-        raise ExactLinalgError("dimension mismatch: %d rows vs %d entries" % (a.rows, len(b)))
+    (x,), kernel = solve_many(a, [b])
+    return None if x is None else (x, kernel)
+
+
+def solve_many(a: ExactMatrix, bs):
+    """Solve a * x = b for each list ``b`` in ``bs`` off one factorization of a.
+
+    Returns (for each b the solution :func:`solve_linear` gives, or None;
+    the kernel basis).  Over Z the factorization is one Smith form, over a
+    field one rref of [a | b ...], where b lies in the span of a exactly
+    when its column vanishes below the pivot rows of a.
+    """
     ring = a.ring
+    bs = [[ring.coerce(x) for x in b] for b in bs]
+    for b in bs:
+        if len(b) != a.rows:
+            raise ExactLinalgError("dimension mismatch: %d rows vs %d entries" % (a.rows, len(b)))
     if ring.is_field:
-        r, pivots = rref(ExactMatrix._of_rows(ring, a.cols + 1, [
-            {**row, a.cols: v} if v else dict(row) for row, v in zip(a._data, b)]))
-        if a.cols in pivots:
-            return None
-        x = [ring.zero()] * a.cols
-        for ri, pc in enumerate(pivots):
-            x[pc] = r.get(ri, a.cols)
-        # The first a.cols columns of rref([a | b]) are rref(a).
-        return x, _rref_kernel(ring, a.cols, r, pivots)
+        r, pivots = rref(ExactMatrix._of_rows(ring, a.cols + len(bs), [
+            {**row, **{a.cols + j: b[i] for j, b in enumerate(bs) if b[i]}}
+            for i, row in enumerate(a._data)]))
+        pivots = [c for c in pivots if c < a.cols]  # rref(a) is the first a.cols columns
+        sols = []
+        for col in range(a.cols, a.cols + len(bs)):
+            x = dict(zip(pivots, (r.get(ri, col) for ri in range(len(pivots)))))
+            sols.append(None if any(col in row for row in r._data[len(pivots):])
+                        else [x.get(c, ring.zero()) for c in range(a.cols)])
+        return sols, _rref_kernel(ring, a.cols, r, pivots)
     u, d, v = smith_normal_form(a)
-    ub = [sum(c * b[k] for k, c in row.items()) for row in u._data]
-    y = [0] * a.cols
     n = min(d.rows, d.cols)
-    for i in range(a.rows):
-        di = d.get(i, i) if i < n else 0
-        if di == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            q, rem = divmod(ub[i], di)
-            if rem != 0:
-                return None
-            y[i] = q
-    x = [sum(c * y[k] for k, c in row.items()) for row in v._data]
-    return x, _snf_kernel(d, v)
+    diag = [d.get(i, i) for i in range(n)] + [0] * (a.rows - n)
+    sols = []
+    for b in bs:
+        # D y = U b: each entry of U b divisible by its diagonal entry, 0 if none
+        ub = [sum(c * b[k] for k, c in row.items()) for row in u._data]
+        y = [x // di if di else 0 for x, di in zip(ub, diag)] + [0] * (a.cols - n)
+        sols.append(None if any(x % di if di else x for x, di in zip(ub, diag)) else
+                    [sum(c * y[k] for k, c in row.items()) for row in v._data])
+    return sols, _snf_kernel(d, v)
 
 
 def solve_equations(ring: Ring, ncols: int, rows: dict, rhs: dict):

@@ -1,8 +1,9 @@
 """Numerical parallel transport: path-ordered exponentials on [0, 1] and the
 gauge/homotopy correspondence on a discretized circle.
 
-This is the only floating-point module in the package.  A homotopy between
-two MC 1-forms x0, x1 on the circle is a pair (x(z), y(z)) satisfying
+This is the only floating-point module in the package and the only one to
+import numpy, which the CLI loads for the holonomy subcommand alone.  A
+homotopy between two MC 1-forms x0, x1 on the circle is a pair (x(z), y(z)) satisfying
 
     (4.1)  d x(z) + x(z)^2 = 0        (automatic for circle 1-forms)
     (4.2)  dx(z)/dz = -d y(z) + [y(z), x(z)]
@@ -33,15 +34,32 @@ product, until the coarse one ends.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
+
+from .io import InputError
 
 RESIDUAL_TOL = 1e-6
 ENDPOINT_TOL = 1e-5
 
 
-class HolonomyError(ValueError):
-    pass
+class HolonomyError(InputError):
+    """Invalid or untrustworthy numerical input (CLI exit code 1)."""
+
+
+def read_csv_matrices(path) -> np.ndarray:
+    """The rows of a CSV file as square matrices, shape (rows, n, n)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # an empty file only warns
+            rows = np.loadtxt(path, delimiter=",", ndmin=2, comments=None)
+    except (OSError, ValueError, UserWarning) as exc:
+        raise HolonomyError("cannot parse CSV %s: %s" % (path, exc)) from exc
+    n = math.isqrt(rows.shape[1])
+    if n * n != rows.shape[1]:
+        raise HolonomyError("rows of %s are not square matrices" % path)
+    return rows.reshape(-1, n, n)
 
 
 class SampledMatrixPath:
@@ -219,6 +237,11 @@ def solve_transport(y, g0=None, steps: int = None, z0: float = 0.0, z1: float = 
         **coarse_end,
     }
     return SampledMatrixPath(values), report
+
+
+def halving_difference(path: SampledMatrixPath, report: dict) -> float:
+    """max |g(1) - g_coarse(1)| of a transport solved with a ``coarse`` path."""
+    return float(np.max(np.abs(path.values[-1] - report["coarse_endpoint"])))
 
 
 def pexp(y, z: float = 1.0, steps: int = 10000):

@@ -21,7 +21,7 @@ sum E_{src -> dst} (x) a, composed with the Koszul sign
 from __future__ import annotations
 
 from .dgcore import DgAlgebra, GradedModule, endomorphism_dga
-from .exactlinalg import ExactMatrix, Ring, kernel_basis, rref, solve_equations, solve_linear
+from .exactlinalg import ExactMatrix, Ring, kernel_basis, rref, solve_equations, solve_many
 from .mc import MCElement, TwistedModule
 
 
@@ -577,7 +577,8 @@ def truncate_twisted(rtm: ReducedTwistedModule, i: int):
 
     Over the exact rings here (fields and the PID Z) the kernel is a free
     summand-basis, so the truncated twisted module exists directly; the
-    restricted twisting is expressed in the kernel basis by exact solves.
+    restricted twisting is expressed in the kernel basis by exact solves
+    off one factorization of that basis.
     Returns (TwistedModule, inclusion ConvOp).
     """
     a = rtm.algebra
@@ -609,15 +610,17 @@ def truncate_twisted(rtm: ReducedTwistedModule, i: int):
     ximg = x.compose(inc)
     basis_mat = ExactMatrix.from_columns(ring, [vec for _, _, vec in new_vectors], v.labels)
     xprime = {}
-    # group image terms by (source new label, algebra label) and solve
+    # group image terms by (source new label, algebra label); one factorization
+    # of basis_mat gives every group's coordinates, unique by its full column rank
     grouped = {}
     for (u, w, al), c in ximg.coeffs.items():
         grouped.setdefault((u, al), {})[w] = c
-    for (u, al), img in grouped.items():
-        sol = solve_linear(basis_mat, [img.get(l, 0) for l in v.labels])
-        if sol is None:
-            raise PerturbationError("twisting does not preserve the truncation")
-        for k, c in enumerate(sol[0]):
+    sols, _ = solve_many(basis_mat, [[img.get(l, 0) for l in v.labels]
+                                     for img in grouped.values()])
+    if None in sols:
+        raise PerturbationError("twisting does not preserve the truncation")
+    for (u, al), sol in zip(grouped, sols):
+        for k, c in enumerate(sol):
             if c != 0:
                 xprime[(u, new_vectors[k][0], al)] = c
     end = endomorphism_dga(a, vgm)

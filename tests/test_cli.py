@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -430,6 +432,32 @@ def test_holonomy_pexp_on_five_samples_skips_the_halving_estimate(tmp_path, caps
     code, out, _ = run_cli(capsys, "holonomy", "--mode", "pexp", str(path))
     assert code == 0
     assert "order_estimate" not in json.loads(out)
+
+
+IMPORT_BOUNDARY = """
+import sys
+import mctwist.cli as cli
+assert "numpy" not in sys.modules
+assert cli.main(["cohomology", sys.argv[1]]) == 0
+assert "numpy" not in sys.modules, "an exact subcommand imported numpy"
+assert cli.main(["holonomy", "--mode", "pexp", sys.argv[2]]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_only_the_holonomy_subcommand_imports_numpy(tmp_path):
+    import mctwist
+    cx, ys = tmp_path / "cx.json", tmp_path / "y.csv"
+    cx.write_text(json.dumps({"ring": "Z", "dims": {"0": 1, "1": 1}, "maps": {
+        "0": {"ring": "Z", "rows": 1, "cols": 1, "entries": [["2"]]}}}))
+    ys.write_text(_rows(9))
+    # the fresh interpreter imports the package under test
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mctwist.__file__)))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY, str(cx), str(ys)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[0])["H"]
+    assert "halving_difference" in proc.stdout
 
 
 SAMPLE_ARGV = [

@@ -22,6 +22,7 @@ from mctwist.exactlinalg import (
     smith_normal_form,
     solve_equations,
     solve_linear,
+    solve_many,
 )
 
 Z = Ring.Z()
@@ -794,6 +795,18 @@ def test_matrices_are_built_from_columns_outside_exactlinalg():
     assert not bad, "build the matrix with ExactMatrix.from_columns: %s" % ", ".join(bad)
 
 
+def test_numpy_is_imported_only_by_holonomy():
+    """The exact layers never touch floats: numpy stays out of every import
+    but holonomy's, so the exact subcommands do not load it."""
+    pattern = re.compile(r"^[ \t]*(?:import|from)[ \t]+numpy\b", re.M)
+    assert pattern.search("import numpy as np")
+    assert pattern.search("    from numpy import linalg")
+    assert not pattern.search("import numpydoc")
+    assert not pattern.search("# numpy is imported only here")
+    where = {name: w for w, name, *_ in _source_hits(pattern)}
+    assert list(where) == ["holonomy.py"], "numpy imported outside holonomy: %s" % where
+
+
 # -- invariant factors by unit-pivot contraction -----------------------------------
 #
 # invariant_factors contracts the +-1 pivots and sends only the rest through
@@ -1060,3 +1073,60 @@ def test_solve_equations_orders_the_equations_by_str_of_key():
                         list(rhs.values()))[0] == [9, 70, 48, -82]
     assert solve_equations(Z, 4, rows, rhs) == [0, 1, 0, 2]
     assert solve_equations(Z, 4, rows, {**rhs, "e3": 1}) is None
+
+
+def _solve_one(a, b):
+    # solve_linear's body for one right-hand side before solve_many, kept as its reference
+    ring = a.ring
+    b = [ring.coerce(x) for x in b]
+    if ring.is_field:
+        r, pivots = rref(ExactMatrix(ring, a.rows, a.cols + 1,
+                                     [a.row_list(i) + [b[i]] for i in range(a.rows)]))
+        if a.cols in pivots:
+            return None
+        x = [ring.zero()] * a.cols
+        for ri, pc in enumerate(pivots):
+            x[pc] = r.get(ri, a.cols)
+        return x
+    u, d, v = smith_normal_form(a)
+    ub = [sum(u.get(i, k) * b[k] for k in range(a.rows)) for i in range(a.rows)]
+    y = [0] * a.cols
+    for i in range(a.rows):
+        di = d.get(i, i) if i < min(d.rows, d.cols) else 0
+        if di == 0:
+            if ub[i] != 0:
+                return None
+        else:
+            q, rem = divmod(ub[i], di)
+            if rem != 0:
+                return None
+            y[i] = q
+    return [sum(v.get(i, k) * y[k] for k in range(a.cols)) for i in range(a.cols)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([Z, Q, F5]), st.integers(0, 5), st.integers(0, 5), st.integers(0, 6),
+       st.integers(0, 2 ** 32))
+def test_solve_many_matches_one_solve_per_right_hand_side(ring, nrows, ncols, nb, seed):
+    rng = random.Random(seed)
+    a = ExactMatrix(ring, nrows, ncols, _sparse_lists(rng, ring, nrows, ncols))
+    bs = []
+    for _ in range(nb):
+        kind = rng.choice(["image", "random", "repeat", "sum"])
+        if kind == "image" or not bs and kind != "random":
+            x0 = [rng.randint(-3, 3) for _ in range(ncols)]
+            bs.append([sum(a.get(i, j) * x0[j] for j in range(ncols)) for i in range(nrows)])
+        elif kind == "random":
+            bs.append([rng.choice([0, 0, 1, -2, 3]) for _ in range(nrows)])
+        elif kind == "repeat":  # an earlier b again: after a pivot b-column, not a pivot
+            bs.append(list(rng.choice(bs)))
+        else:
+            bs.append([x + y for x, y in zip(rng.choice(bs), rng.choice(bs))])
+    sols, kernel = solve_many(a, bs)
+    assert kernel == kernel_basis(a)
+    assert len(sols) == len(bs)
+    for b, sol in zip(bs, sols):
+        ref = _solve_one(a, b)
+        assert (sol is None) == (ref is None)
+        if sol is not None:
+            assert [(c, type(c)) for c in sol] == [(c, type(c)) for c in ref]

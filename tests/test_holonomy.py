@@ -395,7 +395,7 @@ def test_pexp_at_zero_still_checks_its_input():
 
 
 def test_csv_reader_parses_like_float_bit_for_bit(tmp_path):
-    from mctwist.cli import _read_csv_matrices
+    from mctwist.holonomy import read_csv_matrices as _read_csv_matrices
     rnd = np.random.default_rng(20261017)
     count = 20000
     mantissa = rnd.uniform(1.0, 10.0, count) * rnd.choice([-1.0, 1.0], count)
@@ -463,3 +463,10 @@ def test_transport_past_the_square_of_the_largest_float():
     path, report = solve_transport(SampledMatrixPath(np.tile([[0.0, 1.34e154], [0.0, 0.0]],
                                                              (9, 1, 1))))
     assert np.isfinite(report["endpoint_condition_number"])
+
+
+def test_holonomy_errors_are_input_errors():
+    from mctwist.io import InputError
+    assert issubclass(HolonomyError, InputError) and issubclass(HolonomyError, ValueError)
+    with pytest.raises(InputError, match="need at least 3 samples"):
+        SampledMatrixPath(np.zeros((2, 2, 2)))

@@ -569,6 +569,36 @@ def test_truncate_keeps_fibre_kernel_only():
     assert out.v.dim == 0
 
 
+@pytest.mark.parametrize("ring", [Z, Q, Ring.GF(5)], ids=lambda r: r.name)
+def test_truncate_factors_its_basis_once_per_call(ring, monkeypatch):
+    from mctwist import exactlinalg, perturbation
+    seen = []
+    for name in ("rref", "smith_normal_form"):
+        wrapped = getattr(exactlinalg, name)
+        counted = (lambda f: lambda m: seen.append(m) or f(m))(wrapped)
+        for module in (exactlinalg, perturbation):
+            if getattr(module, name, None) is wrapped:
+                monkeypatch.setattr(module, name, counted)
+    rtm = _two_stage_module(ring)
+    unit = next(iter(rtm.algebra.unit))
+    for i, groups in ((1, 3), (5, 3), (0, 0)):
+        seen.clear()
+        out, inc = truncate_twisted(rtm, i)
+        # the kernel basis as columns over V, and the images of x o inc to solve for
+        basis = ExactMatrix.from_columns(ring, [
+            {w: c for (u, w, al), c in inc.coeffs.items() if u == l and al == unit}
+            for l in out.v.labels], rtm.v.labels)
+        images = {(u, al) for u, _, al in ConvOp.from_mc(rtm.tw.mc, rtm.algebra, rtm.v)
+                  .compose(inc).coeffs}
+        assert len(images) == groups
+        factored = [m for m in seen if m.rows == basis.rows and m.cols >= basis.cols and
+                    {k: c for k, c in m.nonzero_items() if k[1] < basis.cols} ==
+                    dict(basis.nonzero_items())]
+        # one rref of [basis | every image] over a field, one Smith form over Z
+        assert [m.cols for m in factored] == \
+            [basis.cols + (groups if ring.is_field else 0)] * (out.v.dim > 0)
+
+
 def test_truncate_above_is_the_cone_complement():
     from mctwist.perturbation import truncate_above
     rtm = _two_stage_module()
