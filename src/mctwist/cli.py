@@ -179,14 +179,17 @@ def cmd_kn(args) -> int:
 def _reduced_module(path) -> perturbation.ReducedTwistedModule:
     """The reduced twisted module of a module JSON file (minimal-model, truncate)."""
     obj = io.load_json_file(path)
-    a = io.dga_from_json(obj["algebra"] if isinstance(obj["algebra"], dict)
-                         else io.load_json_file(obj["algebra"]))
-    v = GradedModule(a.ring, [(io.decode_label(l), int(d)) for l, d in obj["v"]])
-    end = endomorphism_dga(a, v)
-    coeffs = {}
-    for (u, w, al), c in ((tuple(k), c) for k, c in obj["mc"]):
-        coeffs[("E", io.decode_label(u), io.decode_label(w),
-                io.decode_label(al))] = a.ring.coerce(c)
+    try:
+        a = io.dga_from_json(obj["algebra"] if isinstance(obj["algebra"], dict)
+                             else io.load_json_file(obj["algebra"]))
+        v = GradedModule(a.ring, [(io.decode_label(l), int(d)) for l, d in obj["v"]])
+        end = endomorphism_dga(a, v)
+        coeffs = {}
+        for (u, w, al), c in ((tuple(k), c) for k, c in obj["mc"]):
+            coeffs[("E", io.decode_label(u), io.decode_label(w),
+                    io.decode_label(al))] = a.ring.coerce(c)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError("bad module JSON: %s" % (exc,)) from exc
     tw = mc.TwistedModule(v, a, mc.MCElement(end, end.element(coeffs)), end_dga=end)
     comp = perturbation.reduced_component(tw)
     if comp is None:

@@ -21,10 +21,10 @@ The three workhorses are
 Cohomology is read off the differentials, each factored once: H^k has free
 rank dim C^k - rk d_k - rk d_{k-1}, and as C^k / ker d_k embeds in the free
 C^{k+1}, its torsion is that of coker d_{k-1}: the non-unit invariant
-factors of d_{k-1}.  Over Z, :func:`invariant_factors` contracts the +-1
-pivots of a differential and runs the Smith form, with its U and V, only
-on the non-unit core that is left, which is usually empty; the kernels and
-solves that read U or V call :func:`smith_normal_form` themselves.
+factors of d_{k-1}.  :func:`invariant_factors` contracts the unit pivots
+(+-1 over Z, any nonzero entry over a field) and runs the Smith form only
+on the non-unit core left over Z, usually empty.  Kernels, solves and
+inverses go through :func:`solve_many`, which alone picks rref or Smith.
 
 The package builds every matrix of a labelled linear map one way: from its
 sparse columns, ``{row label: scalar}`` dicts, by
@@ -578,17 +578,19 @@ def _rediagonalize_pair(a, u, vt, t):
 def invariant_factors(m: ExactMatrix) -> list:
     """Nonzero diagonal of the Smith form, as a divisibility chain.
 
-    Every +-1 pivot is contracted first (Kaczynski-Mrozek-Slusarek 1998,
+    Every unit pivot is contracted first (Kaczynski-Mrozek-Slusarek 1998,
     Dumas-Saunders-Villard 2001): with a unit at (i, j), m is equivalent to
     diag(1, S) for the Schur complement S, which is m without row i and
     column j after row i has cleared column j from the other rows.  A
     column -> rows index makes that visit only the rows holding column j.
-    Each contraction is one factor 1; the non-unit core left over, usually
-    empty, goes through :func:`smith_normal_form`.  The invariant factors
-    are canonical, so the pivot order cannot change the result.
+    Each contraction is one factor 1.  Over Z the units are +-1 and the
+    core left over, usually empty, goes through :func:`smith_normal_form`;
+    over a field any nonzero entry is a unit and the result is [1] * rank.
+    The invariant factors are canonical, so the pivot order cannot change
+    the result.
     """
-    if m.ring.kind != "Z":
-        raise ExactLinalgError("Smith normal form requires the ring Z")
+    ring = m.ring
+    field, mod = ring.is_field, ring.p
     rows = [dict(r) for r in m._data if r]
     cols = {}  # column -> the live rows holding it
     for i, r in enumerate(rows):
@@ -602,19 +604,23 @@ def invariant_factors(m: ExactMatrix) -> list:
     for i in todo:
         row = rows[i]  # emptied once contracted
         # the unit whose column is held by the fewest rows
-        best = min(((len(cols[j]), j) for j, v in row.items() if v == 1 or v == -1),
-                   default=None)
+        best = min(((len(cols[j]), j) for j, v in row.items()
+                    if field or v == 1 or v == -1), default=None)
         if best is None:
             continue
         j = best[1]
-        p = row.pop(j)
+        inv = row.pop(j)
+        if field:  # over Z a unit is its own inverse
+            inv = ring.inv(inv)
         held = cols.pop(j)
         held.discard(i)
         for k in held:
             rk = rows[k]
-            f = rk.pop(j) * p  # row k -= f * row i clears column j
+            f = rk.pop(j) * inv  # row k -= f * row i clears column j
             for c, v in row.items():
                 x = rk.get(c, 0) - f * v
+                if field:  # normalised as in Ring.axpy; over Z an int is canonical
+                    x = x % mod if mod else _canon(x)
                 if x:
                     if c not in rk:
                         cols[c].add(k)
@@ -632,7 +638,7 @@ def invariant_factors(m: ExactMatrix) -> list:
         return [1] * units
     index = {j: n for n, j in enumerate(sorted({j for r in core for j in r}))}
     core = [{index[j]: v for j, v in r.items()} for r in core]
-    _, d, _ = smith_normal_form(ExactMatrix._of_rows(m.ring, len(index), core))
+    _, d, _ = smith_normal_form(ExactMatrix._of_rows(ring, len(index), core))
     return [1] * units + [v for i in range(min(d.rows, d.cols)) if (v := d.get(i, i))]
 
 
@@ -666,8 +672,6 @@ def rref(m: ExactMatrix):
 
 
 def rank(m: ExactMatrix) -> int:
-    if m.ring.is_field:
-        return len(rref(m)[1])
     return len(invariant_factors(m))
 
 
@@ -678,10 +682,7 @@ def kernel_basis(m: ExactMatrix) -> list:
     matrix is a saturated sublattice, so integer combinations of the basis
     are exactly the integer kernel vectors).
     """
-    if m.ring.is_field:
-        return _rref_kernel(m.ring, m.cols, *rref(m))
-    _, d, v = smith_normal_form(m)
-    return _snf_kernel(d, v)
+    return solve_many(m, [])[1]
 
 
 def _rref_kernel(ring: Ring, cols: int, r: ExactMatrix, pivots: list) -> list:
@@ -865,11 +866,10 @@ def cohomology(complex_spec: ChainComplexSpec) -> CohomologyReport:
     """Cohomology of a finite complex, with torsion over Z.
 
     d^2 = 0 is verified first, which also gives im d_{k-1} in ker d_k; a
-    violation reports the offending degree and entry.  Then each d_k is
-    factored once (invariant factors over Z, rank over a field) and H^k is
-    read off as in the module docstring: rank dim C^k - rk d_k - rk d_{k-1},
-    torsion the non-unit invariant factors of d_{k-1}.  Over a field only
-    ranks are produced.
+    violation reports the offending degree and entry.  Then the invariant
+    factors of each d_k are computed once and H^k is read off as in the
+    module docstring: rank dim C^k - rk d_k - rk d_{k-1}, torsion the
+    non-unit invariant factors of d_{k-1}, of which a field has none.
     """
     complex_spec.check_square_zero()
     ring = complex_spec.ring
@@ -878,12 +878,8 @@ def cohomology(complex_spec: ChainComplexSpec) -> CohomologyReport:
     def factor(deg):
         # (rank, non-unit invariant factors) of d_deg, computed once
         if deg not in factored:
-            m = complex_spec.d(deg)
-            if ring.is_field:
-                factored[deg] = (rank(m), [])
-            else:
-                facs = invariant_factors(m)
-                factored[deg] = (len(facs), [f for f in facs if f != 1])
+            facs = invariant_factors(complex_spec.d(deg))
+            factored[deg] = (len(facs), [f for f in facs if f != 1])
         return factored[deg]
 
     report = CohomologyReport(ring)

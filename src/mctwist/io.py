@@ -155,6 +155,8 @@ def dumps(obj) -> str:
 
 
 def load_json_file(path):
+    if not isinstance(path, str):  # open(0) would read standard input
+        raise InputError("a file path must be a string, not %.40r" % (path,))
     try:
         with open(path) as fh:
             return json.load(fh)

@@ -34,7 +34,6 @@ from .dgcore import (
     GradedModule,
     endomorphism_dga,
     ground_dga,
-    vec_add,
 )
 from .exactlinalg import (
     CohomologyReport,
@@ -93,15 +92,27 @@ def zero_mc(a: DgAlgebra) -> MCElement:
 # ---------------------------------------------------------------------------
 
 
+def _twisted_diff(a: DgAlgebra, y: dict, x: dict, labels) -> dict:
+    """{l: d(l) + y l - (-1)^{|l|} l x}, the differential of A^[x,y], on labels.
+
+    x and y are coefficient dicts; A^[x] is A^[0,x] and A^x is A^[x,x].
+    Labels whose image is zero are left out.
+    """
+    ring, one = a.ring, a.ring.one()
+    diff = {}
+    for l in labels:
+        e = {l: one}
+        out = ring.axpy(ring.axpy(dict(a.diff.get(l, {})), 1, a.mul_dicts(y, e)),
+                        -ring.sign(a.gm.degree[l]), a.mul_dicts(e, x))
+        if out:
+            diff[l] = out
+    return diff
+
+
 def twist_module(a: DgAlgebra, x: MCElement, name: str = "") -> DgModule:
     """A^[x]: A as a right module with differential d + (left mult by x)."""
     _require_mc(a, x)
-    ring = a.ring
-    diff = {}
-    for l in a.gm.labels:
-        out = vec_add(ring, a.diff.get(l, {}), a.mul_dicts(x.value.coeffs, {l: ring.one()}))
-        if out:
-            diff[l] = out
+    diff = _twisted_diff(a, x.value.coeffs, {}, a.gm.labels)
     m = DgModule(a.gm, a, dict(a.mult), diff, name=name or "A^[x]")
     for l in a.gm.labels:
         if m.d_dict(m.diff.get(l, {})):
@@ -112,15 +123,7 @@ def twist_module(a: DgAlgebra, x: MCElement, name: str = "") -> DgModule:
 def twist_algebra(a: DgAlgebra, x: MCElement, name: str = "") -> DgAlgebra:
     """A^x: the same graded algebra with differential d + [x, -]."""
     _require_mc(a, x)
-    ring = a.ring
-    diff = {}
-    for l in a.gm.labels:
-        e = {l: ring.one()}
-        bracket = ring.axpy(a.mul_dicts(x.value.coeffs, e), -ring.sign(a.gm.degree[l]),
-                            a.mul_dicts(e, x.value.coeffs))
-        out = vec_add(ring, a.diff.get(l, {}), bracket)
-        if out:
-            diff[l] = out
+    diff = _twisted_diff(a, x.value.coeffs, x.value.coeffs, a.gm.labels)
     out_alg = DgAlgebra(a.gm, dict(a.unit), dict(a.mult), diff, name=name or "%s^x" % a.name)
     for l in a.gm.labels:
         if out_alg.d_dict(out_alg.diff.get(l, {})):
@@ -138,16 +141,9 @@ def hom_twist(a: DgAlgebra, x: MCElement, y: MCElement, name: str = "") -> DgMod
     _require_mc(a, x)
     _require_mc(a, y)
     ring = a.ring
-    ground = ground_dga(ring)
-    diff = {}
-    for l in a.gm.labels:
-        e = {l: ring.one()}
-        out = ring.axpy(vec_add(ring, a.diff.get(l, {}), a.mul_dicts(y.value.coeffs, e)),
-                        -ring.sign(a.gm.degree[l]), a.mul_dicts(e, x.value.coeffs))
-        if out:
-            diff[l] = out
+    diff = _twisted_diff(a, y.value.coeffs, x.value.coeffs, a.gm.labels)
     action = {(l, "1"): {l: ring.one()} for l in a.gm.labels}
-    m = DgModule(a.gm, ground, action, diff, name=name or "A^[x,y]")
+    m = DgModule(a.gm, ground_dga(ring), action, diff, name=name or "A^[x,y]")
     for l in a.gm.labels:
         if m.d_dict(m.diff.get(l, {})):
             raise MCError("hom twist differential does not square to zero")
@@ -442,31 +438,23 @@ def _solve_homotopy_given_g(a: DgAlgebra, x: MCElement, y: MCElement, g: Element
         rows.setdefault(eqkey, {})[col] = c
 
     one = ring.one()
-    # (2) dh + xh - hy = 0, coefficients per degree-1 label
-    for l in deg0:
-        e = {l: one}
-        expr = ring.axpy(vec_add(ring, a.diff.get(l, {}), a.mul_dicts(x.value.coeffs, e)),
-                         -1, a.mul_dicts(e, y.value.coeffs))
+    xc, yc = x.value.coeffs, y.value.coeffs
+    # (2) dh + xh - hy = 0, coefficients per degree-1 label: A^[y,x] on A^0
+    for l, expr in _twisted_diff(a, xc, yc, deg0).items():
         for r, c in expr.items():
             set_term(("c2", r), uix[("h", l)], c)
-    # (3) hg - d^x(wx) = 1
+    # (3) hg - d^x(wx) = 1, with d^x of A^[x,x] on A^-1
     for l in deg0:
         for r, c in a.mul_dicts({l: one}, g.coeffs).items():
             set_term(("c3", r), uix[("h", l)], c)
-    for l in degm1:
-        e = {l: one}
-        dx = ring.axpy(vec_add(ring, a.diff.get(l, {}), a.mul_dicts(x.value.coeffs, e)),
-                       1, a.mul_dicts(e, x.value.coeffs))  # -(-1)^{-1} a x
+    for l, dx in _twisted_diff(a, xc, xc, degm1).items():
         for r, c in dx.items():
             set_term(("c3", r), uix[("wx", l)], ring.neg(c))
     # (4) gh - d^y(wy) = 1
     for l in deg0:
         for r, c in a.mul_dicts(g.coeffs, {l: one}).items():
             set_term(("c4", r), uix[("h", l)], c)
-    for l in degm1:
-        e = {l: one}
-        dy = ring.axpy(vec_add(ring, a.diff.get(l, {}), a.mul_dicts(y.value.coeffs, e)),
-                       1, a.mul_dicts(e, y.value.coeffs))
+    for l, dy in _twisted_diff(a, yc, yc, degm1).items():
         for r, c in dy.items():
             set_term(("c4", r), uix[("wy", l)], ring.neg(c))
     rhs = {(eq, r): c for eq in ("c3", "c4") for r, c in a.unit.items()}

@@ -21,7 +21,7 @@ import functools
 import itertools
 
 from .dgcore import DgAlgebra, DgModule, GradedModule, ground_dga, vec_apply
-from .exactlinalg import ExactMatrix, Ring, rref, smith_normal_form
+from .exactlinalg import ExactMatrix, Ring, solve_many
 
 
 class SimplicialError(ValueError):
@@ -584,29 +584,19 @@ class LocalSystem:
 def solve_invertibility(m: ExactMatrix):
     """Two-sided inverse of a square exact matrix, or None.
 
-    One factorization decides and inverts: over Z, m is invertible exactly
-    when its invariant factors are all 1, and then U m V = I gives
-    m^-1 = V U; over a field, rref([m | I]) = [I | m^-1] when m is
-    invertible.  The inverse is re-checked on both sides.
+    One :func:`solve_many` decides and inverts: m is invertible exactly
+    when m x = e_j is solvable for every unit vector e_j and the kernel is
+    zero, and then the solutions are the columns of m^-1 (over Z the
+    solves are in integers).  The inverse is re-checked on both sides.
     """
     if m.rows != m.cols:
         return None
     ring, n = m.ring, m.rows
     eye = ExactMatrix.identity(ring, n)
-    if ring.is_field:
-        cols = [{} for _ in range(n)] + [{i: ring.one()} for i in range(n)]
-        for (i, j), v in m.nonzero_items():
-            cols[j][i] = v
-        r, pivots = rref(ExactMatrix.from_columns(ring, cols, range(n)))
-        if pivots != list(range(n)):
-            return None
-        inv = ExactMatrix.from_columns(ring, [{i: r.get(i, n + j) for i in range(n)}
-                                              for j in range(n)], range(n))
-    else:
-        u, d, v = smith_normal_form(m)
-        if d != eye:
-            return None
-        inv = v * u
+    sols, kernel = solve_many(m, [eye.row_list(j) for j in range(n)])
+    if kernel or None in sols:
+        return None
+    inv = ExactMatrix.from_columns(ring, [dict(enumerate(x)) for x in sols], range(n))
     if inv * m != eye or m * inv != eye:
         return None
     return inv

@@ -276,6 +276,41 @@ def test_truncate_command(tmp_path, capsys):
     assert res["rank"] == 0  # d0 = 1 has zero kernel in degree 0
 
 
+def _module_payload():
+    from mctwist.simplicial import circle, cochain_algebra
+    ca = cochain_algebra(circle(3), Z)
+    return {"algebra": io.dga_to_json(ca), "v": [[["p"], 0], [["q"], 1]],
+            "mc": [[[["p"], ["q"], io.encode_label(l)], io.encode_scalar(c)]
+                   for l, c in ca.unit.items()]}
+
+
+BAD_MODULE_JSON = {
+    "empty": lambda obj: {},
+    "not-an-object": lambda obj: [obj],
+    "no-v": lambda obj: {k: v for k, v in obj.items() if k != "v"},
+    "no-mc": lambda obj: {k: v for k, v in obj.items() if k != "mc"},
+    # open(0) is standard input, which holds a valid algebra in this test
+    "algebra-0": lambda obj: dict(obj, algebra=0),
+    "algebra-5": lambda obj: dict(obj, algebra=5),
+}
+
+
+@pytest.mark.parametrize("argv", [["truncate", "--i", "0"], ["minimal-model"]],
+                         ids=lambda a: a[0])
+@pytest.mark.parametrize("case", sorted(BAD_MODULE_JSON))
+def test_module_json_without_its_parts_is_one_input_error_line(case, argv, tmp_path):
+    import mctwist
+    obj = _module_payload()
+    path = tmp_path / "mod.json"
+    path.write_text(io.dumps(BAD_MODULE_JSON[case](obj)))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mctwist.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "mctwist.cli", argv[0], str(path), *argv[1:]],
+                          input=io.dumps(obj["algebra"]), env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert proc.stderr.startswith("input error: ") and proc.stderr.count("\n") == 1
+
+
 def test_resolve_command(tmp_path, capsys):
     payload = {
         "ring": "Z",

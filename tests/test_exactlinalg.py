@@ -858,6 +858,28 @@ def test_invariant_factors_match_the_smith_diagonal(m):
     assert rank(m) == len(facs) == rank(m.change_ring(Q))
 
 
+
+_FIELDS = (Q, Ring.GF(2), Ring.GF(3), F5, Ring.GF(7))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_int_matrices(), st.sampled_from(_FIELDS), st.integers(0, 2 ** 32))
+def test_field_invariant_factors_are_the_rref_rank(m, ring, seed):
+    # over Q the rows are scaled by fractions first, which keeps the rank
+    rng = random.Random(seed)
+    scale = [Fraction(rng.choice((-7, -2, 1, 3, 5)), rng.choice((1, 2, 9)))
+             for _ in range(m.rows)]
+    if ring == Q:
+        m = ExactMatrix.from_rows(Q, [[c * x for x in m.row_list(i)]
+                                      for i, c in enumerate(scale)])
+    else:
+        m = m.change_ring(ring)
+    facs = invariant_factors(m)
+    assert facs == [1] * len(rref(m)[1])
+    assert all(type(f) is int for f in facs)
+    assert rank(m) == len(facs)
+
+
 def test_invariant_factors_send_only_the_non_unit_core_to_the_smith_form(monkeypatch):
     from mctwist import exactlinalg
     seen = []
@@ -872,8 +894,12 @@ def test_invariant_factors_send_only_the_non_unit_core_to_the_smith_form(monkeyp
     assert invariant_factors(m) == [1, 2, 4]
     assert seen == [(2, 2)]
     assert _snf_diagonal(m) == [1, 2, 4]
-    with pytest.raises(ExactLinalgError, match="requires the ring Z"):
-        invariant_factors(ExactMatrix.identity(Q, 2))
+    # over a field every nonzero entry is a unit and no core is left: the
+    # rank is the number of factors [1, 2, 4] that are units there
+    seen.clear()
+    assert invariant_factors(m.change_ring(Q)) == [1, 1, 1]
+    assert invariant_factors(m.change_ring(Ring.GF(2))) == [1]
+    assert seen == []
 
 
 def _rp2():
@@ -977,6 +1003,35 @@ def test_smith_normal_form_only_where_its_transforms_are_read():
             bad.append(where)
     assert not bad, "U or V unread: %s" % ", ".join(bad)
     assert len(core) == 1
+
+
+
+def test_rank_kernel_and_cohomology_name_no_factorization():
+    """Which factorization a question takes (rref over a field, Smith over
+    Z) is decided in solve_many alone; rank and cohomology go through the
+    contraction of invariant_factors, kernels and inverses through
+    solve_many."""
+    import inspect
+    from mctwist import simplicial
+    pattern = re.compile(r"\b(is_field|rref|smith_normal_form)\b")
+    assert pattern.search("    if m.ring.is_field:") and not pattern.search("_rref_kernel(")
+    for f in (rank, kernel_basis, cohomology, simplicial.solve_invertibility):
+        hits = pattern.findall(inspect.getsource(f))
+        assert not hits, "%s names %s" % (f.__name__, hits)
+
+
+@pytest.mark.parametrize("ring", [Q, F5], ids=lambda r: r.name)
+def test_field_cohomology_makes_no_rref_call(ring, monkeypatch):
+    from mctwist import exactlinalg
+    from mctwist.simplicial import circle, cochain_algebra
+    spec = cochain_algebra(circle(8), ring).complex()
+    calls = []
+    inner = exactlinalg.rref
+    monkeypatch.setattr(exactlinalg, "rref", lambda m: calls.append(m) or inner(m))
+    assert cohomology(spec) == CohomologyReport(ring, [(0, 1, ()), (1, 1, ())])
+    assert calls == []
+    kernel_basis(spec.d(0))  # the wrapper does see the calls that remain
+    assert len(calls) == 1
 
 
 # -- building matrices from labelled columns ----------------------------------------

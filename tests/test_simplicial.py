@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -185,6 +186,63 @@ def _random_invertible(rng, ring, n):
             ring, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
         if solve_invertibility(m) is not None:
             return m
+
+
+
+def _two_branch_inverse(m):
+    # the earlier body of solve_invertibility, kept as a reference: U m V = I
+    # gives m^-1 = V U over Z, and rref([m | I]) = [I | m^-1] over a field
+    from mctwist.exactlinalg import rref, smith_normal_form
+    if m.rows != m.cols:
+        return None
+    ring, n = m.ring, m.rows
+    eye = ExactMatrix.identity(ring, n)
+    if ring.is_field:
+        cols = [{} for _ in range(n)] + [{i: ring.one()} for i in range(n)]
+        for (i, j), v in m.nonzero_items():
+            cols[j][i] = v
+        r, pivots = rref(ExactMatrix.from_columns(ring, cols, range(n)))
+        if pivots != list(range(n)):
+            return None
+        inv = ExactMatrix.from_columns(ring, [{i: r.get(i, n + j) for i in range(n)}
+                                              for j in range(n)], range(n))
+    else:
+        u, d, v = smith_normal_form(m)
+        if d != eye:
+            return None
+        inv = v * u
+    if inv * m != eye or m * inv != eye:
+        return None
+    return inv
+
+
+@pytest.mark.parametrize("ring", [Z, Q, Ring.GF(2), F7], ids=lambda r: r.name)
+def test_solve_invertibility_matches_the_two_branch_reference(ring):
+    from mctwist.simplicial import solve_invertibility
+    rng = random.Random(20261018)
+    found = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(0, 5)
+        # unit lower times unit upper triangular: invertible over every ring
+        lo = [[int(i == j) or (rng.randint(-3, 3) if j < i else 0) for j in range(n)]
+              for i in range(n)]
+        up = [[int(i == j) or (rng.randint(-3, 3) if j > i else 0) for j in range(n)]
+              for i in range(n)]
+        rows = [[sum(lo[i][k] * up[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+        kind = rng.random()
+        if n > 1 and kind < 0.3:  # a repeated row: singular over every ring
+            rows[0] = list(rows[-1])
+        elif kind < 0.6:  # random small entries: often singular over Z only
+            rows = [[rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(n)] for _ in range(n)]
+        if ring == Q and n:
+            rows[0] = [Fraction(x, 3) for x in rows[0]]
+        m = ExactMatrix.from_rows(ring, rows)
+        inv = solve_invertibility(m)
+        assert inv == _two_branch_inverse(m)
+        found[inv is not None] += 1
+    assert min(found.values()) > 30, found
+    assert solve_invertibility(ExactMatrix.zeros(ring, 2, 3)) is None
 
 
 def test_mc_to_rep_error_branch():
