@@ -23,6 +23,7 @@ from .dgcore import (
     tensor_dga,
 )
 from .mc import (
+    ConvOp,
     HomotopyGaugeCertificate,
     MCElement,
     TwistedModule,

@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import fixtures, interval, io, mc, perturbation
-from .dgcore import DgError, GradedModule, check_dga, endomorphism_dga
+from .dgcore import DgError, GradedModule, check_dga
 from .exactlinalg import ChainComplexSpec, ExactLinalgError, Ring, cohomology
 from .io import InputError, dumps
 from .simplicial import (SimplicialError, circle, cochain_algebra, local_system_cohomology,
@@ -60,7 +60,7 @@ def cmd_local_system(args) -> int:
     if args.ring:
         system_obj = dict(system_obj)
         system_obj["ring"] = args.ring
-    # the functor condition is checked once, by rep_to_mc
+    # the functor condition is checked once, by twisted_system
     rep = local_system_cohomology(io.local_system_from_json(system_obj, complex_obj))
     out = []
     for entry in io.report_to_json(rep):
@@ -73,7 +73,7 @@ def cmd_local_system(args) -> int:
 
 
 def cmd_mc_check(args) -> int:
-    obj = io.load_json_file(args.element)
+    obj = io.load_json_object(args.element, "value")
     alg_obj = obj.get("algebra")
     if isinstance(alg_obj, str):
         alg_obj = io.load_json_file(alg_obj)
@@ -91,8 +91,8 @@ def cmd_mc_check(args) -> int:
 
 def cmd_gauge_search(args) -> int:
     a = io.dga_from_json(io.load_json_file(args.algebra))
-    x_obj = io.load_json_file(args.x)
-    y_obj = io.load_json_file(args.y)
+    x_obj = io.load_json_object(args.x, "value")
+    y_obj = io.load_json_object(args.y, "value")
     try:
         x = mc.MCElement(a, a.element(io.element_from_json(a, x_obj["value"])))
         y = mc.MCElement(a, a.element(io.element_from_json(a, y_obj["value"])))
@@ -121,7 +121,7 @@ def cmd_k2_dict(args) -> int:
     name_to_label = {"e": k2.e, "f": k2.f, "s": k2.word_label("s", 1),
                      "t": k2.word_label("t", 1), "st": k2.word_label("s", 2),
                      "ts": k2.word_label("t", 2)}
-    obj = io.load_json_file(args.input)
+    obj = io.load_json_object(args.input)
     try:
         if args.direction == "to-certificate":
             x_dict = {}
@@ -183,14 +183,11 @@ def _reduced_module(path) -> perturbation.ReducedTwistedModule:
         a = io.dga_from_json(obj["algebra"] if isinstance(obj["algebra"], dict)
                              else io.load_json_file(obj["algebra"]))
         v = GradedModule(a.ring, [(io.decode_label(l), int(d)) for l, d in obj["v"]])
-        end = endomorphism_dga(a, v)
-        coeffs = {}
-        for (u, w, al), c in ((tuple(k), c) for k, c in obj["mc"]):
-            coeffs[("E", io.decode_label(u), io.decode_label(w),
-                    io.decode_label(al))] = a.ring.coerce(c)
+        coeffs = {(io.decode_label(u), io.decode_label(w), io.decode_label(al)):
+                  a.ring.coerce(c) for (u, w, al), c in ((tuple(k), c) for k, c in obj["mc"])}
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("bad module JSON: %s" % (exc,)) from exc
-    tw = mc.TwistedModule(v, a, mc.MCElement(end, end.element(coeffs)), end_dga=end)
+    tw = mc.TwistedModule(v, a, mc.ConvOp(a, v, v, coeffs))
     comp = perturbation.reduced_component(tw)
     if comp is None:
         raise InputError("module is not reduced")
@@ -213,7 +210,7 @@ def cmd_minimal_model(args) -> int:
 
 
 def cmd_resolve(args) -> int:
-    obj = io.load_json_file(args.input)
+    obj = io.load_json_object(args.input)
     try:
         ring = Ring.parse(obj.get("ring", "Z"))
         base = io.complex_from_json(obj["complex"])
@@ -235,7 +232,7 @@ def cmd_resolve(args) -> int:
                             c = ring.sub(c, ring.one())
                         if c != 0:
                             w1_coeffs[(u, w, e)] = c
-        w1 = perturbation.ConvOp(a, w_gm, w_gm, w1_coeffs)
+        w1 = mc.ConvOp(a, w_gm, w_gm, w1_coeffs)
         tw = perturbation.lift_to_free_resolution(a, w_gm, d_w, w1)
     except (perturbation.PerturbationError, mc.MCError, KeyError) as exc:
         raise InputError(str(exc)) from exc

@@ -78,7 +78,7 @@ def _normalized(ring: Ring, table: dict) -> dict:
     return out
 
 
-def _check_degrees(degree: dict, *checks):
+def check_degrees(degree: dict, *checks):
     # each check (table, want, what): the labels of table[key] lie in degree want(key)
     of_degree = {}
     for label, d in degree.items():
@@ -194,10 +194,15 @@ class Element:
                         if self.algebra.gm.degree[l] == degree})
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join("%s*%r" % (v, l) for l, v in sorted(self.coeffs.items(),
-                                                              key=lambda kv: str(kv[0])))
+        return format_coeffs(self.coeffs)
+
+
+def format_coeffs(coeffs: dict) -> str:
+    """A coefficient dict as "c*label + ...", its labels sorted by str; "0" if empty."""
+    if not coeffs:
+        return "0"
+    return " + ".join("%s*%r" % (v, l) for l, v in sorted(coeffs.items(),
+                                                          key=lambda kv: str(kv[0])))
 
 
 class DgAlgebra:
@@ -219,7 +224,7 @@ class DgAlgebra:
         self.mult = _normalized(self.ring, mult)
         self.diff = _normalized(self.ring, diff)
         deg = gm.degree
-        _check_degrees(deg, ({(): self.unit}, lambda _: 0, "unit"),
+        check_degrees(deg, ({(): self.unit}, lambda _: 0, "unit"),
                        (self.mult, lambda ab: deg[ab[0]] + deg[ab[1]], "product"),
                        (self.diff, lambda a: deg[a] + 1, "differential of"))
 
@@ -517,7 +522,7 @@ class DgModule:
         self.action = _normalized(self.ring, action)
         self.diff = _normalized(self.ring, diff)
         deg, adeg = gm.degree, algebra.gm.degree
-        _check_degrees(deg, (self.action, lambda ma: deg[ma[0]] + adeg[ma[1]], "action"),
+        check_degrees(deg, (self.action, lambda ma: deg[ma[0]] + adeg[ma[1]], "action"),
                        (self.diff, lambda m: deg[m] + 1, "differential of"))
 
     def d_dict(self, x: dict) -> dict:

@@ -162,3 +162,15 @@ def load_json_file(path):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from exc
+
+
+def load_json_object(path, *keys) -> dict:
+    """A JSON file whose top level is an object holding every key of ``keys``."""
+    obj = load_json_file(path)
+    if not isinstance(obj, dict):
+        raise InputError("%s: the top level must be a JSON object, not %s"
+                         % (path, type(obj).__name__))
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise InputError("%s: missing key %r" % (path, missing[0]))
+    return obj

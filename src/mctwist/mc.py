@@ -20,6 +20,11 @@ exactly these four conditions; :func:`search_homotopy_gauge` is a
 certificate-producing decision layer that never claims equivalence without
 a verified certificate and never claims distinction without a computed
 invariant that differs.
+
+A twisted module (V (x) A, 1 (x) d + x) takes its twisting x as a
+:class:`ConvOp` and checks (1 (x) d)(x) + x o x = 0 by convolution.
+End(V) (x) A as a dg algebra (:func:`~mctwist.dgcore.endomorphism_dga`) is
+for ``check_dga``, :func:`gauge_act` and library users.
 """
 
 from __future__ import annotations
@@ -29,11 +34,15 @@ from dataclasses import dataclass, field
 
 from .dgcore import (
     DgAlgebra,
+    DgError,
     DgModule,
     Element,
     GradedModule,
-    endomorphism_dga,
+    check_degrees,
+    complex_of,
+    format_coeffs,
     ground_dga,
+    vec_apply,
 )
 from .exactlinalg import (
     CohomologyReport,
@@ -109,26 +118,27 @@ def _twisted_diff(a: DgAlgebra, y: dict, x: dict, labels) -> dict:
     return diff
 
 
+def _square_zero(a: DgAlgebra, diff: dict, what: str) -> dict:
+    """diff, once checked to square to zero on every label."""
+    for out in diff.values():
+        if vec_apply(a.ring, diff, out):
+            raise MCError("%s differential does not square to zero" % what)
+    return diff
+
+
 def twist_module(a: DgAlgebra, x: MCElement, name: str = "") -> DgModule:
     """A^[x]: A as a right module with differential d + (left mult by x)."""
     _require_mc(a, x)
-    diff = _twisted_diff(a, x.value.coeffs, {}, a.gm.labels)
-    m = DgModule(a.gm, a, dict(a.mult), diff, name=name or "A^[x]")
-    for l in a.gm.labels:
-        if m.d_dict(m.diff.get(l, {})):
-            raise MCError("twisted module differential does not square to zero")
-    return m
+    diff = _square_zero(a, _twisted_diff(a, x.value.coeffs, {}, a.gm.labels), "twisted module")
+    return DgModule(a.gm, a, dict(a.mult), diff, name=name or "A^[x]")
 
 
 def twist_algebra(a: DgAlgebra, x: MCElement, name: str = "") -> DgAlgebra:
     """A^x: the same graded algebra with differential d + [x, -]."""
     _require_mc(a, x)
-    diff = _twisted_diff(a, x.value.coeffs, x.value.coeffs, a.gm.labels)
-    out_alg = DgAlgebra(a.gm, dict(a.unit), dict(a.mult), diff, name=name or "%s^x" % a.name)
-    for l in a.gm.labels:
-        if out_alg.d_dict(out_alg.diff.get(l, {})):
-            raise MCError("twisted algebra differential does not square to zero")
-    return out_alg
+    diff = _square_zero(a, _twisted_diff(a, x.value.coeffs, x.value.coeffs, a.gm.labels),
+                        "twisted algebra")
+    return DgAlgebra(a.gm, dict(a.unit), dict(a.mult), diff, name=name or "%s^x" % a.name)
 
 
 def hom_twist(a: DgAlgebra, x: MCElement, y: MCElement, name: str = "") -> DgModule:
@@ -140,14 +150,10 @@ def hom_twist(a: DgAlgebra, x: MCElement, y: MCElement, name: str = "") -> DgMod
     """
     _require_mc(a, x)
     _require_mc(a, y)
-    ring = a.ring
-    diff = _twisted_diff(a, y.value.coeffs, x.value.coeffs, a.gm.labels)
-    action = {(l, "1"): {l: ring.one()} for l in a.gm.labels}
-    m = DgModule(a.gm, ground_dga(ring), action, diff, name=name or "A^[x,y]")
-    for l in a.gm.labels:
-        if m.d_dict(m.diff.get(l, {})):
-            raise MCError("hom twist differential does not square to zero")
-    return m
+    diff = _square_zero(a, _twisted_diff(a, y.value.coeffs, x.value.coeffs, a.gm.labels),
+                        "hom twist")
+    action = {(l, "1"): {l: a.ring.one()} for l in a.gm.labels}
+    return DgModule(a.gm, ground_dga(a.ring), action, diff, name=name or "A^[x,y]")
 
 
 def hom_twist_compose(a: DgAlgebra, g, f):
@@ -256,53 +262,182 @@ def verify_homotopy_gauge(a: DgAlgebra, x: MCElement, y: MCElement,
 
 
 # ---------------------------------------------------------------------------
-# twisted modules V (x) A from MC elements of End(V) (x) A
+# convolution operators and twisted modules V (x) A
 # ---------------------------------------------------------------------------
 
 
-class TwistedModule:
-    """(V (x) A, 1 (x) d + x) for an MC element x of End(V) (x) A."""
+class ConvOp:
+    """A map V_src (x) A -> V_dst (x) A: sum E_{src -> dst} (x) a, stored as
+    {(src label, dst label, algebra label): c}.  Composition carries the
+    Koszul sign (-1)^{|a| |psi|}, psi the matrix part of the right factor:
+    the product of End(V) (x) A, evaluated on demand without its table.
+    """
 
-    def __init__(self, v: GradedModule, algebra: DgAlgebra, mc: MCElement,
-                 end_dga: DgAlgebra = None, name: str = ""):
+    def __init__(self, algebra: DgAlgebra, src: GradedModule, dst: GradedModule,
+                 coeffs: dict = None):
+        coeffs = coeffs or {}
+        sdeg, ddeg, adeg = src.degree, dst.degree, algebra.gm.degree
+        bad = [("E",) + k for k in coeffs
+               if k[0] not in sdeg or k[1] not in ddeg or k[2] not in adeg]
+        if bad:
+            raise DgError("unknown basis labels %r" % (bad,))
+        self.algebra, self.ring, self.src, self.dst = algebra, algebra.ring, src, dst
+        self.coeffs = {k: c for k, v in coeffs.items() if (c := self.ring.coerce(v)) != 0}
+
+    def _like(self, coeffs: dict, src=None) -> "ConvOp":
+        # an operator into self.dst from canonical nonzero coefficients on known labels
+        op = object.__new__(ConvOp)
+        op.algebra, op.ring, op.src, op.dst = self.algebra, self.ring, src or self.src, self.dst
+        op.coeffs = coeffs
+        return op
+
+    @staticmethod
+    def identity(algebra: DgAlgebra, v: GradedModule) -> "ConvOp":
+        return ConvOp.from_matrix(algebra, v, v, {(u, u): 1 for u in v.labels})
+
+    @staticmethod
+    def from_matrix(algebra: DgAlgebra, src: GradedModule, dst: GradedModule,
+                    entries: dict) -> "ConvOp":
+        """Weight-0 operator from {(src label, dst label): scalar} (x) unit."""
+        out = {}
+        for (u, w), c in entries.items():
+            for al, cu in algebra.unit.items():
+                out[(u, w, al)] = algebra.ring.mul(algebra.ring.coerce(c), cu)
+        return ConvOp(algebra, src, dst, out)
+
+    @staticmethod
+    def from_mc(x: MCElement, algebra: DgAlgebra, v: GradedModule) -> "ConvOp":
+        """The operator of an element of End(V) (x) A (labels ("E", u, w, a))."""
+        return ConvOp(algebra, v, v,
+                      {(u, w, al): c for (_, u, w, al), c in x.value.coeffs.items()})
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __add__(self, other: "ConvOp") -> "ConvOp":
+        return self._like(self.ring.axpy(dict(self.coeffs), 1, other.coeffs))
+
+    def __sub__(self, other: "ConvOp") -> "ConvOp":
+        return self._like(self.ring.axpy(dict(self.coeffs), -1, other.coeffs))
+
+    def scale(self, c) -> "ConvOp":
+        return self._like(self.ring.axpy({}, self.ring.coerce(c), self.coeffs))
+
+    def compose(self, other: "ConvOp") -> "ConvOp":
+        """self o other, other acting first."""
+        if other.dst is not self.src and other.dst.labels != self.src.labels:
+            raise DgError("composition endpoints do not match")
+        ring = self.ring
+        out = {}
+        by_w0 = {}
+        for (u0, w0, a0), c0 in other.coeffs.items():
+            by_w0.setdefault(w0, []).append((u0, a0, c0))
+        for (u1, w1, a1), c1 in self.coeffs.items():
+            da1 = self.algebra.gm.degree[a1]
+            for (u0, a0, c0) in by_w0.get(u1, ()):
+                psi = other.dst.degree[u1] - other.src.degree[u0]
+                sign = ring.sign(da1 * psi)
+                prod = self.algebra.mul_labels(a1, a0)
+                if prod:
+                    ring.axpy(out, ring.mul(ring.mul(c1, c0), sign),
+                              {(u0, w1, r): cr for r, cr in prod.items()})
+        return self._like(out, other.src)
+
+    def d_end(self) -> "ConvOp":
+        """(1 (x) d) with the Koszul sign on the matrix part."""
+        ring = self.ring
+        out = {}
+        for (u, w, al), c in self.coeffs.items():
+            sign = ring.sign(self.dst.degree[w] - self.src.degree[u])
+            ring.axpy(out, ring.mul(sign, c),
+                      {(u, w, r): cr for r, cr in self.algebra.diff.get(al, {}).items()})
+        return self._like(out)
+
+    def mc_residual(self) -> "ConvOp":
+        """(1 (x) d)(x) + x o x: zero exactly when x is Maurer-Cartan."""
+        return self.d_end() + self.compose(self)
+
+    def weight_split(self) -> dict:
+        """Components by algebra degree (the filtration weight)."""
+        parts = {}
+        for key, c in self.coeffs.items():
+            w = self.algebra.gm.degree[key[2]]
+            parts.setdefault(w, {})[key] = c
+        return {w: self._like(d) for w, d in parts.items()}
+
+    def min_weight(self):
+        return min((self.algebra.gm.degree[k[2]] for k in self.coeffs), default=None)
+
+    def __eq__(self, other):
+        return isinstance(other, ConvOp) and self.coeffs == other.coeffs
+
+    def __repr__(self):
+        return "ConvOp(%d terms)" % len(self.coeffs)
+
+
+class TwistedModule:
+    """(V (x) A, 1 (x) d + x) for a Maurer-Cartan twisting x, a ConvOp on V (x) A.
+
+    x is checked once, by :meth:`ConvOp.mc_residual`; a refusal reads as
+    :class:`MCElement`'s for x in End(V) (x) A, on the labels ("E", u, w, a).
+    """
+
+    def __init__(self, v: GradedModule, algebra: DgAlgebra, x: ConvOp, name: str = ""):
+        if v.ring != algebra.ring:
+            raise DgError("module and algebra rings differ")
+        if x.algebra is not algebra or x.src is not v or x.dst is not v:
+            raise MCError("the twisting is not an operator on V (x) A")
+        deg, adeg = v.degree, algebra.gm.degree
+        if any(deg[w] - deg[u] + adeg[al] != 1 for u, w, al in x.coeffs):
+            raise MCError("an MC candidate must be homogeneous of degree 1")
+        res = x.mc_residual().coeffs
+        if res:
+            raise MCError("not Maurer-Cartan; residual %s"
+                          % format_coeffs({("E",) + k: c for k, c in res.items()}))
         self.v = v
         self.algebra = algebra
-        self.end = end_dga if end_dga is not None else endomorphism_dga(algebra, v)
-        if mc.algebra is not self.end:
-            raise MCError("MC element lives in the wrong endomorphism algebra")
-        _require_mc(self.end, mc)
-        self.mc = mc
+        self.x = x
         self.name = name or "V(x)%s" % algebra.name
+
+    def _differential(self) -> tuple:
+        """(graded module on the labels (v, a), D = 1 (x) d + x on it)."""
+        a, v = self.algebra, self.v
+        ring = a.ring
+        gm = GradedModule(ring, [((vl, al), v.degree[vl] + a.gm.degree[al])
+                                 for vl in v.labels for al in a.gm.labels])
+        # x . (v (x) a) = sum over the terms (v, w, c) of x: +-(w, c a)
+        terms = {}
+        for (u, w, cl), c in self.x.coeffs.items():
+            terms.setdefault(u, []).append(
+                (w, cl, ring.mul(ring.sign(a.gm.degree[cl] * v.degree[u]), c)))
+        diff = {}
+        for vl in v.labels:
+            sv = ring.sign(v.degree[vl])
+            for al in a.gm.labels:
+                out = {(vl, rl): ring.mul(sv, c) for rl, c in a.diff.get(al, {}).items()}
+                for w, cl, c in terms.get(vl, ()):
+                    prod = a.mult.get((cl, al))
+                    if prod:
+                        ring.axpy(out, c, {(w, rl): cr for rl, cr in prod.items()})
+                if out:
+                    diff[(vl, al)] = out
+        return gm, diff
 
     def module(self) -> DgModule:
         """The dg module on basis (v, a) with D = 1 (x) d + x."""
+        gm, diff = self._differential()
         a = self.algebra
-        ring = a.ring
-        basis = [((vl, al), self.v.degree[vl] + a.gm.degree[al])
-                 for vl in self.v.labels for al in a.gm.labels]
-        gm = GradedModule(ring, basis)
         action = {}
         for (al, bl), prod in a.mult.items():
             for vl in self.v.labels:
                 action[((vl, al), bl)] = {(vl, rl): c for rl, c in prod.items()}
-        diff = {}
-        for vl in self.v.labels:
-            sv = ring.sign(self.v.degree[vl])
-            for al in a.gm.labels:
-                out = {(vl, rl): ring.mul(sv, c) for rl, c in a.diff.get(al, {}).items()}
-                # x . (v (x) a): terms ("E", u, w, cl) with u = vl
-                for el, ce in self.mc.value.coeffs.items():
-                    _, u, w, cl = el
-                    if u != vl:
-                        continue
-                    sign = ring.sign(a.gm.degree[cl] * self.v.degree[vl])
-                    ring.axpy(out, ring.mul(sign, ce),
-                              {(w, rl): c for rl, c in a.mul_labels(cl, al).items()})
-                diff[(vl, al)] = out
         return DgModule(gm, a, action, diff, name=self.name)
 
     def cohomology(self) -> CohomologyReport:
-        return cohomology(self.module().complex())
+        gm, diff = self._differential()
+        deg = gm.degree
+        check_degrees(deg, (diff, lambda m: deg[m] + 1, "differential of"))
+        return cohomology(complex_of(gm.ring, gm, diff))
 
 # ---------------------------------------------------------------------------
 # degreewise matrices of hom twists, H^0 and the search layer
@@ -336,10 +471,19 @@ class SearchResult:
 
 
 def twist_invariants(a: DgAlgebra, x: MCElement) -> dict:
-    """Homotopy-gauge invariants of x: H of A^[x] and of A^x."""
-    module_rep = cohomology(twist_module(a, x).complex())
-    algebra_rep = cohomology(twist_algebra(a, x).complex())
-    return {"module_twist": module_rep, "algebra_twist": algebra_rep}
+    """Homotopy-gauge invariants of x: H of A^[x] and of A^x.
+
+    The complexes are built from the twisted differentials alone, with the
+    d^2 checks of :func:`twist_module` and :func:`twist_algebra`.
+    """
+    _require_mc(a, x)
+    xc = x.value.coeffs
+    out = {}
+    for key, right, what in (("module_twist", {}, "twisted module"),
+                             ("algebra_twist", xc, "twisted algebra")):
+        diff = _square_zero(a, _twisted_diff(a, xc, right, a.gm.labels), what)
+        out[key] = cohomology(complex_of(a.ring, a.gm, diff))
+    return out
 
 
 def search_homotopy_gauge(a: DgAlgebra, x: MCElement, y: MCElement,
@@ -462,12 +606,8 @@ def _solve_homotopy_given_g(a: DgAlgebra, x: MCElement, y: MCElement, g: Element
     vals = solve_equations(ring, len(unknowns), rows, rhs)
     if vals is None:
         return None
-    h = Element(a, {l: vals[uix[("h", l)]] for l in deg0
-                    if vals[uix[("h", l)]] != 0})
-    wx = Element(a, {l: vals[uix[("wx", l)]] for l in degm1
-                     if vals[uix[("wx", l)]] != 0})
-    wy = Element(a, {l: vals[uix[("wy", l)]] for l in degm1
-                     if vals[uix[("wy", l)]] != 0})
+    h, wx, wy = (Element(a, {l: vals[uix[(tag, l)]] for l in labels})
+                 for tag, labels in (("h", deg0), ("wx", degm1), ("wy", degm1)))
     return HomotopyGaugeCertificate(g, h, wx, wy)
 
 
@@ -550,35 +690,30 @@ class H0Category:
         rng = random.Random(seed)
         n = len(self.xs)
         found = set((i, i) for i in range(n))
+
+        def candidates(reps):
+            # the representatives, then (drawn only if none is an iso) six
+            # random combinations of them
+            yield from reps
+            for _ in range(6):
+                acc = {}
+                for rep in reps:
+                    c = rng.randint(-2, 2)
+                    if c:
+                        self.ring.axpy(acc, c, rep)
+                if acc:
+                    yield acc
+
         for i in range(n):
             for j in range(n):
                 if i == j or (i, j) in found:
                     continue
-                for rep in self.reps[(i, j)]:
-                    cert = _solve_homotopy_given_g(self.a, self.xs[i], self.xs[j],
-                                                   Element(self.a, rep))
-                    if cert is not None:
-                        ok, _ = verify_homotopy_gauge(self.a, self.xs[i], self.xs[j], cert)
-                        if ok:
-                            found.add((i, j))
-                            found.add((j, i))
-                            break
-                else:
-                    for _ in range(6):
-                        coeffs = [rng.randint(-2, 2) for _ in self.reps[(i, j)]]
-                        acc = {}
-                        for c, rep in zip(coeffs, self.reps[(i, j)]):
-                            if c:
-                                self.ring.axpy(acc, c, rep)
-                        if not acc:
-                            continue
-                        cert = _solve_homotopy_given_g(self.a, self.xs[i], self.xs[j],
-                                                       Element(self.a, acc))
-                        if cert is not None and verify_homotopy_gauge(
-                                self.a, self.xs[i], self.xs[j], cert)[0]:
-                            found.add((i, j))
-                            found.add((j, i))
-                            break
+                x, y = self.xs[i], self.xs[j]
+                for g in candidates(self.reps[(i, j)]):
+                    cert = _solve_homotopy_given_g(self.a, x, y, Element(self.a, g))
+                    if cert is not None and verify_homotopy_gauge(self.a, x, y, cert)[0]:
+                        found.update(((i, j), (j, i)))
+                        break
         return sorted((i, j) for (i, j) in found if i != j)
 
 

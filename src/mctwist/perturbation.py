@@ -12,129 +12,25 @@ and the geometric series terminates because d' raises the (bounded)
 algebra-degree filtration.  All outputs -- the minimal twisting, the two
 comparison maps and the homotopy -- are verified equationally and exactly.
 
-Operators between twisted modules are stored as convolution matrices:
-sparse dicts {(src label, dst label, algebra label): coefficient} meaning
+Twistings and the operators between twisted modules are
+:class:`~mctwist.mc.ConvOp` convolution matrices: sparse dicts
+{(src label, dst label, algebra label): coefficient} meaning
 sum E_{src -> dst} (x) a, composed with the Koszul sign
-(-1)^{|a| |psi|} where psi is the matrix part of the right factor.
+(-1)^{|a| |psi|} where psi is the matrix part of the right factor.  Every
+module built here is a :class:`~mctwist.mc.TwistedModule` on such a
+twisting, checked once against the MC equation by convolution; no
+End(V) (x) A is built.
 """
 
 from __future__ import annotations
 
-from .dgcore import DgAlgebra, GradedModule, endomorphism_dga
+from .dgcore import DgAlgebra, GradedModule, ground_dga
 from .exactlinalg import ExactMatrix, Ring, kernel_basis, rref, solve_equations, solve_many
-from .mc import MCElement, TwistedModule
+from .mc import ConvOp, TwistedModule
 
 
 class PerturbationError(ValueError):
     pass
-
-
-class ConvOp:
-    """A map V_src (x) A -> V_dst (x) A given by convolution coefficients."""
-
-    def __init__(self, algebra: DgAlgebra, src: GradedModule, dst: GradedModule,
-                 coeffs: dict = None):
-        self.algebra = algebra
-        self.ring = algebra.ring
-        self.src = src
-        self.dst = dst
-        self.coeffs = {}
-        for (u, w, al), c in (coeffs or {}).items():
-            c = self.ring.coerce(c)
-            if c != 0:
-                self.coeffs[(u, w, al)] = c
-
-    @staticmethod
-    def identity(algebra: DgAlgebra, v: GradedModule) -> "ConvOp":
-        out = {}
-        for u in v.labels:
-            for al, c in algebra.unit.items():
-                out[(u, u, al)] = c
-        return ConvOp(algebra, v, v, out)
-
-    @staticmethod
-    def from_matrix(algebra: DgAlgebra, src: GradedModule, dst: GradedModule,
-                    entries: dict) -> "ConvOp":
-        """Weight-0 operator from {(src label, dst label): scalar} (x) unit."""
-        out = {}
-        for (u, w), c in entries.items():
-            for al, cu in algebra.unit.items():
-                out[(u, w, al)] = algebra.ring.mul(algebra.ring.coerce(c), cu)
-        return ConvOp(algebra, src, dst, out)
-
-    @staticmethod
-    def from_mc(x: MCElement, algebra: DgAlgebra, v: GradedModule) -> "ConvOp":
-        out = {}
-        for (tag, u, w, al), c in x.value.coeffs.items():
-            out[(u, w, al)] = c
-        return ConvOp(algebra, v, v, out)
-
-    def to_mc_coeffs(self) -> dict:
-        return {("E", u, w, al): c for (u, w, al), c in self.coeffs.items()}
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "ConvOp") -> "ConvOp":
-        return ConvOp(self.algebra, self.src, self.dst,
-                      self.ring.axpy(dict(self.coeffs), 1, other.coeffs))
-
-    def __sub__(self, other: "ConvOp") -> "ConvOp":
-        return ConvOp(self.algebra, self.src, self.dst,
-                      self.ring.axpy(dict(self.coeffs), -1, other.coeffs))
-
-    def scale(self, c) -> "ConvOp":
-        c = self.ring.coerce(c)
-        return ConvOp(self.algebra, self.src, self.dst,
-                      {k: self.ring.mul(c, v) for k, v in self.coeffs.items()})
-
-    def compose(self, other: "ConvOp") -> "ConvOp":
-        """self o other, other acting first."""
-        if other.dst is not self.src and other.dst.labels != self.src.labels:
-            raise PerturbationError("composition endpoints do not match")
-        ring = self.ring
-        out = {}
-        by_w0 = {}
-        for (u0, w0, a0), c0 in other.coeffs.items():
-            by_w0.setdefault(w0, []).append((u0, a0, c0))
-        for (u1, w1, a1), c1 in self.coeffs.items():
-            da1 = self.algebra.gm.degree[a1]
-            for (u0, a0, c0) in by_w0.get(u1, ()):
-                psi = other.dst.degree[u1] - other.src.degree[u0]
-                sign = ring.sign(da1 * psi)
-                prod = self.algebra.mul_labels(a1, a0)
-                if prod:
-                    ring.axpy(out, ring.mul(ring.mul(c1, c0), sign),
-                              {(u0, w1, r): cr for r, cr in prod.items()})
-        return ConvOp(self.algebra, other.src, self.dst, out)
-
-    def d_end(self) -> "ConvOp":
-        """(1 (x) d) with the Koszul sign on the matrix part."""
-        ring = self.ring
-        out = {}
-        for (u, w, al), c in self.coeffs.items():
-            sign = ring.sign(self.dst.degree[w] - self.src.degree[u])
-            ring.axpy(out, ring.mul(sign, c),
-                      {(u, w, r): cr for r, cr in self.algebra.diff.get(al, {}).items()})
-        return ConvOp(self.algebra, self.src, self.dst, out)
-
-    def weight_split(self) -> dict:
-        """Components by algebra degree (the filtration weight)."""
-        parts = {}
-        for key, c in self.coeffs.items():
-            w = self.algebra.gm.degree[key[2]]
-            parts.setdefault(w, {})[key] = c
-        return {w: ConvOp(self.algebra, self.src, self.dst, d)
-                for w, d in parts.items()}
-
-    def min_weight(self):
-        return min((self.algebra.gm.degree[k[2]] for k in self.coeffs), default=None)
-
-    def __eq__(self, other):
-        return isinstance(other, ConvOp) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return "ConvOp(%d terms)" % len(self.coeffs)
 
 
 def hom_differential(f: ConvOp, x_src: ConvOp, x_dst: ConvOp, degree: int) -> ConvOp:
@@ -175,25 +71,18 @@ class ReducedTwistedModule:
         self.v = tw.v
         self.ring = tw.algebra.ring
         self.d0 = dict(d0_entries)
-        x = ConvOp.from_mc(tw.mc, tw.algebra, tw.v)
         want = ConvOp.from_matrix(tw.algebra, tw.v, tw.v, self.d0)
-        parts = x.weight_split()
-        zero_part = parts.get(0, ConvOp(tw.algebra, tw.v, tw.v))
-        if zero_part != want:
+        if tw.x.weight_split().get(0, ConvOp(tw.algebra, tw.v, tw.v)) != want:
             raise PerturbationError("A^0 component of the twisting is not d0 (x) 1")
-        sq = want.compose(want)
-        if not sq.is_zero():
+        if not want.compose(want).is_zero():
             raise PerturbationError("d0 does not square to zero")
 
     @property
     def d_prime(self) -> ConvOp:
-        x = ConvOp.from_mc(self.tw.mc, self.algebra, self.v)
-        parts = x.weight_split()
-        acc = ConvOp(self.algebra, self.v, self.v)
-        for w, op in parts.items():
-            if w >= 1:
-                acc = acc + op
-        return acc
+        """The weight-raising part of the twisting."""
+        deg = self.algebra.gm.degree
+        return ConvOp(self.algebra, self.v, self.v,
+                      {k: c for k, c in self.tw.x.coeffs.items() if deg[k[2]] >= 1})
 
 
 def reduced_component(tw: TwistedModule):
@@ -202,8 +91,7 @@ def reduced_component(tw: TwistedModule):
     Returns the entry dict or None when the module is not reduced.
     """
     ring = tw.algebra.ring
-    x = ConvOp.from_mc(tw.mc, tw.algebra, tw.v)
-    zero_part = x.weight_split().get(0)
+    zero_part = tw.x.weight_split().get(0)
     if zero_part is None:
         return {}
     unit = tw.algebra.unit
@@ -220,10 +108,7 @@ def reduced_component(tw: TwistedModule):
                 return None
         if c != 0:
             entries[(u, w)] = c
-    probe = ConvOp.from_matrix(tw.algebra, tw.v, tw.v, entries)
-    if probe != zero_part:
-        return None
-    return entries
+    return entries if ConvOp.from_matrix(tw.algebra, tw.v, tw.v, entries) == zero_part else None
 
 
 def is_reduced(tw: TwistedModule) -> bool:
@@ -231,7 +116,7 @@ def is_reduced(tw: TwistedModule) -> bool:
 
 
 def is_minimal(tw: TwistedModule) -> bool:
-    return ConvOp.from_mc(tw.mc, tw.algebra, tw.v).weight_split().get(0) is None
+    return tw.x.weight_split().get(0) is None
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +193,7 @@ def hodge_data(v: GradedModule, d0_entries: dict) -> HodgeData:
 
 
 def check_hodge(v: GradedModule, d0_entries: dict, h: HodgeData) -> bool:
-    a = _trivial_dga(v.ring)
+    a = ground_dga(v.ring)
     gm = v
     d0 = ConvOp.from_matrix(a, gm, gm, d0_entries)
     s = ConvOp.from_matrix(a, gm, gm, h.s)
@@ -318,11 +203,6 @@ def check_hodge(v: GradedModule, d0_entries: dict, h: HodgeData) -> bool:
             and t.compose(t) == t
             and s.compose(t).is_zero() and t.compose(s).is_zero()
             and s.compose(s).is_zero())
-
-
-def _trivial_dga(ring: Ring) -> DgAlgebra:
-    from .dgcore import ground_dga
-    return ground_dga(ring)
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +263,9 @@ def minimal_model(rtm: ReducedTwistedModule) -> MinimalModel:
     project = p_h.compose(t_op).compose(q_series)
     homotopy = p_series.compose(s_op)
 
-    end_h = endomorphism_dga(a, hg)
-    x2_mc = MCElement(end_h, end_h.element(x2.to_mc_coeffs()))
-    minimal = TwistedModule(hg, a, x2_mc, end_dga=end_h, name="minimal model")
+    minimal = TwistedModule(hg, a, x2, name="minimal model")
 
-    x_op = ConvOp.from_mc(rtm.tw.mc, a, v)
+    x_op = rtm.tw.x
     checks = {
         "minimal": is_minimal(minimal),
         "include_closed": hom_differential(include, x2, x_op, 0).is_zero(),
@@ -445,9 +323,7 @@ def minimal_iso_check(f: ConvOp, src: TwistedModule, dst: TwistedModule):
     if not (is_minimal(src) and is_minimal(dst)):
         raise PerturbationError("rigidity check needs minimal modules")
     a = src.algebra
-    x_src = ConvOp.from_mc(src.mc, a, src.v)
-    x_dst = ConvOp.from_mc(dst.mc, a, dst.v)
-    if not hom_differential(f, x_src, x_dst, 0).is_zero():
+    if not hom_differential(f, src.x, dst.x, 0).is_zero():
         raise PerturbationError("map is not closed of degree 0")
     f0 = f.weight_split().get(0, ConvOp(a, src.v, dst.v))
     g0 = _invert_weight_zero(a, f0, src.v, dst.v)
@@ -519,8 +395,7 @@ def lift_to_free_resolution(a: DgAlgebra, w_gm: GradedModule, d_w_entries: dict,
     ws = {0: d_w, 1: w1}
     top = max(a.gm.degrees())
     for k in range(2, top + 1 + 1):
-        rest = ConvOp(a, w_gm, w_gm)
-        rest = rest + ws[k - 1].d_end()
+        rest = ws[k - 1].d_end()
         for i in range(1, k):
             j = k - i
             if i in ws and j in ws:
@@ -535,9 +410,7 @@ def lift_to_free_resolution(a: DgAlgebra, w_gm: GradedModule, d_w_entries: dict,
     x_total = ConvOp(a, w_gm, w_gm)
     for k, op in ws.items():
         x_total = x_total + op
-    end = endomorphism_dga(a, w_gm)
-    mc = MCElement(end, end.element(x_total.to_mc_coeffs()))
-    return TwistedModule(w_gm, a, mc, end_dga=end, name="resolution lift")
+    return TwistedModule(w_gm, a, x_total, name="resolution lift")
 
 
 def _solve_commutator(a: DgAlgebra, w_gm: GradedModule, d_w: ConvOp,
@@ -598,18 +471,15 @@ def truncate_twisted(rtm: ReducedTwistedModule, i: int):
                                     {cols[ci]: c for ci, c in enumerate(kv) if c != 0}))
     if not new_vectors:
         vgm = GradedModule(ring, [])
-        end = endomorphism_dga(a, vgm)
-        from .mc import zero_mc
-        return TwistedModule(vgm, a, zero_mc(end), end_dga=end,
+        return TwistedModule(vgm, a, ConvOp(a, vgm, vgm),
                              name="tau_<=%d (zero)" % i), ConvOp(a, vgm, v)
     vgm = GradedModule(ring, [(lbl, deg) for lbl, deg, _ in new_vectors])
     inc = ConvOp.from_matrix(a, vgm, v, {(lbl, w): c for lbl, _, vec in new_vectors
                                          for w, c in vec.items()})
     # restricted twisting: solve x o inc = inc o x' for x'
-    x = ConvOp.from_mc(rtm.tw.mc, a, v)
+    x = rtm.tw.x
     ximg = x.compose(inc)
     basis_mat = ExactMatrix.from_columns(ring, [vec for _, _, vec in new_vectors], v.labels)
-    xprime = {}
     # group image terms by (source new label, algebra label); one factorization
     # of basis_mat gives every group's coordinates, unique by its full column rank
     grouped = {}
@@ -619,16 +489,10 @@ def truncate_twisted(rtm: ReducedTwistedModule, i: int):
                                      for img in grouped.values()])
     if None in sols:
         raise PerturbationError("twisting does not preserve the truncation")
-    for (u, al), sol in zip(grouped, sols):
-        for k, c in enumerate(sol):
-            if c != 0:
-                xprime[(u, new_vectors[k][0], al)] = c
-    end = endomorphism_dga(a, vgm)
-    mc = MCElement(end, end.element(
-        {("E", u, w, al): c for (u, w, al), c in xprime.items()}))
-    out = TwistedModule(vgm, a, mc, end_dga=end, name="tau_<=%d" % i)
-    x_out = ConvOp.from_mc(mc, a, vgm)
-    if not hom_differential(inc, x_out, x, 0).is_zero():
+    xprime = {(u, new_vectors[k][0], al): c
+              for (u, al), sol in zip(grouped, sols) for k, c in enumerate(sol)}
+    out = TwistedModule(vgm, a, ConvOp(a, vgm, vgm, xprime), name="tau_<=%d" % i)
+    if not hom_differential(inc, out.x, x, 0).is_zero():
         raise PerturbationError("internal: truncation inclusion is not closed")
     return out, inc
 
@@ -646,12 +510,10 @@ def truncate_above(rtm: ReducedTwistedModule, i: int):
     basis += [(("M", l), d) for l, d in rtm.v.basis()]
     gm = GradedModule(ring, basis)
     coeffs = {}
-    for (u, w, al), c in ConvOp.from_mc(low.mc, a, low.v).coeffs.items():
-        coeffs[("E", ("C", u), ("C", w), al)] = ring.neg(c)
-    for (u, w, al), c in ConvOp.from_mc(rtm.tw.mc, a, rtm.v).coeffs.items():
-        coeffs[("E", ("M", u), ("M", w), al)] = c
+    for (u, w, al), c in low.x.coeffs.items():
+        coeffs[(("C", u), ("C", w), al)] = ring.neg(c)
+    for (u, w, al), c in rtm.tw.x.coeffs.items():
+        coeffs[(("M", u), ("M", w), al)] = c
     for (u, w, al), c in inc.coeffs.items():
-        coeffs[("E", ("C", u), ("M", w), al)] = c
-    end = endomorphism_dga(a, gm)
-    mc = MCElement(end, end.element(coeffs))
-    return TwistedModule(gm, a, mc, end_dga=end, name="tau_>=%d" % i)
+        coeffs[(("C", u), ("M", w), al)] = c
+    return TwistedModule(gm, a, ConvOp(a, gm, gm, coeffs), name="tau_>=%d" % i)

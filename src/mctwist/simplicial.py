@@ -607,6 +607,22 @@ def solve_invertibility(m: ExactMatrix):
 # ---------------------------------------------------------------------------
 
 
+def _edge_twisting(ls: LocalSystem) -> dict:
+    """{(u, w, edge): c}, the entries (zeros included) of F(edge) - 1, once
+    the functor condition holds on every 2-simplex."""
+    bad = ls.functor_condition_failures()
+    if bad:
+        raise SimplicialError("functor condition fails on 2-simplices: %r" % (bad,))
+    ring, labels = ls.ring, ls.v.labels
+    coeffs = {}
+    for e, m in ls.monodromy.items():
+        for ui, u in enumerate(labels):
+            for wi, w in enumerate(labels):
+                c = m.get(wi, ui)
+                coeffs[(u, w, e)] = ring.sub(c, ring.one()) if u == w else c
+    return coeffs
+
+
 def rep_to_mc(ls: LocalSystem, end_dga: DgAlgebra = None):
     """Psi: monodromy F |-> the MC cochain sigma |-> F(sigma) - 1.
 
@@ -617,24 +633,10 @@ def rep_to_mc(ls: LocalSystem, end_dga: DgAlgebra = None):
     from .dgcore import endomorphism_dga
     from .mc import MCElement
 
-    bad = ls.functor_condition_failures()
-    if bad:
-        raise SimplicialError("functor condition fails on 2-simplices: %r" % (bad,))
-    ring = ls.ring
+    coeffs = _edge_twisting(ls)
     end = end_dga if end_dga is not None else endomorphism_dga(
-        cochain_algebra(ls.base, ring), ls.v)
-    coeffs = {}
-    n = ls.v.dim
-    labels = ls.v.labels
-    for e, m in ls.monodromy.items():
-        for ui, u in enumerate(labels):
-            for wi, w in enumerate(labels):
-                c = m.get(wi, ui)
-                if u == w:
-                    c = ring.sub(c, ring.one())
-                if c != 0:
-                    coeffs[("E", u, w, e)] = c
-    return MCElement(end, end.element(coeffs))
+        cochain_algebra(ls.base, ls.ring), ls.v)
+    return MCElement(end, end.element({("E",) + k: c for k, c in coeffs.items()}))
 
 
 def mc_to_rep(x, base: FiniteSimplicialSet, v: GradedModule) -> LocalSystem:
@@ -656,15 +658,12 @@ def mc_to_rep(x, base: FiniteSimplicialSet, v: GradedModule) -> LocalSystem:
 
 
 def twisted_system(ls: LocalSystem):
-    """The TwistedModule V (x) C*(X) of a local system."""
-    from .dgcore import endomorphism_dga
-    from .mc import TwistedModule
+    """The TwistedModule V (x) C*(X) of a local system, twisted by F - 1."""
+    from .mc import ConvOp, TwistedModule
 
     ca = cochain_algebra(ls.base, ls.ring)
-    end = endomorphism_dga(ca, ls.v)
-    x = rep_to_mc(ls, end_dga=end)
-    return TwistedModule(ls.v, ca, x, end_dga=end,
-                         name="local system on %s" % ls.base.name)
+    x = ConvOp(ca, ls.v, ls.v, _edge_twisting(ls))
+    return TwistedModule(ls.v, ca, x, name="local system on %s" % ls.base.name)
 
 
 def local_system_cohomology(ls: LocalSystem):
@@ -712,38 +711,26 @@ def two_sided_twisted(base: FiniteSimplicialSet, vleft: GradedModule,
     Y(sigma_01) f(d_0 sigma) + sum_i (-1)^i f(d_i sigma)
   + (-1)^n f(d_n sigma) X(sigma_{n-1,n}) with X = x + 1, Y = y + 1.
     Setting y = 0 recovers the one-sided twist of the right structure.
+    D is :func:`~mctwist.perturbation.hom_differential` on the convolution
+    operators f = E_{ur -> ul} (x) a.
     """
+    from .mc import ConvOp
+    from .perturbation import hom_differential
+
     ring = ring or vleft.ring
     ca = cochain_algebra(base, ring)
-    basis = []
-    for ur in vright.labels:
-        for ul in vleft.labels:
-            for al in ca.gm.labels:
-                deg = vleft.degree[ul] - vright.degree[ur] + ca.gm.degree[al]
-                basis.append((("m", ur, ul, al), deg))
+    x_op, y_op = (ConvOp.from_mc(z, ca, v) if hasattr(z, "value") else ConvOp(ca, v, v)
+                  for z, v in ((x, vright), (y, vleft)))
+    basis = [(("m", ur, ul, al), vleft.degree[ul] - vright.degree[ur] + ca.gm.degree[al])
+             for ur in vright.labels for ul in vleft.labels for al in ca.gm.labels]
     gm = GradedModule(ring, basis)
     ground = ground_dga(ring)
     action = {(l, "1"): {l: ring.one()} for l, _ in basis}
     diff = {}
-    ycoeffs = y.value.coeffs if hasattr(y, "value") else {}
-    xcoeffs = x.value.coeffs if hasattr(x, "value") else {}
-    for (_, ur, ul, al), fdeg in basis:
-        out = ring.axpy({}, ring.sign(vleft.degree[ul] - vright.degree[ur]),
-                        {("m", ur, ul, rl): c for rl, c in ca.diff.get(al, {}).items()})
-        for (tag, u2, w2, cl), ce in ycoeffs.items():
-            if u2 != ul:
-                continue
-            sgn = ring.sign(ca.gm.degree[cl] * (vleft.degree[ul] - vright.degree[ur]))
-            ring.axpy(out, ring.mul(sgn, ce),
-                      {("m", ur, w2, rl): c for rl, c in ca.mul_labels(cl, al).items()})
-        for (tag, u2, w2, cl), ce in xcoeffs.items():
-            if w2 != ur:
-                continue
-            psi_deg = vright.degree[w2] - vright.degree[u2]
-            sgn = ring.sign(fdeg + ca.gm.degree[al] * psi_deg + 1)
-            ring.axpy(out, ring.mul(sgn, ce),
-                      {("m", u2, ul, rl): c for rl, c in ca.mul_labels(al, cl).items()})
-        diff[("m", ur, ul, al)] = out
+    for (tag, ur, ul, al), fdeg in basis:
+        f = ConvOp(ca, vright, vleft, {(ur, ul, al): 1})
+        diff[(tag, ur, ul, al)] = {(tag,) + k: c for k, c in
+                                   hom_differential(f, x_op, y_op, fdeg).coeffs.items()}
     m = DgModule(gm, ground, action, diff, name="two-sided twist")
     for l in gm.labels:
         if m.d_dict(m.diff.get(l, {})):

@@ -332,7 +332,7 @@ def _seeded_reduced_module(rng, ring, a, v, end):
             if rng.random() < 0.6:
                 coeffs[("E", "w0", u, e)] = ring.coerce(rng.randint(1, 4))
     g = end.element(coeffs)
-    return TwistedModule(v, a, gauge_act(end, g, MCElement(end, base)), end_dga=end)
+    return TwistedModule(v, a, ConvOp.from_mc(gauge_act(end, g, MCElement(end, base)), a, v))
 
 
 def test_criterion_09_resolution_lift():

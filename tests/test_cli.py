@@ -93,6 +93,62 @@ def test_one_local_system_job_builds_and_checks_once(tmp_path, capsys, monkeypat
     assert len(functor) == 1
 
 
+# argv -> twisted modules the job builds (the input module and its truncation
+# or minimal model), each checked against the MC equation once
+TWISTED_MODULE_JOBS = {
+    "local-system": 1,
+    "truncate": 2,
+    "minimal-model": 2,
+}
+
+
+@pytest.mark.parametrize("command", sorted(TWISTED_MODULE_JOBS))
+def test_twisted_module_jobs_build_no_end_algebra(command, tmp_path, capsys, monkeypatch):
+    from mctwist import dgcore, mc
+    built, elementwise, convolved = [], [], []
+    for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "mctwist"]:
+        if getattr(module, "endomorphism_dga", None) is dgcore.endomorphism_dga:
+            monkeypatch.setattr(module, "endomorphism_dga",
+                                _counted(dgcore.endomorphism_dga, built))
+    monkeypatch.setattr(mc, "mc_residual", _counted(mc.mc_residual, elementwise))
+    monkeypatch.setattr(mc.ConvOp, "mc_residual", _counted(mc.ConvOp.mc_residual, convolved))
+    if command == "local-system":
+        argv = [command, *_write_local_system(tmp_path, [[0, 1], [0, 2], [0, 3]])]
+    else:
+        (tmp_path / "m.json").write_text(io.dumps(_module_payload(Q)))
+        argv = [command, str(tmp_path / "m.json")] + (["--i", "1"] if command == "truncate" else [])
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert (len(built), len(elementwise), len(convolved)) == (0, 0, TWISTED_MODULE_JOBS[command])
+
+
+# extra MC terms added to _module_payload()'s d0 -> the one line both
+# truncate and minimal-model print for them
+BAD_MC_TERMS = {
+    "not-mc": ([[[["p"], ["p"], [0, 1]], "1"]],
+               "input error: not Maurer-Cartan; residual 1*('E', ('p',), ('q',), (0, 1))\n"),
+    "inhomogeneous": ([[[["q"], ["p"], [0]], "1"]],
+                      "input error: an MC candidate must be homogeneous of degree 1\n"),
+    "unknown-v-label": ([[[["p"], ["s"], [0, 1]], "2"]],
+                        "input error: unknown basis labels [('E', ('p',), ('s',), (0, 1))]\n"),
+    "unknown-algebra-label": (
+        [[[["p"], ["q"], [5, 7]], "2"]],
+        "input error: unknown basis labels [('E', ('p',), ('q',), (5, 7))]\n"),
+}
+
+
+@pytest.mark.parametrize("argv", [["truncate", "--i", "0"], ["minimal-model"]],
+                         ids=lambda a: a[0])
+@pytest.mark.parametrize("case", sorted(BAD_MC_TERMS))
+def test_bad_twisting_is_refused_with_one_line(case, argv, tmp_path, capsys):
+    terms, message = BAD_MC_TERMS[case]
+    obj = _module_payload(Q if argv[0] == "minimal-model" else Z)
+    obj["mc"] = obj["mc"] + terms
+    path = tmp_path / "mod.json"
+    path.write_text(io.dumps(obj))
+    assert run_cli(capsys, argv[0], str(path), *argv[1:]) == (1, "", message)
+
+
 def test_local_system_failing_cocycle_exits_one(tmp_path, capsys):
     code, out, err = run_cli(capsys, "local-system", *_write_local_system(tmp_path, [[0, 1]]))
     assert (code, out) == (1, "")
@@ -276,10 +332,12 @@ def test_truncate_command(tmp_path, capsys):
     assert res["rank"] == 0  # d0 = 1 has zero kernel in degree 0
 
 
-def _module_payload():
+def _module_payload(ring=Z):
+    # V = p (degree 0) + q, r (degree 1) over C*(S^1_3), d0 = p -> q: a
+    # nonzero truncation at 1 and a nonzero minimal model
     from mctwist.simplicial import circle, cochain_algebra
-    ca = cochain_algebra(circle(3), Z)
-    return {"algebra": io.dga_to_json(ca), "v": [[["p"], 0], [["q"], 1]],
+    ca = cochain_algebra(circle(3), ring)
+    return {"algebra": io.dga_to_json(ca), "v": [[["p"], 0], [["q"], 1], [["r"], 1]],
             "mc": [[[["p"], ["q"], io.encode_label(l)], io.encode_scalar(c)]
                    for l, c in ca.unit.items()]}
 
@@ -309,6 +367,42 @@ def test_module_json_without_its_parts_is_one_input_error_line(case, argv, tmp_p
                           text=True, timeout=120)
     assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
     assert proc.stderr.startswith("input error: ") and proc.stderr.count("\n") == 1
+
+
+def _k0_algebra():
+    return io.dga_to_json(build_interval_algebra(0, Q).dga)
+
+
+# (argv, {file name: JSON payload}) for input files of the wrong shape
+BAD_INPUT_FILES = {
+    "mc-check-list": (["mc-check", "e.json"], {"e.json": []}),
+    "mc-check-no-value": (["mc-check", "e.json"], {"e.json": {"algebra": _k0_algebra()}}),
+    "resolve-list": (["resolve", "r.json"], {"r.json": []}),
+    "gauge-search-x-list": (["gauge-search", "a.json", "x.json", "y.json", "--seed", "1"],
+                            {"a.json": _k0_algebra(), "x.json": [], "y.json": {"value": []}}),
+    "gauge-search-y-list": (["gauge-search", "a.json", "x.json", "y.json", "--seed", "1"],
+                            {"a.json": _k0_algebra(), "x.json": {"value": []}, "y.json": []}),
+    "gauge-search-x-empty": (["gauge-search", "a.json", "x.json", "y.json", "--seed", "1"],
+                             {"a.json": _k0_algebra(), "x.json": {}, "y.json": {"value": []}}),
+    "gauge-search-y-empty": (["gauge-search", "a.json", "x.json", "y.json", "--seed", "1"],
+                             {"a.json": _k0_algebra(), "x.json": {"value": []}, "y.json": {}}),
+    "k2-dict-to-certificate-list": (
+        ["k2-dict", "a.json", "i.json", "--direction", "to-certificate"],
+        {"a.json": _k0_algebra(), "i.json": []}),
+    "k2-dict-to-homotopy-list": (
+        ["k2-dict", "a.json", "i.json", "--direction", "to-homotopy"],
+        {"a.json": _k0_algebra(), "i.json": []}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT_FILES))
+def test_input_file_of_the_wrong_shape_is_one_input_error_line(case, tmp_path, capsys):
+    argv, files = BAD_INPUT_FILES[case]
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, *[str(tmp_path / a) if a in files else a for a in argv])
+    assert (code, out) == (1, ""), err
+    assert err.startswith("input error: ") and err.count("\n") == 1
 
 
 def test_resolve_command(tmp_path, capsys):

@@ -24,7 +24,7 @@ from mctwist.dgcore import (
 from mctwist.exactlinalg import ExactMatrix, Ring
 from mctwist.fixtures import universal_mc_dga
 from mctwist.interval import build_interval_algebra, quotient_map
-from mctwist.mc import MCElement, TwistedModule, hom_twist, twist_module, zero_mc
+from mctwist.mc import ConvOp, MCElement, TwistedModule, hom_twist, twist_module, zero_mc
 from mctwist.simplicial import (
     LocalSystem,
     circle,
@@ -550,7 +550,7 @@ def _base_module(kind, ring_name):
         ls = LocalSystem(circle(3), v, {(0, 1): ExactMatrix.from_rows(ring, [[-1]])})
         ca = cochain_algebra(circle(3), ring)
         end = endomorphism_dga(ca, v)
-        return TwistedModule(v, ca, rep_to_mc(ls, end_dga=end), end_dga=end).module()
+        return TwistedModule(v, ca, ConvOp.from_mc(rep_to_mc(ls, end_dga=end), ca, v)).module()
     if kind == "twisted-kx":
         kx = universal_mc_dga(ring, 4)
         return twist_module(kx, MCElement(kx, kx.element(("x", 1))))

@@ -1,12 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from mctwist.dgcore import GradedModule, endomorphism_dga, ground_dga, tensor_dga
+from mctwist.dgcore import DgError, GradedModule, endomorphism_dga, ground_dga, tensor_dga
 from mctwist.exactlinalg import ExactMatrix, Ring, kernel_basis, rank
 from mctwist.fixtures import homotopy_gauge_universal_dga, universal_mc_dga
 from mctwist.interval import build_interval_algebra
 from mctwist.mc import (
+    ConvOp,
     HomotopyGaugeCertificate,
     MCElement,
     MCError,
@@ -27,7 +31,7 @@ from mctwist.mc import (
     zero_mc,
 )
 from mctwist.mc import _degree_matrix
-from mctwist.simplicial import circle, cochain_algebra, simplex
+from mctwist.simplicial import LocalSystem, circle, cochain_algebra, rep_to_mc, simplex
 
 Z, Q = Ring.Z(), Ring.Q()
 
@@ -102,11 +106,11 @@ def test_twisted_module_d_squared_iff_mc():
         x = end.element(coeffs)
         ok, res = is_mc(end, x)
         if ok:
-            tw = TwistedModule(v, ca, MCElement(end, x), end_dga=end)
+            tw = TwistedModule(v, ca, ConvOp.from_mc(MCElement(end, x), ca, v))
             assert tw.module().check()["ok"]
         else:
-            with pytest.raises(MCError):
-                TwistedModule(v, ca, MCElement(end, x, unchecked=True), end_dga=end)
+            with pytest.raises(MCError, match="not Maurer-Cartan"):
+                TwistedModule(v, ca, ConvOp.from_mc(MCElement(end, x, unchecked=True), ca, v))
 
 
 def test_hom_twist_zero_zero_and_compose():
@@ -541,3 +545,97 @@ def test_h0_representatives_match_the_greedy_reference(ring):
         for (i, j), reps in cat.reps.items():
             ref = _ref_h0_reps(end, xs[i], xs[j])
             assert [list(r.items()) for r in reps] == [list(r.items()) for r in ref]
+
+
+# -- the convolution MC check against End(V) (x) A --------------------------------
+
+ORACLE_BASES = {"S1_3": circle(3), "S1_4": circle(4), "D2": simplex(2)}
+
+
+def _oracle_unimodular(rnd, ring, n):
+    # +-1 on the diagonal, random above it: invertible over Z, Q and F5
+    return ExactMatrix.from_rows(ring, [[rnd.choice([1, -1]) if i == j else
+                                         rnd.randint(-2, 2) if j > i else 0
+                                         for j in range(n)] for i in range(n)])
+
+
+def _oracle_gauge(rnd, ca, v, end):
+    """D + N with D = +-1 on each (u, vertex) and N nilpotent: vertex terms
+    u_i -> u_j (i < j, equal degrees) and weight-raising edge terms that
+    lower the degree in V by one."""
+    labels = v.labels
+    coeffs = {("E", u, u, vert): rnd.choice([1, -1])
+              for u in labels for vert in ca.gm.labels_of_degree(0)}
+    for i, u in enumerate(labels):
+        for j, w in enumerate(labels):
+            if i < j and v.degree[u] == v.degree[w]:
+                for vert in ca.gm.labels_of_degree(0):
+                    coeffs[("E", u, w, vert)] = rnd.randint(-2, 2)
+            if v.degree[w] == v.degree[u] - 1:
+                for e in ca.gm.labels_of_degree(1):
+                    coeffs[("E", u, w, e)] = rnd.randint(-2, 2)
+    return end.element(coeffs)
+
+
+def _oracle_local_system(rnd, base, ring, v, end):
+    edges = base.nondegenerate(1)
+    mono = {e: _oracle_unimodular(rnd, ring, v.dim) for e in edges}
+    if (0, 2) in mono and base is ORACLE_BASES["D2"]:
+        mono[(0, 2)] = mono[(0, 1)] * mono[(1, 2)]  # the cocycle condition on (0, 1, 2)
+    return rep_to_mc(LocalSystem(base, v, mono), end_dga=end)
+
+
+@st.composite
+def twisting_candidates(draw):
+    """(C*(X), V, End(V) (x) C*(X), coefficients on the labels ("E", u, w, a))."""
+    ring = draw(st.sampled_from([Z, Q, Ring.GF(5)]))
+    base = ORACLE_BASES[draw(st.sampled_from(sorted(ORACLE_BASES)))]
+    kind = draw(st.sampled_from(["any-degree", "degree-one", "gauge", "local-system",
+                                 "perturbed", "unknown-label"]))
+    n = draw(st.integers(1, 3))
+    degrees = [0] * n if kind == "local-system" else \
+        draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    ca = cochain_algebra(base, ring)
+    v = GradedModule(ring, [(("v", i), d) for i, d in enumerate(degrees)])
+    end = endomorphism_dga(ca, v)
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    scalars = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=3).filter(
+        lambda q: ring is Q or q.denominator == 1)
+    if kind in ("gauge", "local-system", "perturbed"):
+        x = _oracle_local_system(rnd, base, ring, v, end) if kind == "local-system" \
+            else zero_mc(end)
+        coeffs = dict(gauge_act(end, _oracle_gauge(rnd, ca, v, end), x).value.coeffs)
+        deg1 = end.gm.labels_of_degree(1)
+        if kind == "perturbed" and deg1:  # an MC element moved off the MC locus, mostly
+            key = draw(st.sampled_from(deg1))
+            coeffs[key] = end.ring.add(coeffs.get(key, 0), end.ring.coerce(draw(scalars)))
+    else:
+        pool = end.gm.labels_of_degree(1) if kind == "degree-one" else end.gm.labels
+        keys = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5, unique=True)) \
+            if pool else []
+        coeffs = {k: draw(scalars) for k in keys}
+        if kind == "unknown-label":
+            coeffs[("E", ("v", 7), ("v", 0), draw(st.sampled_from(ca.gm.labels)))] = 1
+    return ca, v, end, coeffs
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(twisting_candidates())
+def test_twisted_module_accepts_what_the_end_algebra_check_accepts(case):
+    # the reference is the MC check in End(V) (x) A, with its structure constants
+    ca, v, end, coeffs = case
+    try:
+        MCElement(end, end.element(coeffs))
+        want = None
+    except (MCError, DgError) as exc:
+        want = (type(exc), str(exc))
+    try:
+        x = ConvOp(ca, v, v, {k[1:]: c for k, c in coeffs.items()})
+        TwistedModule(v, ca, x)
+        got = None
+    except (MCError, DgError) as exc:
+        got = (type(exc), str(exc))
+    assert got == want
+    if want is None or want[0] is MCError and "residual" in want[1]:
+        _, res = is_mc(end, end.element(coeffs))
+        assert {("E",) + k: c for k, c in x.mc_residual().coeffs.items()} == res.coeffs

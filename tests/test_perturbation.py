@@ -279,7 +279,7 @@ def _contractible_module():
     v = GradedModule(Q, [("p", 0), ("q", 1)])
     end = endomorphism_dga(d1, v)
     x = end.element({("E", "p", "q", al): c for al, c in d1.unit.items()})
-    tw = TwistedModule(v, d1, MCElement(end, x), end_dga=end)
+    tw = TwistedModule(v, d1, ConvOp.from_mc(MCElement(end, x), d1, v))
     return ReducedTwistedModule(tw, {("p", "q"): 1})
 
 
@@ -293,7 +293,7 @@ def test_already_minimal_module_is_fixed():
     ca = cochain_algebra(circle(3), Q)
     v = GradedModule(Q, [("a", 0)])
     end = endomorphism_dga(ca, v)
-    tw = TwistedModule(v, ca, zero_mc(end), end_dga=end)
+    tw = TwistedModule(v, ca, ConvOp.from_mc(zero_mc(end), ca, v))
     assert is_minimal(tw) and is_reduced(tw)
     rtm = ReducedTwistedModule(tw, {})
     mm = minimal_model(rtm)
@@ -310,7 +310,7 @@ def test_reduced_over_connected_algebra():
     x = end.element({("E", "a", "b", ("x", 0)): 1, ("E", "a", "a", ("x", 1)): 1})
     ok, _ = __import__("mctwist.mc", fromlist=["is_mc"]).is_mc(end, x)
     if ok:
-        tw = TwistedModule(v, kx, MCElement(end, x), end_dga=end)
+        tw = TwistedModule(v, kx, ConvOp.from_mc(MCElement(end, x), kx, v))
         assert is_reduced(tw)
 
 
@@ -326,7 +326,7 @@ def test_non_reduced_witness():
     from mctwist.mc import is_mc
     ok, _ = is_mc(end, x)
     assert ok
-    tw = TwistedModule(v, ca, MCElement(end, x), end_dga=end)
+    tw = TwistedModule(v, ca, ConvOp.from_mc(MCElement(end, x), ca, v))
     assert reduced_component(tw) is None
     assert not is_reduced(tw)
 
@@ -361,7 +361,7 @@ def _random_reduced(seed, algebra, ring=F5):
             coeffs[("E", "w0", "u1", e)] = rng.randint(1, 4)
     g = end.element(coeffs)
     gx = gauge_act(end, g, MCElement(end, base))
-    return TwistedModule(v, algebra, gx, end_dga=end)
+    return TwistedModule(v, algebra, ConvOp.from_mc(gx, algebra, v))
 
 
 def test_minimal_model_randomized_with_cohomology_equality():
@@ -386,7 +386,7 @@ def test_minimal_model_over_q_too():
     for e in ca.gm.labels_of_degree(1):
         coeffs[("E", "w0", "u1", e)] = 3
     g = end.element(coeffs)
-    tw = TwistedModule(v, ca, gauge_act(end, g, MCElement(end, base)), end_dga=end)
+    tw = TwistedModule(v, ca, ConvOp.from_mc(gauge_act(end, g, MCElement(end, base)), ca, v))
     mm = minimal_model(ReducedTwistedModule(tw, reduced_component(tw)))
     assert mm.minimal.cohomology() == tw.cohomology()
 
@@ -395,7 +395,7 @@ def test_minimal_model_needs_a_field():
     ca = cochain_algebra(circle(3), Z)
     v = GradedModule(Z, [("a", 0)])
     end = endomorphism_dga(ca, v)
-    tw = TwistedModule(v, ca, zero_mc(end), end_dga=end)
+    tw = TwistedModule(v, ca, ConvOp.from_mc(zero_mc(end), ca, v))
     with pytest.raises(PerturbationError, match="field"):
         minimal_model(ReducedTwistedModule(tw, {}))
 
@@ -407,7 +407,7 @@ def test_identity_is_certified_invertible():
     ca = cochain_algebra(circle(3), Q)
     v = GradedModule(Q, [("a", 0)])
     end = endomorphism_dga(ca, v)
-    tw = TwistedModule(v, ca, zero_mc(end), end_dga=end)
+    tw = TwistedModule(v, ca, ConvOp.from_mc(zero_mc(end), ca, v))
     ident = ConvOp.identity(ca, v)
     ok, inv = minimal_iso_check(ident, tw, tw)
     assert ok and inv == ident
@@ -419,7 +419,7 @@ def test_one_plus_nilpotent_is_invertible():
     ca = cochain_algebra(circle(3), Q)
     v = GradedModule(Q, [("p", 0), ("q", 1)])
     end = endomorphism_dga(ca, v)
-    tw = TwistedModule(v, ca, zero_mc(end), end_dga=end)
+    tw = TwistedModule(v, ca, ConvOp.from_mc(zero_mc(end), ca, v))
     edge = ca.gm.labels_of_degree(1)[0]
     # E_{q -> p} (x) edge has degree -1 + 1 = 0 and raises the weight
     n = ConvOp(ca, v, v, {("q", "p", edge): 3})
@@ -434,7 +434,7 @@ def test_zero_map_between_nonzero_minimals_is_not_invertible():
     ca = cochain_algebra(circle(3), Q)
     v = GradedModule(Q, [("a", 0)])
     end = endomorphism_dga(ca, v)
-    tw = TwistedModule(v, ca, zero_mc(end), end_dga=end)
+    tw = TwistedModule(v, ca, ConvOp.from_mc(zero_mc(end), ca, v))
     ok, inv = minimal_iso_check(ConvOp(ca, v, v), tw, tw)
     assert not ok and inv is None
 
@@ -526,7 +526,7 @@ def _two_stage_module(ring=Z):
     end = endomorphism_dga(a, v)
     # d0: b0 -> b1 is an isomorphism on a summand; harmless twist on edges
     x = end.element({("E", "b0", "b1", al): c for al, c in a.unit.items()})
-    tw = TwistedModule(v, a, MCElement(end, x), end_dga=end)
+    tw = TwistedModule(v, a, ConvOp.from_mc(MCElement(end, x), a, v))
     return ReducedTwistedModule(tw, {("b0", "b1"): 1})
 
 
@@ -562,7 +562,7 @@ def test_truncate_keeps_fibre_kernel_only():
     v = GradedModule(Z, [("p", 0), ("q", 1)])
     end = endomorphism_dga(a, v)
     x = end.element({("E", "p", "q", al): Z.mul(2, c) for al, c in a.unit.items()})
-    tw = TwistedModule(v, a, MCElement(end, x), end_dga=end)
+    tw = TwistedModule(v, a, ConvOp.from_mc(MCElement(end, x), a, v))
     rtm = ReducedTwistedModule(tw, {("p", "q"): 2})
     out, _ = truncate_twisted(rtm, 0)
     # ker(2: Z -> Z) = 0: the degree-0 truncation is the zero module
@@ -588,8 +588,7 @@ def test_truncate_factors_its_basis_once_per_call(ring, monkeypatch):
         basis = ExactMatrix.from_columns(ring, [
             {w: c for (u, w, al), c in inc.coeffs.items() if u == l and al == unit}
             for l in out.v.labels], rtm.v.labels)
-        images = {(u, al) for u, _, al in ConvOp.from_mc(rtm.tw.mc, rtm.algebra, rtm.v)
-                  .compose(inc).coeffs}
+        images = {(u, al) for u, _, al in rtm.tw.x.compose(inc).coeffs}
         assert len(images) == groups
         factored = [m for m in seen if m.rows == basis.rows and m.cols >= basis.cols and
                     {k: c for k, c in m.nonzero_items() if k[1] < basis.cols} ==

@@ -356,14 +356,15 @@ def test_twisted_system_d_squares_iff_mc():
     base = circle(3)
     v = GradedModule(Q, [("v0", 0), ("v1", 0)])
     from mctwist.dgcore import endomorphism_dga
-    end = endomorphism_dga(cochain_algebra(base, Q), v)
+    ca = cochain_algebra(base, Q)
+    end = endomorphism_dga(ca, v)
     bad = MCElement(end, end.element({("E", "v0", "v1", ((0, 1))): 1,
                                       ("E", "v0", "v0", ((1, 2))): 1}), unchecked=True)
     ok, _ = is_mc(end, bad.value)
     if not ok:
-        from mctwist.mc import TwistedModule, MCError
-        with pytest.raises(MCError):
-            TwistedModule(v, cochain_algebra(base, Q), bad, end_dga=end)
+        from mctwist.mc import ConvOp, TwistedModule, MCError
+        with pytest.raises(MCError, match="not Maurer-Cartan"):
+            TwistedModule(v, ca, ConvOp.from_mc(bad, ca, v))
 
 
 def test_two_sided_differential_matches_local_coefficient_display():
