@@ -151,7 +151,7 @@ def cmd_k2_dict(args) -> int:
             [[label_to_name[l], io.element_to_json(a.as_element(v).coeffs)]
              for l, v in x_dict.items()]),
             "checks": ["certificate-verification", "mc"]})
-    except (mc.MCError, KeyError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # an MCError is a ValueError
         raise InputError(str(exc)) from exc
 
 

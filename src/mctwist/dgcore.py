@@ -78,6 +78,26 @@ def _normalized(ring: Ring, table: dict) -> dict:
     return out
 
 
+def _index(table: dict) -> tuple:
+    """A table keyed by pairs (a, b), by first and by second entry:
+    ({a: [(b, out), ...]}, {b: [(a, out), ...]}), each row in table order."""
+    by_first, by_second = {}, {}
+    for (a, b), out in table.items():
+        by_first.setdefault(a, []).append((b, out))
+        by_second.setdefault(b, []).append((a, out))
+    return by_first, by_second
+
+
+def _times_rows(ring: Ring, y: dict, rows: dict) -> dict:
+    """{l: sum c * out over the terms c r of y and the (l, out) in rows[r]},
+    its zero entries dropped; each sum accumulates in y's order."""
+    out = {}
+    for r, c in y.items():
+        for l, v in rows.get(r, ()):
+            ring.axpy(out.setdefault(l, {}), c, v)
+    return {l: v for l, v in out.items() if v}
+
+
 def check_degrees(degree: dict, *checks):
     # each check (table, want, what): the labels of table[key] lie in degree want(key)
     of_degree = {}
@@ -212,7 +232,7 @@ class DgAlgebra:
     keys are zero products.  ``diff`` maps a label to the coefficient dict
     of its differential.  Zero coefficients are dropped on construction, so
     the keys of both tables are exactly the nonzero structure constants;
-    :func:`check_dga` reads its candidate witnesses off them.
+    :meth:`left_mult` and :meth:`right_mult` visit only those.
     """
 
     def __init__(self, gm: GradedModule, unit: dict, mult: dict, diff: dict,
@@ -223,6 +243,7 @@ class DgAlgebra:
         self.unit = _normalized(self.ring, {(): unit}).get((), {})
         self.mult = _normalized(self.ring, mult)
         self.diff = _normalized(self.ring, diff)
+        self._rows = None  # mult by left and by right label, built on first use
         deg = gm.degree
         check_degrees(deg, ({(): self.unit}, lambda _: 0, "unit"),
                        (self.mult, lambda ab: deg[ab[0]] + deg[ab[1]], "product"),
@@ -275,6 +296,25 @@ class DgAlgebra:
                     ring.axpy(out, ring.mul(ca, cb), prod)
         return out
 
+    def _mult_rows(self) -> tuple:
+        """``mult`` by left and by right label (see :func:`_index`)."""
+        if self._rows is None:
+            self._rows = _index(self.mult)
+        return self._rows
+
+    def left_mult(self, y: dict) -> dict:
+        """{l: y l} over the labels l with y l nonzero.
+
+        Each y l equals ``mul_dicts(y, {l: 1})``, key order included; only
+        the structure constants (r, l) with r a term of y are visited.
+        """
+        return _times_rows(self.ring, y, self._mult_rows()[0])
+
+    def right_mult(self, x: dict) -> dict:
+        """{l: l x} over the labels l with l x nonzero; each equals
+        ``mul_dicts({l: 1}, x)``, key order included."""
+        return _times_rows(self.ring, x, self._mult_rows()[1])
+
     def d_dict(self, x: dict) -> dict:
         return vec_apply(self.ring, self.diff, x)
 
@@ -319,12 +359,47 @@ def complex_of(ring: Ring, gm: GradedModule, diff: dict) -> ChainComplexSpec:
 # ---------------------------------------------------------------------------
 
 
-def _inverse(pairs) -> dict:
-    """{b: [a, ...]} for an iterable of pairs (a, b)."""
-    out = {}
-    for a, b in pairs:
-        out.setdefault(b, []).append(a)
-    return out
+def _law_failures(gm: GradedModule, diff: dict, rows: tuple, alg: DgAlgebra) -> list:
+    """Where a right dg module over ``alg`` breaks Leibniz or associativity.
+
+    ``gm`` and ``diff`` are the module's, ``rows`` its action table by
+    module and by algebra label.  Returns sorted keys of basis positions,
+    (m, a, -1) where D(m a) != D(m) a + (-1)^{|m|} m d(a) and (m, a, b)
+    where (m a) b != m (ab): the order of loops over all m, a and b.  Both
+    sides are evaluated in bulk, keyed by witness: D(m a) for each key of
+    the action, (m a) b and D(m) a from the rows of m a and of D(m), m d(a)
+    and m (ab) from the columns of d(a) and of ab, for each key of
+    ``alg.mult``.  A witness on neither side has both sides zero.
+    """
+    ring, deg = gm.ring, gm.degree
+    by_module, by_algebra = rows
+    mpos = {l: i for i, l in enumerate(gm.labels)}
+    apos = {l: i for i, l in enumerate(alg.gm.labels)}
+    rhs = {}
+    for m, dm in diff.items():
+        i = mpos[m]
+        for al, v in _times_rows(ring, dm, by_module).items():
+            rhs[i, apos[al], -1] = v
+    for al, da in alg.diff.items():
+        j = apos[al]
+        for m, v in _times_rows(ring, da, by_algebra).items():
+            ring.axpy(rhs.setdefault((mpos[m], j, -1), {}), ring.sign(deg[m]), v)
+    for (al, bl), ab in alg.mult.items():
+        j, k = apos[al], apos[bl]
+        for m, v in _times_rows(ring, ab, by_algebra).items():
+            rhs[mpos[m], j, k] = v
+    # each left side is compared as it is made, so only the right sides are held
+    bad = []
+    for m, row in by_module.items():
+        i = mpos[m]
+        for al, out in row:
+            j = apos[al]
+            if rhs.pop((i, j, -1), {}) != vec_apply(ring, diff, out):
+                bad.append((i, j, -1))
+            for bl, v in _times_rows(ring, out, by_module).items():
+                if rhs.pop((i, j, apos[bl]), {}) != v:
+                    bad.append((i, j, apos[bl]))
+    return sorted(bad + [k for k, v in rhs.items() if v])
 
 
 def check_dga(a: DgAlgebra, max_failures: int = 10) -> dict:
@@ -333,84 +408,42 @@ def check_dga(a: DgAlgebra, max_failures: int = 10) -> dict:
     Returns {"ok": bool, "failures": [...]}: each failure names the axiom
     and a witness tuple of basis labels, axioms in the order unit, d^2,
     Leibniz, associativity, witnesses in basis order; the first
-    ``max_failures`` are listed, and "ok" counts them all.  Only pairs and triples where a side can be
-    nonzero are evaluated; ``mult`` indexed by left and right label and
-    ``diff`` indexed from target to source give them:
-
-    * Leibniz, d(xy) = d(x) y + (-1)^{|x|} x d(y): (x, y) in ``mult``;
-      (x, q) with p in d(x) and (p, q) in ``mult``; (p, y) with q in d(y)
-      and (p, q) in ``mult``;
-    * associativity, (xy) z = x (yz): (x, y, z) with r in xy and (r, z) in
-      ``mult``, or r in yz and (x, r) in ``mult``;
-    * the unit laws, 1 l = l = l 1: only the unit terms u with (u, l) or
-      (l, u) in ``mult`` contribute.
-
-    Elsewhere every term of both sides is a missing structure constant, so
-    no witness is lost: the list, truncation included, is the one a loop
-    over all n^2 pairs and n^3 triples of labels gives.
+    ``max_failures`` are listed, and "ok" counts them all.  Each law is
+    evaluated in bulk from whole rows of ``mult``: the unit laws from
+    ``left_mult(1)`` and ``right_mult(1)``; Leibniz and associativity as
+    the laws of A as a right module over itself (:func:`_law_failures`),
+    that is d(x) y from ``left_mult(d x)``, x d(y) from ``right_mult(d y)``,
+    (xy) z from ``left_mult(xy)`` and x (yz) from ``right_mult(yz)``.  The
+    list, truncation included, is the one a loop over all n^2 pairs and n^3
+    triples of labels gives, in its order.
     """
-    ring = a.ring
-    deg = a.gm.degree
-    one = ring.one()
+    one = a.ring.one()
     failures = []
 
     def record(axiom, witness, detail=""):
         failures.append({"axiom": axiom, "witness": witness, "detail": detail})
 
     labels = a.gm.labels
-    pos = {l: i for i, l in enumerate(labels)}
-    right_of = _inverse((pos[y], x) for x, y in a.mult)
-    left_of = _inverse((pos[x], y) for x, y in a.mult)
-
-    # unit laws: u l and l u for the unit terms u that have a product with l
-    unit_l, l_unit = {}, {}
-    for u, c in a.unit.items():
-        for k in right_of.get(u, ()):
-            ring.axpy(unit_l.setdefault(labels[k], {}), c, a.mult[(u, labels[k])])
-        for h in left_of.get(u, ()):
-            ring.axpy(l_unit.setdefault(labels[h], {}), c, a.mult[(labels[h], u)])
+    unit_l, l_unit = a.left_mult(a.unit), a.right_mult(a.unit)
     for l in labels:
         e = {l: one}
-        if unit_l.get(l, {}) != e:
+        if unit_l.get(l) != e:
             record("unit-left", (l,))
-        if l_unit.get(l, {}) != e:
+        if l_unit.get(l) != e:
             record("unit-right", (l,))
 
-    # d^2 = 0
     for l in labels:
         dd = a.d_dict(a.diff.get(l, {}))
         if dd:
             record("d-squared", (l,), "d^2(%r) = %r" % (l, dd))
 
-    # candidates are tuples of basis positions: sorted, they come in the
-    # order of a loop over all pairs or triples
-    sources = _inverse((pos[x], r) for x, dx in a.diff.items() for r in dx)
-    pairs, triples = set(), set()
-    for (x, y), xy in a.mult.items():
-        i, j = pos[x], pos[y]
-        pairs.add((i, j))
-        pairs.update((h, j) for h in sources.get(x, ()))
-        pairs.update((i, k) for k in sources.get(y, ()))
-        for r in xy:
-            triples.update((i, j, k) for k in right_of.get(r, ()))
-            triples.update((h, i, j) for h in left_of.get(r, ()))
-
-    # Leibniz: d(xy) = d(x) y + (-1)^{|x|} x d(y)
-    for i, j in sorted(pairs):
-        x, y = labels[i], labels[j]
-        lhs = a.d_dict(a.mul_labels(x, y))
-        rhs = ring.axpy(a.mul_dicts(a.diff.get(x, {}), {y: one}), ring.sign(deg[x]),
-                        a.mul_dicts({x: one}, a.diff.get(y, {})))
-        if lhs != rhs:
-            record("leibniz", (x, y))
-
-    # associativity: (xy) z = x (yz)
-    for i, j, k in sorted(triples):
-        x, y, z = labels[i], labels[j], labels[k]
-        lhs = a.mul_dicts(a.mul_labels(x, y), {z: one})
-        rhs = a.mul_dicts({x: one}, a.mul_labels(y, z))
-        if lhs != rhs:
-            record("associativity", (x, y, z))
+    bad = _law_failures(a.gm, a.diff, a._mult_rows(), a)
+    for i, j, k in bad:
+        if k < 0:
+            record("leibniz", (labels[i], labels[j]))
+    for i, j, k in bad:
+        if k >= 0:
+            record("associativity", (labels[i], labels[j], labels[k]))
     return {"ok": not failures, "failures": failures[:max_failures]}
 
 
@@ -547,63 +580,30 @@ class DgModule:
     def check(self, max_failures: int = 10) -> dict:
         """Verify D^2 = 0, unitality, associativity and module Leibniz.
 
-        As in :func:`check_dga`, only witnesses where a side can be nonzero
-        are evaluated, in the order of loops over m, a and b:
-
-        * Leibniz, D(m a) = D(m) a + (-1)^{|m|} m d(a): (m, a) in ``action``,
-          or (m', a) in ``action`` with m' in D(m), or (m, b) with b in d(a);
-        * associativity, (m a) b = m (ab): r in m a with (r, b) in ``action``,
-          or (a, b) in the algebra's ``mult``, r in ab and (m, r) in ``action``.
+        As in :func:`check_dga`, each law is evaluated in bulk from whole
+        rows of ``action``, indexed by module label and by algebra label
+        (:func:`_law_failures`); the witnesses, truncation included, are
+        those of loops over all m, a and b, in their order.
         """
-        ring = self.ring
-        alg = self.algebra
-        one = ring.one()
+        one = self.ring.one()
         failures = []
 
         def record(axiom, witness):
             failures.append({"axiom": axiom, "witness": witness})
 
+        rows = _index(self.action)
+        unit_act = _times_rows(self.ring, self.algebra.unit, rows[1])
         for m in self.gm.labels:
             if self.d_dict(self.diff.get(m, {})):
                 record("D-squared", (m,))
-            e = {m: one}
-            if self.act(e, alg.unit) != e:
+            if unit_act.get(m) != {m: one}:
                 record("unit", (m,))
-
-        # candidates are tuples of basis positions, a Leibniz pair (m, a) as
-        # (m, a, -1): sorted, they come in the order of loops over m, a, b
-        mlabels, alabels = self.gm.labels, alg.gm.labels
-        mpos = {l: i for i, l in enumerate(mlabels)}
-        apos = {l: i for i, l in enumerate(alabels)}
-        module_sources = _inverse((mpos[m], r) for m, dm in self.diff.items() for r in dm)
-        algebra_sources = _inverse((apos[x], r) for x, dx in alg.diff.items() for r in dx)
-        right_of = _inverse((apos[al], m) for m, al in self.action)
-        acting_on = _inverse((mpos[m], al) for m, al in self.action)
-        checks = set()
-        for (m, al), out in self.action.items():
-            i, j = mpos[m], apos[al]
-            checks.add((i, j, -1))
-            checks.update((h, j, -1) for h in module_sources.get(m, ()))
-            checks.update((i, h, -1) for h in algebra_sources.get(al, ()))
-            for r in out:
-                checks.update((i, j, k) for k in right_of.get(r, ()))
-        for (al, bl), out in alg.mult.items():
-            j, k = apos[al], apos[bl]
-            for r in out:
-                checks.update((i, j, k) for i in acting_on.get(r, ()))
-        for i, j, k in sorted(checks):
-            m, al = mlabels[i], alabels[j]
-            e, av = {m: one}, {al: one}
+        mlabels, alabels = self.gm.labels, self.algebra.gm.labels
+        for i, j, k in _law_failures(self.gm, self.diff, rows, self.algebra):
             if k < 0:
-                lhs = self.d_dict(self.act(e, av))
-                rhs = ring.axpy(self.act(self.diff.get(m, {}), av),
-                                ring.sign(self.gm.degree[m]),
-                                self.act(e, alg.diff.get(al, {})))
-                if lhs != rhs:
-                    record("module-leibniz", (m, al))
-            elif self.act(self.act(e, av), {alabels[k]: one}) != self.act(
-                    e, alg.mul_labels(al, alabels[k])):
-                record("module-associativity", (m, al, alabels[k]))
+                record("module-leibniz", (mlabels[i], alabels[j]))
+            else:
+                record("module-associativity", (mlabels[i], alabels[j], alabels[k]))
         return {"ok": not failures, "failures": failures[:max_failures]}
 
     def shifted(self, k: int) -> "DgModule":
@@ -716,13 +716,8 @@ class HomComplex:
 
     def _compute_bases(self):
         ring = self.ring
-        one = ring.one()
         alabels = self.m.algebra.gm.labels
-        # every action is read once: M's on (ml, al) and N's on (s, al)
-        act_m = {(ml, al): self.m.act({ml: one}, {al: one})
-                 for ml in self.m.gm.labels for al in alabels}
-        act_n = {(s, al): self.n.act({s: one}, {al: one})
-                 for s in self.n.gm.labels for al in alabels}
+        act_m, act_n = self.m.action, self.n.action  # m . a for basis labels m, a
         for k in self._hom_degrees():
             pairs = self._pairs_of_degree(k)
             if not pairs:
@@ -736,9 +731,10 @@ class HomComplex:
                 targets = [(s, index[(ml, s)]) for s in self.n.gm.labels if (ml, s) in index]
                 for al in alabels:
                     for t in self.n.gm.labels:
-                        lhs = {index[(r, t)]: c for r, c in act_m[(ml, al)].items()
+                        lhs = {index[(r, t)]: c for r, c in act_m.get((ml, al), {}).items()
                                if (r, t) in index}
-                        rhs = {j: act_n[(s, al)][t] for s, j in targets if t in act_n[(s, al)]}
+                        rhs = {j: act_n[(s, al)][t] for s, j in targets
+                               if t in act_n.get((s, al), ())}
                         if lhs or rhs:
                             eqs.append(ring.axpy(lhs, -1, rhs))
             mat = ExactMatrix.from_columns(ring, eqs, range(len(pairs))).transpose()
@@ -838,6 +834,7 @@ def free_hull(a: DgAlgebra, generators, name: str = "") -> DgModule:
             basis.append((("dx", g, al), d + 1))
     gm = GradedModule(ring, basis)
     action = {}
+    times_db = {bl: a.right_mult(a.diff.get(bl, {})) for bl in a.gm.labels}  # {al: al db}
     for g, gd in gens:
         for al in a.gm.labels:
             ydeg = gd + a.gm.degree[al]
@@ -847,7 +844,7 @@ def free_hull(a: DgAlgebra, generators, name: str = "") -> DgModule:
                 if out_x:
                     action[(("x", g, al), bl)] = out_x
                 # (d y) b = d(y b) - (-1)^{|y|} y db
-                dyb = a.mul_dicts({al: ring.one()}, a.diff.get(bl, {}))
+                dyb = times_db[bl].get(al, {})
                 action[(("dx", g, al), bl)] = ring.axpy(
                     {("dx", g, r): c for r, c in prod.items()},
                     ring.sign(ydeg + 1), {("x", g, r): c for r, c in dyb.items()})

@@ -78,6 +78,8 @@ class Ring:
     @staticmethod
     def parse(token: str) -> "Ring":
         """Parse a ring token as used in file formats: Z, Q, F5, F13."""
+        if not isinstance(token, str):
+            raise ExactLinalgError("cannot parse ring token %.40r" % (token,))
         token = token.strip()
         if token == "Z":
             return Ring.Z()

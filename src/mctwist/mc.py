@@ -107,12 +107,12 @@ def _twisted_diff(a: DgAlgebra, y: dict, x: dict, labels) -> dict:
     x and y are coefficient dicts; A^[x] is A^[0,x] and A^x is A^[x,x].
     Labels whose image is zero are left out.
     """
-    ring, one = a.ring, a.ring.one()
+    ring = a.ring
+    y_l, l_x = a.left_mult(y), a.right_mult(x)
     diff = {}
     for l in labels:
-        e = {l: one}
-        out = ring.axpy(ring.axpy(dict(a.diff.get(l, {})), 1, a.mul_dicts(y, e)),
-                        -ring.sign(a.gm.degree[l]), a.mul_dicts(e, x))
+        out = ring.axpy(ring.axpy(dict(a.diff.get(l, {})), 1, y_l.get(l, {})),
+                        -ring.sign(a.gm.degree[l]), l_x.get(l, {}))
         if out:
             diff[l] = out
     return diff
@@ -182,15 +182,16 @@ def algebra_inverse(a: DgAlgebra, g) -> Element | None:
     ring = a.ring
     deg0 = a.gm.labels_of_degree(0)
     # solve g * h = 1 with h supported in degree 0, where g * l lies
-    mat = ExactMatrix.from_columns(ring, [a.mul_dicts(g.coeffs, {l: ring.one()}) for l in deg0],
-                                   deg0)
+    g_l = a.left_mult(g.coeffs)
+    mat = ExactMatrix.from_columns(ring, [g_l.get(l, {}) for l in deg0], deg0)
     sol = solve_linear(mat, [a.unit.get(l, ring.zero()) for l in deg0])
     if sol is None:
         return None
-    h = Element(a, {deg0[i]: c for i, c in enumerate(sol[0]) if c != 0})
-    if (g * h) != a.one() or (h * g) != a.one():
-        return None
-    return h
+    h = {deg0[i]: c for i, c in enumerate(sol[0]) if c != 0}
+    # g h and h g, summed over the terms of h from the products g l and l g
+    if vec_apply(ring, g_l, h) == a.unit == vec_apply(ring, a.right_mult(g.coeffs), h):
+        return Element(a, h)
+    return None
 
 
 def gauge_act(a: DgAlgebra, g, x: MCElement) -> MCElement:
@@ -581,22 +582,22 @@ def _solve_homotopy_given_g(a: DgAlgebra, x: MCElement, y: MCElement, g: Element
     def set_term(eqkey, col, c):
         rows.setdefault(eqkey, {})[col] = c
 
-    one = ring.one()
     xc, yc = x.value.coeffs, y.value.coeffs
+    l_g, g_l = a.right_mult(g.coeffs), a.left_mult(g.coeffs)  # {l: l g}, {l: g l}
     # (2) dh + xh - hy = 0, coefficients per degree-1 label: A^[y,x] on A^0
     for l, expr in _twisted_diff(a, xc, yc, deg0).items():
         for r, c in expr.items():
             set_term(("c2", r), uix[("h", l)], c)
     # (3) hg - d^x(wx) = 1, with d^x of A^[x,x] on A^-1
     for l in deg0:
-        for r, c in a.mul_dicts({l: one}, g.coeffs).items():
+        for r, c in l_g.get(l, {}).items():
             set_term(("c3", r), uix[("h", l)], c)
     for l, dx in _twisted_diff(a, xc, xc, degm1).items():
         for r, c in dx.items():
             set_term(("c3", r), uix[("wx", l)], ring.neg(c))
     # (4) gh - d^y(wy) = 1
     for l in deg0:
-        for r, c in a.mul_dicts(g.coeffs, {l: one}).items():
+        for r, c in g_l.get(l, {}).items():
             set_term(("c4", r), uix[("h", l)], c)
     for l, dy in _twisted_diff(a, yc, yc, degm1).items():
         for r, c in dy.items():

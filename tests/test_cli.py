@@ -93,6 +93,16 @@ def test_one_local_system_job_builds_and_checks_once(tmp_path, capsys, monkeypat
     assert len(functor) == 1
 
 
+def test_local_system_job_builds_no_rows_of_mult(tmp_path, capsys, monkeypatch):
+    from mctwist import dgcore
+    built = []
+    monkeypatch.setattr(dgcore, "_index", _counted(dgcore._index, built))
+    code, _, err = run_cli(capsys, "local-system",
+                           *_write_local_system(tmp_path, [[0, 1], [0, 2], [0, 3]]))
+    assert code == 0, err
+    assert built == []
+
+
 # argv -> twisted modules the job builds (the input module and its truncation
 # or minimal model), each checked against the MC equation once
 TWISTED_MODULE_JOBS = {
@@ -392,6 +402,24 @@ BAD_INPUT_FILES = {
     "k2-dict-to-homotopy-list": (
         ["k2-dict", "a.json", "i.json", "--direction", "to-homotopy"],
         {"a.json": _k0_algebra(), "i.json": []}),
+    "k2-dict-homotopy-number": (
+        ["k2-dict", "a.json", "i.json", "--direction", "to-certificate"],
+        {"a.json": _k0_algebra(), "i.json": {"homotopy": 5}}),
+    "k2-dict-homotopy-short-entry": (
+        ["k2-dict", "a.json", "i.json", "--direction", "to-certificate"],
+        {"a.json": _k0_algebra(), "i.json": {"homotopy": [["e"]]}}),
+    "k2-dict-certificate-number": (
+        ["k2-dict", "a.json", "i.json", "--direction", "to-homotopy"],
+        {"a.json": _k0_algebra(), "i.json": {"x": [], "x1": [], "certificate": 5}}),
+    # a ring token that is not a string
+    "cohomology-ring-number": (["cohomology", "c.json"],
+                               {"c.json": {"ring": 5, "dims": {"0": 1}, "maps": {}}}),
+    "resolve-ring-number": (["resolve", "r.json"], {"r.json": {"ring": 5}}),
+    "check-dga-ring-number": (["check-dga", "a.json"], {"a.json": dict(_k0_algebra(), ring=5)}),
+    "local-system-ring-number": (
+        ["local-system", "c.json", "s.json"],
+        {"c.json": {"vertices": [0, 1], "simplices": [[0, 1]]},
+         "s.json": {"ring": 5, "rank": 1, "monodromy": []}}),
 }
 
 

@@ -2,6 +2,7 @@ import copy
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -606,6 +607,36 @@ def test_unit_laws_from_indexes_match_the_full_loop(kind, ring_name):
         assert not any(axiom.startswith("unit") for axiom, _ in full[len(want):])
         assert _failures(check_dga(b)) == full[:10]
     assert _unit_failures_by_full_loop(a) == [] and check_dga(a)["ok"]
+
+
+def _random_coeffs(rng, ring, labels):
+    """Up to six random terms on random labels; fractions over Q."""
+    out = {}
+    for l in rng.sample(labels, rng.randint(0, min(6, len(labels)))):
+        c = ring.coerce(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                        if ring.kind == "Q" else rng.randint(-3, 3))
+        if c != 0:
+            out[l] = c
+    return out
+
+
+@settings(max_examples=200)
+@given(kind=st.sampled_from(["circle3", "circle4", "end-circle", "circle-x-circle",
+                             "circle-x-interval", "kx"]),
+       ring_name=st.sampled_from(sorted(RINGS)),
+       seed=st.integers(0, 2 ** 32 - 1), count=st.integers(0, 3))
+def test_left_and_right_mult_match_mul_dicts_label_by_label(kind, ring_name, seed, count):
+    rng = random.Random(seed)
+    a = _mutated_dga(_base_dga(kind, ring_name), rng, count)
+    y = _random_coeffs(rng, a.ring, a.gm.labels)
+    left, right = a.left_mult(y), a.right_mult(y)
+    for l in a.gm.labels:
+        for got, want in ((left.get(l, {}), a.mul_dicts(y, {l: 1})),
+                          (right.get(l, {}), a.mul_dicts({l: 1}, y))):
+            assert got == want
+            assert list(got.items()) == list(want.items())
+    assert all(left.values()) and all(right.values())
+    assert set(left) | set(right) <= set(a.gm.labels)
 
 
 @settings(max_examples=30)

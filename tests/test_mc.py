@@ -30,7 +30,7 @@ from mctwist.mc import (
     verify_homotopy_gauge,
     zero_mc,
 )
-from mctwist.mc import _degree_matrix
+from mctwist.mc import _degree_matrix, _solve_homotopy_given_g, _twisted_diff
 from mctwist.simplicial import LocalSystem, circle, cochain_algebra, rep_to_mc, simplex
 
 Z, Q = Ring.Z(), Ring.Q()
@@ -639,3 +639,68 @@ def test_twisted_module_accepts_what_the_end_algebra_check_accepts(case):
     if want is None or want[0] is MCError and "residual" in want[1]:
         _, res = is_mc(end, end.element(coeffs))
         assert {("E",) + k: c for k, c in x.mc_residual().coeffs.items()} == res.coeffs
+
+
+# -- the twisted differentials from whole rows of mult ----------------------------
+
+
+def _twisted_diff_by_labels(a, y, x, labels):
+    # _twisted_diff as it was before it read the rows of mult: two mul_dicts per label
+    ring, one = a.ring, a.ring.one()
+    diff = {}
+    for l in labels:
+        e = {l: one}
+        out = ring.axpy(ring.axpy(dict(a.diff.get(l, {})), 1, a.mul_dicts(y, e)),
+                        -ring.sign(a.gm.degree[l]), a.mul_dicts(e, x))
+        if out:
+            diff[l] = out
+    return diff
+
+
+def _random_mc_pair(rnd, ring, base, degrees):
+    """End(V) (x) C*(X) with an MC element x and a gauge transform y = g . x."""
+    ca = cochain_algebra(base, ring)
+    v = GradedModule(ring, [(("v", i), d) for i, d in enumerate(degrees)])
+    end = endomorphism_dga(ca, v)
+    x = _oracle_local_system(rnd, base, ring, v, end) if set(degrees) == {0} \
+        else gauge_act(end, _oracle_gauge(rnd, ca, v, end), zero_mc(end))
+    g = _oracle_gauge(rnd, ca, v, end)
+    return end, x, gauge_act(end, g, x), g
+
+
+def _items(diff):
+    return [(l, list(out.items())) for l, out in diff.items()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring=st.sampled_from([Z, Q, Ring.GF(5)]),
+       base=st.sampled_from(sorted(ORACLE_BASES)),
+       degrees=st.lists(st.integers(-1, 1), min_size=1, max_size=3),
+       seed=st.integers(0, 2 ** 32))
+def test_twisted_diff_matches_the_per_label_loop(ring, base, degrees, seed):
+    end, x, y, _ = _random_mc_pair(random.Random(seed), ring, ORACLE_BASES[base], degrees)
+    xc, yc = x.value.coeffs, y.value.coeffs
+    for left, right in ((xc, {}), (xc, xc), (yc, xc), (xc, yc), ({}, yc)):
+        for labels in (end.gm.labels, end.gm.labels_of_degree(0),
+                       end.gm.labels_of_degree(-1)):
+            assert _items(_twisted_diff(end, left, right, labels)) == \
+                _items(_twisted_diff_by_labels(end, left, right, labels))
+
+
+def test_bulk_callers_make_no_mul_dicts_calls(monkeypatch):
+    from mctwist import dgcore
+    end, x, y, g = _random_mc_pair(random.Random(5), Q, circle(3), [0, 1])
+    calls = []
+    mul_dicts = dgcore.DgAlgebra.mul_dicts
+    monkeypatch.setattr(dgcore.DgAlgebra, "mul_dicts",
+                        lambda self, u, w: calls.append(1) or mul_dicts(self, u, w))
+    assert dgcore.check_dga(end)["ok"]
+    assert _twisted_diff(end, y.value.coeffs, x.value.coeffs, end.gm.labels)
+    ginv = algebra_inverse(end, g)
+    assert ginv is not None
+    cert = _solve_homotopy_given_g(end, x, y, g)
+    assert calls == [] and cert is not None
+    assert verify_homotopy_gauge(end, x, y, cert)[0]
+    assert verify_homotopy_gauge(end, x, y,
+                                 HomotopyGaugeCertificate(g, ginv, end.zero(), end.zero()))[0]
+    assert calls  # the certificates are checked by Element products
