@@ -45,6 +45,8 @@ def cmd_cohomology(args) -> int:
     obj = io.load_json_file(args.complex)
     try:
         ring = Ring.parse(obj["ring"])
+        if not (isinstance(obj["dims"], dict) and isinstance(obj["maps"], dict)):
+            raise TypeError('"dims" and "maps" must be JSON objects')
         dims = {int(k): int(v) for k, v in obj["dims"].items()}
         maps = {int(k): io.matrix_from_json(m, ring) for k, m in obj["maps"].items()}
         spec = ChainComplexSpec(ring, dims, maps)

@@ -21,8 +21,7 @@ from .exactlinalg import (
     ExactMatrix,
     Ring,
     cohomology,
-    kernel_basis,
-    solve_linear,
+    solve_columns,
 )
 
 
@@ -722,28 +721,30 @@ class HomComplex:
             pairs = self._pairs_of_degree(k)
             if not pairs:
                 continue
-            index = {p: i for i, p in enumerate(pairs)}
+            # the system has one column per pair and one row per equation,
+            # numbered as emitted
+            columns = {p: {} for p in pairs}
             # linearity f(m . a) = f(m) . a: for each (ml, al) and target t,
             # sum_r act_M[ml,al][r] f[r,t] - sum_s f[ml,s] act_N[s,al][t] = 0
             # a row is kept when a term enters it, also when the terms cancel
-            eqs = []
+            neqs = 0
             for ml in self.m.gm.labels:
-                targets = [(s, index[(ml, s)]) for s in self.n.gm.labels if (ml, s) in index]
+                targets = [s for s in self.n.gm.labels if (ml, s) in columns]
                 for al in alabels:
                     for t in self.n.gm.labels:
-                        lhs = {index[(r, t)]: c for r, c in act_m.get((ml, al), {}).items()
-                               if (r, t) in index}
-                        rhs = {j: act_n[(s, al)][t] for s, j in targets
+                        lhs = {(r, t): c for r, c in act_m.get((ml, al), {}).items()
+                               if (r, t) in columns}
+                        rhs = {(ml, s): act_n[(s, al)][t] for s in targets
                                if t in act_n.get((s, al), ())}
                         if lhs or rhs:
-                            eqs.append(ring.axpy(lhs, -1, rhs))
-            mat = ExactMatrix.from_columns(ring, eqs, range(len(pairs))).transpose()
+                            for p, c in ring.axpy(lhs, -1, rhs).items():
+                                columns[p][neqs] = c
+                            neqs += 1
             basis = []
-            for vec in kernel_basis(mat):
+            for vec in solve_columns(ring, columns, range(neqs))[1]:
                 f = {}
-                for (ml, nl), j in index.items():
-                    if vec[j] != 0:
-                        f.setdefault(ml, {})[nl] = vec[j]
+                for (ml, nl), c in vec.items():
+                    f.setdefault(ml, {})[nl] = c
                 basis.append(f)
             if basis:
                 self._basis[k] = basis
@@ -776,6 +777,9 @@ class HomComplex:
 
     def as_dgmodule(self, name: str = "") -> DgModule:
         """Package the Hom complex as a dg module over the ground ring."""
+        def vector(g):  # a raw map as a vector over the pairs (ml, nl)
+            return {(ml, nl): c for ml, img in g.items() for nl, c in img.items()}
+
         ring = self.ring
         ground = ground_dga(ring)
         basis = []
@@ -789,26 +793,15 @@ class HomComplex:
             targets = self._basis.get(k + 1, [])
             if not targets:
                 continue
-            for i, f in enumerate(self._basis[k]):
-                df = self.apply_d(f, k)
-                coords = self._coords(df, k + 1)
-                out = {("hom", k + 1, j): c for j, c in coords.items() if c != 0}
-                if out:
-                    diff[("hom", k, i)] = out
+            # the coordinates of every d(f) in the degree k + 1 basis, off one
+            # factorization
+            columns = {("hom", k + 1, j): vector(g) for j, g in enumerate(targets)}
+            sols, _ = solve_columns(ring, columns, self._pairs_of_degree(k + 1),
+                                    [vector(self.apply_d(f, k)) for f in self._basis[k]])
+            if None in sols:
+                raise DgError("map does not lie in the computed Hom space")
+            diff.update((("hom", k, i), out) for i, out in enumerate(sols) if out)
         return DgModule(gm, ground, action, diff, name=name or "Hom complex")
-
-    def _coords(self, f: dict, degree: int) -> dict:
-        """Coordinates of a raw map in the computed degree basis."""
-        def flat(g):  # a raw map as a vector over the pairs
-            return {(ml, nl): c for ml, img in g.items() for nl, c in img.items()}
-
-        pairs = self._pairs_of_degree(degree)
-        basis = [flat(b) for b in self._basis.get(degree, [])]
-        sol = solve_linear(ExactMatrix.from_columns(self.ring, basis, pairs),
-                           ExactMatrix.from_columns(self.ring, [flat(f)], pairs))
-        if sol is None:
-            raise DgError("map does not lie in the computed Hom space")
-        return {j: c for j, c in enumerate(sol[0]) if c != 0}
 
 
 # ---------------------------------------------------------------------------

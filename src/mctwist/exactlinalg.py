@@ -28,9 +28,9 @@ inverses go through :func:`solve_many`, which alone picks rref or Smith.
 
 The package builds every matrix of a labelled linear map one way: from its
 sparse columns, ``{row label: scalar}`` dicts, by
-:meth:`ExactMatrix.from_columns`; a system of equations keyed by label is
-solved by :func:`solve_equations`.  No module outside this one mutates a
-matrix after it is built.
+:meth:`ExactMatrix.from_columns`; :func:`solve_columns` solves such a system
+and :func:`solve_equations` one keyed by equation, both with answers keyed
+by label.  No module outside this one mutates a matrix after it is built.
 """
 
 from __future__ import annotations
@@ -708,18 +708,13 @@ def _snf_kernel(d: ExactMatrix, v: ExactMatrix) -> list:
             for j in range(d.cols) if j >= n or d.get(j, j) == 0]
 
 
-def solve_linear(a: ExactMatrix, b):
+def solve_linear(a: ExactMatrix, b: list):
     """Solve a * x = b exactly; return (particular, kernel basis) or None.
 
-    ``b`` is a list of scalars or a one-column ExactMatrix.  Over Z the
-    solve is in integers via the Smith form and None means there is no
-    integer solution.  The kernel basis is the one :func:`kernel_basis`
-    returns, read off the same factorization.
+    Over Z the solve is in integers via the Smith form and None means there
+    is no integer solution.  The kernel basis is the one
+    :func:`kernel_basis` returns, read off the same factorization.
     """
-    if isinstance(b, ExactMatrix):
-        if b.cols != 1:
-            raise ExactLinalgError("right-hand side must be a column")
-        b = [b.get(i, 0) for i in range(b.rows)]
     (x,), kernel = solve_many(a, [b])
     return None if x is None else (x, kernel)
 
@@ -761,22 +756,45 @@ def solve_many(a: ExactMatrix, bs):
     return sols, _snf_kernel(d, v)
 
 
-def solve_equations(ring: Ring, ncols: int, rows: dict, rhs: dict):
+def solve_columns(ring: Ring, columns: dict, rows, bs=()):
+    """Solve a system given by labelled columns, with labelled answers.
+
+    ``columns`` maps each column label, in column order, to its column
+    {row label: scalar}, ``rows`` orders the row labels and each b of
+    ``bs`` is a {row label: scalar} dict; a label outside ``rows`` raises.
+    One :func:`solve_many` of the :meth:`ExactMatrix.from_columns` matrix
+    returns (for each b a solution {column label: c} or None; the kernel
+    basis as {column label: c} dicts), in column order with zeros dropped.
+
+    >>> solve_columns(Ring.Q(), {"u": {"x": 2}, "v": {"x": 1}}, ["x"], [{"x": 1}])
+    ([{'u': Fraction(1, 2)}], [{'u': Fraction(-1, 2), 'v': 1}])
+    """
+    a = ExactMatrix.from_columns(ring, list(columns.values()), rows)
+    b = ExactMatrix.from_columns(ring, bs, rows).transpose()  # row k is bs[k]
+    sols, kernel = solve_many(a, [b.row_list(k) for k in range(b.rows)])
+
+    def keyed(vec):
+        return {l: c for l, c in zip(columns, vec) if c}
+
+    return [None if x is None else keyed(x) for x in sols], [keyed(v) for v in kernel]
+
+
+def solve_equations(ring: Ring, unknowns, rows: dict, rhs: dict):
     """Solve equations keyed by label; return a particular solution or None.
 
-    ``rows`` maps an equation key to its row {unknown index: scalar} and
-    ``rhs`` maps a key to its right-hand side; a key missing from either is
-    a zero row or a zero right-hand side.  The equations are ordered by
-    ``str`` of their keys, which fixes the solution :func:`solve_linear`
-    picks, over Z in particular.
+    ``rows`` maps an equation key to its row {unknown: scalar} and ``rhs``
+    maps a key to its right-hand side; a key missing from either is a zero
+    row or a zero right-hand side.  The equations are ordered by ``str`` of
+    their keys, which fixes the solution picked, over Z in particular; it
+    comes as {unknown: c} in the order of ``unknowns``, zeros dropped.
 
-    >>> solve_equations(Ring.Q(), 2, {"x": {0: 1}, "y": {0: 1, 1: 2}}, {"y": 1})
-    [0, Fraction(1, 2)]
+    >>> solve_equations(Ring.Q(), ["u", "v"], {"x": {"u": 1}, "y": {"u": 1, "v": 2}}, {"y": 1})
+    {'v': Fraction(1, 2)}
     """
     keys = sorted(set(rows) | set(rhs), key=str)
-    a = ExactMatrix.from_columns(ring, [rows.get(k, {}) for k in keys], range(ncols))
-    sol = solve_linear(a.transpose(), [rhs.get(k, 0) for k in keys])
-    return None if sol is None else sol[0]
+    a = ExactMatrix.from_columns(ring, [rows.get(k, {}) for k in keys], unknowns).transpose()
+    (sol,), _ = solve_many(a, [[rhs.get(k, 0) for k in keys]])
+    return None if sol is None else {u: c for u, c in zip(unknowns, sol) if c}
 
 
 # -- cohomology of complexes -----------------------------------------------------------

@@ -133,6 +133,11 @@ def complex_from_json(obj):
         raise InputError("bad simplicial complex JSON: %s" % exc) from exc
 
 
+# the largest rank of a local system given without monodromy matrices; with
+# them, the rank is their size
+MAX_RANK = 1024
+
+
 def local_system_from_json(obj, complex_obj=None):
     from .simplicial import LocalSystem
     try:
@@ -140,10 +145,14 @@ def local_system_from_json(obj, complex_obj=None):
         rank = int(obj["rank"])
         base = complex_from_json(complex_obj if complex_obj is not None
                                  else obj["complex"])
-        v = GradedModule(ring, [(("v", i), 0) for i in range(rank)])
         monodromy = {}
         for edge, mat in obj.get("monodromy", []):
             monodromy[decode_label(edge)] = matrix_from_json(mat, ring)
+        if any((m.rows, m.cols) != (rank, rank) for m in monodromy.values()):
+            raise ValueError("rank %d is not the size of the monodromy matrices" % rank)
+        if not monodromy and not 0 <= rank <= MAX_RANK:
+            raise ValueError("rank %d is outside 0..%d" % (rank, MAX_RANK))
+        v = GradedModule(ring, [(("v", i), 0) for i in range(rank)])
         return LocalSystem(base, v, monodromy)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("bad local system JSON: %s" % exc) from exc

@@ -46,12 +46,12 @@ from .dgcore import (
 )
 from .exactlinalg import (
     CohomologyReport,
+    ExactLinalgError,
     ExactMatrix,
     cohomology,
-    kernel_basis,
     rref,
+    solve_columns,
     solve_equations,
-    solve_linear,
 )
 
 
@@ -183,11 +183,9 @@ def algebra_inverse(a: DgAlgebra, g) -> Element | None:
     deg0 = a.gm.labels_of_degree(0)
     # solve g * h = 1 with h supported in degree 0, where g * l lies
     g_l = a.left_mult(g.coeffs)
-    mat = ExactMatrix.from_columns(ring, [g_l.get(l, {}) for l in deg0], deg0)
-    sol = solve_linear(mat, [a.unit.get(l, ring.zero()) for l in deg0])
-    if sol is None:
+    (h,), _ = solve_columns(ring, {l: g_l.get(l, {}) for l in deg0}, deg0, [a.unit])
+    if h is None:
         return None
-    h = {deg0[i]: c for i, c in enumerate(sol[0]) if c != 0}
     # g h and h g, summed over the terms of h from the products g l and l g
     if vec_apply(ring, g_l, h) == a.unit == vec_apply(ring, a.right_mult(g.coeffs), h):
         return Element(a, h)
@@ -226,9 +224,6 @@ class HomotopyGaugeCertificate:
     h: Element
     wx: Element
     wy: Element
-
-    def map(self, fn):
-        return HomotopyGaugeCertificate(fn(self.g), fn(self.h), fn(self.wx), fn(self.wy))
 
 
 def trivial_certificate(a: DgAlgebra) -> HomotopyGaugeCertificate:
@@ -446,20 +441,16 @@ class TwistedModule:
 
 
 def _degree_matrix(m: DgModule, deg: int) -> tuple:
-    """(matrix of d: M^deg -> M^{deg+1}, source labels, target labels)."""
-    src = m.gm.labels_of_degree(deg)
-    dst = m.gm.labels_of_degree(deg + 1)
-    return ExactMatrix.from_columns(m.ring, [m.diff.get(l, {}) for l in src], dst), src, dst
+    """d: M^deg -> M^{deg+1} as (its columns {label: d(label)}, target labels)."""
+    columns = {l: m.diff.get(l, {}) for l in m.gm.labels_of_degree(deg)}
+    return columns, m.gm.labels_of_degree(deg + 1)
 
 
 def closed_degree_zero(a: DgAlgebra, x: MCElement, y: MCElement):
-    """Basis (as coefficient dicts) of {g in A^0 : dg + yg - gx = 0}."""
-    hm = hom_twist(a, x, y)
-    mat, src, _ = _degree_matrix(hm, 0)
-    return [
-        {src[i]: c for i, c in enumerate(vec) if c != 0}
-        for vec in kernel_basis(mat)
-    ], src
+    """Basis (as coefficient dicts) of {g in A^0 : dg + yg - gx = 0}, and
+    the degree-0 labels."""
+    columns, dst = _degree_matrix(hom_twist(a, x, y), 0)
+    return solve_columns(a.ring, columns, dst)[1], list(columns)
 
 
 @dataclass
@@ -574,9 +565,8 @@ def _solve_homotopy_given_g(a: DgAlgebra, x: MCElement, y: MCElement, g: Element
         [("wy", l) for l in degm1]
     if not unknowns:
         return None
-    uix = {u: i for i, u in enumerate(unknowns)}
-    # rows[equation key][unknown index]: no two terms below share an entry,
-    # so each is set, not accumulated
+    # rows[equation key][unknown]: no two terms below share an entry, so
+    # each is set, not accumulated
     rows = {}
 
     def set_term(eqkey, col, c):
@@ -587,28 +577,28 @@ def _solve_homotopy_given_g(a: DgAlgebra, x: MCElement, y: MCElement, g: Element
     # (2) dh + xh - hy = 0, coefficients per degree-1 label: A^[y,x] on A^0
     for l, expr in _twisted_diff(a, xc, yc, deg0).items():
         for r, c in expr.items():
-            set_term(("c2", r), uix[("h", l)], c)
+            set_term(("c2", r), ("h", l), c)
     # (3) hg - d^x(wx) = 1, with d^x of A^[x,x] on A^-1
     for l in deg0:
         for r, c in l_g.get(l, {}).items():
-            set_term(("c3", r), uix[("h", l)], c)
+            set_term(("c3", r), ("h", l), c)
     for l, dx in _twisted_diff(a, xc, xc, degm1).items():
         for r, c in dx.items():
-            set_term(("c3", r), uix[("wx", l)], ring.neg(c))
+            set_term(("c3", r), ("wx", l), ring.neg(c))
     # (4) gh - d^y(wy) = 1
     for l in deg0:
         for r, c in g_l.get(l, {}).items():
-            set_term(("c4", r), uix[("h", l)], c)
+            set_term(("c4", r), ("h", l), c)
     for l, dy in _twisted_diff(a, yc, yc, degm1).items():
         for r, c in dy.items():
-            set_term(("c4", r), uix[("wy", l)], ring.neg(c))
+            set_term(("c4", r), ("wy", l), ring.neg(c))
     rhs = {(eq, r): c for eq in ("c3", "c4") for r, c in a.unit.items()}
 
-    vals = solve_equations(ring, len(unknowns), rows, rhs)
+    vals = solve_equations(ring, unknowns, rows, rhs)
     if vals is None:
         return None
-    h, wx, wy = (Element(a, {l: vals[uix[(tag, l)]] for l in labels})
-                 for tag, labels in (("h", deg0), ("wx", degm1), ("wy", degm1)))
+    h, wx, wy = (Element(a, {l: c for (t, l), c in vals.items() if t == tag})
+                 for tag in ("h", "wx", "wy"))
     return HomotopyGaugeCertificate(g, h, wx, wy)
 
 
@@ -634,7 +624,6 @@ class H0Category:
         self.ring = a.ring
         self.reps = {}       # (i, j) -> list of coefficient dicts
         self._exact = {}     # (i, j) -> coefficient dicts spanning the exact part
-        self._src = {}
         n = len(self.xs)
         for i in range(n):
             for j in range(n):
@@ -643,28 +632,31 @@ class H0Category:
 
     def _compute(self, i, j):
         hm = hom_twist(self.a, self.xs[i], self.xs[j])
-        mat0, src, _ = _degree_matrix(hm, 0)
-        closed = [{src[k]: c for k, c in enumerate(v) if c != 0} for v in kernel_basis(mat0)]
-        exact = [hm.diff.get(l, {}) for l in hm.gm.labels_of_degree(-1)]
+        closed = solve_columns(self.ring, *_degree_matrix(hm, 0))[1]
+        columns, src = _degree_matrix(hm, -1)
+        exact = list(columns.values())
         # representatives: closed vectors independent modulo the exact span,
         # the pivot columns of rref([exact | closed]) among the closed ones
         _, pivots = rref(ExactMatrix.from_columns(self.ring, exact + closed, src))
         self.reps[(i, j)] = [closed[c - len(exact)] for c in pivots if c >= len(exact)]
         self._exact[(i, j)] = exact
-        self._src[(i, j)] = src
 
     def h0_dim(self, i, j) -> int:
         return len(self.reps[(i, j)])
 
     def class_coordinates(self, i, j, element: Element):
         """Coordinates of a closed degree-0 element in the H^0 basis."""
-        src = self._src[(i, j)]
         reps = self.reps[(i, j)]
-        mat = ExactMatrix.from_columns(self.ring, reps + self._exact[(i, j)], src)
-        sol = solve_linear(mat, [element.coeffs.get(l, 0) for l in src])
+        columns = {("rep", k): r for k, r in enumerate(reps)}
+        columns.update((("exact", k), e) for k, e in enumerate(self._exact[(i, j)]))
+        try:
+            (sol,), _ = solve_columns(self.ring, columns, self.a.gm.labels_of_degree(0),
+                                      [element.coeffs])
+        except ExactLinalgError:  # a term off degree 0
+            sol = None
         if sol is None:
             raise MCError("element is not closed of degree 0 in this hom twist")
-        return sol[0][:len(reps)]
+        return [sol.get(("rep", k), 0) for k in range(len(reps))]
 
     def compose_classes(self, i, j, k, cj: int, ci: int):
         """[rep_{cj} of H^0(j,k)] o [rep_{ci} of H^0(i,j)] in H^0(i,k)."""

@@ -25,7 +25,7 @@ End(V) (x) A is built.
 from __future__ import annotations
 
 from .dgcore import DgAlgebra, GradedModule, ground_dga
-from .exactlinalg import ExactMatrix, Ring, kernel_basis, rref, solve_equations, solve_many
+from .exactlinalg import ExactMatrix, Ring, rref, solve_columns, solve_equations
 from .mc import ConvOp, TwistedModule
 
 
@@ -130,7 +130,7 @@ class HodgeData:
     def __init__(self, s_entries: dict, t_entries: dict, harmonic_basis: list):
         self.s = dict(s_entries)
         self.t = dict(t_entries)
-        self.harmonic_basis = harmonic_basis  # list of (new label, vector over V)
+        self.harmonic_basis = harmonic_basis  # list of (new label, {V label: c})
 
 
 def _by_source(ring: Ring, entries: dict) -> dict:
@@ -147,7 +147,7 @@ def hodge_data(v: GradedModule, d0_entries: dict) -> HodgeData:
     Working degree by degree, ker d0 = H (+) im d0 and a complement U with
     d0: U ~ im d0 are read off one rref of the columns
 
-        [d0 from the degree below | kernel_basis of d0 | identity]:
+        [d0 from the degree below | kernel of d0 | identity]:
 
     its pivot columns in the three blocks are the image vectors, the
     harmonic vectors H and the unit vectors spanning U, each chosen greedily
@@ -162,17 +162,16 @@ def hodge_data(v: GradedModule, d0_entries: dict) -> HodgeData:
 
     def columns(deg):
         # d0 on the labels of degree deg, its terms in degree deg + 1 only
-        return [{w: c for w, c in d0.get(u, {}).items() if v.degree[w] == deg + 1}
-                for u in v.labels_of_degree(deg)]
+        return {u: {w: c for w, c in d0.get(u, {}).items() if v.degree[w] == deg + 1}
+                for u in v.labels_of_degree(deg)}
 
     s_mat = {}
     t_mat = {}
     harmonic_basis = []
     for deg in v.degrees():
         src = v.labels_of_degree(deg)
-        ker = [{src[i]: c for i, c in enumerate(vec) if c} for vec in kernel_basis(
-            ExactMatrix.from_columns(ring, columns(deg), v.labels_of_degree(deg + 1)))]
-        psrc, image = v.labels_of_degree(deg - 1), columns(deg - 1)
+        ker = solve_columns(ring, columns(deg), v.labels_of_degree(deg + 1))[1]
+        psrc, image = v.labels_of_degree(deg - 1), list(columns(deg - 1).values())
         p, nk = len(image), len(ker)
         r, pivots = rref(ExactMatrix.from_columns(
             ring, image + ker + [{l: ring.one()} for l in src], src))
@@ -187,8 +186,7 @@ def hodge_data(v: GradedModule, d0_entries: dict) -> HodgeData:
                     ring.axpy(t_mat, c, {(l, w): e for w, e in vec.items()})
             # the keys (l, pre[k]) are new to s_mat: its entries are set once
             s_mat.update(((l, pre[k]), c) for k, c in enumerate(coords[:ni]) if c != 0)
-        harmonic_basis += [(("h", deg, k), [vec.get(l, ring.zero()) for l in v.labels])
-                           for k, vec in enumerate(harmonic)]
+        harmonic_basis += [(("h", deg, k), vec) for k, vec in enumerate(harmonic)]
     return HodgeData(s_mat, t_mat, harmonic_basis)
 
 
@@ -238,12 +236,8 @@ def minimal_model(rtm: ReducedTwistedModule) -> MinimalModel:
     hg = GradedModule(ring, [(lbl, _vector_degree(v, vec))
                              for lbl, vec in h.harmonic_basis])
     # inclusion/projection between H(V) and V as weight-0 operators
-    inc_entries = {}
-    for lbl, vec in h.harmonic_basis:
-        for i, c in enumerate(vec):
-            if c != 0:
-                inc_entries[(lbl, v.labels[i])] = c
-    i_h = ConvOp.from_matrix(a, hg, v, inc_entries)
+    i_h = ConvOp.from_matrix(a, hg, v, {(lbl, w): c for lbl, vec in h.harmonic_basis
+                                        for w, c in vec.items()})
     proj_entries = _projection_entries(ring, v, hg, h)
     p_h = ConvOp.from_matrix(a, v, hg, proj_entries)
 
@@ -280,8 +274,8 @@ def minimal_model(rtm: ReducedTwistedModule) -> MinimalModel:
     return MinimalModel(minimal, include, project, homotopy, h)
 
 
-def _vector_degree(v: GradedModule, vec) -> int:
-    degs = {v.degree[v.labels[i]] for i, c in enumerate(vec) if c != 0}
+def _vector_degree(v: GradedModule, vec: dict) -> int:
+    degs = {v.degree[l] for l in vec}
     if len(degs) != 1:
         raise PerturbationError("harmonic vector is not homogeneous")
     return degs.pop()
@@ -294,7 +288,7 @@ def _projection_entries(ring, v: GradedModule, hg: GradedModule, h: HodgeData) -
     tcols = {l: {} for l in v.labels}
     for (src, dst), c in h.t.items():
         tcols[src][dst] = c
-    cands = [dict(zip(v.labels, vec)) for _, vec in h.harmonic_basis]
+    cands = [vec for _, vec in h.harmonic_basis]
     r, pivots = rref(ExactMatrix.from_columns(ring, cands + list(tcols.values()), v.labels))
     if any(c >= nh for c in pivots):
         raise PerturbationError("projection does not land in the harmonic part")
@@ -346,22 +340,19 @@ def _invert_weight_zero(a: DgAlgebra, f0: ConvOp, vsrc: GradedModule, vdst: Grad
     unknowns = [(u, w, al) for u in vdst.labels for w in vsrc.labels for al in deg0]
     if len(vsrc.labels) != len(vdst.labels):
         return None
-    # rows[equation key][unknown index]: each entry is set once, as one
-    # unknown's composite holds each key once
+    # rows[equation key][unknown]: each entry is set once, as one unknown's
+    # composite holds each key once
     rows = {}
     # f0 o g = 1_dst and g o f0 = 1_src, linear in g
-    for col, key in enumerate(unknowns):
+    for key in unknowns:
         g_term = ConvOp(a, vdst, vsrc, {key: ring.one()})
         for side, op in (("fg", f0.compose(g_term)), ("gf", g_term.compose(f0))):
             for k, c in op.coeffs.items():
-                rows.setdefault((side, k), {})[col] = c
+                rows.setdefault((side, k), {})[key] = c
     rhs = {("fg", k): c for k, c in ConvOp.identity(a, vdst).coeffs.items()}
     rhs.update((("gf", k), c) for k, c in ConvOp.identity(a, vsrc).coeffs.items())
-    sol = solve_equations(ring, len(unknowns), rows, rhs)
-    if sol is None:
-        return None
-    coeffs = {unknowns[i]: c for i, c in enumerate(sol) if c != 0}
-    return ConvOp(a, vdst, vsrc, coeffs)
+    sol = solve_equations(ring, unknowns, rows, rhs)
+    return None if sol is None else ConvOp(a, vdst, vsrc, sol)
 
 
 # ---------------------------------------------------------------------------
@@ -427,17 +418,15 @@ def _solve_commutator(a: DgAlgebra, w_gm: GradedModule, d_w: ConvOp,
                     unknown_keys.append((u, w, al))
     if not unknown_keys:
         return None if not target.is_zero() else ConvOp(a, w_gm, w_gm)
-    rows = {}  # rows[equation key][unknown index], each entry set once
-    for col, key in enumerate(unknown_keys):
+    rows = {}  # rows[equation key][unknown], each entry set once
+    for key in unknown_keys:
         probe = ConvOp(a, w_gm, w_gm, {key: ring.one()})
         # [d_W, probe] with probe of total degree 1: d_W probe + probe d_W
         br = d_w.compose(probe) + probe.compose(d_w)
         for rkey, c in br.coeffs.items():
-            rows.setdefault(rkey, {})[col] = c
-    sol = solve_equations(ring, len(unknown_keys), rows, target.coeffs)
-    if sol is None:
-        return None
-    return ConvOp(a, w_gm, w_gm, {unknown_keys[i]: c for i, c in enumerate(sol) if c != 0})
+            rows.setdefault(rkey, {})[key] = c
+    sol = solve_equations(ring, unknown_keys, rows, target.coeffs)
+    return None if sol is None else ConvOp(a, w_gm, w_gm, sol)
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +453,9 @@ def truncate_twisted(rtm: ReducedTwistedModule, i: int):
             for l in v.labels_of_degree(deg):
                 new_vectors.append((("t", l), deg, {l: ring.one()}))
         elif deg == i:
-            cols = v.labels_of_degree(deg)
-            sub = ExactMatrix.from_columns(ring, [d0.get(c, {}) for c in cols], v.labels)
-            for k, kv in enumerate(kernel_basis(sub)):
-                new_vectors.append((("ker", i, k), deg,
-                                    {cols[ci]: c for ci, c in enumerate(kv) if c != 0}))
+            kernel = solve_columns(ring, {c: d0.get(c, {}) for c in v.labels_of_degree(deg)},
+                                   v.labels)[1]
+            new_vectors += [(("ker", i, k), deg, kv) for k, kv in enumerate(kernel)]
     if not new_vectors:
         vgm = GradedModule(ring, [])
         return TwistedModule(vgm, a, ConvOp(a, vgm, vgm),
@@ -479,18 +466,16 @@ def truncate_twisted(rtm: ReducedTwistedModule, i: int):
     # restricted twisting: solve x o inc = inc o x' for x'
     x = rtm.tw.x
     ximg = x.compose(inc)
-    basis_mat = ExactMatrix.from_columns(ring, [vec for _, _, vec in new_vectors], v.labels)
     # group image terms by (source new label, algebra label); one factorization
-    # of basis_mat gives every group's coordinates, unique by its full column rank
+    # of the new basis gives every group's coordinates, unique by its full column rank
     grouped = {}
     for (u, w, al), c in ximg.coeffs.items():
         grouped.setdefault((u, al), {})[w] = c
-    sols, _ = solve_many(basis_mat, [[img.get(l, 0) for l in v.labels]
-                                     for img in grouped.values()])
+    sols, _ = solve_columns(ring, {lbl: vec for lbl, _, vec in new_vectors}, v.labels,
+                            list(grouped.values()))
     if None in sols:
         raise PerturbationError("twisting does not preserve the truncation")
-    xprime = {(u, new_vectors[k][0], al): c
-              for (u, al), sol in zip(grouped, sols) for k, c in enumerate(sol)}
+    xprime = {(u, lbl, al): c for (u, al), sol in zip(grouped, sols) for lbl, c in sol.items()}
     out = TwistedModule(vgm, a, ConvOp(a, vgm, vgm, xprime), name="tau_<=%d" % i)
     if not hom_differential(inc, out.x, x, 0).is_zero():
         raise PerturbationError("internal: truncation inclusion is not closed")

@@ -24,7 +24,7 @@ through the degreewise solver.
 from __future__ import annotations
 
 from .dgcore import DgAlgebra, DgError, GradedModule
-from .exactlinalg import ExactMatrix, Ring, kernel_basis
+from .exactlinalg import ExactMatrix, Ring, kernel_basis, solve_columns
 from .simplicial import solve_invertibility
 
 
@@ -103,35 +103,33 @@ def hom_solutions(x: MatrixPoly, y: MatrixPoly, cap: int):
     ring = x.ring
     n = x.n
     d = max(x.degree(), y.degree(), 0)
-    n_unknowns = n * n * (cap + 1)
-
-    def uix(w, i, j):
-        return (w * n + i) * n + j
-
-    # one equation per output weight m and entry (i, j), all weights up to
-    # cap + d retained: f' gives (m + 1) F_{m+1}, y f gives sum_l Y_k[i, l]
-    # F_{m-k}[l, j], and f x gives sum_l F_{m-k}[i, l] X_k[l, j]
+    # one unknown (w, i, j) per entry of each F_w, one equation per output
+    # weight m and entry (i, j), all weights up to cap + d retained: f'
+    # gives (m + 1) F_{m+1}, y f gives sum_l Y_k[i, l] F_{m-k}[l, j], and
+    # f x gives sum_l F_{m-k}[i, l] X_k[l, j]
+    columns = {(w, i, j): {} for w in range(cap + 1) for i in range(n) for j in range(n)}
     xt = {k: xm.transpose() for k, xm in x.coeffs.items()}
-    rows = []
+    neqs = 0
     for m in range(cap + d + 2):
         for i in range(n):
             for j in range(n):
                 row = {}
                 if m < cap:
-                    ring.axpy(row, ring.coerce(m + 1), {uix(m + 1, i, j): 1})
+                    ring.axpy(row, ring.coerce(m + 1), {(m + 1, i, j): 1})
                 for k, ym in y.coeffs.items():
                     if 0 <= m - k <= cap:
-                        ring.axpy(row, 1, {uix(m - k, l, j): c
+                        ring.axpy(row, 1, {(m - k, l, j): c
                                            for l, c in enumerate(ym.row_list(i)) if c})
                 for k, xtm in xt.items():
                     if 0 <= m - k <= cap:
-                        ring.axpy(row, -1, {uix(m - k, i, l): c
+                        ring.axpy(row, -1, {(m - k, i, l): c
                                             for l, c in enumerate(xtm.row_list(j)) if c})
-                rows.append(row)
-    mat = ExactMatrix.from_columns(ring, rows, range(n_unknowns)).transpose()
-    basis = [[ExactMatrix.from_columns(ring, [{i: vec[uix(w, i, j)] for i in range(n)}
+                for u, c in row.items():
+                    columns[u][neqs] = c
+                neqs += 1
+    basis = [[ExactMatrix.from_columns(ring, [{i: vec.get((w, i, j), 0) for i in range(n)}
                                               for j in range(n)], range(n))
-              for w in range(cap + 1)] for vec in kernel_basis(mat)]
+              for w in range(cap + 1)] for vec in solve_columns(ring, columns, range(neqs))[1]]
     return basis, _leading_band_certificate(x, y, cap)
 
 

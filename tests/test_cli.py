@@ -420,6 +420,21 @@ BAD_INPUT_FILES = {
         ["local-system", "c.json", "s.json"],
         {"c.json": {"vertices": [0, 1], "simplices": [[0, 1]]},
          "s.json": {"ring": 5, "rank": 1, "monodromy": []}}),
+    # "dims" and "maps" that are not objects
+    "cohomology-dims-number": (["cohomology", "c.json"],
+                               {"c.json": {"ring": "Z", "dims": -1, "maps": {}}}),
+    "cohomology-maps-list": (["cohomology", "c.json"],
+                             {"c.json": {"ring": "Z", "dims": {"0": 1}, "maps": [None]}}),
+    # a rank that would build 2**70 labels: not the size of the monodromy,
+    # or above the ceiling when there is none
+    "local-system-rank-not-the-monodromy-size": (
+        ["local-system", "c.json", "s.json"],
+        {"c.json": {"vertices": [0, 1], "simplices": [[0, 1]]},
+         "s.json": {"ring": "Z", "rank": 2 ** 70, "monodromy": [[[0, 1], UNIMODULAR]]}}),
+    "local-system-rank-above-the-ceiling": (
+        ["local-system", "c.json", "s.json"],
+        {"c.json": {"vertices": [0, 1], "simplices": [[0, 1]]},
+         "s.json": {"ring": "Z", "rank": 2 ** 70}}),
 }
 
 

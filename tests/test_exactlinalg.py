@@ -20,6 +20,7 @@ from mctwist.exactlinalg import (
     rank,
     rref,
     smith_normal_form,
+    solve_columns,
     solve_equations,
     solve_linear,
     solve_many,
@@ -1108,14 +1109,15 @@ def test_solve_equations_matches_the_inline_keyed_solve(ring, ncols, nkeys, seed
         rows, rhs = {}, {}
         for kind, k, val in items:
             (rows if kind == "row" else rhs)[k] = val
-        sol = solve_equations(ring, ncols, rows, rhs)
+        sol = solve_equations(ring, list(range(ncols)), rows, rhs)
         if ref is None:
             ref = _inline_keyed_solve(ring, ncols, rows, rhs)
             if consistent:
                 assert ref is not None
         assert (sol is None) == (ref is None)
         if sol is not None:
-            assert [(c, type(c)) for c in sol] == [(c, type(c)) for c in ref]
+            assert [(j, c, type(c)) for j, c in sol.items()] == \
+                [(j, c, type(c)) for j, c in enumerate(ref) if c != 0]
 
 
 def test_solve_equations_orders_the_equations_by_str_of_key():
@@ -1126,8 +1128,8 @@ def test_solve_equations_orders_the_equations_by_str_of_key():
     rhs = {"e2": 1, "e1": 1, "e0": 5}
     assert solve_linear(ExactMatrix.from_rows(Z, [a[k] for k in rows]),
                         list(rhs.values()))[0] == [9, 70, 48, -82]
-    assert solve_equations(Z, 4, rows, rhs) == [0, 1, 0, 2]
-    assert solve_equations(Z, 4, rows, {**rhs, "e3": 1}) is None
+    assert list(solve_equations(Z, range(4), rows, rhs).items()) == [(1, 1), (3, 2)]
+    assert solve_equations(Z, range(4), rows, {**rhs, "e3": 1}) is None
 
 
 def _solve_one(a, b):
@@ -1185,3 +1187,60 @@ def test_solve_many_matches_one_solve_per_right_hand_side(ring, nrows, ncols, nb
         assert (sol is None) == (ref is None)
         if sol is not None:
             assert [(c, type(c)) for c in sol] == [(c, type(c)) for c in ref]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([Z, Q, F5]), st.integers(0, 5), st.integers(0, 5), st.integers(0, 4),
+       st.integers(0, 2 ** 32))
+def test_solve_columns_is_solve_many_keyed_by_label(ring, nrows, ncols, nb, seed):
+    rng = random.Random(seed)
+    a = ExactMatrix(ring, nrows, ncols, _sparse_lists(rng, ring, nrows, ncols))
+    # labels of mixed, non-integer shapes, assigned to the positions in shuffled order
+    rows = [rng.choice([("r", i), "r%d" % i, (("v", i), "a")]) for i in range(nrows)]
+    cols = [rng.choice([("c", j), "c%d" % j, (("w", j), "b")]) for j in range(ncols)]
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    bs = []
+    for _ in range(nb):
+        x0 = [rng.randint(-3, 3) for _ in range(ncols)]
+        bs.append([ring.coerce(sum(a.get(i, j) * x0[j] for j in range(ncols)))
+                   if rng.random() < 0.6 else ring.coerce(rng.choice([0, 0, 1, -2, 3]))
+                   for i in range(nrows)])
+
+    def by_label(dense, labels):
+        # the nonzero entries keyed by label, inserted in shuffled order
+        order = list(range(len(labels)))
+        rng.shuffle(order)
+        return {labels[i]: dense[i] for i in order if dense[i] != 0}
+
+    columns = {cols[j]: by_label([a.get(i, j) for i in range(nrows)], rows)
+               for j in range(ncols)}
+    keyed_bs = [by_label(b, rows) for b in bs]
+    sols, kernel = solve_columns(ring, columns, rows, keyed_bs)
+
+    def ref(vec):  # solve_many's vector re-keyed through the column labels
+        return [(cols[j], c, type(c)) for j, c in enumerate(vec) if c != 0]
+
+    ref_sols, ref_kernel = solve_many(a, bs)
+    assert [[(l, c, type(c)) for l, c in v.items()] for v in kernel] == \
+        [ref(v) for v in ref_kernel]
+    assert len(sols) == len(bs)
+    for sol, rsol in zip(sols, ref_sols):
+        assert (sol is None) == (rsol is None)
+        if sol is not None:
+            assert [(l, c, type(c)) for l, c in sol.items()] == ref(rsol)
+    # a label outside the rows is refused, whatever its scalar
+    off = ("off", rng.randrange(10))
+    if ncols:
+        j = rng.choice(cols)
+        with pytest.raises(ExactLinalgError, match="off the rows"):
+            solve_columns(ring, {**columns, j: {**columns[j], off: rng.choice([0, 1])}},
+                          rows, keyed_bs)
+    with pytest.raises(ExactLinalgError, match="off the rows"):
+        solve_columns(ring, columns, rows, keyed_bs + [{off: rng.choice([0, 1])}])
+
+
+def test_solve_equations_refuses_an_unknown_off_the_list():
+    assert solve_equations(Z, ["u"], {"e": {"u": 2}}, {"e": 4}) == {"u": 2}
+    with pytest.raises(ExactLinalgError, match="off the rows: .v."):
+        solve_equations(Z, ["u"], {"e": {"u": 2, "v": 0}}, {"e": 4})

@@ -285,6 +285,18 @@ def test_mc_category_h0_on_interval_algebra():
     assert cat.compose_classes(0, 1, 0, 0, 0) != [0]
 
 
+def test_class_coordinates_refuse_an_element_off_degree_zero():
+    # a term of degree 1 is refused, not read as 0 in the degree-0 solve
+    k0 = build_interval_algebra(0, Q)
+    a = k0.dga
+    cat = mc_category_h0(a, [zero_mc(a)])
+    s = a.element(k0.word_label("s", 1))
+    for element in (s, a.one() + s):
+        with pytest.raises(MCError, match="not closed of degree 0"):
+            cat.class_coordinates(0, 0, element)
+    assert cat.class_coordinates(0, 0, a.one()) == cat.identity_class(0) == [1]
+
+
 def test_universal_example_composition_relations():
     # [h][g] = [1] in H^0(A^x) and [g][h] = [1] in H^0(A^y): the composites
     # differ from 1 by exact terms, witnessed by s and t exactly
@@ -478,8 +490,9 @@ def _ref_h0_reps(a, x, y):
     the exact span plus the vectors kept so far."""
     ring = a.ring
     hm = hom_twist(a, x, y)
-    mat0, src, _ = _degree_matrix(hm, 0)
-    _, srcm1, _ = _degree_matrix(hm, -1)
+    cols0, dst0 = _degree_matrix(hm, 0)
+    src, srcm1 = list(cols0), list(_degree_matrix(hm, -1)[0])
+    mat0 = ExactMatrix.from_columns(ring, list(cols0.values()), dst0)
     closed = kernel_basis(mat0)
     ix = {l: k for k, l in enumerate(src)}
     exact_vecs = []
