@@ -13,8 +13,8 @@ import os
 import sys
 
 from . import fixtures, interval, io, mc, perturbation
-from .dgcore import DgError, GradedModule, check_dga
-from .exactlinalg import ChainComplexSpec, ExactLinalgError, Ring, cohomology
+from .dgcore import DgError, check_dga
+from .exactlinalg import ExactLinalgError, Ring, cohomology
 from .io import InputError, dumps
 from .simplicial import (SimplicialError, circle, cochain_algebra, local_system_cohomology,
                          torus7)
@@ -42,49 +42,25 @@ def cmd_check_dga(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
-    obj = io.load_json_file(args.complex)
-    try:
-        ring = Ring.parse(obj["ring"])
-        if not (isinstance(obj["dims"], dict) and isinstance(obj["maps"], dict)):
-            raise TypeError('"dims" and "maps" must be JSON objects')
-        dims = {int(k): int(v) for k, v in obj["dims"].items()}
-        maps = {int(k): io.matrix_from_json(m, ring) for k, m in obj["maps"].items()}
-        spec = ChainComplexSpec(ring, dims, maps)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("bad complex JSON: %s" % exc) from exc
-    rep = cohomology(spec)
+    rep = cohomology(io.chain_complex_from_json(io.load_json_file(args.complex)))
     return _out({"H": io.report_to_json(rep), "checks": ["d-squared", "im-in-ker"]})
 
 
 def cmd_local_system(args) -> int:
     complex_obj = io.load_json_file(args.complex)
-    system_obj = io.load_json_file(args.system)
+    system_obj = io.load_json_object(args.system)
     if args.ring:
-        system_obj = dict(system_obj)
         system_obj["ring"] = args.ring
     # the functor condition is checked once, by twisted_system
     rep = local_system_cohomology(io.local_system_from_json(system_obj, complex_obj))
-    out = []
-    for entry in io.report_to_json(rep):
-        e = {"rank": entry["rank"]}
-        if "torsion" in entry:
-            e["torsion"] = entry["torsion"]
-        out.append(e)
+    out = [{k: v for k, v in e.items() if k != "degree"} for e in io.report_to_json(rep)]
     return _out({"H": out, "checks": ["invertible-monodromy", "functor-condition",
                                       "mc", "d-squared"]})
 
 
 def cmd_mc_check(args) -> int:
-    obj = io.load_json_object(args.element, "value")
-    alg_obj = obj.get("algebra")
-    if isinstance(alg_obj, str):
-        alg_obj = io.load_json_file(alg_obj)
-    a = io.dga_from_json(alg_obj)
-    value = io.element_from_json(a, obj["value"])
-    try:
-        ok, res = mc.is_mc(a, a.element(value))
-    except mc.MCError as exc:
-        raise InputError(str(exc)) from exc
+    a, value = io.mc_element_from_json(io.load_json_object(args.element))
+    ok, res = mc.is_mc(a, a.element(value))
     payload = {"mc": bool(ok), "checks": ["degree", "mc-residual"]}
     if not ok:
         payload["residual"] = io.element_to_json(res.coeffs)
@@ -92,28 +68,19 @@ def cmd_mc_check(args) -> int:
 
 
 def cmd_gauge_search(args) -> int:
+    io.bounded(args.budget, "--budget")
     a = io.dga_from_json(io.load_json_file(args.algebra))
-    x_obj = io.load_json_object(args.x, "value")
-    y_obj = io.load_json_object(args.y, "value")
-    try:
-        x = mc.MCElement(a, a.element(io.element_from_json(a, x_obj["value"])))
-        y = mc.MCElement(a, a.element(io.element_from_json(a, y_obj["value"])))
-    except mc.MCError as exc:
-        raise InputError(str(exc)) from exc
+    x, y = (mc.MCElement(a, a.element(io.mc_element_from_json(io.load_json_object(path), a)[1]))
+            for path in (args.x, args.y))
     res = mc.search_homotopy_gauge(a, x, y, budget=args.budget, seed=args.seed)
-    payload = {"result": res.kind, "report": _jsonable(res.report),
+    payload = {"result": res.kind, "report": res.report,
                "invariants": {
                    side: {key: io.report_to_json(rep)
                           for key, rep in inv.items()}
                    for side, inv in res.invariants.items()},
                "checks": ["invariants", "certificate-verification"]}
     if res.certificate is not None:
-        payload["certificate"] = {
-            "g": io.element_to_json(res.certificate.g.coeffs),
-            "h": io.element_to_json(res.certificate.h.coeffs),
-            "wx": io.element_to_json(res.certificate.wx.coeffs),
-            "wy": io.element_to_json(res.certificate.wy.coeffs),
-        }
+        payload["certificate"] = io.certificate_to_json(res.certificate)
     return _out(payload)
 
 
@@ -124,37 +91,22 @@ def cmd_k2_dict(args) -> int:
                      "t": k2.word_label("t", 1), "st": k2.word_label("s", 2),
                      "ts": k2.word_label("t", 2)}
     obj = io.load_json_object(args.input)
-    try:
-        if args.direction == "to-certificate":
-            x_dict = {}
-            for name, coeffs in obj["homotopy"]:
-                if name not in name_to_label:
-                    raise InputError("unknown K_2 word %r" % (name,))
-                x_dict[name_to_label[name]] = a.element(io.element_from_json(a, coeffs))
-            x, x1, cert = interval.certificate_from_k2_homotopy(a, k2, x_dict)
-            return _out({"x": io.element_to_json(x.value.coeffs),
-                         "x1": io.element_to_json(x1.value.coeffs),
-                         "certificate": {
-                             "g": io.element_to_json(cert.g.coeffs),
-                             "h": io.element_to_json(cert.h.coeffs),
-                             "wx": io.element_to_json(cert.wx.coeffs),
-                             "wy": io.element_to_json(cert.wy.coeffs)},
-                         "checks": ["mc", "certificate-verification"]})
-        x = mc.MCElement(a, a.element(io.element_from_json(a, obj["x"])))
-        x1 = mc.MCElement(a, a.element(io.element_from_json(a, obj["x1"])))
-        cert = mc.HomotopyGaugeCertificate(
-            a.element(io.element_from_json(a, obj["certificate"]["g"])),
-            a.element(io.element_from_json(a, obj["certificate"]["h"])),
-            a.element(io.element_from_json(a, obj["certificate"]["wx"])),
-            a.element(io.element_from_json(a, obj["certificate"]["wy"])))
-        x_dict = interval.k2_homotopy_from_certificate(a, k2, x, x1, cert)
-        label_to_name = {v: k for k, v in name_to_label.items()}
-        return _out({"homotopy": sorted(
-            [[label_to_name[l], io.element_to_json(a.as_element(v).coeffs)]
-             for l, v in x_dict.items()]),
-            "checks": ["certificate-verification", "mc"]})
-    except (KeyError, TypeError, ValueError) as exc:  # an MCError is a ValueError
-        raise InputError(str(exc)) from exc
+    if args.direction == "to-certificate":
+        x_dict = io.k2_homotopy_from_json(a, obj, name_to_label)
+        x, x1, cert = interval.certificate_from_k2_homotopy(a, k2, x_dict)
+        return _out({"x": io.element_to_json(x.value.coeffs),
+                     "x1": io.element_to_json(x1.value.coeffs),
+                     "certificate": io.certificate_to_json(cert),
+                     "checks": ["mc", "certificate-verification"]})
+    x, x1, parts = io.certificate_from_json(a, obj)
+    x, x1 = mc.MCElement(a, x), mc.MCElement(a, x1)
+    x_dict = interval.k2_homotopy_from_certificate(a, k2, x, x1,
+                                                   mc.HomotopyGaugeCertificate(*parts))
+    label_to_name = {v: k for k, v in name_to_label.items()}
+    return _out({"homotopy": sorted(
+        [[label_to_name[l], io.element_to_json(a.as_element(v).coeffs)]
+         for l, v in x_dict.items()]),
+        "checks": ["certificate-verification", "mc"]})
 
 
 def cmd_kinfty(args) -> int:
@@ -180,15 +132,7 @@ def cmd_kn(args) -> int:
 
 def _reduced_module(path) -> perturbation.ReducedTwistedModule:
     """The reduced twisted module of a module JSON file (minimal-model, truncate)."""
-    obj = io.load_json_file(path)
-    try:
-        a = io.dga_from_json(obj["algebra"] if isinstance(obj["algebra"], dict)
-                             else io.load_json_file(obj["algebra"]))
-        v = GradedModule(a.ring, [(io.decode_label(l), int(d)) for l, d in obj["v"]])
-        coeffs = {(io.decode_label(u), io.decode_label(w), io.decode_label(al)):
-                  a.ring.coerce(c) for (u, w, al), c in ((tuple(k), c) for k, c in obj["mc"])}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("bad module JSON: %s" % (exc,)) from exc
+    a, v, coeffs = io.module_from_json(io.load_json_file(path))
     tw = mc.TwistedModule(v, a, mc.ConvOp(a, v, v, coeffs))
     comp = perturbation.reduced_component(tw)
     if comp is None:
@@ -197,10 +141,7 @@ def _reduced_module(path) -> perturbation.ReducedTwistedModule:
 
 
 def cmd_minimal_model(args) -> int:
-    try:
-        mm = perturbation.minimal_model(_reduced_module(args.module))
-    except (mc.MCError, perturbation.PerturbationError) as exc:
-        raise InputError(str(exc)) from exc
+    mm = perturbation.minimal_model(_reduced_module(args.module))
     return _out({
         "minimal_rank": mm.minimal.v.dim,
         "minimal_basis": [[io.encode_label(l), d] for l, d in mm.minimal.v.basis()],
@@ -212,41 +153,16 @@ def cmd_minimal_model(args) -> int:
 
 
 def cmd_resolve(args) -> int:
-    obj = io.load_json_object(args.input)
-    try:
-        ring = Ring.parse(obj.get("ring", "Z"))
-        base = io.complex_from_json(obj["complex"])
-        a = cochain_algebra(base, ring)
-        w_gm = GradedModule(ring, [(io.decode_label(l), int(d))
-                                   for l, d in obj["resolution"]["basis"]])
-        d_w = {(io.decode_label(u), io.decode_label(w)): ring.coerce(c)
-               for u, w, c in obj["resolution"]["d"]}
-        w1_coeffs = {}
-        for edge, mat in obj["edge_action"]:
-            e = io.decode_label(edge)
-            m = io.matrix_from_json(mat, ring)
-            labels = list(w_gm.labels)
-            for i, u in enumerate(labels):
-                for j, w in enumerate(labels):
-                    c = m.get(j, i)
-                    if w_gm.degree[u] == w_gm.degree[w]:
-                        if u == w:
-                            c = ring.sub(c, ring.one())
-                        if c != 0:
-                            w1_coeffs[(u, w, e)] = c
-        w1 = mc.ConvOp(a, w_gm, w_gm, w1_coeffs)
-        tw = perturbation.lift_to_free_resolution(a, w_gm, d_w, w1)
-    except (perturbation.PerturbationError, mc.MCError, KeyError) as exc:
-        raise InputError(str(exc)) from exc
+    base, w_gm, d_w, w1_coeffs = io.resolution_from_json(io.load_json_object(args.input))
+    a = cochain_algebra(base, w_gm.ring)
+    tw = perturbation.lift_to_free_resolution(a, w_gm, d_w,
+                                              mc.ConvOp(a, w_gm, w_gm, w1_coeffs))
     return _out({"H": io.report_to_json(tw.cohomology()),
                  "checks": ["d-squared", "chain-map", "obstruction-stages", "mc"]})
 
 
 def cmd_truncate(args) -> int:
-    try:
-        out, _ = perturbation.truncate_twisted(_reduced_module(args.module), args.i)
-    except (mc.MCError, perturbation.PerturbationError) as exc:
-        raise InputError(str(exc)) from exc
+    out, _ = perturbation.truncate_twisted(_reduced_module(args.module), args.i)
     return _out({"rank": out.v.dim,
                  "basis": [[io.encode_label(l), d] for l, d in out.v.basis()],
                  "H": io.report_to_json(out.cohomology()),
@@ -344,27 +260,14 @@ def fixtures_example51() -> dict:
     k0 = interval.build_interval_algebra(0, Ring.Z())
     a = k0.dga
     s = mc.MCElement(a, a.element(k0.word_label("s", 1)))
-    outcomes = {}
-    module = mc.twist_module(a, s)
-    outcomes["module_left"] = io.report_to_json(cohomology(module.complex()))
-    hom = mc.hom_twist(a, s, mc.zero_mc(a))
-    outcomes["module_right"] = io.report_to_json(cohomology(hom.complex()))
-    alg = mc.twist_algebra(a, s)
-    outcomes["algebra"] = io.report_to_json(cohomology(alg.complex()))
-    hom2 = mc.hom_twist(a, s, s)
-    outcomes["two_sided"] = io.report_to_json(cohomology(hom2.complex()))
+    twists = {"module_left": mc.twist_module(a, s),
+              "module_right": mc.hom_twist(a, s, mc.zero_mc(a)),
+              "algebra": mc.twist_algebra(a, s), "two_sided": mc.hom_twist(a, s, s)}
+    outcomes = {k: io.report_to_json(cohomology(t.complex())) for k, t in twists.items()}
     return {"conventions": outcomes, "pinned": "algebra",
             "reason": "the algebra twisting (= the two-sided twist by s on "
                       "both sides) reproduces H^1 = Z/2 over Z; both "
                       "one-sided module twistings give torsion-free H"}
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
 
 
 def _arg(*flags, **kwargs):
@@ -427,7 +330,8 @@ def main(argv=None) -> int:
     args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ExactLinalgError, DgError, SimplicialError, mc.MCError) as exc:
+    except (InputError, ExactLinalgError, DgError, SimplicialError, mc.MCError,
+            perturbation.PerturbationError) as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return 1
     except InternalError as exc:

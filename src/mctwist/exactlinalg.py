@@ -846,10 +846,6 @@ class CohomologyReport:
             bits.append("H^%d=%s" % (deg, " + ".join(s)))
         return "CohomologyReport(%s)" % ("; ".join(bits) or "0")
 
-    def to_json(self):
-        return {str(d): {"rank": self.entries[d][0], "torsion": list(self.entries[d][1])}
-                for d in self.degrees()}
-
 
 class ChainComplexSpec:
     """A finite complex ... -> C^d -> C^{d+1} -> ... given by matrices.

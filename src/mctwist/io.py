@@ -7,14 +7,45 @@ round trip.  Scalars are encoded as integers or "a/b" strings.
 
 from __future__ import annotations
 
+import contextlib
 import json
 
 from .dgcore import DgAlgebra, GradedModule
-from .exactlinalg import CohomologyReport, ExactMatrix, Ring
+from .exactlinalg import ChainComplexSpec, CohomologyReport, ExactMatrix, Ring
 
 
 class InputError(ValueError):
     """Invalid input file or schema violation (CLI exit code 1)."""
+
+
+# the largest count, and the largest |degree|, that a file may declare where
+# no data it carries bounds it; also the largest gauge-search budget
+CEILING = 1024
+
+# every integer a file declares is read by the rule coefficients follow
+_integer = Ring.Z().coerce
+
+
+def bounded(x, what: str, low: int = 0) -> int:
+    """The integer x, refused with InputError outside low..CEILING."""
+    n = _integer(x)
+    if not low <= n <= CEILING:
+        raise InputError("%s %d is outside %d..%d" % (what, n, low, CEILING))
+    return n
+
+
+def _degree(x) -> int:
+    return bounded(x, "degree", -CEILING)
+
+
+@contextlib.contextmanager
+def _reading(kind: str):
+    # the one conversion: what reading a file's parts raises is bad input (a
+    # RecursionError comes from decoding a label nested too deep)
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise InputError("bad %s JSON: %s" % (kind, exc)) from exc
 
 
 def encode_label(label):
@@ -50,9 +81,9 @@ def dga_to_json(a: DgAlgebra) -> dict:
 
 
 def dga_from_json(obj: dict) -> DgAlgebra:
-    try:
+    with _reading("dg algebra"):
         ring = Ring.parse(obj["ring"])
-        gm = GradedModule(ring, [(decode_label(l), int(d)) for l, d in obj["basis"]])
+        gm = GradedModule(ring, [(decode_label(l), _degree(d)) for l, d in obj["basis"]])
         unit_obj = obj["unit"]
         if isinstance(unit_obj, (str, int)) or (
                 isinstance(unit_obj, list) and unit_obj and
@@ -68,8 +99,6 @@ def dga_from_json(obj: dict) -> DgAlgebra:
             mult.setdefault((decode_label(x), decode_label(y)), {})[
                 decode_label(r)] = ring.coerce(c)
         return DgAlgebra(gm, unit, mult, diff)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("bad dg algebra JSON: %s" % exc) from exc
 
 
 def element_to_json(coeffs: dict) -> list:
@@ -78,36 +107,44 @@ def element_to_json(coeffs: dict) -> list:
 
 
 def element_from_json(a, obj) -> dict:
-    try:
+    with _reading("element"):
         return {decode_label(l): a.ring.coerce(c) for l, c in obj}
-    except (TypeError, ValueError) as exc:
-        raise InputError("bad element JSON: %s" % exc) from exc
 
 
-def matrix_from_json(obj, ring: Ring = None) -> ExactMatrix:
-    try:
+def matrix_from_json(obj, ring: Ring) -> ExactMatrix:
+    """A matrix over ``ring``: a list of rows, or {rows, cols, entries}."""
+    with _reading("matrix"):
         if isinstance(obj, list):
-            if ring is None:
-                raise InputError("matrix rows need an explicit ring")
             return ExactMatrix.from_rows(ring, obj)
-        ring = Ring.parse(obj["ring"]) if ring is None else ring
-        return ExactMatrix(ring, int(obj["rows"]), int(obj["cols"]), obj["entries"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("bad matrix JSON: %s" % exc) from exc
+        # a list of entries, so that its length bounds "rows"
+        return ExactMatrix(ring, _integer(obj["rows"]), _integer(obj["cols"]),
+                           list(obj["entries"]))
 
 
-def report_to_json(rep: CohomologyReport, as_list: bool = True):
-    if not as_list:
-        return rep.to_json()
-    degs = rep.degrees()
-    top = max([0] + degs)
-    low = min([0] + degs)
+def chain_complex_from_json(obj) -> ChainComplexSpec:
+    """{ring, dims: {degree: dimension}, maps: {degree: matrix}} as a complex."""
+    with _reading("complex"):
+        ring = Ring.parse(obj["ring"])
+        if not (isinstance(obj["dims"], dict) and isinstance(obj["maps"], dict)):
+            raise TypeError('"dims" and "maps" must be JSON objects')
+        dims = {_degree(k): _integer(n) for k, n in obj["dims"].items()}
+        maps = {_degree(k): matrix_from_json(m, ring) for k, m in obj["maps"].items()}
+        # a dimension is the length of a list of matrix entries, or at most CEILING
+        carried = {d for k, m in maps.items() if m.rows for d in (k, k + 1)}
+        for d, n in dims.items():
+            if d not in carried:
+                bounded(n, "dimension")
+        return ChainComplexSpec(ring, dims, maps)
+
+
+def report_to_json(rep: CohomologyReport) -> list:
+    """One entry per degree, from the lowest to the highest nonzero one and 0."""
+    degs = [0] + rep.degrees()
     out = []
-    for d in range(low, top + 1):
-        entry = {"degree": d, "rank": rep.rank(d)}
+    for d in range(min(degs), max(degs) + 1):
+        out.append({"degree": d, "rank": rep.rank(d)})
         if rep.torsion(d):
-            entry["torsion"] = list(rep.torsion(d))
-        out.append(entry)
+            out[-1]["torsion"] = list(rep.torsion(d))
     return out
 
 
@@ -126,36 +163,99 @@ def complex_to_json(sset) -> dict:
 
 def complex_from_json(obj):
     from .simplicial import from_ordered_complex
-    try:
-        return from_ordered_complex(obj["vertices"],
-                                    [tuple(s) for s in obj["simplices"]])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("bad simplicial complex JSON: %s" % exc) from exc
-
-
-# the largest rank of a local system given without monodromy matrices; with
-# them, the rank is their size
-MAX_RANK = 1024
+    with _reading("simplicial complex"):
+        return from_ordered_complex(obj["vertices"], [tuple(s) for s in obj["simplices"]])
 
 
 def local_system_from_json(obj, complex_obj=None):
+    """A local system; its rank is its monodromy's size, or at most CEILING."""
     from .simplicial import LocalSystem
-    try:
+    with _reading("local system"):
         ring = Ring.parse(obj["ring"])
-        rank = int(obj["rank"])
-        base = complex_from_json(complex_obj if complex_obj is not None
-                                 else obj["complex"])
-        monodromy = {}
-        for edge, mat in obj.get("monodromy", []):
-            monodromy[decode_label(edge)] = matrix_from_json(mat, ring)
+        rank = _integer(obj["rank"])
+        base = complex_from_json(complex_obj if complex_obj is not None else obj["complex"])
+        monodromy = {decode_label(edge): matrix_from_json(mat, ring)
+                     for edge, mat in obj.get("monodromy", [])}
         if any((m.rows, m.cols) != (rank, rank) for m in monodromy.values()):
             raise ValueError("rank %d is not the size of the monodromy matrices" % rank)
-        if not monodromy and not 0 <= rank <= MAX_RANK:
-            raise ValueError("rank %d is outside 0..%d" % (rank, MAX_RANK))
+        if not monodromy:
+            bounded(rank, "rank")
         v = GradedModule(ring, [(("v", i), 0) for i in range(rank)])
         return LocalSystem(base, v, monodromy)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("bad local system JSON: %s" % exc) from exc
+
+
+def _algebra(obj) -> DgAlgebra:
+    # the dg algebra a file holds inline under "algebra", or names by path (a
+    # string: open(0) would read standard input)
+    alg = obj["algebra"]
+    return dga_from_json(load_json_file(alg) if isinstance(alg, str) else alg)
+
+
+def mc_element_from_json(obj, a: DgAlgebra = None) -> tuple:
+    """(A, {label: c}) of {algebra: <inline or path>, value: [[label, c]...]};
+    given the algebra A, the file needs no "algebra"."""
+    with _reading("MC element"):
+        a = _algebra(obj) if a is None else a
+        return a, element_from_json(a, obj["value"])
+
+
+def module_from_json(obj) -> tuple:
+    """(A, V, {(u, w, a): c}) of {algebra: <inline or path>, v, mc}."""
+    with _reading("module"):
+        a = _algebra(obj)
+        v = GradedModule(a.ring, [(decode_label(l), _degree(d)) for l, d in obj["v"]])
+        coeffs = {(decode_label(u), decode_label(w), decode_label(al)): a.ring.coerce(c)
+                  for (u, w, al), c in obj["mc"]}
+        return a, v, coeffs
+
+
+def resolution_from_json(obj) -> tuple:
+    """(complex, W, d_W, {(u, w, edge): c}) of a resolve file; the last is each
+    edge's action minus the identity, on pairs of labels of equal degree."""
+    with _reading("resolution"):
+        ring = Ring.parse(obj.get("ring", "Z"))
+        base = complex_from_json(obj["complex"])
+        res = obj["resolution"]
+        w_gm = GradedModule(ring, [(decode_label(l), _degree(d)) for l, d in res["basis"]])
+        d_w = {(decode_label(u), decode_label(w)): ring.coerce(c) for u, w, c in res["d"]}
+        labels, n = w_gm.labels, w_gm.dim
+        w1_coeffs = {}
+        for edge, mat in obj["edge_action"]:
+            e = decode_label(edge)
+            m = matrix_from_json(mat, ring)
+            if (m.rows, m.cols) != (n, n):
+                raise ValueError("an edge action is %dx%d, not %dx%d" % (m.rows, m.cols, n, n))
+            for i, u in enumerate(labels):
+                for j, w in enumerate(labels):
+                    c = m.get(j, i)
+                    if u == w:
+                        c = ring.sub(c, ring.one())
+                    if c != 0 and w_gm.degree[u] == w_gm.degree[w]:
+                        w1_coeffs[(u, w, e)] = c
+        return base, w_gm, d_w, w1_coeffs
+
+
+def k2_homotopy_from_json(a, obj, words) -> dict:
+    """{words[word]: element of A} of {homotopy: [[word, element]...]}."""
+    with _reading("K_2 homotopy"):
+        out = {}
+        for name, coeffs in obj["homotopy"]:
+            if name not in words:
+                raise ValueError("unknown K_2 word %r" % (name,))
+            out[words[name]] = a.element(element_from_json(a, coeffs))
+        return out
+
+
+def certificate_to_json(cert) -> dict:
+    return {k: element_to_json(e.coeffs) for k, e in vars(cert).items()}
+
+
+def certificate_from_json(a, obj) -> tuple:
+    """The elements x, x1 and [g, h, wx, wy] of A of {x, x1, certificate}."""
+    with _reading("certificate"):
+        x, x1 = (a.element(element_from_json(a, obj[k])) for k in ("x", "x1"))
+        cert = obj["certificate"]
+        return x, x1, [a.element(element_from_json(a, cert[k])) for k in ("g", "h", "wx", "wy")]
 
 
 def dumps(obj) -> str:
@@ -163,23 +263,19 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def load_json_file(path):
-    if not isinstance(path, str):  # open(0) would read standard input
-        raise InputError("a file path must be a string, not %.40r" % (path,))
+def load_json_file(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: bad JSON or a number of too many digits; RecursionError: deep nesting
         raise InputError("cannot read %s: %s" % (path, exc)) from exc
 
 
-def load_json_object(path, *keys) -> dict:
-    """A JSON file whose top level is an object holding every key of ``keys``."""
+def load_json_object(path) -> dict:
+    """A JSON file whose top level is an object."""
     obj = load_json_file(path)
     if not isinstance(obj, dict):
         raise InputError("%s: the top level must be a JSON object, not %s"
                          % (path, type(obj).__name__))
-    missing = [k for k in keys if k not in obj]
-    if missing:
-        raise InputError("%s: missing key %r" % (path, missing[0]))
     return obj

@@ -25,7 +25,7 @@ End(V) (x) A is built.
 from __future__ import annotations
 
 from .dgcore import DgAlgebra, GradedModule, ground_dga
-from .exactlinalg import ExactMatrix, Ring, rref, solve_columns, solve_equations
+from .exactlinalg import ExactLinalgError, ExactMatrix, Ring, rref, solve_columns, solve_equations
 from .mc import ConvOp, TwistedModule
 
 
@@ -95,6 +95,8 @@ def reduced_component(tw: TwistedModule):
     if zero_part is None:
         return {}
     unit = tw.algebra.unit
+    if not unit:  # a zero unit: c (x) 1 is zero for every c
+        return None
     entries = {}
     # the weight-0 part must equal sum_{(u,w)} c_{uw} E_{u->w} (x) unit
     al0, cu0 = next(iter(sorted(unit.items(), key=str)))
@@ -104,7 +106,7 @@ def reduced_component(tw: TwistedModule):
         if cu0 != ring.one():
             try:
                 c = ring.div(c, cu0)
-            except Exception:
+            except ExactLinalgError:  # cu0 does not divide c over Z
                 return None
         if c != 0:
             entries[(u, w)] = c

@@ -1,10 +1,16 @@
+import contextlib
+import io as stdio
 import json
 import os
+import signal
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mctwist import io
 from mctwist.cli import main
@@ -383,6 +389,25 @@ def _k0_algebra():
     return io.dga_to_json(build_interval_algebra(0, Q).dga)
 
 
+def _circle3_algebra(first_degree):
+    # emit-fixtures' circle3-algebra.json, its first basis label in first_degree
+    from mctwist.simplicial import circle, cochain_algebra
+    obj = io.dga_to_json(cochain_algebra(circle(3), Z))
+    obj["basis"][0][1] = first_degree
+    return obj
+
+
+EDGE = {"vertices": [0, 1], "simplices": [[0, 1]]}
+
+
+def _resolution(basis=None, edge_action=()):
+    # a resolve input over the edge: W = w_-1 -> w_0 in degrees -1, 0, d = 2
+    return {"ring": "Z", "complex": EDGE,
+            "resolution": {"basis": basis or [[["w", -1], -1], [["w", 0], 0]],
+                           "d": [[["w", -1], ["w", 0], "2"]]},
+            "edge_action": list(edge_action)}
+
+
 # (argv, {file name: JSON payload}) for input files of the wrong shape
 BAD_INPUT_FILES = {
     "mc-check-list": (["mc-check", "e.json"], {"e.json": []}),
@@ -435,6 +460,56 @@ BAD_INPUT_FILES = {
         ["local-system", "c.json", "s.json"],
         {"c.json": {"vertices": [0, 1], "simplices": [[0, 1]]},
          "s.json": {"ring": "Z", "rank": 2 ** 70}}),
+    # an integer of more digits than Python parses (a payload given as text
+    # is written as it is)
+    "cohomology-5000-digit-integer": (
+        ["cohomology", "c.json"],
+        {"c.json": '{"ring": "Z", "dims": {"0": %s}, "maps": {}}' % ("9" * 5000)}),
+    "check-dga-nested-100000-deep": (["check-dga", "a.json"],
+                                     {"a.json": "[" * 100000 + "]" * 100000}),
+    "check-dga-label-nested-600-deep": (["check-dga", "a.json"], {"a.json": (
+        '{"ring": "Z", "basis": [[%s, 0]], "unit": [[%s, "1"]]}' % ((
+            "[" * 600 + "0" + "]" * 600,) * 2))}),
+    # integers a file declares are exact: no float or bool is rounded
+    "local-system-rank-float": (["local-system", "c.json", "s.json"],
+                                {"c.json": EDGE, "s.json": {"ring": "Z", "rank": 1.5}}),
+    "local-system-rank-bool": (["local-system", "c.json", "s.json"],
+                               {"c.json": EDGE, "s.json": {"ring": "Z", "rank": True}}),
+    "check-dga-basis-degree-float": (["check-dga", "a.json"],
+                                     {"a.json": _circle3_algebra(0.5)}),
+    "cohomology-dims-float-and-bool": (
+        ["cohomology", "c.json"],
+        {"c.json": {"ring": "Z", "dims": {"0": 1.5, "1": True}, "maps": {}}}),
+    "local-system-system-list": (["local-system", "c.json", "s.json", "--ring", "Q"],
+                                 {"c.json": EDGE, "s.json": [1]}),
+    # what no data in the file bounds is at most io.CEILING: degrees, a
+    # dimension that no map's entries carry, and the search budget
+    "cohomology-degrees-spread-apart": (
+        ["cohomology", "c.json"],
+        {"c.json": {"ring": "Z", "dims": {"0": 1, "2000000": 1}, "maps": {}}}),
+    "cohomology-dimension-above-the-ceiling": (
+        ["cohomology", "c.json"], {"c.json": {"ring": "Z", "dims": {"0": 2000}, "maps": {}}}),
+    "cohomology-dimension-of-a-zero-row-map": (
+        ["cohomology", "c.json"],
+        {"c.json": {"ring": "Z", "dims": {"0": 2 ** 70, "1": 0}, "maps": {
+            "0": {"ring": "Z", "rows": 0, "cols": 2 ** 70, "entries": []}}}}),
+    "cohomology-matrix-without-entries": (
+        ["cohomology", "c.json"],
+        {"c.json": {"ring": "Z", "dims": {"0": 1}, "maps": {
+            "0": {"ring": "Z", "rows": 2 ** 70, "cols": 1, "entries": None}}}}),
+    # a resolution's degrees, and each edge action of the size of W
+    "resolve-basis-degree-not-a-number": (["resolve", "r.json"], {"r.json": _resolution(
+        basis=[[["w", -1], "x"], [["w", 0], 0]])}),
+    "resolve-edge-action-1x1": (["resolve", "r.json"], {"r.json": _resolution(
+        edge_action=[[[0, 1], [[1]]]])}),
+    "resolve-edge-action-3x3": (["resolve", "r.json"], {"r.json": _resolution(
+        edge_action=[[[0, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]])}),
+    # a module over an algebra whose unit is zero is not reduced
+    "truncate-algebra-unit-zero": (["truncate", "m.json", "--i", "0"], {"m.json": dict(
+        _module_payload(), algebra=dict(_module_payload()["algebra"], unit=[]))}),
+    "gauge-search-budget-above-the-ceiling": (
+        ["gauge-search", "a.json", "x.json", "y.json", "--seed", "1", "--budget", "2000"],
+        {"a.json": _k0_algebra(), "x.json": {"value": []}, "y.json": {"value": []}}),
 }
 
 
@@ -442,10 +517,116 @@ BAD_INPUT_FILES = {
 def test_input_file_of_the_wrong_shape_is_one_input_error_line(case, tmp_path, capsys):
     argv, files = BAD_INPUT_FILES[case]
     for name, payload in files.items():
-        (tmp_path / name).write_text(json.dumps(payload))
+        (tmp_path / name).write_text(payload if isinstance(payload, str) else json.dumps(payload))
     code, out, err = run_cli(capsys, *[str(tmp_path / a) if a in files else a for a in argv])
     assert (code, out) == (1, ""), err
     assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def fuzz_jobs(tmp_path_factory):
+    """(argv, {file name: JSON text}): a valid job per subcommand that reads a
+    JSON file, on every file emit-fixtures writes that a subcommand reads."""
+    fx = tmp_path_factory.mktemp("fx")
+    k0 = build_interval_algebra(0, Q)
+    e, f, s = (io.encode_label(l) for l in (k0.e, k0.f, k0.word_label("s", 1)))
+    cert = {"x": [], "x1": [[s, "1"]], "certificate": {
+        "g": [[e, "1"], [f, "2"]], "h": [[e, "1"], [f, "1/2"]], "wx": [], "wy": []}}
+    (fx / "a.json").write_text(json.dumps(_k0_algebra()))
+    (fx / "i.json").write_text(json.dumps(cert))
+    out = stdio.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["emit-fixtures", "--dir", str(fx)]) == 0
+        out.seek(0)
+        out.truncate()
+        assert main(["k2-dict", str(fx / "a.json"), str(fx / "i.json"),
+                     "--direction", "to-homotopy"]) == 0
+    homotopy = json.loads(out.getvalue())["homotopy"]
+
+    def emitted(name):
+        return json.loads((fx / name).read_text())
+
+    jobs = [(["check-dga", "a.json"], {"a.json": emitted(a)})
+            for a in ("circle3-algebra.json", "torus7-algebra.json")]
+    jobs += [(["local-system", "c.json", "s.json", "--ring", "Z"],
+              {"c.json": emitted(c), "s.json": emitted("sign.json")})
+             for c in ("circle3.json", "circle4.json")]
+    jobs += [
+        (["local-system", "c.json", "s.json"],
+         {"c.json": emitted("torus7.json"), "s.json": {"ring": "Q", "rank": 1}}),
+        (["mc-check", "e.json"], {"e.json": emitted("kx-fixture.json")}),
+        (["cohomology", "c.json"], {"c.json": {"ring": "Z", "dims": {"0": 1, "1": 2}, "maps": {
+            "0": {"ring": "Z", "rows": 2, "cols": 1, "entries": [["2"], ["0"]]}}}}),
+        (["gauge-search", "a.json", "x.json", "y.json", "--seed", "1"],
+         {"a.json": _k0_algebra(), "x.json": {"value": []}, "y.json": {"value": []}}),
+        (["k2-dict", "a.json", "i.json", "--direction", "to-homotopy"],
+         {"a.json": _k0_algebra(), "i.json": cert}),
+        (["k2-dict", "a.json", "i.json", "--direction", "to-certificate"],
+         {"a.json": _k0_algebra(), "i.json": {"homotopy": homotopy}}),
+        (["minimal-model", "m.json"], {"m.json": _module_payload(Q)}),
+        (["truncate", "m.json", "--i", "1"], {"m.json": _module_payload(Z)}),
+        (["resolve", "r.json"], {"r.json": _resolution(edge_action=[[[0, 1], [[1, 0], [0, 1]]]])}),
+    ]
+    return [(argv, {name: json.dumps(obj) for name, obj in files.items()})
+            for argv, files in jobs]
+
+
+def _json_nodes(obj, path=()):
+    yield path
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, child in items:
+        yield from _json_nodes(child, path + (key,))
+
+
+class _Timeout(BaseException):
+    """Not an Exception, so that cli.main does not turn it into exit 2."""
+
+
+DELETE = object()
+MUTATIONS = [DELETE, None, 0, -1, 1, 2 ** 70, -(2 ** 70), 1.5, True, "x", "1/0", "0.5",
+             "2", "Q", [], {}, [[]], [1], {"0": 1}]
+
+
+@given(st.data())
+@settings(max_examples=1000)
+def test_one_json_node_mutated_exits_zero_or_with_one_input_error_line(fuzz_jobs, data):
+    argv, files = data.draw(st.sampled_from(fuzz_jobs))
+    name = data.draw(st.sampled_from(sorted(files)))
+    doc = json.loads(files[name])
+    path = data.draw(st.sampled_from(list(_json_nodes(doc))))
+    value = data.draw(st.sampled_from(MUTATIONS if path else MUTATIONS[1:]))
+    if not path:
+        doc = value
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    out, err = stdio.StringIO(), stdio.StringIO()
+
+    def timeout(signum, frame):
+        raise _Timeout("%s on %s with %r at %r" % (argv[0], name, value, path))
+
+    with tempfile.TemporaryDirectory() as d:
+        for f, text in files.items():
+            with open(os.path.join(d, f), "w") as fh:
+                fh.write(json.dumps(doc) if f == name else text)
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(10)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([os.path.join(d, a) if a in files else a for a in argv])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1), err.getvalue()
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("input error: ") and err.getvalue().count("\n") == 1
 
 
 def test_resolve_command(tmp_path, capsys):
