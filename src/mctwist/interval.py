@@ -208,10 +208,11 @@ def to_tensor_element(a: DgAlgebra, tensor_alg: DgAlgebra, x_dict: dict) -> Elem
 def certificate_from_k2_homotopy(a, k2: IntervalAlgebra, x_dict: dict):
     """Extract endpoints and a homotopy gauge certificate from a K_2 homotopy.
 
-    For X = x e + x' f + y s + y' t + z (ts) + z' (st), the MC equation of X
-    says exactly that g = y + 1 and h = y' + 1 are closed maps
-    A^[x] -> A^[x'] and back, and that hg - 1 = d^x(-z), gh - 1 = d^x'(-z').
-    The returned certificate always re-verifies.
+    This is the level-2 functor dictionary: for the functor data (x, x',
+    u_0, u_1, v_0, v_1) of X, the MC equation of X says exactly that
+    g = 1 + u_0 and h = 1 + v_0 are closed maps A^[x] -> A^[x'] and back,
+    with witnesses wx = -v_1 and wy = -u_1.  The returned certificate
+    always re-verifies.
     """
     if k2.n < 2:
         raise DgError("need the level-2 interval algebra")
@@ -219,14 +220,10 @@ def certificate_from_k2_homotopy(a, k2: IntervalAlgebra, x_dict: dict):
     if not ok:
         raise MCError("the homotopy is not Maurer-Cartan; residual at %r"
                       % (sorted(res, key=str)[0],))
-    get = lambda l: a.as_element(x_dict.get(l, a.zero()))
-    x = MCElement(a, get(k2.e))
-    x1 = MCElement(a, get(k2.f))
-    y = get(k2.word_label("s", 1))
-    y1 = get(k2.word_label("t", 1))
-    z = get(k2.word_label("t", 2))   # coefficient of ts
-    z1 = get(k2.word_label("s", 2))  # coefficient of st
-    cert = HomotopyGaugeCertificate(y + a.one(), y1 + a.one(), -z, -z1)
+    data = _functor_data(a, k2, x_dict)
+    x, x1 = MCElement(a, data["x"]), MCElement(a, data["x'"])
+    (u0, u1), (v0, v1) = data["u"][:2], data["v"][:2]
+    cert = HomotopyGaugeCertificate(u0 + a.one(), v0 + a.one(), -v1, -u1)
     okc, fails = verify_homotopy_gauge(a, x, x1, cert)
     if not okc:
         raise MCError("internal: extracted certificate fails %r" % (fails,))
@@ -239,15 +236,9 @@ def k2_homotopy_from_certificate(a, k2: IntervalAlgebra, x: MCElement, x1: MCEle
     okc, fails = verify_homotopy_gauge(a, x, x1, cert)
     if not okc:
         raise MCError("certificate fails %r" % (fails,))
-    x_dict = {
-        k2.e: x.value,
-        k2.f: x1.value,
-        k2.word_label("s", 1): a.as_element(cert.g) - a.one(),
-        k2.word_label("t", 1): a.as_element(cert.h) - a.one(),
-        k2.word_label("t", 2): -a.as_element(cert.wx),
-        k2.word_label("s", 2): -a.as_element(cert.wy),
-    }
-    x_dict = {l: v for l, v in x_dict.items() if not a.as_element(v).is_zero()}
+    g, h, wx, wy = (a.as_element(e) for e in (cert.g, cert.h, cert.wx, cert.wy))
+    x_dict = _homotopy(a, k2, {"x": x.value, "x'": x1.value,
+                               "u": [g - a.one(), -wy], "v": [h - a.one(), -wx]})
     ok, res = tensor_is_mc(a, k2, x_dict)
     if not ok:
         raise MCError("internal: reassembled homotopy is not MC at %r"
@@ -257,12 +248,12 @@ def k2_homotopy_from_certificate(a, k2: IntervalAlgebra, x: MCElement, x1: MCEle
 
 def constant_homotopy(a, k: IntervalAlgebra, x: MCElement) -> dict:
     """x tensored with the unit e + f of K_n*."""
-    return {l: x.value for l in (k.e, k.f) if not x.value.is_zero()}
+    return _homotopy(a, k, {"x": x.value, "x'": x.value, "u": [], "v": []})
 
 
 def homotopy_endpoints(a, k: IntervalAlgebra, x_dict: dict):
-    get = lambda l: a.as_element(x_dict.get(l, a.zero()))
-    return get(k.e), get(k.f)
+    data = _functor_data(a, k, x_dict)
+    return data["x"], data["x'"]
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +310,9 @@ def k_infty_category(n_trunc: int, ring: Ring = None,
     xf = free.gen("x'")
     free.set_differential("x", -(xe * xe))
     free.set_differential("x'", -(xf * xf))
-    x_dict = {k.e: xe, k.f: xf}
-    for m in range(n_trunc):
-        x_dict[k.word_label("s", m + 1)] = free.element({(("u", m),): 1})
-        x_dict[k.word_label("t", m + 1)] = free.element({(("v", m),): 1})
+    x_dict = _homotopy(free, k, {"x": xe, "x'": xf,
+                                 "u": [free.element({(("u", m),): 1}) for m in range(n_trunc)],
+                                 "v": [free.element({(("v", m),): 1}) for m in range(n_trunc)]})
 
     # With d still unset on the u, v letters, the residual at each word is
     # exactly the defining equation d(u_m) + (rest) = 0 minus its d-term.
@@ -443,6 +433,23 @@ def _format_poly(tr: dict, ring: Ring) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _homotopy(a, k: IntervalAlgebra, data: dict) -> dict:
+    """X = x e + x' f + sum_m u_m (s-word of length m+1) + v_m (t-word of length
+    m+1) in A (x) K_n*, as a sparse dict: zero terms are left out."""
+    terms = [(k.e, data["x"]), (k.f, data["x'"])]
+    terms += [(k.word_label(first, m + 1), val) for first, fam in (("s", "u"), ("t", "v"))
+              for m, val in enumerate(data[fam])]
+    return {l: v for l, val in terms if not (v := a.as_element(val)).is_zero()}
+
+
+def _functor_data(a, k: IntervalAlgebra, x_dict: dict) -> dict:
+    """The endpoints x, x' and the coefficients u_m, v_m (m < n) of a homotopy."""
+    get = lambda l: a.as_element(x_dict.get(l, a.zero()))
+    return {"x": get(k.e), "x'": get(k.f),
+            "u": [get(k.word_label("s", m + 1)) for m in range(k.n)],
+            "v": [get(k.word_label("t", m + 1)) for m in range(k.n)]}
+
+
 def homotopy_to_functor(a, k: IntervalAlgebra, x_dict: dict) -> dict:
     """Extract endpoints and the coefficient family u_m, v_m of a homotopy.
 
@@ -455,13 +462,7 @@ def homotopy_to_functor(a, k: IntervalAlgebra, x_dict: dict) -> dict:
     ok, res = tensor_is_mc(a, k, x_dict)
     if not ok:
         raise MCError("homotopy is not MC at %r" % (sorted(res, key=str),))
-    get = lambda l: a.as_element(x_dict.get(l, a.zero()))
-    data = {
-        "x": get(k.e),
-        "x'": get(k.f),
-        "u": [get(k.word_label("s", m + 1)) for m in range(k.n)],
-        "v": [get(k.word_label("t", m + 1)) for m in range(k.n)],
-    }
+    data = _functor_data(a, k, x_dict)
     data["obstruction"] = _next_level_obstruction(a, k, data)
     return data
 
@@ -473,15 +474,7 @@ def functor_to_homotopy(a, k: IntervalAlgebra, data: dict) -> tuple:
     equation over A (x) K_N*, which is verified exactly; the degree-N
     component of the residual over K_{N+1}* may be nonzero and is reported.
     """
-    x_dict = {k.e: a.as_element(data["x"]), k.f: a.as_element(data["x'"])}
-    for m, val in enumerate(data["u"]):
-        v = a.as_element(val)
-        if not v.is_zero():
-            x_dict[k.word_label("s", m + 1)] = v
-    for m, val in enumerate(data["v"]):
-        v = a.as_element(val)
-        if not v.is_zero():
-            x_dict[k.word_label("t", m + 1)] = v
+    x_dict = _homotopy(a, k, data)
     ok, res = tensor_is_mc(a, k, x_dict)
     if not ok:
         raise MCError("functor equations fail at %r" % (sorted(res, key=str),))
@@ -494,16 +487,7 @@ def _next_level_obstruction(a, k: IntervalAlgebra, data: dict) -> dict:
     if k.n + 1 > N_MAX_DEFAULT:
         return {"checked": False}
     k_up = build_interval_algebra(k.n + 1, k.ring)
-    x_dict = {k_up.e: a.as_element(data["x"]), k_up.f: a.as_element(data["x'"])}
-    for m, val in enumerate(data["u"]):
-        v = a.as_element(val)
-        if not v.is_zero():
-            x_dict[k_up.word_label("s", m + 1)] = v
-    for m, val in enumerate(data["v"]):
-        v = a.as_element(val)
-        if not v.is_zero():
-            x_dict[k_up.word_label("t", m + 1)] = v
-    res = tensor_mc_residual(a, k_up, x_dict)
+    res = tensor_mc_residual(a, k_up, _homotopy(a, k_up, data))
     top = {l: e for l, e in res.items() if len(l) - 1 == k.n + 1}
     return {"checked": True, "vanishes": not top,
             "support": sorted(_label_str(l) for l in top)}

@@ -211,7 +211,7 @@ def module_from_json(obj) -> tuple:
 
 def resolution_from_json(obj) -> tuple:
     """(complex, W, d_W, {(u, w, edge): c}) of a resolve file; the last is each
-    edge's action minus the identity, on pairs of labels of equal degree."""
+    edge's action minus the identity, which must preserve degree."""
     with _reading("resolution"):
         ring = Ring.parse(obj.get("ring", "Z"))
         base = complex_from_json(obj["complex"])
@@ -230,8 +230,12 @@ def resolution_from_json(obj) -> tuple:
                     c = m.get(j, i)
                     if u == w:
                         c = ring.sub(c, ring.one())
-                    if c != 0 and w_gm.degree[u] == w_gm.degree[w]:
-                        w1_coeffs[(u, w, e)] = c
+                    if c == 0:
+                        continue
+                    if w_gm.degree[u] != w_gm.degree[w]:
+                        raise ValueError("edge %r maps %r (degree %d) to %r (degree %d)"
+                                         % (e, u, w_gm.degree[u], w, w_gm.degree[w]))
+                    w1_coeffs[(u, w, e)] = c
         return base, w_gm, d_w, w1_coeffs
 
 

@@ -15,8 +15,12 @@ homotopy gauge equivalence asks for degree-0 elements g, h with
   (1) dg + yg - gx = 0,           (2) dh + xh - hy = 0,
   (3) hg - 1 = d^x(wx),           (4) gh - 1 = d^y(wy),
 
-for some degree -1 witnesses wx, wy.  :func:`verify_homotopy_gauge` checks
-exactly these four conditions; :func:`search_homotopy_gauge` is a
+for some degree -1 witnesses wx, wy.  Each is a value of one differential,
+D_{x,y}(w) = dw + yw - (-1)^{|w|} wx of A^[x,y] (:func:`hom_twist_d`):
+(1) D_{x,y}(g) = 0, (2) D_{y,x}(h) = 0, (3) hg - 1 = D_{x,x}(wx) and
+(4) gh - 1 = D_{y,y}(wy).  :func:`verify_homotopy_gauge` checks the
+degrees of the witnesses and exactly these four conditions;
+:func:`search_homotopy_gauge` is a
 certificate-producing decision layer that never claims equivalence without
 a verified certificate and never claims distinction without a computed
 invariant that differs.
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .dgcore import (
     DgAlgebra,
@@ -74,18 +79,29 @@ def is_mc(a: DgAlgebra, x) -> tuple:
 
 @dataclass
 class MCElement:
-    """A verified degree-1 solution of d(x) + x^2 = 0."""
+    """A degree-1 solution of d(x) + x^2 = 0, verified once, on construction.
+
+    ``left_mult`` {l: x l} and ``right_mult`` {l: l x} are the rows of x in
+    a DgAlgebra's ``mult``, built on first use and kept, like its index.
+    """
 
     algebra: DgAlgebra
     value: Element
 
-    def __init__(self, algebra: DgAlgebra, value, unchecked: bool = False):
+    def __init__(self, algebra: DgAlgebra, value):
         self.algebra = algebra
         self.value = algebra.as_element(value)
-        if not unchecked:
-            ok, res = is_mc(algebra, self.value)
-            if not ok:
-                raise MCError("not Maurer-Cartan; residual %r" % (res,))
+        ok, res = is_mc(algebra, self.value)
+        if not ok:
+            raise MCError("not Maurer-Cartan; residual %r" % (res,))
+
+    @cached_property
+    def left_mult(self) -> dict:
+        return self.algebra.left_mult(self.value.coeffs)
+
+    @cached_property
+    def right_mult(self) -> dict:
+        return self.algebra.right_mult(self.value.coeffs)
 
     def __eq__(self, other):
         return isinstance(other, MCElement) and self.algebra is other.algebra \
@@ -101,14 +117,14 @@ def zero_mc(a: DgAlgebra) -> MCElement:
 # ---------------------------------------------------------------------------
 
 
-def _twisted_diff(a: DgAlgebra, y: dict, x: dict, labels) -> dict:
+def _twisted_diff(a: DgAlgebra, y_l: dict, l_x: dict, labels) -> dict:
     """{l: d(l) + y l - (-1)^{|l|} l x}, the differential of A^[x,y], on labels.
 
-    x and y are coefficient dicts; A^[x] is A^[0,x] and A^x is A^[x,x].
-    Labels whose image is zero are left out.
+    y_l = {l: y l} and l_x = {l: l x} are rows of mult (``y.left_mult`` and
+    ``x.right_mult``); A^[x] is A^[0,x] and A^x is A^[x,x].  Labels whose
+    image is zero are left out.
     """
     ring = a.ring
-    y_l, l_x = a.left_mult(y), a.right_mult(x)
     diff = {}
     for l in labels:
         out = ring.axpy(ring.axpy(dict(a.diff.get(l, {})), 1, y_l.get(l, {})),
@@ -129,14 +145,14 @@ def _square_zero(a: DgAlgebra, diff: dict, what: str) -> dict:
 def twist_module(a: DgAlgebra, x: MCElement, name: str = "") -> DgModule:
     """A^[x]: A as a right module with differential d + (left mult by x)."""
     _require_mc(a, x)
-    diff = _square_zero(a, _twisted_diff(a, x.value.coeffs, {}, a.gm.labels), "twisted module")
+    diff = _square_zero(a, _twisted_diff(a, x.left_mult, {}, a.gm.labels), "twisted module")
     return DgModule(a.gm, a, dict(a.mult), diff, name=name or "A^[x]")
 
 
 def twist_algebra(a: DgAlgebra, x: MCElement, name: str = "") -> DgAlgebra:
     """A^x: the same graded algebra with differential d + [x, -]."""
     _require_mc(a, x)
-    diff = _square_zero(a, _twisted_diff(a, x.value.coeffs, x.value.coeffs, a.gm.labels),
+    diff = _square_zero(a, _twisted_diff(a, x.left_mult, x.right_mult, a.gm.labels),
                         "twisted algebra")
     return DgAlgebra(a.gm, dict(a.unit), dict(a.mult), diff, name=name or "%s^x" % a.name)
 
@@ -150,7 +166,7 @@ def hom_twist(a: DgAlgebra, x: MCElement, y: MCElement, name: str = "") -> DgMod
     """
     _require_mc(a, x)
     _require_mc(a, y)
-    diff = _square_zero(a, _twisted_diff(a, y.value.coeffs, x.value.coeffs, a.gm.labels),
+    diff = _square_zero(a, _twisted_diff(a, y.left_mult, x.right_mult, a.gm.labels),
                         "hom twist")
     action = {(l, "1"): {l: a.ring.one()} for l in a.gm.labels}
     return DgModule(a.gm, ground_dga(a.ring), action, diff, name=name or "A^[x,y]")
@@ -161,12 +177,24 @@ def hom_twist_compose(a: DgAlgebra, g, f):
     return a.as_element(g) * a.as_element(f)
 
 
+def hom_twist_d(a, x: MCElement, y: MCElement, w) -> Element:
+    """D_{x,y}(w) = d(w) + y w - (-1)^{|w|} w x, the differential of A^[x,y] at w.
+
+    Each homogeneous component of w takes its own sign.  Element arithmetic
+    (``mul_dicts``, ``d_dict``) serves the lazy free dg algebras too.
+    """
+    w = a.as_element(w)
+    out = w.d() + y.value * w
+    for deg in {a.gm.degree[l] for l in w.coeffs}:
+        out = out - a.ring.sign(deg) * (w.component(deg) * x.value)
+    return out
+
+
 def _require_mc(a: DgAlgebra, x: MCElement):
+    # an MCElement was verified when it was made; it must be one of a's
     if not isinstance(x, MCElement):
         raise MCError("expected an MCElement")
-    ok, res = is_mc(a, x.value)
-    if not ok:
-        raise MCError("element is not MC; residual %r" % (res,))
+    a.as_element(x.value)
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +232,9 @@ def gauge_act(a: DgAlgebra, g, x: MCElement) -> MCElement:
 
 def is_gauge_pair(a: DgAlgebra, g, x: MCElement, y: MCElement) -> bool:
     """True iff dg + yg - gx = 0 exactly and g is invertible."""
-    g = a.as_element(g)
     if algebra_inverse(a, g) is None:
         return False
-    return (g.d() + y.value * g - g * x.value).is_zero()
+    return hom_twist_d(a, x, y, g).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -231,29 +258,28 @@ def trivial_certificate(a: DgAlgebra) -> HomotopyGaugeCertificate:
 
 
 def coboundary_in_twist(a: DgAlgebra, x: MCElement, w) -> Element:
-    """d^x(w) = d(w) + [x, w] for the algebra twisting by x."""
-    w = a.as_element(w)
-    out = w.d() + x.value * w
-    for deg in set(a.gm.degree[l] for l in w.coeffs):
-        comp = w.component(deg)
-        out = out - a.ring.sign(deg) * (comp * x.value)
-    return out
+    """d^x(w) = d(w) + [x, w] for the algebra twisting by x: D_{x,x}(w)."""
+    return hom_twist_d(a, x, x, w)
 
 
 def verify_homotopy_gauge(a: DgAlgebra, x: MCElement, y: MCElement,
                           cert: HomotopyGaugeCertificate):
-    """(ok, failed condition names) for the four conditions, checked exactly."""
-    g, h, wx, wy = (a.as_element(cert.g), a.as_element(cert.h),
-                    a.as_element(cert.wx), a.as_element(cert.wy))
-    failures = []
-    if not (g.d() + y.value * g - g * x.value).is_zero():
-        failures.append("(1) dg + yg - gx = 0")
-    if not (h.d() + x.value * h - h * y.value).is_zero():
-        failures.append("(2) dh + xh - hy = 0")
-    if not (h * g - a.one() - coboundary_in_twist(a, x, wx)).is_zero():
-        failures.append("(3) hg - 1 = d^x(wx)")
-    if not (g * h - a.one() - coboundary_in_twist(a, y, wy)).is_zero():
-        failures.append("(4) gh - 1 = d^y(wy)")
+    """(ok, failed condition names) for the four conditions, checked exactly.
+
+    A witness off its degree (g, h in A^0; wx, wy in A^-1) is a failure of
+    its own, and the conditions are then not evaluated.
+    """
+    g, h, wx, wy = (a.as_element(e) for e in (cert.g, cert.h, cert.wx, cert.wy))
+    failures = ["%s is not in A^%d" % (name, deg) for name, w, deg in
+                (("g", g, 0), ("h", h, 0), ("wx", wx, -1), ("wy", wy, -1))
+                if not w.is_homogeneous(deg)]
+    if not failures:
+        failures = [name for name, ok in (
+            ("(1) dg + yg - gx = 0", hom_twist_d(a, x, y, g).is_zero()),
+            ("(2) dh + xh - hy = 0", hom_twist_d(a, y, x, h).is_zero()),
+            ("(3) hg - 1 = d^x(wx)", h * g - a.one() == hom_twist_d(a, x, x, wx)),
+            ("(4) gh - 1 = d^y(wy)", g * h - a.one() == hom_twist_d(a, y, y, wy)))
+            if not ok]
     return not failures, failures
 
 
@@ -469,11 +495,10 @@ def twist_invariants(a: DgAlgebra, x: MCElement) -> dict:
     d^2 checks of :func:`twist_module` and :func:`twist_algebra`.
     """
     _require_mc(a, x)
-    xc = x.value.coeffs
     out = {}
     for key, right, what in (("module_twist", {}, "twisted module"),
-                             ("algebra_twist", xc, "twisted algebra")):
-        diff = _square_zero(a, _twisted_diff(a, xc, right, a.gm.labels), what)
+                             ("algebra_twist", x.right_mult, "twisted algebra")):
+        diff = _square_zero(a, _twisted_diff(a, x.left_mult, right, a.gm.labels), what)
         out[key] = cohomology(complex_of(a.ring, a.gm, diff))
     return out
 
@@ -565,33 +590,24 @@ def _solve_homotopy_given_g(a: DgAlgebra, x: MCElement, y: MCElement, g: Element
         [("wy", l) for l in degm1]
     if not unknowns:
         return None
-    # rows[equation key][unknown]: no two terms below share an entry, so
-    # each is set, not accumulated
-    rows = {}
+    rows = {}  # {(equation, r): {(unknown, l): c}}
 
-    def set_term(eqkey, col, c):
-        rows.setdefault(eqkey, {})[col] = c
+    def place(eq, unknown, columns, f=lambda c: c):
+        # the columns {l: {r: c}} of one block of unknowns; no two blocks
+        # share an entry, so each is set, not accumulated
+        for l, col in columns.items():
+            for r, c in col.items():
+                rows.setdefault((eq, r), {})[(unknown, l)] = f(c)
 
-    xc, yc = x.value.coeffs, y.value.coeffs
     l_g, g_l = a.right_mult(g.coeffs), a.left_mult(g.coeffs)  # {l: l g}, {l: g l}
     # (2) dh + xh - hy = 0, coefficients per degree-1 label: A^[y,x] on A^0
-    for l, expr in _twisted_diff(a, xc, yc, deg0).items():
-        for r, c in expr.items():
-            set_term(("c2", r), ("h", l), c)
+    place("c2", "h", _twisted_diff(a, x.left_mult, y.right_mult, deg0))
     # (3) hg - d^x(wx) = 1, with d^x of A^[x,x] on A^-1
-    for l in deg0:
-        for r, c in l_g.get(l, {}).items():
-            set_term(("c3", r), ("h", l), c)
-    for l, dx in _twisted_diff(a, xc, xc, degm1).items():
-        for r, c in dx.items():
-            set_term(("c3", r), ("wx", l), ring.neg(c))
+    place("c3", "h", {l: l_g.get(l, {}) for l in deg0})
+    place("c3", "wx", _twisted_diff(a, x.left_mult, x.right_mult, degm1), ring.neg)
     # (4) gh - d^y(wy) = 1
-    for l in deg0:
-        for r, c in g_l.get(l, {}).items():
-            set_term(("c4", r), ("h", l), c)
-    for l, dy in _twisted_diff(a, yc, yc, degm1).items():
-        for r, c in dy.items():
-            set_term(("c4", r), ("wy", l), ring.neg(c))
+    place("c4", "h", {l: g_l.get(l, {}) for l in deg0})
+    place("c4", "wy", _twisted_diff(a, y.left_mult, y.right_mult, degm1), ring.neg)
     rhs = {(eq, r): c for eq in ("c3", "c4") for r, c in a.unit.items()}
 
     vals = solve_equations(ring, unknowns, rows, rhs)

@@ -127,12 +127,15 @@ def is_minimal(tw: TwistedModule) -> bool:
 
 
 class HodgeData:
-    """Operators (s, t) with d0 s + s d0 = 1 - t, t^2 = t, st = ts = 0, s^2 = 0."""
+    """Operators (s, t) with d0 s + s d0 = 1 - t, t^2 = t, st = ts = 0, s^2 = 0,
+    and the projection p onto the harmonic basis, with t = i p."""
 
-    def __init__(self, s_entries: dict, t_entries: dict, harmonic_basis: list):
+    def __init__(self, s_entries: dict, t_entries: dict, harmonic_basis: list,
+                 p_entries: dict):
         self.s = dict(s_entries)
         self.t = dict(t_entries)
-        self.harmonic_basis = harmonic_basis  # list of (new label, {V label: c})
+        self.harmonic_basis = harmonic_basis  # list of (("h", degree, k), {V label: c})
+        self.p = dict(p_entries)             # {(V label, harmonic label): c}
 
 
 def _by_source(ring: Ring, entries: dict) -> dict:
@@ -155,7 +158,8 @@ def hodge_data(v: GradedModule, d0_entries: dict) -> HodgeData:
     harmonic vectors H and the unit vectors spanning U, each chosen greedily
     left to right.  Together they are a basis, so the identity block of the
     rref holds the coordinates of each unit vector in it.  s inverts d0 on
-    the image and kills H (+) U, t is the projection onto H.
+    the image and kills H (+) U, p reads the harmonic coordinates and t is
+    the projection onto H.
     """
     ring = v.ring
     if not ring.is_field:
@@ -169,6 +173,7 @@ def hodge_data(v: GradedModule, d0_entries: dict) -> HodgeData:
 
     s_mat = {}
     t_mat = {}
+    p_mat = {}
     harmonic_basis = []
     for deg in v.degrees():
         src = v.labels_of_degree(deg)
@@ -183,13 +188,14 @@ def hodge_data(v: GradedModule, d0_entries: dict) -> HodgeData:
         for j, l in enumerate(src):
             # rows 0..ni-1 of r are image coordinates, the next nh harmonic
             coords = [r.get(i, p + nk + j) for i in range(ni + nh)]
-            for c, vec in zip(coords[ni:], harmonic):
+            for k, (c, vec) in enumerate(zip(coords[ni:], harmonic)):
                 if c:
                     ring.axpy(t_mat, c, {(l, w): e for w, e in vec.items()})
+                    p_mat[(l, ("h", deg, k))] = c
             # the keys (l, pre[k]) are new to s_mat: its entries are set once
             s_mat.update(((l, pre[k]), c) for k, c in enumerate(coords[:ni]) if c != 0)
         harmonic_basis += [(("h", deg, k), vec) for k, vec in enumerate(harmonic)]
-    return HodgeData(s_mat, t_mat, harmonic_basis)
+    return HodgeData(s_mat, t_mat, harmonic_basis, p_mat)
 
 
 def check_hodge(v: GradedModule, d0_entries: dict, h: HodgeData) -> bool:
@@ -235,13 +241,11 @@ def minimal_model(rtm: ReducedTwistedModule) -> MinimalModel:
     h = hodge_data(v, rtm.d0)
     if not check_hodge(v, rtm.d0, h):
         raise PerturbationError("Hodge data fails its identities")
-    hg = GradedModule(ring, [(lbl, _vector_degree(v, vec))
-                             for lbl, vec in h.harmonic_basis])
+    hg = GradedModule(ring, [(lbl, lbl[1]) for lbl, _ in h.harmonic_basis])
     # inclusion/projection between H(V) and V as weight-0 operators
     i_h = ConvOp.from_matrix(a, hg, v, {(lbl, w): c for lbl, vec in h.harmonic_basis
                                         for w, c in vec.items()})
-    proj_entries = _projection_entries(ring, v, hg, h)
-    p_h = ConvOp.from_matrix(a, v, hg, proj_entries)
+    p_h = ConvOp.from_matrix(a, v, hg, h.p)
 
     s_op = ConvOp.from_matrix(a, v, v, h.s)
     t_op = ConvOp.from_matrix(a, v, v, h.t)
@@ -274,33 +278,6 @@ def minimal_model(rtm: ReducedTwistedModule) -> MinimalModel:
         raise PerturbationError("perturbation output failed verification: %r"
                                 % ({k: v for k, v in checks.items() if not v},))
     return MinimalModel(minimal, include, project, homotopy, h)
-
-
-def _vector_degree(v: GradedModule, vec: dict) -> int:
-    degs = {v.degree[l] for l in vec}
-    if len(degs) != 1:
-        raise PerturbationError("harmonic vector is not homogeneous")
-    return degs.pop()
-
-
-def _projection_entries(ring, v: GradedModule, hg: GradedModule, h: HodgeData) -> dict:
-    # p = coordinates on the harmonic part: p(e_j) = coefficients of t(e_j)
-    # in the harmonic basis, read off rref([harmonic basis | t(e_0) ... t(e_n-1)])
-    nh = len(h.harmonic_basis)
-    tcols = {l: {} for l in v.labels}
-    for (src, dst), c in h.t.items():
-        tcols[src][dst] = c
-    cands = [vec for _, vec in h.harmonic_basis]
-    r, pivots = rref(ExactMatrix.from_columns(ring, cands + list(tcols.values()), v.labels))
-    if any(c >= nh for c in pivots):
-        raise PerturbationError("projection does not land in the harmonic part")
-    out = {}
-    for j, l in enumerate(v.labels):
-        for k in range(nh):
-            c = r.get(k, nh + j)
-            if c != 0:
-                out[(l, hg.labels[k])] = c
-    return out
 
 
 # ---------------------------------------------------------------------------

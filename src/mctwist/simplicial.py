@@ -310,7 +310,6 @@ def nerve(cat: FiniteCategory, cap: int, name: str = "") -> FiniteSimplicialSet:
         label = ("@", cat.source(string[-1])) if not kept else ("#",) + tuple(kept)
         return label, tuple(surj)
 
-    nondeg = {0: [("@", o) for o in cat.objects]}
     strings = {1: [("#", f) for f in cat.arrows if not cat.is_identity(f)]}
     for f in strings.get(1, []):
         src = ("@", cat.source(f[1]))
@@ -701,7 +700,7 @@ def pullback_local_system(ls: LocalSystem, vertex_map: dict,
 
 
 def two_sided_twisted(base: FiniteSimplicialSet, vleft: GradedModule,
-                      vright: GradedModule, y, x, ring: Ring = None) -> DgModule:
+                      vright: GradedModule, y, x) -> DgModule:
     """The two-sided twisted complex (Hom(V_right, V_left) (x) C*(X), D).
 
     x and y are MC elements of End(V_right) (x) C*(X) and
@@ -717,10 +716,9 @@ def two_sided_twisted(base: FiniteSimplicialSet, vleft: GradedModule,
     from .mc import ConvOp
     from .perturbation import hom_differential
 
-    ring = ring or vleft.ring
+    ring = vleft.ring
     ca = cochain_algebra(base, ring)
-    x_op, y_op = (ConvOp.from_mc(z, ca, v) if hasattr(z, "value") else ConvOp(ca, v, v)
-                  for z, v in ((x, vright), (y, vleft)))
+    x_op, y_op = ConvOp.from_mc(x, ca, vright), ConvOp.from_mc(y, ca, vleft)
     basis = [(("m", ur, ul, al), vleft.degree[ul] - vright.degree[ur] + ca.gm.degree[al])
              for ur in vright.labels for ul in vleft.labels for al in ca.gm.labels]
     gm = GradedModule(ring, basis)

@@ -504,12 +504,22 @@ BAD_INPUT_FILES = {
         edge_action=[[[0, 1], [[1]]]])}),
     "resolve-edge-action-3x3": (["resolve", "r.json"], {"r.json": _resolution(
         edge_action=[[[0, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]])}),
+    # an edge action preserves degree: w_-1 -> w_0 is not dropped in silence
+    "resolve-edge-action-across-degrees": (["resolve", "r.json"], {"r.json": _resolution(
+        edge_action=[[[0, 1], [[1, 7], [5, 1]]]])}),
     # a module over an algebra whose unit is zero is not reduced
     "truncate-algebra-unit-zero": (["truncate", "m.json", "--i", "0"], {"m.json": dict(
         _module_payload(), algebra=dict(_module_payload()["algebra"], unit=[]))}),
     "gauge-search-budget-above-the-ceiling": (
         ["gauge-search", "a.json", "x.json", "y.json", "--seed", "1", "--budget", "2000"],
         {"a.json": _k0_algebra(), "x.json": {"value": []}, "y.json": {"value": []}}),
+    # command-line integers far out of range, refused before any work
+    "kn-n-negative": (["kn", "--n", "-1", "--ring", "Z"], {}),
+    "kn-n-10**20": (["kn", "--n", str(10 ** 20), "--ring", "Z"], {}),
+    "kinfty-n-10**6": (["kinfty", "--n", str(10 ** 6)], {}),
+    "holonomy-grid-10**20": (
+        ["holonomy", "--mode", "backward", "x.csv", "y.csv", "--grid", str(10 ** 20)],
+        {"x.csv": "1.0\n" * 24, "y.csv": "1.0\n" * 24}),
 }
 
 
@@ -521,6 +531,16 @@ def test_input_file_of_the_wrong_shape_is_one_input_error_line(case, tmp_path, c
     code, out, err = run_cli(capsys, *[str(tmp_path / a) if a in files else a for a in argv])
     assert (code, out) == (1, ""), err
     assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("far, near", [(str(10 ** 30), "2"), (str(-10 ** 30), "-1")])
+def test_truncate_beyond_every_degree_answers_at_once(far, near, tmp_path, capsys):
+    # V has degrees 0 and 1: --i 10**30 keeps all of it, as --i 2 does, and
+    # --i -10**30 none of it; the level is compared, never iterated up to
+    path = str(tmp_path / "m.json")
+    (tmp_path / "m.json").write_text(io.dumps(_module_payload(Z)))
+    assert run_cli(capsys, "truncate", path, "--i", far) == \
+        run_cli(capsys, "truncate", path, "--i", near)
 
 
 @pytest.fixture(scope="module")
@@ -583,9 +603,17 @@ class _Timeout(BaseException):
     """Not an Exception, so that cli.main does not turn it into exit 2."""
 
 
+class _Rename(str):
+    """A new name for the key of an object member, its value kept."""
+
+
 DELETE = object()
 MUTATIONS = [DELETE, None, 0, -1, 1, 2 ** 70, -(2 ** 70), 1.5, True, "x", "1/0", "0.5",
              "2", "Q", [], {}, [[]], [1], {"0": 1}]
+# renamed keys: a top-level key, or a degree key of "dims" or "maps", that
+# is unknown, not an integer, out of range or another key of the file
+RENAMES = [_Rename(k) for k in ("x", "", "-1", "2", "1.5", "+1", " 7", "1e3", "2000000",
+                                str(2 ** 70), "ring", "value", "rank")]
 
 
 @given(st.data())
@@ -595,17 +623,20 @@ def test_one_json_node_mutated_exits_zero_or_with_one_input_error_line(fuzz_jobs
     name = data.draw(st.sampled_from(sorted(files)))
     doc = json.loads(files[name])
     path = data.draw(st.sampled_from(list(_json_nodes(doc))))
-    value = data.draw(st.sampled_from(MUTATIONS if path else MUTATIONS[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    choices = MUTATIONS + RENAMES if path and isinstance(parent, dict) else \
+        MUTATIONS if path else MUTATIONS[1:]
+    value = data.draw(st.sampled_from(choices))
     if not path:
         doc = value
+    elif value is DELETE:
+        del parent[path[-1]]
+    elif isinstance(value, _Rename):
+        parent[str(value)] = parent.pop(path[-1])
     else:
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        if value is DELETE:
-            del parent[path[-1]]
-        else:
-            parent[path[-1]] = value
+        parent[path[-1]] = value
     out, err = stdio.StringIO(), stdio.StringIO()
 
     def timeout(signum, frame):

@@ -290,7 +290,9 @@ def test_k2_level_data_reproduces_certificate_dictionary():
     data = homotopy_to_functor(fa, k2, hom)
     assert data["u"][0] == fa.gen("g") - fa.one()
     assert data["v"][0] == fa.gen("h") - fa.one()
-    assert data["u"][1] == -fa.gen("t") or data["u"][1] == -fa.gen("s")
+    # the level-2 functor data are the certificate: u_1 = -wy, v_1 = -wx
+    assert data["u"][1] == -fa.gen("t")
+    assert data["v"][1] == -fa.gen("s")
 
 
 def test_quotient_maps_up_to_level_six():

@@ -19,6 +19,7 @@ from mctwist.mc import (
     gauge_act,
     hom_twist,
     hom_twist_compose,
+    hom_twist_d,
     is_gauge_pair,
     is_mc,
     mc_category_h0,
@@ -87,11 +88,14 @@ def test_example_51_convention_pinning():
 
 
 def test_twist_refuses_non_mc():
+    # an MCElement is verified once, when it is made; the twists take only those
     kx = universal_mc_dga(Z, 4)
-    fake = MCElement(kx, kx.element({("x", 1): 2}), unchecked=True)
-    with pytest.raises(MCError):
+    fake = kx.element({("x", 1): 2})
+    with pytest.raises(MCError, match="not Maurer-Cartan"):
+        MCElement(kx, fake)
+    with pytest.raises(MCError, match="expected an MCElement"):
         twist_module(kx, fake)
-    with pytest.raises(MCError):
+    with pytest.raises(MCError, match="expected an MCElement"):
         twist_algebra(kx, fake)
 
 
@@ -110,7 +114,7 @@ def test_twisted_module_d_squared_iff_mc():
             assert tw.module().check()["ok"]
         else:
             with pytest.raises(MCError, match="not Maurer-Cartan"):
-                TwistedModule(v, ca, ConvOp.from_mc(MCElement(end, x, unchecked=True), ca, v))
+                TwistedModule(v, ca, ConvOp(ca, v, v, {k[1:]: c for k, c in coeffs.items()}))
 
 
 def test_hom_twist_zero_zero_and_compose():
@@ -696,7 +700,8 @@ def test_twisted_diff_matches_the_per_label_loop(ring, base, degrees, seed):
     for left, right in ((xc, {}), (xc, xc), (yc, xc), (xc, yc), ({}, yc)):
         for labels in (end.gm.labels, end.gm.labels_of_degree(0),
                        end.gm.labels_of_degree(-1)):
-            assert _items(_twisted_diff(end, left, right, labels)) == \
+            assert _items(_twisted_diff(end, end.left_mult(left), end.right_mult(right),
+                                        labels)) == \
                 _items(_twisted_diff_by_labels(end, left, right, labels))
 
 
@@ -708,7 +713,7 @@ def test_bulk_callers_make_no_mul_dicts_calls(monkeypatch):
     monkeypatch.setattr(dgcore.DgAlgebra, "mul_dicts",
                         lambda self, u, w: calls.append(1) or mul_dicts(self, u, w))
     assert dgcore.check_dga(end)["ok"]
-    assert _twisted_diff(end, y.value.coeffs, x.value.coeffs, end.gm.labels)
+    assert _twisted_diff(end, y.left_mult, x.right_mult, end.gm.labels)
     ginv = algebra_inverse(end, g)
     assert ginv is not None
     cert = _solve_homotopy_given_g(end, x, y, g)
@@ -717,3 +722,54 @@ def test_bulk_callers_make_no_mul_dicts_calls(monkeypatch):
     assert verify_homotopy_gauge(end, x, y,
                                  HomotopyGaugeCertificate(g, ginv, end.zero(), end.zero()))[0]
     assert calls  # the certificates are checked by Element products
+
+
+# -- each homotopy-gauge equation once ---------------------------------------------
+
+
+def test_hom_twist_d_is_the_differential_of_hom_twist():
+    # the element-level D_{x,y} and the label-level A^[x,y] agree on every label
+    rnd = random.Random(11)
+    for ring in (Z, Q, Ring.GF(5)):
+        end, x, y, _ = _random_mc_pair(rnd, ring, circle(3), [0, 1])
+        for src, dst in ((x, y), (y, x), (x, x)):
+            diff = hom_twist(end, src, dst).diff
+            for l in end.gm.labels:
+                assert hom_twist_d(end, src, dst, end.element(l)).coeffs == diff.get(l, {})
+
+
+def test_verify_homotopy_gauge_names_a_witness_off_its_degree():
+    # on C*(S^1_3) with x = y = 0, g = 1 + e and h = 1 - e for an edge e,
+    # and wx = 1, satisfy the equations (1)-(4): e is closed and e e = 0.
+    # Only their degrees refuse them, each by name
+    ca = cochain_algebra(circle(3), Q)
+    z = zero_mc(ca)
+    e = ca.element(ca.gm.labels_of_degree(1)[0])
+    assert verify_homotopy_gauge(ca, z, z, trivial_certificate(ca)) == (True, [])
+    cert = HomotopyGaugeCertificate(ca.one() + e, ca.one() - e, ca.one(), ca.zero())
+    assert verify_homotopy_gauge(ca, z, z, cert) == \
+        (False, ["g is not in A^0", "h is not in A^0", "wx is not in A^-1"])
+    cert = HomotopyGaugeCertificate(ca.one(), ca.one(), ca.zero(), e)
+    assert verify_homotopy_gauge(ca, z, z, cert) == (False, ["wy is not in A^-1"])
+
+
+def test_one_search_builds_the_rows_of_x_and_y_once(monkeypatch):
+    # the K_1* pair of test_search_unknown_when_invariants_agree_but_no_unit_found
+    # runs stage 3 on every trial; the rows x l, l x, y l and l y are read by
+    # the invariants, the closed degree-0 maps and each trial, and built once
+    from mctwist import dgcore
+    k1 = build_interval_algebra(1, Z)
+    a = k1.dga
+    s, t = k1.word_label("s", 1), k1.word_label("t", 1)
+    x = MCElement(a, a.element({s: 1, t: 3}))
+    y = MCElement(a, a.element({s: 3, t: 1}))
+    built = []
+    for name in ("left_mult", "right_mult"):
+        monkeypatch.setattr(dgcore.DgAlgebra, name,
+                            lambda self, c, _f=getattr(dgcore.DgAlgebra, name), _n=name:
+                            built.append((_n, id(c))) or _f(self, c))
+    res = search_homotopy_gauge(a, x, y, seed=5, budget=30)
+    assert res.kind == "unknown" and res.report["samples"] == 29
+    side = {id(x.value.coeffs): "x", id(y.value.coeffs): "y"}
+    assert sorted((n, side[c]) for n, c in built if c in side) == \
+        [("left_mult", "x"), ("left_mult", "y"), ("right_mult", "x"), ("right_mult", "y")]

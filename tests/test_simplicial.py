@@ -358,13 +358,12 @@ def test_twisted_system_d_squares_iff_mc():
     from mctwist.dgcore import endomorphism_dga
     ca = cochain_algebra(base, Q)
     end = endomorphism_dga(ca, v)
-    bad = MCElement(end, end.element({("E", "v0", "v1", ((0, 1))): 1,
-                                      ("E", "v0", "v0", ((1, 2))): 1}), unchecked=True)
-    ok, _ = is_mc(end, bad.value)
+    coeffs = {("v0", "v1", (0, 1)): 1, ("v0", "v0", (1, 2)): 1}
+    ok, _ = is_mc(end, end.element({("E",) + k: c for k, c in coeffs.items()}))
     if not ok:
         from mctwist.mc import ConvOp, TwistedModule, MCError
         with pytest.raises(MCError, match="not Maurer-Cartan"):
-            TwistedModule(v, ca, ConvOp.from_mc(bad, ca, v))
+            TwistedModule(v, ca, ConvOp(ca, v, v, coeffs))
 
 
 def test_two_sided_differential_matches_local_coefficient_display():
