@@ -308,6 +308,14 @@ COMMANDS = {
 }
 
 
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    func, _, arguments = COMMANDS[name]
+    for flags, kwargs in arguments:
+        parser.add_argument(*flags, **kwargs)
+    parser.set_defaults(func=func)
+    return parser
+
+
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """The mctwist parser.  When argv starts with a subcommand name only that
     subparser is built; otherwise (no argv, --help, an unknown command) all are.
@@ -317,17 +325,18 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     names = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
     for name in names:
-        func, help_text, arguments = COMMANDS[name]
-        s = sub.add_parser(name, help=help_text)
-        for flags, kwargs in arguments:
-            s.add_argument(*flags, **kwargs)
-        s.set_defaults(func=func)
+        _add_arguments(sub.add_parser(name, help=COMMANDS[name][1]), name)
     return p
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv).parse_args(argv)
+    args = extra = None
+    if argv and argv[0] in COMMANDS:  # the subparser alone, as "mctwist <cmd>"
+        one = _add_arguments(argparse.ArgumentParser(prog="mctwist " + argv[0]), argv[0])
+        args, extra = one.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if args is None or extra:  # the full parser answers, and reports what is left over
+        args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (InputError, ExactLinalgError, DgError, SimplicialError, mc.MCError,

@@ -677,6 +677,11 @@ def rank(m: ExactMatrix) -> int:
     return len(invariant_factors(m))
 
 
+def is_invertible(m: ExactMatrix) -> bool:
+    """Whether a square m has an inverse over its ring: all n factors are 1."""
+    return m.rows == m.cols and invariant_factors(m) == [1] * m.rows
+
+
 def kernel_basis(m: ExactMatrix) -> list:
     """Basis of ker(m) acting on column vectors, as lists of scalars.
 

@@ -562,10 +562,11 @@ def search_homotopy_gauge(a: DgAlgebra, x: MCElement, y: MCElement,
                                 invariants=invariants, report=report)
 
     # stage 3: homotopy gauge via a linear solve for (h, wx, wy) given g
+    solve = _homotopy_solver(a, x, y)
     for g in trials:
         if g.is_zero():
             continue
-        cert = _solve_homotopy_given_g(a, x, y, g)
+        cert = solve(g)
         if cert is not None:
             ok, _ = verify_homotopy_gauge(a, x, y, cert)
             if ok:
@@ -581,41 +582,44 @@ def search_homotopy_gauge(a: DgAlgebra, x: MCElement, y: MCElement,
     return SearchResult("unknown", invariants=invariants, report=report)
 
 
-def _solve_homotopy_given_g(a: DgAlgebra, x: MCElement, y: MCElement, g: Element):
-    """Solve conditions (2)-(4) for (h, wx, wy) linearly, given g."""
+def _homotopy_solver(a: DgAlgebra, x: MCElement, y: MCElement):
+    """g -> a certificate solving conditions (2)-(4) for (h, wx, wy)
+    linearly, or None; the blocks that do not hold g are built once, here."""
     ring = a.ring
     deg0 = list(a.gm.labels_of_degree(0))
     degm1 = list(a.gm.labels_of_degree(-1))
     unknowns = [("h", l) for l in deg0] + [("wx", l) for l in degm1] + \
         [("wy", l) for l in degm1]
     if not unknowns:
-        return None
-    rows = {}  # {(equation, r): {(unknown, l): c}}
+        return lambda g: None
 
-    def place(eq, unknown, columns, f=lambda c: c):
+    def place(rows, eq, unknown, columns, f=lambda c: c):
         # the columns {l: {r: c}} of one block of unknowns; no two blocks
         # share an entry, so each is set, not accumulated
         for l, col in columns.items():
             for r, c in col.items():
                 rows.setdefault((eq, r), {})[(unknown, l)] = f(c)
 
-    l_g, g_l = a.right_mult(g.coeffs), a.left_mult(g.coeffs)  # {l: l g}, {l: g l}
+    fixed = {}  # {(equation, r): {(unknown, l): c}}, the blocks without g
     # (2) dh + xh - hy = 0, coefficients per degree-1 label: A^[y,x] on A^0
-    place("c2", "h", _twisted_diff(a, x.left_mult, y.right_mult, deg0))
-    # (3) hg - d^x(wx) = 1, with d^x of A^[x,x] on A^-1
-    place("c3", "h", {l: l_g.get(l, {}) for l in deg0})
-    place("c3", "wx", _twisted_diff(a, x.left_mult, x.right_mult, degm1), ring.neg)
-    # (4) gh - d^y(wy) = 1
-    place("c4", "h", {l: g_l.get(l, {}) for l in deg0})
-    place("c4", "wy", _twisted_diff(a, y.left_mult, y.right_mult, degm1), ring.neg)
+    place(fixed, "c2", "h", _twisted_diff(a, x.left_mult, y.right_mult, deg0))
+    # (3) hg - d^x(wx) = 1 and (4) gh - d^y(wy) = 1, d^x of A^[x,x] on A^-1
+    place(fixed, "c3", "wx", _twisted_diff(a, x.left_mult, x.right_mult, degm1), ring.neg)
+    place(fixed, "c4", "wy", _twisted_diff(a, y.left_mult, y.right_mult, degm1), ring.neg)
     rhs = {(eq, r): c for eq in ("c3", "c4") for r, c in a.unit.items()}
 
-    vals = solve_equations(ring, unknowns, rows, rhs)
-    if vals is None:
-        return None
-    h, wx, wy = (Element(a, {l: c for (t, l), c in vals.items() if t == tag})
-                 for tag in ("h", "wx", "wy"))
-    return HomotopyGaugeCertificate(g, h, wx, wy)
+    def solve(g: Element):
+        rows = {key: dict(row) for key, row in fixed.items()}
+        l_g, g_l = a.right_mult(g.coeffs), a.left_mult(g.coeffs)  # {l: l g}, {l: g l}
+        place(rows, "c3", "h", {l: l_g.get(l, {}) for l in deg0})
+        place(rows, "c4", "h", {l: g_l.get(l, {}) for l in deg0})
+        vals = solve_equations(ring, unknowns, rows, rhs)
+        if vals is None:
+            return None
+        h, wx, wy = (Element(a, {l: c for (t, l), c in vals.items() if t == tag})
+                     for tag in ("h", "wx", "wy"))
+        return HomotopyGaugeCertificate(g, h, wx, wy)
+    return solve
 
 
 # ---------------------------------------------------------------------------
@@ -718,8 +722,9 @@ class H0Category:
                 if i == j or (i, j) in found:
                     continue
                 x, y = self.xs[i], self.xs[j]
+                solve = _homotopy_solver(self.a, x, y)
                 for g in candidates(self.reps[(i, j)]):
-                    cert = _solve_homotopy_given_g(self.a, x, y, Element(self.a, g))
+                    cert = solve(Element(self.a, g))
                     if cert is not None and verify_homotopy_gauge(self.a, x, y, cert)[0]:
                         found.update(((i, j), (j, i)))
                         break

@@ -24,8 +24,7 @@ through the degreewise solver.
 from __future__ import annotations
 
 from .dgcore import DgAlgebra, DgError, GradedModule
-from .exactlinalg import ExactMatrix, Ring, kernel_basis, solve_columns
-from .simplicial import solve_invertibility
+from .exactlinalg import ExactMatrix, Ring, is_invertible, kernel_basis, solve_columns
 
 
 def polynomial_de_rham_dga(ring: Ring, max_z: int, name: str = "") -> DgAlgebra:
@@ -207,7 +206,7 @@ def polynomial_mc_category(forms, cap: int):
             for f in sols[(i, j)]:
                 for g in sols[(j, i)]:
                     prod0 = g[0] * f[0]  # weight-0 part of g f
-                    if solve_invertibility(prod0) is not None:
+                    if is_invertible(prod0):
                         found = True
             if found:
                 isomorphic.append((i, j))

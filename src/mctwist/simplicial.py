@@ -21,7 +21,7 @@ import functools
 import itertools
 
 from .dgcore import DgAlgebra, DgModule, GradedModule, ground_dga, vec_apply
-from .exactlinalg import ExactMatrix, Ring, solve_many
+from .exactlinalg import ExactMatrix, Ring, is_invertible, solve_many
 
 
 class SimplicialError(ValueError):
@@ -118,19 +118,7 @@ class FiniteSimplicialSet:
     def face(self, state, i: int):
         """Face of a (label, surjection) state, normalized."""
         label, surj = state
-        n = len(surj) - 1
-        return self.pullback_state(state, delta(i, n))
-
-    def pullback_state(self, state, mono: tuple):
-        label, surj = state
-        return self.pullback(label, compose_maps(surj, mono))
-
-    def nondegenerate_face(self, label, i: int):
-        """The i-th face of a nondegenerate simplex, or None if degenerate."""
-        target, surj = self.faces[(label, i)]
-        if surj == identity_map(self.dim_of[target]):
-            return target
-        return None
+        return self.pullback(label, compose_maps(surj, delta(i, len(surj) - 1)))
 
     def check_simplicial_identities(self):
         """d_i d_j = d_{j-1} d_i for i < j, on normalized representatives."""
@@ -352,35 +340,45 @@ def cochain_algebra(sset: FiniteSimplicialSet, ring: Ring, max_degree=None,
                     name: str = "") -> DgAlgebra:
     """Normalized cochains with the Alexander-Whitney product.
 
-    Truncating at ``max_degree`` returns the cochain algebra of the
-    max_degree-skeleton, which is a genuine dg algebra; by default the full
-    (finite) dimension is used.
+    The front and back faces of each simplex are read from per-simplex
+    tables built from its last and first face.  Truncating at
+    ``max_degree`` returns the cochain algebra of the max_degree-skeleton,
+    which is a genuine dg algebra; by default the full (finite) dimension
+    is used.
     """
     top = sset.dimension if max_degree is None else min(max_degree, sset.dimension)
     labels = [l for d in range(top + 1) for l in sset.nondegenerate(d)]
     gm = GradedModule(ring, [(l, sset.dim_of[l]) for l in labels])
     unit = {l: 1 for l in sset.nondegenerate(0)}
+    ids = [identity_map(d) for d in range(top + 1)]
     z = Ring.Z()  # incidence numbers, coerced into ``ring`` by DgAlgebra
     diff = {}
     for d in range(1, top + 1):
         for tau in sset.nondegenerate(d):
             for i in range(d + 1):
-                src = sset.nondegenerate_face(tau, i)
-                if src is None:
-                    continue
-                z.axpy(diff.setdefault(src, {}), (-1) ** i, {tau: 1})
-    mult = {}
+                src, surj = sset.faces[(tau, i)]
+                if surj == ids[d - 1]:
+                    z.axpy(diff.setdefault(src, {}), (-1) ** i, {tau: 1})
+    # front[rho][p], back[rho][q]: normal forms of rho|[0..p], rho|[n-q..n].
+    # For p, q < n a nondegenerate last face d_n rho (first face d_0 rho)
+    # lends its table; a degenerate s*(tau) is pulled back along s, cut to fit.
+    front, back, mult = {}, {}, {}
     for rho in labels:
         n = sset.dim_of[rho]
+        fr = bk = [(rho, ids[n])]
+        if n:
+            tau, s = sset.faces[(rho, n)]
+            fr = (front[tau] if s == ids[n - 1] else
+                  [sset.pullback(tau, s[:p + 1]) for p in range(n)]) + fr
+            tau, s = sset.faces[(rho, 0)]
+            bk = (back[tau] if s == ids[n - 1] else
+                  [sset.pullback(tau, s[n - 1 - q:]) for q in range(n)]) + bk
+        front[rho], back[rho] = fr, bk
         for p in range(n + 1):
-            front, fs = sset.pullback(rho, tuple(range(p + 1)))
-            if fs != identity_map(p):
-                continue
-            back, bs = sset.pullback(rho, tuple(range(p, n + 1)))
-            if bs != identity_map(n - p):
-                continue
-            row = mult.setdefault((front, back), {})
-            row[rho] = row.get(rho, 0) + 1
+            (f, fs), (b, bs) = fr[p], bk[n - p]
+            if fs == ids[p] and bs == ids[n - p]:
+                row = mult.setdefault((f, b), {})
+                row[rho] = row.get(rho, 0) + 1
     return DgAlgebra(gm, unit, mult, diff, name=name or "C*(%s)" % (sset.name or "?"))
 
 
@@ -558,7 +556,7 @@ class LocalSystem:
                 m = ExactMatrix.identity(self.ring, n)
             elif m.rows != n or m.cols != n:
                 raise SimplicialError("monodromy on %r has wrong size" % (e,))
-            elif solve_invertibility(m) is None:
+            elif not is_invertible(m):
                 raise SimplicialError("monodromy on %r is not invertible" % (e,))
             self.monodromy[e] = m
 
@@ -571,10 +569,8 @@ class LocalSystem:
     def functor_condition_failures(self):
         bad = []
         for tau in self.base.nondegenerate(2):
-            st = (tau, identity_map(2))
-            m01 = self.edge_matrix(self.base.pullback_state(st, (0, 1)))
-            m12 = self.edge_matrix(self.base.pullback_state(st, (1, 2)))
-            m02 = self.edge_matrix(self.base.pullback_state(st, (0, 2)))
+            m01, m12, m02 = (self.edge_matrix(self.base.pullback(tau, e))
+                             for e in ((0, 1), (1, 2), (0, 2)))
             if m01 * m12 != m02:
                 bad.append(tau)
         return bad
@@ -678,13 +674,14 @@ def pullback_local_system(ls: LocalSystem, vertex_map: dict,
     image collapses gets the identity monodromy (the pullback cochain
     vanishes on simplices with degenerate image).
     """
+    position = {l[0]: i for i, l in enumerate(ls.base.nondegenerate(0))}  # l = (vertex,)
     monodromy = {}
     for e in source.nondegenerate(1):
         a, b = e
         ia, ib = vertex_map[a], vertex_map[b]
         if ia == ib:
             continue
-        image = tuple(sorted((ia, ib), key=lambda v: v))
+        image = tuple(sorted((ia, ib), key=lambda v: position.get(v, -1)))
         m = ls.monodromy.get(image)
         if m is None:
             raise SimplicialError("image edge %r missing in target" % (image,))

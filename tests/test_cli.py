@@ -86,7 +86,7 @@ def test_one_local_system_job_builds_and_checks_once(tmp_path, capsys, monkeypat
     from mctwist import simplicial
     built, inverted, functor = [], [], []
     for owner, name, calls in ((simplicial, "cochain_algebra", built),
-                               (simplicial, "solve_invertibility", inverted),
+                               (simplicial, "is_invertible", inverted),
                                (simplicial.LocalSystem, "functor_condition_failures", functor)):
         monkeypatch.setattr(owner, name, _counted(getattr(owner, name), calls))
     code, out, err = run_cli(capsys, "local-system",
@@ -94,7 +94,8 @@ def test_one_local_system_job_builds_and_checks_once(tmp_path, capsys, monkeypat
     assert code == 0, err
     assert json.loads(out)["H"] == [{"rank": 2}, {"rank": 0}, {"rank": 2}]
     assert len(built) == 1
-    # the three given monodromies are inverted; the three implicit identities are not
+    # the three given monodromies are checked for an inverse; the three
+    # implicit identities are not
     assert [args[0].row_list(0) + args[0].row_list(1) for args in inverted] == [[2, 1, 1, 1]] * 3
     assert len(functor) == 1
 
@@ -874,6 +875,51 @@ def test_parser_for_one_subcommand_parses_like_the_full_parser(argv):
     other = "kn" if argv[0] != "kn" else "kinfty"
     with pytest.raises(SystemExit):  # only the named subparser was built
         build_parser(argv).parse_args([other])
+
+
+@pytest.mark.parametrize("argv", SAMPLE_ARGV, ids=lambda argv: argv[0])
+def test_main_parses_a_named_subcommand_with_its_parser_alone(argv, monkeypatch):
+    from mctwist import cli
+    seen = []
+    monkeypatch.setattr(cli, "COMMANDS", {name: (seen.append, text, arguments)
+                                          for name, (_, text, arguments) in cli.COMMANDS.items()})
+    full = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", None)  # the full parser is not built
+    assert main(argv) is None
+    assert seen == [full.parse_args(argv)]
+
+
+PARSER_ERRORS = [  # the texts the full parser writes
+    (["local-system", "a", "b", "--bogus"],
+     "usage: mctwist [-h] {local-system} ...\n"
+     "mctwist: error: unrecognized arguments: --bogus\n"),
+    (["truncate", "m", "--i", "1", "extra"],
+     "usage: mctwist [-h] {truncate} ...\n"
+     "mctwist: error: unrecognized arguments: extra\n"),
+    (["kn", "--n", "x"],
+     "usage: mctwist kn [-h] --n N --ring RING\n"
+     "mctwist kn: error: argument --n: invalid int value: 'x'\n"),
+    (["kn"],
+     "usage: mctwist kn [-h] --n N --ring RING\n"
+     "mctwist kn: error: the following arguments are required: --n, --ring\n"),
+]
+
+
+@pytest.mark.parametrize("argv,text", PARSER_ERRORS, ids=lambda v: " ".join(v)[:24])
+def test_parser_errors_keep_the_full_parsers_text(argv, text, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", text)
+
+
+def test_subcommand_help_is_the_subparsers(capsys):
+    from mctwist.cli import build_parser
+    with pytest.raises(SystemExit) as exc:
+        main(["kn", "-h"])
+    assert exc.value.code == 0
+    sub = build_parser(["kn"])._subparsers._group_actions[0].choices["kn"]
+    assert capsys.readouterr().out == sub.format_help()
 
 
 def test_help_and_unknown_command_list_every_subcommand(capsys):

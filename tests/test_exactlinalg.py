@@ -16,6 +16,7 @@ from mctwist.exactlinalg import (
     Ring,
     cohomology,
     invariant_factors,
+    is_invertible,
     kernel_basis,
     rank,
     rref,
@@ -1244,3 +1245,32 @@ def test_solve_equations_refuses_an_unknown_off_the_list():
     assert solve_equations(Z, ["u"], {"e": {"u": 2}}, {"e": 4}) == {"u": 2}
     with pytest.raises(ExactLinalgError, match="off the rows: .v."):
         solve_equations(Z, ["u"], {"e": {"u": 2, "v": 0}}, {"e": 4})
+
+
+@pytest.mark.parametrize("ring", [Z, Q, Ring.GF(5)], ids=lambda r: r.name)
+def test_is_invertible_agrees_with_solving_for_the_inverse(ring):
+    from mctwist.simplicial import solve_invertibility
+    rng = random.Random(20261019)
+    found = {True: 0, False: 0}
+    for trial in range(200):
+        n = rng.randint(0, 4)
+        # unit lower times unit upper triangular: invertible over every ring
+        lo = [[int(i == j) or (rng.randint(-3, 3) if j < i else 0) for j in range(n)]
+              for i in range(n)]
+        up = [[int(i == j) or (rng.randint(-3, 3) if j > i else 0) for j in range(n)]
+              for i in range(n)]
+        rows = [[sum(lo[i][k] * up[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+        kind = trial % 4
+        if n and kind == 1:  # det +-2: invertible over Q and F5, not over Z
+            rows[0] = [rng.choice((2, -2)) * x for x in rows[0]]
+        elif n > 1 and kind == 2:  # a repeated row: singular over every ring
+            rows[rng.randrange(n - 1)] = list(rows[-1])
+        elif kind == 3:  # small entries, singular ones included
+            rows = [[rng.choice((0, 0, 1, -1, 2, 5)) for _ in range(n)] for _ in range(n)]
+        m = ExactMatrix.from_rows(ring, rows)
+        assert is_invertible(m) == (solve_invertibility(m) is not None), rows
+        found[is_invertible(m)] += 1
+    assert min(found.values()) > 30, found
+    assert not is_invertible(ExactMatrix.zeros(ring, 2, 3))
+    assert is_invertible(ExactMatrix.from_rows(ring, [[2]])) == ring.is_field

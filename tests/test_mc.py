@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mctwist.dgcore import DgError, GradedModule, endomorphism_dga, ground_dga, tensor_dga
+from mctwist.dgcore import DgError, Element, GradedModule, endomorphism_dga, ground_dga, tensor_dga
 from mctwist.exactlinalg import ExactMatrix, Ring, kernel_basis, rank
 from mctwist.fixtures import homotopy_gauge_universal_dga, universal_mc_dga
 from mctwist.interval import build_interval_algebra
@@ -31,7 +31,7 @@ from mctwist.mc import (
     verify_homotopy_gauge,
     zero_mc,
 )
-from mctwist.mc import _degree_matrix, _solve_homotopy_given_g, _twisted_diff
+from mctwist.mc import _degree_matrix, _homotopy_solver, _twisted_diff
 from mctwist.simplicial import LocalSystem, circle, cochain_algebra, rep_to_mc, simplex
 
 Z, Q = Ring.Z(), Ring.Q()
@@ -716,7 +716,7 @@ def test_bulk_callers_make_no_mul_dicts_calls(monkeypatch):
     assert _twisted_diff(end, y.left_mult, x.right_mult, end.gm.labels)
     ginv = algebra_inverse(end, g)
     assert ginv is not None
-    cert = _solve_homotopy_given_g(end, x, y, g)
+    cert = _homotopy_solver(end, x, y)(g)
     assert calls == [] and cert is not None
     assert verify_homotopy_gauge(end, x, y, cert)[0]
     assert verify_homotopy_gauge(end, x, y,
@@ -773,3 +773,38 @@ def test_one_search_builds_the_rows_of_x_and_y_once(monkeypatch):
     side = {id(x.value.coeffs): "x", id(y.value.coeffs): "y"}
     assert sorted((n, side[c]) for n, c in built if c in side) == \
         [("left_mult", "x"), ("left_mult", "y"), ("right_mult", "x"), ("right_mult", "y")]
+
+
+def test_a_stage_three_search_builds_the_blocks_without_g_once(monkeypatch):
+    # condition (2) on A^0 and d^x, d^y on A^-1 hold no g: three
+    # _twisted_diff calls per search, whatever its number of trials
+    from mctwist import mc
+    k1 = build_interval_algebra(1, Z)
+    a = k1.dga
+    s, t = k1.word_label("s", 1), k1.word_label("t", 1)
+    x = MCElement(a, a.element({s: 1, t: 3}))
+    y = MCElement(a, a.element({s: 3, t: 1}))
+    calls = []
+    twisted_diff = mc._twisted_diff
+    monkeypatch.setattr(mc, "_twisted_diff", lambda a, y_l, l_x, labels:
+                        calls.append(list(labels)) or twisted_diff(a, y_l, l_x, labels))
+    for budget, samples in ((30, 29), (4, 3)):
+        calls.clear()
+        res = search_homotopy_gauge(a, x, y, seed=5, budget=budget)
+        assert res.kind == "unknown" and res.report["samples"] == samples
+        blocks = [labels for labels in calls if labels != list(a.gm.labels)]
+        assert blocks == [list(a.gm.labels_of_degree(0))] + \
+            [list(a.gm.labels_of_degree(-1))] * 2
+
+
+def test_one_solver_answers_each_g_as_a_fresh_one():
+    # the blocks built once are not changed by the trials that read them
+    from mctwist.mc import closed_degree_zero
+    rnd = random.Random(19)
+    for ring in (Z, Q):
+        end, x, y, g = _random_mc_pair(rnd, ring, circle(3), [0, 1])
+        trials = [g] + [Element(end, c) for c in closed_degree_zero(end, x, y)[0]] + [g]
+        solve = _homotopy_solver(end, x, y)
+        answers = [solve(t) for t in trials]
+        assert answers == [_homotopy_solver(end, x, y)(t) for t in trials]
+        assert answers[0] is not None and None in answers

@@ -257,14 +257,14 @@ def test_mc_to_rep_error_branch():
 
 
 def test_mc_to_rep_inverts_each_given_edge_once(monkeypatch):
-    # only the edge carrying an f is inverted, once (8 calls for 4 edges
-    # when every edge, identities included, was inverted twice)
+    # only the edge carrying an f is checked for an inverse, once (8 calls
+    # for 4 edges when every edge, identities included, was inverted twice)
     from mctwist import simplicial
     from mctwist.dgcore import endomorphism_dga
     calls = []
-    inverse = simplicial.solve_invertibility
-    monkeypatch.setattr(simplicial, "solve_invertibility",
-                        lambda m: calls.append(m) or inverse(m))
+    invertible = simplicial.is_invertible
+    monkeypatch.setattr(simplicial, "is_invertible",
+                        lambda m: calls.append(m) or invertible(m))
     base = circle(4)
     v = GradedModule(Z, [("a", 0), ("b", 0)])
     end = endomorphism_dga(cochain_algebra(base, Z), v)
@@ -495,3 +495,160 @@ def test_twisted_euler_characteristic_on_the_torus():
     rep = local_system_cohomology(LocalSystem(c, v2, mono))
     chi = sum((-1) ** d * rep.rank(d) for d in rep.degrees())
     assert chi == 2 * c.euler_characteristic()
+
+
+# ---------------------------------------------------------------------------
+# cochain algebras from face tables, against the per-(rho, p) pullback loop
+# ---------------------------------------------------------------------------
+
+
+def _reference_cochain_algebra(sset, ring, max_degree=None):
+    """(mult, diff, unit) from one pullback per front and back face."""
+    from mctwist.dgcore import DgAlgebra
+    from mctwist.simplicial import identity_map
+    top = sset.dimension if max_degree is None else min(max_degree, sset.dimension)
+    labels = [l for d in range(top + 1) for l in sset.nondegenerate(d)]
+    gm = GradedModule(ring, [(l, sset.dim_of[l]) for l in labels])
+    unit = {l: 1 for l in sset.nondegenerate(0)}
+    diff = {}
+    for d in range(1, top + 1):
+        for tau in sset.nondegenerate(d):
+            for i in range(d + 1):
+                src, surj = sset.faces[(tau, i)]
+                if surj == identity_map(sset.dim_of[src]):
+                    Z.axpy(diff.setdefault(src, {}), (-1) ** i, {tau: 1})
+    mult = {}
+    for rho in labels:
+        n = sset.dim_of[rho]
+        for p in range(n + 1):
+            front, fs = sset.pullback(rho, tuple(range(p + 1)))
+            if fs != identity_map(p):
+                continue
+            back, bs = sset.pullback(rho, tuple(range(p, n + 1)))
+            if bs != identity_map(n - p):
+                continue
+            row = mult.setdefault((front, back), {})
+            row[rho] = row.get(rho, 0) + 1
+    return DgAlgebra(gm, unit, mult, diff)
+
+
+def _folded_simplex(n, face, fold):
+    """Delta^n with ``face`` folded by the idempotent vertex map ``fold``
+    (the pushout along a degeneracy), so that some simplices get degenerate
+    first or last faces."""
+    from itertools import combinations
+    from mctwist.simplicial import FiniteSimplicialSet
+
+    def normal_form(s):
+        if set(s) <= set(face):
+            image = tuple(fold.get(v, v) for v in s)
+            t = tuple(sorted(set(image)))
+            return t, tuple(t.index(v) for v in image)
+        return s, tuple(range(len(s)))
+
+    sset = FiniteSimplicialSet("fold%d" % n)
+    for k in range(n + 1):
+        for s in combinations(range(n + 1), k + 1):
+            if normal_form(s)[0] == s:
+                sset.add_simplex(s, k, [normal_form(s[:i] + s[i + 1:])
+                                        for i in range(k + 1)] if k else None)
+    return sset
+
+
+def _grid_torus(n, m):
+    """The n x m grid torus as an ordered complex, two triangles per square."""
+    def v(i, j):
+        return (i % n) * m + j % m
+    tris = set()
+    for i in range(n):
+        for j in range(m):
+            tris.add(tuple(sorted((v(i, j), v(i + 1, j), v(i + 1, j + 1)))))
+            tris.add(tuple(sorted((v(i, j), v(i, j + 1), v(i + 1, j + 1)))))
+    return from_ordered_complex(list(range(n * m)), sorted(tris), name="T%dx%d" % (n, m))
+
+
+def _table_test_sets():
+    fold_last = _folded_simplex(3, (0, 1, 2), {1: 2})    # d_3 (0123) = s_1 (02)
+    fold_first = _folded_simplex(3, (1, 2, 3), {2: 1})   # d_0 (0123) = s_1 (13)
+    fold_point = _folded_simplex(2, (0, 1), {1: 0})      # d_2 (012) = s_0 (0)
+    sets = [circle(3), circle(4), circle(5), simplex(0), simplex(1), simplex(2), simplex(3),
+            boundary_simplex(2), boundary_simplex(3),
+            torus7(), point(), _grid_torus(3, 4), product(circle(3), circle(3)),
+            product(simplex(2), simplex(1)), product(simplex(1), simplex(1), cap=1),
+            nerve(interval_groupoid(), cap=3), nerve(one_arrow_category(), cap=2),
+            nerve(trivial_category(), cap=3), fold_last, fold_first, fold_point,
+            product(fold_last, simplex(1)), product(fold_first, nerve(one_arrow_category(), 1)),
+            product(nerve(interval_groupoid(), cap=2), simplex(1), cap=3)]
+    from mctwist.interval import build_interval_algebra
+    sets += [build_interval_algebra(n, Z).sset for n in range(4)]
+    return sets
+
+
+def _tables(a):
+    return (list(a.mult.items()), [(k, list(v.items())) for k, v in a.diff.items()],
+            list(a.unit.items()))
+
+
+@pytest.mark.parametrize("ring", [Z, Q, Ring.GF(5)], ids=["Z", "Q", "F5"])
+def test_cochain_algebra_equals_the_pullback_loop_in_key_order(ring):
+    sets = _table_test_sets()
+    assert sum(1 for s in sets for (l, i), (t, surj) in s.faces.items()
+               if i in (0, s.dim_of[l]) and len(set(surj)) < len(surj)) > 0
+    for sset in sets:
+        assert not sset.check_simplicial_identities(), sset
+        for top in (None, 0, 1, 2):
+            new = cochain_algebra(sset, ring, max_degree=top)
+            ref = _reference_cochain_algebra(sset, ring, max_degree=top)
+            assert new.gm.basis() == ref.gm.basis()
+            assert _tables(new) == _tables(ref), (sset, top)
+
+
+def _count_pullbacks(monkeypatch, build):
+    from mctwist.simplicial import FiniteSimplicialSet
+    calls = []
+    real = FiniteSimplicialSet.pullback
+
+    def counted(self, label, mono):
+        calls.append(label)
+        return real(self, label, mono)
+
+    monkeypatch.setattr(FiniteSimplicialSet, "pullback", counted)
+    build()
+    monkeypatch.setattr(FiniteSimplicialSet, "pullback", real)
+    return len(calls)
+
+
+def test_cochain_algebra_pulls_back_only_along_degenerate_first_and_last_faces(monkeypatch):
+    t = _grid_torus(3, 4)
+    assert _count_pullbacks(monkeypatch, lambda: cochain_algebra(t, Z)) == 0
+    # the nerve's degenerate faces are inner ones
+    k3 = nerve(interval_groupoid(), cap=3)
+    assert _count_pullbacks(monkeypatch, lambda: cochain_algebra(k3, Z)) == 0 < \
+        _count_pullbacks(monkeypatch, lambda: _reference_cochain_algebra(k3, Z))
+    for sset in (_folded_simplex(3, (0, 1, 2), {1: 2}), _folded_simplex(3, (1, 2, 3), {2: 1}),
+                 product(_folded_simplex(3, (0, 1, 2), {1: 2}), simplex(1))):
+        new = _count_pullbacks(monkeypatch, lambda: cochain_algebra(sset, Z))
+        ref = _count_pullbacks(monkeypatch, lambda: _reference_cochain_algebra(sset, Z))
+        assert 0 < new < ref
+
+
+def test_pullback_orders_image_edges_by_the_target_vertex_order():
+    # the target lists its vertices 5, 3, 1: its edge (5, 3) runs against
+    # the order of the vertex values
+    target = from_ordered_complex([5, 3, 1], [(5, 3), (3, 1), (5, 1)])
+    v = GradedModule(Z, [("v", 0)])
+    ls = LocalSystem(target, v, {(5, 3): ExactMatrix.from_rows(Z, [[-1]]),
+                                 (5, 1): ExactMatrix.from_rows(Z, [[-1]])})
+    assert not ls.functor_condition_failures()
+    edge = simplex(1)
+    along = pullback_local_system(ls, {0: 5, 1: 3}, edge)
+    assert along.monodromy[(0, 1)] == ExactMatrix.from_rows(Z, [[-1]])
+    q = GradedModule(Q, [("v", 0)])
+    ls = LocalSystem(target, q, {(5, 3): ExactMatrix.from_rows(Q, [[3]]),
+                                 (5, 1): ExactMatrix.from_rows(Q, [[3]])})
+    assert pullback_local_system(ls, {0: 5, 1: 3}, edge).monodromy[(0, 1)] == \
+        ExactMatrix.from_rows(Q, [[3]])
+    assert pullback_local_system(ls, {0: 3, 1: 5}, edge).monodromy[(0, 1)] == \
+        ExactMatrix.from_rows(Q, [[Fraction(1, 3)]])
+    with pytest.raises(SimplicialError, match="missing in target"):
+        pullback_local_system(ls, {0: 5, 1: 7}, edge)
