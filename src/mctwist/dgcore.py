@@ -89,11 +89,22 @@ def _index(table: dict) -> tuple:
 
 def _times_rows(ring: Ring, y: dict, rows: dict) -> dict:
     """{l: sum c * out over the terms c r of y and the (l, out) in rows[r]},
-    its zero entries dropped; each sum accumulates in y's order."""
+    its zero entries dropped; each sum accumulates in y's order.
+
+    The rows hold nonzero canonical scalars, so a sum that starts with a
+    coefficient 1 starts as a copy of its row; no row of ``rows`` is
+    returned or changed.
+    """
+    axpy = ring.axpy
     out = {}
     for r, c in y.items():
+        one = type(c) is int and c == 1
         for l, v in rows.get(r, ()):
-            ring.axpy(out.setdefault(l, {}), c, v)
+            acc = out.get(l)
+            if acc is not None:
+                axpy(acc, c, v)
+            else:
+                out[l] = dict(v) if one else axpy({}, c, v)
     return {l: v for l, v in out.items() if v}
 
 

@@ -80,24 +80,50 @@ def dga_to_json(a: DgAlgebra) -> dict:
     }
 
 
+def _decoders(ring: Ring) -> tuple:
+    """(label, scalar): decode_label and ring.coerce, each computed once per
+    encoded label and per coefficient string.  A label is keyed by its repr,
+    which tells [1], [true], [1.0] and ["1"] apart."""
+    labels, scalars = {}, {}
+
+    def label(obj):
+        if not isinstance(obj, list):
+            return obj
+        key = repr(obj)
+        out = labels.get(key)
+        if out is None:
+            out = labels[key] = decode_label(obj)
+        return out
+
+    def scalar(c):
+        if type(c) is not str:
+            return ring.coerce(c)
+        out = scalars.get(c)
+        if out is None:
+            out = scalars[c] = ring.coerce(c)
+        return out
+
+    return label, scalar
+
+
 def dga_from_json(obj: dict) -> DgAlgebra:
     with _reading("dg algebra"):
         ring = Ring.parse(obj["ring"])
-        gm = GradedModule(ring, [(decode_label(l), _degree(d)) for l, d in obj["basis"]])
+        label, scalar = _decoders(ring)
+        gm = GradedModule(ring, [(label(l), _degree(d)) for l, d in obj["basis"]])
         unit_obj = obj["unit"]
         if isinstance(unit_obj, (str, int)) or (
                 isinstance(unit_obj, list) and unit_obj and
                 not isinstance(unit_obj[0], list)):
-            unit = {decode_label(unit_obj): ring.one()}
+            unit = {label(unit_obj): ring.one()}
         else:
-            unit = {decode_label(l): ring.coerce(c) for l, c in unit_obj}
+            unit = {label(l): scalar(c) for l, c in unit_obj}
         diff = {}
         for l, r, c in obj.get("diff", []):
-            diff.setdefault(decode_label(l), {})[decode_label(r)] = ring.coerce(c)
+            diff.setdefault(label(l), {})[label(r)] = scalar(c)
         mult = {}
         for x, y, r, c in obj.get("mult", []):
-            mult.setdefault((decode_label(x), decode_label(y)), {})[
-                decode_label(r)] = ring.coerce(c)
+            mult.setdefault((label(x), label(y)), {})[label(r)] = scalar(c)
         return DgAlgebra(gm, unit, mult, diff)
 
 
@@ -267,12 +293,17 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _refuse_constant(token: str):
+    raise ValueError("%s is not a JSON number" % token)
+
+
 def load_json_file(path: str):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_refuse_constant)
     except (OSError, ValueError, RecursionError) as exc:
-        # ValueError: bad JSON or a number of too many digits; RecursionError: deep nesting
+        # ValueError: bad JSON, NaN or +-Infinity, or a number of too many
+        # digits; RecursionError: deep nesting
         raise InputError("cannot read %s: %s" % (path, exc)) from exc
 
 

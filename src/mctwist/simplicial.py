@@ -48,7 +48,8 @@ def compose_maps(outer: tuple, inner: tuple) -> tuple:
 
 
 def is_surjection(f: tuple, m: int) -> bool:
-    return set(f) == set(range(m + 1))
+    """f is a monotone map onto [m]."""
+    return set(f) == set(range(m + 1)) and all(a <= b for a, b in zip(f, f[1:]))
 
 
 class FiniteSimplicialSet:
@@ -567,10 +568,11 @@ class LocalSystem:
         return self.monodromy[label]
 
     def functor_condition_failures(self):
-        bad = []
+        # the faces d_2, d_0 and d_1 of a 2-simplex are its edges 01, 12 and
+        # 02, each stored in normal form
+        bad, faces = [], self.base.faces
         for tau in self.base.nondegenerate(2):
-            m01, m12, m02 = (self.edge_matrix(self.base.pullback(tau, e))
-                             for e in ((0, 1), (1, 2), (0, 2)))
+            m01, m12, m02 = (self.edge_matrix(faces[(tau, i)]) for i in (2, 0, 1))
             if m01 * m12 != m02:
                 bad.append(tau)
         return bad

@@ -471,6 +471,12 @@ BAD_INPUT_FILES = {
     "check-dga-label-nested-600-deep": (["check-dga", "a.json"], {"a.json": (
         '{"ring": "Z", "basis": [[%s, 0]], "unit": [[%s, "1"]]}' % ((
             "[" * 600 + "0" + "]" * 600,) * 2))}),
+    # NaN and +-Infinity are not JSON (RFC 8259), though json.load reads them
+    "check-dga-label-infinity": (["check-dga", "a.json"], {"a.json": (
+        '{"ring": "Z", "basis": [[["y", Infinity], 0]], "unit": [[["y", Infinity], "1"]]}')}),
+    "gauge-search-coefficient-nan": (
+        ["gauge-search", "a.json", "x.json", "y.json", "--seed", "1"],
+        {"a.json": _k0_algebra(), "x.json": '{"value": [["e", NaN]]}', "y.json": {"value": []}}),
     # integers a file declares are exact: no float or bool is rounded
     "local-system-rank-float": (["local-system", "c.json", "s.json"],
                                 {"c.json": EDGE, "s.json": {"ring": "Z", "rank": 1.5}}),
@@ -960,6 +966,27 @@ def test_check_dga_rejects_inexact_coefficients(tmp_path, capsys, coeff):
     code, out, err = run_cli(capsys, "check-dga", path)
     assert code == 1 and out == ""
     assert "input error" in err and "not an exact scalar" in err
+
+
+@pytest.mark.parametrize("token, where", [
+    ("Infinity", "label"), ("-Infinity", "label"), ("NaN", "label"),
+    ("NaN", "coefficient"), ("Infinity", "degree")])
+def test_check_dga_refuses_non_finite_json_constants(token, where, tmp_path, capsys):
+    # json.load reads NaN and +-Infinity, which RFC 8259 does not have: a label
+    # holding one would come back in a witness as ["y",Infinity], not JSON
+    label = '["y", %s]' % token if where == "label" else '"y"'
+    text = '{"ring": "Z", "basis": [[%s, %s]], "unit": [[%s, %s]], "mult": []}' % (
+        label, token if where == "degree" else "0", label,
+        token if where == "coefficient" else '"1"')
+    path = tmp_path / "a.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "check-dga", str(path))
+    assert (code, out) == (1, "")
+    assert err == "input error: cannot read %s: %s is not a JSON number\n" % (path, token)
+    if where == "label":  # with the constant as a string, the label is read
+        path.write_text(text.replace(token, '"%s"' % token))
+        code, out, _ = run_cli(capsys, "check-dga", str(path))
+        assert code == 0 and json.loads(out)["failures"]
 
 
 def test_minimal_model_rejects_non_numeric_coefficient(tmp_path, capsys):

@@ -639,6 +639,65 @@ def test_left_and_right_mult_match_mul_dicts_label_by_label(kind, ring_name, see
     assert set(left) | set(right) <= set(a.gm.labels)
 
 
+def _assert_rows_are_mul_dicts(a, y):
+    """left_mult(y) and right_mult(y) against mul_dicts label by label, values
+    and key order, with no returned row a row of ``mult`` and ``mult`` left
+    as it was."""
+    before = [(k, list(v.items())) for k, v in a.mult.items()]
+    rows = {id(v) for v in a.mult.values()}
+    left, right = a.left_mult(y), a.right_mult(y)
+    for l in a.gm.labels:
+        for got, want in ((left.get(l, {}), a.mul_dicts(y, {l: 1})),
+                          (right.get(l, {}), a.mul_dicts({l: 1}, y))):
+            assert list(got.items()) == list(want.items())
+    assert all(left.values()) and all(right.values())
+    assert not rows & {id(v) for v in (*left.values(), *right.values())}
+    # axpy adds into a row in place: a second call must see the same mult
+    assert [(k, list(v.items())) for k, v in a.mult.items()] == before
+    assert (a.left_mult(y), a.right_mult(y)) == (left, right)
+    return left, right
+
+
+@pytest.mark.parametrize("ring_name", sorted(RINGS))
+def test_row_accumulator_cancels_and_restores_keys_as_mul_dicts_does(ring_name):
+    ring = RINGS[ring_name]
+    half = [] if ring.kind == "Z" else [ring.coerce(Fraction(1, 2))]
+    # a and b send 1 to rows that share c, so a - b cancels c; e brings it back
+    labels = ["1", "a", "b", "e", "c", "d"]
+    mult = {("a", "1"): {"c": 1}, ("b", "1"): {"c": 1, "d": 1}, ("e", "1"): {"c": 2},
+            ("a", "a"): {"c": 1, "d": -1}, ("b", "a"): {"d": 1},
+            ("1", "a"): {"a": 1}, ("1", "b"): {"b": 1}, ("a", "b"): {"c": 1},
+            ("b", "b"): {"c": 1}}
+    a = DgAlgebra(GradedModule(ring, [(l, 0) for l in labels]), {"1": 1}, mult, {})
+    one, minus = ring.one(), ring.neg(ring.one())
+    left, _ = _assert_rows_are_mul_dicts(a, {"a": one, "b": minus})
+    assert list(left["1"]) == ["d"] and list(left["a"]) == ["c", "d"]
+    assert "b" not in left  # a b - b b cancels to zero
+    left, _ = _assert_rows_are_mul_dicts(a, {"a": one, "b": minus, "e": one})
+    assert list(left["1"]) == ["d", "c"]  # c cancelled, then came back at the end
+    for c in [one, minus, ring.coerce(2)] + half:
+        for y in ({"a": c}, {"a": c, "b": one}, {"b": one, "a": c}, {"1": c, "a": c}):
+            _assert_rows_are_mul_dicts(a, y)
+
+
+@settings(max_examples=100)
+@given(kind=st.sampled_from(["circle3", "end-circle", "circle-x-circle", "circle-x-interval",
+                             "kx"]),
+       ring_name=st.sampled_from(sorted(RINGS)),
+       seed=st.integers(0, 2 ** 32 - 1), count=st.integers(0, 2))
+def test_row_accumulator_matches_mul_dicts_on_small_coefficients(kind, ring_name, seed, count):
+    # coefficients 1, -1, 2 and 1/2 on random labels, with half the unit's
+    # terms negated
+    rng = random.Random(seed)
+    a = _mutated_dga(_base_dga(kind, ring_name), rng, count)
+    ring = a.ring
+    cs = [ring.one(), ring.neg(ring.one()), ring.coerce(2)] + (
+        [] if ring.kind == "Z" else [ring.coerce(Fraction(1, 2))])
+    y = {l: rng.choice(cs) for l in rng.sample(a.gm.labels, min(6, a.gm.dim))}
+    y.update({l: ring.neg(c) for l, c in rng.sample(list(a.unit.items()), len(a.unit) // 2)})
+    _assert_rows_are_mul_dicts(a, {k: c for k, c in y.items() if c != 0})
+
+
 @settings(max_examples=30)
 @given(kind=st.sampled_from(["twisted-sign", "twisted-kx", "twisted-end"]),
        ring_name=st.sampled_from(sorted(RINGS)),

@@ -7,6 +7,7 @@ from mctwist.dgcore import GradedModule, check_dga, tensor_dga
 from mctwist.exactlinalg import ExactMatrix, Ring
 from mctwist.mc import MCElement, hom_twist, is_mc, zero_mc
 from mctwist.simplicial import (
+    FiniteSimplicialSet,
     LocalSystem,
     SimplicialError,
     boundary_simplex,
@@ -582,6 +583,46 @@ def _table_test_sets():
     from mctwist.interval import build_interval_algebra
     sets += [build_interval_algebra(n, Z).sset for n in range(4)]
     return sets
+
+
+def _reference_functor_condition_failures(ls):
+    # the 2-simplices whose edges 01, 12 and 02, found by pullback, break
+    # F(01) F(12) = F(02)
+    m = lambda tau, e: ls.edge_matrix(ls.base.pullback(tau, e))
+    return [tau for tau in ls.base.nondegenerate(2)
+            if m(tau, (0, 1)) * m(tau, (1, 2)) != m(tau, (0, 2))]
+
+
+def test_functor_condition_reads_the_edges_of_each_triangle_from_its_faces(monkeypatch):
+    # signs on every edge, so that many 2-simplices fail and some pass; the
+    # folded sets and nerves have 2-simplices with a degenerate edge
+    rnd = random.Random(5)
+    v = GradedModule(Z, [("v", 0)])
+    systems = []
+    for sset in _table_test_sets():
+        for _ in range(3):
+            mono = {e: ExactMatrix.from_rows(Z, [[rnd.choice((1, -1))]])
+                    for e in sset.nondegenerate(1)}
+            systems.append(LocalSystem(sset, v, mono))
+    want = [_reference_functor_condition_failures(ls) for ls in systems]
+    assert sum(map(len, want)) > 20
+    assert any(not w and ls.base.nondegenerate(2) for w, ls in zip(want, systems))
+
+    def no_pullback(*args):
+        raise AssertionError("pullback called")
+
+    monkeypatch.setattr(FiniteSimplicialSet, "pullback", no_pullback)
+    assert [ls.functor_condition_failures() for ls in systems] == want
+
+
+def test_a_face_whose_degeneracy_word_is_not_monotone_is_refused():
+    sset = FiniteSimplicialSet()
+    sset.add_simplex(0, 0)
+    sset.add_simplex(1, 0)
+    sset.add_simplex("e", 1, [1, 0])
+    with pytest.raises(SimplicialError, match="bad degeneracy word on face 0"):
+        sset.add_simplex("t", 2, [("e", (1, 0)), "e", "e"])
+    sset.add_simplex("u", 2, [("e", (0, 1)), "e", "e"])
 
 
 def _tables(a):
