@@ -12,12 +12,12 @@ import argparse
 import os
 import sys
 
-from . import fixtures, interval, io, mc, perturbation
+# io loads dgcore and exactlinalg, which every subcommand uses; each cmd_*
+# imports any other module it runs, so a process loads only its own
+from . import io
 from .dgcore import DgError, check_dga
 from .exactlinalg import ExactLinalgError, Ring, cohomology
 from .io import InputError, dumps
-from .simplicial import (SimplicialError, circle, cochain_algebra, local_system_cohomology,
-                         torus7)
 
 
 class InternalError(RuntimeError):
@@ -47,6 +47,7 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_local_system(args) -> int:
+    from .simplicial import local_system_cohomology
     complex_obj = io.load_json_file(args.complex)
     system_obj = io.load_json_object(args.system)
     if args.ring:
@@ -59,6 +60,7 @@ def cmd_local_system(args) -> int:
 
 
 def cmd_mc_check(args) -> int:
+    from . import mc
     a, value = io.mc_element_from_json(io.load_json_object(args.element))
     ok, res = mc.is_mc(a, a.element(value))
     payload = {"mc": bool(ok), "checks": ["degree", "mc-residual"]}
@@ -68,6 +70,7 @@ def cmd_mc_check(args) -> int:
 
 
 def cmd_gauge_search(args) -> int:
+    from . import mc
     io.bounded(args.budget, "--budget")
     a = io.dga_from_json(io.load_json_file(args.algebra))
     x, y = (mc.MCElement(a, a.element(io.mc_element_from_json(io.load_json_object(path), a)[1]))
@@ -85,6 +88,7 @@ def cmd_gauge_search(args) -> int:
 
 
 def cmd_k2_dict(args) -> int:
+    from . import interval, mc
     a = io.dga_from_json(io.load_json_file(args.algebra))
     k2 = interval.build_interval_algebra(2, a.ring)
     name_to_label = {"e": k2.e, "f": k2.f, "s": k2.word_label("s", 1),
@@ -110,6 +114,7 @@ def cmd_k2_dict(args) -> int:
 
 
 def cmd_kinfty(args) -> int:
+    from . import interval
     kc = interval.k_infty_category(args.n)
     return _out({"truncation": args.n, "presentation": kc.presentation,
                  "relabel": kc.relabel,
@@ -117,6 +122,7 @@ def cmd_kinfty(args) -> int:
 
 
 def cmd_kn(args) -> int:
+    from . import interval
     k = interval.build_interval_algebra(args.n, Ring.parse(args.ring))
     pres = k.presentation()
     rep = check_dga(k.dga)
@@ -130,8 +136,9 @@ def cmd_kn(args) -> int:
     return _out(pres)
 
 
-def _reduced_module(path) -> perturbation.ReducedTwistedModule:
+def _reduced_module(path):
     """The reduced twisted module of a module JSON file (minimal-model, truncate)."""
+    from . import mc, perturbation
     a, v, coeffs = io.module_from_json(io.load_json_file(path))
     tw = mc.TwistedModule(v, a, mc.ConvOp(a, v, v, coeffs))
     comp = perturbation.reduced_component(tw)
@@ -141,6 +148,7 @@ def _reduced_module(path) -> perturbation.ReducedTwistedModule:
 
 
 def cmd_minimal_model(args) -> int:
+    from . import perturbation
     mm = perturbation.minimal_model(_reduced_module(args.module))
     return _out({
         "minimal_rank": mm.minimal.v.dim,
@@ -153,6 +161,8 @@ def cmd_minimal_model(args) -> int:
 
 
 def cmd_resolve(args) -> int:
+    from . import mc, perturbation
+    from .simplicial import cochain_algebra
     base, w_gm, d_w, w1_coeffs = io.resolution_from_json(io.load_json_object(args.input))
     a = cochain_algebra(base, w_gm.ring)
     tw = perturbation.lift_to_free_resolution(a, w_gm, d_w,
@@ -162,6 +172,7 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_truncate(args) -> int:
+    from . import perturbation
     out, _ = perturbation.truncate_twisted(_reduced_module(args.module), args.i)
     return _out({"rank": out.v.dim,
                  "basis": [[io.encode_label(l), d] for l, d in out.v.basis()],
@@ -218,6 +229,8 @@ def cmd_holonomy(args) -> int:
 
 
 def cmd_emit_fixtures(args) -> int:
+    from . import fixtures, interval
+    from .simplicial import circle, cochain_algebra, torus7
     os.makedirs(args.dir, exist_ok=True)
     written = []
 
@@ -257,6 +270,7 @@ def cmd_emit_fixtures(args) -> int:
 
 def fixtures_example51() -> dict:
     """The pinned twisting convention reproducing H^1 = Z/2 on K_0*."""
+    from . import interval, mc
     k0 = interval.build_interval_algebra(0, Ring.Z())
     a = k0.dga
     s = mc.MCElement(a, a.element(k0.word_label("s", 1)))
@@ -329,6 +343,14 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     return p
 
 
+def _input_errors() -> tuple:
+    """The classes of invalid input: a module not loaded raised none of its own."""
+    lazy = [getattr(sys.modules.get(__package__ + "." + module), name, None)
+            for module, name in (("simplicial", "SimplicialError"), ("mc", "MCError"),
+                                 ("perturbation", "PerturbationError"))]
+    return (InputError, ExactLinalgError, DgError, *filter(None, lazy))
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = extra = None
@@ -339,8 +361,7 @@ def main(argv=None) -> int:
         args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ExactLinalgError, DgError, SimplicialError, mc.MCError,
-            perturbation.PerturbationError) as exc:
+    except _input_errors() as exc:  # evaluated once an exception is raised
         sys.stderr.write("input error: %s\n" % exc)
         return 1
     except InternalError as exc:

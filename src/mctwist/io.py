@@ -133,8 +133,9 @@ def element_to_json(coeffs: dict) -> list:
 
 
 def element_from_json(a, obj) -> dict:
+    label, scalar = _decoders(a.ring)
     with _reading("element"):
-        return {decode_label(l): a.ring.coerce(c) for l, c in obj}
+        return {label(l): scalar(c) for l, c in obj}
 
 
 def matrix_from_json(obj, ring: Ring) -> ExactMatrix:
@@ -229,9 +230,9 @@ def module_from_json(obj) -> tuple:
     """(A, V, {(u, w, a): c}) of {algebra: <inline or path>, v, mc}."""
     with _reading("module"):
         a = _algebra(obj)
-        v = GradedModule(a.ring, [(decode_label(l), _degree(d)) for l, d in obj["v"]])
-        coeffs = {(decode_label(u), decode_label(w), decode_label(al)): a.ring.coerce(c)
-                  for (u, w, al), c in obj["mc"]}
+        label, scalar = _decoders(a.ring)
+        v = GradedModule(a.ring, [(label(l), _degree(d)) for l, d in obj["v"]])
+        coeffs = {(label(u), label(w), label(al)): scalar(c) for (u, w, al), c in obj["mc"]}
         return a, v, coeffs
 
 
@@ -240,14 +241,15 @@ def resolution_from_json(obj) -> tuple:
     edge's action minus the identity, which must preserve degree."""
     with _reading("resolution"):
         ring = Ring.parse(obj.get("ring", "Z"))
+        label, scalar = _decoders(ring)
         base = complex_from_json(obj["complex"])
         res = obj["resolution"]
-        w_gm = GradedModule(ring, [(decode_label(l), _degree(d)) for l, d in res["basis"]])
-        d_w = {(decode_label(u), decode_label(w)): ring.coerce(c) for u, w, c in res["d"]}
+        w_gm = GradedModule(ring, [(label(l), _degree(d)) for l, d in res["basis"]])
+        d_w = {(label(u), label(w)): scalar(c) for u, w, c in res["d"]}
         labels, n = w_gm.labels, w_gm.dim
         w1_coeffs = {}
         for edge, mat in obj["edge_action"]:
-            e = decode_label(edge)
+            e = label(edge)
             m = matrix_from_json(mat, ring)
             if (m.rows, m.cols) != (n, n):
                 raise ValueError("an edge action is %dx%d, not %dx%d" % (m.rows, m.cols, n, n))

@@ -62,10 +62,10 @@ class FiniteSimplicialSet:
         self.faces = {}       # (label, i) -> (label', surjection tuple)
 
     def add_simplex(self, label, dim: int, faces=None):
+        # every check comes before the first entry, so a refused add changes nothing
         if label in self.dim_of:
             raise SimplicialError("duplicate simplex label %r" % (label,))
-        self.dim_of[label] = dim
-        self.simplices.setdefault(dim, []).append(label)
+        checked = []
         if dim > 0:
             if faces is None or len(faces) != dim + 1:
                 raise SimplicialError("need %d faces for %r" % (dim + 1, label))
@@ -79,7 +79,11 @@ class FiniteSimplicialSet:
                     raise SimplicialError("face %r of %r not yet added" % (target, label))
                 if len(surj) != dim or not is_surjection(surj, self.dim_of[target]):
                     raise SimplicialError("bad degeneracy word on face %d of %r" % (i, label))
-                self.faces[(label, i)] = (target, surj)
+                checked.append((target, surj))
+        self.dim_of[label] = dim
+        self.simplices.setdefault(dim, []).append(label)
+        for i, face in enumerate(checked):
+            self.faces[(label, i)] = face
 
     @property
     def dimension(self) -> int:

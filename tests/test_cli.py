@@ -826,29 +826,153 @@ def test_holonomy_pexp_on_five_samples_skips_the_halving_estimate(tmp_path, caps
 
 
 IMPORT_BOUNDARY = """
-import sys
+import contextlib, io, json, sys
 import mctwist.cli as cli
-assert "numpy" not in sys.modules
-assert cli.main(["cohomology", sys.argv[1]]) == 0
-assert "numpy" not in sys.modules, "an exact subcommand imported numpy"
-assert cli.main(["holonomy", "--mode", "pexp", sys.argv[2]]) == 0
-assert "numpy" in sys.modules
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "numpy" or m.partition(".")[0] == "mctwist")
+
+steps, out = [], io.StringIO()
+cli.build_parser()
+steps.append(loaded())
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    cli.main([sys.argv[1], "--help"])
+steps.append(loaded())
+with contextlib.redirect_stdout(out):
+    code = cli.main(sys.argv[1:])
+steps.append(loaded())
+print(json.dumps([code, steps, out.getvalue()]))
 """
 
 
-def test_only_the_holonomy_subcommand_imports_numpy(tmp_path):
+def _first_jobs(fuzz_jobs, tmp_path) -> dict:
+    """{subcommand: argv} of the first fuzz job of each, its files written
+    to a directory of its own."""
+    jobs = {}
+    for argv, files in fuzz_jobs:
+        if argv[0] not in jobs:
+            (tmp_path / argv[0]).mkdir()
+            for name, text in files.items():
+                (tmp_path / argv[0] / name).write_text(text)
+            jobs[argv[0]] = [str(tmp_path / argv[0] / a) if a in files else a for a in argv]
+    return jobs
+
+
+# what `import mctwist.cli; build_parser()` loads, and so every subcommand
+CLI_LOADS = ["mctwist", "mctwist.cli", "mctwist.dgcore", "mctwist.exactlinalg", "mctwist.io"]
+# subcommand -> what one small run of it loads beyond CLI_LOADS
+RUN_LOADS = {
+    "check-dga": [], "cohomology": [],
+    "gauge-search": ["mc"], "mc-check": ["mc"],
+    "minimal-model": ["mc", "perturbation"], "truncate": ["mc", "perturbation"],
+    "local-system": ["mc", "simplicial"], "resolve": ["mc", "perturbation", "simplicial"],
+    **dict.fromkeys(["k2-dict", "kinfty", "kn", "emit-fixtures"],
+                    ["fixtures", "interval", "mc", "simplicial"]),
+    "holonomy": ["holonomy"],
+}
+
+
+def test_only_the_holonomy_subcommand_imports_numpy(fuzz_jobs, tmp_path):
+    """In a fresh interpreter per subcommand: importing the CLI and building
+    its parser, then `--help`, load CLI_LOADS alone; one small run adds
+    RUN_LOADS, and numpy for holonomy alone."""
     import mctwist
-    cx, ys = tmp_path / "cx.json", tmp_path / "y.csv"
-    cx.write_text(json.dumps({"ring": "Z", "dims": {"0": 1, "1": 1}, "maps": {
-        "0": {"ring": "Z", "rows": 1, "cols": 1, "entries": [["2"]]}}}))
-    ys.write_text(_rows(9))
+    from mctwist.cli import COMMANDS
+    jobs = _first_jobs(fuzz_jobs, tmp_path)
+    (tmp_path / "y.csv").write_text(_rows(9))
+    jobs.update({"kinfty": ["kinfty", "--n", "2"], "kn": ["kn", "--n", "1", "--ring", "Q"],
+                 "holonomy": ["holonomy", "--mode", "pexp", str(tmp_path / "y.csv")],
+                 "emit-fixtures": ["emit-fixtures", "--dir", str(tmp_path / "fx")]})
+    assert sorted(jobs) == sorted(RUN_LOADS) == sorted(COMMANDS)
     # the fresh interpreter imports the package under test
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mctwist.__file__)))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY, str(cx), str(ys)],
+    for command, argv in sorted(jobs.items()):
+        proc = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code, (parser, helped, ran), out = json.loads(proc.stdout)
+        assert code == 0, (command, out)
+        assert parser == helped == CLI_LOADS, command
+        extra = ["mctwist." + m for m in RUN_LOADS[command]]
+        assert ran == sorted(CLI_LOADS + extra + ["numpy"] * (command == "holonomy")), command
+        if command == "cohomology":
+            assert json.loads(out)["H"]
+        if command == "holonomy":
+            assert "halving_difference" in out
+
+
+# subcommand -> (module, a function of it the subcommand calls, the module's
+# error class): the classes cli.main finds in sys.modules once raised
+RAISED = {
+    "local-system": ("simplicial", "local_system_cohomology", "SimplicialError"),
+    "resolve": ("simplicial", "cochain_algebra", "SimplicialError"),
+    "mc-check": ("mc", "is_mc", "MCError"),
+    "gauge-search": ("mc", "search_homotopy_gauge", "MCError"),
+    "minimal-model": ("perturbation", "minimal_model", "PerturbationError"),
+    "truncate": ("perturbation", "truncate_twisted", "PerturbationError"),
+    "check-dga": ("dgcore", "check_dga", "DgError"),
+    "cohomology": ("exactlinalg", "cohomology", "ExactLinalgError"),
+}
+
+
+@pytest.mark.parametrize("plain", [False, True], ids=["own-class", "plain-ValueError"])
+@pytest.mark.parametrize("command", sorted(RAISED))
+def test_an_error_raised_in_a_subcommand_exits_as_its_class_says(command, plain, fuzz_jobs,
+                                                                  tmp_path, capsys,
+                                                                  monkeypatch):
+    """An input error class exits 1 with one line; a plain ValueError is a bug (exit 2)."""
+    import importlib
+    from mctwist import cli
+    module, function, error = RAISED[command]
+    mod = importlib.import_module("mctwist." + module)
+    exc = ValueError if plain else getattr(mod, error)
+
+    def fail(*args, **kwargs):
+        raise exc("raised in %s" % function)
+
+    # the handler's own binding, where it has one, and the module's
+    for owner in (cli, mod):
+        if hasattr(owner, function):
+            monkeypatch.setattr(owner, function, fail)
+    code, out, err = run_cli(capsys, *_first_jobs(fuzz_jobs, tmp_path)[command])
+    assert out == ""
+    if plain:
+        assert (code, err) == (2, "internal error: ValueError: raised in %s\n" % function)
+    else:
+        assert (code, err) == (1, "input error: raised in %s\n" % function)
+
+
+def _lazy_error_job(error) -> tuple:
+    """(module, argv, {file: JSON}, message) of a job that raises the
+    module's error class, once the subcommand alone has loaded the module."""
+    k0 = build_interval_algebra(0, Q)
+    return {
+        "SimplicialError": ("simplicial", ["local-system", "c.json", "s.json"], {
+            "c.json": SPHERE, "s.json": {"ring": "Z", "rank": 2,
+                                         "monodromy": [[[0, 1], UNIMODULAR]]}},
+            "functor condition fails on 2-simplices: [(0, 1, 2), (0, 1, 3)]"),
+        "MCError": ("mc", ["gauge-search", "a.json", "x.json", "x.json", "--seed", "1"], {
+            "a.json": _k0_algebra(), "x.json": {"value": [[io.encode_label(k0.e), "1"]]}},
+            "an MC candidate must be homogeneous of degree 1"),
+        "PerturbationError": ("perturbation", ["minimal-model", "m.json"],
+                              {"m.json": _module_payload(Z)},
+                              "minimal models are computed over fields"),
+    }[error]
+
+
+@pytest.mark.parametrize("error", ["MCError", "PerturbationError", "SimplicialError"])
+def test_a_lazily_loaded_error_class_exits_one_in_a_fresh_interpreter(error, tmp_path):
+    import mctwist
+    module, argv, files, message = _lazy_error_job(error)
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    script = ("import sys, mctwist.cli as cli\ncode = cli.main(sys.argv[1:])\n"
+              "assert 'mctwist.%s' in sys.modules\nsys.exit(code)" % module)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mctwist.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script,
+                           *[str(tmp_path / a) if a in files else a for a in argv]],
                           env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[0])["H"]
-    assert "halving_difference" in proc.stdout
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "input error: %s\n" % message)
 
 
 SAMPLE_ARGV = [

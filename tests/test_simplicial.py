@@ -625,6 +625,32 @@ def test_a_face_whose_degeneracy_word_is_not_monotone_is_refused():
     sset.add_simplex("u", 2, [("e", (0, 1)), "e", "e"])
 
 
+def _edge_set():
+    sset = FiniteSimplicialSet()
+    sset.add_simplex(0, 0)
+    sset.add_simplex(1, 0)
+    sset.add_simplex("e", 1, [1, 0])
+    return sset
+
+
+@pytest.mark.parametrize("faces, message", [
+    (["e", "e"], "need 3 faces"),
+    (["e", "x", "e"], "face 'x' of 't' not yet added"),
+    (["e", "t", "e"], "face 't' of 't' not yet added"),
+    ([("e", (1, 0)), "e", "e"], "bad degeneracy word on face 0"),
+    (["e", "e", ("e", (0, 0))], "bad degeneracy word on face 2"),
+])
+def test_a_refused_add_leaves_no_trace_and_a_valid_retry_succeeds(faces, message):
+    tables = lambda s: (list(s.dim_of.items()), s.simplices, list(s.faces.items()))
+    sset, clean = _edge_set(), _edge_set()
+    with pytest.raises(SimplicialError, match=message):
+        sset.add_simplex("t", 2, faces)
+    assert tables(sset) == tables(clean)
+    for s in (sset, clean):
+        s.add_simplex("t", 2, [("e", (0, 1)), "e", "e"])
+    assert tables(sset) == tables(clean)
+
+
 def _tables(a):
     return (list(a.mult.items()), [(k, list(v.items())) for k, v in a.diff.items()],
             list(a.unit.items()))
