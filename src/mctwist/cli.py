@@ -15,8 +15,8 @@ import sys
 # io loads dgcore and exactlinalg, which every subcommand uses; each cmd_*
 # imports any other module it runs, so a process loads only its own
 from . import io
-from .dgcore import DgError, check_dga
-from .exactlinalg import ExactLinalgError, Ring, cohomology
+from .dgcore import check_dga
+from .exactlinalg import Ring, cohomology
 from .io import InputError, dumps
 
 
@@ -343,14 +343,6 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     return p
 
 
-def _input_errors() -> tuple:
-    """The classes of invalid input: a module not loaded raised none of its own."""
-    lazy = [getattr(sys.modules.get(__package__ + "." + module), name, None)
-            for module, name in (("simplicial", "SimplicialError"), ("mc", "MCError"),
-                                 ("perturbation", "PerturbationError"))]
-    return (InputError, ExactLinalgError, DgError, *filter(None, lazy))
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = extra = None
@@ -361,7 +353,7 @@ def main(argv=None) -> int:
         args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
-    except _input_errors() as exc:  # evaluated once an exception is raised
+    except InputError as exc:  # every module's own error class derives from it
         sys.stderr.write("input error: %s\n" % exc)
         return 1
     except InternalError as exc:

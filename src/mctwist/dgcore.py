@@ -19,13 +19,14 @@ from __future__ import annotations
 from .exactlinalg import (
     ChainComplexSpec,
     ExactMatrix,
+    InputError,
     Ring,
     cohomology,
     solve_columns,
 )
 
 
-class DgError(ValueError):
+class DgError(InputError):
     """Precondition failure in a dg-core operation."""
 
 
@@ -707,48 +708,38 @@ class HomComplex:
         self._basis = {}  # degree -> list of maps (dict mlabel -> dict nlabel -> c)
         self._compute_bases()
 
-    def _hom_degrees(self):
-        mdegs = self.m.gm.degrees()
-        ndegs = self.n.gm.degrees()
-        if not mdegs or not ndegs:
-            return []
-        lo = min(ndegs) - max(mdegs)
-        hi = max(ndegs) - min(mdegs)
-        return range(lo, hi + 1)
-
-    def _pairs_of_degree(self, k):
-        out = []
-        for ml in self.m.gm.labels:
-            for nl in self.n.gm.labels:
-                if self.n.gm.degree[nl] - self.m.gm.degree[ml] == k:
-                    out.append((ml, nl))
-        return out
+    def _pairs(self, k):
+        # the pairs (ml, nl) with |nl| - |ml| = k, ml-major, each in basis order
+        of_degree, mdeg = self.n.gm.labels_of_degree, self.m.gm.degree
+        return [(ml, nl) for ml in self.m.gm.labels for nl in of_degree(mdeg[ml] + k)]
 
     def _compute_bases(self):
         ring = self.ring
-        alabels = self.m.algebra.gm.labels
+        of_degree, mdeg = self.n.gm.labels_of_degree, self.m.gm.degree
+        adeg = self.m.algebra.gm.degree
         act_m, act_n = self.m.action, self.n.action  # m . a for basis labels m, a
-        for k in self._hom_degrees():
-            pairs = self._pairs_of_degree(k)
-            if not pairs:
-                continue
+        for k in sorted({dn - dm for dm in self.m.gm.degrees() for dn in self.n.gm.degrees()}):
             # the system has one column per pair and one row per equation,
             # numbered as emitted
-            columns = {p: {} for p in pairs}
+            columns = {p: {} for p in self._pairs(k)}
             # linearity f(m . a) = f(m) . a: for each (ml, al) and target t,
-            # sum_r act_M[ml,al][r] f[r,t] - sum_s f[ml,s] act_N[s,al][t] = 0
+            # sum_r act_M[ml,al][r] f[r,t] - sum_s f[ml,s] act_N[s,al][t] = 0,
+            # read from the nonzero constants: r, s and t lie in the degrees
+            # |ml| + |al|, |ml| + k and |ml| + |al| + k
             # a row is kept when a term enters it, also when the terms cancel
             neqs = 0
             for ml in self.m.gm.labels:
-                targets = [s for s in self.n.gm.labels if (ml, s) in columns]
-                for al in alabels:
-                    for t in self.n.gm.labels:
-                        lhs = {(r, t): c for r, c in act_m.get((ml, al), {}).items()
-                               if (r, t) in columns}
-                        rhs = {(ml, s): act_n[(s, al)][t] for s in targets
-                               if t in act_n.get((s, al), ())}
-                        if lhs or rhs:
-                            for p, c in ring.axpy(lhs, -1, rhs).items():
+                sources = of_degree(mdeg[ml] + k)
+                for al in self.m.algebra.gm.labels:
+                    lhs = act_m.get((ml, al), {})
+                    rhs = {}  # t -> {(ml, s): act_N[s,al][t]}
+                    for s in sources:
+                        for t, c in act_n.get((s, al), {}).items():
+                            rhs.setdefault(t, {})[(ml, s)] = c
+                    for t in of_degree(mdeg[ml] + adeg[al] + k):
+                        if lhs or t in rhs:
+                            row = {(r, t): c for r, c in lhs.items()}
+                            for p, c in ring.axpy(row, -1, rhs.get(t, {})).items():
                                 columns[p][neqs] = c
                             neqs += 1
             basis = []
@@ -807,7 +798,7 @@ class HomComplex:
             # the coordinates of every d(f) in the degree k + 1 basis, off one
             # factorization
             columns = {("hom", k + 1, j): vector(g) for j, g in enumerate(targets)}
-            sols, _ = solve_columns(ring, columns, self._pairs_of_degree(k + 1),
+            sols, _ = solve_columns(ring, columns, self._pairs(k + 1),
                                     [vector(self.apply_d(f, k)) for f in self._basis[k]])
             if None in sols:
                 raise DgError("map does not lie in the computed Hom space")

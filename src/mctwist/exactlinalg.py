@@ -40,7 +40,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-class ExactLinalgError(ValueError):
+class InputError(ValueError):
+    """Invalid input: a file, a schema or a precondition (CLI exit code 1).
+    Every module's own error class derives from it."""
+
+
+class ExactLinalgError(InputError):
     """Raised when a precondition of an exact-linalg operation fails."""
 
 

@@ -65,7 +65,7 @@ def read_csv_matrices(path) -> np.ndarray:
 class SampledMatrixPath:
     """n x n matrices at m+1 uniform grid points on [0, 1]."""
 
-    def __init__(self, values, kind: str = "function"):
+    def __init__(self, values):
         values = np.asarray(values, dtype=float)
         if values.ndim != 3 or values.shape[1] != values.shape[2]:
             raise HolonomyError("expected shape (m+1, n, n)")
@@ -74,7 +74,6 @@ class SampledMatrixPath:
         if not np.isfinite(values).all():
             raise HolonomyError("non-finite samples")
         self.values = values
-        self.kind = kind
 
     @property
     def steps(self) -> int:
@@ -85,10 +84,10 @@ class SampledMatrixPath:
         return self.values.shape[1]
 
     @staticmethod
-    def from_function(f, n: int, samples: int, kind: str = "function"):
+    def from_function(f, n: int, samples: int):
         ts = np.linspace(0.0, 1.0, samples + 1)
         vals = np.stack([np.asarray(f(t), dtype=float).reshape(n, n) for t in ts])
-        return SampledMatrixPath(vals, kind)
+        return SampledMatrixPath(vals)
 
     def at(self, k: int):
         return self.values[k]

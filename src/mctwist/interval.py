@@ -109,9 +109,9 @@ def _label_str(label) -> str:
     return str(label)
 
 
-def build_interval_algebra(n: int, ring: Ring, n_max: int = N_MAX_DEFAULT) -> IntervalAlgebra:
-    if n > n_max:
-        raise DgError("level %d exceeds the configured bound %d" % (n, n_max))
+def build_interval_algebra(n: int, ring: Ring) -> IntervalAlgebra:
+    if n > N_MAX_DEFAULT:
+        raise DgError("level %d exceeds the configured bound %d" % (n, N_MAX_DEFAULT))
     return IntervalAlgebra(n, ring)
 
 
@@ -287,8 +287,7 @@ class KInftyCategoryTrunc:
             [("v", m) for m in range(self.n_trunc)]
 
 
-def k_infty_category(n_trunc: int, ring: Ring = None,
-                     n_max: int = N_MAX_DEFAULT) -> KInftyCategoryTrunc:
+def k_infty_category(n_trunc: int, ring: Ring = None) -> KInftyCategoryTrunc:
     """Derive the truncated resolution category from the simplicial model.
 
     A generic homotopy X = x e + x' f + sum u_m (s-word of length m+1)
@@ -298,9 +297,9 @@ def k_infty_category(n_trunc: int, ring: Ring = None,
     hard error.
     """
     ring = ring or Ring.Q()
-    if n_trunc < 1 or n_trunc > n_max:
+    if n_trunc < 1 or n_trunc > N_MAX_DEFAULT:
         raise DgError("truncation level out of range")
-    k = build_interval_algebra(n_trunc, ring, n_max=n_max)
+    k = build_interval_algebra(n_trunc, ring)
     gens = {"x": 1, "x'": 1}
     for m in range(n_trunc):
         gens[("u", m)] = -m

@@ -11,11 +11,7 @@ import contextlib
 import json
 
 from .dgcore import DgAlgebra, GradedModule
-from .exactlinalg import ChainComplexSpec, CohomologyReport, ExactMatrix, Ring
-
-
-class InputError(ValueError):
-    """Invalid input file or schema violation (CLI exit code 1)."""
+from .exactlinalg import ChainComplexSpec, CohomologyReport, ExactMatrix, InputError, Ring
 
 
 # the largest count, and the largest |degree|, that a file may declare where

@@ -25,11 +25,12 @@ End(V) (x) A is built.
 from __future__ import annotations
 
 from .dgcore import DgAlgebra, GradedModule, ground_dga
-from .exactlinalg import ExactLinalgError, ExactMatrix, Ring, rref, solve_columns, solve_equations
+from .exactlinalg import (ExactLinalgError, ExactMatrix, InputError, Ring, rref, solve_columns,
+                          solve_equations)
 from .mc import ConvOp, TwistedModule
 
 
-class PerturbationError(ValueError):
+class PerturbationError(InputError):
     pass
 
 

@@ -21,10 +21,10 @@ import functools
 import itertools
 
 from .dgcore import DgAlgebra, DgModule, GradedModule, ground_dga, vec_apply
-from .exactlinalg import ExactMatrix, Ring, is_invertible, solve_many
+from .exactlinalg import ExactMatrix, InputError, Ring, is_invertible, solve_many
 
 
-class SimplicialError(ValueError):
+class SimplicialError(InputError):
     pass
 
 

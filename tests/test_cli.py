@@ -222,6 +222,22 @@ def test_gauge_search_distinguished_over_z(fixture_dir, capsys):
     assert payload["report"]["differs"] == "algebra_twist"
 
 
+def test_gauge_search_on_a_non_associative_algebra_is_one_input_error(tmp_path, capsys):
+    from mctwist.dgcore import DgAlgebra, GradedModule
+    # unit e, x x = 0, x a = b, x b = c: x is MC, but D = d + x. on A^[x]
+    # sends a to c in two steps, and the invariants' cohomology refuses it
+    basis = [("e", 0), ("x", 1), ("a", 0), ("b", 1), ("c", 2)]
+    mult = {("x", "a"): {"b": 1}, ("x", "b"): {"c": 1}}
+    for l, _ in basis:
+        mult[("e", l)] = mult[(l, "e")] = {l: 1}
+    alg = DgAlgebra(GradedModule(Z, basis), {"e": 1}, mult, {})
+    (tmp_path / "a.json").write_text(io.dumps(io.dga_to_json(alg)))
+    (tmp_path / "x.json").write_text(io.dumps({"value": [[io.encode_label("x"), "1"]]}))
+    paths = [str(tmp_path / name) for name in ("a.json", "x.json", "x.json")]
+    assert run_cli(capsys, "gauge-search", *paths, "--seed", "1") == (
+        1, "", "input error: d^2 != 0 at degree 0: entry (0, 1) = 1\n")
+
+
 def test_k2_dict_roundtrip_via_cli(fixture_dir, capsys):
     k0 = build_interval_algebra(0, Q)
     alg = os.path.join(fixture_dir, "k0q.json")
