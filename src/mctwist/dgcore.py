@@ -39,14 +39,6 @@ class DgError(InputError):
 # ---------------------------------------------------------------------------
 
 
-def vec_add(ring: Ring, a: dict, b: dict) -> dict:
-    return ring.axpy(dict(a), 1, b)
-
-
-def vec_scale(ring: Ring, c, a: dict) -> dict:
-    return ring.axpy({}, c, a)
-
-
 def vec_apply(ring: Ring, columns: dict, x: dict) -> dict:
     """The linear map sending each label to the dict ``columns[label]``, at x."""
     out = {}
@@ -169,7 +161,7 @@ class Element:
 
     def __add__(self, other):
         other = self.algebra.as_element(other)
-        return Element(self.algebra, vec_add(self.algebra.ring, self.coeffs, other.coeffs))
+        return Element(self.algebra, self.algebra.ring.axpy(dict(self.coeffs), 1, other.coeffs))
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -183,8 +175,7 @@ class Element:
         return self.algebra.as_element(other).__sub__(self)
 
     def __neg__(self):
-        return Element(self.algebra, vec_scale(self.algebra.ring,
-                                               self.algebra.ring.coerce(-1), self.coeffs))
+        return Element(self.algebra, self.algebra.ring.axpy({}, -1, self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -192,15 +183,10 @@ class Element:
                 raise DgError("elements of different algebras")
             return Element(self.algebra,
                            self.algebra.mul_dicts(self.coeffs, other.coeffs))
-        return Element(self.algebra,
-                       vec_scale(self.algebra.ring, self.algebra.ring.coerce(other),
-                                 self.coeffs))
+        ring = self.algebra.ring
+        return Element(self.algebra, ring.axpy({}, ring.coerce(other), self.coeffs))
 
-    def __rmul__(self, other):
-        # scalar * element
-        return Element(self.algebra,
-                       vec_scale(self.algebra.ring, self.algebra.ring.coerce(other),
-                                 self.coeffs))
+    __rmul__ = __mul__  # scalar * element
 
     def __eq__(self, other):
         if isinstance(other, Element):
@@ -219,10 +205,13 @@ class Element:
             return degs <= {degree}
         return len(degs) <= 1
 
-    def component(self, degree: int) -> "Element":
-        return Element(self.algebra,
-                       {l: v for l, v in self.coeffs.items()
-                        if self.algebra.gm.degree[l] == degree})
+    def components(self) -> list:
+        """The homogeneous components [(degree, Element)], in ascending degree."""
+        degree = self.algebra.gm.degree
+        by_deg = {}
+        for l, c in self.coeffs.items():
+            by_deg.setdefault(degree[l], {})[l] = c
+        return [(d, Element(self.algebra, cs)) for d, cs in sorted(by_deg.items())]
 
     def __repr__(self):
         return format_coeffs(self.coeffs)
@@ -284,7 +273,7 @@ class DgAlgebra:
             return self.element(x)
         # scalar -> multiple of the unit
         c = self.ring.coerce(x)
-        return Element(self, vec_scale(self.ring, c, self.unit))
+        return Element(self, self.ring.axpy({}, c, self.unit))
 
     def one(self) -> Element:
         return Element(self, dict(self.unit))
@@ -572,16 +561,6 @@ class DgModule:
     def d_dict(self, x: dict) -> dict:
         return vec_apply(self.ring, self.diff, x)
 
-    def act(self, x: dict, a: dict) -> dict:
-        ring = self.ring
-        out = {}
-        for m, cm in x.items():
-            for al, ca in a.items():
-                res = self.action.get((m, al))
-                if res:
-                    ring.axpy(out, ring.mul(cm, ca), res)
-        return out
-
     def complex(self) -> ChainComplexSpec:
         return complex_of(self.ring, self.gm, self.diff)
 
@@ -620,7 +599,7 @@ class DgModule:
     def shifted(self, k: int) -> "DgModule":
         """M[k]: degrees relabelled by -k, differential scaled by (-1)^k."""
         sign = self.ring.sign(k)
-        diff = {m: vec_scale(self.ring, sign, out) for m, out in self.diff.items()}
+        diff = {m: self.ring.axpy({}, sign, out) for m, out in self.diff.items()}
         return DgModule(self.gm.shifted(k), self.algebra, self.action, diff,
                         name="%s[%d]" % (self.name, k))
 
@@ -644,9 +623,12 @@ def module_map_is_closed(f: dict, m: DgModule, n: DgModule) -> bool:
 
 
 def module_map_is_linear(f: dict, m: DgModule, n: DgModule) -> bool:
-    one = m.ring.one()
-    return all(vec_apply(m.ring, f, m.act({l: one}, {al: one}))
-               == n.act(f.get(l, {}), {al: one})
+    """f(l a) = f(l) a for every basis label l of M and a of A, read from
+    the rows of M's and N's action tables."""
+    ring = m.ring
+    return all(vec_apply(ring, f, m.action.get((l, al), {}))
+               == vec_apply(ring, {s: n.action.get((s, al), {}) for s in f.get(l, {})},
+                            f.get(l, {}))
                for l in m.gm.labels for al in m.algebra.gm.labels)
 
 

@@ -76,16 +76,13 @@ class FreeDgAlgebra:
     and certificate machinery runs on it unchanged.
     """
 
-    def __init__(self, ring: Ring, generator_degrees: dict, diff_table: dict = None,
-                 name: str = ""):
+    def __init__(self, ring: Ring, generator_degrees: dict, name: str = ""):
         self.ring = ring
         self.generator_degrees = dict(generator_degrees)
         self.gm = _FreeGm(self.generator_degrees)
         self.unit = {(): ring.one()}
         self.name = name or "free dga"
         self.diff_table = {}
-        for g, expr in (diff_table or {}).items():
-            self.set_differential(g, expr)
 
     def set_differential(self, gen: str, expr):
         expr = self.as_element(expr)

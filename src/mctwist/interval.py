@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from .dgcore import DgAlgebra, DgError, Element
 from .exactlinalg import Ring
-from .fixtures import FreeDgAlgebra
-from .mc import HomotopyGaugeCertificate, MCElement, MCError, verify_homotopy_gauge
 from .simplicial import (
     cochain_algebra,
     interval_groupoid,
@@ -129,15 +127,6 @@ def quotient_map(bigger: IntervalAlgebra, smaller: IntervalAlgebra) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _components(a, x) -> list:
-    """Split an element of A into homogeneous components [(degree, Element)]."""
-    x = a.as_element(x)
-    by_deg = {}
-    for l, c in x.coeffs.items():
-        by_deg.setdefault(a.gm.degree[l], {})[l] = c
-    return [(d, Element(a, cs)) for d, cs in sorted(by_deg.items())]
-
-
 def tensor_mc_residual(a, k: IntervalAlgebra, x_dict: dict) -> dict:
     """d(X) + X^2 in A (x) K_n* for X = sum_xi x_xi (x) xi, as a sparse dict.
 
@@ -163,7 +152,7 @@ def tensor_mc_residual(a, k: IntervalAlgebra, x_dict: dict) -> dict:
         add_d = p.d()
         if not add_d.is_zero():
             add(xi, add_d)
-        for deg, comp in _components(a, p):
+        for deg, comp in p.components():
             sign = ring.sign(deg)
             for eta, c in kd.diff.get(xi, {}).items():
                 add(eta, (sign * ring.coerce(c)) * comp)
@@ -176,7 +165,7 @@ def tensor_mc_residual(a, k: IntervalAlgebra, x_dict: dict) -> dict:
             prod_labels = kd.mul_labels(xi, eta)
             if not prod_labels:
                 continue
-            for degq, qcomp in _components(a, q):
+            for degq, qcomp in q.components():
                 sign = ring.sign(dxi * degq)
                 pq = p * qcomp
                 if pq.is_zero():
@@ -214,6 +203,7 @@ def certificate_from_k2_homotopy(a, k2: IntervalAlgebra, x_dict: dict):
     with witnesses wx = -v_1 and wy = -u_1.  The returned certificate
     always re-verifies.
     """
+    from .mc import HomotopyGaugeCertificate, MCElement, MCError, verify_homotopy_gauge
     if k2.n < 2:
         raise DgError("need the level-2 interval algebra")
     ok, res = tensor_is_mc(a, k2, x_dict)
@@ -233,6 +223,7 @@ def certificate_from_k2_homotopy(a, k2: IntervalAlgebra, x_dict: dict):
 def k2_homotopy_from_certificate(a, k2: IntervalAlgebra, x: MCElement, x1: MCElement,
                                  cert: HomotopyGaugeCertificate) -> dict:
     """The converse direction: assemble an exactly-MC element of A (x) K_2*."""
+    from .mc import MCError, verify_homotopy_gauge
     okc, fails = verify_homotopy_gauge(a, x, x1, cert)
     if not okc:
         raise MCError("certificate fails %r" % (fails,))
@@ -296,6 +287,7 @@ def k_infty_category(n_trunc: int, ring: Ring = None) -> KInftyCategoryTrunc:
     d^2 = 0 on every generator is then verified by expansion; failure is a
     hard error.
     """
+    from .fixtures import FreeDgAlgebra
     ring = ring or Ring.Q()
     if n_trunc < 1 or n_trunc > N_MAX_DEFAULT:
         raise DgError("truncation level out of range")
@@ -458,6 +450,7 @@ def homotopy_to_functor(a, k: IntervalAlgebra, x_dict: dict) -> dict:
     report includes the next-level obstruction: the residual that appears
     at word length N+1 when the homotopy is extended to K_{N+1}* by zero.
     """
+    from .mc import MCError
     ok, res = tensor_is_mc(a, k, x_dict)
     if not ok:
         raise MCError("homotopy is not MC at %r" % (sorted(res, key=str),))
@@ -473,6 +466,7 @@ def functor_to_homotopy(a, k: IntervalAlgebra, data: dict) -> tuple:
     equation over A (x) K_N*, which is verified exactly; the degree-N
     component of the residual over K_{N+1}* may be nonzero and is reported.
     """
+    from .mc import MCError
     x_dict = _homotopy(a, k, data)
     ok, res = tensor_is_mc(a, k, x_dict)
     if not ok:

@@ -368,9 +368,7 @@ def lift_to_free_resolution(a: DgAlgebra, w_gm: GradedModule, d_w_entries: dict,
     for k in range(2, top + 1 + 1):
         rest = ws[k - 1].d_end()
         for i in range(1, k):
-            j = k - i
-            if i in ws and j in ws:
-                rest = rest + ws[i].compose(ws[j])
+            rest = rest + ws[i].compose(ws[k - i])
         if rest.is_zero():
             ws[k] = ConvOp(a, w_gm, w_gm)
             continue

@@ -399,6 +399,93 @@ def test_cone_rejects_bad_maps():
         cone({l: {l: kx.gm.degree[l] + 1} for l in kx.gm.labels}, m, m)
 
 
+# reference: the pair loop that once was DgModule.act, x . a with every
+# (module term, algebra term) pair read from the action table, and the
+# linearity check that probed it with singleton dicts
+def _act(m, x, a):
+    ring, out = m.ring, {}
+    for ml, cm in x.items():
+        for al, ca in a.items():
+            res = m.action.get((ml, al))
+            if res:
+                ring.axpy(out, ring.mul(cm, ca), res)
+    return out
+
+
+def _act_is_linear(f, m, n):
+    one = m.ring.one()
+    return all(dgcore.vec_apply(m.ring, f, _act(m, {l: one}, {al: one}))
+               == _act(n, f.get(l, {}), {al: one})
+               for l in m.gm.labels for al in m.algebra.gm.labels)
+
+
+def _random_map(rng, m, n, degree):
+    """A k-linear map M -> N of the given degree with small random entries."""
+    f = {}
+    for ml in m.gm.labels:
+        targets = n.gm.labels_of_degree(m.gm.degree[ml] + degree)
+        for nl in rng.sample(targets, rng.randint(0, min(2, len(targets)))):
+            c = m.ring.coerce(rng.choice([-2, -1, 1, 2, Fraction(1, 2)] if m.ring.kind == "Q"
+                                         else [-2, -1, 1, 2]))
+            f.setdefault(ml, {})[nl] = c
+    return f
+
+
+def _sum_maps(ring, *maps):
+    out = {}
+    for g in maps:
+        for ml, img in g.items():
+            ring.axpy(out.setdefault(ml, {}), 1, img)
+    return {ml: img for ml, img in out.items() if img}
+
+
+def _degree_zero_maps(rng, m, n):
+    """Degree-0 maps M -> N: A-linear ones (combinations of the Hom basis,
+    and their coboundaries, which are closed), k-linear closed ones (the
+    coboundaries of random degree -1 maps), sums of both, random ones and
+    the identity where M is N."""
+    ring, hom = m.ring, HomComplex(m, n)
+    linear = [_sum_maps(ring, *rng.sample(hom.basis(0), min(2, len(hom.basis(0)))))]
+    linear += [hom.apply_d(g, -1) for g in hom.basis(-1)[:3]]
+    if m is n:
+        linear.append({l: {l: ring.one()} for l in m.gm.labels})
+    closed = [hom.apply_d(_random_map(rng, m, n, -1), -1) for _ in range(3)]
+    mixed = [_sum_maps(ring, f, g) for f in linear for g in closed[:1]]
+    return linear + closed + mixed + [_random_map(rng, m, n, 0) for _ in range(3)]
+
+
+def _cone_outcome(f, m, n):
+    try:
+        return cone(f, m, n).diff
+    except DgError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("ring", [Z, Q, Ring.GF(5)], ids=["Z", "Q", "F5"])
+def test_module_map_linearity_reads_the_rows_as_the_pair_loop_did(ring, monkeypatch):
+    """module_map_is_linear, and so cone, decide as the act-based check does:
+    on free hulls, cones, C*(S^1_3) and A^[x] of k[x]/(x^5), each way round."""
+    rng = random.Random(7)
+    pairs = _hom_module_pairs(ring)
+    hull, c = pairs[6][0], pairs[8][0]  # its free hull over K_1* and its cone
+    kx = universal_mc_dga(ring, 4)
+    mx = twist_module(kx, MCElement(kx, kx.element(("x", 1))))
+    pairs += [(hull, hull), (c, c), (mx, mx)]
+    verdicts, refusals = set(), set()
+    for m, n in pairs:
+        for f in _degree_zero_maps(rng, m, n):
+            want = _act_is_linear(f, m, n)
+            assert dgcore.module_map_is_linear(f, m, n) == want, (m, n, f)
+            verdicts.add(want)
+            got = _cone_outcome(f, m, n)
+            with monkeypatch.context() as patch:
+                patch.setattr(dgcore, "module_map_is_linear", _act_is_linear)
+                assert got == _cone_outcome(f, m, n), (m, n, f)
+            refusals.add(got if isinstance(got, str) else "accepted")
+    assert verdicts == {True, False}
+    assert {"accepted", "cone input is not a module map"} <= refusals
+
+
 def test_module_rejects_tables_off_degree():
     k = ground_dga(Z)
     gm = GradedModule(Z, [("a", 0), ("b", 0), ("c", 1)])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mctwist.dgcore import DgError, Element, GradedModule, endomorphism_dga, ground_dga, tensor_dga
 from mctwist.exactlinalg import ExactMatrix, Ring, kernel_basis, rank
 from mctwist.fixtures import homotopy_gauge_universal_dga, universal_mc_dga
-from mctwist.interval import build_interval_algebra
+from mctwist.interval import build_interval_algebra, tensor_mc_residual
 from mctwist.mc import (
     ConvOp,
     HomotopyGaugeCertificate,
@@ -479,9 +479,7 @@ def test_twisted_module_is_a_left_twisted_algebra_module():
         for ml in a.gm.labels:
             lhs = mod.d_dict(a.mul_labels(al, ml))
             rhs = a.mul_dicts(alg.diff.get(al, {}), {ml: 1})
-            from mctwist.dgcore import vec_add, vec_scale
-            rhs = vec_add(Z, rhs, vec_scale(Z, sign,
-                                            a.mul_dicts({al: 1}, mod.diff.get(ml, {}))))
+            rhs = Z.axpy(rhs, sign, a.mul_dicts({al: 1}, mod.diff.get(ml, {})))
             assert lhs == rhs, (al, ml)
 
 
@@ -736,6 +734,94 @@ def test_hom_twist_d_is_the_differential_of_hom_twist():
             diff = hom_twist(end, src, dst).diff
             for l in end.gm.labels:
                 assert hom_twist_d(end, src, dst, end.element(l)).coeffs == diff.get(l, {})
+
+
+# reference: the per-degree split that once was Element.component, one
+# filter of w's terms for each degree in a set of degrees
+def _component(w, degree):
+    return Element(w.algebra, {l: c for l, c in w.coeffs.items()
+                               if w.algebra.gm.degree[l] == degree})
+
+
+def _degrees(w):
+    return {w.algebra.gm.degree[l] for l in w.coeffs}
+
+
+def _hom_twist_d_by_degree(a, x, y, w):
+    out = w.d() + y.value * w
+    for deg in _degrees(w):
+        out = out - a.ring.sign(deg) * (_component(w, deg) * x.value)
+    return out
+
+
+def _tensor_mc_residual_by_degree(a, k, x_dict):
+    """d(X) + X^2 in A (x) K_n*, each Koszul sign read off one degree part."""
+    ring, kd = a.ring, k.dga
+    out = {}
+
+    def add(label, e):
+        out[label] = out.get(label, a.zero()) + e
+
+    for xi, p in x_dict.items():
+        add(xi, p.d())
+        for deg in _degrees(p):
+            for eta, c in kd.diff.get(xi, {}).items():
+                add(eta, ring.coerce(ring.sign(deg) * c) * _component(p, deg))
+        for eta, q in x_dict.items():
+            for deg in _degrees(q):
+                sign = ring.sign(kd.gm.degree[xi] * deg)
+                for rho, c in kd.mul_labels(xi, eta).items():
+                    add(rho, ring.coerce(sign * c) * (p * _component(q, deg)))
+    return {l: e.coeffs for l, e in out.items() if not e.is_zero()}
+
+
+def _inhomogeneous(rnd, a, labels):
+    """A random element on two to four of the labels, in at least two degrees."""
+    while True:
+        terms = rnd.sample(labels, rnd.randint(2, 4))
+        if len({a.gm.degree[l] for l in terms}) >= 2:
+            return a.element({l: a.ring.coerce(rnd.choice([-2, -1, 1, 2, 3])) for l in terms})
+
+
+def _degree_split_cases(rnd, ring):
+    """(algebra, its labels to draw from, MC elements): k[x]/(x^5) with 0 and
+    x, End(V) (x) C*(S^1_3) with a gauge pair, and the lazy universal
+    homotopy gauge algebra (degrees -2 to 2) with its x and y."""
+    kx = universal_mc_dga(ring, 4)
+    end, x, y, _ = _random_mc_pair(rnd, ring, circle(3), [0, 1])
+    free = homotopy_gauge_universal_dga(ring)
+    return [(kx, list(kx.gm.labels), [zero_mc(kx), MCElement(kx, kx.element(("x", 1)))]),
+            (end, list(end.gm.labels), [x, y]),
+            (free, free.words_up_to_length(2),
+             [MCElement(free, free.gen("x")), MCElement(free, free.gen("y"))])]
+
+
+@pytest.mark.parametrize("ring", [Z, Q, Ring.GF(5)], ids=["Z", "Q", "F5"])
+def test_hom_twist_d_splits_w_as_the_per_degree_loop_did(ring):
+    rnd = random.Random(23)
+    for a, labels, mcs in _degree_split_cases(rnd, ring):
+        for x in mcs:
+            for y in mcs:
+                for _ in range(8):
+                    w = _inhomogeneous(rnd, a, labels)
+                    assert hom_twist_d(a, x, y, w).coeffs == \
+                        _hom_twist_d_by_degree(a, x, y, w).coeffs, (a.name, w)
+
+
+@pytest.mark.parametrize("ring", [Z, Q, Ring.GF(5)], ids=["Z", "Q", "F5"])
+def test_tensor_mc_residual_splits_as_the_per_degree_loop_did(ring):
+    rnd = random.Random(29)
+    residuals = []
+    for n in (1, 2):
+        k = build_interval_algebra(n, ring)
+        for a, labels, _ in _degree_split_cases(rnd, ring):
+            for _ in range(6):
+                support = rnd.sample(k.dga.gm.labels, rnd.randint(1, 4))
+                x_dict = {xi: _inhomogeneous(rnd, a, labels) for xi in support}
+                got = {l: e.coeffs for l, e in tensor_mc_residual(a, k, x_dict).items()}
+                assert got == _tensor_mc_residual_by_degree(a, k, x_dict), (a.name, x_dict)
+                residuals.append(got)
+    assert sum(map(bool, residuals)) > len(residuals) // 2
 
 
 def test_verify_homotopy_gauge_names_a_witness_off_its_degree():
