@@ -22,9 +22,13 @@ Cohomology is read off the differentials, each factored once: H^k has free
 rank dim C^k - rk d_k - rk d_{k-1}, and as C^k / ker d_k embeds in the free
 C^{k+1}, its torsion is that of coker d_{k-1}: the non-unit invariant
 factors of d_{k-1}.  :func:`invariant_factors` contracts the unit pivots
-(+-1 over Z, any nonzero entry over a field) and runs the Smith form only
-on the non-unit core left over Z, usually empty.  Kernels, solves and
-inverses go through :func:`solve_many`, which alone picks rref or Smith.
+(+-1 over Z, any nonzero entry over F_p) and runs the Smith form only on
+the non-unit core left over Z, usually empty; a rank over Q is counted in
+integers, by one fraction-free elimination of the rows cleared of
+denominators.  Kernels, solves and inverses go through :func:`solve_many`,
+which alone picks the factorization: rref over a field; over Z that
+elimination when the columns are independent, so that the solution is
+unique, and the Smith form, whose V the kernel needs, otherwise.
 
 The package builds every matrix of a labelled linear map one way: from its
 sparse columns, ``{row label: scalar}`` dicts, by
@@ -38,6 +42,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class InputError(ValueError):
@@ -585,19 +590,28 @@ def _rediagonalize_pair(a, u, vt, t):
 def invariant_factors(m: ExactMatrix) -> list:
     """Nonzero diagonal of the Smith form, as a divisibility chain.
 
-    Every unit pivot is contracted first (Kaczynski-Mrozek-Slusarek 1998,
+    Over Q the rows are cleared of denominators and the result is
+    [1] * rank, the pivots of one :func:`_echelon` in integers.  Otherwise
+    every unit pivot is contracted first (Kaczynski-Mrozek-Slusarek 1998,
     Dumas-Saunders-Villard 2001): with a unit at (i, j), m is equivalent to
     diag(1, S) for the Schur complement S, which is m without row i and
     column j after row i has cleared column j from the other rows.  A
     column -> rows index makes that visit only the rows holding column j.
     Each contraction is one factor 1.  Over Z the units are +-1 and the
     core left over, usually empty, goes through :func:`smith_normal_form`;
-    over a field any nonzero entry is a unit and the result is [1] * rank.
+    over F_p any nonzero entry is a unit and the result is [1] * rank.
     The invariant factors are canonical, so the pivot order cannot change
     the result.
     """
     ring = m.ring
-    field, mod = ring.is_field, ring.p
+    if ring.kind == "Q":
+        rows = []
+        for r in m._data:
+            if r:
+                d = lcm(*(v.denominator for v in r.values()))
+                rows.append({j: v.numerator * (d // v.denominator) for j, v in r.items()})
+        return [1] * len(_echelon(rows, m.cols, False))
+    mod = ring.p
     rows = [dict(r) for r in m._data if r]
     cols = {}  # column -> the live rows holding it
     for i, r in enumerate(rows):
@@ -612,13 +626,13 @@ def invariant_factors(m: ExactMatrix) -> list:
         row = rows[i]  # emptied once contracted
         # the unit whose column is held by the fewest rows
         best = min(((len(cols[j]), j) for j, v in row.items()
-                    if field or v == 1 or v == -1), default=None)
+                    if mod or v == 1 or v == -1), default=None)
         if best is None:
             continue
         j = best[1]
         inv = row.pop(j)
-        if field:  # over Z a unit is its own inverse
-            inv = ring.inv(inv)
+        if mod:  # over Z a unit is its own inverse
+            inv = pow(inv, -1, mod)
         held = cols.pop(j)
         held.discard(i)
         for k in held:
@@ -626,8 +640,8 @@ def invariant_factors(m: ExactMatrix) -> list:
             f = rk.pop(j) * inv  # row k -= f * row i clears column j
             for c, v in row.items():
                 x = rk.get(c, 0) - f * v
-                if field:  # normalised as in Ring.axpy; over Z an int is canonical
-                    x = x % mod if mod else _canon(x)
+                if mod:  # over Z an int is canonical
+                    x %= mod
                 if x:
                     if c not in rk:
                         cols[c].add(k)
@@ -647,6 +661,61 @@ def invariant_factors(m: ExactMatrix) -> list:
     core = [{index[j]: v for j, v in r.items()} for r in core]
     _, d, _ = smith_normal_form(ExactMatrix._of_rows(ring, len(index), core))
     return [1] * units + [v for i in range(min(d.rows, d.cols)) if (v := d.get(i, i))]
+
+
+def _echelon(rows, n, full):
+    """Fraction-free Gaussian elimination of integer row dicts, in place.
+
+    For each column c < n, a pivot of least |entry|, then of the shortest
+    row, is taken from the live rows holding c (a column -> rows index), so
+    it is +-1 whenever one exists.  Each other such row becomes
+    a * row - b * pivot row (a, b coprime, a > 0) divided by the gcd of its
+    entries, which bounds them by minors of the input (Bareiss 1968).
+    Columns >= n ride along.  Returns the pivot rows in column order, each
+    starting at its column and emptied in ``rows``, or, with ``full``, None
+    as soon as a column has no pivot.
+    """
+    cols = {}
+    for i, r in enumerate(rows):
+        for j in r:
+            cols.setdefault(j, set()).add(i)
+    pivots = []
+    for c in range(n):
+        held = cols.pop(c, None)
+        if not held:
+            if full:
+                return None
+            continue
+        i = min(held, key=lambda k: (abs(rows[k][c]), len(rows[k]), k))
+        held.discard(i)
+        prow, rows[i] = rows[i], {}
+        p = prow.pop(c)
+        for j in prow:
+            cols[j].discard(i)
+        for k in held:
+            rk = rows[k]
+            f = rk.pop(c)
+            g = gcd(p, f)
+            a, b = (p // g, f // g) if p > 0 else (-p // g, -f // g)
+            if a != 1:
+                for j in rk:
+                    rk[j] *= a
+            for j, v in prow.items():
+                x = rk.get(j, 0) - b * v
+                if x:
+                    if j not in rk:
+                        cols[j].add(k)
+                    rk[j] = x
+                else:
+                    del rk[j]
+                    cols[j].discard(k)
+            g = gcd(*rk.values())
+            if g > 1:
+                for j in rk:
+                    rk[j] //= g
+        prow[c] = p
+        pivots.append(prow)
+    return pivots
 
 
 # -- solving and kernels ------------------------------------------------------------
@@ -733,19 +802,25 @@ def solve_many(a: ExactMatrix, bs):
     """Solve a * x = b for each list ``b`` in ``bs`` off one factorization of a.
 
     Returns (for each b the solution :func:`solve_linear` gives, or None;
-    the kernel basis).  Over Z the factorization is one Smith form, over a
-    field one rref of [a | b ...], where b lies in the span of a exactly
-    when its column vanishes below the pivot rows of a.
+    the kernel basis).  Over a field the factorization is one rref of
+    [a | b ...], where b lies in the span of a exactly when its column
+    vanishes below the pivot rows of a.  Over Z it is one :func:`_echelon`
+    of [a | b ...] when the columns of a are independent: then a * x = b
+    has at most one solution, even over Q, so back-substitution with exact
+    division finds the same integers as any other method, and a remainder,
+    or a b entry left below the pivot rows, means there are none.  Only
+    when the columns are dependent is it the Smith form, whose V gives the
+    kernel basis and the particular solution.
     """
     ring = a.ring
     bs = [[ring.coerce(x) for x in b] for b in bs]
     for b in bs:
         if len(b) != a.rows:
             raise ExactLinalgError("dimension mismatch: %d rows vs %d entries" % (a.rows, len(b)))
+    rows = [{**row, **{a.cols + j: b[i] for j, b in enumerate(bs) if b[i]}}
+            for i, row in enumerate(a._data)]
     if ring.is_field:
-        r, pivots = rref(ExactMatrix._of_rows(ring, a.cols + len(bs), [
-            {**row, **{a.cols + j: b[i] for j, b in enumerate(bs) if b[i]}}
-            for i, row in enumerate(a._data)]))
+        r, pivots = rref(ExactMatrix._of_rows(ring, a.cols + len(bs), rows))
         pivots = [c for c in pivots if c < a.cols]  # rref(a) is the first a.cols columns
         sols = []
         for col in range(a.cols, a.cols + len(bs)):
@@ -753,6 +828,11 @@ def solve_many(a: ExactMatrix, bs):
             sols.append(None if any(col in row for row in r._data[len(pivots):])
                         else [x.get(c, ring.zero()) for c in range(a.cols)])
         return sols, _rref_kernel(ring, a.cols, r, pivots)
+    pivots = _echelon(rows, a.cols, True)
+    if pivots is not None:
+        left = set().union(*rows)  # the b columns left below the pivot rows
+        return [None if col in left else _back_substitute(pivots, col, a.cols)
+                for col in range(a.cols, a.cols + len(bs))], []
     u, d, v = smith_normal_form(a)
     n = min(d.rows, d.cols)
     diag = [d.get(i, i) for i in range(n)] + [0] * (a.rows - n)
@@ -764,6 +844,19 @@ def solve_many(a: ExactMatrix, bs):
         sols.append(None if any(x % di if di else x for x, di in zip(ub, diag)) else
                     [sum(c * y[k] for k, c in row.items()) for row in v._data])
     return sols, _snf_kernel(d, v)
+
+
+def _back_substitute(pivots, col, n):
+    # x with sum_j pivots[c][j] * x[j] = pivots[c][col] for every c < n, or
+    # None when a division leaves a remainder
+    x = [0] * n
+    for c in reversed(range(n)):
+        prow = pivots[c]
+        x[c], rem = divmod(prow.get(col, 0) - sum(v * x[j] for j, v in prow.items()
+                                                  if c != j < n), prow[c])
+        if rem:
+            return None
+    return x
 
 
 def solve_columns(ring: Ring, columns: dict, rows, bs=()):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import marshal
 
 from .dgcore import DgAlgebra, GradedModule
 from .exactlinalg import ChainComplexSpec, CohomologyReport, ExactMatrix, InputError, Ring
@@ -78,14 +79,15 @@ def dga_to_json(a: DgAlgebra) -> dict:
 
 def _decoders(ring: Ring) -> tuple:
     """(label, scalar): decode_label and ring.coerce, each computed once per
-    encoded label and per coefficient string.  A label is keyed by its repr,
-    which tells [1], [true], [1.0] and ["1"] apart."""
+    encoded label and per coefficient string.  A label is keyed by its
+    marshal bytes, which tell [1], [true], [1.0] and ["1"] apart; version 2
+    writes no back-references, so equal labels give equal bytes."""
     labels, scalars = {}, {}
 
     def label(obj):
         if not isinstance(obj, list):
             return obj
-        key = repr(obj)
+        key = marshal.dumps(obj, 2)
         out = labels.get(key)
         if out is None:
             out = labels[key] = decode_label(obj)

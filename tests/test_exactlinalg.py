@@ -1274,3 +1274,115 @@ def test_is_invertible_agrees_with_solving_for_the_inverse(ring):
     assert min(found.values()) > 30, found
     assert not is_invertible(ExactMatrix.zeros(ring, 2, 3))
     assert is_invertible(ExactMatrix.from_rows(ring, [[2]])) == ring.is_field
+
+
+# -- the fraction-free elimination: Z solves with independent columns, Q ranks --------
+
+
+def _smith_solve_many(a, bs):
+    # solve_many over Z when every system took one Smith form, kept as its oracle
+    u, d, v = smith_normal_form(a)
+    n = min(d.rows, d.cols)
+    diag = [d.get(i, i) for i in range(n)] + [0] * (a.rows - n)
+    sols = []
+    for b in bs:
+        ub = [sum(c * b[k] for k, c in row.items()) for row in u._data]
+        y = [x // di if di else 0 for x, di in zip(ub, diag)] + [0] * (a.cols - n)
+        sols.append(None if any(x % di if di else x for x, di in zip(ub, diag)) else
+                    [sum(c * y[k] for k, c in row.items()) for row in v._data])
+    kernel = [[v.get(i, j) for i in range(v.rows)]
+              for j in range(d.cols) if j >= n or d.get(j, j) == 0]
+    return sols, kernel
+
+
+_Z_ENTRY_SETS = [(0, 1, -1), (0, 1, 2, -3), (0, 4, 6, -2), (0, 1, -1, 2, 3, -5, 7)]
+
+
+@pytest.mark.parametrize("entries", _Z_ENTRY_SETS, ids=str)
+def test_z_solve_many_equals_the_smith_form_solve(entries):
+    """With independent columns a * x = b has at most one solution, so the
+    elimination's back-substitution must give the Smith form's integers;
+    dependent columns still read V.  750 systems per entry set."""
+    rng = random.Random("z-solve/%s" % (entries,))
+    seen = {"independent": 0, "solved": 0, "unsolved": 0}
+    for _ in range(750):
+        nrows, ncols = rng.randint(0, 8), rng.randint(0, 8)
+        rows = [[rng.choice(entries) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows and rng.random() < 0.2:  # a zero row
+            rows[rng.randrange(nrows)] = [0] * ncols
+        if ncols and rng.random() < 0.2:  # a zero column
+            j = rng.randrange(ncols)
+            for row in rows:
+                row[j] = 0
+        a = ExactMatrix(Z, nrows, ncols, rows)
+        bs = []
+        for _ in range(rng.randint(0, 3)):
+            if rng.random() < 0.5:  # in the image of a
+                x0 = [rng.randint(-3, 3) for _ in range(ncols)]
+                bs.append([sum(r[j] * x0[j] for j in range(ncols)) for r in rows])
+            else:
+                bs.append([rng.choice(entries) for _ in range(nrows)])
+        sols, kernel = solve_many(a, bs)
+        assert (sols, kernel) == _smith_solve_many(a, bs), (rows, bs)
+        if not kernel:
+            seen["independent"] += 1
+            for x in sols:
+                seen["solved" if x is not None else "unsolved"] += 1
+    assert seen["independent"] > 250 and min(seen.values()) > 100, seen
+
+
+def test_z_solve_of_a_dense_system_stays_within_the_hadamard_bound():
+    # 24 x 24 with entries up to 10^6: every entry the elimination makes is,
+    # up to a factor, a minor of [a | b], so none passes Hadamard's bound
+    from mctwist.exactlinalg import _echelon
+    rng = random.Random(24)
+    rows = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(24)] for _ in range(24)]
+    x0 = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(24)]
+    b = [sum(r[j] * x0[j] for j in range(24)) for r in rows]
+    a = ExactMatrix.from_rows(Z, rows)
+    sols, kernel = solve_many(a, [b, [1] + [0] * 23])
+    assert (sols, kernel) == _smith_solve_many(a, [b, [1] + [0] * 23])
+    assert sols[0] == x0 and kernel == []
+    bound = 1
+    for r, c in zip(rows, b):
+        bound *= sum(v * v for v in r) + c * c
+    pivots = _echelon([dict(enumerate(r + [c])) for r, c in zip(rows, b)], 24, True)
+    assert len(pivots) == 24
+    assert max(v * v for p in pivots for v in p.values()) <= bound
+
+
+def _fraction_rank(rows):
+    # Gaussian elimination on plain Fractions: the rank oracle, sharing no
+    # code with exactlinalg
+    work = [[Fraction(x) for x in r] for r in rows]
+    rk = 0
+    for c in range(len(work[0]) if work else 0):
+        piv = next((i for i in range(rk, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[rk], work[piv] = work[piv], work[rk]
+        for i in range(rk + 1, len(work)):
+            f = work[i][c] / work[rk][c]
+            work[i] = [x - f * y for x, y in zip(work[i], work[rk])]
+        rk += 1
+    return rk
+
+
+@pytest.mark.parametrize("kind", ["fractions", "no_units", "large"])
+def test_q_rank_is_fraction_elimination_in_integers(kind):
+    rng = random.Random("q-rank/" + kind)
+    pick = {"fractions": lambda: rng.choice([0, 0, 1, -1, Fraction(1, 2), Fraction(-3, 4),
+                                             Fraction(5, 6), 2]),
+            "no_units": lambda: rng.choice([0, 0, 2, -3, 4, 6, Fraction(2, 3), -9]),
+            "large": lambda: rng.choice([0, 0, 1, rng.randint(-10 ** 12, 10 ** 12),
+                                         Fraction(rng.randint(1, 10 ** 12), 7)])}[kind]
+    for _ in range(1000):
+        nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
+        rows = [[pick() for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1 and rng.random() < 0.3:  # a dependent row
+            i, k = rng.sample(range(nrows), 2)
+            c = pick()
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[k])]
+        facs = invariant_factors(ExactMatrix(Q, nrows, ncols, rows))
+        assert [(f, type(f)) for f in facs] == [(1, int)] * _fraction_rank(rows), rows
+

@@ -115,6 +115,19 @@ def test_equal_labels_of_other_types_are_kept_as_each_table_met_them():
     assert error is None and "True" in tables and "1.0" in tables
 
 
+def test_the_label_memo_tells_spellings_apart_and_shares_repeats():
+    # [1], [true], [1.0] and ["1"] are four labels, each decoded once however
+    # often it occurs, also when a string in it is interned and one is not
+    label, _ = io._decoders(Ring.Q())
+    spellings = [[1], [True], [1.0], ["1"]]
+    first = [label(json.loads(json.dumps(l))) for l in spellings]
+    assert [(repr(l), type(l[0])) for l in first] == \
+        [("(1,)", int), ("(True,)", bool), ("(1.0,)", float), ("('1',)", str)]
+    assert all(label(json.loads(json.dumps(l))) is d for l, d in zip(spellings, first))
+    s = sys.intern("v")
+    assert label([[s, 0], "x"]) is label([["".join(["v", ""]), 0], "x"])
+
+
 def test_a_label_nested_past_the_recursion_limit_is_an_input_error():
     deep = 0
     for _ in range(sys.getrecursionlimit() + 10):

@@ -883,6 +883,25 @@ def test_a_stage_three_search_builds_the_blocks_without_g_once(monkeypatch):
             [list(a.gm.labels_of_degree(-1))] * 2
 
 
+def test_z_inverse_and_stage_three_solve_take_no_smith_form(monkeypatch):
+    # with V in degree 0 both systems have independent columns, so the
+    # elimination answers them; the kernel of closed_degree_zero still reads
+    # the Smith form's V
+    from mctwist import exactlinalg
+    from mctwist.mc import closed_degree_zero
+    end, x, y, g = _random_mc_pair(random.Random(5), Z, circle(3), [0, 0])
+    seen = []
+    snf = exactlinalg.smith_normal_form
+    monkeypatch.setattr(exactlinalg, "smith_normal_form", lambda m: seen.append(m) or snf(m))
+    ginv = algebra_inverse(end, g)
+    assert ginv is not None and (g * ginv).coeffs == end.unit
+    cert = _homotopy_solver(end, x, y)(g)
+    assert cert is not None and verify_homotopy_gauge(end, x, y, cert)[0]
+    assert seen == []
+    assert closed_degree_zero(end, x, y)[0]
+    assert len(seen) == 1
+
+
 def test_one_solver_answers_each_g_as_a_fresh_one():
     # the blocks built once are not changed by the trials that read them
     from mctwist.mc import closed_degree_zero

@@ -1,16 +1,22 @@
-"""Every function the traced benchmark wraps must exist in the package.
+"""The benchmark's assumptions about the package, checked without its harness.
 
 ``perfbench/tracing.py`` resolves each ``<layer>.<function>`` key of its
 ``QUANTITIES`` table by attribute lookup on ``mctwist.<layer>``.  A refactor
 that deletes or renames one of those functions fails here, instead of
-crashing the traced benchmark run.
+crashing the traced benchmark run.  And every job of the seed-1 ``gauge``
+list, run in-process, must print the bytes its recorded reference holds.
 """
 
+import contextlib
+import hashlib
 import importlib
 import importlib.util
+import io
+import json
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -27,3 +33,25 @@ def test_every_traced_function_resolves():
         layer, function = key.split(".")
         module = importlib.import_module("mctwist." + layer)
         assert callable(getattr(module, function, None)), key
+
+
+def test_the_seed_one_gauge_list_prints_its_reference_bytes(tmp_path, monkeypatch):
+    # perfbench/workloads.py builds the inputs (read-only, as run.py does);
+    # each job's input files and stdout must hash as the reference records
+    from mctwist import cli
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    reference = json.loads((PERFBENCH / "reference" / "gauge.json").read_text())
+    jobs = workloads.build_jobs("gauge", workloads.instances("gauge", 1, 1.0), str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+
+    def sha256(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+    assert len(jobs) > 100
+    for job in jobs:
+        files = {Path(f).name: sha256(Path(f).read_bytes()) for f in job.files}
+        assert reference[job.id]["input"] == {"argv": job.argv, "files": files}, job.id
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(job.argv) == 0, job.id
+        assert sha256(out.getvalue().encode()) == reference[job.id]["stdout"], job.id

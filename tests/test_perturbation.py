@@ -571,9 +571,15 @@ def test_truncate_keeps_fibre_kernel_only():
 def test_truncate_factors_its_basis_once_per_call(ring, monkeypatch):
     from mctwist import exactlinalg, perturbation
     seen = []
-    for name in ("rref", "smith_normal_form"):
+
+    def echelon_matrix(rows, n, full):  # the rows [a | b ...] that _echelon reduces
+        return ExactMatrix._of_rows(ring, max([n] + [j + 1 for r in rows for j in r]),
+                                    [dict(r) for r in rows])
+    for name, m_of in (("rref", lambda m: m), ("smith_normal_form", lambda m: m),
+                       ("_echelon", echelon_matrix)):
         wrapped = getattr(exactlinalg, name)
-        counted = (lambda f: lambda m: seen.append(m) or f(m))(wrapped)
+        counted = (lambda f, m_of: lambda *args: seen.append(m_of(*args)) or f(*args))(
+            wrapped, m_of)
         for module in (exactlinalg, perturbation):
             if getattr(module, name, None) is wrapped:
                 monkeypatch.setattr(module, name, counted)
@@ -591,9 +597,9 @@ def test_truncate_factors_its_basis_once_per_call(ring, monkeypatch):
         factored = [m for m in seen if m.rows == basis.rows and m.cols >= basis.cols and
                     {k: c for k, c in m.nonzero_items() if k[1] < basis.cols} ==
                     dict(basis.nonzero_items())]
-        # one rref of [basis | every image] over a field, one Smith form over Z
-        assert [m.cols for m in factored] == \
-            [basis.cols + (groups if ring.is_field else 0)] * (out.v.dim > 0)
+        # one rref of [basis | every image] over a field, one elimination of it
+        # over Z, as the columns of a basis are independent
+        assert [m.cols for m in factored] == [basis.cols + groups] * (out.v.dim > 0)
 
 
 def test_truncate_above_is_the_cone_complement():
