@@ -572,7 +572,7 @@ def test_truncate_factors_its_basis_once_per_call(ring, monkeypatch):
     from mctwist import exactlinalg, perturbation
     seen = []
 
-    def echelon_matrix(rows, n, full):  # the rows [a | b ...] that _echelon reduces
+    def echelon_matrix(rows, n, full, p):  # the rows [a | b ...] that _echelon reduces
         return ExactMatrix._of_rows(ring, max([n] + [j + 1 for r in rows for j in r]),
                                     [dict(r) for r in rows])
     for name, m_of in (("rref", lambda m: m), ("smith_normal_form", lambda m: m),
@@ -597,8 +597,8 @@ def test_truncate_factors_its_basis_once_per_call(ring, monkeypatch):
         factored = [m for m in seen if m.rows == basis.rows and m.cols >= basis.cols and
                     {k: c for k, c in m.nonzero_items() if k[1] < basis.cols} ==
                     dict(basis.nonzero_items())]
-        # one rref of [basis | every image] over a field, one elimination of it
-        # over Z, as the columns of a basis are independent
+        # one elimination of [basis | every image] on every ring; over Z it
+        # needs no Smith form, as the columns of a basis are independent
         assert [m.cols for m in factored] == [basis.cols + groups] * (out.v.dim > 0)
 
 
