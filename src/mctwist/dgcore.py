@@ -53,13 +53,18 @@ _NONE = frozenset()
 
 def _normalized(ring: Ring, table: dict) -> dict:
     # a table {key: {label: scalar}} with its scalars coerced into the ring
-    # and its zero scalars and empty entries dropped
-    out = {}
+    # and its zero scalars and empty entries dropped.  Nonzero ints, in
+    # range(1, p) over F_p, are canonical already: one test of the whole
+    # table's values, run in C, copies a generated table's non-empty rows;
+    # any other table goes row by row, a row passing the same test copied
     p = ring.p
+    vals = [c for vec in table.values() for c in vec.values()]
+    if set(map(type, vals)) == _INT and (0 < min(vals) and max(vals) < p if p
+                                         else 0 not in vals):
+        return {key: dict(vec) for key, vec in table.items() if vec}
+    out = {}
     for key, vec in table.items():
         vals = vec.values()
-        # nonzero ints, in range(1, p) over F_p, are canonical already: the
-        # checks run in C and no value goes through coerce
         if set(map(type, vals)) == _INT and (0 < min(vals) and max(vals) < p if p
                                              else 0 not in vals):
             out[key] = dict(vec)

@@ -39,7 +39,6 @@ by label.  No module outside this one mutates a matrix after it is built.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -53,24 +52,44 @@ class ExactLinalgError(InputError):
     """Raised when a precondition of an exact-linalg operation fails."""
 
 
-@dataclass(frozen=True)
 class Ring:
-    """Coefficient ring descriptor: Z, Q or F_p (p prime).
+    """Coefficient ring descriptor: Z, Q or F_p (p prime).  Immutable, equal
+    and hashed by (kind, p); a plain class, as ``dataclasses`` would load
+    ``inspect`` into every process.
 
     >>> Ring.Z().name, Ring.Q().name, Ring.GF(7).name
     ('Z', 'Q', 'F7')
     """
 
-    kind: str  # "Z" | "Q" | "Fp"
-    p: int = 0
+    __slots__ = ("kind", "p", "_signs")
 
-    def __post_init__(self):
-        if self.kind not in ("Z", "Q", "Fp"):
-            raise ExactLinalgError("unknown ring kind %r" % (self.kind,))
-        if self.kind == "Fp":
-            if self.p < 2 or not _is_prime(self.p):
-                raise ExactLinalgError("F_p needs a prime p, got %r" % (self.p,))
-        object.__setattr__(self, "_signs", (1, -1 % self.p if self.p else -1))
+    def __init__(self, kind: str, p: int = 0):  # kind: "Z" | "Q" | "Fp"
+        if kind not in ("Z", "Q", "Fp"):
+            raise ExactLinalgError("unknown ring kind %r" % (kind,))
+        if kind == "Fp":
+            if p < 2 or not _is_prime(p):
+                raise ExactLinalgError("F_p needs a prime p, got %r" % (p,))
+        for name, value in (("kind", kind), ("p", p), ("_signs", (1, -1 % p if p else -1))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("a Ring is immutable: cannot set or delete %r" % (name,))
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.p) == (other.kind, other.p)
+
+    def __hash__(self):
+        return hash((self.kind, self.p))
+
+    def __repr__(self):
+        return "Ring(kind=%r, p=%r)" % (self.kind, self.p)
+
+    def __reduce__(self):
+        return Ring, (self.kind, self.p)
 
     @staticmethod
     def Z() -> "Ring":

@@ -527,25 +527,27 @@ def search_homotopy_gauge(a: DgAlgebra, x: MCElement, y: MCElement,
     if not candidates:
         return SearchResult("unknown", invariants=invariants, report=report)
 
-    def combine(bound):
-        out = {}
-        for cand in candidates:
-            c = rng.randint(-bound, bound)
-            if c:
-                a.ring.axpy(out, c, cand)
-        return Element(a, out)
+    # basis candidates first, then random combinations whose bound doubles
+    # after every len(candidates) + 1 trials; each is drawn when stage 2
+    # reaches it, and the bound reported is the one the last trial leaves
+    period = len(candidates) + 1
+    n = len(candidates) + max(budget, 0)
+    report["sample_bound"] = 2 ** (n // period)
 
-    # basis candidates first, then random combinations with doubling bound
-    trials = [Element(a, cand) for cand in candidates]
-    bound = 1
-    while len(trials) < len(candidates) + budget:
-        trials.append(combine(bound))
-        if len(trials) % (len(candidates) + 1) == 0:
-            bound *= 2
-    report["sample_bound"] = bound
+    def draw():
+        yield from (Element(a, cand) for cand in candidates)
+        for k in range(period, n + 1):  # the k-th trial, counted from 1
+            bound, out = 2 ** ((k - 1) // period), {}
+            for cand in candidates:
+                c = rng.randint(-bound, bound)
+                if c:
+                    a.ring.axpy(out, c, cand)
+            yield Element(a, out)
 
     # stage 2: invertible solutions of condition (1) give gauge equivalence
-    for g in trials:
+    trials = []  # kept for stage 3
+    for g in draw():
+        trials.append(g)
         if g.is_zero():
             continue
         report["samples"] += 1

@@ -80,9 +80,14 @@ class FiniteSimplicialSet:
                 if len(surj) != dim or not is_surjection(surj, self.dim_of[target]):
                     raise SimplicialError("bad degeneracy word on face %d of %r" % (i, label))
                 checked.append((target, surj))
+        self._enter(label, dim, checked)
+
+    def _enter(self, label, dim: int, faces):
+        # the one writer of dim_of, simplices and faces; faces are
+        # (target, surjection) pairs that the caller has checked
         self.dim_of[label] = dim
         self.simplices.setdefault(dim, []).append(label)
-        for i, face in enumerate(checked):
+        for i, face in enumerate(faces):
             self.faces[(label, i)] = face
 
     @property
@@ -148,7 +153,11 @@ def from_ordered_complex(vertices, simplices, name: str = "") -> FiniteSimplicia
     """Simplicial set of a vertex-ordered abstract simplicial complex.
 
     Every simplex is an ascending vertex tuple; all faces are nondegenerate
-    and lower-dimensional faces are generated automatically.
+    and lower-dimensional faces are generated automatically.  The faces are
+    entered without :meth:`FiniteSimplicialSet.add_simplex`'s checks, none
+    of which can fail here: the closure holds every face of each of its
+    tuples, shorter tuples are entered first, and every face's degeneracy
+    word is the identity.
 
     >>> s = from_ordered_complex([0, 1, 2], [(0, 1, 2)])
     >>> s.f_vector()
@@ -171,9 +180,8 @@ def from_ordered_complex(vertices, simplices, name: str = "") -> FiniteSimplicia
         closure.add((v,))
     sset = FiniteSimplicialSet(name)
     for s in sorted(closure, key=lambda t: (len(t), tuple(order[v] for v in t))):
-        dim = len(s) - 1
-        faces = [s[:i] + s[i + 1:] for i in range(len(s))] if dim > 0 else None
-        sset.add_simplex(s, dim, faces)
+        dim, ident = len(s) - 1, identity_map(len(s) - 2)
+        sset._enter(s, dim, [(s[:i] + s[i + 1:], ident) for i in range(dim + 1)] if dim else ())
     return sset
 
 

@@ -896,13 +896,14 @@ def loaded():
 steps, out = [], io.StringIO()
 cli.build_parser()
 steps.append(loaded())
+heavy = [m for m in ("dataclasses", "inspect") if m in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
     cli.main([sys.argv[1], "--help"])
 steps.append(loaded())
 with contextlib.redirect_stdout(out):
     code = cli.main(sys.argv[1:])
 steps.append(loaded())
-print(json.dumps([code, steps, out.getvalue()]))
+print(json.dumps([code, steps, out.getvalue(), heavy]))
 """
 
 
@@ -936,7 +937,8 @@ RUN_LOADS = {
 
 def test_only_the_holonomy_subcommand_imports_numpy(fuzz_jobs, tmp_path):
     """In a fresh interpreter per subcommand: importing the CLI and building
-    its parser, then `--help`, load CLI_LOADS alone; one small run adds
+    its parser, then `--help`, load CLI_LOADS alone, and neither
+    `dataclasses` nor the `inspect` it imports; one small run adds
     RUN_LOADS, and numpy for holonomy alone."""
     import mctwist
     from mctwist.cli import COMMANDS
@@ -952,9 +954,10 @@ def test_only_the_holonomy_subcommand_imports_numpy(fuzz_jobs, tmp_path):
         proc = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY, *argv], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        code, (parser, helped, ran), out = json.loads(proc.stdout)
+        code, (parser, helped, ran), out, heavy = json.loads(proc.stdout)
         assert code == 0, (command, out)
         assert parser == helped == CLI_LOADS, command
+        assert heavy == [], command
         extra = ["mctwist." + m for m in RUN_LOADS[command]]
         assert ran == sorted(CLI_LOADS + extra + ["numpy"] * (command == "holonomy")), command
         if command == "cohomology":

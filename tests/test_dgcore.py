@@ -982,6 +982,63 @@ def test_normalized_tables_match_coercing_every_scalar(ring, seed):
         assert got[key] is not table[key]
 
 
+def _normalized_row_loop(ring, table):
+    # _normalized as it was: each row tested on its own, copied when its
+    # values are canonical ints, and coerced scalar by scalar otherwise
+    out = {}
+    p = ring.p
+    for key, vec in table.items():
+        vals = vec.values()
+        if set(map(type, vals)) == {int} and (0 < min(vals) and max(vals) < p if p
+                                              else 0 not in vals):
+            out[key] = dict(vec)
+            continue
+        vec = {k: c for k, v in vec.items() if (c := ring.coerce(v)) != 0}
+        if vec:
+            out[key] = vec
+    return out
+
+
+def _typed_items(table):
+    return [(key, [(l, type(c), c) for l, c in row.items()]) for key, row in table.items()]
+
+
+@pytest.mark.parametrize("ring", [Z, Q, Ring.GF(2), F5, Ring.GF(7)], ids=lambda r: r.name)
+def test_normalized_tables_equal_the_row_loop(ring):
+    from mctwist.dgcore import _normalized
+    rng = random.Random(ring.p + len(ring.kind))
+    canonical = list(range(1, ring.p)) if ring.p else [1, -1, 2, -3, 5, 2 ** 70]
+    odd = [0, -1, ring.p, ring.p + 1, 2 * ring.p, -ring.p, 12, Fraction(4, 2), Fraction(-6, 3),
+           Fraction(1, 2), Fraction(-5, 3), "3/4", "-2", "6/3", "0"]
+    refused = [True, False, 0.5, 1.0, float("nan")]
+    kinds = {"empty": 0, "canonical": 0, "odd": 0, "refused": 0}
+    for trial in range(600):
+        kind = rng.choice(["canonical"] * 3 + ["empty", "odd", "refused"])
+        table = {}
+        for key in range(rng.randint(0, 6)):
+            table[(key, rng.randrange(3))] = {rng.randrange(9): rng.choice(canonical)
+                                              for _ in range(rng.randint(0 if kind == "empty"
+                                                                         else 1, 4))}
+        if table and kind in ("odd", "refused"):
+            row = table[rng.choice(list(table))]
+            row[rng.randrange(9)] = rng.choice(odd if kind == "odd" else refused)
+        before = copy.deepcopy(_typed_items(table))
+        try:
+            want = _normalized_row_loop(ring, table)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as got:
+                _normalized(ring, table)
+            assert str(got.value) == str(exc)
+            kinds["refused"] += 1
+        else:
+            got = _normalized(ring, table)
+            assert _typed_items(got) == _typed_items(want), table
+            assert all(got[key] is not table[key] for key in got)
+            kinds[kind if kind != "refused" else "odd"] += 1
+        assert _typed_items(table) == before
+    assert min(kinds.values()) > 30, kinds
+
+
 def test_degree_check_names_the_first_term_in_another_degree():
     k = ground_dga(Z)
     gm = GradedModule(Z, [("a", 0), ("b", 0), ("c", 1), ("e", 1)])

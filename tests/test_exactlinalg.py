@@ -69,6 +69,34 @@ def test_ring_parse_and_coerce():
         Z.coerce(Fraction(1, 2))
 
 
+@pytest.mark.parametrize("ring", [Ring.Z(), Ring.Q(), Ring.GF(2), Ring.GF(7),
+                                  Ring.GF(2 ** 61 - 1)], ids=lambda r: r.name)
+def test_a_ring_is_an_immutable_value(ring):
+    import copy
+    import pickle
+    twin = Ring(ring.kind, ring.p)
+    assert twin == ring and hash(twin) == hash(ring) == hash((ring.kind, ring.p))
+    assert len({ring, twin}) == 1
+    assert ring != Ring.GF(3) and ring != (ring.kind, ring.p) and ring != ring.name
+    assert repr(ring) == "Ring(kind=%r, p=%r)" % (ring.kind, ring.p)
+    assert repr(Ring.Z()) == "Ring(kind='Z', p=0)" and Ring("Q") == Ring(kind="Q", p=0)
+    for clone in (copy.copy(ring), copy.deepcopy(ring), pickle.loads(pickle.dumps(ring)),
+                  copy.deepcopy({"ring": [ring]})["ring"][0]):
+        assert clone == ring and clone.sign(1) == ring.sign(1) and clone.name == ring.name
+    for name in ("kind", "p", "_signs", "other"):
+        with pytest.raises(AttributeError):
+            setattr(ring, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(ring, name)
+    assert ring == twin
+
+
+@pytest.mark.parametrize("kind, p", [("R", 0), ("Fp", 0), ("Fp", 1), ("Fp", 6), ("Fp", -7)])
+def test_a_ring_refuses_a_kind_or_a_p(kind, p):
+    with pytest.raises(ExactLinalgError, match="unknown ring kind|prime p"):
+        Ring(kind, p)
+
+
 def test_snf_already_diagonal():
     m = ExactMatrix.from_rows(Z, [[2]])
     u, d, v = smith_normal_form(m)

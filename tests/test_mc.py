@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mctwist.dgcore import DgError, Element, GradedModule, endomorphism_dga, ground_dga, tensor_dga
-from mctwist.exactlinalg import ExactMatrix, Ring, kernel_basis, rank
+from mctwist.exactlinalg import ExactMatrix, Ring, is_invertible, kernel_basis, rank
 from mctwist.fixtures import homotopy_gauge_universal_dga, universal_mc_dga
 from mctwist.interval import build_interval_algebra, tensor_mc_residual
 from mctwist.mc import (
@@ -913,3 +913,135 @@ def test_one_solver_answers_each_g_as_a_fresh_one():
         answers = [solve(t) for t in trials]
         assert answers == [_homotopy_solver(end, x, y)(t) for t in trials]
         assert answers[0] is not None and None in answers
+
+
+def _eager_search(a, x, y, budget, seed):
+    """search_homotopy_gauge as it was: every trial built before the first
+    is tried, and the sample bound read off the last doubling."""
+    from mctwist import mc
+    from mctwist.mc import SearchResult, closed_degree_zero
+    rng = random.Random(seed)
+    inv_x, inv_y = twist_invariants(a, x), twist_invariants(a, y)
+    invariants = {"x": inv_x, "y": inv_y}
+    for key in ("module_twist", "algebra_twist"):
+        if inv_x[key] != inv_y[key]:
+            return SearchResult("distinguished", invariants=invariants,
+                                report={"differs": key})
+    candidates, deg0 = closed_degree_zero(a, x, y)
+    report = {"closed_degree0_dim": len(candidates), "samples": 0, "sample_bound": 1}
+    if not candidates:
+        return SearchResult("unknown", invariants=invariants, report=report)
+
+    def combine(bound):
+        out = {}
+        for cand in candidates:
+            c = rng.randint(-bound, bound)
+            if c:
+                a.ring.axpy(out, c, cand)
+        return Element(a, out)
+
+    trials = [Element(a, cand) for cand in candidates]
+    bound = 1
+    while len(trials) < len(candidates) + budget:
+        trials.append(combine(bound))
+        if len(trials) % (len(candidates) + 1) == 0:
+            bound *= 2
+    report["sample_bound"] = bound
+    for g in trials:
+        if g.is_zero():
+            continue
+        report["samples"] += 1
+        ginv = mc.algebra_inverse(a, g)
+        if ginv is None:
+            continue
+        cert = HomotopyGaugeCertificate(g, ginv, a.zero(), a.zero())
+        if verify_homotopy_gauge(a, x, y, cert)[0]:
+            return SearchResult("equivalent", certificate=cert, gauge=g,
+                                invariants=invariants, report=report)
+    solve = mc._homotopy_solver(a, x, y)
+    for g in trials:
+        if g.is_zero():
+            continue
+        cert = solve(g)
+        if cert is not None and verify_homotopy_gauge(a, x, y, cert)[0]:
+            return SearchResult("equivalent", certificate=cert,
+                                invariants=invariants, report=report)
+    if a.ring.is_field:
+        space = 2 * report["sample_bound"] + 1
+        report["schwartz_zippel"] = {
+            "det_degree_bound": len(deg0),
+            "sample_space": space,
+            "failure_probability_bound": "%d/%d" % (len(deg0), space),
+        }
+    return SearchResult("unknown", invariants=invariants, report=report)
+
+
+def _search_pairs(ring):
+    """(End(V) (x) C*(S^1_3), x, y) for the local systems of rank 1 and 2
+    that move one edge by a matrix of the list, every pair of them once."""
+    base = circle(3)
+    ca = cochain_algebra(base, ring)
+    out = []
+    for rank, mats in ((1, [[[1]], [[-1]], [[2]], [[3]]]),
+                       (2, [[[1, 1], [0, 1]], [[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                            [[2, 0], [0, 1]]])):
+        v = GradedModule(ring, [(("v", i), 0) for i in range(rank)])
+        end = endomorphism_dga(ca, v)
+        mcs = []
+        for rows in mats:
+            m = ExactMatrix.from_rows(ring, rows)
+            if is_invertible(m):
+                mcs.append(rep_to_mc(LocalSystem(base, v, {(0, 1): m}), end_dga=end))
+        out += [(end, x, y) for i, x in enumerate(mcs) for y in mcs[i:]]
+    return out
+
+
+def _result_items(res):
+    coeffs = lambda e: None if e is None else list(e.coeffs.items())
+    cert = res.certificate
+    return (res.kind, list(res.report.items()), coeffs(res.gauge),
+            None if cert is None else [coeffs(w) for w in (cert.g, cert.h, cert.wx, cert.wy)],
+            res.invariants)
+
+
+@pytest.mark.parametrize("ring", [Z, Q, Ring.GF(5)], ids=["Z", "Q", "F5"])
+def test_lazy_trials_give_the_eager_search_result(ring, monkeypatch):
+    # every budget on every pair, but one long search per ring that ends
+    # "unknown" with candidates: those try all 1,024 trials twice.  Each
+    # run records the trials stage 2 inverts and stage 3 solves, in order.
+    from mctwist import mc
+    tried, inverse, solver = [], mc.algebra_inverse, mc._homotopy_solver
+
+    def recording_solver(a, x, y):
+        solve = solver(a, x, y)
+        return lambda g: tried.append((3, list(g.coeffs.items()))) or solve(g)
+
+    monkeypatch.setattr(mc, "algebra_inverse", lambda a, g: tried.append(
+        (2, list(g.coeffs.items()))) or inverse(a, g))
+    monkeypatch.setattr(mc, "_homotopy_solver", recording_solver)
+    kinds, long_unknown, stage_three = set(), 0, False
+    for k, (end, x, y) in enumerate(_search_pairs(ring)):
+        slow = False
+        for budget in (-1, 0, 1, 10, 1024):
+            if budget == 1024 and slow:
+                long_unknown += 1
+                if long_unknown > 1:
+                    continue
+            want = _eager_search(end, x, y, budget, seed=k)
+            want_tried = tried[:]
+            tried.clear()
+            got = search_homotopy_gauge(end, x, y, budget=budget, seed=k)
+            assert _result_items(got) == _result_items(want), (k, budget)
+            assert tried == want_tried, (k, budget)
+            tried.clear()
+            dim = want.report.get("closed_degree0_dim")
+            kinds.add((want.kind, dim))
+            slow = want.kind == "unknown" and dim > 0
+            stage_three = stage_three or any(stage == 3 for stage, _ in want_tried)
+            if dim:
+                n = dim + max(budget, 0)
+                assert got.report["sample_bound"] == 2 ** (n // (dim + 1))
+    assert long_unknown and stage_three
+    assert {("distinguished", None), ("equivalent", 1), ("equivalent", 2),
+            ("unknown", 1)} <= kinds
+    assert ring.is_field <= (("unknown", 0) in kinds)

@@ -3,8 +3,9 @@
 ``perfbench/tracing.py`` resolves each ``<layer>.<function>`` key of its
 ``QUANTITIES`` table by attribute lookup on ``mctwist.<layer>``.  A refactor
 that deletes or renames one of those functions fails here, instead of
-crashing the traced benchmark run.  And every job of the seed-1 ``gauge``
-list, run in-process, must print the bytes its recorded reference holds.
+crashing the traced benchmark run.  And every job of the seed-1 ``gauge``,
+``cohomology_z`` and ``axioms`` lists, run in-process, must print the
+bytes its recorded reference holds.
 """
 
 import contextlib
@@ -14,6 +15,8 @@ import importlib.util
 import io
 import json
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -35,14 +38,15 @@ def test_every_traced_function_resolves():
         assert callable(getattr(module, function, None)), key
 
 
-def test_the_seed_one_gauge_list_prints_its_reference_bytes(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workload", ["gauge", "cohomology_z", "axioms"])
+def test_the_seed_one_list_prints_its_reference_bytes(workload, tmp_path, monkeypatch):
     # perfbench/workloads.py builds the inputs (read-only, as run.py does);
     # each job's input files and stdout must hash as the reference records
     from mctwist import cli
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
-    reference = json.loads((PERFBENCH / "reference" / "gauge.json").read_text())
-    jobs = workloads.build_jobs("gauge", workloads.instances("gauge", 1, 1.0), str(tmp_path))
+    reference = json.loads((PERFBENCH / "reference" / ("%s.json" % workload)).read_text())
+    jobs = workloads.build_jobs(workload, workloads.instances(workload, 1, 1.0), str(tmp_path))
     monkeypatch.chdir(tmp_path)
 
     def sha256(data: bytes) -> str:

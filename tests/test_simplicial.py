@@ -719,3 +719,120 @@ def test_pullback_orders_image_edges_by_the_target_vertex_order():
         ExactMatrix.from_rows(Q, [[Fraction(1, 3)]])
     with pytest.raises(SimplicialError, match="missing in target"):
         pullback_local_system(ls, {0: 5, 1: 7}, edge)
+
+
+def _add_simplex_complex(vertices, simplices, name=""):
+    """from_ordered_complex as it was: the same input checks and sorted
+    closure, each face then entered through add_simplex's checks."""
+    import itertools
+    order = {v: i for i, v in enumerate(vertices)}
+    if len(order) != len(vertices):
+        raise SimplicialError("duplicate vertices")
+    closure = set()
+    for s in simplices:
+        s = tuple(s)
+        if len(set(s)) != len(s):
+            raise SimplicialError("simplex %r has repeated vertices" % (s,))
+        if any(order[s[i]] >= order[s[i + 1]] for i in range(len(s) - 1)):
+            raise SimplicialError("simplex %r is not ascending" % (s,))
+        for k in range(1, len(s) + 1):
+            for sub in itertools.combinations(s, k):
+                closure.add(sub)
+    for v in vertices:
+        closure.add((v,))
+    sset = FiniteSimplicialSet(name)
+    for s in sorted(closure, key=lambda t: (len(t), tuple(order[v] for v in t))):
+        dim = len(s) - 1
+        faces = [s[:i] + s[i + 1:] for i in range(len(s))] if dim > 0 else None
+        sset.add_simplex(s, dim, faces)
+    return sset
+
+
+def _spaces():
+    """perfbench/spaces.py, which builds its complexes without mctwist."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+    if "perfbench_spaces" not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "spaces.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spaces", path)
+        sys.modules[spec.name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules["perfbench_spaces"]
+
+
+def _ordered_complexes():
+    """(vertices, simplices) of circles, simplices, boundaries, grid tori up
+    to 6 x 6, the 7-vertex torus, RP^2, the Klein bottle and seeded random
+    complexes, with vertex orders that are not the label order."""
+    from itertools import combinations
+    rnd = random.Random(26)
+    cases = [(list(range(k)), [(i, i + 1) for i in range(k - 1)] + [(0, k - 1)])
+             for k in (3, 4, 7)]
+    cases += [(list(range(n + 1)), [tuple(range(n + 1))]) for n in range(5)]
+    cases += [(list(range(n + 1)), list(combinations(range(n + 1), n))) for n in (2, 3, 4)]
+    cases += [(["*"], []), (["b", "a"], [("b", "a")]), ([5, 3, 1], [(5, 3), (3, 1), (5, 1)])]
+    for n, m in ((3, 3), (3, 4), (4, 5), (5, 6), (6, 6)):
+        t = _grid_torus(n, m)
+        cases.append((list(range(n * m)), [l for l in t.nondegenerate(2)]))
+    cases.append((list(range(7)), torus7().nondegenerate(2)))
+    spaces = _spaces()
+    for build, sizes in ((spaces.rp2, ((3, 3), (3, 4))), (spaces.klein, ((3, 3), (4, 4))),
+                         (spaces.torus, ((3, 3), (6, 6))), (spaces.circle, ((3,), (8,)))):
+        for size in sizes:
+            space = build(*size, rnd)
+            relabel = dict(zip(space.vertices, space.labels))
+            cases.append((space.labels, [tuple(relabel[v] for v in s) for s in space.simplices]))
+    for _ in range(40):
+        n = rnd.randint(1, 8)
+        vertices = rnd.sample(range(100), n) if rnd.random() < 0.5 else \
+            ["v%d" % i for i in rnd.sample(range(100), n)]
+        position = {v: i for i, v in enumerate(vertices)}
+        simplices = [tuple(sorted(rnd.sample(vertices, rnd.randint(1, min(n, 4))),
+                                  key=position.get))
+                     for _ in range(rnd.randint(0, 6))]
+        cases.append((vertices, simplices))
+    return cases
+
+
+def _state(sset):
+    return (sset.name, list(sset.dim_of.items()), list(sset.simplices.items()),
+            list(sset.faces.items()))
+
+
+def test_from_ordered_complex_enters_the_state_of_the_add_simplex_loop():
+    for vertices, simplices in _ordered_complexes():
+        new = from_ordered_complex(vertices, simplices, name="X")
+        assert _state(new) == _state(_add_simplex_complex(vertices, simplices, name="X")), \
+            (vertices, simplices)
+        assert not new.check_simplicial_identities()
+
+
+@pytest.mark.parametrize("vertices, simplices", [
+    ([0, 1, 0], [(0, 1)]),            # duplicate vertices
+    ([0, 1, 1.0], []),                # a duplicate by equality
+    ([0, 1], [(0, 0)]),               # repeated
+    ([0, 1, 2], [(0, 1, 1)]),
+    ([0, 1], [(0, 7)]),               # unknown
+    ([0, 1], [(7,)]),
+    ([0, 1], [(7, 0)]),
+    ([0, 1], [(1, 0)]),               # not ascending
+    ([2, 1, 0], [(0, 1, 2)]),
+    ([0, 1, 2], [(0, 2, 1)]),
+])
+def test_from_ordered_complex_refuses_what_the_add_simplex_loop_refused(vertices, simplices):
+    with pytest.raises(Exception) as want:
+        _add_simplex_complex(vertices, simplices)
+    with pytest.raises(Exception) as got:
+        from_ordered_complex(vertices, simplices)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+def test_tuple_vertex_labels_are_not_read_as_degeneracy_words():
+    # add_simplex reads a face (t, w) with t a label and w a tuple as the
+    # degeneracy s*t; the edge ((0,), (0, 0)) of this triangle has that shape
+    tri = ((0,), (0, 0), 5)
+    s = from_ordered_complex([0, (0,), (0, 0), 5], [tri])
+    assert [s.faces[(tri, i)] for i in range(3)] == \
+        [(((0, 0), 5), (0, 1)), (((0,), 5), (0, 1)), (((0,), (0, 0)), (0, 1))]
+    assert not s.check_simplicial_identities()
