@@ -210,14 +210,6 @@ class Element:
             return degs <= {degree}
         return len(degs) <= 1
 
-    def components(self) -> list:
-        """The homogeneous components [(degree, Element)], in ascending degree."""
-        degree = self.algebra.gm.degree
-        by_deg = {}
-        for l, c in self.coeffs.items():
-            by_deg.setdefault(degree[l], {})[l] = c
-        return [(d, Element(self.algebra, cs)) for d, cs in sorted(by_deg.items())]
-
     def __repr__(self):
         return format_coeffs(self.coeffs)
 

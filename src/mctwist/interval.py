@@ -131,48 +131,30 @@ def tensor_mc_residual(a, k: IntervalAlgebra, x_dict: dict) -> dict:
     """d(X) + X^2 in A (x) K_n* for X = sum_xi x_xi (x) xi, as a sparse dict.
 
     Koszul rules: d(p (x) xi) = d(p) (x) xi + (-1)^{|p|} p (x) d(xi) and
-    (p (x) xi)(q (x) eta) = (-1)^{|xi| |q|} pq (x) (xi eta).  Works for any
-    algebra-like object with element arithmetic, including lazy free dg
-    algebras.
+    (p (x) xi)(q (x) eta) = (-1)^{|xi| |q|} pq (x) (xi eta), where each
+    term of p and q is signed by its own degree.  The sums are coefficient
+    dicts built by ``d_dict``, ``mul_dicts`` and ``Ring.axpy``, so any
+    algebra with those and ``gm.degree`` serves, lazy free dg algebras
+    included; the result is {label: Element}, zero labels left out.
     """
-    ring = a.ring
-    kd = k.dga
+    ring, kd, deg = a.ring, k.dga, a.gm.degree
+    # each coefficient p as a dict, and as p with every term l times (-1)^{|l|}
+    coeffs = {xi: a.as_element(p).coeffs for xi, p in x_dict.items()}
+    signed = {xi: {l: ring.neg(c) if deg[l] % 2 else c for l, c in p.items()}
+              for xi, p in coeffs.items()}
     out = {}
-
-    def add(label, elem):
-        cur = out.get(label)
-        out[label] = elem if cur is None else cur + elem
-        if out[label].is_zero():
-            del out[label]
-
-    for xi, p in x_dict.items():
-        p = a.as_element(p)
-        if p.is_zero():
-            continue
-        add_d = p.d()
-        if not add_d.is_zero():
-            add(xi, add_d)
-        for deg, comp in p.components():
-            sign = ring.sign(deg)
-            for eta, c in kd.diff.get(xi, {}).items():
-                add(eta, (sign * ring.coerce(c)) * comp)
-    items = list(x_dict.items())
-    for xi, p in items:
-        p = a.as_element(p)
-        dxi = kd.gm.degree[xi]
-        for eta, q in items:
-            q = a.as_element(q)
-            prod_labels = kd.mul_labels(xi, eta)
-            if not prod_labels:
-                continue
-            for degq, qcomp in q.components():
-                sign = ring.sign(dxi * degq)
-                pq = p * qcomp
-                if pq.is_zero():
-                    continue
-                for rho, c in prod_labels.items():
-                    add(rho, (sign * ring.coerce(c)) * pq)
-    return out
+    for xi, p in coeffs.items():
+        ring.axpy(out.setdefault(xi, {}), 1, a.d_dict(p))
+        for eta, c in kd.diff.get(xi, {}).items():
+            ring.axpy(out.setdefault(eta, {}), c, signed[xi])
+        odd = kd.gm.degree[xi] % 2
+        for eta, q in coeffs.items():
+            prod = kd.mul_labels(xi, eta)
+            if prod:
+                pq = a.mul_dicts(p, signed[eta] if odd else q)
+                for rho, c in prod.items():
+                    ring.axpy(out.setdefault(rho, {}), c, pq)
+    return {l: Element(a, v) for l, v in out.items() if v}
 
 
 def tensor_is_mc(a, k: IntervalAlgebra, x_dict: dict) -> tuple:
@@ -363,30 +345,19 @@ def _category_presentation(free: FreeDgAlgebra, diff_u: dict, n_trunc: int, ring
             out = ring.axpy(new, -1, out) if gname[1] == 0 else new
         return out
 
-    anchor_ok = None
-    for reverse in (False, True):
-        for sign1 in (1, -1):
-            signs = {m: ring.coerce(sign1 if m % 2 else 1) for m in range(n_trunc)}
-            table = {}
-            for (fam, m), expr in diff_u.items():
-                name = ("x", m) if fam == "u" else ("y", m)
-                tr = translate(expr, signs, reverse)
-                tr = {w: ring.mul(c, signs[m]) for w, c in tr.items()}
-                table[name] = tr
-            if n_trunc >= 2:
-                want_x1 = {(("y", 0), ("x", 0)): ring.one(), (): ring.coerce(-1)}
-                want_y1 = {(("x", 0), ("y", 0)): ring.one(), (): ring.coerce(-1)}
-                if table.get(("x", 1)) == want_x1 and table.get(("y", 1)) == want_y1:
-                    anchor_ok = (reverse, sign1, table)
-                    break
-            else:
-                anchor_ok = (reverse, sign1, table)
-                break
-        if anchor_ok:
+    anchors = {("x", 1): {(("y", 0), ("x", 0)): ring.one(), (): ring.coerce(-1)},
+               ("y", 1): {(("x", 0), ("y", 0)): ring.one(), (): ring.coerce(-1)}}
+    for reverse, sign1 in ((False, 1), (False, -1), (True, 1), (True, -1)):
+        signs = {m: ring.coerce(sign1 if m % 2 else 1) for m in range(n_trunc)}
+        table = {}
+        for (fam, m), expr in diff_u.items():
+            tr = translate(expr, signs, reverse)
+            table[("x" if fam == "u" else "y", m)] = {w: ring.mul(c, signs[m])
+                                                       for w, c in tr.items()}
+        if n_trunc < 2 or all(table.get(name) == want for name, want in anchors.items()):
             break
-    if anchor_ok is None:
+    else:
         raise DgError("no sign assignment matches the degree-1 anchors")
-    reverse, sign1, table = anchor_ok
     relabel = {
         "word_order": "diagrammatic" if reverse else "function",
         "odd_degree_sign": sign1,

@@ -248,6 +248,8 @@ def resolution_from_json(obj) -> tuple:
         w1_coeffs = {}
         for edge, mat in obj["edge_action"]:
             e = label(edge)
+            if base.dim_of.get(e) != 1:
+                raise ValueError("edge_action on %r: not an edge of the complex" % (e,))
             m = matrix_from_json(mat, ring)
             if (m.rows, m.cols) != (n, n):
                 raise ValueError("an edge action is %dx%d, not %dx%d" % (m.rows, m.cols, n, n))

@@ -180,14 +180,14 @@ def hom_twist_compose(a: DgAlgebra, g, f):
 def hom_twist_d(a, x: MCElement, y: MCElement, w) -> Element:
     """D_{x,y}(w) = d(w) + y w - (-1)^{|w|} w x, the differential of A^[x,y] at w.
 
-    Each homogeneous component of w takes its own sign.  Element arithmetic
-    (``mul_dicts``, ``d_dict``) serves the lazy free dg algebras too.
+    Each term l of w takes its own sign (-1)^{|l|}.  The coefficient dicts
+    come from ``d_dict``, ``mul_dicts`` and ``Ring.axpy``, which the lazy
+    free dg algebras have too.
     """
-    w = a.as_element(w)
-    out = w.d() + y.value * w
-    for deg, comp in w.components():
-        out = out - a.ring.sign(deg) * (comp * x.value)
-    return out
+    ring, deg, w = a.ring, a.gm.degree, a.as_element(w).coeffs
+    out = ring.axpy(a.d_dict(w), 1, a.mul_dicts(y.value.coeffs, w))
+    signed = {l: ring.neg(c) if deg[l] % 2 else c for l, c in w.items()}
+    return Element(a, ring.axpy(out, -1, a.mul_dicts(signed, x.value.coeffs)))
 
 
 def _require_mc(a: DgAlgebra, x: MCElement):

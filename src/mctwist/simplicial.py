@@ -553,8 +553,8 @@ class LocalSystem:
     The monodromy transports from vertex 1 to vertex 0 of an edge: a closed
     0-cochain f satisfies f(sigma_0) = M(sigma) f(sigma_1).  The functor
     condition M(tau_01) M(tau_12) = M(tau_02) is checked on every
-    nondegenerate 2-simplex; edges degenerate in the base carry the
-    identity implicitly.
+    nondegenerate 2-simplex.  An edge without a matrix, or degenerate in
+    the base, carries the identity; a key that is no edge is refused.
     """
 
     def __init__(self, base: FiniteSimplicialSet, v: GradedModule, monodromy: dict):
@@ -563,6 +563,9 @@ class LocalSystem:
         self.ring = v.ring
         self.monodromy = {}
         n = v.dim
+        for e in monodromy:
+            if base.dim_of.get(e) != 1:
+                raise SimplicialError("monodromy on %r: not an edge of the base" % (e,))
         for e in base.nondegenerate(1):
             m = monodromy.get(e)
             if m is None:  # the identity, invertible without a check

@@ -416,6 +416,7 @@ def _circle3_algebra(first_degree):
 
 
 EDGE = {"vertices": [0, 1], "simplices": [[0, 1]]}
+CIRCLE3 = {"vertices": [0, 1, 2], "simplices": [[0, 1], [0, 2], [1, 2]]}
 
 
 def _resolution(basis=None, edge_action=()):
@@ -531,6 +532,20 @@ BAD_INPUT_FILES = {
     # an edge action preserves degree: w_-1 -> w_0 is not dropped in silence
     "resolve-edge-action-across-degrees": (["resolve", "r.json"], {"r.json": _resolution(
         edge_action=[[[0, 1], [[1, 7], [5, 1]]]])}),
+    # an edge-keyed input names only edges of its complex: a missing edge, a
+    # vertex or a triangle is refused, whatever matrix it carries
+    "local-system-monodromy-on-a-missing-edge": (["local-system", "c.json", "s.json"], {
+        "c.json": CIRCLE3, "s.json": {"ring": "Z", "rank": 1, "monodromy": [[[0, 5], [[-1]]]]}}),
+    "local-system-monodromy-on-a-vertex": (["local-system", "c.json", "s.json"], {
+        "c.json": CIRCLE3, "s.json": {"ring": "Z", "rank": 1, "monodromy": [[[1], [[-1]]]]}}),
+    "local-system-monodromy-on-a-triangle": (["local-system", "c.json", "s.json"], {
+        "c.json": CIRCLE3, "s.json": {"ring": "Z", "rank": 1, "monodromy": [[[0, 1, 2], [[5]]]]}}),
+    "resolve-identity-edge-action-on-a-vertex": (["resolve", "r.json"], {"r.json": _resolution(
+        edge_action=[[[0], [[1, 0], [0, 1]]]])}),
+    "resolve-identity-edge-action-on-a-missing-edge": (["resolve", "r.json"], {
+        "r.json": _resolution(edge_action=[[[7, 9], [[1, 0], [0, 1]]]])}),
+    "resolve-edge-action-on-a-missing-edge": (["resolve", "r.json"], {"r.json": _resolution(
+        edge_action=[[[7, 9], [[-1, 0], [0, -1]]]])}),
     # a module over an algebra whose unit is zero is not reduced
     "truncate-algebra-unit-zero": (["truncate", "m.json", "--i", "0"], {"m.json": dict(
         _module_payload(), algebra=dict(_module_payload()["algebra"], unit=[]))}),
@@ -547,14 +562,30 @@ BAD_INPUT_FILES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_INPUT_FILES))
-def test_input_file_of_the_wrong_shape_is_one_input_error_line(case, tmp_path, capsys):
+def _run_bad_input(case, tmp_path, capsys):
     argv, files = BAD_INPUT_FILES[case]
     for name, payload in files.items():
         (tmp_path / name).write_text(payload if isinstance(payload, str) else json.dumps(payload))
-    code, out, err = run_cli(capsys, *[str(tmp_path / a) if a in files else a for a in argv])
+    return run_cli(capsys, *[str(tmp_path / a) if a in files else a for a in argv])
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT_FILES))
+def test_input_file_of_the_wrong_shape_is_one_input_error_line(case, tmp_path, capsys):
+    code, out, err = _run_bad_input(case, tmp_path, capsys)
     assert (code, out) == (1, ""), err
     assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case, key", [
+    ("local-system-monodromy-on-a-missing-edge", (0, 5)),
+    ("local-system-monodromy-on-a-vertex", (1,)),
+    ("local-system-monodromy-on-a-triangle", (0, 1, 2)),
+    ("resolve-identity-edge-action-on-a-vertex", (0,)),
+    ("resolve-identity-edge-action-on-a-missing-edge", (7, 9)),
+    ("resolve-edge-action-on-a-missing-edge", (7, 9))])
+def test_an_edge_key_that_is_no_edge_is_named(case, key, tmp_path, capsys):
+    _, _, err = _run_bad_input(case, tmp_path, capsys)
+    assert "on %r: not an edge of the " % (key,) in err
 
 
 @pytest.mark.parametrize("far, near", [(str(10 ** 30), "2"), (str(-10 ** 30), "-1")])

@@ -16,6 +16,7 @@ from mctwist.interval import (
     k_infty_category,
     quotient_map,
     tensor_is_mc,
+    tensor_mc_residual,
     to_tensor_element,
 )
 from mctwist.mc import (
@@ -174,6 +175,41 @@ def test_tensor_element_conversion_matches_sparse_residual():
     assert ok
 
 
+def _inhomogeneous(rnd, a):
+    """A random element of a on two to four labels, in at least two degrees."""
+    while True:
+        terms = rnd.sample(a.gm.labels, rnd.randint(2, 4))
+        if len({a.gm.degree[l] for l in terms}) >= 2:
+            return a.element({l: rnd.choice([-2, -1, 1, 2, 3]) for l in terms})
+
+
+@pytest.mark.parametrize("ring", [Z, Q, F5], ids=lambda r: r.name)
+def test_tensor_mc_residual_is_the_mc_residual_of_the_tensor_algebra(ring):
+    # an oracle that shares no code with the sparse residual: X as an element
+    # of the finite algebra tensor_dga(A, K_n*), whose Koszul product and
+    # differential come from its structure constants, and d(X) + X^2 there
+    from mctwist.dgcore import tensor_dga
+    from mctwist.fixtures import universal_mc_dga
+    from mctwist.mc import mc_residual
+    rnd = random.Random(31)
+    v = GradedModule(ring, [("a", 0), ("b", 1)])
+    algebras = [universal_mc_dga(ring, 4), cochain_algebra(simplex(2), ring),
+                endomorphism_dga(cochain_algebra(circle(3), ring), v)]
+    for n in (1, 2, 3):
+        k = build_interval_algebra(n, ring)
+        for a in algebras:
+            t = tensor_dga(a, k.dga)
+            for _ in range(5):
+                support = rnd.sample(k.dga.gm.labels, rnd.randint(2, 4))
+                x_dict = {xi: _inhomogeneous(rnd, a) for xi in support}
+                want = {}
+                for (l, xi), c in mc_residual(t, to_tensor_element(a, t, x_dict)).coeffs.items():
+                    want.setdefault(xi, {})[l] = c
+                got = tensor_mc_residual(a, k, x_dict)
+                assert want and {xi: e.coeffs for xi, e in got.items()} == want, \
+                    (a.name, n, x_dict)
+
+
 def test_every_k2_homotopy_confirmed_by_the_search_engine():
     ca = cochain_algebra(simplex(2), F7)
     v = GradedModule(F7, [("a", 0)])
@@ -181,17 +217,17 @@ def test_every_k2_homotopy_confirmed_by_the_search_engine():
     k2 = build_interval_algebra(2, F7)
     rng = random.Random(23)
     for trial in range(3):
-        coeffs = {("E", u, u, al): c for u in v.labels for al, c in ca.unit.items()}
-        for e in ca.gm.labels_of_degree(1):
-            coeffs[("E", "a", "a", e)] = rng.randint(0, 6)
-        g = end.element(coeffs)
-        if algebra_inverse(end, g) is None:
-            continue
+        # g on the vertex duals with coefficients in F7^x: degree 0 and
+        # invertible, so every trial reaches the search
+        g = end.element({("E", "a", "a", l): rng.randint(1, 6)
+                         for l in ca.gm.labels_of_degree(0)})
+        g_inv = algebra_inverse(end, g)
+        assert g_inv is not None
         x = zero_mc(end)
         y = gauge_act(end, g, x)
+        assert not y.value.is_zero()
         hom = k2_homotopy_from_certificate(
-            end, k2, x, y,
-            HomotopyGaugeCertificate(g, algebra_inverse(end, g), end.zero(), end.zero()))
+            end, k2, x, y, HomotopyGaugeCertificate(g, g_inv, end.zero(), end.zero()))
         x2, y2, cert = certificate_from_k2_homotopy(end, k2, hom)
         res = search_homotopy_gauge(end, x2, y2, seed=trial, budget=30)
         assert res.kind == "equivalent"
@@ -206,12 +242,15 @@ def test_k_infty_anchors_and_d_squared():
     # d^2 = 0 on all generators was verified during the derivation; a failure
     # raises, so reaching this point is the assertion for degrees <= 3
     assert set(kc.relabel) >= {"word_order", "odd_degree_sign"}
+    assert (kc.relabel["word_order"], kc.relabel["odd_degree_sign"]) == ("diagrammatic", -1)
 
 
 def test_k_infty_level_one_shape():
     kc = k_infty_category(1)
     d = kc.presentation["differential"]
     assert d["x_0"] == "0" and d["y_0"] == "0"
+    # no degree-1 anchor to match: the first choice in search order is kept
+    assert (kc.relabel["word_order"], kc.relabel["odd_degree_sign"]) == ("function", 1)
     assert len(kc.presentation["generators"]) == 2
 
 
