@@ -360,43 +360,59 @@ def _law_failures(gm: GradedModule, diff: dict, rows: tuple, alg: DgAlgebra) -> 
     """Where a right dg module over ``alg`` breaks Leibniz or associativity.
 
     ``gm`` and ``diff`` are the module's, ``rows`` its action table by
-    module and by algebra label.  Returns sorted keys of basis positions,
-    (m, a, -1) where D(m a) != D(m) a + (-1)^{|m|} m d(a) and (m, a, b)
-    where (m a) b != m (ab): the order of loops over all m, a and b.  Both
-    sides are evaluated in bulk, keyed by witness: D(m a) for each key of
-    the action, (m a) b and D(m) a from the rows of m a and of D(m), m d(a)
-    and m (ab) from the columns of d(a) and of ab, for each key of
-    ``alg.mult``.  A witness on neither side has both sides zero.
+    module and by algebra label.  Returns sorted witnesses as basis
+    positions: (m, a, -1) where D(m a) != D(m) a + (-1)^{|m|} m d(a) and
+    (m, a, b) where (m a) b != m (ab).  Each law is one signed sum, left
+    side minus right side, of raw products c * v in one dict keyed by
+    (witness, output label): + D(m a) and + (m a) b from the rows m a of the
+    action, - D(m) a, - (-1)^{|m|} m d(a) and - m (ab) from the rows of
+    D(m), d(a) and ab.  Each sum is reduced once, at the end (mod p over
+    F_p): a witness fails where some entry is nonzero.
     """
-    ring, deg = gm.ring, gm.degree
+    deg, p = gm.degree, gm.ring.p
     by_module, by_algebra = rows
     mpos = {l: i for i, l in enumerate(gm.labels)}
     apos = {l: i for i, l in enumerate(alg.gm.labels)}
-    rhs = {}
-    for m, dm in diff.items():
-        i = mpos[m]
-        for al, v in _times_rows(ring, dm, by_module).items():
-            rhs[i, apos[al], -1] = v
-    for al, da in alg.diff.items():
-        j = apos[al]
-        for m, v in _times_rows(ring, da, by_algebra).items():
-            ring.axpy(rhs.setdefault((mpos[m], j, -1), {}), ring.sign(deg[m]), v)
-    for (al, bl), ab in alg.mult.items():
-        j, k = apos[al], apos[bl]
-        for m, v in _times_rows(ring, ab, by_algebra).items():
-            rhs[mpos[m], j, k] = v
-    # each left side is compared as it is made, so only the right sides are held
-    bad = []
+    acc = {}
+    get = acc.get
     for m, row in by_module.items():
         i = mpos[m]
         for al, out in row:
             j = apos[al]
-            if rhs.pop((i, j, -1), {}) != vec_apply(ring, diff, out):
-                bad.append((i, j, -1))
-            for bl, v in _times_rows(ring, out, by_module).items():
-                if rhs.pop((i, j, apos[bl]), {}) != v:
-                    bad.append((i, j, apos[bl]))
-    return sorted(bad + [k for k, v in rhs.items() if v])
+            for r, c in out.items():
+                for s, v in diff.get(r, {}).items():
+                    key = i, j, -1, s
+                    acc[key] = get(key, 0) + c * v
+                for bl, rb in by_module.get(r, ()):
+                    k = apos[bl]
+                    for s, v in rb.items():
+                        key = i, j, k, s
+                        acc[key] = get(key, 0) + c * v
+    for m, dm in diff.items():
+        i = mpos[m]
+        for r, c in dm.items():
+            for al, out in by_module.get(r, ()):
+                j = apos[al]
+                for s, v in out.items():
+                    key = i, j, -1, s
+                    acc[key] = get(key, 0) - c * v
+    for al, da in alg.diff.items():
+        j = apos[al]
+        for r, c in da.items():
+            for m, out in by_algebra.get(r, ()):
+                i, c_m = mpos[m], c if deg[m] % 2 else -c
+                for s, v in out.items():
+                    key = i, j, -1, s
+                    acc[key] = get(key, 0) + c_m * v
+    for (al, bl), ab in alg.mult.items():
+        j, k = apos[al], apos[bl]
+        for r, c in ab.items():
+            for m, out in by_algebra.get(r, ()):
+                i = mpos[m]
+                for s, v in out.items():
+                    key = i, j, k, s
+                    acc[key] = get(key, 0) - c * v
+    return sorted({key[:3] for key, v in acc.items() if (v % p if p else v)})
 
 
 def check_dga(a: DgAlgebra, max_failures: int = 10) -> dict:
@@ -405,14 +421,12 @@ def check_dga(a: DgAlgebra, max_failures: int = 10) -> dict:
     Returns {"ok": bool, "failures": [...]}: each failure names the axiom
     and a witness tuple of basis labels, axioms in the order unit, d^2,
     Leibniz, associativity, witnesses in basis order; the first
-    ``max_failures`` are listed, and "ok" counts them all.  Each law is
-    evaluated in bulk from whole rows of ``mult``: the unit laws from
-    ``left_mult(1)`` and ``right_mult(1)``; Leibniz and associativity as
-    the laws of A as a right module over itself (:func:`_law_failures`),
-    that is d(x) y from ``left_mult(d x)``, x d(y) from ``right_mult(d y)``,
-    (xy) z from ``left_mult(xy)`` and x (yz) from ``right_mult(yz)``.  The
-    list, truncation included, is the one a loop over all n^2 pairs and n^3
-    triples of labels gives, in its order.
+    ``max_failures`` are listed, and "ok" counts them all.  The unit laws
+    are read from ``left_mult(1)`` and ``right_mult(1)``; Leibniz and
+    associativity are the laws of A as a right module over itself, one
+    signed sum per witness and output label, reduced once at the end
+    (:func:`_law_failures`).  The list, truncation included, is the one a
+    loop over all n^2 pairs and n^3 triples of labels gives, in its order.
     """
     one = a.ring.one()
     failures = []
@@ -567,10 +581,10 @@ class DgModule:
     def check(self, max_failures: int = 10) -> dict:
         """Verify D^2 = 0, unitality, associativity and module Leibniz.
 
-        As in :func:`check_dga`, each law is evaluated in bulk from whole
-        rows of ``action``, indexed by module label and by algebra label
-        (:func:`_law_failures`); the witnesses, truncation included, are
-        those of loops over all m, a and b, in their order.
+        As in :func:`check_dga`, Leibniz and associativity are one signed
+        sum per witness and output label over the rows of ``action``,
+        reduced once at the end (:func:`_law_failures`); the witnesses,
+        truncation included, are those of loops over all m, a and b.
         """
         one = self.ring.one()
         failures = []

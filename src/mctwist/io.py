@@ -192,6 +192,17 @@ def complex_from_json(obj):
         return from_ordered_complex(obj["vertices"], [tuple(s) for s in obj["simplices"]])
 
 
+def _edges(pairs, label, what: str):
+    # each [edge, matrix] as (edge, matrix JSON); a repeated edge is refused, not merged
+    given = set()
+    for edge, mat in pairs:
+        e = label(edge)
+        if e in given:
+            raise ValueError("%s on %r: the edge is given twice" % (what, e))
+        given.add(e)
+        yield e, mat
+
+
 def local_system_from_json(obj, complex_obj=None):
     """A local system; its rank is its monodromy's size, or at most CEILING."""
     from .simplicial import LocalSystem
@@ -199,8 +210,8 @@ def local_system_from_json(obj, complex_obj=None):
         ring = Ring.parse(obj["ring"])
         rank = _integer(obj["rank"])
         base = complex_from_json(complex_obj if complex_obj is not None else obj["complex"])
-        monodromy = {decode_label(edge): matrix_from_json(mat, ring)
-                     for edge, mat in obj.get("monodromy", [])}
+        monodromy = {e: matrix_from_json(mat, ring)
+                     for e, mat in _edges(obj.get("monodromy", []), decode_label, "monodromy")}
         if any((m.rows, m.cols) != (rank, rank) for m in monodromy.values()):
             raise ValueError("rank %d is not the size of the monodromy matrices" % rank)
         if not monodromy:
@@ -246,8 +257,7 @@ def resolution_from_json(obj) -> tuple:
         d_w = {(label(u), label(w)): scalar(c) for u, w, c in res["d"]}
         labels, n = w_gm.labels, w_gm.dim
         w1_coeffs = {}
-        for edge, mat in obj["edge_action"]:
-            e = label(edge)
+        for e, mat in _edges(obj["edge_action"], label, "edge_action"):
             if base.dim_of.get(e) != 1:
                 raise ValueError("edge_action on %r: not an edge of the complex" % (e,))
             m = matrix_from_json(mat, ring)

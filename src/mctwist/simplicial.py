@@ -294,11 +294,12 @@ def nerve(cat: FiniteCategory, cap: int, name: str = "") -> FiniteSimplicialSet:
     An n-simplex is a composable string (f_n, ..., f_1), f_1 first; it is
     nondegenerate exactly when no f_i is an identity.  Inner faces compose
     adjacent arrows through the category's table; a composite that is an
-    identity folds the face into a degeneracy of a lower simplex.
+    identity folds the face into a degeneracy of a lower simplex.  Faces are
+    normal forms of earlier simplices, entered without ``add_simplex``'s checks.
     """
     sset = FiniteSimplicialSet(name or "nerve")
     for o in cat.objects:
-        sset.add_simplex(("@", o), 0)
+        sset._enter(("@", o), 0, ())
 
     def normal_form(string):
         # strip identity arrows, recording the monotone surjection on vertices
@@ -312,10 +313,8 @@ def nerve(cat: FiniteCategory, cap: int, name: str = "") -> FiniteSimplicialSet:
         return label, tuple(surj)
 
     strings = {1: [("#", f) for f in cat.arrows if not cat.is_identity(f)]}
-    for f in strings.get(1, []):
-        src = ("@", cat.source(f[1]))
-        dst = ("@", cat.target(f[1]))
-        sset.add_simplex(f, 1, [dst, src])
+    for f in strings.get(1, []):  # faces d_0 = target, d_1 = source
+        sset._enter(f, 1, [(("@", cat.target(f[1])), (0,)), (("@", cat.source(f[1])), (0,))])
     for n in range(2, cap + 1):
         new = []
         for prev in strings.get(n - 1, []):
@@ -340,7 +339,7 @@ def nerve(cat: FiniteCategory, cap: int, name: str = "") -> FiniteSimplicialSet:
                     comp = cat.compose(chain[k - 1], chain[k])
                     raw = chain[:k - 1] + (comp,) + chain[k + 1:]
                 faces.append(normal_form(raw))
-            sset.add_simplex(s, n, faces)
+            sset._enter(s, n, faces)
     return sset
 
 
@@ -453,7 +452,8 @@ def product(x: FiniteSimplicialSet, y: FiniteSimplicialSet, cap=None,
 
     Nondegenerate n-simplices are pairs (alpha* sigma, beta* tau) with
     (alpha, beta) a jointly injective pair of monotone surjections; faces
-    are computed factorwise and the common degeneracy is refactored out.
+    are computed factorwise and the common degeneracy is refactored out:
+    normal forms of earlier simplices, entered without ``add_simplex``'s checks.
     """
     if cap is None:
         cap = x.dimension + y.dimension
@@ -492,7 +492,7 @@ def product(x: FiniteSimplicialSet, y: FiniteSimplicialSet, cap=None,
         for label in by_dim[n]:
             lx, alpha, ly, beta = label
             if n == 0:
-                out.add_simplex(label, 0)
+                out._enter(label, 0, ())
                 continue
             faces = []
             for i in range(n + 1):
@@ -500,7 +500,7 @@ def product(x: FiniteSimplicialSet, y: FiniteSimplicialSet, cap=None,
                 fx = x.pullback(lx, compose_maps(alpha, dmap))
                 fy = y.pullback(ly, compose_maps(beta, dmap))
                 faces.append(joint_normal(fx, fy))
-            out.add_simplex(label, n, faces)
+            out._enter(label, n, faces)
     return out
 
 

@@ -546,6 +546,12 @@ BAD_INPUT_FILES = {
         "r.json": _resolution(edge_action=[[[7, 9], [[1, 0], [0, 1]]]])}),
     "resolve-edge-action-on-a-missing-edge": (["resolve", "r.json"], {"r.json": _resolution(
         edge_action=[[[7, 9], [[-1, 0], [0, -1]]]])}),
+    # an edge given twice is refused, whether its matrices agree or not
+    "local-system-monodromy-on-a-repeated-edge": (["local-system", "c.json", "s.json"], {
+        "c.json": CIRCLE3, "s.json": {"ring": "Z", "rank": 1,
+                                      "monodromy": [[[0, 1], [[-1]]], [[0, 1], [[1]]]]}}),
+    "resolve-edge-action-on-a-repeated-edge": (["resolve", "r.json"], {"r.json": _resolution(
+        edge_action=[[[0, 1], [[-1, 0], [0, -1]]], [[0, 1], [[1, 0], [0, 1]]]])}),
     # a module over an algebra whose unit is zero is not reduced
     "truncate-algebra-unit-zero": (["truncate", "m.json", "--i", "0"], {"m.json": dict(
         _module_payload(), algebra=dict(_module_payload()["algebra"], unit=[]))}),
@@ -586,6 +592,15 @@ def test_input_file_of_the_wrong_shape_is_one_input_error_line(case, tmp_path, c
 def test_an_edge_key_that_is_no_edge_is_named(case, key, tmp_path, capsys):
     _, _, err = _run_bad_input(case, tmp_path, capsys)
     assert "on %r: not an edge of the " % (key,) in err
+
+
+@pytest.mark.parametrize("case, what", [
+    ("local-system-monodromy-on-a-repeated-edge", "monodromy"),
+    ("resolve-edge-action-on-a-repeated-edge", "edge_action")])
+def test_a_repeated_edge_key_is_named(case, what, tmp_path, capsys):
+    # before, resolve merged the two actions and local-system kept the last matrix
+    _, _, err = _run_bad_input(case, tmp_path, capsys)
+    assert "%s on (0, 1): the edge is given twice" % what in err
 
 
 @pytest.mark.parametrize("far, near", [(str(10 ** 30), "2"), (str(-10 ** 30), "-1")])

@@ -7,12 +7,16 @@ from mctwist.dgcore import GradedModule, check_dga, tensor_dga
 from mctwist.exactlinalg import ExactMatrix, Ring
 from mctwist.mc import MCElement, hom_twist, is_mc, zero_mc
 from mctwist.simplicial import (
+    FiniteCategory,
     FiniteSimplicialSet,
     LocalSystem,
     SimplicialError,
+    _lattice_paths,
     boundary_simplex,
     circle,
     cochain_algebra,
+    compose_maps,
+    delta,
     ez_algebra_map,
     from_ordered_complex,
     interval_groupoid,
@@ -806,6 +810,96 @@ def test_from_ordered_complex_enters_the_state_of_the_add_simplex_loop():
         assert _state(new) == _state(_add_simplex_complex(vertices, simplices, name="X")), \
             (vertices, simplices)
         assert not new.check_simplicial_identities()
+
+
+def _add_simplex_nerve(cat, cap, name=""):
+    """nerve as it was: each simplex entered through add_simplex's checks."""
+    sset = FiniteSimplicialSet(name or "nerve")
+    for o in cat.objects:
+        sset.add_simplex(("@", o), 0)
+
+    def normal_form(string):
+        kept = [f for f in string if not cat.is_identity(f)]
+        surj = [0]
+        for f in reversed(string):
+            surj.append(surj[-1] + (0 if cat.is_identity(f) else 1))
+        label = ("@", cat.source(string[-1])) if not kept else ("#",) + tuple(kept)
+        return label, tuple(surj)
+
+    strings = {1: [("#", f) for f in cat.arrows if not cat.is_identity(f)]}
+    for f in strings[1]:
+        sset.add_simplex(f, 1, [("@", cat.target(f[1])), ("@", cat.source(f[1]))])
+    for n in range(2, cap + 1):
+        strings[n] = [("#",) + prev[1:] + (f,) for prev in strings[n - 1] for f in cat.arrows
+                      if not cat.is_identity(f) and cat.target(f) == cat.source(prev[-1])]
+        for s in strings[n]:
+            chain, faces = s[1:], []
+            for i in range(n + 1):
+                if i in (0, n):
+                    raw = chain[:-1] if i == 0 else chain[1:]
+                else:
+                    k = n - i
+                    raw = chain[:k - 1] + (cat.compose(chain[k - 1], chain[k]),) + chain[k + 1:]
+                faces.append(normal_form(raw))
+            sset.add_simplex(s, n, faces)
+    return sset
+
+
+def _add_simplex_product(x, y, cap=None, name=""):
+    """product as it was: each simplex entered through add_simplex's checks."""
+    cap = x.dimension + y.dimension if cap is None else cap
+    out = FiniteSimplicialSet(name or "%sx%s" % (x.name, y.name))
+
+    def joint_normal(sx, sy):
+        (lx, mx), (ly, my) = sx, sy
+        kept = [0] + [i for i in range(1, len(mx)) if (mx[i], my[i]) != (mx[i - 1], my[i - 1])]
+        z = [sum(1 for k in kept if k <= i) - 1 for i in range(len(mx))]
+        return (lx, tuple(mx[i] for i in kept), ly, tuple(my[i] for i in kept)), tuple(z)
+
+    by_dim = {}
+    for px in range(x.dimension + 1):
+        for lx in x.nondegenerate(px):
+            for py in range(y.dimension + 1):
+                for ly in y.nondegenerate(py):
+                    if max(px, py) <= cap:
+                        for alpha, beta in _lattice_paths(px, py):
+                            if len(alpha) - 1 <= cap:
+                                by_dim.setdefault(len(alpha) - 1, []).append(
+                                    (lx, alpha, ly, beta))
+    for n in sorted(by_dim):
+        for label in by_dim[n]:
+            lx, alpha, ly, beta = label
+            faces = [joint_normal(x.pullback(lx, compose_maps(alpha, delta(i, n))),
+                                  y.pullback(ly, compose_maps(beta, delta(i, n))))
+                     for i in range(n + 1)] if n else None
+            out.add_simplex(label, n, faces)
+    return out
+
+
+def _small_categories():
+    # a composite that is no identity, Z/2 and an idempotent, beside the named ones
+    chain = FiniteCategory(["A", "B", "C"], {"1A": ("A", "A"), "1B": ("B", "B"),
+                                            "1C": ("C", "C"), "f": ("A", "B"),
+                                            "g": ("B", "C"), "gf": ("A", "C")},
+                           {"A": "1A", "B": "1B", "C": "1C"}, {("g", "f"): "gf"})
+    z2 = FiniteCategory(["O"], {"1": ("O", "O"), "t": ("O", "O")}, {"O": "1"},
+                        {("t", "t"): "1"})
+    idem = FiniteCategory(["O"], {"1": ("O", "O"), "e": ("O", "O")}, {"O": "1"},
+                          {("e", "e"): "e"})
+    return [interval_groupoid(), one_arrow_category(), trivial_category(), chain, z2, idem]
+
+
+def test_product_and_nerve_enter_the_state_of_the_add_simplex_loop():
+    for cat in _small_categories():
+        for cap in range(5):
+            assert _state(nerve(cat, cap)) == _state(_add_simplex_nerve(cat, cap))
+    k2 = nerve(interval_groupoid(), cap=2)
+    pairs = [(circle(3), circle(4), None), (circle(8), circle(8), None),
+             (simplex(2), simplex(2), None), (simplex(2), simplex(1), 2),
+             (torus7(), circle(3), None), (product(circle(3), circle(3)), circle(3), None),
+             (k2, simplex(1), 3), (nerve(_small_categories()[4], 3), circle(3), None)]
+    for x, y, cap in pairs:
+        assert _state(product(x, y, cap=cap)) == _state(_add_simplex_product(x, y, cap=cap))
 
 
 @pytest.mark.parametrize("vertices, simplices", [
