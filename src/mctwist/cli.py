@@ -231,15 +231,8 @@ def cmd_holonomy(args) -> int:
 def cmd_emit_fixtures(args) -> int:
     from . import fixtures, interval
     from .simplicial import circle, cochain_algebra, torus7
-    os.makedirs(args.dir, exist_ok=True)
-    written = []
-
-    def write(name, payload):
-        path = os.path.join(args.dir, name)
-        with open(path, "w") as fh:
-            fh.write(dumps(payload))
-        written.append(name)
-
+    files = {}  # name -> payload: every fixture is built before the first is written
+    write = files.__setitem__
     kx = fixtures.universal_mc_dga(Ring.Z(), 4)
     write("kx-fixture.json", {"algebra": io.dga_to_json(kx),
                               "value": io.element_to_json({("x", 1): 1})})
@@ -265,7 +258,14 @@ def cmd_emit_fixtures(args) -> int:
                 "quotient exists, so elements are computed lazily",
     })
     write("example51-convention.json", fixtures_example51())
-    return _out({"written": sorted(written), "dir": args.dir})
+    try:
+        os.makedirs(args.dir, exist_ok=True)
+        for name, payload in files.items():
+            with open(os.path.join(args.dir, name), "w") as fh:
+                fh.write(dumps(payload))
+    except OSError as exc:  # a --dir that is a file or lies under one, or unwritable
+        raise InputError("cannot write the fixtures to %s: %s" % (args.dir, exc)) from exc
+    return _out({"written": sorted(files), "dir": args.dir})
 
 
 def fixtures_example51() -> dict:

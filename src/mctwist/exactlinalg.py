@@ -32,8 +32,9 @@ the kernel, and the non-unit core of a Z matrix.
 The package builds every matrix of a labelled linear map one way: from its
 sparse columns, ``{row label: scalar}`` dicts, by
 :meth:`ExactMatrix.from_columns`; :func:`solve_columns` solves such a system
-and :func:`solve_equations` one keyed by equation, both with answers keyed
-by label.  No module outside this one mutates a matrix after it is built.
+and :func:`solve_equations` one whose rows are equation keys ordered by
+``str``, both with answers keyed by label, and no caller builds a system
+by rows.  No module outside this one mutates a matrix after it is built.
 """
 
 from __future__ import annotations
@@ -900,22 +901,20 @@ def solve_columns(ring: Ring, columns: dict, rows, bs=()):
     return [None if x is None else keyed(x) for x in sols], [keyed(v) for v in kernel]
 
 
-def solve_equations(ring: Ring, unknowns, rows: dict, rhs: dict):
+def solve_equations(ring: Ring, columns: dict, rhs: dict):
     """Solve equations keyed by label; return a particular solution or None.
 
-    ``rows`` maps an equation key to its row {unknown: scalar} and ``rhs``
-    maps a key to its right-hand side; a key missing from either is a zero
-    row or a zero right-hand side.  The equations are ordered by ``str`` of
-    their keys, which fixes the solution picked, over Z in particular; it
-    comes as {unknown: c} in the order of ``unknowns``, zeros dropped.
+    ``columns`` maps each unknown, in order, to its column {equation key:
+    scalar} and ``rhs`` maps a key to its right-hand side, zero where
+    missing.  The equations are every key a column or ``rhs`` holds,
+    ordered by ``str``, which fixes the solution picked, over Z in
+    particular; it comes as {unknown: c} in column order, zeros dropped.
 
-    >>> solve_equations(Ring.Q(), ["u", "v"], {"x": {"u": 1}, "y": {"u": 1, "v": 2}}, {"y": 1})
+    >>> solve_equations(Ring.Q(), {"u": {"x": 1, "y": 1}, "v": {"y": 2}}, {"y": 1})
     {'v': Fraction(1, 2)}
     """
-    keys = sorted(set(rows) | set(rhs), key=str)
-    a = ExactMatrix.from_columns(ring, [rows.get(k, {}) for k in keys], unknowns).transpose()
-    (sol,), _ = solve_many(a, [[rhs.get(k, 0) for k in keys]])
-    return None if sol is None else {u: c for u, c in zip(unknowns, sol) if c}
+    keys = sorted({k for col in columns.values() for k in col} | set(rhs), key=str)
+    return solve_columns(ring, columns, keys, [rhs])[0][0]
 
 
 # -- cohomology of complexes -----------------------------------------------------------

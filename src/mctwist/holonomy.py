@@ -23,6 +23,7 @@ Defaults: residual tolerance 1e-6, endpoint identity tolerance 1e-5.
 Transport first gathers y at every RK4 node (a sampled path by index
 lookup, a callable by evaluation) and then runs one step loop, ``_rk4``,
 over the stacked nodes; the interior residual is one batched product.
+Backward transport on the circle runs the same loop over the z-samples.
 Each step rounds exactly as a step that looks up its own nodes and
 multiplies with ``@``, so the printed floats do not depend on this layout.
 A step is four ``ndarray.dot`` products and thirteen elementwise operations.
@@ -62,18 +63,23 @@ def read_csv_matrices(path) -> np.ndarray:
     return rows.reshape(-1, n, n)
 
 
+def _samples(values, shape: str, least: int, noun: str) -> np.ndarray:
+    """values as a finite float stack of square matrices, at least ``least`` of them."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 3 or values.shape[1] != values.shape[2]:
+        raise HolonomyError("expected shape %s" % shape)
+    if values.shape[0] < least:
+        raise HolonomyError("need at least %d %s" % (least, noun))
+    if not np.isfinite(values).all():
+        raise HolonomyError("non-finite samples")
+    return values
+
+
 class SampledMatrixPath:
     """n x n matrices at m+1 uniform grid points on [0, 1]."""
 
     def __init__(self, values):
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 3 or values.shape[1] != values.shape[2]:
-            raise HolonomyError("expected shape (m+1, n, n)")
-        if values.shape[0] < 3:
-            raise HolonomyError("need at least 3 samples")
-        if not np.isfinite(values).all():
-            raise HolonomyError("non-finite samples")
-        self.values = values
+        self.values = _samples(values, "(m+1, n, n)", 3, "samples")
 
     @property
     def steps(self) -> int:
@@ -100,14 +106,7 @@ class CircleForm:
     """
 
     def __init__(self, values):
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 3 or values.shape[1] != values.shape[2]:
-            raise HolonomyError("expected shape (p, n, n)")
-        if values.shape[0] < 8:
-            raise HolonomyError("need at least 8 circle samples")
-        if not np.isfinite(values).all():
-            raise HolonomyError("non-finite samples")
-        self.values = values
+        self.values = _samples(values, "(p, n, n)", 8, "circle samples")
 
     @property
     def p(self) -> int:
@@ -165,14 +164,15 @@ def _nodes(y, steps, z0: float, z1: float):
                         for s in (t, t + h / 2, t + h))
 
 
-def _rk4(h, y0, ymid, y1, g):
+def _rk4(h, y0, ymid, y1, g, dot):
     """The RK4 values g_0 = g, ..., g_m of dg/dz = y g on the stacked nodes.
 
-    g is one n x n matrix, multiplied with ``ndarray.dot``, or a stack of
-    shape (2, n, n) with h of shape (2, 1, 1), multiplied with ``np.matmul``;
-    both round every product as ``@`` does.  ``k + k`` is ``2 * k`` exactly.
+    ``dot(y, g)`` is the product: ``np.ndarray.dot`` for one n x n matrix,
+    ``np.matmul`` for the halving pair, a (2, n, n) stack with h of shape
+    (2, 1, 1), both rounding as ``@`` does, and the ``"pij,pjl->pil"``
+    einsum for a stack over the circle grid (``np.matmul`` rounds it
+    otherwise).  ``k + k`` is ``2 * k`` exactly.
     """
-    dot = np.ndarray.dot if g.ndim == 2 else np.matmul
     h2, h6 = h / 2, h / 6
     out = np.empty((len(y0) + 1,) + g.shape)
     out[0] = g
@@ -203,7 +203,7 @@ def solve_transport(y, g0=None, steps: int = None, z0: float = 0.0, z1: float = 
     coarse_end = {}
     with np.errstate(all="ignore"):  # an overflow is refused below, not warned about
         if coarse is None:
-            values = _rk4(h, y0, ymid, y1, g)
+            values = _rk4(h, y0, ymid, y1, g, np.ndarray.dot)
         else:
             hc, *nodes = _nodes(coarse, None, z0, z1)
             mc = len(nodes[0])
@@ -212,9 +212,9 @@ def solve_transport(y, g0=None, steps: int = None, z0: float = 0.0, z1: float = 
                                     "%d x %d matrices" % (len(y0), n, n))
             # rebinding frees the coarse nodes once they are stacked
             nodes = [np.stack((f[:mc], c), axis=1) for f, c in zip((y0, ymid, y1), nodes)]
-            pair = _rk4(np.array([h, hc]).reshape(2, 1, 1), *nodes, np.stack((g, g)))
+            pair = _rk4(np.array([h, hc]).reshape(2, 1, 1), *nodes, np.stack((g, g)), np.matmul)
             del nodes
-            rest = _rk4(h, y0[mc:], ymid[mc:], y1[mc:], pair[-1, 0])
+            rest = _rk4(h, y0[mc:], ymid[mc:], y1[mc:], pair[-1, 0], np.ndarray.dot)
             values = np.concatenate((pair[:, 0], rest[1:]))
             coarse_end["coarse_endpoint"] = pair[-1, 1]
     if not all(np.isfinite(v).all() for v in (values, *coarse_end.values())):
@@ -323,8 +323,12 @@ def gauge_from_homotopy(xs: np.ndarray, ys: np.ndarray, endpoint_tol: float = EN
 
     Returns (g_values at z = 1, report).  Inconsistent input (a pair not
     satisfying the homotopy system) is detected by the endpoint residual
-    exceeding ``endpoint_tol`` and reported rather than silently accepted.
+    exceeding ``endpoint_tol`` (finite, >= 0) and reported rather than
+    silently accepted.
     """
+    if not 0 <= endpoint_tol < math.inf:
+        raise HolonomyError("the endpoint tolerance must be finite and >= 0, not %r"
+                            % (endpoint_tol,))
     xs, ys = _z_path(xs, "xs"), _z_path(ys, "ys")
     if xs.shape != ys.shape:
         raise HolonomyError("xs and ys differ in shape: %r vs %r" % (xs.shape, ys.shape))
@@ -332,17 +336,10 @@ def gauge_from_homotopy(xs: np.ndarray, ys: np.ndarray, endpoint_tol: float = EN
     if mz % 2 == 1:
         raise HolonomyError("need an even number of z-steps")
     p, n = ys.shape[1], ys.shape[2]
-    hz = 1.0 / mz
     g = np.repeat(np.eye(n)[None, :, :], p, axis=0)
     with np.errstate(all="ignore"):  # an overflow is refused below, not warned about
-        for k in range(0, mz, 2):
-            y0, ymid, y1 = ys[k], ys[k + 1], ys[k + 2]
-            h2 = 2 * hz
-            k1 = np.einsum("pij,pjl->pil", y0, g)
-            k2 = np.einsum("pij,pjl->pil", ymid, g + h2 / 2 * k1)
-            k3 = np.einsum("pij,pjl->pil", ymid, g + h2 / 2 * k2)
-            k4 = np.einsum("pij,pjl->pil", y1, g + h2 * k3)
-            g = g + h2 / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        g = _rk4(2 * (1.0 / mz), ys[:-1:2], ys[1::2], ys[2::2], g,
+                 lambda a, b: np.einsum("pij,pjl->pil", a, b))[-1]
     if not np.isfinite(g).all():
         raise HolonomyError("non-finite transport values")
     x0 = CircleForm(xs[0])

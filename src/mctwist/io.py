@@ -248,6 +248,7 @@ def module_from_json(obj) -> tuple:
 def resolution_from_json(obj) -> tuple:
     """(complex, W, d_W, {(u, w, edge): c}) of a resolve file; the last is each
     edge's action minus the identity, which must preserve degree."""
+    from .simplicial import _minus_identity
     with _reading("resolution"):
         ring = Ring.parse(obj.get("ring", "Z"))
         label, scalar = _decoders(ring)
@@ -263,17 +264,11 @@ def resolution_from_json(obj) -> tuple:
             m = matrix_from_json(mat, ring)
             if (m.rows, m.cols) != (n, n):
                 raise ValueError("an edge action is %dx%d, not %dx%d" % (m.rows, m.cols, n, n))
-            for i, u in enumerate(labels):
-                for j, w in enumerate(labels):
-                    c = m.get(j, i)
-                    if u == w:
-                        c = ring.sub(c, ring.one())
-                    if c == 0:
-                        continue
-                    if w_gm.degree[u] != w_gm.degree[w]:
-                        raise ValueError("edge %r maps %r (degree %d) to %r (degree %d)"
-                                         % (e, u, w_gm.degree[u], w, w_gm.degree[w]))
-                    w1_coeffs[(u, w, e)] = c
+            for (u, w, _), c in _minus_identity(ring, labels, e, m):
+                if w_gm.degree[u] != w_gm.degree[w]:
+                    raise ValueError("edge %r maps %r (degree %d) to %r (degree %d)"
+                                     % (e, u, w_gm.degree[u], w, w_gm.degree[w]))
+                w1_coeffs[(u, w, e)] = c
         return base, w_gm, d_w, w1_coeffs
 
 

@@ -592,14 +592,13 @@ def _homotopy_solver(a: DgAlgebra, x: MCElement, y: MCElement):
     if not unknowns:
         return lambda g: None
 
-    def place(rows, eq, unknown, columns, f=lambda c: c):
-        # the columns {l: {r: c}} of one block of unknowns; no two blocks
-        # share an entry, so each is set, not accumulated
-        for l, col in columns.items():
-            for r, c in col.items():
-                rows.setdefault((eq, r), {})[(unknown, l)] = f(c)
+    def place(columns, eq, unknown, block, f=lambda c: c):
+        # the columns {l: {r: c}} of one block of unknowns, keyed as
+        # (unknown, l) and (eq, r); no two blocks share an entry, so each is set
+        for l, col in block.items():
+            columns[(unknown, l)].update(((eq, r), f(c)) for r, c in col.items())
 
-    fixed = {}  # {(equation, r): {(unknown, l): c}}, the blocks without g
+    fixed = {u: {} for u in unknowns}  # {(unknown, l): {(equation, r): c}}, the blocks without g
     # (2) dh + xh - hy = 0, coefficients per degree-1 label: A^[y,x] on A^0
     place(fixed, "c2", "h", _twisted_diff(a, x.left_mult, y.right_mult, deg0))
     # (3) hg - d^x(wx) = 1 and (4) gh - d^y(wy) = 1, d^x of A^[x,x] on A^-1
@@ -608,11 +607,11 @@ def _homotopy_solver(a: DgAlgebra, x: MCElement, y: MCElement):
     rhs = {(eq, r): c for eq in ("c3", "c4") for r, c in a.unit.items()}
 
     def solve(g: Element):
-        rows = {key: dict(row) for key, row in fixed.items()}
+        columns = {u: dict(col) for u, col in fixed.items()}
         l_g, g_l = a.right_mult(g.coeffs), a.left_mult(g.coeffs)  # {l: l g}, {l: g l}
-        place(rows, "c3", "h", {l: l_g.get(l, {}) for l in deg0})
-        place(rows, "c4", "h", {l: g_l.get(l, {}) for l in deg0})
-        vals = solve_equations(ring, unknowns, rows, rhs)
+        place(columns, "c3", "h", {l: l_g.get(l, {}) for l in deg0})
+        place(columns, "c4", "h", {l: g_l.get(l, {}) for l in deg0})
+        vals = solve_equations(ring, columns, rhs)
         if vals is None:
             return None
         h, wx, wy = (Element(a, {l: c for (t, l), c in vals.items() if t == tag})

@@ -314,24 +314,20 @@ def minimal_iso_check(f: ConvOp, src: TwistedModule, dst: TwistedModule):
 
 
 def _invert_weight_zero(a: DgAlgebra, f0: ConvOp, vsrc: GradedModule, vdst: GradedModule):
-    """Two-sided inverse of a weight-0 operator, by linear solve over A^0."""
+    """The inverse g of a weight-0 operator, by linear solve over A^0, or None.
+
+    It solves f0 o g = 1 alone: a one-sided inverse of a square matrix over
+    the finite-rank A^0 (over Z, inside A^0 (x) Q) is two-sided, so the
+    solution is unique and is the two-sided inverse.
+    """
     ring = a.ring
     deg0 = list(a.gm.labels_of_degree(0))
-    unknowns = [(u, w, al) for u in vdst.labels for w in vsrc.labels for al in deg0]
     if len(vsrc.labels) != len(vdst.labels):
         return None
-    # rows[equation key][unknown]: each entry is set once, as one unknown's
-    # composite holds each key once
-    rows = {}
-    # f0 o g = 1_dst and g o f0 = 1_src, linear in g
-    for key in unknowns:
-        g_term = ConvOp(a, vdst, vsrc, {key: ring.one()})
-        for side, op in (("fg", f0.compose(g_term)), ("gf", g_term.compose(f0))):
-            for k, c in op.coeffs.items():
-                rows.setdefault((side, k), {})[key] = c
-    rhs = {("fg", k): c for k, c in ConvOp.identity(a, vdst).coeffs.items()}
-    rhs.update((("gf", k), c) for k, c in ConvOp.identity(a, vsrc).coeffs.items())
-    sol = solve_equations(ring, unknowns, rows, rhs)
+    # the column of an unknown g-entry is its composite f0 o g, linear in g
+    columns = {key: f0.compose(ConvOp(a, vdst, vsrc, {key: ring.one()})).coeffs
+               for key in ((u, w, al) for u in vdst.labels for w in vsrc.labels for al in deg0)}
+    sol = solve_equations(ring, columns, ConvOp.identity(a, vdst).coeffs)
     return None if sol is None else ConvOp(a, vdst, vsrc, sol)
 
 
@@ -386,24 +382,17 @@ def _solve_commutator(a: DgAlgebra, w_gm: GradedModule, d_w: ConvOp,
                       target: ConvOp, weight: int):
     """Solve [d_W, w] = target for w of algebra weight ``weight``, degree 1."""
     ring = a.ring
-    unknown_keys = []
+    columns = {}  # {unknown (u, w, al): its column [d_W, probe]}
     for u in w_gm.labels:
         for w in w_gm.labels:
             for al in a.gm.labels:
-                if a.gm.degree[al] != weight:
-                    continue
-                if w_gm.degree[w] - w_gm.degree[u] + weight == 1:
-                    unknown_keys.append((u, w, al))
-    if not unknown_keys:
+                if a.gm.degree[al] == weight and w_gm.degree[w] - w_gm.degree[u] + weight == 1:
+                    probe = ConvOp(a, w_gm, w_gm, {(u, w, al): ring.one()})
+                    # probe has total degree 1: [d_W, probe] = d_W probe + probe d_W
+                    columns[(u, w, al)] = (d_w.compose(probe) + probe.compose(d_w)).coeffs
+    if not columns:
         return None if not target.is_zero() else ConvOp(a, w_gm, w_gm)
-    rows = {}  # rows[equation key][unknown], each entry set once
-    for key in unknown_keys:
-        probe = ConvOp(a, w_gm, w_gm, {key: ring.one()})
-        # [d_W, probe] with probe of total degree 1: d_W probe + probe d_W
-        br = d_w.compose(probe) + probe.compose(d_w)
-        for rkey, c in br.coeffs.items():
-            rows.setdefault(rkey, {})[key] = c
-    sol = solve_equations(ring, unknown_keys, rows, target.coeffs)
+    sol = solve_equations(ring, columns, target.coeffs)
     return None if sol is None else ConvOp(a, w_gm, w_gm, sol)
 
 

@@ -619,20 +619,26 @@ def solve_invertibility(m: ExactMatrix):
 # ---------------------------------------------------------------------------
 
 
+def _minus_identity(ring: Ring, labels, e, m: ExactMatrix):
+    """The nonzero entries ((u, w, e), c) of m - 1, c = m[w][u] - [u == w],
+    in the order of u and then w: the one reader of an edge's F(e) - 1."""
+    for i, u in enumerate(labels):
+        for j, w in enumerate(labels):
+            c = m.get(j, i)
+            if u == w:
+                c = ring.sub(c, ring.one())
+            if c:
+                yield (u, w, e), c
+
+
 def _edge_twisting(ls: LocalSystem) -> dict:
-    """{(u, w, edge): c}, the entries (zeros included) of F(edge) - 1, once
-    the functor condition holds on every 2-simplex."""
+    """{(u, w, edge): c}, the nonzero entries of F(edge) - 1, once the
+    functor condition holds on every 2-simplex."""
     bad = ls.functor_condition_failures()
     if bad:
         raise SimplicialError("functor condition fails on 2-simplices: %r" % (bad,))
-    ring, labels = ls.ring, ls.v.labels
-    coeffs = {}
-    for e, m in ls.monodromy.items():
-        for ui, u in enumerate(labels):
-            for wi, w in enumerate(labels):
-                c = m.get(wi, ui)
-                coeffs[(u, w, e)] = ring.sub(c, ring.one()) if u == w else c
-    return coeffs
+    return dict(entry for e, m in ls.monodromy.items()
+                for entry in _minus_identity(ls.ring, ls.v.labels, e, m))
 
 
 def rep_to_mc(ls: LocalSystem, end_dga: DgAlgebra = None):

@@ -774,6 +774,96 @@ def test_reordered_input_files_give_the_same_answer(command, fuzz_jobs, tmp_path
         assert runs == runs[:1] * len(runs), argv
 
 
+def _renamed(obj, tag, key=None):
+    """obj with every algebra, module and resolution label l as [tag, l] and
+    every vertex v as the string tag + v; every list keeps its order."""
+    if isinstance(obj, dict):
+        return {k: _renamed(v, tag, k) for k, v in obj.items()}
+
+    def vertices(vs):
+        return ["%s%s" % (tag, json.dumps(v)) for v in vs]
+    if key in ("basis", "v", "unit", "value"):  # [label, degree or scalar]
+        return [[[tag, l], c] for l, c in obj]
+    if key in ("diff", "d"):
+        return [[[tag, l], [tag, m], c] for l, m, c in obj]
+    if key == "mult":
+        return [[[tag, l], [tag, m], [tag, n], c] for l, m, n, c in obj]
+    if key == "mc":
+        return [[[[tag, l] for l in uwa], c] for uwa, c in obj]
+    if key == "vertices":
+        return vertices(obj)
+    if key == "simplices":
+        return [vertices(s) for s in obj]
+    if key in ("monodromy", "edge_action"):
+        return [[vertices(e), m] for e, m in obj]
+    return obj
+
+
+def _named_back(obj, tag):
+    """obj with each [tag, l] as l again."""
+    if isinstance(obj, dict):
+        return {k: _named_back(v, tag) for k, v in obj.items()}
+    if isinstance(obj, list):
+        if len(obj) == 2 and obj[0] == tag:
+            return _named_back(obj[1], tag)
+        return [_named_back(v, tag) for v in obj]
+    return obj
+
+
+def _run_files(capsys, d, argv, files):
+    d.mkdir()
+    for name, obj in files.items():
+        (d / name).write_text(json.dumps(obj))
+    return run_cli(capsys, *[str(d / a) if a in files else a for a in argv])
+
+
+def _certificate_verifies(files, certificate) -> bool:
+    from mctwist import mc
+    a = io.dga_from_json(files["a.json"])
+    x, y = (mc.MCElement(a, a.element(io.element_from_json(a, files[f]["value"])))
+            for f in ("x.json", "y.json"))
+    parts = (a.element(io.element_from_json(a, certificate[k])) for k in ("g", "h", "wx", "wy"))
+    return mc.verify_homotopy_gauge(a, x, y, mc.HomotopyGaugeCertificate(*parts))[0]
+
+
+@pytest.mark.parametrize("command", ["check-dga", "local-system", "mc-check", "minimal-model",
+                                     "truncate", "resolve", "gauge-search"])
+def test_renamed_labels_give_the_same_answer(command, fuzz_jobs, tmp_path, capsys):
+    rng = random.Random(20261020)
+    jobs = [(argv, {name: json.loads(text) for name, text in texts.items()})
+            for argv, texts in fuzz_jobs if argv[0] == command]
+    assert jobs
+    if command in ("check-dga", "mc-check"):
+        # one term doubled, so that axiom failures and an MC residual print labels
+        argv, files = jobs[0]
+        broken = json.loads(json.dumps(files))
+        doc = next(iter(broken.values()))
+        (doc["mult"] if command == "check-dga" else doc["value"])[0][-1] = "2"
+        jobs.append((argv, broken))
+    for i, (argv, files) in enumerate(jobs):
+        code, out, _ = _run_files(capsys, tmp_path / str(i), argv, files)
+        assert code == 0, argv
+        want = json.loads(out)
+        for tag in rng.sample(["r", "s", "~", "renamed"], 2):
+            renamed = {name: _renamed(obj, tag) for name, obj in files.items()}
+            assert renamed != files
+            rcode, rout, _ = _run_files(capsys, tmp_path / ("%d-%s" % (i, tag)), argv, renamed)
+            assert rcode == code, (argv, tag)
+            got = json.loads(rout)
+            if command == "gauge-search":
+                assert (got["result"] == "distinguished") == (want["result"] == "distinguished")
+                assert "certificate" not in got or \
+                    _certificate_verifies(renamed, got["certificate"])
+                continue
+            got = _named_back(got, tag)
+            # an element's terms print sorted by str of their labels
+            assert sorted(got.get("residual", []), key=json.dumps) == \
+                sorted(want.get("residual", []), key=json.dumps)
+            assert dict(got, residual=None) == dict(want, residual=None), (argv, tag)
+    if command in ("check-dga", "mc-check"):  # the last job is the broken one
+        assert want.get("failures") or want.get("residual")
+
+
 def test_resolve_command(tmp_path, capsys):
     payload = {
         "ring": "Z",
@@ -887,6 +977,10 @@ BAD_HOLONOMY_INPUT = {
     "backward-overflow": (["--mode", "backward", "x.csv", "y.csv", "--grid", "8"],
                           {"x.csv": _rows(40, "0,0,0,0"),
                            "y.csv": _rows(40, "1e200,-1e200,1e200,1e200")}),
+    # a consistent pair (endpoint error 0) under a tolerance that is no bound
+    **{"tolerance-" + tol: (["--mode", "backward", "x.csv", "x.csv", "--grid", "8",
+                             "--tolerance", tol], {"x.csv": _rows(24, "0,0,0,0")})
+       for tol in ("nan", "-1", "inf")},
     # a nilpotent y: finite transport, an infinite endpoint condition number
     "nilpotent-1.4e154": (["--mode", "pexp", "y.csv"], {"y.csv": _rows(9, "0,1.4e154,0,0")}),
     "nilpotent-1e200": (["--mode", "pexp", "y.csv"], {"y.csv": _rows(9, "0,1e200,0,0")}),
@@ -922,6 +1016,30 @@ def test_holonomy_overflow_is_one_input_error_line(case, tmp_path, capsys):
 def test_holonomy_backward_infinite_condition_number_is_one_input_error_line(tmp_path, capsys):
     code, out, err = _run_bad_holonomy("backward-nilpotent-1e200", tmp_path, capsys)
     assert (code, out, err) == (1, "", "input error: non-finite gauge condition number\n")
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_holonomy_names_a_tolerance_that_is_no_bound(tol, tmp_path, capsys):
+    code, out, err = _run_bad_holonomy("tolerance-" + tol, tmp_path, capsys)
+    assert (code, out) == (1, "")
+    assert err == "input error: the endpoint tolerance must be finite and >= 0, not %r\n" \
+        % float(tol)
+    argv, files = BAD_HOLONOMY_INPUT["tolerance-" + tol]
+    code, out, _ = run_cli(capsys, "holonomy", *[str(tmp_path / a) if a in files else a
+                                                 for a in argv[:-2] + ["--tolerance", "0"]])
+    assert code == 0 and json.loads(out)["endpoint_error"] == 0.0
+
+
+@pytest.mark.parametrize("where", ["file", "file/sub"])
+def test_emit_fixtures_into_a_directory_it_cannot_make_is_one_input_error_line(
+        where, tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    target = str(tmp_path / where)
+    code, out, err = run_cli(capsys, "emit-fixtures", "--dir", target)
+    assert (code, out) == (1, "")
+    assert err.startswith("input error: cannot write the fixtures to %s: " % target)
+    assert err.count("\n") == 1 and ("%r" % target) in err
+    assert (tmp_path / "file").read_text() == ""
 
 
 def test_holonomy_pexp_on_five_samples_skips_the_halving_estimate(tmp_path, capsys):

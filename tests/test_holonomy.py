@@ -6,6 +6,7 @@ from mctwist.holonomy import (
     HolonomyError,
     SampledMatrixPath,
     gauge_from_homotopy,
+    gauge_transform_circle,
     homotopy_from_gauge_path,
     pexp,
     solve_transport,
@@ -470,3 +471,57 @@ def test_holonomy_errors_are_input_errors():
     assert issubclass(HolonomyError, InputError) and issubclass(HolonomyError, ValueError)
     with pytest.raises(InputError, match="need at least 3 samples"):
         SampledMatrixPath(np.zeros((2, 2, 2)))
+
+
+def _loop_gauge_from_homotopy(xs, ys, endpoint_tol=1e-5):
+    # gauge_from_homotopy with its own RK4 loop, before it ran _rk4; kept as its reference
+    mz = ys.shape[0] - 1
+    p, n = ys.shape[1], ys.shape[2]
+    hz = 1.0 / mz
+    g = np.repeat(np.eye(n)[None, :, :], p, axis=0)
+    with np.errstate(all="ignore"):
+        for k in range(0, mz, 2):
+            y0, ymid, y1 = ys[k], ys[k + 1], ys[k + 2]
+            h2 = 2 * hz
+            k1 = np.einsum("pij,pjl->pil", y0, g)
+            k2 = np.einsum("pij,pjl->pil", ymid, g + h2 / 2 * k1)
+            k3 = np.einsum("pij,pjl->pil", ymid, g + h2 / 2 * k2)
+            k4 = np.einsum("pij,pjl->pil", y1, g + h2 * k3)
+            g = g + h2 / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    if not np.isfinite(g).all():
+        raise HolonomyError("non-finite transport values")
+    err = float(np.max(np.abs(xs[-1] - gauge_transform_circle(g, CircleForm(xs[0])))))
+    cond = float(np.max(np.linalg.cond(g)))
+    if not np.isfinite(cond):
+        raise HolonomyError("non-finite gauge condition number")
+    return g, {"endpoint_error": err, "consistent": bool(err <= endpoint_tol),
+               "gauge_condition_number": cond}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [8, 16, 32])
+def test_backward_transport_is_bit_identical_to_its_own_loop(n, p):
+    rnd = np.random.default_rng(10 * n + p)
+    for mz in (2, 4, 6, 10, 24, 58, 120):
+        xs, ys = rnd.uniform(-1, 1, (2, mz + 1, p, n, n))
+        ys = ys * rnd.uniform(0.1, 3)
+        g, report = gauge_from_homotopy(xs, ys)
+        ref, expected = _loop_gauge_from_homotopy(xs, ys)
+        # the bit patterns, so that -0.0 and 0.0, which print differently, differ
+        assert np.array_equal(g.view(np.uint64), ref.view(np.uint64)), (n, p, mz)
+        assert report == expected
+    ys = np.tile(1e200 * np.array([[1.0, -1.0], [1.0, 1.0]])[:n, :n], (5, p, 1, 1))
+    for run in (gauge_from_homotopy, _loop_gauge_from_homotopy):
+        with pytest.raises(HolonomyError, match="non-finite transport values"):
+            run(np.zeros_like(ys), ys)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-300, float("inf"), float("-inf")])
+def test_the_endpoint_tolerance_must_be_finite_and_not_negative(tol):
+    xs = ys = np.zeros((3, 8, 2, 2))
+    with pytest.raises(HolonomyError, match="endpoint tolerance .* not %s" % tol):
+        gauge_from_homotopy(xs, ys, endpoint_tol=tol)
+    assert gauge_from_homotopy(xs, ys, endpoint_tol=0.0)[1]["consistent"]
+    # zero asks for exact equality
+    off = np.concatenate((xs[:2], xs[2:] + 1e-300))
+    assert not gauge_from_homotopy(off, ys, endpoint_tol=0.0)[1]["consistent"]

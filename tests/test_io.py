@@ -337,6 +337,30 @@ def test_every_reader_reads_as_the_per_occurrence_decode_does(reader):
         assert _read_both_ways(read, reference, obj) is not None
 
 
+def test_edge_actions_read_as_the_old_edge_loop():
+    # several edges of S^1_4, a basis in degrees 0 and 1: the entries of each
+    # action minus the identity, in order, or the same degree error
+    rng = random.Random(20261020)
+    read = 0
+    for trial in range(40):
+        degrees = [rng.choice([0, 1]) for _ in range(rng.randint(1, 4))]
+        basis = [[["w", i], d] for i, d in enumerate(degrees)]
+
+        def entry(i, j):
+            if degrees[i] != degrees[j] and rng.random() < 0.9:
+                return 0
+            return rng.choice([0, 0, 1, 1, -1, 2]) if i != j else rng.choice([1, 1, 0, 2, -1])
+        edges = rng.sample([[0, 1], [1, 2], [2, 3], [0, 3]], rng.randint(1, 4))
+        obj = {"ring": rng.choice(["Z", "Q", "F5"]),
+               "complex": {"vertices": [0, 1, 2, 3],
+                           "simplices": [[0, 1], [1, 2], [2, 3], [0, 3]]},
+               "resolution": {"basis": basis, "d": []},
+               "edge_action": [[e, [[entry(i, j) for j in range(len(degrees))]
+                                    for i in range(len(degrees))]] for e in edges]}
+        read += _read_both_ways(io.resolution_from_json, _reference_resolution, obj) is not None
+    assert 10 < read < 40
+
+
 @pytest.mark.parametrize("second", [True, 1.0, "1.0", False])
 def test_a_coefficient_equal_to_an_accepted_one_is_refused_as_before(second):
     read, reference, _ = READERS["element"]

@@ -4,8 +4,9 @@
 ``QUANTITIES`` table by attribute lookup on ``mctwist.<layer>``.  A refactor
 that deletes or renames one of those functions fails here, instead of
 crashing the traced benchmark run.  And every job of the seed-1 ``gauge``,
-``cohomology_z`` and ``axioms`` lists, run in-process, must print the
-bytes its recorded reference holds.
+``cohomology_z`` and ``axioms`` lists, and the first six backward jobs of
+the ``transport`` list, run in-process, must print the bytes its recorded
+reference holds.
 """
 
 import contextlib
@@ -38,20 +39,20 @@ def test_every_traced_function_resolves():
         assert callable(getattr(module, function, None)), key
 
 
-@pytest.mark.parametrize("workload", ["gauge", "cohomology_z", "axioms"])
-def test_the_seed_one_list_prints_its_reference_bytes(workload, tmp_path, monkeypatch):
-    # perfbench/workloads.py builds the inputs (read-only, as run.py does);
-    # each job's input files and stdout must hash as the reference records
+def _print_reference_bytes(workload, select, tmp_path, monkeypatch) -> int:
+    # perfbench/workloads.py builds the inputs (read-only, as run.py does) of
+    # the jobs ``select`` keeps of the seed-1 list; each job's input files and
+    # stdout must hash as the reference records.  Returns the job count.
     from mctwist import cli
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     reference = json.loads((PERFBENCH / "reference" / ("%s.json" % workload)).read_text())
-    jobs = workloads.build_jobs(workload, workloads.instances(workload, 1, 1.0), str(tmp_path))
+    picks = select(workloads.instances(workload, 1, 1.0))
+    jobs = workloads.build_jobs(workload, picks, str(tmp_path))
     monkeypatch.chdir(tmp_path)
 
     def sha256(data: bytes) -> str:
         return hashlib.sha256(data).hexdigest()
-    assert len(jobs) > 100
     for job in jobs:
         files = {Path(f).name: sha256(Path(f).read_bytes()) for f in job.files}
         assert reference[job.id]["input"] == {"argv": job.argv, "files": files}, job.id
@@ -59,3 +60,16 @@ def test_the_seed_one_list_prints_its_reference_bytes(workload, tmp_path, monkey
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             assert cli.main(job.argv) == 0, job.id
         assert sha256(out.getvalue().encode()) == reference[job.id]["stdout"], job.id
+    return len(jobs)
+
+
+@pytest.mark.parametrize("workload", ["gauge", "cohomology_z", "axioms"])
+def test_the_seed_one_list_prints_its_reference_bytes(workload, tmp_path, monkeypatch):
+    assert _print_reference_bytes(workload, lambda picks: picks, tmp_path, monkeypatch) > 100
+
+
+def test_the_first_backward_transport_jobs_print_their_reference_bytes(tmp_path, monkeypatch):
+    # one job per (n, p) option: consecutive keys cycle through the six
+    def first_backward(picks):
+        return [(cls, key) for cls, key in picks if cls.name == "backward"][:6]
+    assert _print_reference_bytes("transport", first_backward, tmp_path, monkeypatch) == 6

@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 
 from mctwist.dgcore import GradedModule, endomorphism_dga
-from mctwist.exactlinalg import ExactMatrix, Ring, kernel_basis, rank, solve_linear
+from mctwist.exactlinalg import ExactMatrix, Ring, kernel_basis, rank, solve_linear, solve_many
 from mctwist.mc import MCElement, TwistedModule, gauge_act, zero_mc
 from mctwist.perturbation import (
     ConvOp,
     HodgeData,
     PerturbationError,
     ReducedTwistedModule,
+    _invert_weight_zero,
     check_hodge,
     hodge_data,
     is_minimal,
@@ -447,6 +448,72 @@ def test_two_runs_comparison_is_an_isomorphism():
     ok, inv = minimal_iso_check(comparison, mm1.minimal, mm2.minimal)
     assert ok
     assert inv.compose(comparison) == ConvOp.identity(ca, mm1.minimal.v)
+
+
+def _two_sided_inverse_reference(a, f0, vsrc, vdst):
+    # _invert_weight_zero as it solved f0 o g = 1 and g o f0 = 1 as one system
+    # of keyed rows, kept as its reference
+    ring = a.ring
+    deg0 = list(a.gm.labels_of_degree(0))
+    unknowns = [(u, w, al) for u in vdst.labels for w in vsrc.labels for al in deg0]
+    if len(vsrc.labels) != len(vdst.labels):
+        return None
+    rows = {}
+    for key in unknowns:
+        g_term = ConvOp(a, vdst, vsrc, {key: ring.one()})
+        for side, op in (("fg", f0.compose(g_term)), ("gf", g_term.compose(f0))):
+            for k, c in op.coeffs.items():
+                rows.setdefault((side, k), {})[key] = c
+    rhs = {("fg", k): c for k, c in ConvOp.identity(a, vdst).coeffs.items()}
+    rhs.update((("gf", k), c) for k, c in ConvOp.identity(a, vsrc).coeffs.items())
+    keys = sorted(set(rows) | set(rhs), key=str)
+    mat = ExactMatrix.from_columns(ring, [rows.get(k, {}) for k in keys], unknowns).transpose()
+    (sol,), _ = solve_many(mat, [[rhs.get(k, 0) for k in keys]])
+    return None if sol is None else ConvOp(a, vdst, vsrc, {u: c for u, c in zip(unknowns, sol)
+                                                           if c})
+
+
+@pytest.mark.parametrize("ring", [Z, Q, F5], ids=lambda r: r.name)
+def test_weight_zero_inverse_is_the_two_sided_solve(ring):
+    # over A^0 = k^3 (C*(S^1_3)) and the non-commutative A^0 = M_2(k^2) of
+    # End(k^2) (x) C*(Delta^1); V of two labels with equal and unequal degrees
+    rng = random.Random(20261020)
+    algebras = [cochain_algebra(circle(3), ring),
+                endomorphism_dga(cochain_algebra(simplex(1), ring),
+                                 GradedModule(ring, [("p", 0), ("q", 0)]))]
+    profiles = [((0, 0), (0, 0)), ((0, 1), (1, 0)), ((0, 1), (2, 2)), ((0, 0, 1), (0, 1))]
+    found = {"invertible": 0, "singular": 0}
+    for a in algebras:
+        deg0 = list(a.gm.labels_of_degree(0))
+        for src_deg, dst_deg in profiles:
+            vsrc = GradedModule(ring, [(("s", i), d) for i, d in enumerate(src_deg)])
+            vdst = GradedModule(ring, [(("t", i), d) for i, d in enumerate(dst_deg)])
+
+            def op(src, dst, keep):
+                return ConvOp(a, src, dst, {(u, w, al): rng.choice([-2, -1, 1, 2, 3])
+                                            for i, u in enumerate(src.labels)
+                                            for j, w in enumerate(dst.labels)
+                                            for al in deg0 if keep(i, j) and rng.random() < 0.5})
+            bijection = ConvOp.from_matrix(a, vsrc, vdst,
+                                           dict.fromkeys(zip(vsrc.labels, vdst.labels), 1))
+            for trial in range(6):
+                if trial < 3 and len(vsrc.labels) == len(vdst.labels):
+                    # unipotent factors: invertible over Z too
+                    lower = ConvOp.identity(a, vsrc) + op(vsrc, vsrc, lambda i, j: i > j)
+                    upper = ConvOp.identity(a, vsrc) + op(vsrc, vsrc, lambda i, j: i < j)
+                    f0 = bijection.compose(lower).compose(upper)
+                else:
+                    f0 = op(vsrc, vdst, lambda i, j: trial != 5 or i > 0)
+                g = _invert_weight_zero(a, f0, vsrc, vdst)
+                ref = _two_sided_inverse_reference(a, f0, vsrc, vdst)
+                assert (g is None) == (ref is None)
+                if g is not None:
+                    assert [(k, c, type(c)) for k, c in g.coeffs.items()] == \
+                        [(k, c, type(c)) for k, c in ref.coeffs.items()]
+                    assert f0.compose(g) == ConvOp.identity(a, vdst)
+                    assert g.compose(f0) == ConvOp.identity(a, vsrc)
+                found["singular" if g is None else "invertible"] += 1
+    assert min(found.values()) >= 10, found
 
 
 # -- resolution lifts ----------------------------------------------------------

@@ -11,6 +11,7 @@ from mctwist.simplicial import (
     FiniteSimplicialSet,
     LocalSystem,
     SimplicialError,
+    _edge_twisting,
     _lattice_paths,
     boundary_simplex,
     circle,
@@ -248,6 +249,42 @@ def test_solve_invertibility_matches_the_two_branch_reference(ring):
         found[inv is not None] += 1
     assert min(found.values()) > 30, found
     assert solve_invertibility(ExactMatrix.zeros(ring, 2, 3)) is None
+
+
+def _edge_twisting_reference(ls):
+    # _edge_twisting's own loop before io shared its reader of F(e) - 1; it
+    # kept the zero entries
+    ring, labels = ls.ring, ls.v.labels
+    coeffs = {}
+    for e, m in ls.monodromy.items():
+        for ui, u in enumerate(labels):
+            for wi, w in enumerate(labels):
+                c = m.get(wi, ui)
+                coeffs[(u, w, e)] = ring.sub(c, ring.one()) if u == w else c
+    return coeffs
+
+
+@pytest.mark.parametrize("ring", [Z, Q, F7], ids=lambda r: r.name)
+def test_edge_twisting_is_the_old_edge_loop_without_its_zeros(ring):
+    rng = random.Random(20261020)
+    cases = 0
+    for trial in range(30):
+        n = rng.choice([1, 2, 3])
+        v = GradedModule(ring, [(("v", l), 0) for l in rng.sample(range(9), n)])
+        if trial % 3:  # the circle has no 2-simplex to tie its edges
+            base = circle(rng.choice([3, 4]))
+            edges = rng.sample(list(base.nondegenerate(1)), rng.randint(0, 3))
+            mono = {e: _random_invertible(rng, ring, n) if rng.random() < 0.7
+                    else ExactMatrix.identity(ring, n) for e in edges}
+        else:
+            base = simplex(2)
+            m01, m12 = (_random_invertible(rng, ring, n) for _ in range(2))
+            mono = {(0, 1): m01, (1, 2): m12, (0, 2): m01 * m12}
+        ls = LocalSystem(base, v, mono)
+        want = [(k, c, type(c)) for k, c in _edge_twisting_reference(ls).items() if c != 0]
+        assert [(k, c, type(c)) for k, c in _edge_twisting(ls).items()] == want
+        cases += bool(want)
+    assert cases > 15
 
 
 def test_mc_to_rep_error_branch():
