@@ -220,8 +220,10 @@ def cmd_holonomy(args) -> int:
         ys = ys.reshape(mz + 1, p, ys.shape[1], ys.shape[2])
         g, report = holonomy.gauge_from_homotopy(xs, ys, endpoint_tol=args.tolerance)
         if not report["consistent"]:
-            raise InputError("inputs do not satisfy the homotopy system: "
-                             "endpoint error %g" % report["endpoint_error"])
+            raise InputError("inputs do not satisfy the homotopy system: " + (
+                "endpoint error %g" % report["endpoint_error"]
+                if not report["endpoint_error"] <= args.tolerance else
+                "interior residual %(system_residual)g exceeds %(residual_bound)g" % report))
         return _out({"endpoint_error": report["endpoint_error"],
                      "condition_number": report["gauge_condition_number"],
                      "checks": ["endpoint-identity"]})

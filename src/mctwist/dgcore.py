@@ -51,27 +51,33 @@ _INT = {int}
 _NONE = frozenset()
 
 
-def _normalized(ring: Ring, table: dict) -> dict:
+def _normalized(ring: Ring, table: dict, degree: dict, want) -> dict:
     # a table {key: {label: scalar}} with its scalars coerced into the ring
     # and its zero scalars and empty entries dropped.  Nonzero ints, in
     # range(1, p) over F_p, are canonical already: one test of the whole
     # table's values, run in C, copies a generated table's non-empty rows;
-    # any other table goes row by row, a row passing the same test copied
+    # any other table goes row by row, a row passing the same test copied.
+    # A row that drops a zero still names basis labels only: want(key), the
+    # degree its terms lie in, and degree[label] raise KeyError otherwise
     p = ring.p
-    vals = [c for vec in table.values() for c in vec.values()]
-    if set(map(type, vals)) == _INT and (0 < min(vals) and max(vals) < p if p
-                                         else 0 not in vals):
+
+    def canonical(vals) -> bool:
+        return set(map(type, vals)) == _INT and (0 < min(vals) and max(vals) < p if p
+                                                 else 0 not in vals)
+    if canonical([c for vec in table.values() for c in vec.values()]):
         return {key: dict(vec) for key, vec in table.items() if vec}
     out = {}
     for key, vec in table.items():
-        vals = vec.values()
-        if set(map(type, vals)) == _INT and (0 < min(vals) and max(vals) < p if p
-                                             else 0 not in vals):
+        if canonical(vec.values()):
             out[key] = dict(vec)
             continue
-        vec = {k: c for k, v in vec.items() if (c := ring.coerce(v)) != 0}
-        if vec:
-            out[key] = vec
+        kept = {k: c for k, v in vec.items() if (c := ring.coerce(v)) != 0}
+        if len(kept) < len(vec):
+            want(key)
+            for label in vec:
+                degree[label]
+        if kept:
+            out[key] = kept
     return out
 
 
@@ -237,14 +243,15 @@ class DgAlgebra:
         self.gm = gm
         self.ring = gm.ring
         self.name = name
-        self.unit = _normalized(self.ring, {(): unit}).get((), {})
-        self.mult = _normalized(self.ring, mult)
-        self.diff = _normalized(self.ring, diff)
-        self._rows = None  # mult by left and by right label, built on first use
         deg = gm.degree
+        product, differential = lambda ab: deg[ab[0]] + deg[ab[1]], lambda a: deg[a] + 1
+        self.unit = _normalized(self.ring, {(): unit}, deg, lambda _: 0).get((), {})
+        self.mult = _normalized(self.ring, mult, deg, product)
+        self.diff = _normalized(self.ring, diff, deg, differential)
+        self._rows = None  # mult by left and by right label, built on first use
         check_degrees(deg, ({(): self.unit}, lambda _: 0, "unit"),
-                       (self.mult, lambda ab: deg[ab[0]] + deg[ab[1]], "product"),
-                       (self.diff, lambda a: deg[a] + 1, "differential of"))
+                       (self.mult, product, "product"),
+                       (self.diff, differential, "differential of"))
 
     # -- elements ------------------------------------------------------------
 
@@ -563,11 +570,12 @@ class DgModule:
         self.algebra = algebra
         self.ring = gm.ring
         self.name = name
-        self.action = _normalized(self.ring, action)
-        self.diff = _normalized(self.ring, diff)
         deg, adeg = gm.degree, algebra.gm.degree
-        check_degrees(deg, (self.action, lambda ma: deg[ma[0]] + adeg[ma[1]], "action"),
-                       (self.diff, lambda m: deg[m] + 1, "differential of"))
+        action_of, differential = lambda ma: deg[ma[0]] + adeg[ma[1]], lambda m: deg[m] + 1
+        self.action = _normalized(self.ring, action, deg, action_of)
+        self.diff = _normalized(self.ring, diff, deg, differential)
+        check_degrees(deg, (self.action, action_of, "action"),
+                       (self.diff, differential, "differential of"))
 
     def d_dict(self, x: dict) -> dict:
         return vec_apply(self.ring, self.diff, x)

@@ -13,7 +13,10 @@ equation dg/dz = y(z) g(z), g(0) = 1, whose solution is the path-ordered
 exponential.  Forward: a gauge path g(z) with g(0) = 1 yields a homotopy
 x(z) = g x0 g^{-1} - (dg) g^{-1}, y = (dg/dz) g^{-1}.  Backward: solving
 the transport ODE pointwise on the circle recovers g with
-x(1) = g . x0 up to a reported tolerance.
+x(1) = g . x0 up to a reported tolerance.  Both directions measure (4.2)
+at the interior z-samples in one batched check, and backward transport
+also bounds it (:func:`gauge_from_homotopy`).  One check, ``_samples``,
+reads every sample stack: its shape, its length, every value finite.
 
 Spatial derivatives on the circle use central differences on the periodic
 grid (second order); the z-integration is classical RK4, so halving an
@@ -64,9 +67,10 @@ def read_csv_matrices(path) -> np.ndarray:
 
 
 def _samples(values, shape: str, least: int, noun: str) -> np.ndarray:
-    """values as a finite float stack of square matrices, at least ``least`` of them."""
+    """values as a finite float stack of square matrices of the given shape,
+    such as "(p, n, n)" or "(mz+1, p, n, n)", at least ``least`` along its first axis."""
     values = np.asarray(values, dtype=float)
-    if values.ndim != 3 or values.shape[1] != values.shape[2]:
+    if values.ndim != shape.count(",") + 1 or values.shape[-1] != values.shape[-2]:
         raise HolonomyError("expected shape %s" % shape)
     if values.shape[0] < least:
         raise HolonomyError("need at least %d %s" % (least, noun))
@@ -85,18 +89,11 @@ class SampledMatrixPath:
     def steps(self) -> int:
         return self.values.shape[0] - 1
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[1]
-
     @staticmethod
     def from_function(f, n: int, samples: int):
         ts = np.linspace(0.0, 1.0, samples + 1)
         vals = np.stack([np.asarray(f(t), dtype=float).reshape(n, n) for t in ts])
         return SampledMatrixPath(vals)
-
-    def at(self, k: int):
-        return self.values[k]
 
 
 class CircleForm:
@@ -108,24 +105,16 @@ class CircleForm:
     def __init__(self, values):
         self.values = _samples(values, "(p, n, n)", 8, "circle samples")
 
-    @property
-    def p(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[1]
-
     @staticmethod
     def constant(matrix, p: int = 64):
         m = np.asarray(matrix, dtype=float)
         return CircleForm(np.repeat(m[None, :, :], p, axis=0))
 
 def circle_derivative(values: np.ndarray) -> np.ndarray:
-    """Central differences on the periodic theta grid, O(h^2)."""
-    p = values.shape[0]
+    """Central differences on the periodic theta grid (axis -3), O(h^2)."""
+    p = values.shape[-3]
     h = 1.0 / p
-    return (np.roll(values, -1, axis=0) - np.roll(values, 1, axis=0)) / (2.0 * h)
+    return (np.roll(values, -1, axis=-3) - np.roll(values, 1, axis=-3)) / (2.0 * h)
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +260,12 @@ def gauge_transform_circle(g_values: np.ndarray, x0: CircleForm) -> np.ndarray:
         np.einsum("pij,pjk->pik", dg, ginv)
 
 
-def _z_path(values, what: str) -> np.ndarray:
-    """values as floats of shape (mz+1, p, n, n) with at least 3 z-samples."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 4:
-        raise HolonomyError("%s: expected shape (mz+1, p, n, n)" % what)
-    if values.shape[0] < 3:
-        raise HolonomyError("%s: need at least 3 z-samples" % what)
-    return values
+def _system_residual(xs: np.ndarray, ys: np.ndarray) -> float:
+    """max |dx/dz + d_theta y - [y, x]| of (4.2) over the interior z-samples
+    k = 1..mz-1 of (mz+1, p, n, n) stacks, dx/dz by central differences."""
+    x, y = xs[1:-1], ys[1:-1]
+    dxdz = (xs[2:] - xs[:-2]) / (2 * (1.0 / (len(xs) - 1)))
+    return float(np.max(np.abs(dxdz + circle_derivative(y) - (y @ x - x @ y))))
 
 
 def homotopy_from_gauge_path(x0: CircleForm, gpath: np.ndarray):
@@ -290,10 +277,8 @@ def homotopy_from_gauge_path(x0: CircleForm, gpath: np.ndarray):
     the report carries the measured residual of the homotopy system (4.2)
     on the interior grid.
     """
-    gpath = _z_path(gpath, "gauge path")
-    mz = gpath.shape[0] - 1
-    p = gpath.shape[1]
-    n = gpath.shape[2]
+    gpath = _samples(gpath, "(mz+1, p, n, n)", 3, "z-samples")
+    mz, p, n = gpath.shape[0] - 1, gpath.shape[1], gpath.shape[2]
     if not np.allclose(gpath[0], np.eye(n)[None, :, :].repeat(p, axis=0)):
         raise HolonomyError("gauge path must start at the identity")
     ginv = np.linalg.inv(gpath)
@@ -306,30 +291,28 @@ def homotopy_from_gauge_path(x0: CircleForm, gpath: np.ndarray):
     dgdz[0] = (gpath[1] - gpath[0]) / hz
     dgdz[-1] = (gpath[-1] - gpath[-2]) / hz
     ys = np.einsum("kpij,kpjl->kpil", dgdz, ginv)
-    resid = 0.0
-    for k in range(1, mz):
-        dxdz = (xs[k + 1] - xs[k - 1]) / (2 * hz)
-        dtheta_y = circle_derivative(ys[k])
-        bracket = np.einsum("pij,pjl->pil", ys[k], xs[k]) - \
-            np.einsum("pij,pjl->pil", xs[k], ys[k])
-        resid = max(resid, float(np.max(np.abs(dxdz + dtheta_y - bracket))))
-    report = {"system_residual": resid, "z_steps": mz, "grid": p}
+    report = {"system_residual": _system_residual(xs, ys), "z_steps": mz, "grid": p}
     return xs, ys, report
 
 
 def gauge_from_homotopy(xs: np.ndarray, ys: np.ndarray, endpoint_tol: float = ENDPOINT_TOL):
-    """Integrate the transport ODE pointwise on the circle and verify the
-    endpoint identity x(1) = g . x(0).
+    """Integrate the transport ODE pointwise on the circle and check the
+    endpoint identity x(1) = g . x(0) and (4.2) at the interior z-samples.
 
-    Returns (g_values at z = 1, report).  Inconsistent input (a pair not
-    satisfying the homotopy system) is detected by the endpoint residual
-    exceeding ``endpoint_tol`` (finite, >= 0) and reported rather than
-    silently accepted.
+    Returns (g_values at z = 1, report), ``consistent`` only when the
+    endpoint error is at most ``endpoint_tol`` (finite, >= 0) and the
+    residual of (4.2), ``system_residual``, is at most ``residual_bound`` =
+    (h_z^2 + h_theta^2) max(1, max|y| + max(|x(0)|, |x(1)|))^3, h_z = 1/mz,
+    h_theta = 1/p: central differences err by h^2 times third derivatives,
+    which grow like the cube of the forms.  The bound reads x only at the
+    ends, which the endpoint identity checks, so a bad interior sample cannot
+    raise it; past the largest float it is inf.  An inconsistent pair is
+    reported, not silently accepted.
     """
     if not 0 <= endpoint_tol < math.inf:
         raise HolonomyError("the endpoint tolerance must be finite and >= 0, not %r"
                             % (endpoint_tol,))
-    xs, ys = _z_path(xs, "xs"), _z_path(ys, "ys")
+    xs, ys = (_samples(v, "(mz+1, p, n, n)", 3, "z-samples") for v in (xs, ys))
     if xs.shape != ys.shape:
         raise HolonomyError("xs and ys differ in shape: %r vs %r" % (xs.shape, ys.shape))
     mz = ys.shape[0] - 1
@@ -337,9 +320,12 @@ def gauge_from_homotopy(xs: np.ndarray, ys: np.ndarray, endpoint_tol: float = EN
         raise HolonomyError("need an even number of z-steps")
     p, n = ys.shape[1], ys.shape[2]
     g = np.repeat(np.eye(n)[None, :, :], p, axis=0)
-    with np.errstate(all="ignore"):  # an overflow is refused below, not warned about
+    with np.errstate(all="ignore"):  # an overflow is refused below or bounds nothing
         g = _rk4(2 * (1.0 / mz), ys[:-1:2], ys[1::2], ys[2::2], g,
                  lambda a, b: np.einsum("pij,pjl->pil", a, b))[-1]
+        resid = _system_residual(xs, ys)
+        scale = np.maximum(1.0, np.abs(ys).max() + np.abs(xs[[0, -1]]).max())
+        bound = float(((1.0 / mz) ** 2 + (1.0 / p) ** 2) * scale ** 3)
     if not np.isfinite(g).all():
         raise HolonomyError("non-finite transport values")
     x0 = CircleForm(xs[0])
@@ -350,7 +336,9 @@ def gauge_from_homotopy(xs: np.ndarray, ys: np.ndarray, endpoint_tol: float = EN
         raise HolonomyError("non-finite gauge condition number")
     report = {
         "endpoint_error": err,
-        "consistent": bool(err <= endpoint_tol),
+        "system_residual": resid,
+        "residual_bound": bound,
+        "consistent": bool(err <= endpoint_tol and resid <= bound),
         "gauge_condition_number": cond,
     }
     return g, report

@@ -415,6 +415,13 @@ def _circle3_algebra(first_degree):
     return obj
 
 
+def _pair_label_algebra(unit):
+    # the one-dimensional algebra on a label that is a list of two pairs
+    return {"ring": "Q", "basis": [[PAIR_LABEL, 0]], "unit": unit,
+            "mult": [[PAIR_LABEL, PAIR_LABEL, PAIR_LABEL, "1"]], "diff": []}
+
+
+PAIR_LABEL = [["x", 0], ["x", 0]]
 EDGE = {"vertices": [0, 1], "simplices": [[0, 1]]}
 CIRCLE3 = {"vertices": [0, 1, 2], "simplices": [[0, 1], [0, 2], [1, 2]]}
 
@@ -555,6 +562,15 @@ BAD_INPUT_FILES = {
     # a module over an algebra whose unit is zero is not reduced
     "truncate-algebra-unit-zero": (["truncate", "m.json", "--i", "0"], {"m.json": dict(
         _module_payload(), algebra=dict(_module_payload()["algebra"], unit=[]))}),
+    # a zero scalar does not hide a label outside the basis: a product and a
+    # differential that name none, and a unit label that is itself a list of
+    # pairs, so that it reads as the coefficient list {"x": 0}
+    "check-dga-zero-terms-outside-the-basis": (["check-dga", "a.json"], {"a.json": {
+        "ring": "Q", "basis": [["e", 0]], "unit": "e",
+        "mult": [["e", "e", "e", "1"], ["nope", "zilch", "nada", "0"]],
+        "diff": [["ghost", "e", "0"]]}}),
+    "check-dga-unit-label-of-pairs": (["check-dga", "a.json"], {"a.json": _pair_label_algebra(
+        PAIR_LABEL)}),
     "gauge-search-budget-above-the-ceiling": (
         ["gauge-search", "a.json", "x.json", "y.json", "--seed", "1", "--budget", "2000"],
         {"a.json": _k0_algebra(), "x.json": {"value": []}, "y.json": {"value": []}}),
@@ -580,6 +596,20 @@ def test_input_file_of_the_wrong_shape_is_one_input_error_line(case, tmp_path, c
     code, out, err = _run_bad_input(case, tmp_path, capsys)
     assert (code, out) == (1, ""), err
     assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case, label", [("check-dga-zero-terms-outside-the-basis", "nope"),
+                                         ("check-dga-unit-label-of-pairs", "x")])
+def test_a_zero_scalar_on_a_label_outside_the_basis_is_named(case, label, tmp_path, capsys):
+    assert _run_bad_input(case, tmp_path, capsys) == (
+        1, "", "input error: bad dg algebra JSON: %r\n" % label)
+
+
+def test_a_unit_label_of_pairs_is_given_as_a_coefficient_list(tmp_path, capsys):
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps(_pair_label_algebra([[PAIR_LABEL, "1"]])))
+    code, out, _ = run_cli(capsys, "check-dga", str(path))
+    assert code == 0 and json.loads(out)["ok"]
 
 
 @pytest.mark.parametrize("case, key", [
@@ -988,6 +1018,15 @@ BAD_HOLONOMY_INPUT = {
     "backward-nilpotent-1e200": (["--mode", "backward", "x.csv", "y.csv", "--grid", "8"],
                                  {"x.csv": _rows(40, "0,0,0,0"),
                                   "y.csv": _rows(40, "0,1e200,0,0")}),
+    # one interior sample (z-level 1, grid point 2) of a zero pair: not a
+    # number, and off the homotopy system though both ends agree
+    "backward-interior-nan": (["--mode", "backward", "x.csv", "y.csv", "--grid", "8"],
+                              {"x.csv": _rows(10, "0,0,0,0") + "nan,0,0,0\n" +
+                               _rows(13, "0,0,0,0"), "y.csv": _rows(24, "0,0,0,0")}),
+    "backward-interior-off-the-system": (
+        ["--mode", "backward", "x.csv", "y.csv", "--grid", "8"],
+        {"x.csv": _rows(10, "0,0,0,0") + "5,0,0,7\n" + _rows(29, "0,0,0,0"),
+         "y.csv": _rows(40, "0,0,0,0")}),
 }
 
 
@@ -1016,6 +1055,16 @@ def test_holonomy_overflow_is_one_input_error_line(case, tmp_path, capsys):
 def test_holonomy_backward_infinite_condition_number_is_one_input_error_line(tmp_path, capsys):
     code, out, err = _run_bad_holonomy("backward-nilpotent-1e200", tmp_path, capsys)
     assert (code, out, err) == (1, "", "input error: non-finite gauge condition number\n")
+
+
+@pytest.mark.parametrize("case, message", [
+    ("backward-interior-nan", "non-finite samples"),
+    # mz = 4, p = 8: the bound is (1/16 + 1/64) * 1; |dx/dz| = 7 / (2/4) at z-level 2
+    ("backward-interior-off-the-system",
+     "inputs do not satisfy the homotopy system: interior residual 14 exceeds 0.078125"),
+])
+def test_holonomy_backward_names_a_bad_interior_sample(case, message, tmp_path, capsys):
+    assert _run_bad_holonomy(case, tmp_path, capsys) == (1, "", "input error: %s\n" % message)
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])

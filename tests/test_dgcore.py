@@ -1041,6 +1041,10 @@ def _normalized_reference(ring, table):
     return out
 
 
+# a basis holding every label and key the tables below use
+EVERY_LABEL = (dict.fromkeys(range(9), 0), lambda key: 0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([Z, Q, F5, Ring.GF(2)]), st.integers(0, 2 ** 32))
 def test_normalized_tables_match_coercing_every_scalar(ring, seed):
@@ -1058,9 +1062,9 @@ def test_normalized_tables_match_coercing_every_scalar(ring, seed):
         want = _normalized_reference(ring, table)
     except Exception as exc:  # a bool, or a Fraction over Z: refused by both
         with pytest.raises(type(exc)):
-            _normalized(ring, table)
+            _normalized(ring, table, *EVERY_LABEL)
         return
-    got = _normalized(ring, table)
+    got = _normalized(ring, table, *EVERY_LABEL)
     assert list(got) == list(want)
     for key in got:
         assert list(got[key].items()) == list(want[key].items())
@@ -1113,16 +1117,36 @@ def test_normalized_tables_equal_the_row_loop(ring):
             want = _normalized_row_loop(ring, table)
         except Exception as exc:
             with pytest.raises(type(exc)) as got:
-                _normalized(ring, table)
+                _normalized(ring, table, *EVERY_LABEL)
             assert str(got.value) == str(exc)
             kinds["refused"] += 1
         else:
-            got = _normalized(ring, table)
+            got = _normalized(ring, table, *EVERY_LABEL)
             assert _typed_items(got) == _typed_items(want), table
             assert all(got[key] is not table[key] for key in got)
             kinds[kind if kind != "refused" else "odd"] += 1
         assert _typed_items(table) == before
     assert min(kinds.values()) > 30, kinds
+
+
+def test_a_dropped_zero_names_basis_labels_only():
+    gm = GradedModule(Q, [("e", 0), ("f", 0)])
+    mult = {("e", "e"): {"e": 1}, ("f", "f"): {"f": 1}}
+    # zeros on basis labels are dropped, with the rows they empty
+    a = DgAlgebra(gm, {"e": 1, "f": 1}, {**mult, ("e", "f"): {"f": 0}}, {"e": {"f": "0"}})
+    assert a.mult == mult and a.diff == {}
+    for unit, table, diff, missing in [
+            ({"e": 1, "f": 1}, {("nope", "zilch"): {"nada": 0}}, {}, "nope"),
+            ({"e": 1, "f": 1}, {("e", "f"): {"nada": 0}}, {}, "nada"),
+            ({"e": 1, "f": 1}, {}, {"ghost": {"e": 0}}, "ghost"),
+            ({"e": 1, "f": 1}, {}, {"e": {"e": 1, "ghost": 0}}, "ghost"),
+            ({"x": 0}, {}, {}, "x")]:  # a unit that would read as zero
+        with pytest.raises(KeyError, match=missing):
+            DgAlgebra(gm, unit, {**mult, **table}, diff)
+    k = ground_dga(Q)
+    with pytest.raises(KeyError, match="ghost"):
+        DgModule(gm, k, {("e", "1"): {"e": 1}, ("f", "1"): {"f": 1}, ("e", "ghost"): {"f": 0}},
+                 {})
 
 
 def test_degree_check_names_the_first_term_in_another_degree():

@@ -5,6 +5,7 @@ from mctwist.holonomy import (
     CircleForm,
     HolonomyError,
     SampledMatrixPath,
+    circle_derivative,
     gauge_from_homotopy,
     gauge_transform_circle,
     homotopy_from_gauge_path,
@@ -14,8 +15,8 @@ from mctwist.holonomy import (
 
 
 def mexp(m):
-    out = np.eye(m.shape[0])
-    term = np.eye(m.shape[0])
+    # the Taylor series of exp, of one matrix or of a stack of them at once
+    out = term = np.eye(m.shape[-1])
     for k in range(1, 60):
         term = term @ m / k
         out = out + term
@@ -122,11 +123,9 @@ def test_spatially_varying_gauge_convergence_order():
         x0 = CircleForm(np.stack([a0 * (1 + 0.3 * np.sin(2 * np.pi * th))
                                   for th in thetas]))
         zs = np.linspace(0, 1, mz + 1)
-        gpath = np.stack([
-            np.stack([mexp(np.sin(z) * np.array([[0.1, np.cos(2 * np.pi * th)],
-                                                 [-0.2, -0.1]]))
-                      for th in thetas])
-            for z in zs])
+        b = np.zeros((p, 2, 2)) + [[0.1, 0.0], [-0.2, -0.1]]
+        b[:, 0, 1] = np.cos(2 * np.pi * thetas)
+        gpath = mexp(np.sin(zs)[:, None, None, None] * b)
         _, _, report = homotopy_from_gauge_path(x0, gpath)
         return report["system_residual"]
 
@@ -173,7 +172,7 @@ def test_circle_correspondence_refuses_arrays_that_are_not_4d(shape):
             gauge_from_homotopy(xs, ys)
 
 
-def test_gauge_with_an_infinite_condition_number_is_refused():
+def test_gauge_with_an_infinite_condition_number_is_refused(recwarn):
     # a nilpotent y: the gauge [[1, c], [0, 1]] is finite, its condition
     # number is not, and it used to be reported as inf
     xs = np.zeros((5, 8, 2, 2))
@@ -184,6 +183,9 @@ def test_gauge_with_an_infinite_condition_number_is_refused():
     ys = np.tile([[0.0, 1e150], [0.0, 0.0]], (5, 8, 1, 1))
     _, report = gauge_from_homotopy(xs, ys)
     assert np.isfinite(report["gauge_condition_number"])
+    # the residual bound passes the largest float: it is inf, without a warning
+    assert report["residual_bound"] == np.inf and report["consistent"]
+    assert len(recwarn) == 0
 
 
 @pytest.mark.parametrize("samples", [0, 1, 2])
@@ -473,8 +475,24 @@ def test_holonomy_errors_are_input_errors():
         SampledMatrixPath(np.zeros((2, 2, 2)))
 
 
+def _loop_system_residual(xs, ys):
+    # the residual of (4.2) as homotopy_from_gauge_path measured it, one
+    # z-sample at a time, before both directions shared one batched check
+    mz = xs.shape[0] - 1
+    hz = 1.0 / mz
+    resid = 0.0
+    for k in range(1, mz):
+        dxdz = (xs[k + 1] - xs[k - 1]) / (2 * hz)
+        dtheta_y = circle_derivative(ys[k])
+        bracket = np.einsum("pij,pjl->pil", ys[k], xs[k]) - \
+            np.einsum("pij,pjl->pil", xs[k], ys[k])
+        resid = max(resid, float(np.max(np.abs(dxdz + dtheta_y - bracket))))
+    return resid
+
+
 def _loop_gauge_from_homotopy(xs, ys, endpoint_tol=1e-5):
-    # gauge_from_homotopy with its own RK4 loop, before it ran _rk4; kept as its reference
+    # gauge_from_homotopy with its own RK4 loop, before it ran _rk4, and the
+    # per-z residual loop; kept as its reference
     mz = ys.shape[0] - 1
     p, n = ys.shape[1], ys.shape[2]
     hz = 1.0 / mz
@@ -488,13 +506,18 @@ def _loop_gauge_from_homotopy(xs, ys, endpoint_tol=1e-5):
             k3 = np.einsum("pij,pjl->pil", ymid, g + h2 / 2 * k2)
             k4 = np.einsum("pij,pjl->pil", y1, g + h2 * k3)
             g = g + h2 / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        resid = _loop_system_residual(xs, ys)
+        scale = np.maximum(1.0, np.abs(ys).max() + max(np.abs(xs[0]).max(),
+                                                        np.abs(xs[-1]).max()))
+        bound = float((hz ** 2 + (1.0 / p) ** 2) * scale ** 3)
     if not np.isfinite(g).all():
         raise HolonomyError("non-finite transport values")
     err = float(np.max(np.abs(xs[-1] - gauge_transform_circle(g, CircleForm(xs[0])))))
     cond = float(np.max(np.linalg.cond(g)))
     if not np.isfinite(cond):
         raise HolonomyError("non-finite gauge condition number")
-    return g, {"endpoint_error": err, "consistent": bool(err <= endpoint_tol),
+    return g, {"endpoint_error": err, "system_residual": resid, "residual_bound": bound,
+               "consistent": bool(err <= endpoint_tol and resid <= bound),
                "gauge_condition_number": cond}
 
 
@@ -509,11 +532,57 @@ def test_backward_transport_is_bit_identical_to_its_own_loop(n, p):
         ref, expected = _loop_gauge_from_homotopy(xs, ys)
         # the bit patterns, so that -0.0 and 0.0, which print differently, differ
         assert np.array_equal(g.view(np.uint64), ref.view(np.uint64)), (n, p, mz)
+        # the batched residual multiplies with @, which rounds unlike einsum
+        assert report.pop("system_residual") == pytest.approx(
+            expected.pop("system_residual"), rel=1e-12, abs=1e-300)
         assert report == expected
     ys = np.tile(1e200 * np.array([[1.0, -1.0], [1.0, 1.0]])[:n, :n], (5, p, 1, 1))
     for run in (gauge_from_homotopy, _loop_gauge_from_homotopy):
         with pytest.raises(HolonomyError, match="non-finite transport values"):
             run(np.zeros_like(ys), ys)
+
+
+@pytest.mark.parametrize("mz", [3, 60])
+def test_the_forward_system_residual_is_the_per_z_loop(mz):
+    xs, ys, report = homotopy_from_gauge_path(*_workload_like_pair(mz=mz))
+    assert report["system_residual"] == pytest.approx(_loop_system_residual(xs, ys), rel=1e-12)
+
+
+def _workload_like_pair(p=16, mz=60, n=2, seed=5):
+    # as a backward transport job builds its input: x0 = a constant, and the
+    # gauge path exp(z b) at every grid point
+    rnd = np.random.default_rng(seed)
+    a, b = rnd.uniform(-0.4, 0.4, (n, n)), rnd.uniform(-0.2, 0.2, (n, n))
+    zs = np.linspace(0.0, 1.0, mz + 1)
+    gpath = np.repeat(mexp(zs[:, None, None] * b)[:, None], p, axis=1)
+    return CircleForm.constant(a, p), gpath
+
+
+def test_an_interior_sample_off_the_homotopy_system_is_inconsistent():
+    xs, ys, _ = homotopy_from_gauge_path(*_workload_like_pair())
+    g, report = gauge_from_homotopy(xs, ys)
+    assert report["consistent"]
+    assert report["system_residual"] <= 1e-3 * report["residual_bound"]
+    # the endpoints, and so the bound, stay as they are: only (4.2) sees it
+    xs[30, 5, 0, 1] += 1e-3
+    g_off, off = gauge_from_homotopy(xs, ys)
+    assert np.array_equal(g_off, g) and off["endpoint_error"] == report["endpoint_error"]
+    assert off["residual_bound"] == report["residual_bound"]
+    assert not off["consistent"] and off["system_residual"] > 5 * off["residual_bound"]
+
+
+def test_non_finite_samples_are_refused_in_either_direction():
+    x0, gpath = _workload_like_pair(p=8, mz=4)
+    xs, ys, _ = homotopy_from_gauge_path(x0, gpath)
+    for k in (0, 2, 4):
+        for arr in (xs, ys, gpath):
+            bad = arr.copy()
+            bad[k, 3, 1, 0] = np.nan
+            with pytest.raises(HolonomyError, match="non-finite samples"):
+                if arr is gpath:
+                    homotopy_from_gauge_path(x0, bad)
+                else:
+                    gauge_from_homotopy(*((bad, ys) if arr is xs else (xs, bad)))
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-300, float("inf"), float("-inf")])

@@ -4,9 +4,9 @@
 ``QUANTITIES`` table by attribute lookup on ``mctwist.<layer>``.  A refactor
 that deletes or renames one of those functions fails here, instead of
 crashing the traced benchmark run.  And every job of the seed-1 ``gauge``,
-``cohomology_z`` and ``axioms`` lists, and the first six backward jobs of
-the ``transport`` list, run in-process, must print the bytes its recorded
-reference holds.
+``cohomology_z`` and ``axioms`` lists, and the first six backward jobs and
+the six pexp jobs of 1000 steps of the ``transport`` list, run in-process,
+must print the bytes its recorded reference holds.
 """
 
 import contextlib
@@ -73,3 +73,11 @@ def test_the_first_backward_transport_jobs_print_their_reference_bytes(tmp_path,
     def first_backward(picks):
         return [(cls, key) for cls, key in picks if cls.name == "backward"][:6]
     assert _print_reference_bytes("transport", first_backward, tmp_path, monkeypatch) == 6
+
+
+def test_the_shortest_pexp_transport_jobs_print_their_reference_bytes(tmp_path, monkeypatch):
+    # m = 1000 samples: the first of six consecutive keys that hold each m,
+    # so three per pexp class, one for each n
+    def shortest_pexp(picks):
+        return [(cls, key) for cls, key in picks if cls.name != "backward" and key % 6 == 0]
+    assert _print_reference_bytes("transport", shortest_pexp, tmp_path, monkeypatch) == 6
