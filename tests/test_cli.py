@@ -1018,6 +1018,13 @@ BAD_HOLONOMY_INPUT = {
     "backward-nilpotent-1e200": (["--mode", "backward", "x.csv", "y.csv", "--grid", "8"],
                                  {"x.csv": _rows(40, "0,0,0,0"),
                                   "y.csv": _rows(40, "0,1e200,0,0")}),
+    # mz = 2 and h = 1: the RK4 step 1 + y(1)/6 is 0, diag(0, 1) or
+    # [[1, 2], [2, 4]], and so is the gauge
+    **{"backward-singular-gauge" + name: (
+        ["--mode", "backward", "x.csv", "y.csv", "--grid", "8"],
+        {"x.csv": _rows(24, "0,0,0,0"), "y.csv": _rows(16, "0,0,0,0") + _rows(8, row)})
+       for name, row in (("", "-6,0,0,-6"), ("-rank-one", "-6,0,0,0"),
+                         ("-finite-condition", "0,12,12,18"))},
     # one interior sample (z-level 1, grid point 2) of a zero pair: not a
     # number, and off the homotopy system though both ends agree
     "backward-interior-nan": (["--mode", "backward", "x.csv", "y.csv", "--grid", "8"],
@@ -1055,6 +1062,17 @@ def test_holonomy_overflow_is_one_input_error_line(case, tmp_path, capsys):
 def test_holonomy_backward_infinite_condition_number_is_one_input_error_line(tmp_path, capsys):
     code, out, err = _run_bad_holonomy("backward-nilpotent-1e200", tmp_path, capsys)
     assert (code, out, err) == (1, "", "input error: non-finite gauge condition number\n")
+
+
+@pytest.mark.parametrize("case, message", [
+    ("backward-singular-gauge", "non-finite gauge condition number"),
+    ("backward-singular-gauge-rank-one", "non-finite gauge condition number"),
+    # np.linalg.cond reads 4.8e16 at [[1, 2], [2, 4]], which has no inverse
+    ("backward-singular-gauge-finite-condition", "singular gauge value"),
+])
+def test_holonomy_backward_singular_gauge_is_one_input_error_line(case, message, tmp_path,
+                                                                  capsys):
+    assert _run_bad_holonomy(case, tmp_path, capsys) == (1, "", "input error: %s\n" % message)
 
 
 @pytest.mark.parametrize("case, message", [
