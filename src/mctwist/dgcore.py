@@ -332,14 +332,9 @@ class DgAlgebra:
         return cohomology(self.complex())
 
     def change_ring(self, ring: Ring) -> "DgAlgebra":
-        conv = lambda d: {k: ring.coerce(v) for k, v in d.items()}
-        return DgAlgebra(
-            GradedModule(ring, self.gm.basis()),
-            conv(self.unit),
-            {k: conv(v) for k, v in self.mult.items()},
-            {k: conv(v) for k, v in self.diff.items()},
-            name=self.name,
-        )
+        # the constructor coerces every scalar into ring and drops the zeros
+        return DgAlgebra(GradedModule(ring, self.gm.basis()), self.unit, self.mult, self.diff,
+                         name=self.name)
 
     def __repr__(self):
         return "DgAlgebra(%s, %s, dim %d)" % (self.name or "?", self.ring.name, self.gm.dim)
@@ -470,36 +465,39 @@ def check_dga(a: DgAlgebra, max_failures: int = 10) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _tensor(a: DgAlgebra, b: DgAlgebra, label, name: str) -> DgAlgebra:
+    """A (x) B on the basis label(la, lb), la-major, with the Koszul product
+    (la (x) lb)(la2 (x) lb2) = (-1)^{|lb||la2|} la la2 (x) lb lb2 and the
+    differential d(la (x) lb) = d(la) (x) lb + (-1)^{|la|} la (x) d(lb)."""
+    ring, mul, adeg, bdeg = a.ring, a.ring.mul, a.gm.degree, b.gm.degree
+    names = {la: {lb: label(la, lb) for lb in b.gm.labels} for la in a.gm.labels}
+    gm = GradedModule(ring, [(l, adeg[la] + bdeg[lb])
+                             for la, row in names.items() for lb, l in row.items()])
+    unit = {names[la][lb]: mul(ca, cb) for la, ca in a.unit.items() for lb, cb in b.unit.items()}
+    mult = {}
+    for (la, la2), pa in a.mult.items():
+        left, right = names[la], names[la2]
+        for (lb, lb2), pb in b.mult.items():
+            sign = ring.sign(bdeg[lb] * adeg[la2])
+            out = mult[left[lb], right[lb2]] = {}
+            for ra, ca in pa.items():
+                row, c = names[ra], mul(sign, ca)
+                for rb, cb in pb.items():
+                    out[row[rb]] = mul(c, cb)
+    diff = {}
+    for la, row in names.items():
+        sgn, da = ring.sign(adeg[la]), a.diff.get(la, {})
+        for lb, l in row.items():
+            diff[l] = ring.axpy({names[ra][lb]: c for ra, c in da.items()},
+                                sgn, {row[rb]: c for rb, c in b.diff.get(lb, {}).items()})
+    return DgAlgebra(gm, unit, mult, diff, name=name)
+
+
 def tensor_dga(a: DgAlgebra, b: DgAlgebra, name: str = "") -> DgAlgebra:
     """A (x) B with the Koszul product and differential d(x)1 + 1(x)d."""
     if a.ring != b.ring:
         raise DgError("tensor factors over different rings")
-    ring = a.ring
-    basis = [((la, lb), a.gm.degree[la] + b.gm.degree[lb])
-             for la in a.gm.labels for lb in b.gm.labels]
-    gm = GradedModule(ring, basis)
-    unit = {}
-    for la, ca in a.unit.items():
-        for lb, cb in b.unit.items():
-            unit[(la, lb)] = ring.mul(ca, cb)
-    mult = {}
-    for (la, la2), pa in a.mult.items():
-        for (lb, lb2), pb in b.mult.items():
-            sign = ring.sign(b.gm.degree[lb] * a.gm.degree[la2])
-            out = {}
-            for ra, ca in pa.items():
-                for rb, cb in pb.items():
-                    out[(ra, rb)] = ring.mul(sign, ring.mul(ca, cb))
-            if out:
-                mult[((la, lb), (la2, lb2))] = out
-    diff = {}
-    for la in a.gm.labels:
-        sgn = ring.sign(a.gm.degree[la])
-        for lb in b.gm.labels:
-            diff[(la, lb)] = ring.axpy(
-                {(ra, lb): c for ra, c in a.diff.get(la, {}).items()},
-                sgn, {(la, rb): c for rb, c in b.diff.get(lb, {}).items()})
-    return DgAlgebra(gm, unit, mult, diff, name=name or "%s(x)%s" % (a.name, b.name))
+    return _tensor(a, b, lambda la, lb: (la, lb), name or "%s(x)%s" % (a.name, b.name))
 
 
 def ground_dga(ring: Ring, name: str = "k") -> DgAlgebra:
@@ -509,47 +507,25 @@ def ground_dga(ring: Ring, name: str = "k") -> DgAlgebra:
 
 
 def endomorphism_dga(a: DgAlgebra, v: GradedModule, name: str = "") -> DgAlgebra:
-    """End(V) (x) A with convolution product and differential 1 (x) d.
+    """End(V) (x) A, the tensor product of the graded matrix algebra End(V)
+    (zero differential) with A.
 
     Basis labels are ("E", src, dst, alabel) for the map sending basis
     element ``src`` to ``dst`` tensored with the algebra label; its degree
     is deg(dst) - deg(src) + deg(alabel).  Composition pairs dst of the
     right factor against src of the left factor, with the Koszul sign
-    (-1)^{|a| |psi|} for (phi (x) a)(psi (x) b).
+    (-1)^{|a| |psi|} for (phi (x) a)(psi (x) b), and d(phi (x) a) =
+    (-1)^{|phi|} phi (x) d(a).
     """
-    ring = a.ring
-    if v.ring != ring:
+    if v.ring != a.ring:
         raise DgError("module and algebra rings differ")
-    basis = []
-    for u in v.labels:
-        for w in v.labels:
-            for al in a.gm.labels:
-                basis.append((("E", u, w, al),
-                              v.degree[w] - v.degree[u] + a.gm.degree[al]))
-    gm = GradedModule(ring, basis)
-    unit = {("E", u, u, al): c for u in v.labels for al, c in a.unit.items()}
-    mult = {}
-    for u in v.labels:
-        for w in v.labels:
-            for u2 in v.labels:
-                # (E_{u->w} o E_{u2->u}) = E_{u2->w}
-                for (al, bl), prod in a.mult.items():
-                    left = ("E", u, w, al)
-                    right = ("E", u2, u, bl)
-                    psi_deg = v.degree[u] - v.degree[u2]
-                    sign = ring.sign(a.gm.degree[al] * psi_deg)
-                    out = {("E", u2, w, rl): ring.mul(sign, c) for rl, c in prod.items()}
-                    if out:
-                        mult[(left, right)] = out
-    diff = {}
-    for u in v.labels:
-        for w in v.labels:
-            # d(phi (x) a) = (-1)^{|phi|} phi (x) d(a)
-            sign = ring.sign(v.degree[w] - v.degree[u])
-            for al, dal in ((al, a.diff[al]) for al in a.gm.labels if al in a.diff):
-                diff[("E", u, w, al)] = {("E", u, w, rl): ring.mul(sign, c)
-                                         for rl, c in dal.items()}
-    return DgAlgebra(gm, unit, mult, diff, name=name or "End(V)(x)%s" % a.name)
+    us, deg = v.labels, v.degree
+    # E_{u->w} E_{u2->u} = E_{u2->w}, with unit the sum of the E_{u->u}
+    end = DgAlgebra(GradedModule(v.ring, [((u, w), deg[w] - deg[u]) for u in us for w in us]),
+                    {(u, u): 1 for u in us},
+                    {((u, w), (u2, u)): {(u2, w): 1} for u in us for w in us for u2 in us}, {})
+    return _tensor(end, a, lambda uw, al: ("E",) + uw + (al,),
+                   name or "End(V)(x)%s" % a.name)
 
 
 # ---------------------------------------------------------------------------
@@ -629,10 +605,14 @@ class DgModule:
 
 def algebra_as_module(a: DgAlgebra) -> DgModule:
     """A as a right module over itself."""
-    action = {}
-    for (x, y), out in a.mult.items():
-        action[(x, y)] = out
-    return DgModule(a.gm, a, action, dict(a.diff), name="%s as module" % a.name)
+    return DgModule(a.gm, a, dict(a.mult), dict(a.diff), name="%s as module" % a.name)
+
+
+def ground_module(gm: GradedModule, diff: dict, name: str) -> DgModule:
+    """The complex (gm, diff) over k as a dg module over :func:`ground_dga`."""
+    one = gm.ring.one()
+    return DgModule(gm, ground_dga(gm.ring), {(l, "1"): {l: one} for l in gm.labels}, diff,
+                    name=name)
 
 
 def module_map_is_closed(f: dict, m: DgModule, n: DgModule) -> bool:
@@ -784,13 +764,11 @@ class HomComplex:
             return {(ml, nl): c for ml, img in g.items() for nl, c in img.items()}
 
         ring = self.ring
-        ground = ground_dga(ring)
         basis = []
         for k in self.degrees():
             for i, _ in enumerate(self._basis[k]):
                 basis.append((("hom", k, i), k))
         gm = GradedModule(ring, basis)
-        action = {(l, "1"): {l: ring.one()} for l, _ in basis}
         diff = {}
         for k in self.degrees():
             targets = self._basis.get(k + 1, [])
@@ -804,7 +782,7 @@ class HomComplex:
             if None in sols:
                 raise DgError("map does not lie in the computed Hom space")
             diff.update((("hom", k, i), out) for i, out in enumerate(sols) if out)
-        return DgModule(gm, ground, action, diff, name=name or "Hom complex")
+        return ground_module(gm, diff, name or "Hom complex")
 
 
 # ---------------------------------------------------------------------------

@@ -263,12 +263,16 @@ def _inverse(g_values: np.ndarray) -> np.ndarray:
         raise HolonomyError("singular gauge value") from exc
 
 
+def _gauge_transform(g: np.ndarray, ginv: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """g x0 g^{-1} - (d_theta g) g^{-1} for a (..., p, n, n) stack g, its
+    inverse ginv and x0's (p, n, n) values, each grid of the stack alike."""
+    return np.einsum("...pij,pjk,...pkl->...pil", g, x0, ginv) - \
+        np.einsum("...pij,...pjk->...pik", circle_derivative(g), ginv)
+
+
 def gauge_transform_circle(g_values: np.ndarray, x0: CircleForm) -> np.ndarray:
     """g . x0 = g x0 g^{-1} - (d_theta g) g^{-1} pointwise on the grid."""
-    ginv = _inverse(g_values)
-    dg = circle_derivative(g_values)
-    return np.einsum("pij,pjk,pkl->pil", g_values, x0.values, ginv) - \
-        np.einsum("pij,pjk->pik", dg, ginv)
+    return _gauge_transform(g_values, _inverse(g_values), x0.values)
 
 
 def _system_residual(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -296,7 +300,7 @@ def homotopy_from_gauge_path(x0: CircleForm, gpath: np.ndarray):
     if not np.isfinite(ginv).all():
         raise HolonomyError("singular gauge value")
     hz = 1.0 / mz
-    xs = np.stack([gauge_transform_circle(gpath[k], x0) for k in range(mz + 1)])
+    xs = _gauge_transform(gpath, ginv, x0.values)
     dgdz = np.empty_like(gpath)
     dgdz[1:-1] = (gpath[2:] - gpath[:-2]) / (2 * hz)
     dgdz[0] = (gpath[1] - gpath[0]) / hz

@@ -27,8 +27,9 @@ invariant that differs.
 
 A twisted module (V (x) A, 1 (x) d + x) takes its twisting x as a
 :class:`ConvOp` and checks (1 (x) d)(x) + x o x = 0 by convolution.
-End(V) (x) A as a dg algebra (:func:`~mctwist.dgcore.endomorphism_dga`) is
-for ``check_dga``, :func:`gauge_act` and library users.
+End(V) (x) A as a dg algebra (:func:`~mctwist.dgcore.endomorphism_dga`, the
+tensor product of End(V) with A) is for ``check_dga``, :func:`gauge_act`
+and library users.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .dgcore import (
     GradedModule,
     complex_of,
     format_coeffs,
-    ground_dga,
+    ground_module,
     vec_apply,
 )
 from .exactlinalg import (
@@ -168,8 +169,7 @@ def hom_twist(a: DgAlgebra, x: MCElement, y: MCElement, name: str = "") -> DgMod
     _require_mc(a, y)
     diff = _square_zero(a, _twisted_diff(a, y.left_mult, x.right_mult, a.gm.labels),
                         "hom twist")
-    action = {(l, "1"): {l: a.ring.one()} for l in a.gm.labels}
-    return DgModule(a.gm, ground_dga(a.ring), action, diff, name=name or "A^[x,y]")
+    return ground_module(a.gm, diff, name or "A^[x,y]")
 
 
 def hom_twist_compose(a: DgAlgebra, g, f):
@@ -292,7 +292,8 @@ class ConvOp:
     """A map V_src (x) A -> V_dst (x) A: sum E_{src -> dst} (x) a, stored as
     {(src label, dst label, algebra label): c}.  Composition carries the
     Koszul sign (-1)^{|a| |psi|}, psi the matrix part of the right factor:
-    the product of End(V) (x) A, evaluated on demand without its table.
+    the product of End(V) (x) A, the tensor product
+    :func:`~mctwist.dgcore.endomorphism_dga` tabulates, evaluated on demand.
     """
 
     def __init__(self, algebra: DgAlgebra, src: GradedModule, dst: GradedModule,

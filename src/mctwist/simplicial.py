@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .dgcore import DgAlgebra, DgModule, GradedModule, ground_dga, vec_apply
+from .dgcore import DgAlgebra, DgModule, GradedModule, ground_module, vec_apply
 from .exactlinalg import ExactMatrix, InputError, Ring, is_invertible, solve_many
 
 
@@ -742,14 +742,12 @@ def two_sided_twisted(base: FiniteSimplicialSet, vleft: GradedModule,
     basis = [(("m", ur, ul, al), vleft.degree[ul] - vright.degree[ur] + ca.gm.degree[al])
              for ur in vright.labels for ul in vleft.labels for al in ca.gm.labels]
     gm = GradedModule(ring, basis)
-    ground = ground_dga(ring)
-    action = {(l, "1"): {l: ring.one()} for l, _ in basis}
     diff = {}
     for (tag, ur, ul, al), fdeg in basis:
         f = ConvOp(ca, vright, vleft, {(ur, ul, al): 1})
         diff[(tag, ur, ul, al)] = {(tag,) + k: c for k, c in
                                    hom_differential(f, x_op, y_op, fdeg).coeffs.items()}
-    m = DgModule(gm, ground, action, diff, name="two-sided twist")
+    m = ground_module(gm, diff, "two-sided twist")
     for l in gm.labels:
         if m.d_dict(m.diff.get(l, {})):
             raise SimplicialError("two-sided differential does not square to zero")

@@ -434,6 +434,12 @@ def _resolution(basis=None, edge_action=()):
             "edge_action": list(edge_action)}
 
 
+# a Q algebra in which y y = y / 5: 5y is idempotent
+FIFTH_ALGEBRA = {"ring": "Q", "basis": [["e", 0], ["y", 0]], "unit": "e",
+                 "mult": [["e", "e", "e", "1"], ["e", "y", "y", "1"], ["y", "e", "y", "1"],
+                          ["y", "y", "y", "1/5"]]}
+
+
 # (argv, {file name: JSON payload}) for input files of the wrong shape
 BAD_INPUT_FILES = {
     "mc-check-list": (["mc-check", "e.json"], {"e.json": []}),
@@ -571,6 +577,11 @@ BAD_INPUT_FILES = {
         "diff": [["ghost", "e", "0"]]}}),
     "check-dga-unit-label-of-pairs": (["check-dga", "a.json"], {"a.json": _pair_label_algebra(
         PAIR_LABEL)}),
+    # a scalar of the file that --ring cannot take: 1/5 over F5, 1/5 over Z
+    "check-dga-ring-f5-denominator-5": (["check-dga", "a.json", "--ring", "F5"],
+                                        {"a.json": FIFTH_ALGEBRA}),
+    "check-dga-ring-z-denominator-5": (["check-dga", "a.json", "--ring", "Z"],
+                                       {"a.json": FIFTH_ALGEBRA}),
     "gauge-search-budget-above-the-ceiling": (
         ["gauge-search", "a.json", "x.json", "y.json", "--seed", "1", "--budget", "2000"],
         {"a.json": _k0_algebra(), "x.json": {"value": []}, "y.json": {"value": []}}),
@@ -603,6 +614,16 @@ def test_input_file_of_the_wrong_shape_is_one_input_error_line(case, tmp_path, c
 def test_a_zero_scalar_on_a_label_outside_the_basis_is_named(case, label, tmp_path, capsys):
     assert _run_bad_input(case, tmp_path, capsys) == (
         1, "", "input error: bad dg algebra JSON: %r\n" % label)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("check-dga-ring-f5-denominator-5", "denominator divisible by 5"),
+    ("check-dga-ring-z-denominator-5", "1/5 is not an integer")])
+def test_a_scalar_the_ring_cannot_take_is_named(case, message, tmp_path, capsys):
+    assert _run_bad_input(case, tmp_path, capsys) == (1, "", "input error: %s\n" % message)
+    path = tmp_path / "a.json"  # over its own ring the algebra passes
+    code, out, _ = run_cli(capsys, "check-dga", str(path))
+    assert code == 0 and json.loads(out)["ok"]
 
 
 def test_a_unit_label_of_pairs_is_given_as_a_coefficient_list(tmp_path, capsys):

@@ -148,6 +148,99 @@ def test_unit_of_tensor_with_interval_algebra():
     assert sq == t.element({(("x", 2), k2.e): 1, (("x", 2), k2.f): 1})
 
 
+def _tensor_dga_reference(a, b, name=""):
+    # tensor_dga as it was written before it shared its table builder with
+    # endomorphism_dga; kept as the reference
+    ring = a.ring
+    basis = [((la, lb), a.gm.degree[la] + b.gm.degree[lb])
+             for la in a.gm.labels for lb in b.gm.labels]
+    gm = GradedModule(ring, basis)
+    unit = {}
+    for la, ca in a.unit.items():
+        for lb, cb in b.unit.items():
+            unit[(la, lb)] = ring.mul(ca, cb)
+    mult = {}
+    for (la, la2), pa in a.mult.items():
+        for (lb, lb2), pb in b.mult.items():
+            sign = ring.sign(b.gm.degree[lb] * a.gm.degree[la2])
+            out = {}
+            for ra, ca in pa.items():
+                for rb, cb in pb.items():
+                    out[(ra, rb)] = ring.mul(sign, ring.mul(ca, cb))
+            if out:
+                mult[((la, lb), (la2, lb2))] = out
+    diff = {}
+    for la in a.gm.labels:
+        sgn = ring.sign(a.gm.degree[la])
+        for lb in b.gm.labels:
+            diff[(la, lb)] = ring.axpy(
+                {(ra, lb): c for ra, c in a.diff.get(la, {}).items()},
+                sgn, {(la, rb): c for rb, c in b.diff.get(lb, {}).items()})
+    return DgAlgebra(gm, unit, mult, diff, name=name or "%s(x)%s" % (a.name, b.name))
+
+
+def _endomorphism_dga_reference(a, v, name=""):
+    # endomorphism_dga with its own loops, before it was built as the tensor
+    # product End(V) (x) A; kept as the reference
+    ring = a.ring
+    basis = []
+    for u in v.labels:
+        for w in v.labels:
+            for al in a.gm.labels:
+                basis.append((("E", u, w, al),
+                              v.degree[w] - v.degree[u] + a.gm.degree[al]))
+    gm = GradedModule(ring, basis)
+    unit = {("E", u, u, al): c for u in v.labels for al, c in a.unit.items()}
+    mult = {}
+    for u in v.labels:
+        for w in v.labels:
+            for u2 in v.labels:
+                # (E_{u->w} o E_{u2->u}) = E_{u2->w}
+                for (al, bl), prod in a.mult.items():
+                    left = ("E", u, w, al)
+                    right = ("E", u2, u, bl)
+                    psi_deg = v.degree[u] - v.degree[u2]
+                    sign = ring.sign(a.gm.degree[al] * psi_deg)
+                    out = {("E", u2, w, rl): ring.mul(sign, c) for rl, c in prod.items()}
+                    if out:
+                        mult[(left, right)] = out
+    diff = {}
+    for u in v.labels:
+        for w in v.labels:
+            # d(phi (x) a) = (-1)^{|phi|} phi (x) d(a)
+            sign = ring.sign(v.degree[w] - v.degree[u])
+            for al, dal in ((al, a.diff[al]) for al in a.gm.labels if al in a.diff):
+                diff[("E", u, w, al)] = {("E", u, w, rl): ring.mul(sign, c)
+                                         for rl, c in dal.items()}
+    return DgAlgebra(gm, unit, mult, diff, name=name or "End(V)(x)%s" % a.name)
+
+
+def _tables(alg):
+    # everything a construction fixes: name, basis order, degrees, and each
+    # table in key order with its scalars' types
+    typed = lambda vec: [(k, type(c), c) for k, c in vec.items()]
+    return (alg.name, alg.gm.labels, list(alg.gm.degree.items()), typed(alg.unit),
+            [(k, typed(v)) for k, v in alg.mult.items()],
+            [(k, typed(v)) for k, v in alg.diff.items()])
+
+
+@pytest.mark.parametrize("ring", [Z, Q, Ring.GF(2), Ring.GF(5)], ids=lambda r: r.name)
+def test_tensor_and_endomorphism_dga_build_the_tables_of_their_own_loops(ring):
+    from mctwist.simplicial import torus7
+    c4 = cochain_algebra(circle(4), ring)
+    for space in (circle(3), circle(5), torus7(), simplex(2)):
+        a = cochain_algebra(space, ring)
+        for profile in ([0], [0, 0], [0, 1], [0, 1, -1], [2, 0, 0]):
+            v = GradedModule(ring, [(("v", i), d) for i, d in enumerate(profile)])
+            assert _tables(endomorphism_dga(a, v)) == \
+                _tables(_endomorphism_dga_reference(a, v)), (space, profile)
+        assert _tables(tensor_dga(a, c4)) == _tables(_tensor_dga_reference(a, c4)), space
+    with pytest.raises(DgError, match="module and algebra rings differ"):
+        endomorphism_dga(c4, GradedModule(Ring.GF(3), [("v", 0)]))
+    with pytest.raises(DgError, match="tensor factors over different rings"):
+        tensor_dga(c4, cochain_algebra(circle(4), Ring.GF(3)))
+
+
 def test_hom_complex_of_free_rank_one():
     kx = universal_mc_dga(Q, 3)
     m = algebra_as_module(kx)

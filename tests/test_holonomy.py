@@ -607,6 +607,37 @@ def test_the_forward_system_residual_is_the_per_z_loop(mz):
     assert report["system_residual"] == pytest.approx(_loop_system_residual(xs, ys), rel=1e-12)
 
 
+def _loop_gauge_transforms(x0, gpath):
+    # x(z_k) = g(z_k) . x0 one z-level at a time, each level inverted again,
+    # as homotopy_from_gauge_path computed it before it transformed the whole
+    # stack with the inverse it already has; kept as its reference
+    xs = []
+    for g in gpath:
+        ginv = np.linalg.inv(g)
+        xs.append(np.einsum("pij,pjk,pkl->pil", g, x0.values, ginv) -
+                  np.einsum("pij,pjk->pik", circle_derivative(g), ginv))
+    return np.stack(xs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_gauge_path_transform_is_bit_identical_to_the_per_z_loop(n):
+    rnd = np.random.default_rng(n)
+    for p in (8, 16, 24, 32):
+        for mz in (2, 7, 39):
+            gpath = np.eye(n) + 0.3 * rnd.standard_normal((mz + 1, p, n, n))
+            gpath[0] = np.eye(n)
+            x0 = CircleForm(rnd.standard_normal((p, n, n)))
+            ref = _loop_gauge_transforms(x0, gpath)
+            xs, _, _ = homotopy_from_gauge_path(x0, gpath)
+            # the bit patterns, so that -0.0 and 0.0, which print differently, differ
+            assert np.array_equal(xs.view(np.uint64), ref.view(np.uint64)), (p, mz)
+            one = gauge_transform_circle(gpath[-1], x0)
+            assert np.array_equal(one.view(np.uint64), ref[-1].view(np.uint64)), (p, mz)
+    x0, gpath = _workload_like_pair(n=n)
+    xs, _, _ = homotopy_from_gauge_path(x0, gpath)
+    assert np.array_equal(xs.view(np.uint64), _loop_gauge_transforms(x0, gpath).view(np.uint64))
+
+
 def _workload_like_pair(p=16, mz=60, n=2, seed=5):
     # as a backward transport job builds its input: x0 = a constant, and the
     # gauge path exp(z b) at every grid point
