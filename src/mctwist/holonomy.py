@@ -266,6 +266,8 @@ def _inverse(g_values: np.ndarray) -> np.ndarray:
 def _gauge_transform(g: np.ndarray, ginv: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """g x0 g^{-1} - (d_theta g) g^{-1} for a (..., p, n, n) stack g, its
     inverse ginv and x0's (p, n, n) values, each grid of the stack alike."""
+    if x0.shape != g.shape[-3:]:
+        raise HolonomyError("x0 has shape %r, not the gauge grid's %r" % (x0.shape, g.shape[-3:]))
     return np.einsum("...pij,pjk,...pkl->...pil", g, x0, ginv) - \
         np.einsum("...pij,...pjk->...pik", circle_derivative(g), ginv)
 

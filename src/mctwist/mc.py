@@ -25,8 +25,9 @@ certificate-producing decision layer that never claims equivalence without
 a verified certificate and never claims distinction without a computed
 invariant that differs.
 
-A twisted module (V (x) A, 1 (x) d + x) takes its twisting x as a
-:class:`ConvOp` and checks (1 (x) d)(x) + x o x = 0 by convolution.
+Twisted modules V (x) A = Hom(k, V) (x) A and two-sided Hom(V, W) (x) A share one
+differential D f = (1 (x) d) f + y f - (-1)^{|f|} f x (:func:`_hom_diff`); a twisting
+x is checked MC as D_{0,x}(x) = 0.
 End(V) (x) A as a dg algebra (:func:`~mctwist.dgcore.endomorphism_dga`, the
 tensor product of End(V) with A) is for ``check_dga``, :func:`gauge_act`
 and library users.
@@ -366,19 +367,15 @@ class ConvOp:
                               {(u0, w1, r): cr for r, cr in prod.items()})
         return self._like(out, other.src)
 
-    def d_end(self) -> "ConvOp":
-        """(1 (x) d) with the Koszul sign on the matrix part."""
-        ring = self.ring
-        out = {}
-        for (u, w, al), c in self.coeffs.items():
-            sign = ring.sign(self.dst.degree[w] - self.src.degree[u])
-            ring.axpy(out, ring.mul(sign, c),
-                      {(u, w, r): cr for r, cr in self.algebra.diff.get(al, {}).items()})
-        return self._like(out)
+    def hom_d(self, x_src: "ConvOp", x_dst: "ConvOp") -> "ConvOp":
+        """D(self) in Hom(V_src, V_dst) (x) A twisted by x_src and x_dst (:func:`_hom_diff`)."""
+        if x_dst.src.labels != self.dst.labels or x_src.dst.labels != self.src.labels:
+            raise DgError("composition endpoints do not match")
+        return self._like(vec_apply(self.ring, _hom_diff(x_src, x_dst, self.coeffs), self.coeffs))
 
     def mc_residual(self) -> "ConvOp":
-        """(1 (x) d)(x) + x o x: zero exactly when x is Maurer-Cartan."""
-        return self.d_end() + self.compose(self)
+        """(1 (x) d)(x) + x o x = D_{0,x}(x): zero exactly when x is Maurer-Cartan."""
+        return self.hom_d(self._like({}), self)
 
     def weight_split(self) -> dict:
         """Components by algebra degree (the filtration weight)."""
@@ -398,11 +395,41 @@ class ConvOp:
         return "ConvOp(%d terms)" % len(self.coeffs)
 
 
+def _hom_diff(x_src: ConvOp, x_dst: ConvOp, keys) -> dict:
+    """{(u, w, al): D(E_{u -> w} (x) al)} on keys, zero images left out, for the differential
+    D f = (1 (x) d) f + x_dst o f - (-1)^{|f|} f o x_src of Hom(V, W) (x) A.  Products are
+    signed as :meth:`ConvOp.compose` signs them: (-1)^{|cl| (|w| - |u|)} on a term (w, w1, cl)
+    of x_dst, -(-1)^{|f| + |al| (|u| - |u0|)} on a term (u0, u, a0) of x_src."""
+    a, ring = x_dst.algebra, x_dst.ring
+    sdeg, ddeg, adeg, mult = x_src.src.degree, x_dst.dst.degree, a.gm.degree, a.mult
+    after, before = {}, {}  # x_dst's terms by source (c at even, odd psi), x_src's by target
+    for (w, w1, cl), c in x_dst.coeffs.items():
+        after.setdefault(w, []).append((w1, cl, (c, ring.mul(ring.sign(adeg[cl]), c))))
+    for (u0, u, a0), c in x_src.coeffs.items():
+        before.setdefault(u, []).append((u0, a0, c, sdeg[u0]))
+    out = {}
+    for u, w, al in keys:
+        psi = (ddeg[w] - sdeg[u]) % 2
+        d = {(u, w, r): ring.neg(c) if psi else c for r, c in a.diff.get(al, {}).items()}
+        for w1, cl, cs in after.get(w, ()):
+            prod = mult.get((cl, al))
+            if prod:
+                ring.axpy(d, cs[psi], {(u, w1, r): cr for r, cr in prod.items()})
+        for u0, a0, c, du0 in before.get(u, ()):
+            prod = mult.get((al, a0))
+            if prod:  # |f| + |al| (|u| - |u0|) = |w| - |u| + |al| (1 + |u| - |u0|)
+                ring.axpy(d, ring.mul(ring.sign(psi + adeg[al] * (1 + sdeg[u] - du0) + 1), c),
+                          {(u0, w, r): cr for r, cr in prod.items()})
+        if d:
+            out[(u, w, al)] = d
+    return out
+
+
 class TwistedModule:
     """(V (x) A, 1 (x) d + x) for a Maurer-Cartan twisting x, a ConvOp on V (x) A.
 
-    x is checked once, by :meth:`ConvOp.mc_residual`; a refusal reads as
-    :class:`MCElement`'s for x in End(V) (x) A, on the labels ("E", u, w, a).
+    x is checked once, as D_{0,x}(x) = 0 (:meth:`ConvOp.mc_residual`); a refusal reads
+    as :class:`MCElement`'s for x in End(V) (x) A, on the labels ("E", u, w, a).
     """
 
     def __init__(self, v: GradedModule, algebra: DgAlgebra, x: ConvOp, name: str = ""):
@@ -423,28 +450,13 @@ class TwistedModule:
         self.name = name or "V(x)%s" % algebra.name
 
     def _differential(self) -> tuple:
-        """(graded module on the labels (v, a), D = 1 (x) d + x on it)."""
+        """(graded module, D = 1 (x) d + x): Hom(k, V) (x) A, untwisted at k, on the
+        labels ("k", v, a), which :meth:`module` relabels (v, a) and cohomology never reads."""
         a, v = self.algebra, self.v
-        ring = a.ring
-        gm = GradedModule(ring, [((vl, al), v.degree[vl] + a.gm.degree[al])
-                                 for vl in v.labels for al in a.gm.labels])
-        # x . (v (x) a) = sum over the terms (v, w, c) of x: +-(w, c a)
-        terms = {}
-        for (u, w, cl), c in self.x.coeffs.items():
-            terms.setdefault(u, []).append(
-                (w, cl, ring.mul(ring.sign(a.gm.degree[cl] * v.degree[u]), c)))
-        diff = {}
-        for vl in v.labels:
-            sv = ring.sign(v.degree[vl])
-            for al in a.gm.labels:
-                out = {(vl, rl): ring.mul(sv, c) for rl, c in a.diff.get(al, {}).items()}
-                for w, cl, c in terms.get(vl, ()):
-                    prod = a.mult.get((cl, al))
-                    if prod:
-                        ring.axpy(out, c, {(w, rl): cr for rl, cr in prod.items()})
-                if out:
-                    diff[(vl, al)] = out
-        return gm, diff
+        k = GradedModule(a.ring, [("k", 0)])
+        gm = GradedModule(a.ring, [(("k", vl, al), v.degree[vl] + a.gm.degree[al])
+                                   for vl in v.labels for al in a.gm.labels])
+        return gm, _hom_diff(ConvOp(a, k, k), self.x, gm.labels)
 
     def module(self) -> DgModule:
         """The dg module on basis (v, a) with D = 1 (x) d + x."""
@@ -454,7 +466,9 @@ class TwistedModule:
         for (al, bl), prod in a.mult.items():
             for vl in self.v.labels:
                 action[((vl, al), bl)] = {(vl, rl): c for rl, c in prod.items()}
-        return DgModule(gm, a, action, diff, name=self.name)
+        return DgModule(GradedModule(a.ring, [(l[1:], d) for l, d in gm.basis()]), a, action,
+                        {l[1:]: {t[1:]: c for t, c in out.items()} for l, out in diff.items()},
+                        name=self.name)
 
     def cohomology(self) -> CohomologyReport:
         gm, diff = self._differential()

@@ -18,8 +18,8 @@ Twistings and the operators between twisted modules are
 sum E_{src -> dst} (x) a, composed with the Koszul sign
 (-1)^{|a| |psi|} where psi is the matrix part of the right factor.  Every
 module built here is a :class:`~mctwist.mc.TwistedModule` on such a
-twisting, checked once against the MC equation by convolution; no
-End(V) (x) A is built.
+twisting, checked once as D_{0,x}(x) = 0 by :meth:`~mctwist.mc.ConvOp.hom_d`, the
+one differential of every twisted Hom complex; no End(V) (x) A is built.
 """
 
 from __future__ import annotations
@@ -32,12 +32,6 @@ from .mc import ConvOp, TwistedModule
 
 class PerturbationError(InputError):
     pass
-
-
-def hom_differential(f: ConvOp, x_src: ConvOp, x_dst: ConvOp, degree: int) -> ConvOp:
-    """d(f) = (1 (x) d)(f) + x_dst o f - (-1)^{|f|} f o x_src."""
-    out = f.d_end() + x_dst.compose(f)
-    return out - f.compose(x_src).scale(f.ring.sign(degree))
 
 
 def geometric_inverse(one: ConvOp, n: ConvOp, bound: int) -> ConvOp:
@@ -269,11 +263,11 @@ def minimal_model(rtm: ReducedTwistedModule) -> MinimalModel:
     x_op = rtm.tw.x
     checks = {
         "minimal": is_minimal(minimal),
-        "include_closed": hom_differential(include, x2, x_op, 0).is_zero(),
-        "project_closed": hom_differential(project, x_op, x2, 0).is_zero(),
+        "include_closed": include.hom_d(x2, x_op).is_zero(),
+        "project_closed": project.hom_d(x_op, x2).is_zero(),
         "p_i_identity": project.compose(include) == one_h,
         "homotopy": (one_v - include.compose(project)
-                     - hom_differential(homotopy, x_op, x_op, -1)).is_zero(),
+                     - homotopy.hom_d(x_op, x_op)).is_zero(),
     }
     if not all(checks.values()):
         raise PerturbationError("perturbation output failed verification: %r"
@@ -297,7 +291,10 @@ def minimal_iso_check(f: ConvOp, src: TwistedModule, dst: TwistedModule):
     if not (is_minimal(src) and is_minimal(dst)):
         raise PerturbationError("rigidity check needs minimal modules")
     a = src.algebra
-    if not hom_differential(f, src.x, dst.x, 0).is_zero():
+    bad = [f.dst.degree[w] - f.src.degree[u] + a.gm.degree[al] for u, w, al in f.coeffs]
+    if any(bad):
+        raise PerturbationError("map has a term of degree %d, not 0" % next(filter(None, bad)))
+    if not f.hom_d(src.x, dst.x).is_zero():
         raise PerturbationError("map is not closed of degree 0")
     f0 = f.weight_split().get(0, ConvOp(a, src.v, dst.v))
     g0 = _invert_weight_zero(a, f0, src.v, dst.v)
@@ -349,7 +346,6 @@ def lift_to_free_resolution(a: DgAlgebra, w_gm: GradedModule, d_w_entries: dict,
     obstruction class in H^{1-k} End(W) = Ext^{1-k}(V, V)) is reported.
     The result is verified MC exactly.
     """
-    ring = a.ring
     d_w = ConvOp.from_matrix(a, w_gm, w_gm, d_w_entries)
     if not d_w.compose(d_w).is_zero():
         raise PerturbationError("d_W does not square to zero")
@@ -359,20 +355,20 @@ def lift_to_free_resolution(a: DgAlgebra, w_gm: GradedModule, d_w_entries: dict,
     comm = d_w.compose(w1) + w1.compose(d_w)
     if not comm.is_zero():
         raise PerturbationError("w1 is not a chain map over d_W")
-    ws = {0: d_w, 1: w1}
+    ws, zero = {0: d_w, 1: w1}, ConvOp(a, w_gm, w_gm)
     top = max(a.gm.degrees())
     for k in range(2, top + 1 + 1):
-        rest = ws[k - 1].d_end()
+        rest = ws[k - 1].hom_d(zero, zero)  # (1 (x) d)(w_{k-1})
         for i in range(1, k):
             rest = rest + ws[i].compose(ws[k - i])
         if rest.is_zero():
-            ws[k] = ConvOp(a, w_gm, w_gm)
+            ws[k] = zero
             continue
         sol = _solve_commutator(a, w_gm, d_w, rest.scale(-1), weight=k)
         if sol is None:
             raise PerturbationError("obstruction class nonzero at stage %d" % k)
         ws[k] = sol
-    x_total = ConvOp(a, w_gm, w_gm)
+    x_total = zero
     for k, op in ws.items():
         x_total = x_total + op
     return TwistedModule(w_gm, a, x_total, name="resolution lift")
@@ -444,7 +440,7 @@ def truncate_twisted(rtm: ReducedTwistedModule, i: int):
         raise PerturbationError("twisting does not preserve the truncation")
     xprime = {(u, lbl, al): c for (u, al), sol in zip(grouped, sols) for lbl, c in sol.items()}
     out = TwistedModule(vgm, a, ConvOp(a, vgm, vgm, xprime), name="tau_<=%d" % i)
-    if not hom_differential(inc, out.x, x, 0).is_zero():
+    if not inc.hom_d(out.x, x).is_zero():
         raise PerturbationError("internal: truncation inclusion is not closed")
     return out, inc
 

@@ -185,8 +185,6 @@ def polynomial_mc_category(forms, cap: int):
     class (the constant 1 is always a solution on the diagonal), and the
     pairs detected isomorphic by composing solutions back to a unit.
     """
-    n = forms[0].n if forms else 1
-    ring = forms[0].ring if forms else None
     dims = {}
     certified = {}
     sols = {}

@@ -303,7 +303,6 @@ def nerve(cat: FiniteCategory, cap: int, name: str = "") -> FiniteSimplicialSet:
 
     def normal_form(string):
         # strip identity arrows, recording the monotone surjection on vertices
-        n = len(string)
         kept = [f for f in string if not cat.is_identity(f)]
         surj = [0]
         for f in reversed(string):  # vertex walk: v_0 .. v_n follows f_1 .. f_n
@@ -730,25 +729,16 @@ def two_sided_twisted(base: FiniteSimplicialSet, vleft: GradedModule,
     Y(sigma_01) f(d_0 sigma) + sum_i (-1)^i f(d_i sigma)
   + (-1)^n f(d_n sigma) X(sigma_{n-1,n}) with X = x + 1, Y = y + 1.
     Setting y = 0 recovers the one-sided twist of the right structure.
-    D is :func:`~mctwist.perturbation.hom_differential` on the convolution
-    operators f = E_{ur -> ul} (x) a.
+    D is :func:`mctwist.mc._hom_diff` on the basis E_{ur -> ul} (x) a,
+    labelled ("m", ur, ul, a), and checked once to square to zero.
     """
-    from .mc import ConvOp
-    from .perturbation import hom_differential
+    from .mc import ConvOp, _hom_diff, _square_zero
 
-    ring = vleft.ring
-    ca = cochain_algebra(base, ring)
+    ca = cochain_algebra(base, vleft.ring)
     x_op, y_op = ConvOp.from_mc(x, ca, vright), ConvOp.from_mc(y, ca, vleft)
     basis = [(("m", ur, ul, al), vleft.degree[ul] - vright.degree[ur] + ca.gm.degree[al])
              for ur in vright.labels for ul in vleft.labels for al in ca.gm.labels]
-    gm = GradedModule(ring, basis)
-    diff = {}
-    for (tag, ur, ul, al), fdeg in basis:
-        f = ConvOp(ca, vright, vleft, {(ur, ul, al): 1})
-        diff[(tag, ur, ul, al)] = {(tag,) + k: c for k, c in
-                                   hom_differential(f, x_op, y_op, fdeg).coeffs.items()}
-    m = ground_module(gm, diff, "two-sided twist")
-    for l in gm.labels:
-        if m.d_dict(m.diff.get(l, {})):
-            raise SimplicialError("two-sided differential does not square to zero")
-    return m
+    diff = {("m",) + key: {("m",) + k: c for k, c in out.items()} for key, out in
+            _hom_diff(x_op, y_op, (l[1:] for l, _ in basis)).items()}
+    return ground_module(GradedModule(ca.ring, basis), _square_zero(ca, diff, "two-sided"),
+                         "two-sided twist")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -704,3 +706,14 @@ def test_the_endpoint_tolerance_must_be_finite_and_not_negative(tol):
     # zero asks for exact equality
     off = np.concatenate((xs[:2], xs[2:] + 1e-300))
     assert not gauge_from_homotopy(off, ys, endpoint_tol=0.0)[1]["consistent"]
+
+
+@pytest.mark.parametrize("x0_shape", [(8, 2, 2), (16, 3, 3)])
+def test_an_x0_off_the_gauge_grid_is_refused_naming_both_shapes(x0_shape):
+    # numpy's broadcasting ValueError used to escape from the einsum
+    x0, gpath = CircleForm(np.zeros(x0_shape)), _workload_like_pair(p=16, mz=4)[1]
+    message = r"x0 has shape %s, not the gauge grid's \(16, 2, 2\)" % re.escape(repr(x0_shape))
+    with pytest.raises(HolonomyError, match=message):
+        homotopy_from_gauge_path(x0, gpath)
+    with pytest.raises(HolonomyError, match=message):
+        gauge_transform_circle(gpath[-1], x0)

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from mctwist.dgcore import DgError, Element, GradedModule, endomorphism_dga, ground_dga, tensor_dga
-from mctwist.exactlinalg import ExactMatrix, Ring, is_invertible, kernel_basis, rank
+from mctwist.dgcore import (DgError, Element, GradedModule, complex_of, endomorphism_dga,
+                            ground_dga, ground_module, tensor_dga)
+from mctwist.exactlinalg import ExactMatrix, Ring, cohomology, is_invertible, kernel_basis, rank
 from mctwist.fixtures import homotopy_gauge_universal_dga, universal_mc_dga
 from mctwist.interval import build_interval_algebra, tensor_mc_residual
 from mctwist.mc import (
@@ -31,8 +32,9 @@ from mctwist.mc import (
     verify_homotopy_gauge,
     zero_mc,
 )
-from mctwist.mc import _degree_matrix, _homotopy_solver, _twisted_diff
-from mctwist.simplicial import LocalSystem, circle, cochain_algebra, rep_to_mc, simplex
+from mctwist.mc import _degree_matrix, _hom_diff, _homotopy_solver, _twisted_diff
+from mctwist.simplicial import (LocalSystem, circle, cochain_algebra, rep_to_mc, simplex, torus7,
+                                two_sided_twisted)
 
 Z, Q = Ring.Z(), Ring.Q()
 
@@ -720,6 +722,140 @@ def test_bulk_callers_make_no_mul_dicts_calls(monkeypatch):
     assert verify_homotopy_gauge(end, x, y,
                                  HomotopyGaugeCertificate(g, ginv, end.zero(), end.zero()))[0]
     assert calls  # the certificates are checked by Element products
+
+
+# -- one differential for every twisted Hom complex ------------------------------
+
+# the references below are the bodies _hom_diff replaced: ConvOp.d_end with
+# perturbation.hom_differential, TwistedModule's own term loop, and
+# two_sided_twisted's one ConvOp probe per basis element
+
+HOM_BASES = {"S1_3": ORACLE_BASES["S1_3"], "torus7": torus7(), "D2": ORACLE_BASES["D2"]}
+
+
+def _d_end_reference(f):
+    ring, out = f.ring, {}
+    for (u, w, al), c in f.coeffs.items():
+        sign = ring.sign(f.dst.degree[w] - f.src.degree[u])
+        ring.axpy(out, ring.mul(sign, c),
+                  {(u, w, r): cr for r, cr in f.algebra.diff.get(al, {}).items()})
+    return ConvOp(f.algebra, f.src, f.dst, out)
+
+
+def _hom_differential_reference(f, x_src, x_dst, degree):
+    out = _d_end_reference(f) + x_dst.compose(f)
+    return out - f.compose(x_src).scale(f.ring.sign(degree))
+
+
+def _twisted_module_differential_reference(tw):
+    a, v = tw.algebra, tw.v
+    ring = a.ring
+    gm = GradedModule(ring, [((vl, al), v.degree[vl] + a.gm.degree[al])
+                             for vl in v.labels for al in a.gm.labels])
+    terms = {}
+    for (u, w, cl), c in tw.x.coeffs.items():
+        terms.setdefault(u, []).append(
+            (w, cl, ring.mul(ring.sign(a.gm.degree[cl] * v.degree[u]), c)))
+    diff = {}
+    for vl in v.labels:
+        sv = ring.sign(v.degree[vl])
+        for al in a.gm.labels:
+            out = {(vl, rl): ring.mul(sv, c) for rl, c in a.diff.get(al, {}).items()}
+            for w, cl, c in terms.get(vl, ()):
+                prod = a.mult.get((cl, al))
+                if prod:
+                    ring.axpy(out, c, {(w, rl): cr for rl, cr in prod.items()})
+            if out:
+                diff[(vl, al)] = out
+    return gm, diff
+
+
+def _two_sided_reference(base, vleft, vright, y, x):
+    ring = vleft.ring
+    ca = cochain_algebra(base, ring)
+    x_op, y_op = ConvOp.from_mc(x, ca, vright), ConvOp.from_mc(y, ca, vleft)
+    basis = [(("m", ur, ul, al), vleft.degree[ul] - vright.degree[ur] + ca.gm.degree[al])
+             for ur in vright.labels for ul in vleft.labels for al in ca.gm.labels]
+    diff = {}
+    for (tag, ur, ul, al), fdeg in basis:
+        f = ConvOp(ca, vright, vleft, {(ur, ul, al): 1})
+        diff[(tag, ur, ul, al)] = {(tag,) + k: c for k, c in
+                                   _hom_differential_reference(f, x_op, y_op, fdeg).coeffs.items()}
+    return ground_module(GradedModule(ring, basis), diff, "two-sided twist")
+
+
+def _hom_twisting(rnd, ca, base, degrees):
+    """(V, x in End(V) (x) C*(X)): x = g . x0 as _random_mc_pair builds it, x0 a
+    local system on V of degree 0 (none on torus7, whose cocycle condition the
+    oracle does not build), and on a graded V the weight-0 twisting d0 (x) 1 of
+    a random d0 from one degree of V to the next, so that d0^2 = 0."""
+    ring = ca.ring
+    v = GradedModule(ring, [(("v", i), d) for i, d in enumerate(degrees)])
+    end = endomorphism_dga(ca, v)
+    if set(degrees) == {0} and base is not HOM_BASES["torus7"]:
+        x0 = _oracle_local_system(rnd, base, ring, v, end)
+    else:
+        step = rnd.choice(degrees)
+        d0 = {(u, w): rnd.randint(-2, 2) for u in v.labels_of_degree(step)
+              for w in v.labels_of_degree(step + 1)}
+        x0 = MCElement(end, end.element({("E", u, w, al): c * cu for (u, w), c in d0.items()
+                                         for al, cu in ca.unit.items()}))
+    return v, gauge_act(end, _oracle_gauge(rnd, ca, v, end), x0)
+
+
+def _hom_keys(ca, v, w):
+    return [(u, wl, al) for u in v.labels for wl in w.labels for al in ca.gm.labels]
+
+
+def _hom_degree(ca, v, w, key):
+    u, wl, al = key
+    return w.degree[wl] - v.degree[u] + ca.gm.degree[al]
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring=st.sampled_from([Z, Q, Ring.GF(5)]),
+       base=st.sampled_from(sorted(HOM_BASES)),
+       src_degrees=st.lists(st.integers(-1, 1), min_size=1, max_size=3),
+       dst_degrees=st.lists(st.integers(-1, 1), min_size=1, max_size=3),
+       seed=st.integers(0, 2 ** 32))
+def test_hom_diff_is_every_twisted_differential_it_replaced(ring, base, src_degrees,
+                                                              dst_degrees, seed):
+    rnd, space = random.Random(seed), HOM_BASES[base]
+    ca = cochain_algebra(space, ring)
+    (v, x), (w, y) = (_hom_twisting(rnd, ca, space, d) for d in (src_degrees, dst_degrees))
+    assume(not x.value.is_zero() and not y.value.is_zero())
+    xs, xd = ConvOp.from_mc(x, ca, v), ConvOp.from_mc(y, ca, w)
+    # the table, on every basis element of Hom(V, W) (x) A, key order included
+    want = {}
+    for key in _hom_keys(ca, v, w):
+        f = ConvOp(ca, v, w, {key: 1})
+        out = _hom_differential_reference(f, xs, xd, _hom_degree(ca, v, w, key)).coeffs
+        if out:
+            want[key] = out
+    assert _items(_hom_diff(xs, xd, _hom_keys(ca, v, w))) == _items(want)
+    # hom_d on a map with terms of several degrees: each degree as the old
+    # hom_differential gave it for that degree
+    f = ConvOp(ca, v, w, {k: rnd.randint(-2, 2) for k in rnd.sample(_hom_keys(ca, v, w), 6)})
+    want = ConvOp(ca, v, w)
+    for degree in {_hom_degree(ca, v, w, k) for k in f.coeffs}:
+        part = ConvOp(ca, v, w, {k: c for k, c in f.coeffs.items()
+                                 if _hom_degree(ca, v, w, k) == degree})
+        want = want + _hom_differential_reference(part, xs, xd, degree)
+    assert f.hom_d(xs, xd) == want
+    # the MC residual, of the twisting and of a degree-1 operator off the MC locus
+    bent = xs + ConvOp(ca, v, v, {k: rnd.randint(-2, 2) for k in _hom_keys(ca, v, v)
+                                  if _hom_degree(ca, v, v, k) == 1})
+    for z in (xs, bent):
+        assert z.mc_residual() == _d_end_reference(z) + z.compose(z)
+    assert xs.mc_residual().is_zero()
+    # the twisted module W (x) A, and the two-sided complex Hom(V, W) (x) A
+    tw = TwistedModule(w, ca, xd)
+    mod, (ref_gm, ref_diff) = tw.module(), _twisted_module_differential_reference(tw)
+    assert mod.gm.basis() == ref_gm.basis() and _items(mod.diff) == _items(ref_diff)
+    assert tw.cohomology() == cohomology(complex_of(ring, ref_gm, ref_diff))
+    m, ref = two_sided_twisted(space, w, v, y, x), _two_sided_reference(space, w, v, y, x)
+    assert m.gm.basis() == ref.gm.basis() and _items(m.diff) == _items(ref.diff)
+    assert m.cohomology() == ref.cohomology()
 
 
 # -- each homotopy-gauge equation once ---------------------------------------------

@@ -450,6 +450,23 @@ def test_two_runs_comparison_is_an_isomorphism():
     assert inv.compose(comparison) == ConvOp.identity(ca, mm1.minimal.v)
 
 
+def test_a_map_off_degree_zero_is_refused_with_its_degree():
+    # E_{a -> b} (x) 1 from {a: 0} to {b: 1} has degree 1; it was checked
+    # closed with the degree-0 sign on every term and certified invertible
+    ca = cochain_algebra(circle(3), Q)
+    vs, vd, vd0 = (GradedModule(Q, [(l, d)]) for l, d in (("a", 0), ("b", 1), ("b", 0)))
+    src, dst, dst0 = (TwistedModule(v, ca, ConvOp(ca, v, v)) for v in (vs, vd, vd0))
+    with pytest.raises(PerturbationError, match="map has a term of degree 1, not 0"):
+        minimal_iso_check(ConvOp.from_matrix(ca, vs, vd, {("a", "b"): 1}), src, dst)
+    # a degree-0 term beside one of degree 1: E_{a -> b} (x) a vertex and an edge
+    vertex, edge = ca.gm.labels_of_degree(0)[0], ca.gm.labels_of_degree(1)[0]
+    f = ConvOp(ca, vs, vd0, {("a", "b", vertex): 1, ("a", "b", edge): 1})
+    with pytest.raises(PerturbationError, match="map has a term of degree 1, not 0"):
+        minimal_iso_check(f, src, dst0)
+    ok, inv = minimal_iso_check(ConvOp.from_matrix(ca, vs, vd0, {("a", "b"): 1}), src, dst0)
+    assert ok and inv == ConvOp.from_matrix(ca, vd0, vs, {("b", "a"): 1})
+
+
 def _two_sided_inverse_reference(a, f0, vsrc, vdst):
     # _invert_weight_zero as it solved f0 o g = 1 and g o f0 = 1 as one system
     # of keyed rows, kept as its reference

@@ -431,6 +431,39 @@ def test_two_sided_differential_matches_local_coefficient_display():
         assert got == want, (e0, got, want)
 
 
+TWO_SIDED_AND_LOCAL_SYSTEM = """
+import json, sys
+from mctwist.dgcore import GradedModule
+from mctwist.exactlinalg import ExactMatrix, Ring
+from mctwist.simplicial import (LocalSystem, circle, local_system_cohomology, rep_to_mc,
+                                two_sided_twisted)
+Z = Ring.Z()
+v = GradedModule(Z, [("v", 0)])
+ls = LocalSystem(circle(3), v, {(0, 1): ExactMatrix.from_rows(Z, [[-1]])})
+x = rep_to_mc(ls)
+rep = two_sided_twisted(ls.base, v, v, x, x).cohomology()
+print(json.dumps([rep.rank(0), local_system_cohomology(ls).torsion(1),
+                  sorted(m for m in sys.modules if m.startswith("mctwist"))]))
+"""
+
+
+def test_two_sided_and_local_system_complexes_do_not_import_perturbation():
+    # a fresh interpreter: both complexes take their differential from mc alone
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import mctwist
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mctwist.__file__)))
+    proc = subprocess.run([sys.executable, "-c", TWO_SIDED_AND_LOCAL_SYSTEM], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    h0, torsion, loaded = json.loads(proc.stdout)
+    assert (h0, torsion) == (1, [2])
+    assert "mctwist.mc" in loaded and "mctwist.perturbation" not in loaded, loaded
+
+
 def test_pullback_inverts_reversed_edges():
     # the vertex map 0 -> 2, 1 -> 1, 2 -> 0 on the 3-circle reverses (0, 1)
     # onto (1, 2) and (1, 2) onto (0, 1); transported monodromies invert
