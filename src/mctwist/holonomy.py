@@ -33,8 +33,10 @@ multiplies with ``@``, so the printed floats do not depend on this layout.
 A step is four ``ndarray.dot`` products and thirteen elementwise operations,
 all written into buffers made once per solve.
 The step-halving order estimate solves the coarsened path in the same
-loop: both solves advance as one (2, n, n) stack, one ``np.matmul`` per
-product, until the coarse one ends.
+loop: until the coarse one ends, both advance as one block-diagonal system
+[[fine, 0], [0, coarse]] on the (2n, n) value [g; g], one ``ndarray.dot``
+per product.  The zero blocks add only +-0 terms to each entry's sum,
+which can change g only where it holds -0.0.
 """
 
 from __future__ import annotations
@@ -157,15 +159,15 @@ def _nodes(y, steps, z0: float, z1: float):
 def _rk4(h, y0, ymid, y1, g, dot):
     """The RK4 values g_0 = g, ..., g_m of dg/dz = y g on the stacked nodes.
 
-    ``dot(y, g, out)`` writes the product into ``out``: ``np.ndarray.dot``
-    for one n x n matrix, ``np.matmul`` for the halving pair, a (2, n, n)
-    stack with h of shape (2, 1, 1), both rounding as ``@`` does, and the
-    ``"pij,pjl->pil"`` einsum for a stack over the circle grid (``np.matmul``
-    rounds it otherwise).  Each step writes into buffers made once per call
-    and its new g straight into its row of the result, in the operations and
-    order of ``g + h/6 * (k1 + (k2 + k2) + (k3 + k3) + k4)``, so every value
-    keeps its bits; ``k + k`` is ``2 * k`` exactly.  Neither g nor the nodes
-    are written.
+    ``dot(y, g, out)`` writes the product into ``out``: ``np.ndarray.dot``,
+    rounding as ``@`` does, for one n x n matrix and for the halving pair, a
+    block-diagonal (2n, 2n) system on a (2n, n) value with h a (2n, 1)
+    column, and the ``"pij,pjl->pil"`` einsum for a stack over the circle
+    grid (``np.matmul`` rounds it otherwise).  Each step writes into buffers
+    made once per call and its new g straight into its row of the result, in
+    the operations and order of ``g + h/6 * (k1 + (k2 + k2) + (k3 + k3) + k4)``,
+    so every value keeps its bits; ``k + k`` is ``2 * k`` exactly.  Neither g
+    nor the nodes are written.
     """
     add, mul = np.add, np.multiply
     out = np.empty((len(y0) + 1,) + g.shape)
@@ -196,7 +198,12 @@ def solve_transport(y, g0=None, steps: int = None, z0: float = 0.0, z1: float = 
     """
     h, y0, ymid, y1 = _nodes(y, steps, z0, z1)
     n = y0.shape[1]
-    g = np.eye(n) if g0 is None else np.asarray(g0, dtype=float)
+    try:  # a non-finite g0 is refused below, as the first transport value
+        g = np.eye(n) if g0 is None else np.asarray(g0, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise HolonomyError("g0 must be a numeric (%d, %d) array: %s" % (n, n, exc)) from exc
+    if g.shape != (n, n):
+        raise HolonomyError("g0 has shape %r, expected (%d, %d)" % (g.shape, n, n))
     coarse_end = {}
     with np.errstate(all="ignore"):  # an overflow is refused below, not warned about
         if coarse is None:
@@ -207,13 +214,17 @@ def solve_transport(y, g0=None, steps: int = None, z0: float = 0.0, z1: float = 
             if mc > len(y0) or nodes[0].shape[1] != n:
                 raise HolonomyError("the coarse path needs at most %d steps of "
                                     "%d x %d matrices" % (len(y0), n, n))
-            # rebinding frees the coarse nodes once they are stacked
-            nodes = [np.stack((f[:mc], c), axis=1) for f, c in zip((y0, ymid, y1), nodes)]
-            pair = _rk4(np.array([h, hc]).reshape(2, 1, 1), *nodes, np.stack((g, g)), np.matmul)
+            # one system [[fine, 0], [0, coarse]] on the value [g; g], h a column
+            blocks = np.zeros((3, mc, 2 * n, 2 * n))
+            for b, f, c in zip(blocks, (y0, ymid, y1), nodes):
+                b[:, :n, :n], b[:, n:, n:] = f[:mc], c
             del nodes
-            rest = _rk4(h, y0[mc:], ymid[mc:], y1[mc:], pair[-1, 0], np.ndarray.dot)
-            values = np.concatenate((pair[:, 0], rest[1:]))
-            coarse_end["coarse_endpoint"] = pair[-1, 1]
+            pair = _rk4(np.repeat([[h], [hc]], n, axis=0), *blocks, np.concatenate((g, g)),
+                        np.ndarray.dot)
+            del blocks
+            rest = _rk4(h, y0[mc:], ymid[mc:], y1[mc:], pair[-1, :n], np.ndarray.dot)
+            values = np.concatenate((pair[:, :n], rest[1:]))
+            coarse_end["coarse_endpoint"] = pair[-1, n:]
     if not all(np.isfinite(v).all() for v in (values, *coarse_end.values())):
         raise HolonomyError("non-finite transport values")
     dg = (values[2:] - values[:-2]) / (2 * h)

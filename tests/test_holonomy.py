@@ -343,7 +343,7 @@ def test_callable_transport_is_bit_identical_to_the_per_node_loop(z0, z1):
     _assert_same_transport(y, steps=101, z0=z0, z1=z1, g0=np.diag([2.0, -1.0, 0.5]))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("m", [8, 12, 1000, 1600, 2500, 10000])
 def test_paired_coarse_solve_is_bit_identical_to_a_separate_solve(n, m):
     sp = _seeded_path(7 * n + m, n, m)
@@ -357,6 +357,19 @@ def test_paired_coarse_solve_is_bit_identical_to_a_separate_solve(n, m):
                               end.view(np.uint64))
         assert np.array_equal(path.values.view(np.uint64), alone.values.view(np.uint64))
         assert report == expected
+
+
+@pytest.mark.parametrize("g0, message", [
+    (np.eye(3), r"g0 has shape \(3, 3\), expected \(2, 2\)"),
+    ([[1, 0], [0, "x"]], r"g0 must be a numeric \(2, 2\) array: could not convert"),
+    (np.ones(2), r"g0 has shape \(2,\), expected \(2, 2\)"),
+    ([[np.nan, 0.0], [0.0, 1.0]], "non-finite transport values"),
+])
+def test_a_bad_g0_is_refused_naming_the_expected_shape(g0, message):
+    sp = _seeded_path(4, 2, 8)
+    for coarse in (None, SampledMatrixPath(sp.values[::2])):
+        with pytest.raises(HolonomyError, match=message):
+            solve_transport(sp, g0=g0, coarse=coarse)
 
 
 def test_coarse_path_must_not_outstep_the_fine_one():
@@ -402,14 +415,94 @@ def _loop_rk4(h, y0, ymid, y1, g, dot):
     return out
 
 
+def _matmul_pair_transport(y, coarse, g0=None, z0=0.0, z1=1.0):
+    # solve_transport(y, g0, z0=z0, z1=z1, coarse=coarse) as it was when the
+    # halving pair advanced as a (2, n, n) stack, one np.matmul per product;
+    # kept as its reference
+    from mctwist.holonomy import _nodes
+    (h, *fine), (hc, *nodes) = _nodes(y, None, z0, z1), _nodes(coarse, None, z0, z1)
+    n, mc = fine[0].shape[1], len(nodes[0])
+    g = np.eye(n) if g0 is None else np.asarray(g0, dtype=float)
+    with np.errstate(all="ignore"):
+        pair = _loop_rk4(np.array([h, hc]).reshape(2, 1, 1),
+                         *(np.stack((f[:mc], c), axis=1) for f, c in zip(fine, nodes)),
+                         np.stack((g, g)), np.matmul)
+        rest = _loop_rk4(h, *(f[mc:] for f in fine), pair[-1, 0], np.ndarray.dot)
+    values, end = np.concatenate((pair[:, 0], rest[1:])), pair[-1, 1]
+    if not (np.isfinite(values).all() and np.isfinite(end).all()):
+        raise HolonomyError("non-finite transport values")
+    dg = (values[2:] - values[:-2]) / (2 * h)
+    cond = float(np.linalg.cond(values[-1]))
+    if not np.isfinite(cond):
+        raise HolonomyError("non-finite endpoint condition number")
+    return SampledMatrixPath(values), {
+        "interior_residual": float(np.max(np.abs(dg - fine[0][1:] @ values[1:-1]))),
+        "endpoint_condition_number": cond,
+        "steps": len(fine[0]),
+        "coarse_endpoint": end,
+    }
+
+
+def _outcome(solve, *args, **kwargs):
+    # the bytes of the values and coarse endpoint, so that -0.0 and 0.0
+    # differ, the rest of the report, or the refusal message
+    try:
+        path, report = solve(*args, **kwargs)
+    except HolonomyError as exc:
+        return str(exc)
+    return path.values.tobytes(), report.pop("coarse_endpoint").tobytes(), report
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", ["seeded", "zeros", "subnormal", "overflow"])
+def test_the_block_diagonal_pair_is_bit_identical_to_the_matmul_stack(n, case):
+    rnd = np.random.default_rng([n, len(case)])
+    outcomes = []
+    for _ in range(6):
+        m = 8 * int(rnd.integers(1, 8))
+        ys = rnd.uniform(-1, 1, (m + 1, n, n))
+        if case == "zeros":  # exact zeros of both signs among the samples
+            ys[rnd.random(ys.shape) < 0.6] = 0.0
+            ys[rnd.random(ys.shape) < 0.3] = -0.0
+        elif case == "subnormal":  # subnormal samples, and products that underflow
+            ys[rnd.random(ys.shape) < 0.5] *= 1e-310
+        elif case == "overflow":
+            ys[rnd.random(ys.shape) < 0.5] = 1e200
+        y = SampledMatrixPath(ys)
+        # -0.0 off the diagonal of an invertible g0
+        g0 = np.where(np.eye(n, dtype=bool), rnd.uniform(0.5, 2.0, (n, n)), -0.0)
+        for coarse in (SampledMatrixPath(ys[::2]), y):
+            for z0, z1 in ((0.0, 1.0), (1.0, 0.0)):
+                for start in (None, g0):
+                    kwargs = {"g0": start, "z0": z0, "z1": z1}
+                    got = _outcome(solve_transport, y, coarse=coarse, **kwargs)
+                    assert got == _outcome(_matmul_pair_transport, y, coarse, **kwargs)
+                    outcomes.append(got)
+    refused = [o for o in outcomes if isinstance(o, str)]
+    if case == "overflow":
+        assert set(refused) == {"non-finite transport values"}
+    else:
+        assert len(refused) < len(outcomes)
+
+
 def _circle_product(a, b, out=None):
     return np.einsum("pij,pjl->pil", a, b, out=out)
 
 
-# the three products _rk4 is given: (h for 20 steps, leading axes of g, product)
+def _block_pair(ys, g0):
+    # a (..., 2, n, n) fine/coarse stack in the halving pair's layout: nodes
+    # [[fine, 0], [0, coarse]] of shape (2n, 2n) and a (2n, n) value
+    n = ys.shape[-1]
+    blocks = np.zeros(ys.shape[:-3] + (2 * n, 2 * n))
+    blocks[..., :n, :n], blocks[..., n:, n:] = ys[..., 0, :, :], ys[..., 1, :, :]
+    return blocks, g0.reshape(2 * n, n)
+
+
+# the three products _rk4 is given: (h for 20 steps, leading axes of the drawn g,
+# product); a pair's (2, n, n) draws are laid out block-diagonally
 _RK4_PRODUCTS = {
     **{("dot", n): (0.05, (), np.ndarray.dot) for n in (1, 2, 3, 4)},
-    **{("pair", n): (np.array([0.05, 0.1]).reshape(2, 1, 1), (2,), np.matmul)
+    **{("pair", n): (np.repeat([[0.05], [0.1]], n, axis=0), (2,), np.ndarray.dot)
        for n in (1, 2, 3, 4)},
     **{("circle", p): (0.05, (p,), _circle_product) for p in (8, 16)},
 }
@@ -428,6 +521,8 @@ def test_rk4_in_buffers_is_bit_identical_to_the_loop_of_new_arrays(product, case
         ys, g0 = np.zeros_like(ys), -0.0 * np.broadcast_to(np.eye(n), g0.shape)
     elif case == "overflow":
         ys = 1e200 * ys
+    if product[0] == "pair":
+        ys, g0 = _block_pair(ys, g0)
     kept, signs = (ys.copy(), g0.copy()), set()
     for sign in (1, -1):
         nodes = ys[:-1:2], ys[1::2], ys[2::2]
