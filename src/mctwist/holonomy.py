@@ -72,6 +72,8 @@ def read_csv_matrices(path) -> np.ndarray:
 def _samples(values, shape: str, least: int, noun: str) -> np.ndarray:
     """values as a finite float stack of square matrices of the given shape,
     such as "(p, n, n)" or "(mz+1, p, n, n)", at least ``least`` along its first axis."""
+    if np.iscomplexobj(values):  # float conversion would drop the imaginary part
+        raise HolonomyError("complex samples: transport is real")
     values = np.asarray(values, dtype=float)
     if values.ndim != shape.count(",") + 1 or values.shape[-1] != values.shape[-2]:
         raise HolonomyError("expected shape %s" % shape)
@@ -199,6 +201,8 @@ def solve_transport(y, g0=None, steps: int = None, z0: float = 0.0, z1: float = 
     h, y0, ymid, y1 = _nodes(y, steps, z0, z1)
     n = y0.shape[1]
     try:  # a non-finite g0 is refused below, as the first transport value
+        if np.iscomplexobj(g0):  # float conversion would drop the imaginary part
+            raise TypeError("it has complex entries")
         g = np.eye(n) if g0 is None else np.asarray(g0, dtype=float)
     except (TypeError, ValueError) as exc:
         raise HolonomyError("g0 must be a numeric (%d, %d) array: %s" % (n, n, exc)) from exc

@@ -1324,16 +1324,113 @@ def test_parser_for_one_subcommand_parses_like_the_full_parser(argv):
         build_parser(argv).parse_args([other])
 
 
-@pytest.mark.parametrize("argv", SAMPLE_ARGV, ids=lambda argv: argv[0])
-def test_main_parses_a_named_subcommand_with_its_parser_alone(argv, monkeypatch):
+# the same commands with --flag=value and negative-integer forms
+READER_ARGV = SAMPLE_ARGV + [
+    ["check-dga", "a.json", "--ring=F5"],
+    ["check-dga", "--ring=", "a.json"],
+    ["gauge-search", "--seed=-3", "a.json", "x.json", "y.json", "--budget=0"],
+    ["truncate", "m.json", "--i", "-1"],
+    ["truncate", "--i=-1", "m.json"],
+    ["holonomy", "--mode=pexp", "y.csv"],
+    ["holonomy", "a.csv", "-1", "b.csv", "--mode", "pexp", "--grid=-8"],
+    ["kinfty"],
+]
+
+
+def _recorded(monkeypatch):
+    """cli with every handler replaced by a recorder; the full parser and
+    the list of namespaces the handlers are called with."""
     from mctwist import cli
     seen = []
     monkeypatch.setattr(cli, "COMMANDS", {name: (seen.append, text, arguments)
                                           for name, (_, text, arguments) in cli.COMMANDS.items()})
-    full = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", None)  # the full parser is not built
+    return cli.build_parser(), seen
+
+
+@pytest.mark.parametrize("argv", READER_ARGV, ids=lambda argv: " ".join(argv)[:32])
+def test_main_parses_a_named_subcommand_with_its_parser_alone(argv, monkeypatch):
+    from mctwist import cli
+    full, seen = _recorded(monkeypatch)
+    monkeypatch.setattr(cli, "build_parser", None)  # no parser is built
     assert main(argv) is None
     assert seen == [full.parse_args(argv)]
+
+
+# forms argparse accepts that the reader leaves to it
+FALLBACK_ARGV = [
+    ["gauge-search", "a", "x", "y", "--seed", "3", "--bud", "7"],  # an abbreviation
+    ["kn", "--n", "1", "--ring", "Q", "--n", "2"],  # a repeated flag: the last wins
+    ["local-system", "c", "--ring", "Z", "s"],  # split positionals
+    ["truncate", "--i", "1", "--", "m"],
+    ["check-dga", "a", "--ring=-x"],  # a value that starts with "-"
+    ["holonomy", "--mode", "pexp", "-1.5"],
+]
+
+
+@pytest.mark.parametrize("argv", FALLBACK_ARGV, ids=lambda argv: " ".join(argv)[:32])
+def test_unusual_forms_fall_back_to_the_full_parser(argv, monkeypatch):
+    from mctwist import cli
+    full, seen = _recorded(monkeypatch)
+    assert cli._read_argv(argv) is None
+    assert main(argv) is None
+    assert seen == [full.parse_args(argv)]
+
+
+# values for any flag: good and bad ints, floats, choices and tokens that
+# start with "-" ("\u0663" is 3 in Arabic-Indic digits, which int() reads)
+READER_VALUES = ["3", "0", "-1", "-1.5", "-1e5", "1e-3", "x", "", "Z", "Pexp", "a.json",
+                 "--", "-", "-x", "-h", "-\u0663", "\u0663"]
+READER_GOOD = {int: ["3", "0", "-1", "-\u0663"], float: ["1e-3", "-1.5", "7"],
+               str: ["Z", "F5", "a.json", ""]}
+READER_STRAY = ["-h", "--help", "--", "-", "-x", "-1", "p9", "--ring="]
+
+
+def _reader_argv(data) -> list:
+    """A subcommand with its flags, in either form and mostly with good
+    values, and a run of positionals of about the right length, in any
+    order; then a few stray pieces: flags of any subcommand, repeated
+    flags, prefix abbreviations, stray tokens, and positionals that split
+    the run."""
+    from mctwist.cli import COMMANDS
+    name = data.draw(st.sampled_from(sorted(COMMANDS)))
+    arguments = COMMANDS[name][2]
+    every = [a for _, _, args in COMMANDS.values() for a in args if a[0][0][0] == "-"]
+    own = [a for a in arguments if a[0][0][0] == "-"]
+    run = len(arguments) - len(own) + data.draw(st.sampled_from([0, 0, 0, -1, 1]))
+    pieces = [["p%d" % i for i in range(run)]]
+    pieces += [a for a in own if data.draw(st.integers(0, 3))]  # each flag, mostly
+    pieces += data.draw(st.lists(st.one_of(
+        st.sampled_from(READER_STRAY).map(lambda t: [t]),
+        st.sampled_from(every + own),
+        st.sampled_from(sorted({f[:k] for (f,), _ in every for k in range(3, len(f))})).map(
+            lambda t: [t, "3"])), max_size=data.draw(st.sampled_from([0, 0, 1, 2]))))
+    argv = [name]
+    for piece in data.draw(st.permutations(pieces)):
+        if isinstance(piece, tuple):  # a flag and a value, in one form or the other
+            (flag,), kwargs = piece
+            good = list(kwargs.get("choices") or READER_GOOD[kwargs.get("type", str)])
+            value = data.draw(st.sampled_from(good * 4 + READER_VALUES))
+            piece = data.draw(st.sampled_from([[flag, value], [flag + "=" + value]]))
+        argv += piece
+    return argv
+
+
+@given(st.data())
+@settings(max_examples=1000)
+def test_the_argv_reader_is_sound(data):
+    """Whenever the reader returns a namespace, the full parser returns an
+    equal one without exiting."""
+    from mctwist.cli import _read_argv, build_parser
+    argv = _reader_argv(data)
+    got = _read_argv(argv)
+    if got is not None:
+        err = stdio.StringIO()
+        try:
+            with contextlib.redirect_stderr(err):
+                parsed = build_parser(argv).parse_args(argv)
+        except SystemExit:
+            pytest.fail("the reader took %r, which argparse refuses: %s" % (argv, err.getvalue()))
+        assert parsed == got, argv
 
 
 PARSER_ERRORS = [  # the texts the full parser writes

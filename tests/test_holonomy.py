@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -770,6 +771,50 @@ def test_non_finite_samples_are_refused_in_either_direction():
                     homotopy_from_gauge_path(x0, bad)
                 else:
                     gauge_from_homotopy(*((bad, ys) if arr is xs else (xs, bad)))
+
+
+def _complexified(values):
+    # the same values with one imaginary entry added, as an array and as a list
+    out = np.asarray(values, dtype=complex)
+    out.flat[1] += 5j
+    return [out, out.tolist()]
+
+
+def _refuses_complex(call, values, message="complex samples"):
+    # refused before numpy's float conversion could drop the imaginary part
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in _complexified(values):
+            with pytest.raises(HolonomyError, match=message):
+                call(bad)
+
+
+def test_a_complex_sampled_path_is_refused():
+    _refuses_complex(SampledMatrixPath, _seeded_path(1, 2, 8).values)
+
+
+def test_a_complex_circle_form_is_refused():
+    _refuses_complex(CircleForm, CircleForm.constant(np.eye(2), 8).values)
+
+
+def test_a_complex_gauge_path_is_refused():
+    x0, gpath = _workload_like_pair(p=8, mz=4)
+    _refuses_complex(lambda bad: homotopy_from_gauge_path(x0, bad), gpath)
+    _refuses_complex(lambda bad: homotopy_from_gauge_path(CircleForm(bad), gpath), x0.values)
+
+
+def test_a_complex_homotopy_is_refused_on_either_side():
+    xs, ys, _ = homotopy_from_gauge_path(*_workload_like_pair(p=8, mz=4))
+    _refuses_complex(lambda bad: gauge_from_homotopy(bad, ys), xs)
+    _refuses_complex(lambda bad: gauge_from_homotopy(xs, bad), ys)
+
+
+def test_a_complex_g0_is_refused():
+    # a complex g0 such as [[1, 0], [0, 1+5j]] used to transport from its real part
+    sp = _seeded_path(4, 2, 8)
+    for coarse in (None, SampledMatrixPath(sp.values[::2])):
+        _refuses_complex(lambda bad: solve_transport(sp, g0=bad, coarse=coarse), np.eye(2),
+                         r"g0 must be a numeric \(2, 2\) array: it has complex entries")
 
 
 def test_an_exactly_singular_gauge_is_an_input_error():

@@ -17,6 +17,7 @@ from mctwist.mc import (
     MCError,
     TwistedModule,
     algebra_inverse,
+    closed_degree_zero,
     gauge_act,
     hom_twist,
     hom_twist_compose,
@@ -258,6 +259,58 @@ def test_search_gauge_pair_returns_inverse_certificate():
     assert res.certificate.wx.is_zero() and res.certificate.wy.is_zero()
     ok, _ = verify_homotopy_gauge(end, x, y, res.certificate)
     assert ok
+
+
+# A = End(V) over the ground ring, V = a (degree -1), b, c (degree 0): the
+# pairs (x, y) of MC elements, with the g stage 3 decides by at budget 0
+STAGE_THREE = {"E_ab,E_ac": ("b", "c", ("c", "b")), "E_ab,E_ab": ("b", "b", ("c", "c"))}
+
+
+def _stage_three_pair(ring, pair):
+    a = endomorphism_dga(ground_dga(ring), GradedModule(ring, [("a", -1), ("b", 0), ("c", 0)]))
+    x_dst, y_dst, g = STAGE_THREE[pair]
+    x, y = (MCElement(a, a.element(("E", "a", dst, "1"))) for dst in (x_dst, y_dst))
+    return a, x, y, {("E",) + g + ("1",): 1}
+
+
+@pytest.mark.parametrize("pair", sorted(STAGE_THREE))
+@pytest.mark.parametrize("ring", [Z, Q, Ring.GF(5)], ids=str)
+def test_stage_three_decides_where_no_invertible_gauge_is_tried(ring, pair):
+    # at budget 0, stage 2 tries the three basis candidates of closed A^0,
+    # none of them invertible; stage 3 then certifies homotopy gauge
+    # equivalence with a g that is not invertible either
+    a, x, y, g = _stage_three_pair(ring, pair)
+    candidates, _ = closed_degree_zero(a, x, y)
+    assert len(candidates) == 3
+    assert all(algebra_inverse(a, Element(a, c)) is None for c in candidates)
+    res = search_homotopy_gauge(a, x, y, budget=0, seed=1)
+    assert (res.kind, res.gauge) == ("equivalent", None)
+    assert res.report == {"closed_degree0_dim": 3, "samples": 3, "sample_bound": 1}
+    assert res.certificate.g.coeffs == g and algebra_inverse(a, res.certificate.g) is None
+    assert verify_homotopy_gauge(a, x, y, res.certificate) == (True, [])
+
+
+@pytest.mark.parametrize("pair", sorted(STAGE_THREE))
+@pytest.mark.parametrize("ring", [Z, Q, Ring.GF(5)], ids=str)
+def test_gauge_search_prints_the_stage_three_certificate(ring, pair, tmp_path, capsys):
+    import json
+    from mctwist import io
+    from mctwist.cli import main
+    a, x, y, g = _stage_three_pair(ring, pair)
+    (tmp_path / "a.json").write_text(io.dumps(io.dga_to_json(a)))
+    for name, elem in (("x", x), ("y", y)):
+        (tmp_path / (name + ".json")).write_text(
+            io.dumps({"value": io.element_to_json(elem.value.coeffs)}))
+    argv = [str(tmp_path / f) for f in ("a.json", "x.json", "y.json")]
+    assert main(["gauge-search", *argv, "--seed", "1", "--budget", "0"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["result"] == "equivalent"
+    assert out["certificate"] == io.certificate_to_json(
+        search_homotopy_gauge(a, x, y, budget=0, seed=1).certificate)
+    cert = HomotopyGaugeCertificate(*(a.element(io.element_from_json(a, out["certificate"][k]))
+                                      for k in ("g", "h", "wx", "wy")))
+    assert cert.g.coeffs == g and algebra_inverse(a, cert.g) is None
+    assert verify_homotopy_gauge(a, x, y, cert) == (True, [])
 
 
 def test_cohomology_of_module_twist_is_gauge_invariant():

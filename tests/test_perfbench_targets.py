@@ -6,7 +6,8 @@ that deletes or renames one of those functions fails here, instead of
 crashing the traced benchmark run.  And every job of the seed-1 ``gauge``,
 ``cohomology_z`` and ``axioms`` lists, and the first six backward jobs and
 the six pexp jobs of 1000 steps of the ``transport`` list, run in-process,
-must print the bytes its recorded reference holds.
+must print the bytes its recorded reference holds.  Every argv the four
+reference files record is read by ``cli``'s own reader, not by argparse.
 """
 
 import contextlib
@@ -81,3 +82,17 @@ def test_the_shortest_pexp_transport_jobs_print_their_reference_bytes(tmp_path, 
     def shortest_pexp(picks):
         return [(cls, key) for cls, key in picks if cls.name != "backward" and key % 6 == 0]
     assert _print_reference_bytes("transport", shortest_pexp, tmp_path, monkeypatch) == 6
+
+
+def test_every_reference_argv_is_read_without_argparse():
+    # every job of the four workloads runs as a plain "<cmd> ..." that
+    # cli._read_argv takes, so none falls back to building argparse's parser
+    # (which would show only as a slowdown); each namespace equals argparse's
+    from mctwist.cli import _read_argv, build_parser
+    argvs = [job["input"]["argv"] for path in sorted((PERFBENCH / "reference").glob("*.json"))
+             for job in json.loads(path.read_text()).values()]
+    assert len(argvs) == 1650
+    for argv in argvs:
+        got = _read_argv(argv)
+        assert got is not None, argv
+        assert got == build_parser(argv).parse_args(argv), argv
