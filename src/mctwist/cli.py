@@ -38,7 +38,7 @@ def _out(payload: dict) -> int:
 
 def cmd_check_dga(args) -> int:
     a = io.dga_from_json(io.load_json_file(args.algebra))
-    if args.ring:
+    if args.ring is not None:  # "" is a ring token too, and Ring.parse refuses it
         a = a.change_ring(Ring.parse(args.ring))
     rep = check_dga(a)
     return _out({"ok": rep["ok"],
@@ -57,7 +57,7 @@ def cmd_local_system(args) -> int:
     from .simplicial import local_system_cohomology
     complex_obj = io.load_json_file(args.complex)
     system_obj = io.load_json_object(args.system)
-    if args.ring:
+    if args.ring is not None:
         system_obj["ring"] = args.ring
     # the functor condition is checked once, by twisted_system
     rep = local_system_cohomology(io.local_system_from_json(system_obj, complex_obj))

@@ -72,9 +72,14 @@ def read_csv_matrices(path) -> np.ndarray:
 def _samples(values, shape: str, least: int, noun: str) -> np.ndarray:
     """values as a finite float stack of square matrices of the given shape,
     such as "(p, n, n)" or "(mz+1, p, n, n)", at least ``least`` along its first axis."""
-    if np.iscomplexobj(values):  # float conversion would drop the imaginary part
+    try:  # np.iscomplexobj converts a list too, so either call may refuse it
+        complex_samples = np.iscomplexobj(values)
+        if not complex_samples:
+            values = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged, or not numbers
+        raise HolonomyError("%s must be a numeric %s array: %s" % (noun, shape, exc)) from exc
+    if complex_samples:  # float conversion would drop the imaginary part
         raise HolonomyError("complex samples: transport is real")
-    values = np.asarray(values, dtype=float)
     if values.ndim != shape.count(",") + 1 or values.shape[-1] != values.shape[-2]:
         raise HolonomyError("expected shape %s" % shape)
     if values.shape[0] < least:

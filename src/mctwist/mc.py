@@ -575,17 +575,21 @@ def search_homotopy_gauge(a: DgAlgebra, x: MCElement, y: MCElement,
             return SearchResult("equivalent", certificate=cert, gauge=g,
                                 invariants=invariants, report=report)
 
-    # stage 3: homotopy gauge via a linear solve for (h, wx, wy) given g
-    solve = _homotopy_solver(a, x, y)
-    for g in trials:
-        if g.is_zero():
-            continue
-        cert = solve(g)
-        if cert is not None:
-            ok, _ = verify_homotopy_gauge(a, x, y, cert)
-            if ok:
-                return SearchResult("equivalent", certificate=cert,
-                                    invariants=invariants, report=report)
+    # stage 3: homotopy gauge via a linear solve for (h, wx, wy) given g.
+    # With A^-1 = 0, wx = wy = 0 and (3), (4) read hg = 1 = gh: g must be a
+    # unit, and stage 2 has already tried every trial with algebra_inverse,
+    # which finds a two-sided inverse whenever one exists
+    if a.gm.labels_of_degree(-1):
+        solve = _homotopy_solver(a, x, y)
+        for g in trials:
+            if g.is_zero():
+                continue
+            cert = solve(g)
+            if cert is not None:
+                ok, _ = verify_homotopy_gauge(a, x, y, cert)
+                if ok:
+                    return SearchResult("equivalent", certificate=cert,
+                                        invariants=invariants, report=report)
     if a.ring.is_field:
         space = 2 * report["sample_bound"] + 1
         report["schwartz_zippel"] = {

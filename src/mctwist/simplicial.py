@@ -13,6 +13,10 @@ Alexander-Whitney: (phi . psi)(sigma) = phi(front) psi(back), with
 degenerate front or back faces evaluating to zero.  Under these choices
 the Leibniz rule is a verified property of every constructed algebra, not
 an assumption.
+
+A local system gives every edge without a matrix one shared identity, so
+its functor check and its MC element F - 1 cost what the edges that carry
+monodromy cost.
 """
 
 from __future__ import annotations
@@ -179,9 +183,11 @@ def from_ordered_complex(vertices, simplices, name: str = "") -> FiniteSimplicia
     for v in vertices:
         closure.add((v,))
     sset = FiniteSimplicialSet(name)
-    for s in sorted(closure, key=lambda t: (len(t), tuple(order[v] for v in t))):
-        dim, ident = len(s) - 1, identity_map(len(s) - 2)
-        sset._enter(s, dim, [(s[:i] + s[i + 1:], ident) for i in range(dim + 1)] if dim else ())
+    ids = [identity_map(d) for d in range(max(map(len, closure), default=0))]
+    for s in sorted(closure, key=lambda t: (len(t), tuple(map(order.__getitem__, t)))):
+        dim = len(s) - 1
+        sset._enter(s, dim, [(s[:i] + s[i + 1:], ids[dim - 1]) for i in range(dim + 1)]
+                    if dim else ())
     return sset
 
 
@@ -362,14 +368,20 @@ def cochain_algebra(sset: FiniteSimplicialSet, ring: Ring, max_degree=None,
     gm = GradedModule(ring, [(l, sset.dim_of[l]) for l in labels])
     unit = {l: 1 for l in sset.nondegenerate(0)}
     ids = [identity_map(d) for d in range(top + 1)]
-    z = Ring.Z()  # incidence numbers, coerced into ``ring`` by DgAlgebra
+    # incidence numbers, written as Ring.Z().axpy would and coerced into
+    # ``ring`` by DgAlgebra: a face that cancels leaves no key
     diff = {}
     for d in range(1, top + 1):
         for tau in sset.nondegenerate(d):
             for i in range(d + 1):
                 src, surj = sset.faces[(tau, i)]
                 if surj == ids[d - 1]:
-                    z.axpy(diff.setdefault(src, {}), (-1) ** i, {tau: 1})
+                    row = diff.setdefault(src, {})
+                    c = row.get(tau, 0) + (-1 if i % 2 else 1)
+                    if c:
+                        row[tau] = c
+                    else:
+                        del row[tau]
     # front[rho][p], back[rho][q]: normal forms of rho|[0..p], rho|[n-q..n].
     # For p, q < n a nondegenerate last face d_n rho (first face d_0 rho)
     # lends its table; a degenerate s*(tau) is pulled back along s, cut to fit.
@@ -553,7 +565,9 @@ class LocalSystem:
     0-cochain f satisfies f(sigma_0) = M(sigma) f(sigma_1).  The functor
     condition M(tau_01) M(tau_12) = M(tau_02) is checked on every
     nondegenerate 2-simplex.  An edge without a matrix, or degenerate in
-    the base, carries the identity; a key that is no edge is refused.
+    the base, carries ``identity``, one matrix shared by all of them, so
+    that the work of a system follows the edges that carry monodromy (no
+    code mutates an ExactMatrix); a key that is no edge is refused.
     """
 
     def __init__(self, base: FiniteSimplicialSet, v: GradedModule, monodromy: dict):
@@ -562,13 +576,14 @@ class LocalSystem:
         self.ring = v.ring
         self.monodromy = {}
         n = v.dim
+        self.identity = ExactMatrix.identity(self.ring, n)
         for e in monodromy:
             if base.dim_of.get(e) != 1:
                 raise SimplicialError("monodromy on %r: not an edge of the base" % (e,))
         for e in base.nondegenerate(1):
             m = monodromy.get(e)
             if m is None:  # the identity, invertible without a check
-                m = ExactMatrix.identity(self.ring, n)
+                m = self.identity
             elif m.rows != n or m.cols != n:
                 raise SimplicialError("monodromy on %r has wrong size" % (e,))
             elif not is_invertible(m):
@@ -578,16 +593,18 @@ class LocalSystem:
     def edge_matrix(self, state) -> ExactMatrix:
         label, surj = state
         if surj != identity_map(self.base.dim_of[label]):
-            return ExactMatrix.identity(self.ring, self.v.dim)
+            return self.identity
         return self.monodromy[label]
 
     def functor_condition_failures(self):
         # the faces d_2, d_0 and d_1 of a 2-simplex are its edges 01, 12 and
-        # 02, each stored in normal form
-        bad, faces = [], self.base.faces
+        # 02, each stored in normal form; a product with the shared identity
+        # is its other factor
+        bad, faces, one = [], self.base.faces, self.identity
         for tau in self.base.nondegenerate(2):
             m01, m12, m02 = (self.edge_matrix(faces[(tau, i)]) for i in (2, 0, 1))
-            if m01 * m12 != m02:
+            prod = m12 if m01 is one else m01 if m12 is one else m01 * m12
+            if prod is not m02 and prod != m02:
                 bad.append(tau)
         return bad
 
@@ -632,11 +649,12 @@ def _minus_identity(ring: Ring, labels, e, m: ExactMatrix):
 
 def _edge_twisting(ls: LocalSystem) -> dict:
     """{(u, w, edge): c}, the nonzero entries of F(edge) - 1, once the
-    functor condition holds on every 2-simplex."""
+    functor condition holds on every 2-simplex; an edge that carries the
+    shared identity has none."""
     bad = ls.functor_condition_failures()
     if bad:
         raise SimplicialError("functor condition fails on 2-simplices: %r" % (bad,))
-    return dict(entry for e, m in ls.monodromy.items()
+    return dict(entry for e, m in ls.monodromy.items() if m is not ls.identity
                 for entry in _minus_identity(ls.ring, ls.v.labels, e, m))
 
 

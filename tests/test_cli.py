@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io as stdio
 import json
 import os
@@ -328,6 +329,20 @@ def test_large_prime_fields(tmp_path, capsys):
     for token in ("Fx", "F" + "9" * 5000):
         code, out, err = run_cli(capsys, "kn", "--n", "1", "--ring", token)
         assert code == 1 and out == "" and "cannot parse ring token" in err
+
+
+@pytest.mark.parametrize("flag", [["--ring", ""], ["--ring="]], ids=["separate", "joined"])
+@pytest.mark.parametrize("command", ["check-dga", "kn", "local-system"])
+def test_an_empty_ring_token_is_an_input_error(fixture_dir, capsys, command, flag):
+    # check-dga and local-system used to read "" as no override, and
+    # answered over the file's ring
+    fx = functools.partial(os.path.join, fixture_dir)
+    argv = {"check-dga": ["check-dga", fx("torus7-algebra.json")],
+            "kn": ["kn", "--n", "1"],
+            "local-system": ["local-system", fx("circle3.json"), fx("sign.json")]}[command]
+    code, out, err = run_cli(capsys, *argv, *flag)
+    assert (code, out) == (1, "")
+    assert "input error" in err and "cannot parse ring token ''" in err
 
 
 def test_minimal_model_command(tmp_path, capsys):

@@ -817,6 +817,41 @@ def test_a_complex_g0_is_refused():
                          r"g0 must be a numeric \(2, 2\) array: it has complex entries")
 
 
+def _refuses_malformed(call, values, shape):
+    # a ragged list and one with a string entry: numpy's own ValueError used
+    # to escape from the float conversion
+    ragged = np.asarray(values).tolist()
+    ragged[-1] = ragged[-1][:-1]
+    wordy = np.asarray(values).tolist()
+    row = wordy[1]
+    while isinstance(row[0], list):
+        row = row[0]
+    row[0] = "x"
+    message = r"must be a numeric %s array: " % re.escape(shape)
+    for bad, why in ((ragged, "inhomogeneous shape"), (wordy, "could not convert string")):
+        with pytest.raises(HolonomyError, match=message + ".*" + why):
+            call(bad)
+
+
+def test_a_ragged_or_non_numeric_sampled_path_is_refused():
+    _refuses_malformed(SampledMatrixPath, _seeded_path(1, 2, 8).values, "(m+1, n, n)")
+
+
+def test_a_ragged_or_non_numeric_circle_form_is_refused():
+    _refuses_malformed(CircleForm, CircleForm.constant(np.eye(2), 8).values, "(p, n, n)")
+
+
+def test_a_ragged_or_non_numeric_gauge_path_is_refused():
+    x0, gpath = _workload_like_pair(p=8, mz=4)
+    _refuses_malformed(lambda bad: homotopy_from_gauge_path(x0, bad), gpath, "(mz+1, p, n, n)")
+
+
+def test_a_ragged_or_non_numeric_homotopy_is_refused_on_either_side():
+    xs, ys, _ = homotopy_from_gauge_path(*_workload_like_pair(p=8, mz=4))
+    _refuses_malformed(lambda bad: gauge_from_homotopy(bad, ys), xs, "(mz+1, p, n, n)")
+    _refuses_malformed(lambda bad: gauge_from_homotopy(xs, bad), ys, "(mz+1, p, n, n)")
+
+
 def test_an_exactly_singular_gauge_is_an_input_error():
     # np.linalg.inv raises LinAlgError here, where an inverse that overflows
     # only reads non-finite

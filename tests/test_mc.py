@@ -1028,23 +1028,33 @@ def test_verify_homotopy_gauge_names_a_witness_off_its_degree():
     assert verify_homotopy_gauge(ca, z, z, cert) == (False, ["wy is not in A^-1"])
 
 
-def test_one_search_builds_the_rows_of_x_and_y_once(monkeypatch):
-    # the K_1* pair of test_search_unknown_when_invariants_agree_but_no_unit_found
-    # runs stage 3 on every trial; the rows x l, l x, y l and l y are read by
-    # the invariants, the closed degree-0 maps and each trial, and built once
-    from mctwist import dgcore
-    k1 = build_interval_algebra(1, Z)
-    a = k1.dga
+def _k1_end_pair(ring=Z):
+    """End(V) (x) K_1* with V = v0 (degree -1), v1 (degree 0), and the pair
+    (s + 3t, 3s + t) of test_search_unknown_when_invariants_agree_but_no_unit_found
+    times the identity of V: over Z the search runs stage 3 on every trial
+    and returns Unknown."""
+    k1 = build_interval_algebra(1, ring)
+    v = GradedModule(ring, [("v0", -1), ("v1", 0)])
+    a = endomorphism_dga(k1.dga, v)
     s, t = k1.word_label("s", 1), k1.word_label("t", 1)
-    x = MCElement(a, a.element({s: 1, t: 3}))
-    y = MCElement(a, a.element({s: 3, t: 1}))
+    x, y = (MCElement(a, a.element({("E", u, u, l): c for u in v.labels
+                                    for l, c in ((s, cs), (t, ct))}))
+            for cs, ct in ((1, 3), (3, 1)))
+    return a, x, y
+
+
+def test_one_search_builds_the_rows_of_x_and_y_once(monkeypatch):
+    # the rows x l, l x, y l and l y are read by the invariants, the closed
+    # degree-0 maps and each stage-2 and stage-3 trial, and built once
+    from mctwist import dgcore
+    a, x, y = _k1_end_pair()
     built = []
     for name in ("left_mult", "right_mult"):
         monkeypatch.setattr(dgcore.DgAlgebra, name,
                             lambda self, c, _f=getattr(dgcore.DgAlgebra, name), _n=name:
                             built.append((_n, id(c))) or _f(self, c))
     res = search_homotopy_gauge(a, x, y, seed=5, budget=30)
-    assert res.kind == "unknown" and res.report["samples"] == 29
+    assert res.kind == "unknown" and res.report["samples"] == 34
     side = {id(x.value.coeffs): "x", id(y.value.coeffs): "y"}
     assert sorted((n, side[c]) for n, c in built if c in side) == \
         [("left_mult", "x"), ("left_mult", "y"), ("right_mult", "x"), ("right_mult", "y")]
@@ -1052,24 +1062,25 @@ def test_one_search_builds_the_rows_of_x_and_y_once(monkeypatch):
 
 def test_a_stage_three_search_builds_the_blocks_without_g_once(monkeypatch):
     # condition (2) on A^0 and d^x, d^y on A^-1 hold no g: three
-    # _twisted_diff calls per search, whatever its number of trials
+    # _twisted_diff calls per search, whatever its number of trials.  K_1*
+    # has no label of degree -1, so its search builds none
     from mctwist import mc
-    k1 = build_interval_algebra(1, Z)
-    a = k1.dga
-    s, t = k1.word_label("s", 1), k1.word_label("t", 1)
-    x = MCElement(a, a.element({s: 1, t: 3}))
-    y = MCElement(a, a.element({s: 3, t: 1}))
     calls = []
     twisted_diff = mc._twisted_diff
     monkeypatch.setattr(mc, "_twisted_diff", lambda a, y_l, l_x, labels:
                         calls.append(list(labels)) or twisted_diff(a, y_l, l_x, labels))
-    for budget, samples in ((30, 29), (4, 3)):
+    k1 = build_interval_algebra(1, Z)
+    s, t = k1.word_label("s", 1), k1.word_label("t", 1)
+    k1_pair = (k1.dga, *(MCElement(k1.dga, k1.dga.element({s: cs, t: ct}))
+                         for cs, ct in ((1, 3), (3, 1))))
+    for (a, x, y), budget, samples in ((_k1_end_pair(), 30, 34), (_k1_end_pair(), 4, 8),
+                                       (k1_pair, 30, 29)):
         calls.clear()
         res = search_homotopy_gauge(a, x, y, seed=5, budget=budget)
         assert res.kind == "unknown" and res.report["samples"] == samples
         blocks = [labels for labels in calls if labels != list(a.gm.labels)]
-        assert blocks == [list(a.gm.labels_of_degree(0))] + \
-            [list(a.gm.labels_of_degree(-1))] * 2
+        degm1 = list(a.gm.labels_of_degree(-1))
+        assert blocks == ([list(a.gm.labels_of_degree(0))] + [degm1] * 2 if degm1 else [])
 
 
 def test_z_inverse_and_stage_three_solve_take_no_smith_form(monkeypatch):
@@ -1147,14 +1158,15 @@ def _eager_search(a, x, y, budget, seed):
         if verify_homotopy_gauge(a, x, y, cert)[0]:
             return SearchResult("equivalent", certificate=cert, gauge=g,
                                 invariants=invariants, report=report)
-    solve = mc._homotopy_solver(a, x, y)
-    for g in trials:
-        if g.is_zero():
-            continue
-        cert = solve(g)
-        if cert is not None and verify_homotopy_gauge(a, x, y, cert)[0]:
-            return SearchResult("equivalent", certificate=cert,
-                                invariants=invariants, report=report)
+    if a.gm.labels_of_degree(-1):  # without A^-1, stage 3 cannot decide
+        solve = mc._homotopy_solver(a, x, y)
+        for g in trials:
+            if g.is_zero():
+                continue
+            cert = solve(g)
+            if cert is not None and verify_homotopy_gauge(a, x, y, cert)[0]:
+                return SearchResult("equivalent", certificate=cert,
+                                    invariants=invariants, report=report)
     if a.ring.is_field:
         space = 2 * report["sample_bound"] + 1
         report["schwartz_zippel"] = {
@@ -1209,7 +1221,10 @@ def test_lazy_trials_give_the_eager_search_result(ring, monkeypatch):
         (2, list(g.coeffs.items()))) or inverse(a, g))
     monkeypatch.setattr(mc, "_homotopy_solver", recording_solver)
     kinds, long_unknown, stage_three = set(), 0, False
-    for k, (end, x, y) in enumerate(_search_pairs(ring)):
+    # the pairs whose A has a label of degree -1 are the only ones that reach stage 3
+    pairs = _search_pairs(ring) + [_stage_three_pair(ring, p)[:3] for p in sorted(STAGE_THREE)] \
+        + [_k1_end_pair(ring)]
+    for k, (end, x, y) in enumerate(pairs):
         slow = False
         for budget in (-1, 0, 1, 10, 1024):
             if budget == 1024 and slow:

@@ -8,6 +8,8 @@ crashing the traced benchmark run.  And every job of the seed-1 ``gauge``,
 the six pexp jobs of 1000 steps of the ``transport`` list, run in-process,
 must print the bytes its recorded reference holds.  Every argv the four
 reference files record is read by ``cli``'s own reader, not by argparse.
+The seed-1 ``local-system`` jobs make no product with, and read no F - 1
+off, the one identity each local system shares among its plain edges.
 """
 
 import contextlib
@@ -96,3 +98,44 @@ def test_every_reference_argv_is_read_without_argparse():
         got = _read_argv(argv)
         assert got is not None, argv
         assert got == build_parser(argv).parse_args(argv), argv
+
+
+def test_local_systems_work_only_on_their_edges_with_monodromy(tmp_path, monkeypatch):
+    # every seed-1 cohomology_z local-system job, run in-process with
+    # ExactMatrix.identity, ExactMatrix.__mul__ and _minus_identity wrapped:
+    # each LocalSystem makes one identity, shared by its edges without a
+    # matrix, no product has it as a factor and no F - 1 is read off it.  A
+    # return to per-edge identities fails here, not only in the bench times
+    from mctwist import cli, simplicial
+    from mctwist.exactlinalg import ExactMatrix
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    jobs = [job for job in workloads.build_jobs("cohomology_z", workloads.instances(
+        "cohomology_z", 1, 1.0), str(tmp_path)) if job.argv[0] == "local-system"]
+    monkeypatch.chdir(tmp_path)
+    made, systems, products, read = [], [], [], []
+    identity, mul, init = ExactMatrix.identity, ExactMatrix.__mul__, simplicial.LocalSystem.__init__
+    minus_identity = simplicial._minus_identity
+
+    def counted_init(self, *args):
+        before = len(made)
+        init(self, *args)
+        assert made[before:] == [self.identity]
+        systems.append(self)
+
+    monkeypatch.setattr(ExactMatrix, "identity",
+                        staticmethod(lambda *args: made.append(identity(*args)) or made[-1]))
+    monkeypatch.setattr(ExactMatrix, "__mul__",
+                        lambda self, other: products.append((self, other)) or mul(self, other))
+    monkeypatch.setattr(simplicial.LocalSystem, "__init__", counted_init)
+    monkeypatch.setattr(simplicial, "_minus_identity",
+                        lambda ring, labels, e, m: read.append(m) or minus_identity(ring, labels, e, m))
+    for job in jobs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(job.argv) == 0, job.id
+    assert len(systems) == len(jobs) == 97
+    shared = [ls.identity for ls in systems]
+    is_shared = lambda m: any(m is one for one in shared)
+    assert sum(m is ls.identity for ls in systems for m in ls.monodromy.values()) > 900
+    assert products and not any(is_shared(a) or is_shared(b) for a, b in products)
+    assert read and not any(map(is_shared, read))

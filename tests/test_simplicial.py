@@ -1,7 +1,10 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mctwist.dgcore import GradedModule, check_dga, tensor_dga
 from mctwist.exactlinalg import ExactMatrix, Ring
@@ -251,12 +254,19 @@ def test_solve_invertibility_matches_the_two_branch_reference(ring):
     assert solve_invertibility(ExactMatrix.zeros(ring, 2, 3)) is None
 
 
+def _per_edge_identities(ls):
+    # the monodromy table as LocalSystem built it before its edges without a
+    # matrix shared one identity: a fresh identity on each of them
+    return {e: ExactMatrix.identity(ls.ring, ls.v.dim) if m is ls.identity else m
+            for e, m in ls.monodromy.items()}
+
+
 def _edge_twisting_reference(ls):
-    # _edge_twisting's own loop before io shared its reader of F(e) - 1; it
-    # kept the zero entries
+    # _edge_twisting's own loop before io shared its reader of F(e) - 1, on
+    # every edge of the per-edge table; it kept the zero entries
     ring, labels = ls.ring, ls.v.labels
     coeffs = {}
-    for e, m in ls.monodromy.items():
+    for e, m in _per_edge_identities(ls).items():
         for ui, u in enumerate(labels):
             for wi, w in enumerate(labels):
                 c = m.get(wi, ui)
@@ -578,7 +588,8 @@ def test_twisted_euler_characteristic_on_the_torus():
 
 
 def _reference_cochain_algebra(sset, ring, max_degree=None):
-    """(mult, diff, unit) from one pullback per front and back face."""
+    """(mult, diff, unit) from one pullback per front and back face, and the
+    coboundary from one ``Ring.axpy`` per face."""
     from mctwist.dgcore import DgAlgebra
     from mctwist.simplicial import identity_map
     top = sset.dimension if max_degree is None else min(max_degree, sset.dimension)
@@ -661,8 +672,16 @@ def _table_test_sets():
 
 def _reference_functor_condition_failures(ls):
     # the 2-simplices whose edges 01, 12 and 02, found by pullback, break
-    # F(01) F(12) = F(02)
-    m = lambda tau, e: ls.edge_matrix(ls.base.pullback(tau, e))
+    # F(01) F(12) = F(02), each product taken in full; an edge that is
+    # degenerate in the base reads a fresh identity, the others the per-edge table
+    from mctwist.simplicial import identity_map
+    table = _per_edge_identities(ls)
+
+    def m(tau, e):
+        label, surj = ls.base.pullback(tau, e)
+        if surj != identity_map(ls.base.dim_of[label]):
+            return ExactMatrix.identity(ls.ring, ls.v.dim)
+        return table[label]
     return [tau for tau in ls.base.nondegenerate(2)
             if m(tau, (0, 1)) * m(tau, (1, 2)) != m(tau, (0, 2))]
 
@@ -1000,3 +1019,73 @@ def test_tuple_vertex_labels_are_not_read_as_degeneracy_words():
     assert [s.faces[(tri, i)] for i in range(3)] == \
         [(((0, 0), 5), (0, 1)), (((0,), 5), (0, 1)), (((0,), (0, 0)), (0, 1))]
     assert not s.check_simplicial_identities()
+
+
+# ---------------------------------------------------------------------------
+# local systems with one shared identity, against the per-edge references
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _system_bases():
+    """Ordered complexes, nerves to dimension 3 and the face-table test sets.
+    The loops of Z/2 and of an idempotent have equal faces, which cancel in
+    the coboundary; the nerves and folded simplices have degenerate faces."""
+    return {"complex": [from_ordered_complex(v, s) for v, s in _ordered_complexes()],
+            "nerve": [nerve(cat, cap) for cat in _small_categories() for cap in (1, 2, 3)],
+            "table": _table_test_sets()}
+
+
+def _monodromy(rnd, sset, ring, n, kind):
+    from mctwist.simplicial import solve_invertibility
+    edges = sset.nondegenerate(1)
+    if kind == "none":
+        return {}
+    if kind == "some":  # a few edges: the functor condition fails on most triangles
+        return {e: _random_invertible(rnd, ring, n)
+                for e in rnd.sample(edges, min(len(edges), rnd.randint(1, 3)))}
+    if kind == "identities":  # written out, as a file may hold them
+        return {e: ExactMatrix.identity(ring, n)
+                for e in rnd.sample(edges, rnd.randint(0, len(edges)))}
+    if kind == "signs":  # diagonal signs on every edge: some triangles fail
+        return {e: ExactMatrix.from_rows(ring, [[rnd.choice((1, -1)) if i == j else 0
+                                                 for j in range(n)] for i in range(n)])
+                for e in edges}
+    # F(e) = g(v0) g(v1)^-1 with v0 = d_1 e, v1 = d_0 e holds on every
+    # triangle; g is the identity at some vertices
+    g = {u: _random_invertible(rnd, ring, n) if rnd.random() < 0.5
+         else ExactMatrix.identity(ring, n) for u in sset.nondegenerate(0)}
+    return {e: g[sset.faces[(e, 1)][0]] * solve_invertibility(g[sset.faces[(e, 0)][0]])
+            for e in edges}
+
+
+@settings(max_examples=300)
+@given(ring=st.sampled_from([Z, Q, Ring.GF(5)]),
+       family=st.sampled_from(["complex", "nerve", "table"]), base=st.integers(0, 10 ** 6),
+       rank=st.integers(1, 2),
+       kind=st.sampled_from(["none", "some", "identities", "signs", "gauge"]),
+       seed=st.integers(0, 2 ** 32))
+def test_a_shared_identity_gives_what_per_edge_identities_gave(ring, family, base, rank, kind,
+                                                              seed):
+    from mctwist.mc import ConvOp, TwistedModule
+    sets = _system_bases()[family]
+    sset = sets[base % len(sets)]
+    v = GradedModule(ring, [(("v", i), 0) for i in range(rank)])
+    given = _monodromy(random.Random(seed), sset, ring, rank, kind)
+    ls = LocalSystem(sset, v, given)
+    # the edges without a matrix and the degenerate edges read one identity
+    assert all((m is ls.identity) == (e not in given) for e, m in ls.monodromy.items())
+    assert all(ls.edge_matrix((u, (0, 0))) is ls.identity for u in sset.nondegenerate(0))
+    bad = ls.functor_condition_failures()
+    assert bad == _reference_functor_condition_failures(ls)
+    ca, ref_ca = cochain_algebra(sset, ring), _reference_cochain_algebra(sset, ring)
+    assert ca.gm.basis() == ref_ca.gm.basis() and _tables(ca) == _tables(ref_ca)
+    if bad:
+        with pytest.raises(SimplicialError, match="functor condition fails"):
+            _edge_twisting(ls)
+        return
+    want = {k: c for k, c in _edge_twisting_reference(ls).items() if c != 0}
+    assert [(k, c, type(c)) for k, c in _edge_twisting(ls).items()] == \
+        [(k, c, type(c)) for k, c in want.items()]
+    ref = TwistedModule(v, ref_ca, ConvOp(ref_ca, v, v, want))
+    assert local_system_cohomology(ls) == ref.cohomology()
