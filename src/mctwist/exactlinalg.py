@@ -590,16 +590,14 @@ def _rediagonalize_pair(a, u, vt, t):
         else:
             _swap_rows(a, t, t + 1)
             _swap_rows(u, t, t + 1)
-    x, y = a[t].get(t, 0), a[t].get(t + 1, 0)
-    while y != 0:
-        if x != 0 and abs(x) <= abs(y):
-            q = y // x
-            _add_col(a, t + 1, t, -q)
-            _Z.axpy(vt[t + 1], -q, vt[t])
-        else:
-            _swap_cols(a, t, t + 1)
-            _swap_rows(vt, t, t + 1)
-        x, y = a[t].get(t, 0), a[t].get(t + 1, 0)
+    # Row t is now alpha [d_t, 0] + beta [d_{t+1}, d_{t+1}], its first entry
+    # x = +-gcd(d_t, d_{t+1}).  So its second entry y = beta d_{t+1} is a
+    # multiple of x, and one exact column step clears it.  And y != 0: with
+    # beta = 0, d_t would divide x and so d_{t+1}, and the pair is folded
+    # only when it does not.
+    q = a[t][t + 1] // a[t][t]
+    _add_col(a, t + 1, t, -q)
+    _Z.axpy(vt[t + 1], -q, vt[t])
     for i in (t, t + 1):
         if a[i].get(i, 0) < 0:
             _negate_row(a, i)

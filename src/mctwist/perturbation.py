@@ -19,7 +19,8 @@ sum E_{src -> dst} (x) a, composed with the Koszul sign
 (-1)^{|a| |psi|} where psi is the matrix part of the right factor.  Every
 module built here is a :class:`~mctwist.mc.TwistedModule` on such a
 twisting, checked once as D_{0,x}(x) = 0 by :meth:`~mctwist.mc.ConvOp.hom_d`, the
-one differential of every twisted Hom complex; no End(V) (x) A is built.
+one differential of every twisted Hom complex; no End(V) (x) A is built.  The
+stage solves of a free resolution lift read their columns from it too.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from .dgcore import DgAlgebra, GradedModule, ground_dga
 from .exactlinalg import (ExactLinalgError, ExactMatrix, InputError, Ring, rref, solve_columns,
                           solve_equations)
-from .mc import ConvOp, TwistedModule
+from .mc import ConvOp, TwistedModule, _hom_diff
 
 
 class PerturbationError(InputError):
@@ -343,8 +344,8 @@ def lift_to_free_resolution(a: DgAlgebra, w_gm: GradedModule, d_w_entries: dict,
         [d_W, w_k] = -((1 (x) d)(w_{k-1}) + sum_{i+j=k, i,j>=1} w_i w_j)
 
     degreewise by exact linear solve; an unsolvable stage k (a nonzero
-    obstruction class in H^{1-k} End(W) = Ext^{1-k}(V, V)) is reported.
-    The result is verified MC exactly.
+    obstruction class in H^{2-k} End(W) (x) A^k, where H^{2-k} End(W) =
+    Ext^{2-k}(V, V)) is reported.  The result is verified MC exactly.
     """
     d_w = ConvOp.from_matrix(a, w_gm, w_gm, d_w_entries)
     if not d_w.compose(d_w).is_zero():
@@ -355,6 +356,7 @@ def lift_to_free_resolution(a: DgAlgebra, w_gm: GradedModule, d_w_entries: dict,
     comm = d_w.compose(w1) + w1.compose(d_w)
     if not comm.is_zero():
         raise PerturbationError("w1 is not a chain map over d_W")
+    ring, wdeg, adeg = a.ring, w_gm.degree, a.gm.degree
     ws, zero = {0: d_w, 1: w1}, ConvOp(a, w_gm, w_gm)
     top = max(a.gm.degrees())
     for k in range(2, top + 1 + 1):
@@ -364,32 +366,21 @@ def lift_to_free_resolution(a: DgAlgebra, w_gm: GradedModule, d_w_entries: dict,
         if rest.is_zero():
             ws[k] = zero
             continue
-        sol = _solve_commutator(a, w_gm, d_w, rest.scale(-1), weight=k)
+        # a column per unknown E_{u -> w} (x) al of weight k and degree 1, in the
+        # (u, w, al) order that fixes the solution picked over Z; for such an f,
+        # [d_W, f] = d_W f + f d_W = D_{d_W,d_W}(f) - (1 (x) d)(f)
+        keys = [(u, w, al) for u in w_gm.labels for w in w_gm.labels for al in a.gm.labels
+                if adeg[al] == k and wdeg[w] - wdeg[u] + k == 1]
+        twisted, plain = _hom_diff(d_w, d_w, keys), _hom_diff(zero, zero, keys)
+        sol = solve_equations(ring, {key: ring.axpy(twisted.get(key, {}), -1, plain.get(key, {}))
+                                     for key in keys}, rest.scale(-1).coeffs)
         if sol is None:
             raise PerturbationError("obstruction class nonzero at stage %d" % k)
-        ws[k] = sol
+        ws[k] = ConvOp(a, w_gm, w_gm, sol)
     x_total = zero
     for k, op in ws.items():
         x_total = x_total + op
     return TwistedModule(w_gm, a, x_total, name="resolution lift")
-
-
-def _solve_commutator(a: DgAlgebra, w_gm: GradedModule, d_w: ConvOp,
-                      target: ConvOp, weight: int):
-    """Solve [d_W, w] = target for w of algebra weight ``weight``, degree 1."""
-    ring = a.ring
-    columns = {}  # {unknown (u, w, al): its column [d_W, probe]}
-    for u in w_gm.labels:
-        for w in w_gm.labels:
-            for al in a.gm.labels:
-                if a.gm.degree[al] == weight and w_gm.degree[w] - w_gm.degree[u] + weight == 1:
-                    probe = ConvOp(a, w_gm, w_gm, {(u, w, al): ring.one()})
-                    # probe has total degree 1: [d_W, probe] = d_W probe + probe d_W
-                    columns[(u, w, al)] = (d_w.compose(probe) + probe.compose(d_w)).coeffs
-    if not columns:
-        return None if not target.is_zero() else ConvOp(a, w_gm, w_gm)
-    sol = solve_equations(ring, columns, target.coeffs)
-    return None if sol is None else ConvOp(a, w_gm, w_gm, sol)
 
 
 # ---------------------------------------------------------------------------

@@ -194,19 +194,10 @@ def polynomial_mc_category(forms, cap: int):
             sols[(i, j)] = basis
             dims[(i, j)] = len(basis)
             certified[(i, j)] = cert
-    isomorphic = []
-    for i in range(len(forms)):
-        for j in range(len(forms)):
-            if i == j:
-                continue
-            # compose f in Hom(i, j) with g in Hom(j, i): polynomial product
-            found = False
-            for f in sols[(i, j)]:
-                for g in sols[(j, i)]:
-                    prod0 = g[0] * f[0]  # weight-0 part of g f
-                    if is_invertible(prod0):
-                        found = True
-            if found:
-                isomorphic.append((i, j))
+    # (i, j) is isomorphic once some f in Hom(i, j) and g in Hom(j, i) compose
+    # to a weight-0 part g[0] f[0] that is invertible; the search stops there
+    n = len(forms)
+    isomorphic = [(i, j) for i in range(n) for j in range(n) if i != j and any(
+        is_invertible(g[0] * f[0]) for f in sols[(i, j)] for g in sols[(j, i)])]
     return {"dims": dims, "certified": certified,
             "identity": "constants on the diagonal", "isomorphic": isomorphic}

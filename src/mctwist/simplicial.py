@@ -711,8 +711,9 @@ def pullback_local_system(ls: LocalSystem, vertex_map: dict,
     """Transport a local system along a simplicial map of ordered complexes.
 
     ``vertex_map`` sends source vertices to target vertices; an edge whose
-    image collapses gets the identity monodromy (the pullback cochain
-    vanishes on simplices with degenerate image).
+    image collapses (the pullback cochain vanishes on simplices with
+    degenerate image), or whose image carries the target's shared identity,
+    is left out and so carries the new system's identity.
     """
     position = {l[0]: i for i, l in enumerate(ls.base.nondegenerate(0))}  # l = (vertex,)
     monodromy = {}
@@ -725,6 +726,8 @@ def pullback_local_system(ls: LocalSystem, vertex_map: dict,
         m = ls.monodromy.get(image)
         if m is None:
             raise SimplicialError("image edge %r missing in target" % (image,))
+        if m is ls.identity:
+            continue
         if (ia, ib) != image:
             m = solve_invertibility(m)
         monodromy[e] = m

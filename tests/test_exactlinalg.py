@@ -525,6 +525,91 @@ def test_invariant_factors_of_constructed_matrix(chain, extra_rows, extra_cols, 
     assert invariant_factors(ExactMatrix(Z, rows, cols, m)) == chain
 
 
+# _rediagonalize_pair as it was before its second loop became one column step:
+# a Euclid loop on row t that could also swap columns t and t + 1.  Each
+# matrix below reaches the chain fix d_i | d_{i+1}; U, D and V must not move.
+
+
+def _rediagonalize_pair_reference(a, u, vt, t, seen):
+    from mctwist.exactlinalg import _Z, _add_col, _negate_row, _swap_cols, _swap_rows
+    seen["calls"] += 1
+    while True:
+        x, y = a[t].get(t, 0), a[t + 1].get(t, 0)
+        if y == 0:
+            break
+        if x != 0 and abs(x) <= abs(y):
+            q = y // x
+            _Z.axpy(a[t + 1], -q, a[t])
+            _Z.axpy(u[t + 1], -q, u[t])
+        else:
+            _swap_rows(a, t, t + 1)
+            _swap_rows(u, t, t + 1)
+    x, y = a[t].get(t, 0), a[t].get(t + 1, 0)
+    while y != 0:
+        seen["column steps"] += 1
+        if x != 0 and abs(x) <= abs(y):
+            q = y // x
+            seen["inexact"] += q * x != y
+            _add_col(a, t + 1, t, -q)
+            _Z.axpy(vt[t + 1], -q, vt[t])
+        else:
+            seen["column swaps"] += 1
+            _swap_cols(a, t, t + 1)
+            _swap_rows(vt, t, t + 1)
+        x, y = a[t].get(t, 0), a[t].get(t + 1, 0)
+    for i in (t, t + 1):
+        if a[i].get(i, 0) < 0:
+            _negate_row(a, i)
+            _negate_row(u, i)
+
+
+def _chain_fix_matrices():
+    """diag(2, 3), diag(4, 6) and diag(6, 10, 15) inside larger matrices, with
+    their rows and columns shuffled and, half the time, mixed by unimodular
+    pairs; and seeded small matrices of such entries."""
+    rng = random.Random(39)
+    for chain in ((2, 3), (4, 6), (6, 10, 15), (3, 2), (15, 10, 6)):
+        for trial in range(12):
+            rows, cols = len(chain) + rng.randint(0, 3), len(chain) + rng.randint(0, 3)
+            m = [[0] * cols for _ in range(rows)]
+            for i, c in enumerate(chain):
+                m[i][i] = c
+            for i in range(len(chain), rows):  # a block beside the chain
+                for j in range(len(chain), cols):
+                    m[i][j] = rng.choice((0, 0, 1, 2, 5, -7))
+            rng.shuffle(m)
+            order = rng.sample(range(cols), cols)
+            m = [[row[j] for j in order] for row in m]
+            if trial % 2:
+                p, _ = _unimodular_pair(rows, rng.randrange(2 ** 32))
+                _, q = _unimodular_pair(cols, rng.randrange(2 ** 32))
+                m = _matmul(_matmul(p, m, rows, rows, cols), q, rows, cols, cols)
+            yield ExactMatrix.from_rows(Z, m)
+    for _ in range(300):
+        rows, cols = rng.randint(2, 6), rng.randint(2, 6)
+        yield ExactMatrix.from_rows(Z, [[rng.choice((0, 0, 0, 2, 3, -4, 6, 10, -15))
+                                         for _ in range(cols)] for _ in range(rows)])
+
+
+def test_the_chain_fix_is_the_reference_pair_rediagonalization(monkeypatch):
+    from mctwist import exactlinalg
+    seen = dict.fromkeys(("calls", "column steps", "column swaps", "inexact"), 0)
+    fixes = 0
+    for m in _chain_fix_matrices():
+        u, d, v = smith_normal_form(m)
+        assert u * m * v == d
+        before = seen["calls"]
+        with monkeypatch.context() as patch:
+            patch.setattr(exactlinalg, "_rediagonalize_pair",
+                          lambda a, u, vt, t: _rediagonalize_pair_reference(a, u, vt, t, seen))
+            assert smith_normal_form(m) == (u, d, v)
+        fixes += seen["calls"] > before
+    # the second loop took exactly one exact step a call, and never swapped
+    assert seen["column steps"] == seen["calls"] >= 200
+    assert seen["column swaps"] == seen["inexact"] == 0
+    assert fixes >= 100, fixes
+
+
 def test_cohomology_of_torus_6x6_over_z():
     from mctwist.simplicial import circle, cochain_algebra, product
     t = product(circle(6), circle(6))

@@ -1,10 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from mctwist.dgcore import GradedModule, endomorphism_dga
-from mctwist.exactlinalg import ExactMatrix, Ring, kernel_basis, rank, solve_linear, solve_many
+from mctwist.exactlinalg import (ExactMatrix, Ring, kernel_basis, rank, solve_equations,
+                                  solve_linear, solve_many)
 from mctwist.mc import MCElement, TwistedModule, gauge_act, zero_mc
 from mctwist.perturbation import (
     ConvOp,
@@ -29,6 +31,7 @@ from mctwist.simplicial import (
     local_system_cohomology,
     simplex,
     solve_invertibility,
+    torus7,
 )
 
 Z, Q, F5 = Ring.Z(), Ring.Q(), Ring.GF(5)
@@ -330,6 +333,57 @@ def test_non_reduced_witness():
     assert not is_reduced(tw)
 
 
+# Z x Z, the functions on two points, in its idempotent basis e1, e2 and in
+# the basis a = e1, b = e2 - e1, where the unit is 2a + b; and Z in the basis
+# e = -1, where the unit is -e.  A twisting c d0 (x) 1 has coefficient 2c on
+# a, which the unit's first coefficient 2 divides; an odd one is refused.
+TWO_POINTS = {"ring": "Z", "basis": [["e1", 0], ["e2", 0]], "unit": [["e1", "1"], ["e2", "1"]],
+              "diff": [], "mult": [["e1", "e1", "e1", "1"], ["e2", "e2", "e2", "1"]]}
+TWO_POINTS_AB = {"ring": "Z", "basis": [["a", 0], ["b", 0]], "unit": [["a", "2"], ["b", "1"]],
+                 "diff": [], "mult": [["a", "a", "a", "1"], ["a", "b", "a", "-1"],
+                                      ["b", "a", "a", "-1"], ["b", "b", "a", "2"],
+                                      ["b", "b", "b", "1"]]}
+ONE_POINT = {"ring": "Z", "basis": [["e", 0]], "unit": [["e", "1"]], "diff": [],
+             "mult": [["e", "e", "e", "1"]]}
+ONE_POINT_MINUS = {"ring": "Z", "basis": [["e", 0]], "unit": [["e", "-1"]], "diff": [],
+                   "mult": [["e", "e", "e", "-1"]]}
+
+
+def _module_file(tmp_path, algebra, mc):
+    from mctwist import io
+    path = tmp_path / "m.json"
+    path.write_text(io.dumps({"algebra": algebra, "v": [["p", 0], ["q", 1]],
+                              "mc": [[["p", "q", al], str(c)] for al, c in mc.items()]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("algebra, mc, same_as", [
+    (TWO_POINTS_AB, {"a": 4, "b": 2}, (TWO_POINTS, {"e1": 2, "e2": 2})),
+    (ONE_POINT_MINUS, {"e": -2}, (ONE_POINT, {"e": 2})),
+], ids=["unit-2a+b", "unit-minus-e"])
+def test_reduced_component_divides_by_the_units_first_coefficient(
+        algebra, mc, same_as, tmp_path, capsys):
+    from mctwist import io
+    from mctwist.cli import main
+    a, v, coeffs = io.module_from_json(io.load_json_file(_module_file(tmp_path, algebra, mc)))
+    assert reduced_component(TwistedModule(v, a, ConvOp(a, v, v, coeffs))) == {("p", "q"): 2}
+    # d0 = 2 on p -> q, read in either basis of A: the same truncation
+    outs = []
+    for alg, x in ((algebra, mc), same_as):
+        assert main(["truncate", _module_file(tmp_path, alg, x), "--i", "1"]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1] and outs[0].out
+
+
+def test_an_odd_coefficient_on_a_is_not_reduced(tmp_path, capsys):
+    from mctwist.cli import main
+    # 3a + b = 2 e1 + e2: d0 = 2 at one point and 1 at the other
+    for algebra, mc in ((TWO_POINTS_AB, {"a": 3, "b": 1}), (TWO_POINTS, {"e1": 2, "e2": 1})):
+        assert main(["truncate", _module_file(tmp_path, algebra, mc), "--i", "0"]) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "input error: module is not reduced\n")
+
+
 def _random_reduced(seed, algebra, ring=F5):
     """Gauge transform of a constant-coefficient reduced module: V has
     dimensions (2, 1) in degrees (0, 1) and d0 of rank 1."""
@@ -596,6 +650,265 @@ def test_lift_rejects_non_chain_map():
     bad = ConvOp(a, w_gm, w_gm, {(("w", 0), ("w", 0), (0, 1)): 1})
     with pytest.raises(PerturbationError, match="chain map"):
         lift_to_free_resolution(a, w_gm, d_w, bad)
+
+
+# -- resolution lifts past weight 1 --------------------------------------------
+#
+# An integer edge action F, scalar on W = (Z --3--> Z), lifts to the chain map
+# w1 = (F - 1) (x) edge.  The weight-2 target on a 2-simplex is (F01 F12 - F02)
+# times the identity of W: a cycle of End^0(W), whose class in H^0 End(W) =
+# Hom(Z/3, Z/3) = Z/3 is that integer mod 3.  So an action flat mod 3 but not
+# over Z makes the stage solve, one not flat mod 3 is obstructed, and the
+# oracle for a lift is the F_3 local system of F mod 3: each Z/3 of the lift
+# is one dimension of it (len(torsion(d)) == rank(d)).
+
+
+def _scalar_lift(base, action):
+    """(A, W, d_W, w1) for the edge action {edge: F}, F an integer scalar on W."""
+    a = cochain_algebra(base, Z)
+    w_gm, d_w = _cyclic_resolution(Z, 3)
+    w1 = ConvOp(a, w_gm, w_gm, {(wl, wl, e): f - 1 for e, f in action.items()
+                                for wl in w_gm.labels})
+    return a, w_gm, d_w, w1
+
+
+def _f3_model(base, action, degree=0):
+    return LocalSystem(base, GradedModule(Ring.GF(3), [("v", degree)]),
+                       {e: ExactMatrix.from_rows(Ring.GF(3), [[f]]) for e, f in action.items()})
+
+
+def _matches_f3_model(rep, model):
+    ls = local_system_cohomology(model)
+    return all(rep.rank(d) == 0 and len(rep.torsion(d)) == ls.rank(d) for d in range(-3, 4))
+
+
+def _torus7_gauge(seed):
+    """A vertex gauge g in {1, 2} = (Z/3)^x on torus7, lifted to the integer
+    action F(u, v) = g_u g_v reduced to {1, 2}: flat mod 3, as g^-1 = g, but
+    not over Z once 2 * 2 = 4 meets an edge F = 1."""
+    rng = random.Random(seed)
+    base = torus7()
+    g = {v: rng.choice([1, 2]) for (v,) in base.nondegenerate(0)}
+    return base, {(u, v): g[u] * g[v] % 3 for u, v in base.nondegenerate(1)}
+
+
+def _tetrahedron_stage_three():
+    """A lift that solves at weights 2 and 3 over C*(Delta^3): W is the length-2
+    resolution Z --(3, 3)--> Z^2 --(1, -1)--> Z of Z/3 in degree -1, and the
+    edges (0, 2) and (2, 3) act by chain maps, not invertible over Z but 1
+    on H(W) = Z/3."""
+    base = simplex(3)
+    a = cochain_algebra(base, Z)
+    w_gm = GradedModule(Z, [("x", -2), ("y1", -1), ("y2", -1), ("z", 0)])
+    d_w = {("x", "y1"): 3, ("x", "y2"): 3, ("y1", "z"): 1, ("y2", "z"): -1}
+    # each action F as {(u, w): the coefficient of w in F(u)}, F d_W = d_W F
+    actions = {(0, 2): {("x", "x"): -2, ("y1", "y1"): -2, ("y1", "y2"): -1,
+                        ("y2", "y2"): -1, ("z", "z"): -1},
+               (2, 3): {("x", "x"): -2, ("y1", "y2"): -2, ("y2", "y1"): -2, ("z", "z"): 2}}
+    w1 = ConvOp(a, w_gm, w_gm, {(u, w, e): c - (u == w) for e, f in actions.items()
+                                for u in w_gm.labels for w in w_gm.labels
+                                if (c := f.get((u, w), 0)) != (u == w)})
+    return a, w_gm, d_w, w1
+
+
+def _triangle_with_free_summands():
+    """V = Z/3 + Z[1] + Z over C*(Delta^2): W = (w-1 --3--> w0) + g + f, g in
+    degree -1 and f in degree 0.  Z/3 carries the action 2, 2, 1 and g the
+    sign -1, -1, 1.  Unknown (f, g) has a zero column, and the label order
+    makes the unknowns' (u, w) order differ from their (w, u) order."""
+    base = simplex(2)
+    a = cochain_algebra(base, Z)
+    w_gm = GradedModule(Z, [("w-1", -1), ("w0", 0), ("g", -1), ("f", 0)])
+    scalars = {(0, 1): (2, -1), (1, 2): (2, -1), (0, 2): (1, 1)}  # (on Z/3, on g)
+    w1 = ConvOp(a, w_gm, w_gm, {(wl, wl, e): (fw if wl != "g" else fg) - 1
+                                for e, (fw, fg) in scalars.items() for wl in ("w-1", "w0", "g")})
+    return a, w_gm, {("w-1", "w0"): 3}, w1
+
+
+@pytest.fixture()
+def stage_solves(monkeypatch):
+    """Each stage solve of a lift as (columns with their key order, rhs)."""
+    from mctwist import perturbation
+    calls = []
+
+    def record(ring, columns, rhs):
+        calls.append(([(key, list(col.items())) for key, col in columns.items()],
+                      list(rhs.items())))
+        return solve_equations(ring, columns, rhs)
+    monkeypatch.setattr(perturbation, "solve_equations", record)
+    return calls
+
+
+def test_lift_solves_weight_two_on_the_triangle(stage_solves):
+    base = simplex(2)
+    action = {(0, 1): 2, (1, 2): 2, (0, 2): 1}  # 2 * 2 = 1 mod 3, not over Z
+    tw = lift_to_free_resolution(*_scalar_lift(base, action))
+    [(columns, _)] = stage_solves
+    assert [key for key, _ in columns] == [(("w", 0), ("w", -1), (0, 1, 2))]
+    assert tw.x.weight_split()[2].coeffs == {(("w", 0), ("w", -1), (0, 1, 2)): -1}
+    rep = tw.cohomology()
+    assert rep.entries == {0: (0, (3,))}
+    assert _matches_f3_model(rep, _f3_model(base, action))
+    # with F02 = 4 the action is flat over Z: the lift is strict, nothing to solve
+    stage_solves.clear()
+    action[(0, 2)] = 4
+    tw = lift_to_free_resolution(*_scalar_lift(base, action))
+    assert stage_solves == [] and 2 not in tw.x.weight_split()
+    assert tw.cohomology() == rep
+
+
+def test_lift_solves_weight_two_on_torus7(stage_solves):
+    base, action = _torus7_gauge(3)
+    q = GradedModule(Q, [("v", 0)])
+    assert LocalSystem(base, q, {e: ExactMatrix.from_rows(Q, [[f]]) for e, f in
+                                 action.items()}).functor_condition_failures()
+    assert not _f3_model(base, action).functor_condition_failures()
+    tw = lift_to_free_resolution(*_scalar_lift(base, action))
+    # one unknown E_{w0 -> w-1} (x) tau per 2-simplex tau of torus7
+    assert [len(columns) for columns, _ in stage_solves] == [14]
+    rep = tw.cohomology()
+    assert rep.entries == {0: (0, (3,)), 1: (0, (3, 3)), 2: (0, (3,))}
+    assert _matches_f3_model(rep, _f3_model(base, action))
+
+
+def test_lift_solves_weight_three_on_the_tetrahedron(stage_solves):
+    tw = lift_to_free_resolution(*_tetrahedron_stage_three())
+    weights = [{len(key[2]) - 1 for key, _ in columns} for columns, _ in stage_solves]
+    assert weights == [{2}, {3}]
+    assert [len(columns) for columns, _ in stage_solves] == [16, 1]
+    assert tw.x.weight_split()[3].coeffs == {("z", "x", (0, 1, 2, 3)): -2}
+    rep = tw.cohomology()
+    assert rep.entries == {-1: (0, (3,))}
+    # both edges act by -2 = 1 mod 3 on H(W) = Z/3: the trivial F_3 system
+    assert _matches_f3_model(rep, _f3_model(simplex(3), {}, degree=-1))
+
+
+def test_lift_keeps_a_zero_column_beside_free_summands(stage_solves):
+    tw = lift_to_free_resolution(*_triangle_with_free_summands())
+    [(columns, _)] = stage_solves
+    assert [key[:2] for key, _ in columns] == [("w0", "w-1"), ("w0", "g"), ("f", "w-1"),
+                                               ("f", "g")]
+    assert dict(columns)[("f", "g", (0, 1, 2))] == []
+    # H = Z/3 + Z in degree 0 (the F_3 and the trivial Z systems) and Z in -1
+    assert tw.cohomology().entries == {-1: (1, ()), 0: (1, (3,))}
+
+
+def test_lift_is_obstructed_exactly_off_the_flat_mod_3_actions():
+    base = simplex(2)
+    seen = {"obstructed": 0, "solved": 0, "strict": 0}
+    for f01, f12, f02 in itertools.product((1, 2, 4, 5), repeat=3):
+        action = {(0, 1): f01, (1, 2): f12, (0, 2): f02}
+        model = _f3_model(base, {e: f % 3 for e, f in action.items()})
+        if model.functor_condition_failures():
+            with pytest.raises(PerturbationError, match="obstruction class nonzero at stage 2"):
+                lift_to_free_resolution(*_scalar_lift(base, action))
+            seen["obstructed"] += 1
+            continue
+        tw = lift_to_free_resolution(*_scalar_lift(base, action))
+        assert _matches_f3_model(tw.cohomology(), model), action
+        seen["solved" if f01 * f12 != f02 else "strict"] += 1
+    assert seen == {"obstructed": 32, "solved": 24, "strict": 8}
+
+
+# The stage solve as it was before its columns were read off mc._hom_diff:
+# one ConvOp probe per unknown, composed on both sides with d_W.
+
+
+def _probe_solve_commutator(a, w_gm, d_w, target, weight):
+    """Solve [d_W, w] = target for w of algebra weight ``weight``, degree 1."""
+    from mctwist import perturbation
+    ring = a.ring
+    columns = {}  # {unknown (u, w, al): its column [d_W, probe]}
+    for u in w_gm.labels:
+        for w in w_gm.labels:
+            for al in a.gm.labels:
+                if a.gm.degree[al] == weight and w_gm.degree[w] - w_gm.degree[u] + weight == 1:
+                    probe = ConvOp(a, w_gm, w_gm, {(u, w, al): ring.one()})
+                    # probe has total degree 1: [d_W, probe] = d_W probe + probe d_W
+                    columns[(u, w, al)] = (d_w.compose(probe) + probe.compose(d_w)).coeffs
+    if not columns:
+        return None if not target.is_zero() else ConvOp(a, w_gm, w_gm)
+    sol = perturbation.solve_equations(ring, columns, target.coeffs)
+    return None if sol is None else ConvOp(a, w_gm, w_gm, sol)
+
+
+def _probe_lift(a, w_gm, d_w_entries, w1):
+    """The twisting of lift_to_free_resolution, its stages solved by probes."""
+    d_w = ConvOp.from_matrix(a, w_gm, w_gm, d_w_entries)
+    ws, zero = {0: d_w, 1: w1}, ConvOp(a, w_gm, w_gm)
+    for k in range(2, max(a.gm.degrees()) + 2):
+        rest = ws[k - 1].hom_d(zero, zero)
+        for i in range(1, k):
+            rest = rest + ws[i].compose(ws[k - i])
+        if rest.is_zero():
+            ws[k] = zero
+            continue
+        ws[k] = _probe_solve_commutator(a, w_gm, d_w, rest.scale(-1), weight=k)
+        if ws[k] is None:
+            raise PerturbationError("obstruction class nonzero at stage %d" % k)
+    x_total = zero
+    for op in ws.values():
+        x_total = x_total + op
+    return x_total
+
+
+LIFT_CASES = {
+    "triangle": lambda: _scalar_lift(simplex(2), {(0, 1): 2, (1, 2): 2, (0, 2): 1}),
+    "triangle-strict": lambda: _scalar_lift(simplex(2), {(0, 1): 2, (1, 2): 2, (0, 2): 4}),
+    "triangle-obstructed": lambda: _scalar_lift(simplex(2), {(0, 1): 2, (1, 2): 2, (0, 2): 2}),
+    "tetrahedron-stage-3": _tetrahedron_stage_three,
+    "triangle-free-summands": _triangle_with_free_summands,
+    **{"torus7-seed-%d" % seed: (lambda seed=seed: _scalar_lift(*_torus7_gauge(seed)))
+       for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIFT_CASES))
+def test_lift_stage_solves_equal_the_probe_reference(case, stage_solves):
+    args = LIFT_CASES[case]()
+    try:
+        got = list(lift_to_free_resolution(*args).x.coeffs.items())
+    except PerturbationError as exc:
+        got = str(exc)
+    solves, stage_solves[:] = stage_solves[:], []
+    try:
+        want = list(_probe_lift(*args).coeffs.items())
+    except PerturbationError as exc:
+        want = str(exc)
+    # the same equations: columns, values and key order, right-hand sides
+    assert solves == stage_solves
+    assert got == want
+    assert solves or case == "triangle-strict"
+
+
+def test_a_stage_without_unknowns_is_obstructed(stage_solves):
+    # W = Z in degree 0 with the sign on every edge of Delta^2: (-1)(-1) != -1,
+    # and End(W) has no degree -1 map to solve with
+    a = cochain_algebra(simplex(2), Z)
+    w_gm = GradedModule(Z, [("w", 0)])
+    w1 = ConvOp(a, w_gm, w_gm, {("w", "w", e): -2 for e in ((0, 1), (1, 2), (0, 2))})
+    for lift in (lift_to_free_resolution, _probe_lift):
+        with pytest.raises(PerturbationError, match="obstruction class nonzero at stage 2"):
+            lift(a, w_gm, {}, w1)
+    [(columns, rhs)] = stage_solves  # the probe reference returned before solving
+    assert columns == [] and rhs == [(("w", "w", (0, 1, 2)), -2)]
+
+
+def test_lift_composes_once_per_product_not_per_unknown(monkeypatch):
+    """The triangle (1 unknown) and torus7 (14 unknowns) have top degree 2:
+    their lifts compose as often, as no stage composes a probe per unknown."""
+    counts = []
+    compose = ConvOp.compose
+
+    def counted(self, other):
+        counts[-1] += 1
+        return compose(self, other)
+    monkeypatch.setattr(ConvOp, "compose", counted)
+    for case in ("triangle", "torus7-seed-3"):
+        args = LIFT_CASES[case]()
+        counts.append(0)
+        lift_to_free_resolution(*args)
+    assert counts[0] == counts[1]
 
 
 # -- truncation ------------------------------------------------------------------

@@ -132,3 +132,30 @@ def test_zero_forms_are_certified_only_in_characteristic_zero():
         zero = MatrixPoly.scalar(ring, [])
         basis, certified = hom_solutions(zero, zero, 8)
         assert certified and len(basis) == 1
+
+
+def test_equal_forms_are_found_isomorphic_at_the_first_invertible_product(monkeypatch):
+    from mctwist import polyderham
+    from mctwist.exactlinalg import is_invertible
+    from mctwist.polyderham import polynomial_mc_category
+    # the constant nilpotent form N dz twice, and dz: Hom(N dz, N dz) holds
+    # the constants commuting with N, listed as N, 1, ... up to weight 2
+    n = MatrixPoly(Q, 2, {0: [[0, 1], [0, 0]]})
+    dz = MatrixPoly(Q, 2, {0: [[1, 0], [0, 1]]})
+    forms = [n, dz, n]
+    products = []
+    monkeypatch.setattr(polyderham, "is_invertible",
+                        lambda m: products.append(m) or is_invertible(m))
+    cat = polynomial_mc_category(forms, 2)
+    assert cat["isomorphic"] == [(0, 2), (2, 0)]
+    assert cat["dims"] == {(i, j): 4 if i % 2 == j % 2 else 0 for i in range(3) for j in range(3)}
+    # the search of a pair ends at its first invertible weight-0 product g[0] f[0]
+    want = []
+    for i, j in ((0, 2), (2, 0)):
+        basis_ij = hom_solutions(forms[i], forms[j], 2)[0]
+        basis_ji = hom_solutions(forms[j], forms[i], 2)[0]
+        pairs = [g[0] * f[0] for f in basis_ij for g in basis_ji]
+        first = next(k for k, m in enumerate(pairs) if is_invertible(m))
+        assert 0 < first < len(pairs) - 1
+        want += pairs[:first + 1]
+    assert products == want

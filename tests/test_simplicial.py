@@ -814,6 +814,85 @@ def test_pullback_orders_image_edges_by_the_target_vertex_order():
         pullback_local_system(ls, {0: 5, 1: 7}, edge)
 
 
+def _pullback_handing_the_identity_on(ls, vertex_map, source):
+    """pullback_local_system as it was: an image edge that carries the
+    target's shared identity hands that matrix on, inverted if reversed."""
+    from mctwist.simplicial import solve_invertibility
+    position = {l[0]: i for i, l in enumerate(ls.base.nondegenerate(0))}
+    monodromy = {}
+    for a, b in source.nondegenerate(1):
+        ia, ib = vertex_map[a], vertex_map[b]
+        if ia == ib:
+            continue
+        image = tuple(sorted((ia, ib), key=lambda v: position.get(v, -1)))
+        m = ls.monodromy[image]
+        monodromy[(a, b)] = m if (ia, ib) == image else solve_invertibility(m)
+    return LocalSystem(source, ls.v, monodromy)
+
+
+def test_pullback_checks_only_the_edges_that_carry_monodromy(monkeypatch):
+    from mctwist import exactlinalg
+    base = circle(8)
+    ls = LocalSystem(base, GradedModule(Z, [("v", 0)]), {(0, 1): ExactMatrix.from_rows(Z, [[-1]])})
+    factored = []
+    invariant_factors = exactlinalg.invariant_factors
+    monkeypatch.setattr(exactlinalg, "invariant_factors",
+                        lambda m: factored.append(m) or invariant_factors(m))
+    back = pullback_local_system(ls, {v: v for v in range(8)}, base)
+    # one is_invertible, for the one edge with monodromy; the other seven
+    # edges are left out and carry the new system's own identity
+    assert len(factored) == 1
+    assert [e for e, m in back.monodromy.items() if m is not back.identity] == [(0, 1)]
+    assert local_system_cohomology(back) == local_system_cohomology(ls)
+
+
+def test_pullback_agrees_with_handing_the_identity_on():
+    # 2x2 unimodular systems on Delta^3, where every vertex map is simplicial:
+    # flat ones from a vertex gauge g (M(a, b) = g_a g_b^-1) and random ones,
+    # an edge left out wherever its matrix would be the identity
+    rng = random.Random(39)
+    gens = [ExactMatrix.from_rows(Z, rows) for rows in
+            ([[1, 0], [0, 1]], [[1, 1], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [-2, 1]])]
+    target, v = simplex(3), GradedModule(Z, [("v", 0), ("w", 0)])
+    sources = [circle(8), torus7(), simplex(3), boundary_simplex(3)]
+    from mctwist.simplicial import solve_invertibility
+    failing = flat = 0
+    for trial in range(24):
+        if trial % 2:
+            g = {a: rng.randrange(4) for a in range(4)}
+            mono = {(a, b): gens[g[a]] * solve_invertibility(gens[g[b]])
+                    for a, b in target.nondegenerate(1) if g[a] != g[b]}
+        else:
+            mono = {e: gens[i] for e in target.nondegenerate(1) if (i := rng.randrange(4))}
+        ls = LocalSystem(target, v, mono)
+        source = sources[trial % len(sources)]
+        vertex_map = {l: rng.randrange(4) for (l,) in source.nondegenerate(0)}
+        back = pullback_local_system(ls, vertex_map, source)
+        ref = _pullback_handing_the_identity_on(ls, vertex_map, source)
+        assert back.monodromy == ref.monodromy
+        assert back.functor_condition_failures() == ref.functor_condition_failures()
+        if back.functor_condition_failures():
+            failing += 1
+        else:
+            flat += 1
+            assert local_system_cohomology(back) == local_system_cohomology(ref)
+    assert failing >= 5 and flat >= 12, (failing, flat)
+
+
+def test_finite_category_compose_reads_its_table_after_two_shortcuts():
+    cat = interval_groupoid()
+    with pytest.raises(SimplicialError, match="arrows 'u', 'u' not composable"):
+        cat.compose("u", "u")
+    assert cat.compose("u", "id1") == "u"  # f an identity
+    assert cat.compose("id2", "u") == "u"  # g an identity
+    assert cat.compose("ui", "u") == "id1" and cat.compose("u", "ui") == "id2"
+    chain = FiniteCategory(["A", "B", "C"], {"1A": ("A", "A"), "1B": ("B", "B"),
+                                            "1C": ("C", "C"), "f": ("A", "B"), "g": ("B", "C")},
+                           {"A": "1A", "B": "1B", "C": "1C"}, {})
+    with pytest.raises(SimplicialError, match=r"composition table incomplete at \('g', 'f'\)"):
+        chain.compose("g", "f")
+
+
 def _add_simplex_complex(vertices, simplices, name=""):
     """from_ordered_complex as it was: the same input checks and sorted
     closure, each face then entered through add_simplex's checks."""
