@@ -603,11 +603,6 @@ class DgModule:
                                                  self.algebra.name or "?")
 
 
-def algebra_as_module(a: DgAlgebra) -> DgModule:
-    """A as a right module over itself."""
-    return DgModule(a.gm, a, dict(a.mult), dict(a.diff), name="%s as module" % a.name)
-
-
 def ground_module(gm: GradedModule, diff: dict, name: str) -> DgModule:
     """The complex (gm, diff) over k as a dg module over :func:`ground_dga`."""
     one = gm.ring.one()

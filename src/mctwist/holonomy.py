@@ -99,12 +99,6 @@ class SampledMatrixPath:
     def steps(self) -> int:
         return self.values.shape[0] - 1
 
-    @staticmethod
-    def from_function(f, n: int, samples: int):
-        ts = np.linspace(0.0, 1.0, samples + 1)
-        vals = np.stack([np.asarray(f(t), dtype=float).reshape(n, n) for t in ts])
-        return SampledMatrixPath(vals)
-
 
 class CircleForm:
     """Matrix-valued 1-form coefficient A(theta) d theta on S^1, periodic grid.

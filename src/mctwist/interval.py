@@ -19,11 +19,14 @@ Pinned labelling, recorded once here and asserted in tests:
 A homotopy between MC elements x0, x1 of a dg algebra A is an MC element
 of A (x) K_n*; it is stored sparsely as a dict {K_n* basis label: element
 of A}, which also works for the lazily represented free dg algebras.
+:func:`homotopy_to_functor` reads its endpoints x = X_e, x' = X_f and its
+coefficients; the constant homotopy x (x) (e + f) is
+``functor_to_homotopy(a, k, {"x": x, "x'": x, "u": [], "v": []})[0]``.
 """
 
 from __future__ import annotations
 
-from .dgcore import DgAlgebra, DgError, Element
+from .dgcore import DgError, Element
 from .exactlinalg import Ring
 from .simplicial import (
     cochain_algebra,
@@ -113,15 +116,6 @@ def build_interval_algebra(n: int, ring: Ring) -> IntervalAlgebra:
     return IntervalAlgebra(n, ring)
 
 
-def quotient_map(bigger: IntervalAlgebra, smaller: IntervalAlgebra) -> dict:
-    """The restriction K_{n+1}* -> K_n* (kill duals of the top words)."""
-    out = {}
-    for l in bigger.dga.gm.labels:
-        if l in smaller.dga.gm.degree:
-            out[l] = {l: 1}
-    return out
-
-
 # ---------------------------------------------------------------------------
 # sparse homotopies: elements of A (x) K_n*
 # ---------------------------------------------------------------------------
@@ -160,15 +154,6 @@ def tensor_mc_residual(a, k: IntervalAlgebra, x_dict: dict) -> dict:
 def tensor_is_mc(a, k: IntervalAlgebra, x_dict: dict) -> tuple:
     res = tensor_mc_residual(a, k, x_dict)
     return not res, res
-
-
-def to_tensor_element(a: DgAlgebra, tensor_alg: DgAlgebra, x_dict: dict) -> Element:
-    """Sparse dict -> element of tensor_dga(a, k.dga) (finite algebras only)."""
-    coeffs = {}
-    for xi, p in x_dict.items():
-        for l, c in a.as_element(p).coeffs.items():
-            coeffs[(l, xi)] = c
-    return tensor_alg.element(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +204,6 @@ def k2_homotopy_from_certificate(a, k2: IntervalAlgebra, x: MCElement, x1: MCEle
     return x_dict
 
 
-def constant_homotopy(a, k: IntervalAlgebra, x: MCElement) -> dict:
-    """x tensored with the unit e + f of K_n*."""
-    return _homotopy(a, k, {"x": x.value, "x'": x.value, "u": [], "v": []})
-
-
-def homotopy_endpoints(a, k: IntervalAlgebra, x_dict: dict):
-    data = _functor_data(a, k, x_dict)
-    return data["x"], data["x'"]
-
-
 # ---------------------------------------------------------------------------
 # the truncated resolution category K_infinity
 # ---------------------------------------------------------------------------
@@ -254,11 +229,6 @@ class KInftyCategoryTrunc:
         self.diff_u = diff_u
         self.presentation = presentation
         self.relabel = relabel
-
-    def generator_names(self):
-        return [("u", m) for m in range(self.n_trunc)] + \
-            [("v", m) for m in range(self.n_trunc)]
-
 
 def k_infty_category(n_trunc: int, ring: Ring = None) -> KInftyCategoryTrunc:
     """Derive the truncated resolution category from the simplicial model.

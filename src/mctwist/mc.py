@@ -18,12 +18,12 @@ homotopy gauge equivalence asks for degree-0 elements g, h with
 for some degree -1 witnesses wx, wy.  Each is a value of one differential,
 D_{x,y}(w) = dw + yw - (-1)^{|w|} wx of A^[x,y] (:func:`hom_twist_d`):
 (1) D_{x,y}(g) = 0, (2) D_{y,x}(h) = 0, (3) hg - 1 = D_{x,x}(wx) and
-(4) gh - 1 = D_{y,y}(wy).  :func:`verify_homotopy_gauge` checks the
-degrees of the witnesses and exactly these four conditions;
-:func:`search_homotopy_gauge` is a
-certificate-producing decision layer that never claims equivalence without
-a verified certificate and never claims distinction without a computed
-invariant that differs.
+(4) gh - 1 = D_{y,y}(wy), so d^x(w) = d(w) + [x, w] is D_{x,x}(w), and
+(1, 1, 0, 0) certifies x against itself.  :func:`verify_homotopy_gauge`
+checks the degrees of the witnesses and exactly these four conditions;
+:func:`search_homotopy_gauge` is a certificate-producing decision layer
+that never claims equivalence without a verified certificate and never
+claims distinction without a computed invariant that differs.
 
 Twisted modules V (x) A = Hom(k, V) (x) A and two-sided Hom(V, W) (x) A share one
 differential D f = (1 (x) d) f + y f - (-1)^{|f|} f x (:func:`_hom_diff`); a twisting
@@ -163,19 +163,14 @@ def hom_twist(a: DgAlgebra, x: MCElement, y: MCElement, name: str = "") -> DgMod
     """A^[x,y]: Hom(A^[x], A^[y]) with d(a) + y a - (-1)^{|a|} a x.
 
     Returned as a complex (a dg module over the ground ring); the
-    composition pairing is ordinary multiplication in A, see
-    :func:`hom_twist_compose`.
+    composition pairing A^[y,z] (x) A^[x,y] -> A^[x,z] is ordinary
+    multiplication in A, g (x) f -> g * f.
     """
     _require_mc(a, x)
     _require_mc(a, y)
     diff = _square_zero(a, _twisted_diff(a, y.left_mult, x.right_mult, a.gm.labels),
                         "hom twist")
     return ground_module(a.gm, diff, name or "A^[x,y]")
-
-
-def hom_twist_compose(a: DgAlgebra, g, f):
-    """The pairing A^[y,z] (x) A^[x,y] -> A^[x,z]: multiplication in A."""
-    return a.as_element(g) * a.as_element(f)
 
 
 def hom_twist_d(a, x: MCElement, y: MCElement, w) -> Element:
@@ -252,15 +247,6 @@ class HomotopyGaugeCertificate:
     h: Element
     wx: Element
     wy: Element
-
-
-def trivial_certificate(a: DgAlgebra) -> HomotopyGaugeCertificate:
-    return HomotopyGaugeCertificate(a.one(), a.one(), a.zero(), a.zero())
-
-
-def coboundary_in_twist(a: DgAlgebra, x: MCElement, w) -> Element:
-    """d^x(w) = d(w) + [x, w] for the algebra twisting by x: D_{x,x}(w)."""
-    return hom_twist_d(a, x, x, w)
 
 
 def verify_homotopy_gauge(a: DgAlgebra, x: MCElement, y: MCElement,
@@ -700,9 +686,6 @@ class H0Category:
         g = Element(self.a, self.reps[(j, k)][cj])
         f = Element(self.a, self.reps[(i, j)][ci])
         return self.class_coordinates(i, k, g * f)
-
-    def identity_class(self, i):
-        return self.class_coordinates(i, i, self.a.one())
 
     def table(self):
         """All composition structure constants: (i, j, k, cj, ci) -> coords."""

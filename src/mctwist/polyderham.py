@@ -183,7 +183,10 @@ def polynomial_mc_category(forms, cap: int):
     Returns {"dims", "certified", "identity", "isomorphic"}: solution-space
     dimensions and completeness certificates per ordered pair, the identity
     class (the constant 1 is always a solution on the diagonal), and the
-    pairs detected isomorphic by composing solutions back to a unit.
+    pairs detected isomorphic: by two basis solutions that compose to a unit,
+    or as equal forms, since the constant 1 solves f' + y f - f x = 0 both
+    ways exactly when x = y.  A pair left off the list is not shown to be
+    non-isomorphic: other combinations of the solutions are not tried.
     """
     dims = {}
     certified = {}
@@ -194,10 +197,10 @@ def polynomial_mc_category(forms, cap: int):
             sols[(i, j)] = basis
             dims[(i, j)] = len(basis)
             certified[(i, j)] = cert
-    # (i, j) is isomorphic once some f in Hom(i, j) and g in Hom(j, i) compose
-    # to a weight-0 part g[0] f[0] that is invertible; the search stops there
-    n = len(forms)
-    isomorphic = [(i, j) for i in range(n) for j in range(n) if i != j and any(
-        is_invertible(g[0] * f[0]) for f in sols[(i, j)] for g in sols[(j, i)])]
+    # (i, j) is isomorphic once some f in Hom(i, j) and g in Hom(j, i) have an
+    # invertible g[0] f[0] (the search stops there), or when the forms are equal
+    isomorphic = [(i, j) for i, x in enumerate(forms) for j, y in enumerate(forms) if i != j and (
+        any(is_invertible(g[0] * f[0]) for f in sols[(i, j)] for g in sols[(j, i)])
+        or x.coeffs == y.coeffs)]
     return {"dims": dims, "certified": certified,
             "identity": "constants on the diagonal", "isomorphic": isomorphic}

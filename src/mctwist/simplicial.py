@@ -106,9 +106,6 @@ class FiniteSimplicialSet:
     def f_vector(self):
         return tuple(len(self.simplices.get(d, [])) for d in range(self.dimension + 1))
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * len(ls) for d, ls in self.simplices.items())
-
     # -- normal forms -----------------------------------------------------------
 
     def pullback(self, label, mono: tuple):
@@ -133,21 +130,6 @@ class FiniteSimplicialSet:
         """Face of a (label, surjection) state, normalized."""
         label, surj = state
         return self.pullback(label, compose_maps(surj, delta(i, len(surj) - 1)))
-
-    def check_simplicial_identities(self):
-        """d_i d_j = d_{j-1} d_i for i < j, on normalized representatives."""
-        bad = []
-        for label, n in self.dim_of.items():
-            if n < 2:
-                continue
-            state = (label, identity_map(n))
-            for j in range(n + 1):
-                for i in range(j):
-                    a = self.face(self.face(state, j), i)
-                    b = self.face(self.face(state, i), j - 1)
-                    if a != b:
-                        bad.append((label, i, j, a, b))
-        return bad
 
     def __repr__(self):
         return "FiniteSimplicialSet(%s, f=%r)" % (self.name or "?", self.f_vector())
@@ -288,10 +270,6 @@ def one_arrow_category() -> FiniteCategory:
         identities={"O1": "id1", "O2": "id2"},
         comp={},
     )
-
-
-def trivial_category() -> FiniteCategory:
-    return FiniteCategory(["O"], {"id": ("O", "O")}, {"O": "id"}, {})
 
 
 def nerve(cat: FiniteCategory, cap: int, name: str = "") -> FiniteSimplicialSet:

@@ -803,27 +803,49 @@ UNORDERED = {"unit", "diff", "mult", "value", "mc", "simplices", "monodromy", "d
              "edge_action"}
 
 
-def _reordered(obj, rng, key=None):
-    """obj with the members of every object, and the UNORDERED lists, shuffled."""
+def _reordered(obj, rng, key=None, unordered=UNORDERED):
+    """obj with the members of every object, and the unordered lists, shuffled."""
     if isinstance(obj, dict):
-        items = [(k, _reordered(v, rng, k)) for k, v in obj.items()]
+        items = [(k, _reordered(v, rng, k, unordered)) for k, v in obj.items()]
         rng.shuffle(items)
         return dict(items)
     if isinstance(obj, list):
-        out = [_reordered(v, rng) for v in obj]
-        if key in UNORDERED:
+        out = [_reordered(v, rng, None, unordered) for v in obj]
+        if key in unordered:
             rng.shuffle(out)
         return out
     return obj
 
 
-# gauge-search is left out: its verdicts over Z can flip under reordering
+def _gauge_pairs():
+    """gauge-search from 0 to s on K_0* and from s to t on K_1*, over Z and Q:
+    distinguished, equivalent and unknown verdicts."""
+    jobs = []
+    for ring in (Z, Q):
+        for n, (x, y) in ((0, ((), ("s",))), (1, (("s",), ("t",)))):
+            k = build_interval_algebra(n, ring)
+            files = {"a.json": io.dga_to_json(k.dga)}
+            for name, letters in (("x.json", x), ("y.json", y)):
+                files[name] = {"value": [[io.encode_label(k.word_label(c, 1)), "1"]
+                                         for c in letters]}
+            jobs.append((["gauge-search", "a.json", "x.json", "y.json", "--seed", "1"],
+                         {name: json.dumps(obj) for name, obj in files.items()}))
+    return jobs
+
+
+# gauge-search compares verdicts, with `basis` shuffled too (it fixes the
+# order of the output): over Z a verdict may move between "equivalent" and
+# "unknown", and the test prints how often; never to or from "distinguished",
+# and every certificate re-verifies against the file that it was printed for
 @pytest.mark.parametrize("command", ["check-dga", "cohomology", "local-system", "mc-check",
-                                     "minimal-model", "truncate", "resolve"])
+                                     "minimal-model", "truncate", "resolve", "gauge-search"])
 def test_reordered_input_files_give_the_same_answer(command, fuzz_jobs, tmp_path, capsys):
     rng = random.Random(20261017)
     jobs = [(argv, files) for argv, files in fuzz_jobs if argv[0] == command]
     assert jobs
+    unordered, flips = UNORDERED, 0
+    if command == "gauge-search":
+        jobs, unordered = jobs + _gauge_pairs(), UNORDERED | {"basis"}
     for i, (argv, files) in enumerate(jobs):
         runs, texts = [], set()
         for trial in range(6):
@@ -831,13 +853,28 @@ def test_reordered_input_files_give_the_same_answer(command, fuzz_jobs, tmp_path
             d.mkdir()
             for name, text in files.items():
                 if trial:
-                    text = json.dumps(_reordered(json.loads(text), rng))
+                    text = json.dumps(_reordered(json.loads(text), rng, unordered=unordered))
                 texts.add(text)
                 (d / name).write_text(text)
             code, out, _ = run_cli(capsys, *[str(d / a) if a in files else a for a in argv])
             runs.append((code, out))
+            if command == "gauge-search":
+                assert code == 0, (argv, trial)
+                certificate = json.loads(out).get("certificate")
+                assert certificate is None or _certificate_verifies(
+                    {name: json.loads((d / name).read_text()) for name in files},
+                    certificate), (argv, trial)
         assert runs[0][0] == 0 and len(texts) > len(files), argv
+        if command == "gauge-search":
+            verdicts = [json.loads(out)["result"] for _, out in runs]
+            assert len({v == "distinguished" for v in verdicts}) == 1, (argv, verdicts)
+            flips += sum(v != verdicts[0] for v in verdicts)
+            continue
         assert runs == runs[:1] * len(runs), argv
+    if command == "gauge-search":
+        with capsys.disabled():
+            print("\ngauge-search: %d of %d reordered runs moved between equivalent and "
+                  "unknown" % (flips, 5 * len(jobs)))
 
 
 def _renamed(obj, tag, key=None):

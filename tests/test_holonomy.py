@@ -17,6 +17,13 @@ from mctwist.holonomy import (
 )
 
 
+def _sampled(f, n: int, samples: int):
+    """The path f sampled at samples + 1 uniform points of [0, 1]."""
+    ts = np.linspace(0.0, 1.0, samples + 1)
+    vals = np.stack([np.asarray(f(t), dtype=float).reshape(n, n) for t in ts])
+    return SampledMatrixPath(vals)
+
+
 def mexp(m):
     # the Taylor series of exp, of one matrix or of a stack of them at once
     out = term = np.eye(m.shape[-1])
@@ -60,15 +67,13 @@ def test_pexp_composition_law():
 
 
 def test_transport_on_samples_and_residual_report():
-    samples = SampledMatrixPath.from_function(
-        lambda t: np.array([[np.sin(t)]]), 1, 400)
+    samples = _sampled(lambda t: np.array([[np.sin(t)]]), 1, 400)
     path, report = solve_transport(samples)
     exact = np.exp(1 - np.cos(1.0))
     assert abs(path.values[-1][0, 0] - exact) <= 1e-9
     assert report["interior_residual"] <= 1e-3
     with pytest.raises(HolonomyError, match="even"):
-        solve_transport(SampledMatrixPath.from_function(
-            lambda t: np.array([[t]]), 1, 401))
+        solve_transport(_sampled(lambda t: np.array([[t]]), 1, 401))
 
 
 def test_step_halving_is_fourth_order():

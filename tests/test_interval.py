@@ -2,22 +2,19 @@ import random
 
 import pytest
 
-from mctwist.dgcore import check_dga, endomorphism_dga, GradedModule
+from mctwist.dgcore import DgAlgebra, Element, check_dga, endomorphism_dga, GradedModule
 from mctwist.exactlinalg import Ring
 from mctwist.fixtures import homotopy_gauge_universal_dga
 from mctwist.interval import (
+    IntervalAlgebra,
     build_interval_algebra,
     certificate_from_k2_homotopy,
-    constant_homotopy,
     functor_to_homotopy,
-    homotopy_endpoints,
     homotopy_to_functor,
     k2_homotopy_from_certificate,
     k_infty_category,
-    quotient_map,
     tensor_is_mc,
     tensor_mc_residual,
-    to_tensor_element,
 )
 from mctwist.mc import (
     HomotopyGaugeCertificate,
@@ -32,6 +29,24 @@ from mctwist.mc import (
 from mctwist.simplicial import circle, cochain_algebra, is_dga_map, simplex
 
 Z, Q, F5, F7 = Ring.Z(), Ring.Q(), Ring.GF(5), Ring.GF(7)
+
+
+def _quotient_map(bigger: IntervalAlgebra, smaller: IntervalAlgebra) -> dict:
+    """The restriction K_{n+1}* -> K_n* (kill duals of the top words)."""
+    out = {}
+    for l in bigger.dga.gm.labels:
+        if l in smaller.dga.gm.degree:
+            out[l] = {l: 1}
+    return out
+
+
+def _to_tensor_element(a: DgAlgebra, tensor_alg: DgAlgebra, x_dict: dict) -> Element:
+    """Sparse dict -> element of tensor_dga(a, k.dga) (finite algebras only)."""
+    coeffs = {}
+    for xi, p in x_dict.items():
+        for l, c in a.as_element(p).coeffs.items():
+            coeffs[(l, xi)] = c
+    return tensor_alg.element(coeffs)
 
 
 def test_ranks_and_axioms():
@@ -91,7 +106,7 @@ def test_quotient_maps_are_dga_maps():
     for n in (0, 1, 2):
         big = build_interval_algebra(n + 1, Q)
         small = build_interval_algebra(n, Q)
-        assert is_dga_map(quotient_map(big, small), big.dga, small.dga)
+        assert is_dga_map(_quotient_map(big, small), big.dga, small.dga)
 
 
 def test_k2_dictionary_on_the_universal_example():
@@ -157,8 +172,9 @@ def test_constant_homotopy_has_trivial_certificate():
     kx_alg = build_interval_algebra(2, Q)
     ca = cochain_algebra(circle(3), Q)
     x = zero_mc(ca)
-    hom = constant_homotopy(ca, kx_alg, x)
-    e0, e1 = homotopy_endpoints(ca, kx_alg, hom)
+    hom = functor_to_homotopy(ca, kx_alg, {"x": x.value, "x'": x.value, "u": [], "v": []})[0]
+    data = homotopy_to_functor(ca, kx_alg, hom)
+    e0, e1 = data["x"], data["x'"]
     assert e0.is_zero() and e1.is_zero()
 
 
@@ -169,8 +185,8 @@ def test_tensor_element_conversion_matches_sparse_residual():
     k2 = build_interval_algebra(2, Q)
     t = tensor_dga(kx, k2.dga)
     x = MCElement(kx, kx.element(("x", 1)))
-    hom = constant_homotopy(kx, k2, x)
-    elem = to_tensor_element(kx, t, hom)
+    hom = functor_to_homotopy(kx, k2, {"x": x.value, "x'": x.value, "u": [], "v": []})[0]
+    elem = _to_tensor_element(kx, t, hom)
     ok, _ = is_mc(t, elem)
     assert ok
 
@@ -203,7 +219,7 @@ def test_tensor_mc_residual_is_the_mc_residual_of_the_tensor_algebra(ring):
                 support = rnd.sample(k.dga.gm.labels, rnd.randint(2, 4))
                 x_dict = {xi: _inhomogeneous(rnd, a) for xi in support}
                 want = {}
-                for (l, xi), c in mc_residual(t, to_tensor_element(a, t, x_dict)).coeffs.items():
+                for (l, xi), c in mc_residual(t, _to_tensor_element(a, t, x_dict)).coeffs.items():
                     want.setdefault(xi, {})[l] = c
                 got = tensor_mc_residual(a, k, x_dict)
                 assert want and {xi: e.coeffs for xi, e in got.items()} == want, \
@@ -258,7 +274,7 @@ def test_k_infty_d_squared_explicit_expansion():
     # expand d^2(u_2) and d^2(v_2) by hand through the derived free algebra
     kc = k_infty_category(4)
     free = kc.free
-    for gen in kc.generator_names():
+    for gen in kc.diff_u:
         dd = free.d_dict(free.d_dict({(gen,): free.ring.one()}))
         assert dd == {}
 
@@ -337,7 +353,7 @@ def test_k2_level_data_reproduces_certificate_dictionary():
 def test_quotient_maps_up_to_level_six():
     algebras = {n: build_interval_algebra(n, Z) for n in range(7)}
     for n in range(6):
-        assert is_dga_map(quotient_map(algebras[n + 1], algebras[n]),
+        assert is_dga_map(_quotient_map(algebras[n + 1], algebras[n]),
                           algebras[n + 1].dga, algebras[n].dga)
 
 
@@ -378,13 +394,13 @@ def test_k0_has_no_t_letter():
 def test_trivial_certificate_gives_constant_homotopy():
     ca = cochain_algebra(circle(3), Q)
     k2 = build_interval_algebra(2, Q)
-    from mctwist.mc import trivial_certificate
     x = zero_mc(ca)
-    hom = k2_homotopy_from_certificate(ca, k2, x, x, trivial_certificate(ca))
+    trivial = HomotopyGaugeCertificate(ca.one(), ca.one(), ca.zero(), ca.zero())
+    hom = k2_homotopy_from_certificate(ca, k2, x, x, trivial)
     assert hom == {}  # zero endpoints: the constant homotopy of 0 is 0
     edge = ca.gm.labels_of_degree(1)[0]
     xm = MCElement(ca, ca.element({edge: 2}))
-    hom = k2_homotopy_from_certificate(ca, k2, xm, xm, trivial_certificate(ca))
+    hom = k2_homotopy_from_certificate(ca, k2, xm, xm, trivial)
     # x (x) (e + f): only the two endpoint coefficients appear
     assert set(hom) == {k2.e, k2.f}
     assert hom[k2.e] == xm.value and hom[k2.f] == xm.value
@@ -395,7 +411,7 @@ def test_constant_homotopy_functor_data_is_trivial():
     k3 = build_interval_algebra(3, F7)
     edge = ca.gm.labels_of_degree(1)[0]
     x = MCElement(ca, ca.element({edge: 3}))
-    hom = constant_homotopy(ca, k3, x)
+    hom = functor_to_homotopy(ca, k3, {"x": x.value, "x'": x.value, "u": [], "v": []})[0]
     data = homotopy_to_functor(ca, k3, hom)
     # u_0 = v_0 = 0: the generators map to identity maps; higher data vanish
     assert all(u.is_zero() for u in data["u"])

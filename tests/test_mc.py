@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,13 +21,11 @@ from mctwist.mc import (
     closed_degree_zero,
     gauge_act,
     hom_twist,
-    hom_twist_compose,
     hom_twist_d,
     is_gauge_pair,
     is_mc,
     mc_category_h0,
     search_homotopy_gauge,
-    trivial_certificate,
     twist_algebra,
     twist_invariants,
     twist_module,
@@ -90,6 +89,21 @@ def test_example_51_convention_pinning():
     assert twist_algebra(k0q.dga, sq).cohomology().rank(1) == 0
 
 
+def test_mc_elements_are_equal_on_one_algebra_and_equal_values():
+    # the algebra is compared by identity: an equal algebra built again is
+    # another algebra; anything but an MCElement is unequal, an Element too
+    # (Element.__eq__ would read an MCElement as a scalar, and refuse it)
+    kx, again = universal_mc_dga(Q, 4), universal_mc_dga(Q, 4)
+    x = MCElement(kx, kx.element(("x", 1)))
+    assert x == MCElement(kx, {("x", 1): 1}) and not x != MCElement(kx, {("x", 1): 1})
+    assert x != zero_mc(kx) and zero_mc(kx) == zero_mc(kx)
+    assert x != MCElement(again, again.element(("x", 1)))
+    assert zero_mc(kx) != zero_mc(again)
+    assert x != x.value and not x == kx.element(("x", 1))
+    for other in (0, None, "x"):
+        assert x != other and other != x and not x == other
+
+
 def test_twist_refuses_non_mc():
     # an MCElement is verified once, when it is made; the twists take only those
     kx = universal_mc_dga(Z, 4)
@@ -135,7 +149,7 @@ def test_hom_twist_zero_zero_and_compose():
     g = kx.element(("x", 2))
     lhs = kx.element(bc.d_dict({("x", 2): 1})) * f  # not meaningful alone
     # direct identity check on elements: d_{x,x}(g f) vs d_{0,x}(g) f + g d_{x,0}(f)
-    gf = hom_twist_compose(kx, g, f)
+    gf = g * f
     left = kx.element(cc.d_dict(gf.coeffs))
     right = kx.element(bc.d_dict(g.coeffs)) * f + g * kx.element(ab.d_dict(f.coeffs))
     assert left == right
@@ -207,7 +221,8 @@ def test_verify_certificate_on_the_universal_example():
     ok, fails = verify_homotopy_gauge(fa, x, y, cert)
     assert ok and not fails
     # trivial certificate between equal elements
-    ok, _ = verify_homotopy_gauge(fa, x, x, trivial_certificate(fa))
+    trivial = HomotopyGaugeCertificate(fa.one(), fa.one(), fa.zero(), fa.zero())
+    ok, _ = verify_homotopy_gauge(fa, x, x, trivial)
     assert ok
     # zeroing the wy witness must fail exactly condition (4)
     broken = HomotopyGaugeCertificate(fa.gen("g"), fa.gen("h"), fa.gen("s"), fa.zero())
@@ -216,11 +231,52 @@ def test_verify_certificate_on_the_universal_example():
     assert fails == ["(4) gh - 1 = d^y(wy)"]
 
 
+# Oracles on the lazy free dg algebras: every word up to a length, and d^2 = 0
+# and the Leibniz rule checked on all of them.
+
+
+def _words_up_to_length(free, max_len: int):
+    gens = sorted(free.generator_degrees)
+    out = [()]
+    for n in range(1, max_len + 1):
+        out.extend(itertools.product(gens, repeat=n))
+    return out
+
+
+def _check_axioms_on_words(free, max_len: int, max_failures: int = 5) -> dict:
+    """Verify d^2 = 0 and Leibniz on all words up to ``max_len``.
+
+    Arithmetic is exact in the full free algebra, so this is an honest
+    verification on the stated basis (associativity of concatenation
+    holds structurally and is spot-checked).
+    """
+    ring = free.ring
+    failures = []
+    words = _words_up_to_length(free, max_len)
+    for w in words:
+        if free.d_dict(free.d_dict({w: ring.one()})):
+            failures.append({"axiom": "d-squared", "witness": w})
+            if len(failures) >= max_failures:
+                return {"ok": False, "failures": failures}
+    for w1 in _words_up_to_length(free, max(1, max_len // 2)):
+        for w2 in _words_up_to_length(free, max(1, max_len // 2)):
+            e1, e2 = {w1: ring.one()}, {w2: ring.one()}
+            lhs = free.d_dict(free.mul_dicts(e1, e2))
+            rhs = ring.axpy(free.mul_dicts(free.d_dict(e1), e2),
+                            ring.sign(free.gm.degree[w1]),
+                            free.mul_dicts(e1, free.d_dict(e2)))
+            if lhs != rhs:
+                failures.append({"axiom": "leibniz", "witness": (w1, w2)})
+                if len(failures) >= max_failures:
+                    return {"ok": False, "failures": failures}
+    return {"ok": not failures, "failures": failures}
+
+
 def test_universal_fixture_axioms_and_flip():
     fa = homotopy_gauge_universal_dga(Q)
-    assert fa.check_axioms_on_words(4)["ok"]
+    assert _check_axioms_on_words(fa, 4)["ok"]
     bad = homotopy_gauge_universal_dga(Q, flip_ds_sign=True)
-    rep = bad.check_axioms_on_words(2)
+    rep = _check_axioms_on_words(bad, 2)
     assert not rep["ok"]
     assert any(f["witness"] == ("s",) for f in rep["failures"])
 
@@ -327,7 +383,7 @@ def test_mc_category_h0_over_ground_ring():
     k = ground_dga(Q)
     cat = mc_category_h0(k, [zero_mc(k)])
     assert cat.h0_dim(0, 0) == 1
-    assert cat.identity_class(0) == [1]
+    assert cat.class_coordinates(0, 0, k.one()) == [1]
     assert cat.compose_classes(0, 0, 0, 0, 0) == [1]
 
 
@@ -353,7 +409,7 @@ def test_class_coordinates_refuse_an_element_off_degree_zero():
     for element in (s, a.one() + s):
         with pytest.raises(MCError, match="not closed of degree 0"):
             cat.class_coordinates(0, 0, element)
-    assert cat.class_coordinates(0, 0, a.one()) == cat.identity_class(0) == [1]
+    assert cat.class_coordinates(0, 0, a.one()) == [1]
 
 
 def test_universal_example_composition_relations():
@@ -362,11 +418,10 @@ def test_universal_example_composition_relations():
     fa = homotopy_gauge_universal_dga(Q)
     x = MCElement(fa, fa.gen("x"))
     y = MCElement(fa, fa.gen("y"))
-    from mctwist.mc import coboundary_in_twist
     lhs = fa.gen("h") * fa.gen("g") - fa.one()
-    assert lhs == coboundary_in_twist(fa, x, fa.gen("s"))
+    assert lhs == hom_twist_d(fa, x, x, fa.gen("s"))
     rhs = fa.gen("g") * fa.gen("h") - fa.one()
-    assert rhs == coboundary_in_twist(fa, y, fa.gen("t"))
+    assert rhs == hom_twist_d(fa, y, y, fa.gen("t"))
 
 
 def test_module_twist_square_is_left_multiplication_by_residual():
@@ -467,7 +522,7 @@ def test_h0_category_composition_table():
     c10 = table[(1, 0, 1, 0, 0)]
     assert c01 != [0] and c10 != [0]
     for i in (0, 1):
-        ident = cat.identity_class(i)
+        ident = cat.class_coordinates(i, i, a.one())
         assert ident != [0]
 
 
@@ -981,7 +1036,7 @@ def _degree_split_cases(rnd, ring):
     free = homotopy_gauge_universal_dga(ring)
     return [(kx, list(kx.gm.labels), [zero_mc(kx), MCElement(kx, kx.element(("x", 1)))]),
             (end, list(end.gm.labels), [x, y]),
-            (free, free.words_up_to_length(2),
+            (free, _words_up_to_length(free, 2),
              [MCElement(free, free.gen("x")), MCElement(free, free.gen("y"))])]
 
 
@@ -1020,7 +1075,8 @@ def test_verify_homotopy_gauge_names_a_witness_off_its_degree():
     ca = cochain_algebra(circle(3), Q)
     z = zero_mc(ca)
     e = ca.element(ca.gm.labels_of_degree(1)[0])
-    assert verify_homotopy_gauge(ca, z, z, trivial_certificate(ca)) == (True, [])
+    trivial = HomotopyGaugeCertificate(ca.one(), ca.one(), ca.zero(), ca.zero())
+    assert verify_homotopy_gauge(ca, z, z, trivial) == (True, [])
     cert = HomotopyGaugeCertificate(ca.one() + e, ca.one() - e, ca.one(), ca.zero())
     assert verify_homotopy_gauge(ca, z, z, cert) == \
         (False, ["g is not in A^0", "h is not in A^0", "wx is not in A^-1"])

@@ -159,3 +159,21 @@ def test_equal_forms_are_found_isomorphic_at_the_first_invertible_product(monkey
         assert 0 < first < len(pairs) - 1
         want += pairs[:first + 1]
     assert products == want
+
+
+def test_equal_forms_are_isomorphic_when_no_basis_product_is_a_unit():
+    # Hom(0, 0) of the 2x2 zero form is the constants, listed as the four
+    # elementary matrices: every product of two has rank at most one, yet
+    # the identity is a solution both ways, since the two forms are equal
+    from mctwist.exactlinalg import is_invertible
+    from mctwist.polyderham import polynomial_mc_category
+    zero = MatrixPoly(Q, 2)
+    cat = polynomial_mc_category([zero, zero], 2)
+    assert cat["dims"] == {(i, j): 4 for i in range(2) for j in range(2)}
+    assert all(not is_invertible(g[0] * f[0])
+               for f in hom_solutions(zero, zero, 2)[0] for g in hom_solutions(zero, zero, 2)[0])
+    assert cat["isomorphic"] == [(0, 1), (1, 0)]
+    # an equal form written out again, beside one that is not isomorphic
+    zdz = MatrixPoly.scalar(Q, [0, 1])
+    cat = polynomial_mc_category([zdz, MatrixPoly.scalar(Q, []), MatrixPoly.scalar(Q, [0, 1])], 4)
+    assert cat["isomorphic"] == [(0, 2), (2, 0)]
