@@ -202,7 +202,11 @@ class Element:
     def __eq__(self, other):
         if isinstance(other, Element):
             return self.algebra is other.algebra and self.coeffs == other.coeffs
-        return self.coeffs == self.algebra.as_element(other).coeffs
+        try:
+            other = self.algebra.as_element(other)
+        except InputError:  # neither a scalar nor a coefficient dict: not ours to answer
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def d(self) -> "Element":
         return Element(self.algebra, self.algebra.d_dict(self.coeffs))
@@ -257,7 +261,7 @@ class DgAlgebra:
 
     def element(self, coeffs) -> Element:
         if isinstance(coeffs, Element):
-            return coeffs
+            return self.as_element(coeffs)
         if isinstance(coeffs, dict):
             bad = [l for l in coeffs if l not in self.gm.degree]
             if bad:

@@ -105,10 +105,6 @@ class MCElement:
     def right_mult(self) -> dict:
         return self.algebra.right_mult(self.value.coeffs)
 
-    def __eq__(self, other):
-        return isinstance(other, MCElement) and self.algebra is other.algebra \
-            and self.value == other.value
-
 
 def zero_mc(a: DgAlgebra) -> MCElement:
     return MCElement(a, a.zero())
@@ -635,8 +631,9 @@ class H0Category:
 
     For each pair (i, j) a basis of H^0(A^[x_i, x_j]) is computed over a
     field; classes compose through multiplication in A and the table
-    records the structure constants.  ``isomorphic`` lists the pairs whose
-    classes contain mutually inverse elements up to coboundary.
+    records the structure constants.  ``isomorphic`` lists the pairs (both
+    orders) that :func:`search_homotopy_gauge` certifies equivalent, run with
+    ``seed``; a pair left off the list is distinguished or unknown.
     """
 
     def __init__(self, a: DgAlgebra, xs, seed: int = 0):
@@ -648,10 +645,14 @@ class H0Category:
         self.reps = {}       # (i, j) -> list of coefficient dicts
         self._exact = {}     # (i, j) -> coefficient dicts spanning the exact part
         n = len(self.xs)
+        found = set()
         for i in range(n):
             for j in range(n):
                 self._compute(i, j)
-        self.isomorphic = self._find_isos(seed)
+                if i != j and (i, j) not in found and search_homotopy_gauge(
+                        a, self.xs[i], self.xs[j], seed=seed).kind == "equivalent":
+                    found.update(((i, j), (j, i)))
+        self.isomorphic = sorted(found)
 
     def _compute(self, i, j):
         hm = hom_twist(self.a, self.xs[i], self.xs[j])
@@ -698,37 +699,6 @@ class H0Category:
                         for ci in range(self.h0_dim(i, j)):
                             out[(i, j, k, cj, ci)] = self.compose_classes(i, j, k, cj, ci)
         return out
-
-    def _find_isos(self, seed):
-        rng = random.Random(seed)
-        n = len(self.xs)
-        found = set((i, i) for i in range(n))
-
-        def candidates(reps):
-            # the representatives, then (drawn only if none is an iso) six
-            # random combinations of them
-            yield from reps
-            for _ in range(6):
-                acc = {}
-                for rep in reps:
-                    c = rng.randint(-2, 2)
-                    if c:
-                        self.ring.axpy(acc, c, rep)
-                if acc:
-                    yield acc
-
-        for i in range(n):
-            for j in range(n):
-                if i == j or (i, j) in found:
-                    continue
-                x, y = self.xs[i], self.xs[j]
-                solve = _homotopy_solver(self.a, x, y)
-                for g in candidates(self.reps[(i, j)]):
-                    cert = solve(Element(self.a, g))
-                    if cert is not None and verify_homotopy_gauge(self.a, x, y, cert)[0]:
-                        found.update(((i, j), (j, i)))
-                        break
-        return sorted((i, j) for (i, j) in found if i != j)
 
 
 def mc_category_h0(a: DgAlgebra, xs, seed: int = 0) -> H0Category:

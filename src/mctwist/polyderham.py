@@ -161,22 +161,6 @@ def _leading_band_certificate(x: MatrixPoly, y: MatrixPoly, cap: int) -> bool:
     return not kernel_basis(ExactMatrix.from_columns(ring, rows, range(n * n)).transpose())
 
 
-def hom_h0_dimension(x: MatrixPoly, y: MatrixPoly, cap: int):
-    """(dimension of the polynomial solution space up to cap, certified)."""
-    basis, certified = hom_solutions(x, y, cap)
-    return len(basis), certified
-
-
-def pairwise_h0_table(forms, cap: int):
-    """Off-diagonal Hom solution dimensions for a list of scalar 1-forms."""
-    out = {}
-    for i, xi in enumerate(forms):
-        for j, yj in enumerate(forms):
-            dim, certified = hom_h0_dimension(xi, yj, cap)
-            out[(i, j)] = {"dim": dim, "certified": certified}
-    return out
-
-
 def polynomial_mc_category(forms, cap: int):
     """H^0 summary for a list of MC 1-forms of matching size.
 

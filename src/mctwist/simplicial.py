@@ -201,10 +201,6 @@ def torus7() -> FiniteSimplicialSet:
     return from_ordered_complex(list(range(7)), sorted(set(tris)), name="torus7")
 
 
-def point() -> FiniteSimplicialSet:
-    return from_ordered_complex(["*"], [], name="point")
-
-
 # ---------------------------------------------------------------------------
 # nerves of finite categories
 # ---------------------------------------------------------------------------

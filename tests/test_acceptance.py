@@ -414,12 +414,12 @@ def test_criterion_10_holonomy():
 
 
 def test_criterion_11_polynomial_de_rham():
-    from mctwist.polyderham import MatrixPoly, hom_h0_dimension
+    from mctwist.polyderham import MatrixPoly, hom_solutions
     zero = MatrixPoly.scalar(Q, [])
     dz = MatrixPoly.scalar(Q, [1])
-    dim, certified = hom_h0_dimension(zero, dz, 8)
-    assert dim == 0 and certified
-    dim_rev, certified_rev = hom_h0_dimension(dz, zero, 8)
-    assert dim_rev == 0 and certified_rev
+    basis, certified = hom_solutions(zero, dz, 8)
+    assert basis == [] and certified
+    basis_rev, certified_rev = hom_solutions(dz, zero, 8)
+    assert basis_rev == [] and certified_rev
     _passed(11, "H^0 Hom(0, dz) = 0 by exact degreewise solve, certified "
                 "complete for all polynomial weights")

@@ -62,6 +62,28 @@ def test_an_element_adds_and_subtracts_from_the_right():
     assert 0 - x == -x and 2 - x == ca.one() + ca.one() - x
 
 
+def test_an_element_is_unequal_to_what_it_cannot_read():
+    # a scalar or a coefficient dict is read in the algebra; anything else,
+    # an MCElement included, compares unequal instead of raising
+    k = ground_dga(Q)
+    one = k.one()
+    assert one == 1 and one == "1" and one != 2 and k.zero() == 0
+    for other in (None, "x", [1], 0.5, {"no such label": 1}):
+        assert not one == other and one != other and not other == one
+    assert one in [None, one] and [None, one].index(one) == 1
+    kx = universal_mc_dga(Q, 4)
+    x = MCElement(kx, kx.element(("x", 1)))
+    assert not x.value == x and x.value != x and x == MCElement(kx, {("x", 1): 1})
+
+
+def test_an_algebra_refuses_the_element_of_another():
+    q, z = ground_dga(Q), ground_dga(Z)
+    one = q.one()
+    assert q.element(one) is one
+    with pytest.raises(DgError, match="different algebra"):
+        q.element(z.one())
+
+
 def test_objects_print_their_name_ring_and_size():
     gm = GradedModule(Q, [("a", 0), ("b", 1)])
     ca = cochain_algebra(circle(3), Z)
@@ -500,8 +522,8 @@ def test_cone_of_zero_and_identity():
 
 
 def test_cone_of_multiplication_by_two_on_a_point():
-    from mctwist.simplicial import point
-    ca = cochain_algebra(point(), Z)
+    from mctwist.simplicial import from_ordered_complex
+    ca = cochain_algebra(from_ordered_complex(["*"], []), Z)
     m = algebra_as_module(ca)
     double = {l: {l: 2} for l in m.gm.labels}
     c = cone(double, m, m)

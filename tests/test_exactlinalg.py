@@ -912,14 +912,25 @@ def test_matrices_are_built_from_columns_outside_exactlinalg():
     assert not bad, "build the matrix with ExactMatrix.from_columns: %s" % ", ".join(bad)
 
 
+def _bound(func):
+    """The names a function binds itself: its arguments and what it assigns."""
+    args = func.args
+    out = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    out.update(a.arg for a in (args.vararg, args.kwarg) if a)
+    out.update(n.id for n in ast.walk(func)
+               if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+    return out
+
+
 def _names_read(tree):
     """Every name a module reads: bare names, attributes, imported names and the
     parts of dotted identifier strings such as ``"mc.hom_twist"``.  A function
-    calling itself (by name, or a method through ``self``) does not count."""
+    calling itself (by name, or a method through ``self``) does not count, nor
+    does a name that the reading function binds itself."""
     out = set()
 
-    def visit(node, own):
-        if isinstance(node, ast.Name) and node.id != own:
+    def visit(node, own, bound):
+        if isinstance(node, ast.Name) and node.id != own and node.id not in bound:
             out.add(node.id)
         elif isinstance(node, ast.Attribute) and not (
                 isinstance(node.value, ast.Name) and node.value.id == "self" and node.attr == own):
@@ -927,12 +938,15 @@ def _names_read(tree):
         elif isinstance(node, ast.alias):
             out.add(node.name.rpartition(".")[2])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and "." in node.value \
                 and all(part.isidentifier() for part in node.value.split(".")):
             out.update(node.value.split("."))
+        if isinstance(node, ast.FunctionDef):
+            own, bound = node.name, _bound(node)
         for child in ast.iter_child_nodes(node):
-            visit(child, node.name if isinstance(node, ast.FunctionDef) else own)
+            visit(child, own, bound)
 
-    visit(tree, None)
+    visit(tree, None, set())
     return out
 
 
@@ -957,14 +971,16 @@ def _unreached(sources, readers, exported=()):
 KEPT_UNREACHED = {
     "dgcore.HomComplex.as_dgmodule": "Hom(M, N) as a complex: the only route to H(Hom)",
     "exactlinalg.ExactMatrix.set_entry": "ExactMatrix's entry writer, beside the dense constructor",
+    "holonomy.pexp": "P exp of a callable y on [0, z]: the holonomy acceptance tests use it",
     "interval.IntervalAlgebra.ev0": "the evaluation K_n* -> k at the pinned vertex e",
     "interval.IntervalAlgebra.ev1": "the evaluation K_n* -> k at the pinned vertex f",
+    "mc.H0Category.table": "every composition structure constant of H^0 at once",
     "perturbation.truncate_above": "tau_{>=i}, the cone of tau_{<=i-1} M -> M",
     "polyderham.polynomial_de_rham_dga": "the polynomial de Rham side of Riemann-Hilbert",
     "polyderham.one_form": "the polynomial de Rham side of Riemann-Hilbert",
-    "polyderham.pairwise_h0_table": "the polynomial de Rham side of Riemann-Hilbert",
     "polyderham.polynomial_mc_category": "the polynomial de Rham side of Riemann-Hilbert",
     "simplicial.FiniteSimplicialSet.add_simplex": "the checked way to enter a simplex (README)",
+    "simplicial.FiniteSimplicialSet.face": "the face map d_i (the simplicial identity tests)",
     "simplicial.boundary_simplex": "the boundary of Delta^n, which the acceptance tests use",
     "simplicial.is_dga_map": "README names it: checks a map of dg algebras",
     "simplicial.pullback_local_system": "pullback along a simplicial map (acceptance tests)",
@@ -985,6 +1001,13 @@ def unread():
     return "mc.alias"
 def alias():
     pass
+def mode():
+    return "argument"
+def argument(mode):
+    return mode
+def local():
+    argument = mode
+    return argument
 class C:
     def own(self):
         return self.own() + self.other.own()
@@ -993,8 +1016,12 @@ class C:
 def __getattr__(name):
     pass
 ''')
-    assert _unreached([demo], [demo]) == ["demo.dead", "demo.unread"]
-    assert _unreached([demo], [demo], exported=["unread"]) == ["demo.dead"]
+    # an undotted string, an argument and an assigned local read nothing,
+    # but the right-hand side of ``argument = mode`` reads mode
+    assert _unreached([demo], [demo]) == ["demo.dead", "demo.unread", "demo.argument",
+                                          "demo.local"]
+    assert _unreached([demo], [demo], exported=["unread", "local"]) == ["demo.dead",
+                                                                       "demo.argument"]
     root = Path(__file__).resolve().parent.parent
     sources = sorted((root / "src" / "mctwist").glob("*.py"))
     readers = sources + sorted((root / "perfbench").glob("*.py"))

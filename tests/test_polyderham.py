@@ -7,11 +7,10 @@ from mctwist.exactlinalg import ExactMatrix, Ring
 from mctwist.mc import is_mc
 from mctwist.polyderham import (
     MatrixPoly,
-    hom_h0_dimension,
     hom_solutions,
     one_form,
-    pairwise_h0_table,
     polynomial_de_rham_dga,
+    polynomial_mc_category,
 )
 
 Q = Ring.Q()
@@ -57,8 +56,7 @@ def test_quotient_artifact_is_avoided():
     tw = hom_twist(pd, zero_mc(pd), dz_el)
     rep = tw.cohomology()
     assert rep.rank(0) == 1  # the truncation artifact, visible and documented
-    assert hom_h0_dimension(MatrixPoly.scalar(Q, []), MatrixPoly.scalar(Q, [1]), 8) \
-        == (0, True)
+    assert hom_solutions(MatrixPoly.scalar(Q, []), MatrixPoly.scalar(Q, [1]), 8) == ([], True)
 
 
 def test_constants_are_the_diagonal_homs():
@@ -73,12 +71,14 @@ def test_pairwise_table_for_three_forms():
     zero = MatrixPoly.scalar(Q, [])
     zdz = MatrixPoly.scalar(Q, [0, 1])
     two_zdz = MatrixPoly.scalar(Q, [0, 2])
-    table = pairwise_h0_table([zero, zdz, two_zdz], 8)
-    for (i, j), entry in table.items():
+    cat = polynomial_mc_category([zero, zdz, two_zdz], 8)
+    assert sorted(cat["dims"]) == sorted(cat["certified"]) == [(i, j) for i in range(3)
+                                                               for j in range(3)]
+    for (i, j), dim in cat["dims"].items():
         if i != j:
-            assert entry["dim"] == 0 and entry["certified"], (i, j)
+            assert dim == 0 and cat["certified"][(i, j)], (i, j)
         else:
-            assert entry["dim"] == 1
+            assert dim == 1
 
 
 def test_matrix_valued_case():
@@ -102,7 +102,6 @@ def test_matrix_valued_case():
 
 
 def test_polynomial_mc_category_summary():
-    from mctwist.polyderham import polynomial_mc_category
     zero = MatrixPoly.scalar(Q, [])
     zdz = MatrixPoly.scalar(Q, [0, 1])
     two_zdz = MatrixPoly.scalar(Q, [0, 2])
@@ -137,7 +136,6 @@ def test_zero_forms_are_certified_only_in_characteristic_zero():
 def test_equal_forms_are_found_isomorphic_at_the_first_invertible_product(monkeypatch):
     from mctwist import polyderham
     from mctwist.exactlinalg import is_invertible
-    from mctwist.polyderham import polynomial_mc_category
     # the constant nilpotent form N dz twice, and dz: Hom(N dz, N dz) holds
     # the constants commuting with N, listed as N, 1, ... up to weight 2
     n = MatrixPoly(Q, 2, {0: [[0, 1], [0, 0]]})
@@ -166,7 +164,6 @@ def test_equal_forms_are_isomorphic_when_no_basis_product_is_a_unit():
     # elementary matrices: every product of two has rank at most one, yet
     # the identity is a solution both ways, since the two forms are equal
     from mctwist.exactlinalg import is_invertible
-    from mctwist.polyderham import polynomial_mc_category
     zero = MatrixPoly(Q, 2)
     cat = polynomial_mc_category([zero, zero], 2)
     assert cat["dims"] == {(i, j): 4 for i in range(2) for j in range(2)}

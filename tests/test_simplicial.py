@@ -30,7 +30,6 @@ from mctwist.simplicial import (
     mc_to_rep,
     nerve,
     one_arrow_category,
-    point,
     product,
     pullback_local_system,
     rep_to_mc,
@@ -102,7 +101,7 @@ def test_nerve_of_trivial_category_is_a_point():
 
 
 def test_cochains_of_point_is_ground_ring():
-    ca = cochain_algebra(point(), Q)
+    ca = cochain_algebra(from_ordered_complex(["*"], []), Q)
     assert ca.gm.dim == 1
     assert check_dga(ca)["ok"]
 
@@ -133,7 +132,7 @@ def test_cohomology_of_models():
 
 def test_product_with_point_and_square():
     c3 = circle(3)
-    with_pt = product(c3, point())
+    with_pt = product(c3, from_ordered_complex(["*"], []))
     assert with_pt.f_vector() == c3.f_vector()
     sq = product(simplex(1), simplex(1))
     assert sq.f_vector() == (4, 5, 2)
@@ -684,8 +683,8 @@ def _table_test_sets():
     fold_first = _folded_simplex(3, (1, 2, 3), {2: 1})   # d_0 (0123) = s_1 (13)
     fold_point = _folded_simplex(2, (0, 1), {1: 0})      # d_2 (012) = s_0 (0)
     sets = [circle(3), circle(4), circle(5), simplex(0), simplex(1), simplex(2), simplex(3),
-            boundary_simplex(2), boundary_simplex(3),
-            torus7(), point(), _grid_torus(3, 4), product(circle(3), circle(3)),
+            boundary_simplex(2), boundary_simplex(3), torus7(), from_ordered_complex(["*"], []),
+            _grid_torus(3, 4), product(circle(3), circle(3)),
             product(simplex(2), simplex(1)), product(simplex(1), simplex(1), cap=1),
             nerve(interval_groupoid(), cap=3), nerve(one_arrow_category(), cap=2),
             nerve(_trivial_category(), cap=3), fold_last, fold_first, fold_point,
