@@ -27,11 +27,20 @@ residual is reported, not bounded.
 Transport first gathers y at every RK4 node (a sampled path by index
 lookup, a callable by evaluation) and then runs one step loop, ``_rk4``,
 over the stacked nodes; the interior residual is one batched product.
-Backward transport on the circle runs the same loop over the z-samples.
 Each step rounds exactly as a step that looks up its own nodes and
 multiplies with ``@``, so the printed floats do not depend on this layout.
-A step is four ``ndarray.dot`` products and thirteen elementwise operations,
-all written into buffers made once per solve.
+A step is four products (``ndarray.dot`` on [0, 1]) and thirteen
+elementwise operations, each written into a buffer made once per solve that
+is not one of its own inputs: numpy checks an output that overlaps an input,
+which costs about as much as the operation itself on a 1 x 1 value.
+Backward transport on the circle runs the same loop over the z-samples with
+the grid index innermost, g as [i, l, p] and its nodes as [k, j, i, l, p],
+so that each product is one multiply and one sum over j
+(:func:`_grid_product`).  That sum adds its terms in the order of the
+``"pij,pjl->pil"`` einsum on (p, n, n) stacks, which stays as the reference,
+so g keeps einsum's bits.  g is handed back as a (p, n, n) stack, and
+``_gauge_transform`` keeps its einsums in that layout: forward transport,
+which builds backward inputs from gauge paths, sums in their order too.
 The step-halving order estimate solves the coarsened path in the same
 loop: until the coarse one ends, both advance as one block-diagonal system
 [[fine, 0], [0, coarse]] on the (2n, n) value [g; g], one ``ndarray.dot``
@@ -163,27 +172,39 @@ def _rk4(h, y0, ymid, y1, g, dot):
     ``dot(y, g, out)`` writes the product into ``out``: ``np.ndarray.dot``,
     rounding as ``@`` does, for one n x n matrix and for the halving pair, a
     block-diagonal (2n, 2n) system on a (2n, n) value with h a (2n, 1)
-    column, and the ``"pij,pjl->pil"`` einsum for a stack over the circle
-    grid (``np.matmul`` rounds it otherwise).  Each step writes into buffers
-    made once per call and its new g straight into its row of the result, in
-    the operations and order of ``g + h/6 * (k1 + (k2 + k2) + (k3 + k3) + k4)``,
-    so every value keeps its bits; ``k + k`` is ``2 * k`` exactly.  Neither g
-    nor the nodes are written.
+    column, and :func:`_grid_product` for the circle grid, with the grid
+    innermost, which rounds as the ``"pij,pjl->pil"`` einsum on (p, n, n)
+    stacks (``np.matmul`` rounds otherwise).  Each step writes every result
+    into a buffer made once per call that is not one of its inputs, and its
+    new g straight into its row of the result, in the operations and order
+    of ``g + h/6 * (k1 + (k2 + k2) + (k3 + k3) + k4)``, so every value keeps
+    its bits; ``k + k`` is ``2 * k`` exactly.  Neither g nor the nodes are
+    written.
     """
     add, mul = np.add, np.multiply
     out = np.empty((len(y0) + 1,) + g.shape)
     out[0] = g
     # h as arrays of g's shape: array times array dispatches faster than float times array
-    k1, k2, k3, k4, t, hh, h2, h6 = np.empty((8,) + g.shape)
+    k1, k2, k3, k4, t, u, hh, h2, h6 = np.empty((9,) + g.shape)
     hh[...], h2[...], h6[...] = h, h / 2, h / 6
     for o, a, b, c in zip(out[1:], y0, ymid, y1):
         dot(a, g, k1)
-        dot(b, add(g, mul(h2, k1, t), t), k2)
-        dot(b, add(g, mul(h2, k2, t), t), k3)
-        dot(c, add(g, mul(hh, k3, t), t), k4)
-        add(add(add(k1, add(k2, k2, k2), k1), add(k3, k3, k3), k1), k4, k1)
-        g = add(g, mul(h6, k1, k1), o)
+        dot(b, add(g, mul(h2, k1, t), u), k2)
+        dot(b, add(g, mul(h2, k2, t), u), k3)
+        dot(c, add(g, mul(hh, k3, t), u), k4)
+        add(add(add(k1, add(k2, k2, t), u), add(k3, k3, t), k2), k4, t)
+        g = add(g, mul(h6, t, u), o)
     return out
+
+
+def _grid_product(y: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The products y g at every grid point into ``out``, for the grid
+    innermost: out[i, l, p] = sum_j y[j, i, l, p] g[j, l, p].  Each sum starts
+    from +0.0 and adds the terms j = 0, 1, ... in turn, as the einsum
+    ``"pij,pjl->pil"`` does on (p, n, n) stacks, so the bits are einsum's
+    (a sum of -0.0 terms is +0.0).  ``initial`` states that start rather than
+    leave it to numpy's reduction, which may begin from the first term."""
+    return np.add.reduce(y * g[:, None], 0, out=out, initial=0.0)
 
 
 def solve_transport(y, g0=None, steps: int = None, z0: float = 0.0, z1: float = 1.0,
@@ -350,10 +371,14 @@ def gauge_from_homotopy(xs: np.ndarray, ys: np.ndarray, endpoint_tol: float = EN
     if mz % 2 == 1:
         raise HolonomyError("need an even number of z-steps")
     p, n = ys.shape[1], ys.shape[2]
-    g = np.repeat(np.eye(n)[None, :, :], p, axis=0)
+    # the grid innermost: g[i, l, p] and the nodes y[k, j, i, l, p] = ys[k, p, i, j]
+    nodes = np.repeat(ys.transpose(0, 3, 2, 1)[:, :, :, None], n, axis=3)
+    g = np.repeat(np.eye(n)[:, :, None], p, axis=2)
     with np.errstate(all="ignore"):  # an overflow is refused below or bounds nothing
-        g = _rk4(2 * (1.0 / mz), ys[:-1:2], ys[1::2], ys[2::2], g,
-                 lambda a, b, out: np.einsum("pij,pjl->pil", a, b, out=out))[-1]
+        g = _rk4(2 * (1.0 / mz), nodes[:-1:2], nodes[1::2], nodes[2::2], g, _grid_product)[-1]
+        # back to a C-ordered (p, n, n) stack, the layout in which the tests pin the sums
+        # of gauge_transform_circle's einsums
+        g = np.ascontiguousarray(g.transpose(2, 0, 1))
         resid = _system_residual(xs, ys)
         scale = np.maximum(1.0, np.abs(ys).max() + np.abs(xs[[0, -1]]).max())
         bound = float(((1.0 / mz) ** 2 + (1.0 / p) ** 2) * scale ** 3)

@@ -371,7 +371,8 @@ class ConvOp:
         return min((self.algebra.gm.degree[k[2]] for k in self.coeffs), default=None)
 
     def __eq__(self, other):
-        return isinstance(other, ConvOp) and self.coeffs == other.coeffs
+        return (isinstance(other, ConvOp) and self.algebra is other.algebra
+                and self.coeffs == other.coeffs)
 
     def __repr__(self):
         return "ConvOp(%d terms)" % len(self.coeffs)

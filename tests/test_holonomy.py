@@ -8,6 +8,7 @@ from mctwist.holonomy import (
     CircleForm,
     HolonomyError,
     SampledMatrixPath,
+    _grid_product,
     circle_derivative,
     gauge_from_homotopy,
     gauge_transform_circle,
@@ -491,8 +492,42 @@ def test_the_block_diagonal_pair_is_bit_identical_to_the_matmul_stack(n, case):
         assert len(refused) < len(outcomes)
 
 
-def _circle_product(a, b, out=None):
-    return np.einsum("pij,pjl->pil", a, b, out=out)
+def _grid_layout(ys, g):
+    # (..., p, n, n) stacks in backward transport's layout, the grid innermost:
+    # nodes [..., j, i, l, p] = ys[..., p, i, j], expanded along l, and g[..., i, l, p]
+    nodes = np.moveaxis(ys, -3, -1).swapaxes(-3, -2)[..., None, :]
+    return np.repeat(nodes, ys.shape[-1], axis=-2), np.ascontiguousarray(np.moveaxis(g, -3, -1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("case", ["seeded", "negative-zero", "subnormal", "overflow"])
+def test_the_grid_product_has_the_bits_of_the_circle_einsum(n, case):
+    rnd = np.random.default_rng([n, len(case)])
+    seen = set()
+    for p in (8, 9, 16, 17, 31, 32):
+        a, b = rnd.uniform(-1, 1, (2, p, n, n))
+        if case == "negative-zero":  # every term -0.0: einsum's sum from +0.0 is +0.0
+            a, b = np.full_like(a, -0.0), np.abs(b)
+        elif case == "subnormal":  # products that are subnormal or underflow to zero
+            a, b = a * 1e-160, b * rnd.choice([1e-148, 1e-160, 1e-170], b.shape)
+        elif case == "overflow":  # products past the largest float, and inf - inf
+            a[rnd.random(a.shape) < 0.5] = 1e200
+            b = np.where(rnd.random(b.shape) < 0.5, rnd.choice([-1e200, 1e200], b.shape), b)
+        expected = np.einsum("pij,pjl->pil", a, b)
+        got = np.empty((n, n, p))
+        with np.errstate(all="ignore"):
+            assert _grid_product(*_grid_layout(a, b), got) is got
+        # the bit patterns, so that -0.0 and 0.0 differ
+        got = np.ascontiguousarray(np.moveaxis(got, -1, -3))
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), p
+        seen.update({"zero": (got == 0).any(), "negative": np.signbit(got).any(),
+                     "inf": np.isinf(got).any(), "nan": np.isnan(got).any()}.items())
+    if case == "negative-zero":
+        assert ("zero", True) in seen and ("negative", True) not in seen
+    elif case == "subnormal":
+        assert ("zero", True) in seen
+    elif case == "overflow":  # one term has no inf - inf
+        assert ("inf", True) in seen and (("nan", True) in seen) == (n > 1)
 
 
 def _block_pair(ys, g0):
@@ -504,13 +539,19 @@ def _block_pair(ys, g0):
     return blocks, g0.reshape(2 * n, n)
 
 
+def _grid_dot(a, g, out=None):
+    # _grid_product, also into a new array, as _loop_rk4 calls it
+    return _grid_product(a, g, np.empty_like(g) if out is None else out)
+
+
 # the three products _rk4 is given: (h for 20 steps, leading axes of the drawn g,
-# product); a pair's (2, n, n) draws are laid out block-diagonally
+# product); a pair's (2, n, n) draws are laid out block-diagonally, and the
+# circle grid's (p, n, n) draws with the grid innermost
 _RK4_PRODUCTS = {
     **{("dot", n): (0.05, (), np.ndarray.dot) for n in (1, 2, 3, 4)},
     **{("pair", n): (np.repeat([[0.05], [0.1]], n, axis=0), (2,), np.ndarray.dot)
        for n in (1, 2, 3, 4)},
-    **{("circle", p): (0.05, (p,), _circle_product) for p in (8, 16)},
+    **{("grid", p): (0.05, (p,), _grid_dot) for p in (8, 16, 32)},
 }
 
 
@@ -519,7 +560,7 @@ _RK4_PRODUCTS = {
 def test_rk4_in_buffers_is_bit_identical_to_the_loop_of_new_arrays(product, case):
     from mctwist.holonomy import _rk4
     h, lead, dot = _RK4_PRODUCTS[product]
-    n = 2 if product[0] == "circle" else product[1]
+    n = 2 if product[0] == "grid" else product[1]
     rnd = np.random.default_rng([len(product[0]), product[1], len(case)])
     ys = rnd.uniform(-1, 1, (41,) + lead + (n, n))
     g0 = rnd.uniform(-1, 1, lead + (n, n))
@@ -529,6 +570,8 @@ def test_rk4_in_buffers_is_bit_identical_to_the_loop_of_new_arrays(product, case
         ys = 1e200 * ys
     if product[0] == "pair":
         ys, g0 = _block_pair(ys, g0)
+    elif product[0] == "grid":
+        ys, g0 = _grid_layout(ys, g0)
     kept, signs = (ys.copy(), g0.copy()), set()
     for sign in (1, -1):
         nodes = ys[:-1:2], ys[1::2], ys[2::2]
@@ -687,13 +730,20 @@ def _loop_gauge_from_homotopy(xs, ys, endpoint_tol=1e-5):
 @pytest.mark.parametrize("p", [8, 16, 32])
 def test_backward_transport_is_bit_identical_to_its_own_loop(n, p):
     rnd = np.random.default_rng(10 * n + p)
+    pairs = []
     for mz in (2, 4, 6, 10, 24, 58, 120):
         xs, ys = rnd.uniform(-1, 1, (2, mz + 1, p, n, n))
-        ys = ys * rnd.uniform(0.1, 3)
+        pairs.append((xs, ys * rnd.uniform(0.1, 3)))
+    # exact zeros of both signs among the samples, and a y of -0.0 alone
+    xs, ys = rnd.uniform(-1, 1, (2, 25, p, n, n))
+    ys[rnd.random(ys.shape) < 0.6] = 0.0
+    ys[rnd.random(ys.shape) < 0.3] = -0.0
+    pairs += [(xs, ys), (xs, np.full_like(ys, -0.0))]
+    for xs, ys in pairs:
         g, report = gauge_from_homotopy(xs, ys)
         ref, expected = _loop_gauge_from_homotopy(xs, ys)
         # the bit patterns, so that -0.0 and 0.0, which print differently, differ
-        assert np.array_equal(g.view(np.uint64), ref.view(np.uint64)), (n, p, mz)
+        assert np.array_equal(g.view(np.uint64), ref.view(np.uint64)), (n, p, len(ys))
         # the batched residual multiplies with @, which rounds unlike einsum
         assert report.pop("system_residual") == pytest.approx(
             expected.pop("system_residual"), rel=1e-12, abs=1e-300)

@@ -104,6 +104,20 @@ def test_mc_elements_are_equal_on_one_algebra_and_equal_values():
         assert x != other and other != x and not x == other
 
 
+def test_conv_ops_are_equal_on_one_algebra_and_equal_coefficients():
+    # as for Elements, the algebra is compared by identity: the identities of
+    # C*(S^1_3; Z) on V and of C*(S^1_3; F2) on W have equal coefficient dicts
+    over_z, over_f2 = cochain_algebra(circle(3), Z), cochain_algebra(circle(3), Ring.GF(2))
+    v, w = GradedModule(Z, [("a", 0)]), GradedModule(Ring.GF(2), [("a", 0)])
+    one, other = ConvOp.identity(over_z, v), ConvOp.identity(over_f2, w)
+    assert one.coeffs == other.coeffs
+    assert one != other and not one == other and other != one
+    assert one == ConvOp.identity(over_z, v) and not one != ConvOp.identity(over_z, v)
+    assert one != ConvOp.identity(cochain_algebra(circle(3), Z), v)
+    for value in (one.coeffs, None, 1):
+        assert one != value and not one == value
+
+
 def test_twist_refuses_non_mc():
     # an MCElement is verified once, when it is made; the twists take only those
     kx = universal_mc_dga(Z, 4)
