@@ -115,10 +115,13 @@ class Ring:
         if token == "Q":
             return Ring.Q()
         if token.startswith("F"):
-            try:
-                p = int(token[1:])
-            except ValueError:  # not a number, or more digits than int() parses
-                raise ExactLinalgError("cannot parse ring token %.40r" % (token,)) from None
+            digits = token[1:]
+            try:  # ASCII digits alone, as _exact_scalar reads them
+                p = int(digits) if digits.isascii() and digits.isdigit() else None
+            except ValueError:  # more digits than int() parses
+                p = None
+            if p is None:
+                raise ExactLinalgError("cannot parse ring token %.40r" % (token,))
             return Ring.GF(p)
         raise ExactLinalgError("cannot parse ring token %r" % (token,))
 
@@ -293,9 +296,9 @@ class ExactMatrix:
 
     The package builds its matrices from sparse labelled columns with
     :meth:`from_columns` (a matrix built by rows is the transpose of one
-    built from those rows as columns); the dense constructor,
-    :meth:`from_rows` and :meth:`set_entry` serve the dense JSON format and
-    the tests, and no module outside this one mutates a matrix.
+    built from those rows as columns); the dense constructor and
+    :meth:`from_rows` serve the dense JSON format and the tests, and no
+    module outside this one mutates a matrix.
     """
 
     def __init__(self, ring: Ring, rows: int, cols: int, entries=None):
@@ -368,12 +371,6 @@ class ExactMatrix:
 
     def get(self, i: int, j: int):
         return self._data[i].get(j, self.ring.zero())
-
-    def set_entry(self, i, j, v):
-        if v == 0:
-            self._data[i].pop(j, None)
-        else:
-            self._data[i][j] = v
 
     def nonzero_items(self):
         for i, row in enumerate(self._data):
@@ -458,7 +455,9 @@ class ExactMatrix:
 #
 # The kernels work on lists of row dicts, as ExactMatrix stores them.  V is
 # kept transposed, so that its column operations are row operations too.
-# Row dst += c * row src is _Z.axpy(rows[dst], c, rows[src]).
+# Row dst += c * row src is _Z.axpy(rows[dst], c, rows[src]).  The main loop
+# diagonalizes, and one Bezout step per pair out of the divisibility chain
+# takes diag(a, b) to diag(gcd, lcm) (Newman 1972; Cohen 1993, 2.4).
 
 _Z = Ring.Z()
 
@@ -510,8 +509,11 @@ def smith_normal_form(m: ExactMatrix):
     """Return (U, D, V) with U*m*V = D, U and V unimodular over Z.
 
     The diagonal of D is nonnegative and forms a divisibility chain
-    d1 | d2 | ... .  Pivots are chosen with minimal absolute value,
-    scanned row-major, which makes the output deterministic.
+    d1 | d2 | ... , zeros last.  Pivots are chosen with minimal absolute
+    value, scanned row-major, which makes the output deterministic.  The
+    chain comes from one 2x2 Bezout step per pair out of it, which changes
+    U and V only where it runs and keeps V's kernel columns and V D^+ U, so
+    no solve or kernel read off them moves.
 
     >>> m = ExactMatrix.from_rows(Ring.Z(), [[2, 4], [6, 8]])
     >>> U, D, V = smith_normal_form(m)
@@ -559,49 +561,25 @@ def smith_normal_form(m: ExactMatrix):
             _negate_row(u, t)
         t += 1
 
-    # Enforce the divisibility chain d_i | d_{i+1}.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(t - 1):
-            di, dj = a[i].get(i, 0), a[i + 1].get(i + 1, 0)
-            if di != 0 and dj % di != 0:
-                # fold d_{i+1} into position (i, i) and rediagonalize 2x2 block
-                _add_col(a, i, i + 1, 1)
-                _Z.axpy(vt[i], 1, vt[i + 1])
-                _rediagonalize_pair(a, u, vt, i)
-                changed = True
+    # A pair i < j of the positive diagonal out of the chain: with g = gcd =
+    # s d_i + r d_j, P = [[s, r], [-d_j/g, d_i/g]] on rows and Q = [[1,
+    # -r d_j/g], [1, s d_i/g]] on columns give P diag(d_i, d_j) Q =
+    # diag(g, d_i d_j/g).  Once row i has met every j > i, d_i divides them.
+    for i in range(t):
+        for j in range(i + 1, t):
+            di, dj = a[i][i], a[j][j]
+            if dj % di:
+                g = gcd(di, dj)
+                s = pow(di // g, -1, dj // g)
+                r = (g - s * di) // dj
+                u[i], u[j] = (_Z.axpy(_Z.axpy({}, s, u[i]), r, u[j]),
+                              _Z.axpy(_Z.axpy({}, -dj // g, u[i]), di // g, u[j]))
+                vt[i], vt[j] = (_Z.axpy(dict(vt[i]), 1, vt[j]),
+                                _Z.axpy(_Z.axpy({}, -r * dj // g, vt[i]), s * di // g, vt[j]))
+                a[i][i], a[j][j] = g, di * dj // g
     z = m.ring
     return (ExactMatrix._of_rows(z, m.rows, u), ExactMatrix._of_rows(z, m.cols, a),
             ExactMatrix._of_rows(z, m.cols, vt).transpose())
-
-
-def _rediagonalize_pair(a, u, vt, t):
-    # Clears the 2x2 block at (t, t) after a chain-fixing column add; the
-    # block is [[d_t, 0], [d_{t+1}, d_{t+1}]] before the call.
-    while True:
-        x, y = a[t].get(t, 0), a[t + 1].get(t, 0)
-        if y == 0:
-            break
-        if x != 0 and abs(x) <= abs(y):
-            q = y // x
-            _Z.axpy(a[t + 1], -q, a[t])
-            _Z.axpy(u[t + 1], -q, u[t])
-        else:
-            _swap_rows(a, t, t + 1)
-            _swap_rows(u, t, t + 1)
-    # Row t is now alpha [d_t, 0] + beta [d_{t+1}, d_{t+1}], its first entry
-    # x = +-gcd(d_t, d_{t+1}).  So its second entry y = beta d_{t+1} is a
-    # multiple of x, and one exact column step clears it.  And y != 0: with
-    # beta = 0, d_t would divide x and so d_{t+1}, and the pair is folded
-    # only when it does not.
-    q = a[t][t + 1] // a[t][t]
-    _add_col(a, t + 1, t, -q)
-    _Z.axpy(vt[t + 1], -q, vt[t])
-    for i in (t, t + 1):
-        if a[i].get(i, 0) < 0:
-            _negate_row(a, i)
-            _negate_row(u, i)
 
 
 def invariant_factors(m: ExactMatrix) -> list:

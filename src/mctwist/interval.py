@@ -39,7 +39,7 @@ N_MAX_DEFAULT = 8
 
 
 class IntervalAlgebra:
-    """K_n* together with its distinguished labels and evaluation maps."""
+    """K_n* together with its distinguished labels."""
 
     def __init__(self, n: int, ring: Ring):
         if n < 0:
@@ -72,13 +72,6 @@ class IntervalAlgebra:
         if label not in self.dga.gm.degree:
             raise DgError("word %r absent from K_%d*" % (label, self.n))
         return label
-
-    def ev0(self, coeffs: dict):
-        """Evaluation at the e-vertex (a dg algebra map K_n* -> k)."""
-        return coeffs.get(self.e, self.ring.zero())
-
-    def ev1(self, coeffs: dict):
-        return coeffs.get(self.f, self.ring.zero())
 
     def ranks(self):
         top = self.sset.dimension

@@ -591,8 +591,6 @@ def _homotopy_solver(a: DgAlgebra, x: MCElement, y: MCElement):
     degm1 = list(a.gm.labels_of_degree(-1))
     unknowns = [("h", l) for l in deg0] + [("wx", l) for l in degm1] + \
         [("wy", l) for l in degm1]
-    if not unknowns:
-        return lambda g: None
 
     def place(columns, eq, unknown, block, f=lambda c: c):
         # the columns {l: {r: c}} of one block of unknowns, keyed as

@@ -326,7 +326,7 @@ def test_large_prime_fields(tmp_path, capsys):
     code, out, err = run_cli(capsys, "kn", "--n", "1", "--ring", "F%d" % (2 ** 89 - 1))
     assert code == 1 and out == ""
     assert "input error" in err and "p < " in err
-    for token in ("Fx", "F" + "9" * 5000):
+    for token in ("Fx", "F" + "9" * 5000, "F1_3", "F\u0665", "F+5", "F 5"):
         code, out, err = run_cli(capsys, "kn", "--n", "1", "--ring", token)
         assert code == 1 and out == "" and "cannot parse ring token" in err
 

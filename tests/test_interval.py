@@ -70,7 +70,7 @@ def test_unit_is_e_plus_f_and_evaluations_are_dga_maps():
         assert k.dga.unit == {k.e: 1, k.f: 1}
         # ev0, ev1 are dg algebra maps to the ground ring: multiplicative on
         # every basis pair and zero on every differential
-        for ev, vertex in ((k.ev0, k.e), (k.ev1, k.f)):
+        for ev in (lambda coeffs: coeffs.get(k.e, 0), lambda coeffs: coeffs.get(k.f, 0)):
             for x in k.dga.gm.labels:
                 for y in k.dga.gm.labels:
                     prod = k.dga.mul_labels(x, y)

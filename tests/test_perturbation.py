@@ -93,9 +93,10 @@ def _ref_hodge_data(v, d0_entries):
     labels = list(v.labels)
     ix = {l: i for i, l in enumerate(labels)}
     n = len(labels)
-    d0 = ExactMatrix.zeros(ring, n, n)
+    cols = [{} for _ in range(n)]
     for (u, w), c in d0_entries.items():
-        d0.set_entry(ix[w], ix[u], ring.coerce(c))
+        cols[ix[u]][ix[w]] = ring.coerce(c)
+    d0 = ExactMatrix.from_columns(ring, cols, range(n))
 
     def block(deg):
         src = list(v.labels_of_degree(deg))
